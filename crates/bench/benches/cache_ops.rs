@@ -52,5 +52,45 @@ fn bench_probe_fill(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_probe_fill);
+/// The miss path as the vector-mode worker drives it: `probe_batch`
+/// over a 256-address burst that hits ≈ never, then one `fill` per
+/// lane. Addresses are pseudo-random (which set, and which way of it
+/// is oldest, is what the real stream cannot predict either) and the
+/// cache starts full, so every lane reserves by evicting a complete
+/// block to the victim cache. The hit-path arms above bypass all of
+/// this.
+fn bench_miss_path(c: &mut Criterion) {
+    const BURST: usize = 256;
+    let mut group = c.benchmark_group("lr_cache");
+    group.throughput(Throughput::Elements(BURST as u64));
+    group.bench_function("miss_path_probe_batch_fill", |b| {
+        let mut cache: LrCache<Option<u16>> = LrCache::new(LrCacheConfig::paper(4096));
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u32
+        };
+        for _ in 0..2 * 4096 {
+            let _ = cache.fill(next(), Some(1), Origin::Loc);
+        }
+        let mut burst = vec![0u32; BURST];
+        let mut lanes = Vec::with_capacity(BURST);
+        b.iter(|| {
+            for a in burst.iter_mut() {
+                *a = next();
+            }
+            lanes.clear();
+            cache.probe_batch(black_box(&burst), &mut lanes);
+            for &a in &burst {
+                let _ = cache.fill(a, Some(1), Origin::Loc);
+            }
+            lanes.len()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_probe_fill, bench_miss_path);
 criterion_main!(benches);

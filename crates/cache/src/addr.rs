@@ -11,6 +11,9 @@ pub trait CacheAddr: Copy + Eq + std::hash::Hash + std::fmt::Debug {
     /// Address width in bits (32 for IPv4, 128 for IPv6).
     const BITS: u8;
 
+    /// The all-zero address (what an empty cache slot's tag holds).
+    const ZERO: Self;
+
     /// Low bits of the address, for the `LowBits` set-index scheme.
     fn low_bits(self) -> usize;
 
@@ -24,6 +27,7 @@ pub trait CacheAddr: Copy + Eq + std::hash::Hash + std::fmt::Debug {
 
 impl CacheAddr for u32 {
     const BITS: u8 = 32;
+    const ZERO: u32 = 0;
 
     #[inline]
     fn low_bits(self) -> usize {
@@ -49,6 +53,7 @@ impl CacheAddr for u32 {
 
 impl CacheAddr for u128 {
     const BITS: u8 = 128;
+    const ZERO: u128 = 0;
 
     #[inline]
     fn low_bits(self) -> usize {

@@ -24,6 +24,8 @@
 
 pub mod addr;
 pub mod lr;
+#[cfg(test)]
+mod oracle;
 pub mod policy;
 pub mod range;
 pub mod stats;

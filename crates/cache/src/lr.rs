@@ -6,7 +6,8 @@ use crate::policy::ReplacementPolicy;
 use crate::stats::CacheStats;
 use crate::victim::{VictimBlock, VictimCache};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::hint::select_unpredictable;
 
 /// Where a cached result came from — the M ("mix") status bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -190,27 +191,60 @@ pub enum FillOutcome {
     Dropped,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Block<V, A: CacheAddr> {
-    Invalid,
-    /// W bit set: address recorded, reply pending.
-    Waiting {
-        addr: A,
-    },
-    /// Availability = shared: a complete result.
-    Complete {
-        addr: A,
-        value: V,
-        origin: Origin,
-    },
+/// Ways per [`Group`].
+const LANES: usize = 4;
+
+// A slot's `meta` word: three state bits under a 61-bit recency stamp.
+/// Slot holds an entry (waiting or complete).
+const VALID: u64 = 1;
+/// W bit: address recorded, reply pending (no value yet).
+const WAITING: u64 = 2;
+/// M bit: the complete result came from a remote FE.
+const REM: u64 = 4;
+const STATE_MASK: u64 = VALID | WAITING | REM;
+const STAMP_SHIFT: u32 = 3;
+
+/// Four ways of one set, field by field: tags, values, then one `meta`
+/// word per way (state bits + stamp). For IPv4 keys and a 4-byte value
+/// this is 16 + 16 + 32 = 64 bytes — one cache line holds everything a
+/// probe, a reservation or a fill reads and writes (a `u128`-keyed
+/// group is two lines). A set is `⌈assoc / 4⌉` consecutive groups; ways
+/// past `assoc` in the last group stay permanently invalid.
+///
+/// One stamp per way is enough: it is the quantity the configured
+/// policy orders by — last use under LRU, insertion under FIFO — and
+/// `Random` reads none.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct Group<V, A> {
+    tags: [A; LANES],
+    /// `None` while the way is invalid or waiting.
+    vals: [Option<V>; LANES],
+    meta: [u64; LANES],
 }
 
+/// Everything the replacement decision needs to know about a set that
+/// does not hold the address being placed: one pass over its `meta`
+/// words, after which nothing looks at the set again.
 #[derive(Debug, Clone, Copy)]
-struct Way<V, A: CacheAddr> {
-    block: Block<V, A>,
-    lru: u64,
-    fifo: u64,
+struct SetSummary {
+    /// First invalid way ([`NO_WAY`] = none).
+    free: usize,
+    /// Complete blocks per M class.
+    loc: usize,
+    rem: usize,
+    /// Oldest complete block per M class as `stamp << WAY_BITS | way`,
+    /// so the minimum is the oldest stamp and, on a tie, the first in
+    /// way order (`u64::MAX` = the class is empty).
+    oldest_loc: u64,
+    oldest_rem: u64,
 }
+
+/// Ways of a set are numbered in the low bits of [`SetSummary`]'s
+/// oldest-block keys, which caps the associativity (and leaves the
+/// stamp 56 bits: one operation per nanosecond for two years).
+const WAY_BITS: u32 = 8;
+const NO_WAY: usize = usize::MAX;
 
 /// One line card's LR-cache.
 ///
@@ -231,7 +265,10 @@ struct Way<V, A: CacheAddr> {
 pub struct LrCache<V, A: CacheAddr = u32> {
     config: LrCacheConfig,
     sets: usize,
-    ways: Vec<Way<V, A>>, // sets × assoc, row-major
+    /// `sets × groups_per_set`, row-major. Slot `s` is lane `s % LANES`
+    /// of group `s / LANES`.
+    groups: Vec<Group<V, A>>,
+    groups_per_set: usize,
     victim: VictimCache<V, A>,
     stats: CacheStats,
     clock: u64,
@@ -272,18 +309,24 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
             "mix fraction must be in [0, 1]"
         );
         let rem_quota = (config.mix_rem_fraction * config.assoc as f64).round() as usize;
-        let ways = vec![
-            Way {
-                block: Block::Invalid,
-                lru: 0,
-                fifo: 0
+        assert!(
+            config.assoc <= 1 << WAY_BITS,
+            "associativity above {} is not supported",
+            1 << WAY_BITS
+        );
+        let groups_per_set = config.assoc.div_ceil(LANES);
+        let groups = vec![
+            Group {
+                tags: [A::ZERO; LANES],
+                vals: [None; LANES],
+                meta: [0; LANES],
             };
-            config.blocks
+            sets * groups_per_set
         ];
         let victim = VictimCache::new(config.victim_blocks, config.policy);
         let rng = SmallRng::seed_from_u64(config.seed);
         let size_gate =
-            std::mem::size_of::<Way<V, A>>() * config.blocks > PrefetchMode::AUTO_RESIDENT_BYTES;
+            std::mem::size_of::<Group<V, A>>() * groups.len() > PrefetchMode::AUTO_RESIDENT_BYTES;
         let prefetch_sets = match config.prefetch {
             PrefetchMode::Always => true,
             PrefetchMode::Never => false,
@@ -292,7 +335,8 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
         let auto_adapt = config.prefetch == PrefetchMode::Auto;
         LrCache {
             sets,
-            ways,
+            groups,
+            groups_per_set,
             victim,
             stats: CacheStats::default(),
             clock: 0,
@@ -328,61 +372,149 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
         self.stats.reset();
     }
 
+    /// First slot of `addr`'s set.
     #[inline]
-    fn set_of(&self, addr: A) -> usize {
+    fn set_base(&self, addr: A) -> usize {
         let mask = self.sets - 1;
-        match self.config.index_scheme {
+        let set = match self.config.index_scheme {
             IndexScheme::LowBits => addr.low_bits() & mask,
             IndexScheme::XorFold => addr.xor_fold() & mask,
-        }
+        };
+        set * self.groups_per_set * LANES
     }
 
+    /// The slot of `addr`'s set holding `addr` (waiting or complete):
+    /// one pass over the set's tags. Ways past `assoc` are never valid,
+    /// so they never match. Which way matches is as good as random, so
+    /// the four compares of a group are folded into a mask instead of
+    /// branched on one by one.
     #[inline]
-    fn set_range(&self, set: usize) -> std::ops::Range<usize> {
-        let start = set * self.config.assoc;
-        start..start + self.config.assoc
+    fn find(&self, base: usize, addr: A) -> Option<usize> {
+        let set = &self.groups[base / LANES..][..self.groups_per_set];
+        for (g, group) in set.iter().enumerate() {
+            let mut matches = 0u32;
+            for lane in 0..LANES {
+                let hit = (group.tags[lane] == addr) & (group.meta[lane] & VALID != 0);
+                matches |= (hit as u32) << lane;
+            }
+            if matches != 0 {
+                return Some(base + g * LANES + matches.trailing_zeros() as usize);
+            }
+        }
+        None
+    }
+
+    /// One pass over the `meta` words of a set that [`Self::find`] just
+    /// missed in. Between them a miss reads each tag and each state
+    /// word of its set once — the same cache line(s) — where it used to
+    /// scan the set once per question. Written as selects and minima:
+    /// which way is invalid, waiting or oldest is data the branch
+    /// predictor cannot learn.
+    #[inline]
+    fn summarize(&self, base: usize) -> SetSummary {
+        let mut s = SetSummary {
+            free: NO_WAY,
+            loc: 0,
+            rem: 0,
+            oldest_loc: u64::MAX,
+            oldest_rem: u64::MAX,
+        };
+        let set = &self.groups[base / LANES..][..self.groups_per_set];
+        for (g, group) in set.iter().enumerate() {
+            // Per lane: its way if free, its key if a complete block of
+            // either class; the "none" value otherwise and past `assoc`.
+            let mut free = [NO_WAY; LANES];
+            let mut rem = [u64::MAX; LANES];
+            let mut loc = [u64::MAX; LANES];
+            for lane in 0..LANES.min(self.config.assoc - g * LANES) {
+                let way = g * LANES + lane;
+                let meta = group.meta[lane];
+                let complete = meta & (VALID | WAITING) == VALID;
+                let is_rem = complete & (meta & REM != 0);
+                let is_loc = complete & (meta & REM == 0);
+                let key = (meta >> STAMP_SHIFT) << WAY_BITS | way as u64;
+                free[lane] = select_unpredictable(meta & VALID == 0, way, NO_WAY);
+                rem[lane] = select_unpredictable(is_rem, key, u64::MAX);
+                loc[lane] = select_unpredictable(is_loc, key, u64::MAX);
+                s.rem += is_rem as usize;
+                s.loc += is_loc as usize;
+            }
+            s.free = s.free.min(min_of(free));
+            s.oldest_rem = s.oldest_rem.min(min_of(rem));
+            s.oldest_loc = s.oldest_loc.min(min_of(loc));
+        }
+        s
+    }
+
+    /// Refresh `slot`'s recency after a use and set its state bits.
+    /// Only LRU orders by last use; under FIFO the stamp keeps meaning
+    /// "inserted at".
+    #[inline]
+    fn touch(&mut self, slot: usize, state: u64) {
+        let meta = &mut self.groups[slot / LANES].meta[slot % LANES];
+        *meta = if self.config.policy == ReplacementPolicy::Lru {
+            self.clock << STAMP_SHIFT | state
+        } else {
+            *meta & !STATE_MASK | state
+        };
+    }
+
+    /// Overwrite `slot` with a fresh entry stamped now. A complete
+    /// block being displaced moves to the victim cache first.
+    #[inline]
+    fn place(&mut self, slot: usize, addr: A, value: Option<V>, state: u64) {
+        let group = &mut self.groups[slot / LANES];
+        let lane = slot % LANES;
+        if group.meta[lane] & (VALID | WAITING) == VALID {
+            self.stats.evictions += 1;
+            self.victim.insert(
+                VictimBlock {
+                    addr: group.tags[lane],
+                    value: group.vals[lane].expect("complete blocks carry a value"),
+                    origin_is_rem: group.meta[lane] & REM != 0,
+                },
+                &mut self.rng,
+            );
+        }
+        group.tags[lane] = addr;
+        group.vals[lane] = value;
+        group.meta[lane] = self.clock << STAMP_SHIFT | state;
     }
 
     /// Probe for `addr` (one cache port operation). Updates recency and
     /// statistics; promotes victim-cache hits back into the main array.
     pub fn probe(&mut self, addr: A) -> ProbeResult<V> {
+        self.probe_in(self.set_base(addr), addr)
+    }
+
+    /// [`LrCache::probe`] in the set at `base`. Returning `Miss` leaves
+    /// the set without `addr`, exactly as [`Self::reserve_absent`]
+    /// expects it.
+    #[inline]
+    fn probe_in(&mut self, base: usize, addr: A) -> ProbeResult<V> {
         self.clock += 1;
-        let range = self.set_range(self.set_of(addr));
-        for i in range.clone() {
-            match self.ways[i].block {
-                Block::Complete {
-                    addr: a,
-                    value,
-                    origin,
-                } if a == addr => {
-                    self.ways[i].lru = self.clock;
-                    match origin {
-                        Origin::Loc => self.stats.hits_loc += 1,
-                        Origin::Rem => self.stats.hits_rem += 1,
-                    }
-                    return ProbeResult::Hit { value, origin };
-                }
-                Block::Waiting { addr: a } if a == addr => {
-                    self.ways[i].lru = self.clock;
-                    self.stats.hits_waiting += 1;
-                    return ProbeResult::HitWaiting;
-                }
-                _ => {}
+        if let Some(slot) = self.find(base, addr) {
+            let group = &self.groups[slot / LANES];
+            let (state, value) = (
+                group.meta[slot % LANES] & STATE_MASK,
+                group.vals[slot % LANES],
+            );
+            self.touch(slot, state);
+            if state & WAITING != 0 {
+                self.stats.hits_waiting += 1;
+                return ProbeResult::HitWaiting;
             }
+            let origin = origin_of(state);
+            self.count_hit(origin);
+            let value = value.expect("complete blocks carry a value");
+            return ProbeResult::Hit { value, origin };
         }
         // Parallel probe of the victim cache; a hit swaps the block back.
         if let Some(block) = self.victim.take(addr) {
             self.stats.victim_hits += 1;
-            let origin = if block.origin_is_rem {
-                Origin::Rem
-            } else {
-                Origin::Loc
-            };
-            match origin {
-                Origin::Loc => self.stats.hits_loc += 1,
-                Origin::Rem => self.stats.hits_rem += 1,
-            }
-            self.install(addr, block.value, origin);
+            let origin = origin_of(if block.origin_is_rem { REM } else { 0 });
+            self.count_hit(origin);
+            self.install(base, addr, block.value, origin);
             return ProbeResult::Hit {
                 value: block.value,
                 origin,
@@ -392,20 +524,28 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
         ProbeResult::Miss
     }
 
-    /// Hint the hardware prefetcher at the ways of `addr`'s set. With
-    /// β = 4K blocks the way array is ~130 KiB — far beyond L1 — so a
-    /// vector-mode probe pass that announces set N+`lookahead` while
-    /// scanning set N hides most of the L2/L3 latency. No-op off x86_64.
+    #[inline]
+    fn count_hit(&mut self, origin: Origin) {
+        let rem = (origin == Origin::Rem) as u64;
+        self.stats.hits_rem += rem;
+        self.stats.hits_loc += 1 - rem;
+    }
+
+    /// Hint the hardware prefetcher at `addr`'s set. A large LR-cache
+    /// lives beyond L1, so a vector-mode probe pass that announces set
+    /// N+`lookahead` while scanning set N hides most of the L2/L3
+    /// latency. No-op off x86_64.
     #[inline]
     fn prefetch_set(&self, addr: A) {
         #[cfg(target_arch = "x86_64")]
         {
-            let start = self.set_of(addr) * self.config.assoc;
-            // SAFETY: `start` indexes into `ways` (set_of masks to a
-            // valid set); prefetch has no memory effects regardless.
+            let group = self.set_base(addr) / LANES;
+            // SAFETY: `set_base` masks the address to a valid set, so
+            // `group` indexes into `groups`; prefetch has no memory
+            // effects regardless.
             unsafe {
                 std::arch::x86_64::_mm_prefetch(
-                    self.ways.as_ptr().add(start) as *const i8,
+                    self.groups.as_ptr().add(group) as *const i8,
                     std::arch::x86_64::_MM_HINT_T0,
                 );
             }
@@ -414,16 +554,6 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
         let _ = addr;
     }
 
-    /// Batched probe pass with software prefetch: for each address, a
-    /// [`LrCache::probe`] with the miss-path [`LrCache::reserve`] folded
-    /// in. Appends one [`BatchProbe`] per address onto `out`, in order.
-    ///
-    /// The per-lane cache-op sequence is *exactly* probe-then-reserve —
-    /// the same calls, in the same order, a scalar caller would make —
-    /// so clocks, statistics and replacement state end up bit-identical
-    /// to the scalar path. The win is the prefetch distance: lane i
-    /// announces lane i+8's set before touching lane i's, so the set
-    /// scans run out of L1 instead of stalling on L2/L3.
     /// Re-evaluate the `Auto` prefetch decision from the windowed hit
     /// rate. Purely a performance toggle — probe/reserve semantics,
     /// statistics and replacement state are untouched, so deterministic
@@ -441,27 +571,36 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
         self.auto_last_hits = hits;
     }
 
+    /// Batched probe pass with software prefetch: for each address, a
+    /// [`LrCache::probe`] with the miss-path [`LrCache::reserve`] folded
+    /// in. Appends one [`BatchProbe`] per address onto `out`, in order.
+    ///
+    /// Per lane the clocks, statistics and replacement state end up
+    /// bit-identical to a scalar probe-then-reserve — but a miss lane
+    /// looks for its address once, not once per call: the probe just
+    /// established it is absent, so the reservation goes straight to
+    /// the replacement decision.
     pub fn probe_batch(&mut self, addrs: &[A], out: &mut Vec<BatchProbe<V>>) {
         const PREFETCH_DIST: usize = 8;
+        out.reserve(addrs.len());
         if self.auto_adapt {
             self.maybe_retune_prefetch();
         }
-        out.reserve(addrs.len());
         for (i, &addr) in addrs.iter().enumerate() {
             if self.prefetch_sets {
                 if let Some(&ahead) = addrs.get(i + PREFETCH_DIST) {
                     self.prefetch_set(ahead);
                 }
             }
-            let lane = match self.probe(addr) {
+            let base = self.set_base(addr);
+            out.push(match self.probe_in(base, addr) {
                 ProbeResult::Hit { value, origin } => BatchProbe::Hit { value, origin },
                 ProbeResult::HitWaiting => BatchProbe::Waiting,
-                ProbeResult::Miss => match self.reserve(addr) {
+                ProbeResult::Miss => match self.reserve_absent(base, addr) {
                     ReserveOutcome::Reserved => BatchProbe::MissReserved,
                     ReserveOutcome::SetFullOfWaiting => BatchProbe::MissUnrecorded,
                 },
-            };
-            out.push(lane);
+            });
         }
     }
 
@@ -471,27 +610,25 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
     /// entry (waiting or complete) re-marks that entry as waiting
     /// instead of creating a duplicate.
     pub fn reserve(&mut self, addr: A) -> ReserveOutcome {
+        let base = self.set_base(addr);
+        let Some(slot) = self.find(base, addr) else {
+            return self.reserve_absent(base, addr);
+        };
         self.clock += 1;
-        let set = self.set_of(addr);
-        for i in self.set_range(set) {
-            match self.ways[i].block {
-                Block::Waiting { addr: a } | Block::Complete { addr: a, .. } if a == addr => {
-                    self.ways[i].block = Block::Waiting { addr };
-                    self.ways[i].lru = self.clock;
-                    self.stats.reservations += 1;
-                    return ReserveOutcome::Reserved;
-                }
-                _ => {}
-            }
-        }
-        match self.pick_slot(set) {
-            Some(i) => {
-                self.evict_to_victim(i);
-                self.ways[i] = Way {
-                    block: Block::Waiting { addr },
-                    lru: self.clock,
-                    fifo: self.clock,
-                };
+        self.groups[slot / LANES].vals[slot % LANES] = None;
+        self.touch(slot, VALID | WAITING);
+        self.stats.reservations += 1;
+        ReserveOutcome::Reserved
+    }
+
+    /// Reserve a block for `addr` in the set at `base`, which does not
+    /// hold it.
+    #[inline]
+    fn reserve_absent(&mut self, base: usize, addr: A) -> ReserveOutcome {
+        self.clock += 1;
+        match self.pick_victim(base) {
+            Some(slot) => {
+                self.place(slot, addr, None, VALID | WAITING);
                 self.stats.reservations += 1;
                 ReserveOutcome::Reserved
             }
@@ -507,36 +644,22 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
     /// reservation may have failed earlier or been flushed away).
     pub fn fill(&mut self, addr: A, value: V, origin: Origin) -> FillOutcome {
         self.clock += 1;
-        let range = self.set_range(self.set_of(addr));
-        for i in range {
-            match self.ways[i].block {
-                Block::Waiting { addr: a } if a == addr => {
-                    self.ways[i].block = Block::Complete {
-                        addr,
-                        value,
-                        origin,
-                    };
-                    self.ways[i].lru = self.clock;
-                    self.stats.fills += 1;
-                    return FillOutcome::CompletedWaiting;
-                }
-                Block::Complete { addr: a, .. } if a == addr => {
-                    // A newer result for the same address supersedes the
-                    // cached one in place — no duplicates in a set.
-                    self.ways[i].block = Block::Complete {
-                        addr,
-                        value,
-                        origin,
-                    };
-                    self.ways[i].lru = self.clock;
-                    return FillOutcome::Inserted;
-                }
-                _ => {}
+        let base = self.set_base(addr);
+        if let Some(slot) = self.find(base, addr) {
+            let waiting = self.groups[slot / LANES].meta[slot % LANES] & WAITING != 0;
+            self.groups[slot / LANES].vals[slot % LANES] = Some(value);
+            self.touch(slot, state_of(origin));
+            if waiting {
+                self.stats.fills += 1;
+                return FillOutcome::CompletedWaiting;
             }
+            // A newer result for the same address superseded the cached
+            // one in place — no duplicates in a set.
+            return FillOutcome::Inserted;
         }
         // Any stale victim-cache copy is superseded too.
         let _ = self.victim.take(addr);
-        if self.install(addr, value, origin) {
+        if self.install(base, addr, value, origin) {
             FillOutcome::Inserted
         } else {
             FillOutcome::Dropped
@@ -546,8 +669,8 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
     /// Flush every block, main array and victim cache alike (§3.2: all
     /// entries are invalidated after each routing-table update).
     pub fn flush(&mut self) {
-        for way in &mut self.ways {
-            way.block = Block::Invalid;
+        for group in &mut self.groups {
+            group.meta = [0; LANES];
         }
         self.victim.flush();
         self.stats.flushes += 1;
@@ -579,14 +702,12 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
         );
         let covered = |addr: A| addr.covered_by(prefix_bits, prefix_len);
         let mut dropped = 0usize;
-        for way in &mut self.ways {
-            let addr = match way.block {
-                Block::Invalid => continue,
-                Block::Waiting { addr } | Block::Complete { addr, .. } => addr,
-            };
-            if covered(addr) {
-                way.block = Block::Invalid;
-                dropped += 1;
+        for group in &mut self.groups {
+            for lane in 0..LANES {
+                if group.meta[lane] & VALID != 0 && covered(group.tags[lane]) {
+                    group.meta[lane] = 0;
+                    dropped += 1;
+                }
             }
         }
         dropped += self.victim.invalidate_where(covered);
@@ -594,145 +715,145 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
         dropped
     }
 
+    /// Invalidate the entry for exactly `addr`, wherever it is — its
+    /// set (waiting or complete) or the victim cache. Same result and
+    /// same `invalidations` accounting as
+    /// `invalidate_covered(addr, A::BITS)`, but it looks at one set
+    /// instead of all of them.
+    pub fn invalidate_addr(&mut self, addr: A) -> usize {
+        let mut dropped = 0usize;
+        if let Some(slot) = self.find(self.set_base(addr), addr) {
+            self.groups[slot / LANES].meta[slot % LANES] = 0;
+            dropped += 1;
+        }
+        dropped += self.victim.invalidate_where(|a| a == addr);
+        self.stats.invalidations += dropped as u64;
+        dropped
+    }
+
+    /// Every slot's `(state bits, tag, value)`, in way order.
+    fn slots(&self) -> impl Iterator<Item = (u64, A, Option<V>)> + '_ {
+        self.groups.iter().flat_map(|g| {
+            (0..LANES).map(move |lane| (g.meta[lane] & STATE_MASK, g.tags[lane], g.vals[lane]))
+        })
+    }
+
     /// Number of complete (shared) entries currently held, per M class:
     /// `(loc, rem)`. Diagnostic; O(blocks).
     pub fn occupancy(&self) -> (usize, usize) {
-        let mut loc = 0;
-        let mut rem = 0;
-        for w in &self.ways {
-            if let Block::Complete { origin, .. } = w.block {
-                match origin {
-                    Origin::Loc => loc += 1,
-                    Origin::Rem => rem += 1,
-                }
-            }
-        }
-        (loc, rem)
+        let complete = |class: u64| self.slots().filter(|s| s.0 == VALID | class).count();
+        (complete(0), complete(REM))
     }
 
     /// Number of waiting (W-bit) entries. Diagnostic; O(blocks).
     pub fn waiting_count(&self) -> usize {
-        self.ways
-            .iter()
-            .filter(|w| matches!(w.block, Block::Waiting { .. }))
-            .count()
+        self.slots().filter(|s| s.0 & WAITING != 0).count()
     }
 
     /// Iterate over every complete entry currently resident — main
     /// array and victim cache alike. Waiting (W-bit) entries carry no
     /// value yet and are skipped. Diagnostic; O(blocks).
     pub fn entries(&self) -> impl Iterator<Item = (A, V)> + '_ {
-        self.ways
-            .iter()
-            .filter_map(|w| match w.block {
-                Block::Complete { addr, value, .. } => Some((addr, value)),
-                _ => None,
-            })
+        self.slots()
+            .filter(|s| s.0 & (VALID | WAITING) == VALID)
+            .map(|(_, addr, value)| (addr, value.expect("complete blocks carry a value")))
             .chain(self.victim.entries())
     }
 
     /// Install a complete entry directly (victim promotion, or a fill
-    /// whose reservation was lost). Returns false when every block in the
-    /// set is waiting.
-    fn install(&mut self, addr: A, value: V, origin: Origin) -> bool {
-        let set = self.set_of(addr);
-        let Some(i) = self.pick_slot(set) else {
+    /// whose reservation was lost) into the set at `base`, which does
+    /// not hold `addr`. Returns false when every block in the set is
+    /// waiting.
+    fn install(&mut self, base: usize, addr: A, value: V, origin: Origin) -> bool {
+        let Some(slot) = self.pick_victim(base) else {
             return false;
         };
-        self.evict_to_victim(i);
-        self.ways[i] = Way {
-            block: Block::Complete {
-                addr,
-                value,
-                origin,
-            },
-            lru: self.clock,
-            fifo: self.clock,
-        };
+        self.place(slot, addr, Some(value), state_of(origin));
         true
     }
 
-    /// Choose the way to (re)use in `set`: an invalid block if any,
-    /// otherwise a complete block selected by the mix rule + policy.
-    /// Waiting blocks are never evicted (their waiting lists would be
-    /// orphaned). Returns `None` if all blocks are waiting.
-    fn pick_slot(&mut self, set: usize) -> Option<usize> {
-        let range = self.set_range(set);
-        // Free slot first.
-        for i in range.clone() {
-            if matches!(self.ways[i].block, Block::Invalid) {
-                return Some(i);
-            }
+    /// Choose the slot to (re)use in the set at `base`: an invalid block
+    /// if any, otherwise a complete block selected by the mix rule +
+    /// policy. Waiting blocks are never evicted (their waiting lists
+    /// would be orphaned). Returns `None` if all blocks are waiting.
+    #[inline]
+    fn pick_victim(&mut self, base: usize) -> Option<usize> {
+        let set = self.summarize(base);
+        if set.free != NO_WAY {
+            return Some(base + set.free);
         }
-        // Count complete blocks per class.
-        let mut loc = 0usize;
-        let mut rem = 0usize;
-        for i in range.clone() {
-            if let Block::Complete { origin, .. } = self.ways[i].block {
-                match origin {
-                    Origin::Loc => loc += 1,
-                    Origin::Rem => rem += 1,
-                }
-            }
-        }
-        if loc + rem == 0 {
+        if set.loc + set.rem == 0 {
             return None; // set entirely waiting
         }
         // The class exceeding its quota supplies the candidates (§3.2);
-        // hardware checks the M bits of the set in parallel.
+        // hardware checks the M bits of the set in parallel. Such a
+        // class holds at least one block, so candidates always exist.
         let restrict = match self.config.mix_mode {
             MixMode::Ignore => None,
             MixMode::Enforce => {
                 let loc_quota = self.config.assoc - self.rem_quota;
-                if rem > self.rem_quota {
+                if set.rem > self.rem_quota {
                     Some(Origin::Rem)
-                } else if loc > loc_quota {
+                } else if set.loc > loc_quota {
                     Some(Origin::Loc)
                 } else {
                     None
                 }
             }
         };
-        let candidates = |filter: Option<Origin>| {
-            let ways = &self.ways;
-            range.clone().filter_map(move |i| match ways[i].block {
-                Block::Complete { origin, .. } if filter.is_none() || filter == Some(origin) => {
-                    Some((i, ways[i].lru, ways[i].fifo))
-                }
-                _ => None,
-            })
-        };
-        let chosen = self
-            .config
-            .policy
-            .choose(candidates(restrict), &mut self.rng)
-            .or_else(|| self.config.policy.choose(candidates(None), &mut self.rng));
-        debug_assert!(
-            chosen.is_some(),
-            "complete blocks exist, so a candidate does"
-        );
-        chosen
+        Some(match self.config.policy {
+            // Oldest stamp among the candidates.
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+                let oldest = match restrict {
+                    Some(Origin::Rem) => set.oldest_rem,
+                    Some(Origin::Loc) => set.oldest_loc,
+                    None => set.oldest_loc.min(set.oldest_rem),
+                };
+                base + (oldest & ((1 << WAY_BITS) - 1)) as usize
+            }
+            ReplacementPolicy::Random => {
+                let candidates = match restrict {
+                    Some(Origin::Rem) => set.rem,
+                    Some(Origin::Loc) => set.loc,
+                    None => set.loc + set.rem,
+                };
+                let nth = self.rng.gen_range(0..candidates);
+                let class = restrict.map(state_of);
+                (base..base + self.groups_per_set * LANES)
+                    .filter(|&slot| {
+                        let state = self.groups[slot / LANES].meta[slot % LANES] & STATE_MASK;
+                        state & (VALID | WAITING) == VALID && class.is_none_or(|c| c == state)
+                    })
+                    .nth(nth)
+                    .expect("the summary counted this many candidates")
+            }
+        })
     }
+}
 
-    /// Move a complete block out of way `i` into the victim cache.
-    fn evict_to_victim(&mut self, i: usize) {
-        if let Block::Complete {
-            addr,
-            value,
-            origin,
-        } = self.ways[i].block
-        {
-            self.stats.evictions += 1;
-            self.victim.insert(
-                VictimBlock {
-                    addr,
-                    value,
-                    origin_is_rem: origin == Origin::Rem,
-                },
-                &mut self.rng,
-            );
-        }
+/// The least of a group's four per-lane values, as a tree of
+/// conditional moves: which lane holds it is data the branch predictor
+/// cannot learn.
+#[inline]
+fn min_of<T: Ord + Copy>(v: [T; LANES]) -> T {
+    let min = |a: T, b: T| select_unpredictable(b < a, b, a);
+    min(min(v[0], v[1]), min(v[2], v[3]))
+}
+
+/// The M class recorded in a complete block's state bits.
+#[inline]
+fn origin_of(state: u64) -> Origin {
+    if state & REM != 0 {
+        Origin::Rem
+    } else {
+        Origin::Loc
     }
+}
+
+/// The state bits of a complete block of class `origin`.
+#[inline]
+fn state_of(origin: Origin) -> u64 {
+    VALID | if origin == Origin::Rem { REM } else { 0 }
 }
 
 /// An IPv6 LR-cache: identical §3.2 machinery keyed on `u128`
@@ -742,6 +863,8 @@ pub type LrCache6<V> = LrCache<V, u128>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::OracleCache;
+    use proptest::prelude::*;
 
     fn tiny(assoc: usize, sets: usize) -> LrCache<u16> {
         LrCache::new(LrCacheConfig {
@@ -1202,6 +1325,179 @@ mod tests {
                 c.prefetch_active()
             );
         }
+    }
+
+    /// One step of the differential workload. Addresses are small
+    /// indices, widened per address type so that both index schemes
+    /// see varying bits.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Probe(u32),
+        Reserve(u32),
+        ProbeBatch(Vec<u32>),
+        /// `(addr, value, REM?)`
+        Fill(u32, u16, bool),
+        InvalidateCovered(u32, u8),
+        InvalidateAddr(u32),
+        Flush,
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        const SPACE: u32 = 96;
+        proptest::collection::vec(
+            prop_oneof![
+                4 => (0..SPACE).prop_map(Op::Probe),
+                3 => (0..SPACE).prop_map(Op::Reserve),
+                3 => proptest::collection::vec(0..SPACE, 0..12).prop_map(Op::ProbeBatch),
+                5 => (0..SPACE, any::<u16>(), any::<bool>())
+                    .prop_map(|(a, v, r)| Op::Fill(a, v, r)),
+                1 => (0..SPACE, 0u8..=8).prop_map(|(a, l)| Op::InvalidateCovered(a, l)),
+                1 => (0..SPACE).prop_map(Op::InvalidateAddr),
+                1 => Just(Op::Flush),
+            ],
+            0..160,
+        )
+    }
+
+    fn arb_config() -> impl Strategy<Value = LrCacheConfig> {
+        (
+            prop::sample::select(vec![1usize, 2, 4]),
+            prop::sample::select(vec![1usize, 2, 3, 4, 6, 8]),
+            prop::sample::select(vec![0.0f64, 0.25, 0.5, 0.75, 1.0]),
+            prop::sample::select(vec![0usize, 2, 8]),
+            prop::sample::select(vec![
+                ReplacementPolicy::Lru,
+                ReplacementPolicy::Fifo,
+                ReplacementPolicy::Random,
+            ]),
+            any::<bool>(),
+            any::<bool>(),
+        )
+            .prop_map(|(sets, assoc, gamma, victim, policy, enforce, fold)| {
+                LrCacheConfig {
+                    blocks: sets * assoc,
+                    assoc,
+                    mix_rem_fraction: gamma,
+                    mix_mode: if enforce {
+                        MixMode::Enforce
+                    } else {
+                        MixMode::Ignore
+                    },
+                    policy,
+                    victim_blocks: victim,
+                    index_scheme: if fold {
+                        IndexScheme::XorFold
+                    } else {
+                        IndexScheme::LowBits
+                    },
+                    seed: 99,
+                    prefetch: PrefetchMode::Never,
+                }
+            })
+    }
+
+    /// Drive `ops` through the fused cache and the scan-per-step oracle
+    /// side by side. After every operation the result, the statistics,
+    /// the waiting count and the resident entries *in way order* (which
+    /// pins the replacement victim and, under `Random`, the RNG draws)
+    /// must agree. `widen` spreads an index over the address width;
+    /// `top` is the shift that turns an 8-bit prefix into address bits.
+    fn differential<A: CacheAddr>(config: LrCacheConfig, ops: &[Op], widen: fn(u32) -> A) {
+        let mut fused: LrCache<u16, A> = LrCache::new(config.clone());
+        let mut oracle: OracleCache<u16, A> = OracleCache::new(config);
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Probe(a) => assert_eq!(fused.probe(widen(a)), oracle.probe(widen(a))),
+                Op::Reserve(a) => assert_eq!(fused.reserve(widen(a)), oracle.reserve(widen(a))),
+                Op::ProbeBatch(ref lanes) => {
+                    let addrs: Vec<A> = lanes.iter().map(|&a| widen(a)).collect();
+                    let (mut got, mut expect) = (vec![], vec![]);
+                    fused.probe_batch(&addrs, &mut got);
+                    oracle.probe_batch(&addrs, &mut expect);
+                    assert_eq!(got, expect);
+                }
+                Op::Fill(a, v, rem) => {
+                    let origin = if rem { Origin::Rem } else { Origin::Loc };
+                    assert_eq!(
+                        fused.fill(widen(a), v, origin),
+                        oracle.fill(widen(a), v, origin)
+                    );
+                }
+                Op::InvalidateCovered(a, len) => assert_eq!(
+                    fused.invalidate_covered(widen(a), A::BITS - len),
+                    oracle.invalidate_covered(widen(a), A::BITS - len)
+                ),
+                Op::InvalidateAddr(a) => assert_eq!(
+                    fused.invalidate_addr(widen(a)),
+                    oracle.invalidate_covered(widen(a), A::BITS)
+                ),
+                Op::Flush => {
+                    fused.flush();
+                    oracle.flush();
+                }
+            }
+            assert_eq!(
+                fused.stats(),
+                oracle.stats(),
+                "stats after step {step} {op:?}"
+            );
+            assert_eq!(fused.waiting_count(), oracle.waiting_count());
+            assert_eq!(
+                fused.entries().collect::<Vec<_>>(),
+                oracle.entries().collect::<Vec<_>>(),
+                "entries after step {step} {op:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn differential_v4(config in arb_config(), ops in arb_ops()) {
+            // Low three bits and bits 16.. both vary, so LowBits and
+            // XorFold index differently.
+            differential::<u32>(config, &ops, |i| (i & 7) | (i >> 3) << 16);
+        }
+
+        #[test]
+        fn differential_v6(config in arb_config(), ops in arb_ops()) {
+            differential::<u128>(config, &ops, |i| {
+                (i as u128 & 7) | (i as u128 >> 3) << 64 | 0x2001 << 112
+            });
+        }
+    }
+
+    #[test]
+    fn reply_after_invalidate_or_flush_demotes_to_insert() {
+        let mut c = tiny(4, 4);
+        // A targeted invalidation lands between reserve and fill: the
+        // waiting entry is gone, the reply is a plain insert.
+        assert_eq!(c.reserve(104), ReserveOutcome::Reserved);
+        assert_eq!(c.invalidate_covered(104, 32), 1);
+        assert_eq!(c.fill(104, 9, Origin::Rem), FillOutcome::Inserted);
+        assert_eq!(c.stats().fills, 0, "no waiter was completed");
+
+        // …and so does a flush — even when the way has since been
+        // re-reserved for a different address of the same set.
+        assert_eq!(c.reserve(108), ReserveOutcome::Reserved);
+        c.flush();
+        for a in [112, 116, 120] {
+            assert_eq!(c.reserve(a), ReserveOutcome::Reserved);
+        }
+        assert_eq!(c.fill(108, 1, Origin::Loc), FillOutcome::Inserted);
+        for a in [112, 116, 120] {
+            assert_eq!(c.probe(a), ProbeResult::HitWaiting);
+        }
+        assert_eq!(c.fill(120, 2, Origin::Loc), FillOutcome::CompletedWaiting);
+        assert!(matches!(c.probe(108), ProbeResult::Hit { value: 1, .. }));
+    }
+
+    #[test]
+    fn a_v4_set_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Group<Option<u16>, u32>>(), 64);
+        assert_eq!(std::mem::align_of::<Group<Option<u16>, u32>>(), 64);
+        assert_eq!(std::mem::size_of::<Group<Option<u16>, u128>>(), 128);
     }
 
     #[test]

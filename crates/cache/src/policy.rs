@@ -3,8 +3,8 @@
 //! (such as LRU, FIFO, or random) is then applied to the candidate
 //! block(s)").
 
-use rand::rngs::SmallRng;
-use rand::Rng;
+#[cfg(test)]
+use rand::{rngs::SmallRng, Rng};
 
 /// The conventional replacement strategy used among eviction candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -19,13 +19,19 @@ pub enum ReplacementPolicy {
     Random,
 }
 
+#[cfg(test)]
 impl ReplacementPolicy {
-    /// Pick the index of the candidate to evict.
+    /// Pick the index of the candidate to evict — the reference
+    /// statement of each policy, for the differential test's oracle.
+    /// [`crate::LrCache`] and the victim cache reach the same choice
+    /// from stamps they already hold (oldest stamp, or the
+    /// `gen_range`-th candidate in order) without materialising the
+    /// candidates.
     ///
     /// `stamps` yields `(candidate_index, lru_stamp, fifo_stamp)` per
     /// candidate; smaller stamps are older. `rng` is used only by
     /// [`ReplacementPolicy::Random`].
-    pub fn choose(
+    pub(crate) fn choose(
         self,
         candidates: impl Iterator<Item = (usize, u64, u64)>,
         rng: &mut SmallRng,

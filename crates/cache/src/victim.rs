@@ -6,6 +6,7 @@
 use crate::addr::CacheAddr;
 use crate::policy::ReplacementPolicy;
 use rand::rngs::SmallRng;
+use rand::Rng;
 
 /// A complete (non-waiting) block stored in the victim cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,18 +18,23 @@ pub struct VictimBlock<V, A: CacheAddr = u32> {
     pub origin_is_rem: bool,
 }
 
-#[derive(Debug, Clone)]
-struct Slot<V, A: CacheAddr> {
-    block: VictimBlock<V, A>,
-    lru: u64,
-    fifo: u64,
-}
-
 /// Fully-associative victim cache with a configurable capacity and
 /// replacement policy (LRU by default, matching §5.1).
+///
+/// Stored as parallel arrays: every miss of the main array asks "is
+/// this address here?" ([`VictimCache::take`]) and every eviction asks
+/// it again ([`VictimCache::insert`]), so the addresses sit contiguously
+/// — eight IPv4 addresses are half a cache line — and the values and
+/// recency stamps are only touched on a match or a replacement.
 #[derive(Debug, Clone)]
 pub struct VictimCache<V, A: CacheAddr = u32> {
-    slots: Vec<Slot<V, A>>,
+    addrs: Vec<A>,
+    /// `(value, origin_is_rem)` of the block at the same index.
+    payloads: Vec<(V, bool)>,
+    /// One stamp per block, whichever the policy orders by: last use
+    /// under LRU (refreshed by [`VictimCache::peek`]), insertion under
+    /// FIFO. `Random` never reads it.
+    stamps: Vec<u64>,
     capacity: usize,
     policy: ReplacementPolicy,
     clock: u64,
@@ -38,7 +44,9 @@ impl<V: Copy + Eq, A: CacheAddr> VictimCache<V, A> {
     /// Create a victim cache with `capacity` blocks (0 disables it).
     pub fn new(capacity: usize, policy: ReplacementPolicy) -> Self {
         VictimCache {
-            slots: Vec::with_capacity(capacity),
+            addrs: Vec::with_capacity(capacity),
+            payloads: Vec::with_capacity(capacity),
+            stamps: Vec::with_capacity(capacity),
             capacity,
             policy,
             clock: 0,
@@ -47,12 +55,12 @@ impl<V: Copy + Eq, A: CacheAddr> VictimCache<V, A> {
 
     /// Number of blocks currently held.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.addrs.len()
     }
 
     /// Whether the victim cache holds no blocks.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.addrs.is_empty()
     }
 
     /// Configured capacity in blocks.
@@ -60,20 +68,40 @@ impl<V: Copy + Eq, A: CacheAddr> VictimCache<V, A> {
         self.capacity
     }
 
+    #[inline]
+    fn position(&self, addr: A) -> Option<usize> {
+        self.addrs.iter().position(|&a| a == addr)
+    }
+
+    fn block(&self, i: usize) -> VictimBlock<V, A> {
+        let (value, origin_is_rem) = self.payloads[i];
+        VictimBlock {
+            addr: self.addrs[i],
+            value,
+            origin_is_rem,
+        }
+    }
+
     /// Look up `addr`; on a hit the block is *removed* (the caller
     /// promotes it back into the main array, the classic swap).
+    #[inline]
     pub fn take(&mut self, addr: A) -> Option<VictimBlock<V, A>> {
-        let pos = self.slots.iter().position(|s| s.block.addr == addr)?;
-        Some(self.slots.swap_remove(pos).block)
+        let pos = self.position(addr)?;
+        let block = self.block(pos);
+        self.addrs.swap_remove(pos);
+        self.payloads.swap_remove(pos);
+        self.stamps.swap_remove(pos);
+        Some(block)
     }
 
     /// Non-destructive lookup (used by probes that only need the value).
     pub fn peek(&mut self, addr: A) -> Option<VictimBlock<V, A>> {
         self.clock += 1;
-        let clock = self.clock;
-        let slot = self.slots.iter_mut().find(|s| s.block.addr == addr)?;
-        slot.lru = clock;
-        Some(slot.block)
+        let pos = self.position(addr)?;
+        if self.policy == ReplacementPolicy::Lru {
+            self.stamps[pos] = self.clock;
+        }
+        Some(self.block(pos))
     }
 
     /// Insert a block evicted from the main array, evicting by policy if
@@ -88,57 +116,66 @@ impl<V: Copy + Eq, A: CacheAddr> VictimCache<V, A> {
         }
         self.clock += 1;
         // Same address may re-arrive after a promote/evict cycle; replace.
-        if let Some(slot) = self.slots.iter_mut().find(|s| s.block.addr == block.addr) {
-            let old = slot.block;
-            slot.block = block;
-            slot.lru = self.clock;
-            slot.fifo = self.clock;
-            return Some(old);
-        }
-        if self.slots.len() < self.capacity {
-            self.slots.push(Slot {
-                block,
-                lru: self.clock,
-                fifo: self.clock,
-            });
-            return None;
-        }
-        let idx = self
-            .policy
-            .choose(
-                self.slots
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (i, s.lru, s.fifo)),
-                rng,
-            )
-            .expect("victim cache is full, so candidates exist");
-        let displaced = self.slots[idx].block;
-        self.slots[idx] = Slot {
-            block,
-            lru: self.clock,
-            fifo: self.clock,
+        let idx = match self.position(block.addr) {
+            Some(i) => i,
+            None if self.addrs.len() < self.capacity => {
+                self.addrs.push(block.addr);
+                self.payloads.push((block.value, block.origin_is_rem));
+                self.stamps.push(self.clock);
+                return None;
+            }
+            None => match self.policy {
+                ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+                    // Oldest stamp; the first one on a tie.
+                    let (mut oldest, mut stamp) = (0, u64::MAX);
+                    for (i, &s) in self.stamps.iter().enumerate() {
+                        (oldest, stamp) = if s < stamp { (i, s) } else { (oldest, stamp) };
+                    }
+                    oldest
+                }
+                ReplacementPolicy::Random => rng.gen_range(0..self.addrs.len()),
+            },
         };
+        let displaced = self.block(idx);
+        self.addrs[idx] = block.addr;
+        self.payloads[idx] = (block.value, block.origin_is_rem);
+        self.stamps[idx] = self.clock;
         Some(displaced)
     }
 
     /// Iterate over every resident block's `(addr, value)` pair.
     pub fn entries(&self) -> impl Iterator<Item = (A, V)> + '_ {
-        self.slots.iter().map(|s| (s.block.addr, s.block.value))
+        self.addrs
+            .iter()
+            .zip(&self.payloads)
+            .map(|(&addr, &(value, _))| (addr, value))
     }
 
     /// Drop every block (routing-table update flush).
     pub fn flush(&mut self) {
-        self.slots.clear();
+        self.addrs.clear();
+        self.payloads.clear();
+        self.stamps.clear();
     }
 
     /// Drop every block whose address satisfies `covered`, returning the
     /// number removed (prefix-targeted invalidation after a routing
-    /// update).
+    /// update). Survivors keep their relative order.
     pub fn invalidate_where(&mut self, covered: impl Fn(A) -> bool) -> usize {
-        let before = self.slots.len();
-        self.slots.retain(|s| !covered(s.block.addr));
-        before - self.slots.len()
+        let before = self.addrs.len();
+        let mut kept = 0;
+        for i in 0..before {
+            if !covered(self.addrs[i]) {
+                self.addrs[kept] = self.addrs[i];
+                self.payloads[kept] = self.payloads[i];
+                self.stamps[kept] = self.stamps[i];
+                kept += 1;
+            }
+        }
+        self.addrs.truncate(kept);
+        self.payloads.truncate(kept);
+        self.stamps.truncate(kept);
+        before - kept
     }
 }
 

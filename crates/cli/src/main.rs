@@ -320,14 +320,25 @@ fn cmd_analyze_trace(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
+/// `--workers`, within `min..=MAX_WORKERS` (the dataplane keeps
+/// per-worker bitmasks in a `u64`).
+fn workers_arg(args: &Args, default: usize, min: usize) -> Result<usize, ArgError> {
+    use spal_dataplane::MAX_WORKERS;
+    let workers = args.get_or("workers", default)?;
+    if (min..=MAX_WORKERS).contains(&workers) {
+        Ok(workers)
+    } else {
+        Err(ArgError(format!(
+            "--workers must be between {min} and {MAX_WORKERS}"
+        )))
+    }
+}
+
 fn cmd_dataplane(args: &Args) -> Result<(), ArgError> {
     use spal_dataplane::{run, ChurnConfig, DataplaneConfig, FaultPlan, InvalidationMode};
 
     let table = load_table(args)?;
-    let workers = args.get_or("workers", 4usize)?;
-    if workers == 0 {
-        return Err(ArgError("--workers must be at least 1".into()));
-    }
+    let workers = workers_arg(args, 4, 1)?;
     let algorithm = match args.get("engine").unwrap_or("dp") {
         "dp" => LpmAlgorithm::Dp,
         "binary" => LpmAlgorithm::Binary,
@@ -459,20 +470,7 @@ fn cmd_dataplane(args: &Args) -> Result<(), ArgError> {
             c.final_checks,
         );
     }
-    println!("\nlc  packets   hit-rate  remote-req  served  stale");
-    for w in &report.workers {
-        let probes = w.cache.probes().max(1);
-        let hits = w.cache.hits_loc + w.cache.hits_rem + w.cache.hits_waiting;
-        println!(
-            "{:>2}  {:>8}  {:>8.3}  {:>10}  {:>6}  {:>5}",
-            w.lc,
-            w.packets,
-            hits as f64 / probes as f64,
-            w.remote_requests,
-            w.remote_served,
-            w.stale_replies,
-        );
-    }
+    print_worker_table(&report);
     if report.faults.is_some() {
         println!("{}", report.fault_summary());
     }
@@ -485,16 +483,35 @@ fn cmd_dataplane(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
+/// The per-LC table both dataplane commands end on. `in-flight` is the
+/// high-water mark of unanswered remote requests and `throttled` the
+/// iterations the in-flight window held admission back.
+fn print_worker_table(report: &spal_dataplane::DataplaneReport) {
+    println!("\nlc  packets   hit-rate  remote-req  served  stale  in-flight  throttled");
+    for w in &report.workers {
+        let probes = w.cache.probes().max(1);
+        let hits = w.cache.hits_loc + w.cache.hits_rem + w.cache.hits_waiting;
+        println!(
+            "{:>2}  {:>8}  {:>8.3}  {:>10}  {:>6}  {:>5}  {:>9}  {:>9}",
+            w.lc,
+            w.packets,
+            hits as f64 / probes as f64,
+            w.remote_requests,
+            w.remote_served,
+            w.stale_replies,
+            w.max_in_flight,
+            w.admit_throttled,
+        );
+    }
+}
+
 fn cmd_dataplane6(args: &Args) -> Result<(), ArgError> {
     use spal_core::LpmAlgorithm6;
     use spal_dataplane::{run6, ChurnConfig, Dataplane6Config, InvalidationMode};
     use spal_rib::v6::synthesize6_dfz;
     use spal_traffic::generate6;
 
-    let workers = args.get_or("workers", 4usize)?;
-    if workers == 0 {
-        return Err(ArgError("--workers must be at least 1".into()));
-    }
+    let workers = workers_arg(args, 4, 1)?;
     let algorithm = match args.get("engine").unwrap_or("ship") {
         "ship" => LpmAlgorithm6::Ship,
         "binary" => LpmAlgorithm6::Binary,
@@ -570,20 +587,7 @@ fn cmd_dataplane6(args: &Args) -> Result<(), ArgError> {
             c.final_checks,
         );
     }
-    println!("\nlc  packets   hit-rate  remote-req  served  stale");
-    for w in &report.workers {
-        let probes = w.cache.probes().max(1);
-        let hits = w.cache.hits_loc + w.cache.hits_rem + w.cache.hits_waiting;
-        println!(
-            "{:>2}  {:>8}  {:>8.3}  {:>10}  {:>6}  {:>5}",
-            w.lc,
-            w.packets,
-            hits as f64 / probes as f64,
-            w.remote_requests,
-            w.remote_served,
-            w.stale_replies,
-        );
-    }
+    print_worker_table(&report);
     if report.oracle_divergence() > 0 {
         return Err(ArgError(format!(
             "{} oracle divergences — dataplane disagreed with the per-LC RIB oracle",
@@ -623,12 +627,9 @@ fn cmd_scenario(args: &Args) -> Result<(), ArgError> {
     let mut failed = Vec::new();
     for kind in kinds {
         let mut cfg = ScenarioConfig::new(kind, quick);
-        cfg.workers = args.get_or("workers", cfg.workers)?;
+        cfg.workers = workers_arg(args, cfg.workers, 2)?;
         cfg.packets = args.get_or("packets", cfg.packets)?;
         cfg.seed = args.get_or("seed", cfg.seed)?;
-        if cfg.workers < 2 {
-            return Err(ArgError("scenarios need --workers >= 2".into()));
-        }
         eprintln!(
             "scenario {}: workers={} packets/worker={}{}",
             kind.name(),

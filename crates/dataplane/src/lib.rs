@@ -25,6 +25,7 @@
 
 pub mod epoch;
 pub mod fault;
+mod pending;
 pub mod report;
 pub mod runtime;
 pub mod runtime6;
@@ -39,6 +40,7 @@ pub use report::{
 };
 pub use runtime::{
     run, ChurnConfig, DataplaneConfig, FailoverPlan, InvalidationMode, OverloadConfig,
+    IN_FLIGHT_WINDOW_BATCHES, MAX_WORKERS,
 };
 pub use runtime6::{run6, Dataplane6Config};
 pub use scenario::{

@@ -219,6 +219,15 @@ pub struct WorkerReport {
     /// messages, observed after each outbox flush — the bounded-queue
     /// evidence the overload scenario gates on.
     pub max_ring_depth: u64,
+    /// High-water mark of this worker's unanswered remote requests,
+    /// sampled after every admit pass — what the in-flight window
+    /// ([`IN_FLIGHT_WINDOW_BATCHES`](crate::runtime::IN_FLIGHT_WINDOW_BATCHES))
+    /// bounds. Timing-dependent on threaded runs, so it stays out of
+    /// the canonical report.
+    pub max_in_flight: u64,
+    /// Iterations that had packets to admit and admitted none because
+    /// the in-flight window was full (timing-dependent, as above).
+    pub admit_throttled: u64,
     /// Admit-burst timestamp pairs taken for the latency histograms —
     /// zero whenever `capture_latency` is off (the cold-path counter
     /// the skip is asserted through).
@@ -675,7 +684,7 @@ impl DataplaneReport {
         s.push_str("  \"per_worker\": [\n");
         for (i, w) in self.workers.iter().enumerate() {
             s.push_str(&format!(
-                "    {{ \"lc\": {}, \"packets\": {}, \"hits_loc\": {}, \"hits_rem\": {}, \"hits_waiting\": {}, \"misses\": {}, \"invalidations\": {}, \"flushes\": {}, \"fe_lookups\": {}, \"remote_requests\": {}, \"remote_served\": {}, \"stale_replies\": {}, \"duplicate_replies\": {}, \"lost_packets\": {}, \"rehomed_requests\": {}, \"dead_letters\": {}, \"ingress_dropped\": {}, \"max_ring_depth\": {} }}{}\n",
+                "    {{ \"lc\": {}, \"packets\": {}, \"hits_loc\": {}, \"hits_rem\": {}, \"hits_waiting\": {}, \"misses\": {}, \"invalidations\": {}, \"flushes\": {}, \"fe_lookups\": {}, \"remote_requests\": {}, \"remote_served\": {}, \"stale_replies\": {}, \"duplicate_replies\": {}, \"lost_packets\": {}, \"rehomed_requests\": {}, \"dead_letters\": {}, \"ingress_dropped\": {}, \"max_ring_depth\": {}, \"max_in_flight\": {}, \"admit_throttled\": {} }}{}\n",
                 w.lc,
                 w.packets,
                 w.cache.hits_loc,
@@ -694,6 +703,8 @@ impl DataplaneReport {
                 w.dead_letters,
                 w.ingress_dropped,
                 w.max_ring_depth,
+                w.max_in_flight,
+                w.admit_throttled,
                 if i + 1 < self.workers.len() { "," } else { "" },
             ));
         }

@@ -40,6 +40,7 @@
 
 use crate::epoch::{epoch_table, EpochReader, EpochWriter};
 use crate::fault::{FaultInjector, FaultPlan};
+use crate::pending::{PendingTable, Waiter};
 use crate::report::{
     ChurnReport, CoherenceSummary, DataplaneReport, FailoverSummary, FaultReport, SweepSummary,
     TailSummary, WorkerReport,
@@ -59,7 +60,7 @@ use spal_lpm::{CountedLookup, Lpm};
 use spal_rib::updates::{update_stream, Update, UpdateStreamConfig};
 use spal_rib::{Prefix, RoutingTable};
 use spal_traffic::Trace;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -136,7 +137,7 @@ pub struct OverloadConfig {
 /// Configuration of one dataplane run.
 #[derive(Debug, Clone)]
 pub struct DataplaneConfig {
-    /// Number of LC worker threads ψ.
+    /// Number of LC worker threads ψ (at most [`MAX_WORKERS`]).
     pub workers: usize,
     /// LPM structure each partition engine runs.
     pub algorithm: LpmAlgorithm,
@@ -248,15 +249,6 @@ enum CtrlMsg {
     Invalidate { bits: u32, len: u8, version: u64 },
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Waiter {
-    /// One of this worker's own packets; `admitted` stamps when its
-    /// admit burst started, for the miss-path latency histogram.
-    Local { admitted: Instant },
-    /// A remote request to answer once the address resolves.
-    Remote { src: u16, packet_id: u64 },
-}
-
 /// One would-be fabric message, recorded per destination in creation
 /// order. Vector mode accumulates these where scalar mode pushes a
 /// [`FabricMsg`] straight into the outbox; at flush time consecutive
@@ -283,6 +275,30 @@ enum OutEvent {
 
 /// Fabric-ring drain burst in vector mode (messages per `pop_slice`).
 const DRAIN_BURST: usize = 256;
+
+/// The in-flight window, in admit batches: a worker stops admitting
+/// its own packets while admitting one more batch could take its
+/// unanswered remote requests past `IN_FLIGHT_WINDOW_BATCHES × batch`.
+///
+/// Without a bound a worker admits as fast as it can probe, which is
+/// faster than its peers can serve: the outbox and the in-flight table
+/// grow to millions of entries, fall out of the hardware caches, and
+/// every miss pays for it. Sixteen batches keeps a peer's rings busy
+/// across a scheduler quantum without letting the in-flight state
+/// outgrow L2. It is derived from `batch` — the unit both the admit
+/// loop and the rings are sized in — rather than configured: nothing
+/// that exists needs a second value.
+///
+/// The window cannot deadlock: it throttles only *admission*. Serving
+/// remote requests, draining replies and flushing the outbox are never
+/// gated, so every request a throttled worker is waiting on is
+/// answered by peers that — throttled or not — still serve.
+pub const IN_FLIGHT_WINDOW_BATCHES: usize = 16;
+
+/// Most LC workers one run supports: the dead-LC mask and the
+/// blocked-destination mask of the outbox flush hold one bit per
+/// worker in a `u64`. [`run`] and [`crate::run6`] panic above it.
+pub const MAX_WORKERS: usize = 64;
 
 fn update_prefix(u: Update) -> Prefix {
     match u {
@@ -321,16 +337,20 @@ struct WorkerCore {
     req_rx: Vec<Option<SpscConsumer<FabricMsg>>>,
     ctrl_rx: SpscConsumer<CtrlMsg>,
     outbox: VecDeque<FabricMsg>,
+    /// Empty between flushes; `flush_outbox` collects the deferred
+    /// messages here and swaps it in, so neither deque is reallocated.
+    outbox_scratch: VecDeque<FabricMsg>,
     /// One entry per distinct in-flight address: all packets/requests
-    /// waiting on its result (the W-bit discipline).
-    pending: HashMap<u32, Vec<Waiter>>,
+    /// waiting on its result (the W-bit discipline), and whether a
+    /// remote request for it is unanswered — a per-address flag, not a
+    /// counter, so a duplicated reply (fault injection, or a real
+    /// fabric's at-least-once retry) is recognized and ignored.
+    pending: PendingTable<u32>,
+    /// The waiters of the address being resolved (reused).
+    waiters: Vec<Waiter>,
     /// Addresses to resolve on the local engine this iteration.
     fe_queue: Vec<u32>,
     results: Vec<CountedLookup>,
-    /// Addresses with an unanswered remote request in flight. A set,
-    /// not a counter, so a duplicated reply (fault injection, or a real
-    /// fabric's at-least-once retry) is recognized and ignored.
-    awaiting_reply: HashSet<u32>,
     /// Fault adversary (`None` on a faultless fabric).
     faults: Option<FaultInjector>,
     spot_check_every: u64,
@@ -446,43 +466,39 @@ impl WorkerCore {
     /// Park a waiter on `addr`; the first waiter creates the job and
     /// routes it (local FE queue or remote request).
     fn park(&mut self, addr: u32, w: Waiter) {
-        use std::collections::hash_map::Entry;
-        match self.pending.entry(addr) {
-            Entry::Occupied(mut e) => e.get_mut().push(w),
-            Entry::Vacant(e) => {
-                e.insert(vec![w]);
-                let home = self.part.home_of(addr);
-                if home as usize == self.lc {
-                    self.fe_queue.push(addr);
-                } else {
-                    self.awaiting_reply.insert(addr);
-                    self.report.remote_requests += 1;
-                    self.emit_request(home, addr);
-                }
+        if let Some(job) = self.pending.park(addr, w) {
+            let home = self.part.home_of(addr);
+            if home as usize == self.lc {
+                self.fe_queue.push(addr);
+            } else {
+                self.pending.mark_awaiting(job);
+                self.report.remote_requests += 1;
+                self.emit_request(home, addr);
             }
         }
     }
 
-    /// Complete every waiter parked on `addr` with its resolved result.
+    /// Complete every waiter just taken off `addr`'s entry (they sit in
+    /// `self.waiters`, in parking order) with its resolved result.
     /// `now` is taken once per drain/flush phase; local waiters book
     /// `now - admitted` on the miss-path latency histogram.
     fn resolve(&mut self, addr: u32, nh: Option<u16>, version: u64, now: Instant) {
-        if let Some(waiters) = self.pending.remove(&addr) {
-            for w in waiters {
-                match w {
-                    Waiter::Local { admitted } => {
-                        if self.capture_latency {
-                            let ns = now.saturating_duration_since(admitted).as_nanos() as u64;
-                            self.report.latency.miss.record(ns);
-                        }
-                        self.complete(nh);
+        let waiters = std::mem::take(&mut self.waiters);
+        for &w in &waiters {
+            match w {
+                Waiter::Local { admitted } => {
+                    if self.capture_latency {
+                        let ns = now.saturating_duration_since(admitted).as_nanos() as u64;
+                        self.report.latency.miss.record(ns);
                     }
-                    Waiter::Remote { src, packet_id } => {
-                        self.emit_reply(src, addr, packet_id, nh, version)
-                    }
+                    self.complete(nh);
+                }
+                Waiter::Remote { src, packet_id } => {
+                    self.emit_reply(src, addr, packet_id, nh, version)
                 }
             }
         }
+        self.waiters = waiters;
     }
 
     /// Adopt the pinned snapshot's partitioning if it changed (an
@@ -496,8 +512,8 @@ impl WorkerCore {
     ///   pulled into the local FE queue when this worker is the new
     ///   home, re-issued to the new home otherwise. The original
     ///   request may still produce a reply (it is dead only if the old
-    ///   home died); `awaiting_reply` being a set makes the eventual
-    ///   duplicate harmless.
+    ///   home died); the awaiting flag being per address makes the
+    ///   eventual duplicate harmless.
     fn sync_partition(&mut self, snap: &Snapshot) {
         if Arc::ptr_eq(&self.part, &snap.part) && self.dead_mask == snap.dead {
             return;
@@ -508,12 +524,10 @@ impl WorkerCore {
         if self.failed {
             return;
         }
-        for waiters in self.pending.values_mut() {
-            waiters.retain(|w| match w {
-                Waiter::Remote { src, .. } => dead >> *src & 1 == 0,
-                Waiter::Local { .. } => true,
-            });
-        }
+        self.pending.retain_waiters(|w| match w {
+            Waiter::Remote { src, .. } => dead >> *src & 1 == 0,
+            Waiter::Local { .. } => true,
+        });
         let before = self.outbox.len();
         self.outbox.retain(|m| dead >> m.dst & 1 == 0);
         self.report.dead_letters += (before - self.outbox.len()) as u64;
@@ -523,10 +537,9 @@ impl WorkerCore {
                 events.clear();
             }
         }
-        // Sorted for determinism (HashSet iteration order is not).
-        let mut in_flight: Vec<u32> = self.awaiting_reply.iter().copied().collect();
-        in_flight.sort_unstable();
-        for addr in in_flight {
+        // Ascending addresses: slot order depends on the table's
+        // growth history, and the sweep's order is report-visible.
+        for addr in self.pending.awaiting_sorted() {
             let old_home = old.home_of(addr);
             let new_home = self.part.home_of(addr);
             if new_home == old_home && dead >> old_home & 1 == 0 {
@@ -534,7 +547,7 @@ impl WorkerCore {
             }
             self.report.rehomed_requests += 1;
             if new_home as usize == self.lc {
-                self.awaiting_reply.remove(&addr);
+                self.pending.clear_awaiting(addr);
                 self.fe_queue.push(addr);
             } else {
                 self.emit_request(new_home, addr);
@@ -564,7 +577,6 @@ impl WorkerCore {
         self.pos = self.dests.len();
         self.pending.clear();
         self.fe_queue.clear();
-        self.awaiting_reply.clear();
         self.outbox.clear();
         for events in self.out_events.iter_mut() {
             events.clear();
@@ -626,7 +638,7 @@ impl WorkerCore {
     /// carrying message's table version; every lane of a batch reply
     /// was computed against it).
     fn handle_reply_addr(&mut self, addr: u32, nh: Option<u16>, sent_at: u64, now: Instant) {
-        if !self.awaiting_reply.remove(&addr) {
+        if !self.pending.take_awaiting(addr, &mut self.waiters) {
             // A duplicated (or retransmitted-after-resolve) reply: the
             // original already completed every waiter and filled the
             // cache, so this copy is dropped idempotently.
@@ -738,6 +750,13 @@ impl WorkerCore {
         if n == 0 {
             return 0;
         }
+        if self.pending.in_flight() + self.batch > IN_FLIGHT_WINDOW_BATCHES * self.batch {
+            // The window binds: this batch waits for replies. Reporting
+            // no work lets a threaded worker with nothing else to do
+            // yield to the peers it is waiting on.
+            self.report.admit_throttled += 1;
+            return 0;
+        }
         let t0 = if self.capture_latency {
             Instant::now()
         } else {
@@ -831,6 +850,7 @@ impl WorkerCore {
                 }
             }
             let nh = res.next_hop.map(|h| h.0);
+            self.pending.take(addr, &mut self.waiters);
             self.cache.fill_local(addr, nh, Origin::Loc);
             self.resolve(addr, nh, snap.version, now);
         }
@@ -949,8 +969,10 @@ impl WorkerCore {
         if self.outbox.is_empty() {
             return;
         }
-        let mut blocked = vec![false; self.psi];
-        let mut deferred = VecDeque::new();
+        // Destinations whose ring filled this pass, one bit each
+        // (`MAX_WORKERS`), as `dead_mask`.
+        let mut blocked = 0u64;
+        let mut deferred = std::mem::take(&mut self.outbox_scratch);
         while let Some(msg) = self.outbox.pop_front() {
             let dst = msg.dst as usize;
             if self.dead_mask >> dst & 1 == 1 {
@@ -959,7 +981,7 @@ impl WorkerCore {
                 self.report.dead_letters += 1;
                 continue;
             }
-            if blocked[dst] {
+            if blocked >> dst & 1 == 1 {
                 deferred.push_back(msg);
                 continue;
             }
@@ -979,11 +1001,12 @@ impl WorkerCore {
                 self.report.max_ring_depth = depth;
             }
             if pushed < self.push_scratch.len() {
-                blocked[dst] = true;
+                blocked |= 1 << dst;
                 deferred.extend(self.push_scratch[pushed..].iter().copied());
             }
         }
-        self.outbox = deferred;
+        // The drained outbox becomes the next pass's empty scratch.
+        self.outbox_scratch = std::mem::replace(&mut self.outbox, deferred);
     }
 
     fn maybe_mark_done(&mut self) {
@@ -992,7 +1015,6 @@ impl WorkerCore {
             && self.pending.is_empty()
             && self.outbox.is_empty()
             && self.out_events.iter().all(|e| e.is_empty())
-            && self.awaiting_reply.is_empty()
             && self.faults.as_ref().map_or(0, |f| f.pending()) == 0
         {
             self.marked_done = true;
@@ -1022,6 +1044,10 @@ impl WorkerCore {
         let mut work = self.drain_ctrl();
         work += self.drain_fabric(snap);
         work += self.admit_own();
+        self.report.max_in_flight = self
+            .report
+            .max_in_flight
+            .max(self.pending.in_flight() as u64);
         self.maybe_snapshot_cold();
         if self.faults.as_mut().is_some_and(|f| f.roll_stall()) {
             // Mid-batch stall: the batch just admitted (probes,
@@ -1511,8 +1537,8 @@ pub fn run(table: &RoutingTable, traces: &[Trace], cfg: &DataplaneConfig) -> Dat
     if let Some(plan) = &cfg.failover {
         assert!(psi >= 2, "failover needs at least one survivor");
         assert!((plan.lc as usize) < psi, "failover victim out of range");
-        assert!(psi <= 64, "the dead-LC mask holds at most 64 workers");
     }
+    assert!(psi <= MAX_WORKERS, "at most {MAX_WORKERS} workers");
     if let Some(o) = &cfg.overload {
         assert!(
             o.offered_pps > 0.0 && o.ingress_capacity > 0,
@@ -1596,10 +1622,11 @@ pub fn run(table: &RoutingTable, traces: &[Trace], cfg: &DataplaneConfig) -> Dat
                 req_rx: std::mem::take(&mut rx_mat[lc]),
                 ctrl_rx: ctrl_rx.remove(0),
                 outbox: VecDeque::new(),
-                pending: HashMap::new(),
+                outbox_scratch: VecDeque::new(),
+                pending: PendingTable::with_capacity(2 * cfg.batch.max(1)),
+                waiters: Vec::new(),
                 fe_queue: Vec::new(),
                 results: Vec::new(),
-                awaiting_reply: HashSet::new(),
                 faults: cfg.faults.as_ref().map(|p| FaultInjector::new(p, lc)),
                 spot_check_every: cfg.spot_check_every,
                 fe_since_check: 0,

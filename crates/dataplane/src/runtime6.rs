@@ -19,8 +19,9 @@
 //! oracle-checked the same way.
 
 use crate::epoch::{epoch_table, EpochReader, EpochWriter};
+use crate::pending::{PendingTable, Waiter};
 use crate::report::{ChurnReport, CoherenceSummary, DataplaneReport, TailSummary, WorkerReport};
-use crate::runtime::{ChurnConfig, InvalidationMode};
+use crate::runtime::{ChurnConfig, InvalidationMode, IN_FLIGHT_WINDOW_BATCHES, MAX_WORKERS};
 use crate::vcache::{VersionedCache, VersionedFill};
 use spal_cache::{BatchProbe, LrCache, LrCacheConfig, Origin, ProbeResult};
 use spal_core::bits::eta_for;
@@ -33,7 +34,7 @@ use spal_lpm::{CountedLookup, Lpm6};
 use spal_rib::updates::UpdateStreamConfig;
 use spal_rib::v6::{update_stream6, Prefix6, RoutingTable6, Update6};
 use spal_traffic::Trace6;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -43,7 +44,7 @@ use std::time::Instant;
 /// without the fault/failover/overload scenario knobs.
 #[derive(Debug, Clone)]
 pub struct Dataplane6Config {
-    /// Number of LC worker threads ψ.
+    /// Number of LC worker threads ψ (at most [`MAX_WORKERS`]).
     pub workers: usize,
     /// IPv6 LPM structure each partition engine runs.
     pub algorithm: LpmAlgorithm6,
@@ -107,14 +108,6 @@ enum CtrlMsg6 {
     Invalidate { bits: u128, len: u8, version: u64 },
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Waiter {
-    /// One of this worker's own packets.
-    Local { admitted: Instant },
-    /// A remote request to answer once the address resolves.
-    Remote { src: u16, packet_id: u64 },
-}
-
 /// One would-be fabric message awaiting per-destination coalescing
 /// (see `runtime::OutEvent`; the event-stream ordering argument is
 /// identical at 128 bits).
@@ -157,11 +150,15 @@ struct WorkerCore6 {
     req_rx: Vec<Option<SpscConsumer<FabricMsg<u128>>>>,
     ctrl_rx: SpscConsumer<CtrlMsg6>,
     outbox: VecDeque<FabricMsg<u128>>,
-    /// One entry per distinct in-flight address (the W-bit discipline).
-    pending: HashMap<u128, Vec<Waiter>>,
+    /// Empty between flushes (see `runtime::WorkerCore::outbox_scratch`).
+    outbox_scratch: VecDeque<FabricMsg<u128>>,
+    /// One entry per distinct in-flight address (the W-bit discipline),
+    /// flagged while a remote request for it is unanswered.
+    pending: PendingTable<u128>,
+    /// The waiters of the address being resolved (reused).
+    waiters: Vec<Waiter>,
     fe_queue: Vec<u128>,
     results: Vec<CountedLookup>,
-    awaiting_reply: HashSet<u128>,
     spot_check_every: u64,
     fe_since_check: u64,
     report: WorkerReport,
@@ -229,39 +226,35 @@ impl WorkerCore6 {
     /// Park a waiter on `addr`; the first waiter creates the job and
     /// routes it (local FE queue or remote request).
     fn park(&mut self, addr: u128, w: Waiter) {
-        use std::collections::hash_map::Entry;
-        match self.pending.entry(addr) {
-            Entry::Occupied(mut e) => e.get_mut().push(w),
-            Entry::Vacant(e) => {
-                e.insert(vec![w]);
-                let home = self.part.home_of(addr);
-                if home as usize == self.lc {
-                    self.fe_queue.push(addr);
-                } else {
-                    self.awaiting_reply.insert(addr);
-                    self.report.remote_requests += 1;
-                    self.emit_request(home, addr);
-                }
+        if let Some(job) = self.pending.park(addr, w) {
+            let home = self.part.home_of(addr);
+            if home as usize == self.lc {
+                self.fe_queue.push(addr);
+            } else {
+                self.pending.mark_awaiting(job);
+                self.report.remote_requests += 1;
+                self.emit_request(home, addr);
             }
         }
     }
 
-    /// Complete every waiter parked on `addr` with its resolved result.
+    /// Complete every waiter just taken off `addr`'s entry (they sit in
+    /// `self.waiters`, in parking order) with its resolved result.
     fn resolve(&mut self, addr: u128, nh: Option<u16>, version: u64, now: Instant) {
-        if let Some(waiters) = self.pending.remove(&addr) {
-            for w in waiters {
-                match w {
-                    Waiter::Local { admitted } => {
-                        let ns = now.saturating_duration_since(admitted).as_nanos() as u64;
-                        self.report.latency.miss.record(ns);
-                        self.complete(nh);
-                    }
-                    Waiter::Remote { src, packet_id } => {
-                        self.emit_reply(src, addr, packet_id, nh, version)
-                    }
+        let waiters = std::mem::take(&mut self.waiters);
+        for &w in &waiters {
+            match w {
+                Waiter::Local { admitted } => {
+                    let ns = now.saturating_duration_since(admitted).as_nanos() as u64;
+                    self.report.latency.miss.record(ns);
+                    self.complete(nh);
+                }
+                Waiter::Remote { src, packet_id } => {
+                    self.emit_reply(src, addr, packet_id, nh, version)
                 }
             }
         }
+        self.waiters = waiters;
     }
 
     fn drain_ctrl(&mut self) -> u64 {
@@ -297,7 +290,7 @@ impl WorkerCore6 {
     }
 
     fn handle_reply_addr(&mut self, addr: u128, nh: Option<u16>, sent_at: u64, now: Instant) {
-        if !self.awaiting_reply.remove(&addr) {
+        if !self.pending.take_awaiting(addr, &mut self.waiters) {
             self.report.duplicate_replies += 1;
             return;
         }
@@ -365,6 +358,11 @@ impl WorkerCore6 {
         let end = (self.pos + self.batch).min(self.dests.len());
         let n = (end - self.pos) as u64;
         if n == 0 {
+            return 0;
+        }
+        if self.pending.in_flight() + self.batch > IN_FLIGHT_WINDOW_BATCHES * self.batch {
+            // The in-flight window binds (see `runtime::WorkerCore`).
+            self.report.admit_throttled += 1;
             return 0;
         }
         let t0 = Instant::now();
@@ -441,6 +439,7 @@ impl WorkerCore6 {
                 }
             }
             let nh = res.next_hop.map(|h| h.0);
+            self.pending.take(addr, &mut self.waiters);
             self.cache.fill_local(addr, nh, Origin::Loc);
             self.resolve(addr, nh, snap.version, now);
         }
@@ -541,11 +540,12 @@ impl WorkerCore6 {
         if self.outbox.is_empty() {
             return;
         }
-        let mut blocked = vec![false; self.psi];
-        let mut deferred = VecDeque::new();
+        // Destinations whose ring filled this pass, one bit each.
+        let mut blocked = 0u64;
+        let mut deferred = std::mem::take(&mut self.outbox_scratch);
         while let Some(msg) = self.outbox.pop_front() {
             let dst = msg.dst as usize;
-            if blocked[dst] {
+            if blocked >> dst & 1 == 1 {
                 deferred.push_back(msg);
                 continue;
             }
@@ -564,11 +564,12 @@ impl WorkerCore6 {
                 self.report.max_ring_depth = depth;
             }
             if pushed < self.push_scratch.len() {
-                blocked[dst] = true;
+                blocked |= 1 << dst;
                 deferred.extend(self.push_scratch[pushed..].iter().copied());
             }
         }
-        self.outbox = deferred;
+        // The drained outbox becomes the next pass's empty scratch.
+        self.outbox_scratch = std::mem::replace(&mut self.outbox, deferred);
     }
 
     fn maybe_mark_done(&mut self) {
@@ -577,7 +578,6 @@ impl WorkerCore6 {
             && self.pending.is_empty()
             && self.outbox.is_empty()
             && self.out_events.iter().all(|e| e.is_empty())
-            && self.awaiting_reply.is_empty()
         {
             self.marked_done = true;
             self.done.fetch_add(1, Ordering::SeqCst);
@@ -596,6 +596,10 @@ impl WorkerCore6 {
         let mut work = self.drain_ctrl();
         work += self.drain_fabric(snap);
         work += self.admit_own();
+        self.report.max_in_flight = self
+            .report
+            .max_in_flight
+            .max(self.pending.in_flight() as u64);
         self.maybe_snapshot_cold();
         self.fe_flush(snap);
         self.flush_outbox();
@@ -883,6 +887,7 @@ impl Control6 {
 pub fn run6(table: &RoutingTable6, traces: &[Trace6], cfg: &Dataplane6Config) -> DataplaneReport {
     let psi = cfg.workers;
     assert!(psi >= 1, "need at least one worker");
+    assert!(psi <= MAX_WORKERS, "at most {MAX_WORKERS} workers");
     assert!(!traces.is_empty(), "need at least one trace");
     assert!(
         traces.iter().all(|t| !t.is_empty()),
@@ -953,10 +958,11 @@ pub fn run6(table: &RoutingTable6, traces: &[Trace6], cfg: &Dataplane6Config) ->
                 req_rx: std::mem::take(&mut rx_mat[lc]),
                 ctrl_rx: ctrl_rx.remove(0),
                 outbox: VecDeque::new(),
-                pending: HashMap::new(),
+                outbox_scratch: VecDeque::new(),
+                pending: PendingTable::with_capacity(2 * cfg.batch.max(1)),
+                waiters: Vec::new(),
                 fe_queue: Vec::new(),
                 results: Vec::new(),
-                awaiting_reply: HashSet::new(),
                 spot_check_every: cfg.spot_check_every,
                 fe_since_check: 0,
                 report: WorkerReport::default(),

@@ -99,7 +99,7 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> VersionedCache<V, A> {
         if sent_at >= self.inval_version {
             VersionedFill::Cached(self.cache.fill(addr, value, origin))
         } else {
-            self.cache.invalidate_covered(addr, A::BITS);
+            self.cache.invalidate_addr(addr);
             VersionedFill::StaleDropped
         }
     }

@@ -9,16 +9,24 @@
 //! plan seed.
 
 use spal_cache::LrCacheConfig;
-use spal_dataplane::{run, ChurnConfig, DataplaneConfig, FaultPlan};
+use spal_dataplane::{run, ChurnConfig, DataplaneConfig, FaultPlan, IN_FLIGHT_WINDOW_BATCHES};
 use spal_rib::{synth, RoutingTable};
 use spal_traffic::{preset, PresetName, Trace, TracePreset};
 
 const SEEDS: [u64; 3] = [11, 42, 1337];
 
 fn setup(psi: usize, packets_per_worker: usize) -> (RoutingTable, Vec<Trace>) {
+    setup_distinct(psi, packets_per_worker, 600)
+}
+
+fn setup_distinct(
+    psi: usize,
+    packets_per_worker: usize,
+    distinct: usize,
+) -> (RoutingTable, Vec<Trace>) {
     let table = synth::small(21);
     let p = TracePreset {
-        distinct: 600,
+        distinct,
         ..preset(PresetName::D75)
     };
     let traces = p.generate(&table, psi * packets_per_worker, 9).split(psi);
@@ -235,4 +243,124 @@ fn full_flush_mode_survives_faults() {
     assert_eq!(report.oracle_divergence(), 0, "{}", report.fault_summary());
     let flushes: u64 = report.workers.iter().map(|w| w.cache.flushes).sum();
     assert!(flushes > 0, "full-flush mode never flushed");
+}
+
+// ---------------------------------------------------------------------
+// The in-flight window: a worker stops admitting its own packets while
+// its unanswered remote requests could pass
+// `IN_FLIGHT_WINDOW_BATCHES × batch`. A peer that stalls on almost
+// every iteration answers nothing, so requests pile up and the window
+// binds; an unstalled schedule must never feel it.
+// ---------------------------------------------------------------------
+
+const WINDOW_BATCH: usize = 8;
+
+/// Two workers, far more distinct destinations than cache blocks (so
+/// nearly every packet misses and half the misses are homed on the
+/// peer), stalling on 49 iterations in 50: a stalled iteration still
+/// drains and admits but flushes neither its FE queue nor its outbox,
+/// so nothing it owes the peer goes out. No other fault class is on.
+fn stalled_cfg(deterministic: bool) -> DataplaneConfig {
+    DataplaneConfig {
+        workers: 2,
+        deterministic,
+        batch: WINDOW_BATCH,
+        cache: LrCacheConfig::paper(64),
+        faults: Some(FaultPlan {
+            seed: 7,
+            delay_per_mille: 0,
+            drop_per_mille: 0,
+            dup_per_mille: 0,
+            stall_per_mille: 980,
+            forced_publication_per_mille: 0,
+            max_delay_iters: 1,
+            retransmit_delay_iters: 1,
+        }),
+        ..Default::default()
+    }
+}
+
+fn assert_window_held(report: &spal_dataplane::DataplaneReport, what: &str) {
+    let window = (IN_FLIGHT_WINDOW_BATCHES * WINDOW_BATCH) as u64;
+    for w in &report.workers {
+        assert!(
+            w.max_in_flight <= window,
+            "{what}: lc {} had {} requests in flight, window {window}",
+            w.lc,
+            w.max_in_flight
+        );
+    }
+    let throttled: u64 = report.workers.iter().map(|w| w.admit_throttled).sum();
+    assert!(
+        throttled > 0,
+        "{what}: the window never bound, so the run proved nothing about it"
+    );
+}
+
+#[test]
+fn threaded_stalls_fill_the_window_and_the_run_still_matches_the_oracle() {
+    let (table, traces) = setup_distinct(2, 6_000, 20_000);
+    let (packets, sum) = oracle_checksum(&table, &traces);
+    let report = run(&table, &traces, &stalled_cfg(false));
+    assert_eq!(report.total_packets(), packets);
+    assert_eq!(report.checksum(), sum, "checksum diverged");
+    assert_eq!(report.oracle_divergence(), 0);
+    assert!(report.faults.as_ref().expect("plan ran").stalls > 0);
+    assert_window_held(&report, "threaded");
+}
+
+#[test]
+fn deterministic_stalls_fill_the_window_reproducibly() {
+    let (table, traces) = setup_distinct(2, 6_000, 20_000);
+    let (packets, sum) = oracle_checksum(&table, &traces);
+    let a = run(&table, &traces, &stalled_cfg(true));
+    assert_eq!(a.total_packets(), packets);
+    assert_eq!(a.checksum(), sum, "checksum diverged");
+    assert_eq!(a.oracle_divergence(), 0);
+    assert_window_held(&a, "deterministic");
+    // The window is part of the schedule, so it replays exactly.
+    let b = run(&table, &traces, &stalled_cfg(true));
+    for (wa, wb) in a.workers.iter().zip(&b.workers) {
+        assert_eq!(wa.max_in_flight, wb.max_in_flight);
+        assert_eq!(wa.admit_throttled, wb.admit_throttled);
+    }
+    assert_eq!(a.canonical_json(), b.canonical_json());
+}
+
+/// On the fault-free round-robin schedule every request is served in
+/// the peer's next turn, so a worker never has more than a couple of
+/// batches outstanding: the window must be invisible — which is what
+/// keeps every deterministic report bit-identical to the unwindowed
+/// runtime's.
+#[test]
+fn window_never_binds_on_the_fault_free_round_robin_schedule() {
+    for (psi, batch) in [(2, WINDOW_BATCH), (4, WINDOW_BATCH), (3, 32), (4, 256)] {
+        let (table, traces) = setup_distinct(psi, 4_000, 20_000);
+        let report = run(
+            &table,
+            &traces,
+            &DataplaneConfig {
+                workers: psi,
+                deterministic: true,
+                batch,
+                cache: LrCacheConfig::paper(64),
+                ..Default::default()
+            },
+        );
+        assert_eq!(report.oracle_divergence(), 0);
+        for w in &report.workers {
+            assert_eq!(
+                w.admit_throttled, 0,
+                "ψ={psi} batch={batch}: lc {} was throttled",
+                w.lc
+            );
+            assert!(
+                w.max_in_flight <= 2 * batch as u64,
+                "ψ={psi} batch={batch}: lc {} had {} in flight",
+                w.lc,
+                w.max_in_flight
+            );
+            assert!(w.max_in_flight > 0, "no remote request was ever in flight");
+        }
+    }
 }
