@@ -55,10 +55,10 @@ use spal_bench::{dfz, lookup};
 use spal_cache::LrCacheConfig;
 use spal_core::{ForwardingTable, ForwardingTable6, LpmAlgorithm, LpmAlgorithm6};
 use spal_dataplane::{
-    run, run6, ChurnConfig, Dataplane6Config, DataplaneConfig, DataplaneReport, LatencyHisto,
+    run_family, AddrFamily, ChurnConfig, Dataplane6Config, DataplaneConfig, DataplaneReport,
+    LatencyHisto, V4, V6,
 };
-use spal_lpm::{CountedLookup, Lpm, Lpm6};
-use spal_traffic::Trace;
+use spal_lpm::CountedLookup;
 use std::io::Write;
 
 const REPS: usize = 3;
@@ -158,14 +158,15 @@ struct Row {
     latency_p999_ns: u64,
 }
 
-fn measure(
-    table: &spal_rib::RoutingTable,
-    traces: &[Trace],
-    cfg: &DataplaneConfig,
+/// Best (shortest) of `REPS` runs, at either address width.
+fn measure<F: AddrFamily>(
+    table: &F::Table,
+    traces: &[F::Trace],
+    cfg: &DataplaneConfig<F>,
 ) -> DataplaneReport {
     let mut best: Option<DataplaneReport> = None;
     for _ in 0..REPS {
-        let report = run(table, traces, cfg);
+        let report = run_family::<F>(table, traces, cfg);
         if best.as_ref().is_none_or(|b| report.elapsed < b.elapsed) {
             best = Some(report);
         }
@@ -325,11 +326,12 @@ fn write_latency_json(path: &str, rows: &[String]) -> std::io::Result<()> {
     Ok(())
 }
 
-fn oracle_checksum(full: &ForwardingTable, trace: &Trace) -> u64 {
+/// What a full-table engine says the trace's next hops sum to.
+fn oracle_checksum<F: AddrFamily>(full: &F::Engine, trace: &F::Trace) -> u64 {
     let mut sum = 0u64;
     let mut out = vec![CountedLookup::MISS; 1024];
-    for chunk in trace.destinations().chunks(1024) {
-        full.lookup_batch(chunk, &mut out[..chunk.len()]);
+    for chunk in F::destinations(trace).chunks(1024) {
+        F::lookup_batch(full, chunk, &mut out[..chunk.len()]);
         for r in &out[..chunk.len()] {
             sum = sum.wrapping_add(r.next_hop.map(|h| h.0 as u64 + 1).unwrap_or(0));
         }
@@ -366,16 +368,7 @@ fn run_v6(opts: &Options) {
     // prop_v6 suites) but O(prefix length) per packet instead of the
     // table scan, which at 200k routes x 2M packets would never finish.
     let oracle_trie = ForwardingTable6::build(LpmAlgorithm6::Binary, &table);
-    let oracle: u64 = trace
-        .destinations()
-        .iter()
-        .map(|&addr| {
-            oracle_trie
-                .lookup(addr)
-                .map(|nh| nh.0 as u64 + 1)
-                .unwrap_or(0)
-        })
-        .sum();
+    let oracle = oracle_checksum::<V6>(&oracle_trie, &trace);
 
     let base_cfg = Dataplane6Config {
         algorithm: LpmAlgorithm6::Ship,
@@ -385,16 +378,6 @@ fn run_v6(opts: &Options) {
         spot_check_every: 64,
         seed: opts.seed,
         ..Default::default()
-    };
-    let measure6 = |traces: &[spal_traffic::Trace6], cfg: &Dataplane6Config| {
-        let mut best: Option<DataplaneReport> = None;
-        for _ in 0..REPS {
-            let report = run6(&table, traces, cfg);
-            if best.as_ref().is_none_or(|b| report.elapsed < b.elapsed) {
-                best = Some(report);
-            }
-        }
-        best.expect("at least one rep")
     };
 
     let mut rows: Vec<Row> = Vec::new();
@@ -406,7 +389,7 @@ fn run_v6(opts: &Options) {
             workers,
             ..base_cfg.clone()
         };
-        let report = measure6(&trace.split(workers), &cfg);
+        let report = measure::<V6>(&table, &trace.split(workers), &cfg);
         let config = format!("v6-w{workers}");
         let row = row_from(&config, "v6", true, &report, Some(oracle));
         print_row(&row);
@@ -438,7 +421,7 @@ fn run_v6(opts: &Options) {
         }),
         ..base_cfg.clone()
     };
-    let churn_report = measure6(&trace.split(churn_workers), &churn_cfg);
+    let churn_report = measure::<V6>(&table, &trace.split(churn_workers), &churn_cfg);
     let config = format!("v6-w{churn_workers}-churn");
     let row = row_from(&config, "v6", true, &churn_report, None);
     let churn_stats = churn_report.churn.as_ref().expect("churn ran");
@@ -545,8 +528,8 @@ fn main() {
     // message-passing runtime must resolve every packet to exactly what
     // one big DP trie says — per trace.
     let full = ForwardingTable::build(LpmAlgorithm::Dp, &table);
-    let stress_oracle = oracle_checksum(&full, &stress);
-    let locality_oracle = oracle_checksum(&full, &locality);
+    let stress_oracle = oracle_checksum::<V4>(&full, &stress);
+    let locality_oracle = oracle_checksum::<V4>(&full, &locality);
     drop(full);
 
     // Large batches amortize ring/epoch traffic per admitted packet —
@@ -589,7 +572,7 @@ fn main() {
         vector: false,
         ..base_cfg.clone()
     };
-    let baseline_report = measure(&table, &stress.split(1), &baseline_cfg);
+    let baseline_report = measure::<V4>(&table, &stress.split(1), &baseline_cfg);
     let baseline_row = row_from(
         "w1-scalar-baseline",
         "stress",
@@ -624,7 +607,7 @@ fn main() {
         vector: false,
         ..locality_cfg.clone()
     };
-    let novector_report = measure(&table, &locality.split(1), &novector_cfg);
+    let novector_report = measure::<V4>(&table, &locality.split(1), &novector_cfg);
     let novector_row = row_from(
         "w1-novector",
         "locality",
@@ -646,7 +629,7 @@ fn main() {
             workers,
             ..locality_cfg.clone()
         };
-        let report = measure(&table, &traces, &cfg);
+        let report = measure::<V4>(&table, &traces, &cfg);
         let config = format!("w{workers}");
         let row = row_from(&config, "locality", true, &report, Some(locality_oracle));
         print_row(&row);
@@ -711,7 +694,7 @@ fn main() {
         churn: Some(churn.clone()),
         ..locality_cfg.clone()
     };
-    let churn_report = measure(&table, &traces, &churn_cfg);
+    let churn_report = measure::<V4>(&table, &traces, &churn_cfg);
     let churn_config = format!("w{churn_workers}-churn");
     let row = row_from(&churn_config, "locality", true, &churn_report, None);
     let churn_stats = churn_report.churn.as_ref().expect("churn ran");
@@ -755,7 +738,7 @@ fn main() {
         vector: false,
         ..churn_cfg.clone()
     };
-    let churn_scalar_report = measure(&table, &traces, &churn_scalar_cfg);
+    let churn_scalar_report = measure::<V4>(&table, &traces, &churn_scalar_cfg);
     let churn_scalar_config = format!("w{churn_workers}-churn-novector");
     let row = row_from(
         &churn_scalar_config,
@@ -832,7 +815,7 @@ fn main() {
         churn: Some(churn.clone()),
         ..base_cfg.clone()
     };
-    let patched_report = measure(&table, &traces, &lulea_cfg);
+    let patched_report = measure::<V4>(&table, &traces, &lulea_cfg);
     let patched_row = row_from(
         &format!("w{churn_workers}-churn-lulea"),
         "locality",
@@ -844,7 +827,7 @@ fn main() {
         delta_patching: false,
         ..lulea_cfg.clone()
     };
-    let rebuild_report = measure(&table, &traces, &rebuild_cfg);
+    let rebuild_report = measure::<V4>(&table, &traces, &rebuild_cfg);
     let rebuild_row = row_from(
         &format!("w{churn_workers}-churn-lulea-rebuild"),
         "locality",

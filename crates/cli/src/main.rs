@@ -17,12 +17,16 @@ use args::{ArgError, Args};
 use spal_cache::LrCacheConfig;
 use spal_core::bits::{eta_for, select_bits};
 use spal_core::partition::Partitioning;
-use spal_core::{ForwardingTable, LpmAlgorithm};
+use spal_core::{ForwardingTable, LpmAlgorithm, LpmAlgorithm6};
+use spal_dataplane::{
+    run_family, AddrFamily, ChurnConfig, DataplaneConfig, FaultPlan, InvalidationMode, V4, V6,
+};
 use spal_lpm::Lpm;
 use spal_rib::stats::{nesting_stats, LengthDistribution};
+use spal_rib::v6::synthesize6_dfz;
 use spal_rib::{parse, synth, RoutingTable};
 use spal_sim::{RouterKind, RouterSim, SimConfig};
-use spal_traffic::{preset, PresetName, Trace};
+use spal_traffic::{generate6, preset, PresetName, Trace};
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -43,8 +47,8 @@ fn main() {
         "gen-trace" => cmd_gen_trace(&args),
         "analyze-trace" => cmd_analyze_trace(&args),
         "simulate" => cmd_simulate(&args),
-        "dataplane" => cmd_dataplane(&args),
-        "dataplane6" => cmd_dataplane6(&args),
+        "dataplane" => cmd_dataplane::<V4>(&args),
+        "dataplane6" => cmd_dataplane::<V6>(&args),
         "scenario" => cmd_scenario(&args),
         other => Err(ArgError(format!(
             "unknown command {other:?}; try 'spal help'"
@@ -92,10 +96,11 @@ commands:
              [--beta B] [--gamma G] [--batch N] [--packets N]
              [--churn UPDATES] [--publish-every N] [--withdraw-fraction F]
              [--pace-us US] [--invalidation targeted|flush] [--scalar]
-             [--deterministic] [--seed S] [--json]
-             run the IPv6 dataplane (SHIP engines, 128-bit LR-caches
-             and fabric) over a DFZ-2026-shaped synthetic v6 table;
-             exits non-zero on any oracle divergence
+             [--deterministic] [--seed S] [--faults SEED] [--json]
+             [--out-latency FILE]
+             the same runtime over IPv6 (SHIP engines, 128-bit
+             LR-caches and fabric) and a DFZ-2026-shaped synthetic v6
+             table; every flag means what it means for dataplane
   scenario   NAME|all [--quick] [--workers N] [--packets N] [--seed S]
              [--json] [--out FILE]
              run a scripted operational episode against the live
@@ -334,32 +339,119 @@ fn workers_arg(args: &Args, default: usize, min: usize) -> Result<usize, ArgErro
     }
 }
 
-fn cmd_dataplane(args: &Args) -> Result<(), ArgError> {
-    use spal_dataplane::{run, ChurnConfig, DataplaneConfig, FaultPlan, InvalidationMode};
+/// What a dataplane command runs over.
+struct Workload<F: AddrFamily> {
+    table: F::Table,
+    /// One trace per worker.
+    traces: Vec<F::Trace>,
+    /// The banner's description of the two.
+    banner: String,
+}
 
-    let table = load_table(args)?;
+/// What differs between `spal dataplane` and `spal dataplane6`: the
+/// engine names, and where the table and the traces come from.
+trait CliFamily: AddrFamily {
+    /// The subcommand name, for the banner.
+    const COMMAND: &'static str;
+
+    fn engine(name: Option<&str>) -> Result<Self::Algorithm, ArgError>;
+
+    fn workload(
+        args: &Args,
+        workers: usize,
+        packets: usize,
+        seed: u64,
+    ) -> Result<Workload<Self>, ArgError>;
+}
+
+impl CliFamily for V4 {
+    const COMMAND: &'static str = "dataplane";
+
+    fn engine(name: Option<&str>) -> Result<LpmAlgorithm, ArgError> {
+        Ok(match name.unwrap_or("dp") {
+            "dp" => LpmAlgorithm::Dp,
+            "binary" => LpmAlgorithm::Binary,
+            "lulea" => LpmAlgorithm::Lulea,
+            "lc" => LpmAlgorithm::Lc { fill_factor: 0.25 },
+            "dir24" => LpmAlgorithm::Dir24,
+            "multibit" => LpmAlgorithm::Multibit,
+            "poptrie" => LpmAlgorithm::Poptrie,
+            other => return Err(ArgError(format!("unknown engine {other:?}"))),
+        })
+    }
+
+    fn workload(
+        args: &Args,
+        workers: usize,
+        packets: usize,
+        seed: u64,
+    ) -> Result<Workload<V4>, ArgError> {
+        let table = load_table(args)?;
+        let name = parse_preset(args.get("preset").unwrap_or("D_75"))?;
+        let traces = preset(name)
+            .generate(&table, packets * workers, seed)
+            .split(workers);
+        Ok(Workload {
+            table,
+            traces,
+            banner: format!("preset={}", name.label()),
+        })
+    }
+}
+
+impl CliFamily for V6 {
+    const COMMAND: &'static str = "dataplane6";
+
+    fn engine(name: Option<&str>) -> Result<LpmAlgorithm6, ArgError> {
+        match name.unwrap_or("ship") {
+            "ship" => Ok(LpmAlgorithm6::Ship),
+            "binary" => Ok(LpmAlgorithm6::Binary),
+            other => Err(ArgError(format!("unknown v6 engine {other:?}"))),
+        }
+    }
+
+    fn workload(
+        args: &Args,
+        workers: usize,
+        packets: usize,
+        seed: u64,
+    ) -> Result<Workload<V6>, ArgError> {
+        let prefixes = args.get_or("prefixes", 50_000usize)?;
+        let table = synthesize6_dfz(prefixes, seed ^ 0xD15C);
+        let traces =
+            generate6(&table, 32_768.min(4 * prefixes), packets * workers, seed).split(workers);
+        let banner = format!("table={} v6 prefixes", table.len());
+        Ok(Workload {
+            table,
+            traces,
+            banner,
+        })
+    }
+}
+
+/// `--churn UPDATES` and the three flags that shape the stream.
+fn churn_arg(args: &Args) -> Result<Option<ChurnConfig>, ArgError> {
+    let updates = args.get_or("churn", 0usize)?;
+    if updates == 0 {
+        return Ok(None);
+    }
+    Ok(Some(ChurnConfig {
+        updates,
+        updates_per_publication: args.get_or("publish-every", 50usize)?,
+        withdraw_fraction: args.get_or("withdraw-fraction", 0.3f64)?,
+        pace_us: args.get_or("pace-us", 200u64)?,
+    }))
+}
+
+/// `spal dataplane` (`F = V4`) and `spal dataplane6` (`F = V6`).
+fn cmd_dataplane<F: CliFamily>(args: &Args) -> Result<(), ArgError> {
     let workers = workers_arg(args, 4, 1)?;
-    let algorithm = match args.get("engine").unwrap_or("dp") {
-        "dp" => LpmAlgorithm::Dp,
-        "binary" => LpmAlgorithm::Binary,
-        "lulea" => LpmAlgorithm::Lulea,
-        "lc" => LpmAlgorithm::Lc { fill_factor: 0.25 },
-        "dir24" => LpmAlgorithm::Dir24,
-        "multibit" => LpmAlgorithm::Multibit,
-        "poptrie" => LpmAlgorithm::Poptrie,
-        other => return Err(ArgError(format!("unknown engine {other:?}"))),
-    };
+    let algorithm = F::engine(args.get("engine"))?;
     let beta = args.get_or("beta", 4096usize)?;
     let gamma = args.get_or("gamma", if beta <= 1024 { 0.25 } else { 0.5 })?;
     let packets = args.get_or("packets", 100_000usize)?;
     let seed = args.get_or("seed", 1u64)?;
-    let churn_updates = args.get_or("churn", 0usize)?;
-    let churn = (churn_updates > 0).then(|| ChurnConfig {
-        updates: churn_updates,
-        updates_per_publication: args.get_or("publish-every", 50usize).unwrap_or(50),
-        withdraw_fraction: args.get_or("withdraw-fraction", 0.3f64).unwrap_or(0.3),
-        pace_us: args.get_or("pace-us", 200u64).unwrap_or(200),
-    });
+    let churn = churn_arg(args)?;
     let invalidation = match args.get("invalidation").unwrap_or("targeted") {
         "targeted" => InvalidationMode::Targeted,
         "flush" => InvalidationMode::FullFlush,
@@ -369,7 +461,6 @@ fn cmd_dataplane(args: &Args) -> Result<(), ArgError> {
             )))
         }
     };
-    let name = parse_preset(args.get("preset").unwrap_or("D_75"))?;
     let faults = args
         .get("faults")
         .map(|s| {
@@ -379,10 +470,21 @@ fn cmd_dataplane(args: &Args) -> Result<(), ArgError> {
         .transpose()?
         .map(FaultPlan::standard);
 
-    let traces: Vec<Trace> = preset(name)
-        .generate(&table, packets * workers, seed)
-        .split(workers);
-    let cfg = DataplaneConfig {
+    let Workload {
+        table,
+        traces,
+        banner,
+    } = F::workload(args, workers, packets, seed)?;
+    eprintln!(
+        "{}: workers={workers} engine={algorithm:?} {banner} beta={beta} gamma={gamma} \
+         packets/worker={packets}{}",
+        F::COMMAND,
+        match &churn {
+            Some(c) => format!(" churn={} updates", c.updates),
+            None => String::new(),
+        },
+    );
+    let cfg = DataplaneConfig::<F> {
         workers,
         algorithm,
         cache: LrCacheConfig {
@@ -403,19 +505,9 @@ fn cmd_dataplane(args: &Args) -> Result<(), ArgError> {
         // only pay for them when something consumes them (the JSON
         // report or an --out-latency file).
         capture_latency: args.has("json") || args.get("out-latency").is_some(),
-        ..DataplaneConfig::default()
+        ..Default::default()
     };
-    eprintln!(
-        "dataplane: workers={workers} engine={algorithm:?} beta={beta} gamma={gamma} \
-         preset={} packets/worker={packets}{}",
-        name.label(),
-        if churn_updates > 0 {
-            format!(" churn={churn_updates} updates")
-        } else {
-            String::new()
-        },
-    );
-    let report = run(&table, &traces, &cfg);
+    let report = run_family::<F>(&table, &traces, &cfg);
     if let Some(path) = args.get("out-latency") {
         let p = report.latency_paths();
         let json = format!(
@@ -476,7 +568,7 @@ fn cmd_dataplane(args: &Args) -> Result<(), ArgError> {
     }
     if report.oracle_divergence() > 0 {
         return Err(ArgError(format!(
-            "{} oracle divergences — dataplane disagreed with the scalar full-table oracle",
+            "{} oracle divergences — dataplane disagreed with its pinned snapshot or the RIB oracle",
             report.oracle_divergence()
         )));
     }
@@ -503,98 +595,6 @@ fn print_worker_table(report: &spal_dataplane::DataplaneReport) {
             w.admit_throttled,
         );
     }
-}
-
-fn cmd_dataplane6(args: &Args) -> Result<(), ArgError> {
-    use spal_core::LpmAlgorithm6;
-    use spal_dataplane::{run6, ChurnConfig, Dataplane6Config, InvalidationMode};
-    use spal_rib::v6::synthesize6_dfz;
-    use spal_traffic::generate6;
-
-    let workers = workers_arg(args, 4, 1)?;
-    let algorithm = match args.get("engine").unwrap_or("ship") {
-        "ship" => LpmAlgorithm6::Ship,
-        "binary" => LpmAlgorithm6::Binary,
-        other => return Err(ArgError(format!("unknown v6 engine {other:?}"))),
-    };
-    let prefixes = args.get_or("prefixes", 50_000usize)?;
-    let beta = args.get_or("beta", 4096usize)?;
-    let gamma = args.get_or("gamma", if beta <= 1024 { 0.25 } else { 0.5 })?;
-    let packets = args.get_or("packets", 100_000usize)?;
-    let seed = args.get_or("seed", 1u64)?;
-    let churn_updates = args.get_or("churn", 0usize)?;
-    let churn = (churn_updates > 0).then(|| ChurnConfig {
-        updates: churn_updates,
-        updates_per_publication: args.get_or("publish-every", 50usize).unwrap_or(50),
-        withdraw_fraction: args.get_or("withdraw-fraction", 0.3f64).unwrap_or(0.3),
-        pace_us: args.get_or("pace-us", 200u64).unwrap_or(200),
-    });
-    let invalidation = match args.get("invalidation").unwrap_or("targeted") {
-        "targeted" => InvalidationMode::Targeted,
-        "flush" => InvalidationMode::FullFlush,
-        other => {
-            return Err(ArgError(format!(
-                "--invalidation must be 'targeted' or 'flush', got {other:?}"
-            )))
-        }
-    };
-
-    let table = synthesize6_dfz(prefixes, seed ^ 0xD15C);
-    let traces =
-        generate6(&table, 32_768.min(4 * prefixes), packets * workers, seed).split(workers);
-    let cfg = Dataplane6Config {
-        workers,
-        algorithm,
-        cache: LrCacheConfig {
-            blocks: beta,
-            mix_rem_fraction: gamma,
-            ..LrCacheConfig::default()
-        },
-        batch: args.get_or("batch", 32usize)?,
-        vector: !args.has("scalar"),
-        churn,
-        invalidation,
-        deterministic: args.has("deterministic"),
-        seed,
-        ..Dataplane6Config::default()
-    };
-    eprintln!(
-        "dataplane6: workers={workers} engine={} table={} v6 prefixes beta={beta} gamma={gamma} \
-         packets/worker={packets}{}",
-        algorithm.label(),
-        table.len(),
-        if churn_updates > 0 {
-            format!(" churn={churn_updates} updates")
-        } else {
-            String::new()
-        },
-    );
-    let report = run6(&table, &traces, &cfg);
-    if args.has("json") {
-        print!("{}", report.to_json());
-        return Ok(());
-    }
-    println!("{}", report.summary());
-    if let Some(c) = &report.churn {
-        println!(
-            "churn: {} invalidations sent, apply min/mean/max {:.1}/{:.1}/{:.1} µs, \
-             final check {}/{} consistent",
-            c.invalidations_sent,
-            c.apply_us.min_us,
-            c.apply_us.mean_us(),
-            c.apply_us.max_us,
-            c.final_checks - c.final_mismatches,
-            c.final_checks,
-        );
-    }
-    print_worker_table(&report);
-    if report.oracle_divergence() > 0 {
-        return Err(ArgError(format!(
-            "{} oracle divergences — dataplane disagreed with the per-LC RIB oracle",
-            report.oracle_divergence()
-        )));
-    }
-    Ok(())
 }
 
 fn cmd_scenario(args: &Args) -> Result<(), ArgError> {
@@ -731,4 +731,22 @@ fn cmd_simulate(args: &Args) -> Result<(), ArgError> {
         report.fabric.mean_transit()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(s: &[&str]) -> Args {
+        Args::parse(s.iter().map(|x| x.to_string())).unwrap()
+    }
+
+    #[test]
+    fn malformed_churn_flags_are_rejected() {
+        for flag in ["--publish-every", "--withdraw-fraction", "--pace-us"] {
+            let err = churn_arg(&parse(&["--churn", "400", flag, "abc"]))
+                .expect_err("a malformed value must not fall back to the default");
+            assert!(err.0.contains(flag), "{flag}: {err}");
+        }
+    }
 }

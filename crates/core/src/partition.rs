@@ -11,10 +11,15 @@
 //! positions of its destination address ("can be determined immediately
 //! upon arrival by examining the appropriate bit positions").
 
-use spal_rib::bits::{AddressBits, TriBit};
+use spal_rib::bits::{AddressBits, IpPrefix, IpTable, TriBit};
 use spal_rib::{RouteEntry, RoutingTable};
 
 /// The partitioning of one routing table over ψ line cards.
+///
+/// The state is width-free — bit positions and a group→LC map — so one
+/// type serves IPv4 and IPv6: the methods that take a table, an address
+/// or a prefix are generic over [`IpTable`], [`AddressBits`] and
+/// [`IpPrefix`] (§6: "SPAL is feasibly applicable to IPv6").
 ///
 /// ```
 /// use spal_core::bits::{select_bits, eta_for};
@@ -54,7 +59,7 @@ impl Partitioning {
     /// # Panics
     /// Panics if `psi == 0`, if `2^bits.len() < psi` (not enough groups),
     /// or if bit positions repeat.
-    pub fn new(table: &RoutingTable, bits: Vec<u8>, psi: usize) -> Self {
+    pub fn new<T: IpTable>(table: &T, bits: Vec<u8>, psi: usize) -> Self {
         assert!(psi >= 1, "a router needs at least one LC");
         let groups = 1usize << bits.len();
         assert!(
@@ -70,8 +75,8 @@ impl Partitioning {
         }
         // Group sizes determine the balanced group→LC mapping.
         let mut sizes = vec![0usize; groups];
-        for e in table {
-            for g in groups_of_prefix(&bits, e.prefix) {
+        for e in table.entries() {
+            for g in groups_of_prefix(&bits, T::prefix_of(e)) {
                 sizes[g] += 1;
             }
         }
@@ -101,7 +106,7 @@ impl Partitioning {
     /// The bit group of a destination address (the LR1 detector's XOR
     /// logic: extract the chosen bit positions, MSB-first).
     #[inline]
-    pub fn group_of_addr(&self, addr: u32) -> usize {
+    pub fn group_of_addr<A: AddressBits>(&self, addr: A) -> usize {
         let mut g = 0usize;
         for &b in &self.bits {
             g = (g << 1) | addr.bit(b) as usize;
@@ -111,7 +116,7 @@ impl Partitioning {
 
     /// The home LC of a destination address.
     #[inline]
-    pub fn home_of(&self, addr: u32) -> u16 {
+    pub fn home_of<A: AddressBits>(&self, addr: A) -> u16 {
         self.group_to_lc[self.group_of_addr(addr)]
     }
 
@@ -125,7 +130,7 @@ impl Partitioning {
     /// in the chosen bits replicate it), sorted and deduplicated — the
     /// update-propagation fan-out: a routing update to `prefix` must
     /// reach exactly these LCs' forwarding tables.
-    pub fn lcs_of_prefix(&self, prefix: spal_rib::Prefix) -> Vec<u16> {
+    pub fn lcs_of_prefix<P: IpPrefix>(&self, prefix: P) -> Vec<u16> {
         let mut lcs: Vec<u16> = groups_of_prefix(&self.bits, prefix)
             .map(|g| self.group_to_lc[g])
             .collect();
@@ -138,25 +143,23 @@ impl Partitioning {
     /// LC). Every address's longest match within its home LC's table
     /// equals its longest match in the full table — the replication of
     /// wildcard-bit prefixes guarantees it.
-    pub fn forwarding_tables(&self, table: &RoutingTable) -> Vec<RoutingTable> {
-        let mut per_lc: Vec<Vec<RouteEntry>> = vec![Vec::new(); self.psi];
-        for e in table {
-            let mut lcs: Vec<u16> = groups_of_prefix(&self.bits, e.prefix)
-                .map(|g| self.group_to_lc[g])
-                .collect();
-            lcs.sort_unstable();
-            lcs.dedup();
-            for lc in lcs {
+    pub fn forwarding_tables<T: IpTable>(&self, table: &T) -> Vec<T> {
+        let mut per_lc: Vec<Vec<T::Entry>> = vec![Vec::new(); self.psi];
+        for e in table.entries() {
+            for lc in self.lcs_of_prefix(T::prefix_of(e)) {
                 per_lc[lc as usize].push(*e);
             }
         }
-        per_lc.into_iter().map(RoutingTable::from_entries).collect()
+        per_lc.into_iter().map(T::from_entries).collect()
     }
 
     /// Size statistics of the per-LC tables.
-    pub fn stats(&self, table: &RoutingTable) -> PartitionStats {
+    pub fn stats<T: IpTable>(&self, table: &T) -> PartitionStats {
         let tables = self.forwarding_tables(table);
-        PartitionStats::of(table.len(), tables.iter().map(|t| t.len()))
+        PartitionStats::of(
+            table.entries().len(),
+            tables.iter().map(|t| t.entries().len()),
+        )
     }
 
     /// Successor partitioning after line card `dead` fails: every bit
@@ -172,18 +175,18 @@ impl Partitioning {
     /// # Panics
     /// Panics if `psi < 2`, `dead` is out of range, or `survivor_loads`
     /// is not ψ long.
-    pub fn remap_without(
+    pub fn remap_without<T: IpTable>(
         &self,
         dead: u16,
-        dead_fragment: &RoutingTable,
+        dead_fragment: &T,
         survivor_loads: &[usize],
     ) -> Partitioning {
         assert!(self.psi >= 2, "cannot remap the only LC away");
         assert!((dead as usize) < self.psi, "dead LC out of range");
         assert_eq!(survivor_loads.len(), self.psi, "one load per LC");
         let mut sizes = vec![0usize; self.groups()];
-        for e in dead_fragment {
-            for g in groups_of_prefix(&self.bits, e.prefix) {
+        for e in dead_fragment.entries() {
+            for g in groups_of_prefix(&self.bits, T::prefix_of(e)) {
                 if self.group_to_lc[g] == dead {
                     sizes[g] += 1;
                 }
@@ -214,9 +217,8 @@ impl Partitioning {
 /// Greedy group→LC balancing: biggest group to the least-loaded LC, ties
 /// broken toward LCs holding fewer groups so every LC homes at least one
 /// group (even empty ones on degenerate tables). For ψ a power of two
-/// this degenerates to one group per LC. Shared by the IPv4 and IPv6
-/// partitioners.
-pub(crate) fn balance_groups(sizes: &[usize], psi: usize) -> Vec<u16> {
+/// this degenerates to one group per LC.
+fn balance_groups(sizes: &[usize], psi: usize) -> Vec<u16> {
     assert!(psi >= 1, "a router needs at least one LC");
     let mut order: Vec<usize> = (0..sizes.len()).collect();
     order.sort_by_key(|&g| std::cmp::Reverse(sizes[g]));
@@ -235,9 +237,8 @@ pub(crate) fn balance_groups(sizes: &[usize], psi: usize) -> Vec<u16> {
 }
 
 /// Iterator over the bit groups a prefix belongs to: the cross product of
-/// its wildcard positions. Generic over the address family (the IPv6
-/// partitioner in [`crate::v6`] reuses it).
-pub(crate) fn groups_of_prefix<'a, P: spal_rib::bits::IpPrefix>(
+/// its wildcard positions.
+fn groups_of_prefix<'a, P: IpPrefix>(
     bits: &'a [u8],
     prefix: P,
 ) -> impl Iterator<Item = usize> + 'a {
@@ -449,7 +450,7 @@ mod tests {
     fn psi_one_keeps_everything_local() {
         let rt = synth::small(17);
         let part = Partitioning::new(&rt, vec![], 1);
-        assert_eq!(part.home_of(123456), 0);
+        assert_eq!(part.home_of(123456u32), 0);
         let tables = part.forwarding_tables(&rt);
         assert_eq!(tables[0].len(), rt.len());
     }

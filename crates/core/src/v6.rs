@@ -7,9 +7,8 @@
 //! [`Partitioning6`].
 
 use crate::bits::{select_bits_generic, BitSelectionStrategy};
-use crate::partition::groups_of_prefix;
-use spal_rib::bits::AddressBits;
-use spal_rib::v6::{Prefix6, RouteEntry6, RoutingTable6};
+use crate::partition::Partitioning;
+use spal_rib::v6::{Prefix6, RoutingTable6};
 
 /// Select `eta` partitioning bits for an IPv6 table. Candidates are
 /// restricted to positions `0..=63` — IPv6 interface identifiers (the
@@ -20,99 +19,9 @@ pub fn select_bits6(table: &RoutingTable6, eta: usize) -> Vec<u8> {
     select_bits_generic(&prefixes, eta, 63, BitSelectionStrategy::default())
 }
 
-/// An IPv6 partitioning: chosen bits plus the group→LC mapping.
-#[derive(Debug, Clone)]
-pub struct Partitioning6 {
-    bits: Vec<u8>,
-    group_to_lc: Vec<u16>,
-    psi: usize,
-}
-
-impl Partitioning6 {
-    /// Partition an IPv6 table over `psi` LCs with the given bits.
-    ///
-    /// # Panics
-    /// As [`crate::partition::Partitioning::new`]: `psi ≥ 1`, enough
-    /// groups, distinct bits.
-    pub fn new(table: &RoutingTable6, bits: Vec<u8>, psi: usize) -> Self {
-        assert!(psi >= 1, "a router needs at least one LC");
-        let groups = 1usize << bits.len();
-        assert!(
-            groups >= psi,
-            "2^{} groups cannot cover {psi} LCs",
-            bits.len()
-        );
-        {
-            let mut b = bits.clone();
-            b.sort_unstable();
-            b.dedup();
-            assert_eq!(b.len(), bits.len(), "bit positions must be distinct");
-        }
-        let mut sizes = vec![0usize; groups];
-        for e in table.entries() {
-            for g in groups_of_prefix(&bits, e.prefix) {
-                sizes[g] += 1;
-            }
-        }
-        let group_to_lc = crate::partition::balance_groups(&sizes, psi);
-        Partitioning6 {
-            bits,
-            group_to_lc,
-            psi,
-        }
-    }
-
-    /// The chosen bit positions.
-    pub fn bits(&self) -> &[u8] {
-        &self.bits
-    }
-
-    /// Number of line cards.
-    pub fn psi(&self) -> usize {
-        self.psi
-    }
-
-    /// The home LC of a 128-bit destination address.
-    #[inline]
-    pub fn home_of(&self, addr: u128) -> u16 {
-        let mut g = 0usize;
-        for &b in &self.bits {
-            g = (g << 1) | addr.bit(b) as usize;
-        }
-        self.group_to_lc[g]
-    }
-
-    /// Every LC whose partition holds `prefix` (wildcard partitioning
-    /// bits replicate a prefix across several) — the control plane's
-    /// dispatch set for one route update.
-    pub fn lcs_of_prefix(&self, prefix: Prefix6) -> Vec<u16> {
-        let mut lcs: Vec<u16> = groups_of_prefix(&self.bits, prefix)
-            .map(|g| self.group_to_lc[g])
-            .collect();
-        lcs.sort_unstable();
-        lcs.dedup();
-        lcs
-    }
-
-    /// The per-LC forwarding tables (ROT-partitions merged per LC).
-    pub fn forwarding_tables(&self, table: &RoutingTable6) -> Vec<RoutingTable6> {
-        let mut per_lc: Vec<Vec<RouteEntry6>> = vec![Vec::new(); self.psi];
-        for e in table.entries() {
-            let mut lcs: Vec<u16> = groups_of_prefix(&self.bits, e.prefix)
-                .map(|g| self.group_to_lc[g])
-                .collect();
-            lcs.sort_unstable();
-            lcs.dedup();
-            for lc in lcs {
-                per_lc[lc as usize].push(*e);
-            }
-        }
-        per_lc
-            .into_iter()
-            .map(RoutingTable6::from_entries)
-            .collect()
-    }
-}
+/// The IPv6 spelling of [`Partitioning`]: the partitioning state is
+/// width-free, so both families share one type.
+pub type Partitioning6 = Partitioning;
 
 #[cfg(test)]
 mod tests {
@@ -165,12 +74,5 @@ mod tests {
         let total: usize = tables.iter().map(|t| t.len()).sum();
         // Modest replication only.
         assert!(total < table.len() + table.len() / 2);
-    }
-
-    #[test]
-    #[should_panic]
-    fn duplicate_bits_rejected_v6() {
-        let table = synthesize6(100, 37);
-        let _ = Partitioning6::new(&table, vec![5, 5], 4);
     }
 }

@@ -24,7 +24,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use spal_fabric::FabricMsg;
+use spal_fabric::{FabricAddr, FabricMsg};
 use std::collections::VecDeque;
 
 /// Fault intensities, all per-message (or per-iteration) probabilities
@@ -83,19 +83,20 @@ pub struct FaultStats {
     pub stalls: u64,
 }
 
-/// One worker's deterministic fault source.
+/// One worker's deterministic fault source, over the fabric messages
+/// of either address width.
 #[derive(Debug)]
-pub struct FaultInjector {
+pub struct FaultInjector<A: FabricAddr = u32> {
     plan: FaultPlan,
     rng: SmallRng,
     /// Sender-side iteration counter (advanced once per outbox pass).
     now: u64,
     /// Held-back messages with their release iteration.
-    delayed: Vec<(u64, FabricMsg)>,
+    delayed: Vec<(u64, FabricMsg<A>)>,
     stats: FaultStats,
 }
 
-impl FaultInjector {
+impl<A: FabricAddr> FaultInjector<A> {
     /// Derive worker `lc`'s injector from the plan.
     pub fn new(plan: &FaultPlan, lc: usize) -> Self {
         let seed = plan
@@ -125,7 +126,7 @@ impl FaultInjector {
     /// releases any held-back message that has come due, then drops,
     /// delays, duplicates, or passes each new message. Everything
     /// emitted into `out` goes on the wire this iteration.
-    pub fn filter(&mut self, queued: VecDeque<FabricMsg>, out: &mut VecDeque<FabricMsg>) {
+    pub fn filter(&mut self, queued: VecDeque<FabricMsg<A>>, out: &mut VecDeque<FabricMsg<A>>) {
         self.now += 1;
         let now = self.now;
         // Release due messages first (they have waited longest); order

@@ -12,7 +12,12 @@
 //!
 //! * [`epoch`] — QSBR snapshot publication with writer-side grace
 //!   periods and snapshot recycling;
-//! * [`runtime`] — workers, control plane, and the [`run`] entry point;
+//! * [`family`] — the [`AddrFamily`] trait and its two instantiations,
+//!   [`V4`] and [`V6`]: the per-width types and calls the runtime is
+//!   generic over;
+//! * [`runtime`] — workers, control plane, and the entry points
+//!   ([`run_family`]; [`run`] and [`run6`] are its IPv4 and IPv6
+//!   instantiations);
 //! * [`report`] — per-worker and churn statistics, comparable with the
 //!   simulator's per-LC reports;
 //! * [`vcache`] — the version-gated LR-cache (stale fabric replies are
@@ -24,25 +29,25 @@
 //!   run against the live dataplane, with gated reports.
 
 pub mod epoch;
+pub mod family;
 pub mod fault;
 mod pending;
 pub mod report;
 pub mod runtime;
-pub mod runtime6;
 pub mod scenario;
 pub mod vcache;
 
 pub use epoch::{epoch_table, EpochReader, EpochWriter, Pinned};
+pub use family::{AddrFamily, V4, V6};
 pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use report::{
     ChurnReport, CoherenceSummary, DataplaneReport, FailoverSummary, FaultReport, LatencyHisto,
     LatencySummary, PathLatency, SweepSummary, TailSummary, WorkerReport,
 };
 pub use runtime::{
-    run, ChurnConfig, DataplaneConfig, FailoverPlan, InvalidationMode, OverloadConfig,
-    IN_FLIGHT_WINDOW_BATCHES, MAX_WORKERS,
+    run, run6, run_family, ChurnConfig, Dataplane6Config, DataplaneConfig, FailoverPlan,
+    InvalidationMode, OverloadConfig, IN_FLIGHT_WINDOW_BATCHES, MAX_WORKERS,
 };
-pub use runtime6::{run6, Dataplane6Config};
 pub use scenario::{
     run_scenario, LiveProbe, RecoverySummary, ScenarioConfig, ScenarioKind, ScenarioReport,
 };

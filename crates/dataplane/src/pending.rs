@@ -54,7 +54,7 @@ const NIL: u32 = u32::MAX;
 /// the top bits of the hash (the table keeps those), and halves of a
 /// wide address must not cancel: a fold like `hi ^ lo` sends every
 /// address with equal halves to one slot.
-pub(crate) trait Key: CacheAddr + Ord {
+pub trait Key: CacheAddr + Ord {
     fn hash64(self) -> u64;
 }
 

@@ -1,4 +1,4 @@
-//! The multi-threaded SPAL runtime.
+//! The multi-threaded SPAL runtime, generic over the address family.
 //!
 //! ψ LC **workers** each own one ROT-partition forwarding engine (read
 //! through the epoch layer) and one local LR-cache, and exchange
@@ -6,10 +6,15 @@
 //! rings — the concurrency mechanism behind the timing the
 //! discrete-event simulator models. A **control plane** consumes a BGP
 //! update stream, patches a shadow snapshot chunk-granularly through
-//! each engine's [`Lpm::apply_delta`] (falling back to a per-LC
-//! fragment rebuild when an engine declines), publishes the snapshot
-//! RCU-style ([`crate::epoch`]), and broadcasts either a full-flush or
+//! each engine's `apply_delta` (falling back to a per-LC fragment
+//! rebuild when an engine declines), publishes the snapshot RCU-style
+//! ([`crate::epoch`]), and broadcasts either a full-flush or
 //! prefix-targeted cache invalidations.
+//!
+//! Everything here is written once over an [`AddrFamily`]: [`run`] is
+//! the IPv4 instantiation, [`run6`] the IPv6 one, and fault injection,
+//! LC failover, overload admission, live probes and coherence sweeps
+//! work at either width.
 //!
 //! ## Worker iteration
 //!
@@ -39,6 +44,7 @@
 //! completes its packet but is not cached (`stale_replies`).
 
 use crate::epoch::{epoch_table, EpochReader, EpochWriter};
+use crate::family::{AddrFamily, V4, V6};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::pending::{PendingTable, Waiter};
 use crate::report::{
@@ -50,16 +56,18 @@ use crate::vcache::{VersionedCache, VersionedFill};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spal_cache::{BatchProbe, LrCache, LrCacheConfig, Origin, ProbeResult};
-use spal_core::bits::{eta_for, select_bits};
-use spal_core::{ForwardingTable, LpmAlgorithm, Partitioning};
+use spal_core::bits::eta_for;
+use spal_core::Partitioning;
 use spal_fabric::{
     spsc_ring, AddrBatch, FabricMsg, MsgKind, ReplyBatch, SpscConsumer, SpscProducer,
     BATCH_MSG_LANES,
 };
-use spal_lpm::{CountedLookup, Lpm};
-use spal_rib::updates::{update_stream, Update, UpdateStreamConfig};
-use spal_rib::{Prefix, RoutingTable};
-use spal_traffic::Trace;
+use spal_lpm::CountedLookup;
+use spal_rib::bits::{IpPrefix, IpTable};
+use spal_rib::updates::UpdateStreamConfig;
+use spal_rib::v6::RoutingTable6;
+use spal_rib::RoutingTable;
+use spal_traffic::{Trace, Trace6};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -134,13 +142,14 @@ pub struct OverloadConfig {
     pub ingress_capacity: usize,
 }
 
-/// Configuration of one dataplane run.
+/// Configuration of one dataplane run. The address family only picks
+/// the type of `algorithm`; a bare `DataplaneConfig` is the IPv4 one.
 #[derive(Debug, Clone)]
-pub struct DataplaneConfig {
+pub struct DataplaneConfig<F: AddrFamily = V4> {
     /// Number of LC worker threads ψ (at most [`MAX_WORKERS`]).
     pub workers: usize,
     /// LPM structure each partition engine runs.
-    pub algorithm: LpmAlgorithm,
+    pub algorithm: F::Algorithm,
     /// Per-worker LR-cache configuration.
     pub cache: LrCacheConfig,
     /// Packets a worker admits from its trace per iteration.
@@ -162,10 +171,10 @@ pub struct DataplaneConfig {
     /// Fault-injection plan (`None` = faultless fabric). Deterministic
     /// for a given plan seed; see [`crate::fault`].
     pub faults: Option<FaultPlan>,
-    /// Patch shadow tables chunk-granularly via [`Lpm::apply_delta`]
-    /// (`true`, the default) or rebuild every touched per-LC fragment
-    /// from scratch on each publication (`false` — the benchmark's
-    /// patch-vs-rebuild control arm).
+    /// Patch shadow tables chunk-granularly via the engine's
+    /// `apply_delta` (`true`, the default) or rebuild every touched
+    /// per-LC fragment from scratch on each publication (`false` — the
+    /// benchmark's patch-vs-rebuild control arm).
     pub delta_patching: bool,
     /// Vector mode (`true`, the default): burst ring drains, the
     /// batched LR-cache probe pass, and per-destination coalescing of
@@ -198,11 +207,14 @@ pub struct DataplaneConfig {
     pub sweep_every: usize,
 }
 
-impl Default for DataplaneConfig {
+/// Configuration of one IPv6 dataplane run.
+pub type Dataplane6Config = DataplaneConfig<V6>;
+
+impl<F: AddrFamily> Default for DataplaneConfig<F> {
     fn default() -> Self {
         DataplaneConfig {
             workers: 4,
-            algorithm: LpmAlgorithm::Dp,
+            algorithm: F::DEFAULT_ALGORITHM,
             cache: LrCacheConfig::paper(4096),
             batch: 32,
             ring_capacity: 1024,
@@ -225,8 +237,8 @@ impl Default for DataplaneConfig {
 
 /// One published forwarding state: every LC's partition engine plus the
 /// update sequence number it reflects.
-struct Snapshot {
-    tables: Vec<ForwardingTable>,
+struct Snapshot<F: AddrFamily> {
+    tables: Vec<F::Engine>,
     /// Updates `< applied_seq` are reflected in `tables`.
     applied_seq: u64,
     /// Publication version (epoch at publish time); stamps replies.
@@ -242,11 +254,11 @@ struct Snapshot {
 
 /// Control-plane → worker messages.
 #[derive(Debug, Clone, Copy)]
-enum CtrlMsg {
+enum CtrlMsg<A> {
     /// Flush the whole LR-cache (post-publication, FullFlush mode).
     Flush { version: u64 },
     /// Evict entries covered by one changed prefix (Targeted mode).
-    Invalidate { bits: u32, len: u8, version: u64 },
+    Invalidate { bits: A, len: u8, version: u64 },
 }
 
 /// One would-be fabric message, recorded per destination in creation
@@ -259,19 +271,23 @@ enum CtrlMsg {
 /// sequence (and therefore the canonical report) bit-identical across
 /// the two modes.
 #[derive(Debug, Clone, Copy)]
-enum OutEvent {
+enum OutEvent<A> {
     /// "Look this address up for me" → [`MsgKind::Request`] /
     /// [`MsgKind::BatchRequest`].
-    Req { addr: u32 },
+    Req { addr: A },
     /// A lookup result computed against table `version` →
     /// [`MsgKind::Reply`] / [`MsgKind::BatchReply`].
     Rep {
-        addr: u32,
+        addr: A,
         packet_id: u64,
         nh: Option<u16>,
         version: u64,
     },
 }
+
+/// One worker's sending and receiving end of a fabric ring.
+type FabricTx<F> = SpscProducer<FabricMsg<<F as AddrFamily>::Addr>>;
+type FabricRx<F> = SpscConsumer<FabricMsg<<F as AddrFamily>::Addr>>;
 
 /// Fabric-ring drain burst in vector mode (messages per `pop_slice`).
 const DRAIN_BURST: usize = 256;
@@ -295,17 +311,15 @@ const DRAIN_BURST: usize = 256;
 /// answered by peers that — throttled or not — still serve.
 pub const IN_FLIGHT_WINDOW_BATCHES: usize = 16;
 
+/// Headroom targeted remap invalidations must leave in the control
+/// ring (for a same-round churn publication plus slop); a moved set
+/// that cannot fit falls back to one full flush.
+const REMAP_CTRL_SLACK: usize = 128;
+
 /// Most LC workers one run supports: the dead-LC mask and the
 /// blocked-destination mask of the outbox flush hold one bit per
-/// worker in a `u64`. [`run`] and [`crate::run6`] panic above it.
+/// worker in a `u64`. [`run_family`] panics above it.
 pub const MAX_WORKERS: usize = 64;
-
-fn update_prefix(u: Update) -> Prefix {
-    match u {
-        Update::Announce(e) => e.prefix,
-        Update::Withdraw(p) => p,
-    }
-}
 
 // ---------------------------------------------------------------------
 // Worker
@@ -323,36 +337,36 @@ struct OverloadState {
     arrived: usize,
 }
 
-struct WorkerCore {
+struct WorkerCore<F: AddrFamily> {
     lc: usize,
     psi: usize,
     part: Arc<Partitioning>,
-    cache: VersionedCache<Option<u16>>,
-    dests: Arc<[u32]>,
+    cache: VersionedCache<Option<u16>, F::Addr>,
+    dests: Arc<[F::Addr]>,
     pos: usize,
     batch: usize,
     /// Producers to every other worker (`None` at `self.lc`).
-    req_tx: Vec<Option<SpscProducer<FabricMsg>>>,
+    req_tx: Vec<Option<FabricTx<F>>>,
     /// Consumers from every other worker (`None` at `self.lc`).
-    req_rx: Vec<Option<SpscConsumer<FabricMsg>>>,
-    ctrl_rx: SpscConsumer<CtrlMsg>,
-    outbox: VecDeque<FabricMsg>,
+    req_rx: Vec<Option<FabricRx<F>>>,
+    ctrl_rx: SpscConsumer<CtrlMsg<F::Addr>>,
+    outbox: VecDeque<FabricMsg<F::Addr>>,
     /// Empty between flushes; `flush_outbox` collects the deferred
     /// messages here and swaps it in, so neither deque is reallocated.
-    outbox_scratch: VecDeque<FabricMsg>,
+    outbox_scratch: VecDeque<FabricMsg<F::Addr>>,
     /// One entry per distinct in-flight address: all packets/requests
     /// waiting on its result (the W-bit discipline), and whether a
     /// remote request for it is unanswered — a per-address flag, not a
     /// counter, so a duplicated reply (fault injection, or a real
     /// fabric's at-least-once retry) is recognized and ignored.
-    pending: PendingTable<u32>,
+    pending: PendingTable<F::Addr>,
     /// The waiters of the address being resolved (reused).
     waiters: Vec<Waiter>,
     /// Addresses to resolve on the local engine this iteration.
-    fe_queue: Vec<u32>,
+    fe_queue: Vec<F::Addr>,
     results: Vec<CountedLookup>,
     /// Fault adversary (`None` on a faultless fabric).
-    faults: Option<FaultInjector>,
+    faults: Option<FaultInjector<F::Addr>>,
     spot_check_every: u64,
     fe_since_check: u64,
     report: WorkerReport,
@@ -363,13 +377,13 @@ struct WorkerCore {
     vector: bool,
     /// Per-destination would-be messages awaiting coalescing (vector
     /// mode; all empty in scalar mode). Entry `self.lc` stays unused.
-    out_events: Vec<Vec<OutEvent>>,
+    out_events: Vec<Vec<OutEvent<F::Addr>>>,
     /// Scratch for the batched probe pass (reused across iterations).
     probe_scratch: Vec<BatchProbe<Option<u16>>>,
     /// Scratch for burst ring drains.
-    pop_scratch: Vec<FabricMsg>,
+    pop_scratch: Vec<FabricMsg<F::Addr>>,
     /// Scratch for burst ring pushes.
-    push_scratch: Vec<FabricMsg>,
+    push_scratch: Vec<FabricMsg<F::Addr>>,
     /// Whether the midpoint cold-start cache snapshot was taken.
     cold_recorded: bool,
     /// Record latency histograms (from
@@ -397,12 +411,12 @@ struct WorkerCore {
     probe: Option<Arc<LiveProbe>>,
 }
 
-struct Worker {
-    reader: EpochReader<Snapshot>,
-    core: WorkerCore,
+struct Worker<F: AddrFamily> {
+    reader: EpochReader<Snapshot<F>>,
+    core: WorkerCore<F>,
 }
 
-impl WorkerCore {
+impl<F: AddrFamily> WorkerCore<F> {
     fn complete(&mut self, nh: Option<u16>) {
         self.report.packets += 1;
         self.report.next_hop_sum = self
@@ -416,7 +430,14 @@ impl WorkerCore {
     /// in vector mode — an event awaiting per-destination coalescing.
     /// Replies to a dead LC are dropped (the requester cannot drain
     /// them, and its waiters died with it).
-    fn emit_reply(&mut self, dst: u16, addr: u32, packet_id: u64, nh: Option<u16>, version: u64) {
+    fn emit_reply(
+        &mut self,
+        dst: u16,
+        addr: F::Addr,
+        packet_id: u64,
+        nh: Option<u16>,
+        version: u64,
+    ) {
         if self.dead_mask >> dst & 1 == 1 {
             self.report.dead_letters += 1;
             return;
@@ -444,7 +465,7 @@ impl WorkerCore {
     /// event, as [`Self::emit_reply`]). Requests are never addressed to
     /// a known-dead LC: `home_of` under the adopted partitioning never
     /// returns one, and the rehome sweep re-routes using the new map.
-    fn emit_request(&mut self, dst: u16, addr: u32) {
+    fn emit_request(&mut self, dst: u16, addr: F::Addr) {
         debug_assert!(
             self.dead_mask >> dst & 1 == 0,
             "request addressed to a dead LC"
@@ -465,7 +486,7 @@ impl WorkerCore {
 
     /// Park a waiter on `addr`; the first waiter creates the job and
     /// routes it (local FE queue or remote request).
-    fn park(&mut self, addr: u32, w: Waiter) {
+    fn park(&mut self, addr: F::Addr, w: Waiter) {
         if let Some(job) = self.pending.park(addr, w) {
             let home = self.part.home_of(addr);
             if home as usize == self.lc {
@@ -482,7 +503,7 @@ impl WorkerCore {
     /// `self.waiters`, in parking order) with its resolved result.
     /// `now` is taken once per drain/flush phase; local waiters book
     /// `now - admitted` on the miss-path latency histogram.
-    fn resolve(&mut self, addr: u32, nh: Option<u16>, version: u64, now: Instant) {
+    fn resolve(&mut self, addr: F::Addr, nh: Option<u16>, version: u64, now: Instant) {
         let waiters = std::mem::take(&mut self.waiters);
         for &w in &waiters {
             match w {
@@ -514,7 +535,7 @@ impl WorkerCore {
     ///   request may still produce a reply (it is dead only if the old
     ///   home died); the awaiting flag being per address makes the
     ///   eventual duplicate harmless.
-    fn sync_partition(&mut self, snap: &Snapshot) {
+    fn sync_partition(&mut self, snap: &Snapshot<F>) {
         if Arc::ptr_eq(&self.part, &snap.part) && self.dead_mask == snap.dead {
             return;
         }
@@ -611,7 +632,7 @@ impl WorkerCore {
     /// One remote request for one address — the per-address semantics
     /// shared by scalar [`MsgKind::Request`]s and each lane of a
     /// [`MsgKind::BatchRequest`].
-    fn handle_request_addr(&mut self, src: u16, addr: u32, packet_id: u64, snap: &Snapshot) {
+    fn handle_request_addr(&mut self, src: u16, addr: F::Addr, packet_id: u64, snap: &Snapshot<F>) {
         // Under failover a request routed on the old partitioning can
         // arrive after this worker adopted the new one; it is answered
         // from the local table regardless (the reply's version gate
@@ -637,7 +658,7 @@ impl WorkerCore {
     /// and each lane of a [`MsgKind::BatchReply`] (`sent_at` is the
     /// carrying message's table version; every lane of a batch reply
     /// was computed against it).
-    fn handle_reply_addr(&mut self, addr: u32, nh: Option<u16>, sent_at: u64, now: Instant) {
+    fn handle_reply_addr(&mut self, addr: F::Addr, nh: Option<u16>, sent_at: u64, now: Instant) {
         if !self.pending.take_awaiting(addr, &mut self.waiters) {
             // A duplicated (or retransmitted-after-resolve) reply: the
             // original already completed every waiter and filled the
@@ -659,7 +680,7 @@ impl WorkerCore {
     /// Route one delivered message. Batch messages unpack to the same
     /// per-address handlers, in lane order — a receiver processes a
     /// coalesced message exactly as it would the equivalent scalar run.
-    fn dispatch(&mut self, msg: FabricMsg, snap: &Snapshot, now: Instant) {
+    fn dispatch(&mut self, msg: FabricMsg<F::Addr>, snap: &Snapshot<F>, now: Instant) {
         match msg.kind {
             MsgKind::Request => self.handle_request_addr(msg.src, msg.addr, msg.packet_id, snap),
             MsgKind::Reply { next_hop } => {
@@ -678,7 +699,7 @@ impl WorkerCore {
         }
     }
 
-    fn drain_fabric(&mut self, snap: &Snapshot) -> u64 {
+    fn drain_fabric(&mut self, snap: &Snapshot<F>) -> u64 {
         let now = Instant::now();
         let mut n = 0;
         for src in 0..self.psi {
@@ -825,7 +846,7 @@ impl WorkerCore {
         n
     }
 
-    fn fe_flush(&mut self, snap: &Snapshot) {
+    fn fe_flush(&mut self, snap: &Snapshot<F>) {
         if self.fe_queue.is_empty() {
             return;
         }
@@ -833,7 +854,7 @@ impl WorkerCore {
         self.results.clear();
         self.results.resize(addrs.len(), CountedLookup::MISS);
         let table = &snap.tables[self.lc];
-        table.lookup_batch(&addrs, &mut self.results);
+        F::lookup_batch(table, &addrs, &mut self.results);
         self.report.fe_batches += 1;
         self.report.fe_lookups += addrs.len() as u64;
         let now = Instant::now();
@@ -844,7 +865,7 @@ impl WorkerCore {
                 if self.fe_since_check >= self.spot_check_every {
                     self.fe_since_check = 0;
                     self.report.spot_checks += 1;
-                    if table.lookup_counted(addr) != res {
+                    if F::lookup_counted(table, addr) != res {
                         self.report.spot_check_mismatches += 1;
                     }
                 }
@@ -876,7 +897,7 @@ impl WorkerCore {
             while i < events.len() {
                 match events[i] {
                     OutEvent::Req { addr } => {
-                        let mut addrs = [0u32; BATCH_MSG_LANES];
+                        let mut addrs = [F::Addr::default(); BATCH_MSG_LANES];
                         let mut n = 0;
                         while i + n < events.len() && n < BATCH_MSG_LANES {
                             let OutEvent::Req { addr } = events[i + n] else {
@@ -907,7 +928,7 @@ impl WorkerCore {
                         nh,
                         version,
                     } => {
-                        let mut pairs = [(0u32, None); BATCH_MSG_LANES];
+                        let mut pairs = [(F::Addr::default(), None); BATCH_MSG_LANES];
                         let mut n = 0;
                         while i + n < events.len() && n < BATCH_MSG_LANES {
                             let OutEvent::Rep {
@@ -1032,7 +1053,7 @@ impl WorkerCore {
         }
     }
 
-    fn step(&mut self, snap: &Snapshot) -> (u64, u64) {
+    fn step(&mut self, snap: &Snapshot<F>) -> (u64, u64) {
         self.completed_this_iter = 0;
         self.sync_partition(snap);
         if self.maybe_die() {
@@ -1127,7 +1148,7 @@ impl Backoff {
     }
 }
 
-impl Worker {
+impl<F: AddrFamily> Worker<F> {
     fn iterate(&mut self) -> (u64, u64) {
         let pin = self.reader.pin();
         self.core.step(&pin)
@@ -1168,21 +1189,21 @@ impl Worker {
 // Control plane
 // ---------------------------------------------------------------------
 
-struct Control {
+struct Control<F: AddrFamily> {
     part: Arc<Partitioning>,
-    algorithm: LpmAlgorithm,
+    algorithm: F::Algorithm,
     /// Per-LC routing-table fragments, kept current with every ingested
     /// update — the rebuild source for non-incremental engines and the
     /// oracle for the final consistency check.
-    per_lc_rib: Vec<RoutingTable>,
+    per_lc_rib: Vec<F::Table>,
     /// Updates ingested but not yet reflected in *both* snapshot
     /// copies; `log[i]` has sequence number `base_seq + i`.
-    log: Vec<Update>,
+    log: Vec<F::Update>,
     base_seq: u64,
     next_seq: u64,
-    writer: EpochWriter<Snapshot>,
-    shadow: Option<Box<Snapshot>>,
-    ctrl_tx: Vec<SpscProducer<CtrlMsg>>,
+    writer: EpochWriter<Snapshot<F>>,
+    shadow: Option<Box<Snapshot<F>>>,
+    ctrl_tx: Vec<SpscProducer<CtrlMsg<F::Addr>>>,
     mode: InvalidationMode,
     done: Arc<AtomicUsize>,
     psi: usize,
@@ -1207,18 +1228,17 @@ struct Control {
     failover: Option<FailoverSummary>,
 }
 
-impl Control {
+impl<F: AddrFamily> Control<F> {
     /// Bring `snap` up to `next_seq`. The changed prefixes are first
     /// coalesced per LC (a batch touching one prefix twice, or many
     /// prefixes homed on one LC, yields one patch call with the deduped
-    /// union — and at worst one rebuild — per LC), then dispatched to
-    /// the engine's [`Lpm::apply_delta`] patch path. An engine that
-    /// declines gets its fragment rebuilt from the post-update RIB.
-    fn sync(&mut self, snap: &mut Snapshot) {
+    /// union — and at worst one rebuild — per LC), then patched in
+    /// ([`Self::patch_tables`]).
+    fn sync(&mut self, snap: &mut Snapshot<F>) {
         let from = (snap.applied_seq - self.base_seq) as usize;
-        let mut changed: Vec<Vec<Prefix>> = vec![Vec::new(); self.psi];
+        let mut changed: Vec<Vec<F::Prefix>> = vec![Vec::new(); self.psi];
         for &u in &self.log[from..] {
-            let p = update_prefix(u);
+            let p = F::update_prefix(u);
             for lc in self.part.lcs_of_prefix(p) {
                 let per_lc = &mut changed[lc as usize];
                 if !per_lc.contains(&p) {
@@ -1226,12 +1246,21 @@ impl Control {
                 }
             }
         }
+        self.patch_tables(snap, &changed);
+        snap.applied_seq = self.next_seq;
+    }
+
+    /// Bring each LC's engine in `snap` in line with its RIB fragment
+    /// for the prefixes in `changed[lc]`: the engine's `apply_delta`
+    /// patch path first; an engine that declines gets its fragment
+    /// rebuilt from the post-update RIB.
+    fn patch_tables(&mut self, snap: &mut Snapshot<F>, changed: &[Vec<F::Prefix>]) {
         for (lc, prefixes) in changed.iter().enumerate() {
             if prefixes.is_empty() {
                 continue;
             }
             let patched = if self.delta_patching {
-                snap.tables[lc].apply_delta(prefixes, &self.per_lc_rib[lc])
+                F::apply_delta(&mut snap.tables[lc], prefixes, &self.per_lc_rib[lc])
             } else {
                 None
             };
@@ -1243,14 +1272,13 @@ impl Control {
                 }
                 None => {
                     self.report.rebuild_applies += 1;
-                    snap.tables[lc] = ForwardingTable::build(self.algorithm, &self.per_lc_rib[lc]);
+                    snap.tables[lc] = F::build(self.algorithm, &self.per_lc_rib[lc]);
                 }
             }
         }
-        snap.applied_seq = self.next_seq;
     }
 
-    fn broadcast(&mut self, msg: CtrlMsg) {
+    fn broadcast(&mut self, msg: CtrlMsg<F::Addr>) {
         for lc in 0..self.psi {
             if self.dead_mask >> lc & 1 == 1 {
                 continue;
@@ -1289,20 +1317,12 @@ impl Control {
     /// states with warm caches, which keeps the wait short on
     /// oversubscribed hosts (invalidating first would have them
     /// grinding through misses and remote round trips mid-grace).
-    fn publish_batch(&mut self, batch: &[Update]) {
+    fn publish_batch(&mut self, batch: &[F::Update]) {
         let mut shadow = self.shadow.take().expect("shadow snapshot present");
         let t0 = Instant::now();
         for &u in batch {
-            for lc in self.part.lcs_of_prefix(update_prefix(u)) {
-                let rib = &mut self.per_lc_rib[lc as usize];
-                match u {
-                    Update::Announce(e) => {
-                        rib.insert(e);
-                    }
-                    Update::Withdraw(p) => {
-                        rib.remove(p);
-                    }
-                }
+            for lc in self.part.lcs_of_prefix(F::update_prefix(u)) {
+                F::apply_update(&mut self.per_lc_rib[lc as usize], u);
             }
             self.log.push(u);
             self.next_seq += 1;
@@ -1330,7 +1350,7 @@ impl Control {
             InvalidationMode::FullFlush => self.broadcast(CtrlMsg::Flush { version }),
             InvalidationMode::Targeted => {
                 for &u in batch {
-                    let p = update_prefix(u);
+                    let p = F::update_prefix(u);
                     self.broadcast(CtrlMsg::Invalidate {
                         bits: p.bits(),
                         len: p.len(),
@@ -1345,7 +1365,7 @@ impl Control {
 
     /// Threaded control loop: publish batches at the configured pace
     /// until the stream or the workers run out.
-    fn run_paced(&mut self, updates: &[Update], per_pub: usize, pace_us: u64) {
+    fn run_paced(&mut self, updates: &[F::Update], per_pub: usize, pace_us: u64) {
         for batch in updates.chunks(per_pub.max(1)) {
             if self.done.load(Ordering::SeqCst) >= self.psi {
                 break;
@@ -1357,11 +1377,6 @@ impl Control {
             }
         }
     }
-
-    /// Headroom targeted remap invalidations must leave in the control
-    /// ring (for a same-round churn publication plus slop); a moved set
-    /// that cannot fit falls back to one full flush.
-    const REMAP_CTRL_SLACK: usize = 128;
 
     /// Poll the shared failure flag and re-partition once when it is
     /// raised. Returns whether a remap ran this call.
@@ -1377,32 +1392,6 @@ impl Control {
         true
     }
 
-    /// Patch one snapshot copy for the re-homed prefixes, the same
-    /// apply-delta-or-rebuild dispatch `sync` uses for churn.
-    fn apply_remap(&mut self, snap: &mut Snapshot, changed: &[Vec<Prefix>]) {
-        for (lc, prefixes) in changed.iter().enumerate() {
-            if prefixes.is_empty() {
-                continue;
-            }
-            let patched = if self.delta_patching {
-                snap.tables[lc].apply_delta(prefixes, &self.per_lc_rib[lc])
-            } else {
-                None
-            };
-            match patched {
-                Some(stats) => {
-                    self.report.delta_applies += 1;
-                    self.report.delta_bytes_touched += stats.bytes_touched as u64;
-                    self.report.delta_prefixes_applied += stats.prefixes_applied as u64;
-                }
-                None => {
-                    self.report.rebuild_applies += 1;
-                    snap.tables[lc] = ForwardingTable::build(self.algorithm, &self.per_lc_rib[lc]);
-                }
-            }
-        }
-    }
-
     /// Online re-partitioning after LC `dead` died, while packets keep
     /// flowing:
     ///
@@ -1412,7 +1401,7 @@ impl Control {
     /// 2. move the dead RIB fragment's routes into the survivors'
     ///    fragments (skipping routes already replicated there);
     /// 3. patch the shadow snapshot — pending churn log first, then the
-    ///    re-homed prefixes via `apply_delta`-or-rebuild — stamp it
+    ///    re-homed prefixes ([`Self::patch_tables`]) — stamp it
     ///    with the new partitioning and dead mask, and publish it
     ///    RCU-style (`publish_deferred`); workers adopt the new map on
     ///    their next pin and migrate their in-flight state
@@ -1429,20 +1418,21 @@ impl Control {
     fn remap_failed(&mut self, dead: u16) {
         let t0 = Instant::now();
         let dead_idx = dead as usize;
-        let loads: Vec<usize> = self.per_lc_rib.iter().map(|r| r.len()).collect();
+        let loads: Vec<usize> = self.per_lc_rib.iter().map(|r| r.entries().len()).collect();
         let new_part = Arc::new(
             self.part
                 .remap_without(dead, &self.per_lc_rib[dead_idx], &loads),
         );
         let moved = self.per_lc_rib[dead_idx].entries().to_vec();
-        let mut changed: Vec<Vec<Prefix>> = vec![Vec::new(); self.psi];
+        let mut changed: Vec<Vec<F::Prefix>> = vec![Vec::new(); self.psi];
         for e in &moved {
-            for lc in new_part.lcs_of_prefix(e.prefix) {
+            let prefix = F::Table::prefix_of(e);
+            for lc in new_part.lcs_of_prefix(prefix) {
                 debug_assert_ne!(lc, dead, "remap re-homed a group onto the dead LC");
                 let rib = &mut self.per_lc_rib[lc as usize];
-                if rib.get(e.prefix).is_none() {
-                    rib.insert(*e);
-                    changed[lc as usize].push(e.prefix);
+                if !F::contains(rib, prefix) {
+                    F::insert(rib, *e);
+                    changed[lc as usize].push(prefix);
                 }
             }
         }
@@ -1450,29 +1440,30 @@ impl Control {
         self.dead_mask |= 1 << dead;
         let mut shadow = self.shadow.take().expect("shadow snapshot present");
         self.sync(&mut shadow);
-        self.apply_remap(&mut shadow, &changed);
+        self.patch_tables(&mut shadow, &changed);
         shadow.part = Arc::clone(&new_part);
         shadow.dead |= 1 << dead;
         shadow.version = self.writer.epoch() + 1;
         let retiring = self.writer.publish_deferred(shadow);
         let mut retiring = retiring.into_inner();
         self.sync(&mut retiring);
-        self.apply_remap(&mut retiring, &changed);
+        self.patch_tables(&mut retiring, &changed);
         retiring.part = Arc::clone(&new_part);
         retiring.dead |= 1 << dead;
         self.shadow = Some(retiring);
         // Both copies now reflect the whole log.
         self.log.clear();
         self.base_seq = self.next_seq;
-        self.per_lc_rib[dead_idx] = RoutingTable::from_entries([]);
+        self.per_lc_rib[dead_idx] = F::Table::from_entries(Vec::new());
         let version = self.writer.epoch();
         let targeted = self.mode == InvalidationMode::Targeted
-            && moved.len() + Self::REMAP_CTRL_SLACK <= self.ctrl_cap;
+            && moved.len() + REMAP_CTRL_SLACK <= self.ctrl_cap;
         if targeted {
             for e in &moved {
+                let prefix = F::Table::prefix_of(e);
                 self.broadcast(CtrlMsg::Invalidate {
-                    bits: e.prefix.bits(),
-                    len: e.prefix.len(),
+                    bits: prefix.bits(),
+                    len: prefix.len(),
                     version,
                 });
             }
@@ -1504,14 +1495,14 @@ impl Control {
     /// address checked at its home LC, where lookups happen).
     fn final_check(&mut self, samples: usize, seed: u64) {
         let mut x = seed | 1;
-        for _ in 0..samples {
+        for i in 0..samples {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let addr = (x as u32) ^ ((x >> 32) as u32);
+            let addr = F::check_addr(x, i, &self.per_lc_rib);
             let lc = self.part.home_of(addr) as usize;
-            let expect = self.per_lc_rib[lc].longest_match(addr).map(|e| e.next_hop);
-            let got = self.writer.peek().tables[lc].lookup(addr);
+            let expect = F::longest_match(&self.per_lc_rib[lc], addr);
+            let got = F::lookup_counted(&self.writer.peek().tables[lc], addr).next_hop;
             self.report.final_checks += 1;
             if expect != got {
                 self.report.final_mismatches += 1;
@@ -1524,14 +1515,28 @@ impl Control {
 // Run orchestration
 // ---------------------------------------------------------------------
 
+/// Run the IPv4 dataplane: [`run_family`] at [`V4`].
+pub fn run(table: &RoutingTable, traces: &[Trace], cfg: &DataplaneConfig) -> DataplaneReport {
+    run_family::<V4>(table, traces, cfg)
+}
+
+/// Run the IPv6 dataplane: [`run_family`] at [`V6`].
+pub fn run6(table: &RoutingTable6, traces: &[Trace6], cfg: &Dataplane6Config) -> DataplaneReport {
+    run_family::<V6>(table, traces, cfg)
+}
+
 /// Run the dataplane over `traces` (trace `i % traces.len()` drives
 /// worker `i`; each trace is consumed once) against `table`.
-pub fn run(table: &RoutingTable, traces: &[Trace], cfg: &DataplaneConfig) -> DataplaneReport {
+pub fn run_family<F: AddrFamily>(
+    table: &F::Table,
+    traces: &[F::Trace],
+    cfg: &DataplaneConfig<F>,
+) -> DataplaneReport {
     let psi = cfg.workers;
     assert!(psi >= 1, "need at least one worker");
     assert!(!traces.is_empty(), "need at least one trace");
     assert!(
-        traces.iter().all(|t| !t.is_empty()),
+        traces.iter().all(|t| !F::destinations(t).is_empty()),
         "traces must be non-empty"
     );
     if let Some(plan) = &cfg.failover {
@@ -1546,14 +1551,14 @@ pub fn run(table: &RoutingTable, traces: &[Trace], cfg: &DataplaneConfig) -> Dat
         );
     }
 
-    let bits = select_bits(table, eta_for(psi));
+    let bits = F::select_bits(table, eta_for(psi));
     let part = Arc::new(Partitioning::new(table, bits, psi));
     let per_lc_rib = part.forwarding_tables(table);
     let build = |version: u64| {
         Box::new(Snapshot {
             tables: per_lc_rib
                 .iter()
-                .map(|f| ForwardingTable::build(cfg.algorithm, f))
+                .map(|f| F::build(cfg.algorithm, f))
                 .collect(),
             applied_seq: 0,
             version,
@@ -1565,9 +1570,9 @@ pub fn run(table: &RoutingTable, traces: &[Trace], cfg: &DataplaneConfig) -> Dat
     let shadow = build(0);
 
     // Fabric rings: one SPSC ring per ordered worker pair.
-    let mut tx_mat: Vec<Vec<Option<SpscProducer<FabricMsg>>>> =
+    let mut tx_mat: Vec<Vec<Option<FabricTx<F>>>> =
         (0..psi).map(|_| (0..psi).map(|_| None).collect()).collect();
-    let mut rx_mat: Vec<Vec<Option<SpscConsumer<FabricMsg>>>> =
+    let mut rx_mat: Vec<Vec<Option<FabricRx<F>>>> =
         (0..psi).map(|_| (0..psi).map(|_| None).collect()).collect();
     for src in 0..psi {
         for dst in 0..psi {
@@ -1592,8 +1597,8 @@ pub fn run(table: &RoutingTable, traces: &[Trace], cfg: &DataplaneConfig) -> Dat
         // A targeted remap enqueues one invalidation per moved prefix;
         // size the ring so the deterministic schedule can absorb the
         // burst (plus a same-round publication) without overflowing.
-        let fragment = per_lc_rib[plan.lc as usize].len();
-        ctrl_cap = ctrl_cap.max(fragment + 2 * per_pub + 2 * Control::REMAP_CTRL_SLACK);
+        let fragment = per_lc_rib[plan.lc as usize].entries().len();
+        ctrl_cap = ctrl_cap.max(fragment + 2 * per_pub + 2 * REMAP_CTRL_SLACK);
     }
     let mut ctrl_tx = Vec::with_capacity(psi);
     let mut ctrl_rx = Vec::with_capacity(psi);
@@ -1606,7 +1611,7 @@ pub fn run(table: &RoutingTable, traces: &[Trace], cfg: &DataplaneConfig) -> Dat
     let done = Arc::new(AtomicUsize::new(0));
     let failed_flag = Arc::new(AtomicUsize::new(usize::MAX));
     let now = Instant::now();
-    let mut workers: Vec<Worker> = Vec::with_capacity(psi);
+    let mut workers: Vec<Worker<F>> = Vec::with_capacity(psi);
     for (lc, reader) in readers.into_iter().enumerate() {
         workers.push(Worker {
             reader,
@@ -1615,7 +1620,7 @@ pub fn run(table: &RoutingTable, traces: &[Trace], cfg: &DataplaneConfig) -> Dat
                 psi,
                 part: Arc::clone(&part),
                 cache: VersionedCache::new(LrCache::new(cfg.cache.clone())),
-                dests: traces[lc % traces.len()].destinations_shared(),
+                dests: F::destinations(&traces[lc % traces.len()]),
                 pos: 0,
                 batch: cfg.batch.max(1),
                 req_tx: std::mem::take(&mut tx_mat[lc]),
@@ -1681,15 +1686,14 @@ pub fn run(table: &RoutingTable, traces: &[Trace], cfg: &DataplaneConfig) -> Dat
     };
 
     let updates = cfg.churn.as_ref().map(|c| {
-        update_stream(
+        F::update_stream(
             table,
             &UpdateStreamConfig {
                 count: c.updates,
                 withdraw_fraction: c.withdraw_fraction,
-                seed: cfg.seed ^ 0x5EED_CAFE,
+                seed: cfg.seed ^ F::CHURN_SEED_SALT,
             },
         )
-        .0
     });
 
     let t0 = Instant::now();
@@ -1704,26 +1708,13 @@ pub fn run(table: &RoutingTable, traces: &[Trace], cfg: &DataplaneConfig) -> Dat
         // covered by an updated prefix. A failed worker's cache froze
         // at its death and stopped receiving invalidations, so it is
         // out of the sweep (it serves no lookups either).
-        let mut entries_checked = 0u64;
-        let mut mismatches = 0u64;
-        for w in workers.iter_mut().filter(|w| !w.core.failed) {
-            w.core.drain_ctrl();
-            for (addr, value) in w.core.cache.entries() {
-                let home = control.part.home_of(addr) as usize;
-                let expect = control.per_lc_rib[home]
-                    .longest_match(addr)
-                    .map(|e| e.next_hop.0);
-                entries_checked += 1;
-                if value != expect {
-                    mismatches += 1;
-                }
-            }
-        }
+        let mut last = SweepSummary::default();
+        sweep_caches(&mut workers, &control, &mut last);
         (
             r,
             Some(CoherenceSummary {
-                entries_checked,
-                mismatches,
+                entries_checked: last.entries_checked,
+                mismatches: last.mismatches,
             }),
             forced,
             sweeps,
@@ -1747,7 +1738,7 @@ pub fn run(table: &RoutingTable, traces: &[Trace], cfg: &DataplaneConfig) -> Dat
     }
     report.tail = TailSummary::from_samples(all_samples);
     if cfg.churn.is_some() {
-        control.final_check(1_000, cfg.seed ^ 0xF1A1);
+        control.final_check(1_000, cfg.seed ^ F::CHECK_SEED_SALT);
         report.churn = Some(control.report.clone());
     }
     report.coherence = coherence;
@@ -1771,11 +1762,11 @@ pub fn run(table: &RoutingTable, traces: &[Trace], cfg: &DataplaneConfig) -> Dat
     report
 }
 
-fn run_threaded(
-    workers: Vec<Worker>,
-    control: &mut Control,
-    updates: Option<&[Update]>,
-    cfg: &DataplaneConfig,
+fn run_threaded<F: AddrFamily>(
+    workers: Vec<Worker<F>>,
+    control: &mut Control<F>,
+    updates: Option<&[F::Update]>,
+    cfg: &DataplaneConfig<F>,
 ) -> Vec<(WorkerReport, Vec<f64>)> {
     std::thread::scope(|s| {
         let handles: Vec<_> = workers
@@ -1804,15 +1795,17 @@ fn run_threaded(
 /// after the drain, any resident entry either postdates every processed
 /// invalidation covering it or was never covered — both must match the
 /// oracle.
-fn sweep_caches(workers: &mut [Worker], control: &Control, summary: &mut SweepSummary) {
+fn sweep_caches<F: AddrFamily>(
+    workers: &mut [Worker<F>],
+    control: &Control<F>,
+    summary: &mut SweepSummary,
+) {
     summary.sweeps += 1;
     for w in workers.iter_mut().filter(|w| !w.core.failed) {
         w.core.drain_ctrl();
         for (addr, value) in w.core.cache.entries() {
             let home = control.part.home_of(addr) as usize;
-            let expect = control.per_lc_rib[home]
-                .longest_match(addr)
-                .map(|e| e.next_hop.0);
+            let expect = F::longest_match(&control.per_lc_rib[home], addr).map(|nh| nh.0);
             summary.entries_checked += 1;
             if value != expect {
                 summary.mismatches += 1;
@@ -1826,11 +1819,11 @@ fn sweep_caches(workers: &mut [Worker], control: &Control, summary: &mut SweepSu
 /// the coherence-sweep summary when `sweep_every` was set.
 type DeterministicOutcome = (Vec<(WorkerReport, Vec<f64>)>, u64, Option<SweepSummary>);
 
-fn run_deterministic(
-    workers: &mut [Worker],
-    control: &mut Control,
-    updates: Option<&[Update]>,
-    cfg: &DataplaneConfig,
+fn run_deterministic<F: AddrFamily>(
+    workers: &mut [Worker<F>],
+    control: &mut Control<F>,
+    updates: Option<&[F::Update]>,
+    cfg: &DataplaneConfig<F>,
 ) -> DeterministicOutcome {
     let psi = workers.len();
     let done = Arc::clone(&workers[0].core.done);
@@ -1851,7 +1844,7 @@ fn run_deterministic(
     let mut forced_publications = 0u64;
     // Spread publications evenly over the rounds the longest trace
     // needs, so churn overlaps forwarding deterministically.
-    let mut batches: VecDeque<&[Update]> = match (updates, cfg.churn.as_ref()) {
+    let mut batches: VecDeque<&[F::Update]> = match (updates, cfg.churn.as_ref()) {
         (Some(u), Some(c)) => u.chunks(c.updates_per_publication.max(1)).collect(),
         _ => VecDeque::new(),
     };
@@ -1919,28 +1912,67 @@ fn run_deterministic(
 mod tests {
     use super::*;
     use spal_rib::synth;
-    use spal_traffic::{preset, PresetName, TracePreset};
+    use spal_rib::v6::synthesize6_dfz;
+    use spal_traffic::{generate6, preset, PresetName, TracePreset};
 
-    fn small_setup(psi: usize, packets: usize) -> (RoutingTable, Vec<Trace>) {
-        let table = synth::small(11);
-        let p = TracePreset {
-            distinct: 400,
-            ..preset(PresetName::D75)
-        };
-        let traces = p.generate(&table, psi * packets, 5).split(psi);
-        (table, traces)
+    /// A family plus the small table and 400-flow trace its cases run.
+    trait TestFamily: AddrFamily {
+        fn small_setup(psi: usize, packets: usize) -> (Self::Table, Vec<Self::Trace>);
     }
 
-    fn oracle_checksum(table: &RoutingTable, traces: &[Trace]) -> (u64, u64) {
+    impl TestFamily for V4 {
+        fn small_setup(psi: usize, packets: usize) -> (RoutingTable, Vec<Trace>) {
+            let table = synth::small(11);
+            let p = TracePreset {
+                distinct: 400,
+                ..preset(PresetName::D75)
+            };
+            let traces = p.generate(&table, psi * packets, 5).split(psi);
+            (table, traces)
+        }
+    }
+
+    impl TestFamily for V6 {
+        fn small_setup(psi: usize, packets: usize) -> (RoutingTable6, Vec<Trace6>) {
+            let table = synthesize6_dfz(3_000, 11);
+            let traces = generate6(&table, 400, psi * packets, 5).split(psi);
+            (table, traces)
+        }
+    }
+
+    /// Every case below runs once per family.
+    macro_rules! for_both_families {
+        ($($case:ident),* $(,)?) => {
+            mod v4 {
+                $(#[test] fn $case() { super::$case::<super::V4>() })*
+            }
+            mod v6 {
+                $(#[test] fn $case() { super::$case::<super::V6>() })*
+            }
+        };
+    }
+
+    for_both_families!(
+        deterministic_single_worker_matches_oracle,
+        deterministic_multi_worker_matches_oracle_and_shares_results,
+        deterministic_runs_are_reproducible,
+        scalar_mode_matches_oracle,
+        latency_capture_off_skips_timestamp_reads,
+        vector_and_scalar_canonical_reports_match,
+        threaded_run_matches_oracle,
+        threaded_run_with_churn_matches_oracle_checks,
+        full_flush_mode_also_stays_coherent,
+    );
+
+    fn oracle_checksum<F: AddrFamily>(table: &F::Table, traces: &[F::Trace]) -> (u64, u64) {
         let mut packets = 0u64;
         let mut sum = 0u64;
         for t in traces {
-            for &addr in t.destinations() {
+            for &addr in F::destinations(t).iter() {
                 packets += 1;
                 sum = sum.wrapping_add(
-                    table
-                        .longest_match(addr)
-                        .map(|e| e.next_hop.0 as u64 + 1)
+                    F::longest_match(table, addr)
+                        .map(|nh| nh.0 as u64 + 1)
                         .unwrap_or(0),
                 );
             }
@@ -1948,37 +1980,53 @@ mod tests {
         (packets, sum)
     }
 
-    #[test]
-    fn deterministic_single_worker_matches_oracle() {
-        let (table, traces) = small_setup(1, 3_000);
+    fn churn(
+        updates: usize,
+        updates_per_publication: usize,
+        withdraw_fraction: f64,
+    ) -> ChurnConfig {
+        ChurnConfig {
+            updates,
+            updates_per_publication,
+            withdraw_fraction,
+            pace_us: 0,
+        }
+    }
+
+    fn assert_matches_oracle<F: AddrFamily>(
+        report: &DataplaneReport,
+        table: &F::Table,
+        traces: &[F::Trace],
+    ) {
+        let (packets, sum) = oracle_checksum::<F>(table, traces);
+        assert_eq!(report.total_packets(), packets);
+        assert_eq!(report.checksum(), sum);
+        assert_eq!(report.spot_check_mismatches(), 0);
+    }
+
+    fn deterministic_single_worker_matches_oracle<F: TestFamily>() {
+        let (table, traces) = F::small_setup(1, 3_000);
         let cfg = DataplaneConfig {
             workers: 1,
             deterministic: true,
             cache: LrCacheConfig::paper(256),
             ..Default::default()
         };
-        let report = run(&table, &traces, &cfg);
-        let (packets, sum) = oracle_checksum(&table, &traces);
-        assert_eq!(report.total_packets(), packets);
-        assert_eq!(report.checksum(), sum);
-        assert_eq!(report.spot_check_mismatches(), 0);
+        let report = run_family::<F>(&table, &traces, &cfg);
+        assert_matches_oracle::<F>(&report, &table, &traces);
         assert!(report.workers[0].remote_requests == 0);
     }
 
-    #[test]
-    fn deterministic_multi_worker_matches_oracle_and_shares_results() {
-        let (table, traces) = small_setup(4, 2_000);
+    fn deterministic_multi_worker_matches_oracle_and_shares_results<F: TestFamily>() {
+        let (table, traces) = F::small_setup(4, 2_000);
         let cfg = DataplaneConfig {
             workers: 4,
             deterministic: true,
             cache: LrCacheConfig::paper(256),
             ..Default::default()
         };
-        let report = run(&table, &traces, &cfg);
-        let (packets, sum) = oracle_checksum(&table, &traces);
-        assert_eq!(report.total_packets(), packets);
-        assert_eq!(report.checksum(), sum);
-        assert_eq!(report.spot_check_mismatches(), 0);
+        let report = run_family::<F>(&table, &traces, &cfg);
+        assert_matches_oracle::<F>(&report, &table, &traces);
         // Cross-LC traffic exists and produces REM-origin cache entries.
         let remote: u64 = report.workers.iter().map(|w| w.remote_requests).sum();
         let served: u64 = report.workers.iter().map(|w| w.remote_served).sum();
@@ -1993,19 +2041,25 @@ mod tests {
         );
         assert_eq!(remote, served);
         assert!(report.rem_share() > 0.0);
+        // Vector mode actually coalesced messages.
+        let batched: u64 = report
+            .workers
+            .iter()
+            .map(|w| w.batch_requests_sent + w.batch_replies_sent)
+            .sum();
+        assert!(batched > 0, "no message was ever coalesced");
     }
 
-    #[test]
-    fn deterministic_runs_are_reproducible() {
-        let (table, traces) = small_setup(3, 1_000);
+    fn deterministic_runs_are_reproducible<F: TestFamily>() {
+        let (table, traces) = F::small_setup(3, 1_000);
         let cfg = DataplaneConfig {
             workers: 3,
             deterministic: true,
             cache: LrCacheConfig::paper(128),
             ..Default::default()
         };
-        let a = run(&table, &traces, &cfg);
-        let b = run(&table, &traces, &cfg);
+        let a = run_family::<F>(&table, &traces, &cfg);
+        let b = run_family::<F>(&table, &traces, &cfg);
         assert_eq!(a.checksum(), b.checksum());
         for (wa, wb) in a.workers.iter().zip(&b.workers) {
             assert_eq!(wa.cache, wb.cache, "lc {} stats differ", wa.lc);
@@ -2014,9 +2068,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn scalar_mode_matches_oracle() {
-        let (table, traces) = small_setup(4, 2_000);
+    fn scalar_mode_matches_oracle<F: TestFamily>() {
+        let (table, traces) = F::small_setup(4, 2_000);
         let cfg = DataplaneConfig {
             workers: 4,
             deterministic: true,
@@ -2024,11 +2077,8 @@ mod tests {
             cache: LrCacheConfig::paper(256),
             ..Default::default()
         };
-        let report = run(&table, &traces, &cfg);
-        let (packets, sum) = oracle_checksum(&table, &traces);
-        assert_eq!(report.total_packets(), packets);
-        assert_eq!(report.checksum(), sum);
-        assert_eq!(report.spot_check_mismatches(), 0);
+        let report = run_family::<F>(&table, &traces, &cfg);
+        assert_matches_oracle::<F>(&report, &table, &traces);
         // Scalar mode never coalesces.
         assert!(report
             .workers
@@ -2036,17 +2086,16 @@ mod tests {
             .all(|w| w.batch_requests_sent == 0 && w.batch_replies_sent == 0));
     }
 
-    #[test]
-    fn latency_capture_off_skips_timestamp_reads() {
-        let (table, traces) = small_setup(3, 2_000);
+    fn latency_capture_off_skips_timestamp_reads<F: TestFamily>() {
+        let (table, traces) = F::small_setup(3, 2_000);
         let base = DataplaneConfig {
             workers: 3,
             deterministic: true,
             cache: LrCacheConfig::paper(256),
             ..Default::default()
         };
-        let on = run(&table, &traces, &base);
-        let off = run(
+        let on = run_family::<F>(&table, &traces, &base);
+        let off = run_family::<F>(
             &table,
             &traces,
             &DataplaneConfig {
@@ -2072,25 +2121,20 @@ mod tests {
     /// The bit-stability contract: in a deterministic faultless run the
     /// two modes perform identical per-address cache/FE/fabric
     /// operation sequences, so the canonical reports must match
-    /// byte-for-byte — only the message framing differs.
-    #[test]
-    fn vector_and_scalar_canonical_reports_match() {
-        let (table, traces) = small_setup(3, 2_000);
+    /// byte-for-byte — only the message framing differs — and under
+    /// churn neither mode may diverge from the oracle.
+    fn vector_and_scalar_canonical_reports_match<F: TestFamily>() {
+        let (table, traces) = F::small_setup(3, 2_000);
         let base = DataplaneConfig {
             workers: 3,
             deterministic: true,
             cache: LrCacheConfig::paper(256),
-            churn: Some(ChurnConfig {
-                updates: 120,
-                updates_per_publication: 20,
-                withdraw_fraction: 0.3,
-                pace_us: 0,
-            }),
+            churn: Some(churn(120, 20, 0.3)),
             seed: 7,
             ..Default::default()
         };
-        let vector = run(&table, &traces, &base);
-        let scalar = run(
+        let vector = run_family::<F>(&table, &traces, &base);
+        let scalar = run_family::<F>(
             &table,
             &traces,
             &DataplaneConfig {
@@ -2099,6 +2143,17 @@ mod tests {
             },
         );
         assert_eq!(vector.canonical_json(), scalar.canonical_json());
+        for r in [&vector, &scalar] {
+            assert_eq!(r.spot_check_mismatches(), 0);
+            let churn = r.churn.as_ref().expect("churn configured");
+            assert!(churn.publications > 0);
+            assert_eq!(churn.final_mismatches, 0, "published tables diverged");
+            // An engine that declines a patch gets its fragment
+            // rebuilt; either path must have engaged.
+            assert!(churn.delta_applies + churn.rebuild_applies > 0);
+            let coh = r.coherence.as_ref().expect("deterministic sweep");
+            assert_eq!(coh.mismatches, 0, "cache coherence violated");
+        }
         // And the vector run actually coalesced something, or the
         // equivalence proved nothing about batch framing.
         let batched: u64 = vector
@@ -2109,18 +2164,45 @@ mod tests {
         assert!(batched > 0, "no message was ever coalesced");
     }
 
-    #[test]
-    fn threaded_run_matches_oracle() {
-        let (table, traces) = small_setup(4, 2_000);
+    fn threaded_run_matches_oracle<F: TestFamily>() {
+        let (table, traces) = F::small_setup(4, 2_000);
         let cfg = DataplaneConfig {
             workers: 4,
             cache: LrCacheConfig::paper(256),
             ..Default::default()
         };
-        let report = run(&table, &traces, &cfg);
-        let (packets, sum) = oracle_checksum(&table, &traces);
+        let report = run_family::<F>(&table, &traces, &cfg);
+        assert_matches_oracle::<F>(&report, &table, &traces);
+    }
+
+    fn threaded_run_with_churn_matches_oracle_checks<F: TestFamily>() {
+        let (table, traces) = F::small_setup(4, 2_000);
+        let cfg = DataplaneConfig {
+            workers: 4,
+            cache: LrCacheConfig::paper(256),
+            churn: Some(churn(200, 25, 0.3)),
+            ..Default::default()
+        };
+        let report = run_family::<F>(&table, &traces, &cfg);
+        let (packets, _) = oracle_checksum::<F>(&table, &traces);
         assert_eq!(report.total_packets(), packets);
-        assert_eq!(report.checksum(), sum);
         assert_eq!(report.spot_check_mismatches(), 0);
+        let churn = report.churn.as_ref().expect("churn configured");
+        assert_eq!(churn.final_mismatches, 0);
+    }
+
+    fn full_flush_mode_also_stays_coherent<F: TestFamily>() {
+        let (table, traces) = F::small_setup(2, 1_500);
+        let cfg = DataplaneConfig {
+            workers: 2,
+            deterministic: true,
+            invalidation: InvalidationMode::FullFlush,
+            cache: LrCacheConfig::paper(128),
+            churn: Some(churn(80, 20, 0.4)),
+            ..Default::default()
+        };
+        let report = run_family::<F>(&table, &traces, &cfg);
+        assert_eq!(report.coherence.as_ref().unwrap().mismatches, 0);
+        assert_eq!(report.churn.as_ref().unwrap().final_mismatches, 0);
     }
 }

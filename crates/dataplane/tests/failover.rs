@@ -5,25 +5,44 @@
 //! drive the remap under concurrent churn, verify the targeted
 //! invalidation of the remapped range, and inject duplicated/stale
 //! replies around the remap — zero oracle divergence in every case.
+//!
+//! The helpers take the address family as one more input: the remap
+//! was written against IPv4 only and reaches IPv6 through the generic
+//! runtime, so the `_v6` arms are what prove it works there.
 
+mod common;
+
+use common::Fixture;
 use spal_cache::LrCacheConfig;
 use spal_dataplane::{
-    run, ChurnConfig, DataplaneConfig, FailoverPlan, FaultPlan, InvalidationMode,
+    run, run_family, AddrFamily, ChurnConfig, DataplaneConfig, FailoverPlan, FaultPlan,
+    InvalidationMode, V4, V6,
 };
-use spal_rib::{synth, RoutingTable};
-use spal_traffic::{preset, PresetName, Trace, TracePreset};
+use spal_rib::RoutingTable;
+use spal_traffic::Trace;
 
 fn setup(psi: usize, packets_per_worker: usize) -> (RoutingTable, Vec<Trace>) {
-    let table = synth::small(31);
-    let p = TracePreset {
-        distinct: 600,
-        ..preset(PresetName::D75)
-    };
-    let traces = p.generate(&table, psi * packets_per_worker, 13).split(psi);
-    (table, traces)
+    setup_family::<V4>(psi, packets_per_worker)
 }
 
-fn failover_cfg(psi: usize, packets: usize, deterministic: bool) -> DataplaneConfig {
+fn setup_family<F: Fixture>(psi: usize, packets_per_worker: usize) -> (F::Table, Vec<F::Trace>) {
+    F::setup(31, 13, 600, psi, packets_per_worker)
+}
+
+fn concurrent_churn() -> Option<ChurnConfig> {
+    Some(ChurnConfig {
+        updates: 600,
+        updates_per_publication: 30,
+        withdraw_fraction: 0.3,
+        pace_us: 0,
+    })
+}
+
+fn failover_cfg<F: AddrFamily>(
+    psi: usize,
+    packets: usize,
+    deterministic: bool,
+) -> DataplaneConfig<F> {
     DataplaneConfig {
         workers: psi,
         deterministic,
@@ -64,12 +83,11 @@ fn assert_failure_accounting(report: &spal_dataplane::DataplaneReport, psi: usiz
     );
 }
 
-#[test]
-fn deterministic_failover_stays_consistent() {
+fn deterministic_failover_case<F: Fixture>() {
     let psi = 4;
     let packets = 3_000;
-    let (table, traces) = setup(psi, packets);
-    let report = run(&table, &traces, &failover_cfg(psi, packets, true));
+    let (table, traces) = setup_family::<F>(psi, packets);
+    let report = run_family::<F>(&table, &traces, &failover_cfg(psi, packets, true));
     assert_no_divergence(&report);
     assert_failure_accounting(&report, psi, packets);
     // Survivors re-routed their in-flight requests to the new homes.
@@ -79,6 +97,16 @@ fn deterministic_failover_stays_consistent() {
         rehomed + dead_letters > 0,
         "failure at 40% left no in-flight state to migrate"
     );
+}
+
+#[test]
+fn deterministic_failover_stays_consistent() {
+    deterministic_failover_case::<V4>()
+}
+
+#[test]
+fn deterministic_failover_stays_consistent_v6() {
+    deterministic_failover_case::<V6>()
 }
 
 #[test]
@@ -96,23 +124,17 @@ fn deterministic_failover_is_reproducible() {
     assert_eq!(fa.invalidations_per_lc, fb.invalidations_per_lc);
 }
 
-#[test]
-fn remap_under_concurrent_churn_stays_consistent() {
-    // The hard interleaving: route updates flowing through the log
-    // while the remap rewrites the partition map out-of-band. The log
-    // must be rebased (remapped prefixes can't be replayed under the
-    // old map) and the post-churn oracle must still agree everywhere.
+/// The hard interleaving: route updates flowing through the log while
+/// the remap rewrites the partition map out-of-band. The log must be
+/// rebased (remapped prefixes can't be replayed under the old map) and
+/// the post-churn oracle must still agree everywhere.
+fn remap_under_concurrent_churn_case<F: Fixture>() {
     let psi = 4;
     let packets = 3_000;
-    let (table, traces) = setup(psi, packets);
+    let (table, traces) = setup_family::<F>(psi, packets);
     let mut cfg = failover_cfg(psi, packets, true);
-    cfg.churn = Some(ChurnConfig {
-        updates: 600,
-        updates_per_publication: 30,
-        withdraw_fraction: 0.3,
-        pace_us: 0,
-    });
-    let report = run(&table, &traces, &cfg);
+    cfg.churn = concurrent_churn();
+    let report = run_family::<F>(&table, &traces, &cfg);
     let churn = report.churn.as_ref().expect("churn ran");
     assert_eq!(churn.updates_applied, 600, "remap stalled the churn feed");
     assert_no_divergence(&report);
@@ -120,12 +142,21 @@ fn remap_under_concurrent_churn_stays_consistent() {
 }
 
 #[test]
-fn remap_invalidates_only_the_moved_range() {
-    // Targeted mode: survivors evict exactly the remapped prefixes.
+fn remap_under_concurrent_churn_stays_consistent() {
+    remap_under_concurrent_churn_case::<V4>()
+}
+
+#[test]
+fn remap_under_concurrent_churn_stays_consistent_v6() {
+    remap_under_concurrent_churn_case::<V6>()
+}
+
+/// Targeted mode: survivors evict exactly the remapped prefixes.
+fn remap_invalidation_case<F: Fixture>() {
     let psi = 4;
     let packets = 3_000;
-    let (table, traces) = setup(psi, packets);
-    let targeted = run(&table, &traces, &failover_cfg(psi, packets, true));
+    let (table, traces) = setup_family::<F>(psi, packets);
+    let targeted = run_family::<F>(&table, &traces, &failover_cfg(psi, packets, true));
     let ft = targeted.failover.as_ref().expect("remap ran");
     assert!(ft.targeted, "remap fell back to full flush");
     assert_eq!(
@@ -146,7 +177,7 @@ fn remap_invalidates_only_the_moved_range() {
     // Full-flush mode survives the same failure via one flush instead.
     let mut flush_cfg = failover_cfg(psi, packets, true);
     flush_cfg.invalidation = InvalidationMode::FullFlush;
-    let flush = run(&table, &traces, &flush_cfg);
+    let flush = run_family::<F>(&table, &traces, &flush_cfg);
     let ff = flush.failover.as_ref().expect("remap ran");
     assert!(!ff.targeted);
     assert!(
@@ -154,6 +185,46 @@ fn remap_invalidates_only_the_moved_range() {
         "full-flush remap never flushed"
     );
     assert_no_divergence(&flush);
+}
+
+#[test]
+fn remap_invalidates_only_the_moved_range() {
+    remap_invalidation_case::<V4>()
+}
+
+#[test]
+fn remap_invalidates_only_the_moved_range_v6() {
+    remap_invalidation_case::<V6>()
+}
+
+/// Everything at once at 128 bits — the standard adversary (seeds 11,
+/// 42, 1337), an LC death mid-trace, churn flowing through the remap,
+/// and a coherence sweep every 16 rounds. None of fault injection,
+/// failover or sweeps was ever written for IPv6.
+#[test]
+fn faulted_failover_with_sweeps_stays_coherent_v6() {
+    let psi = 4;
+    let packets = 3_000;
+    let (table, traces) = setup_family::<V6>(psi, packets);
+    for seed in [11, 42, 1337] {
+        let mut cfg = failover_cfg::<V6>(psi, packets, true);
+        cfg.churn = concurrent_churn();
+        cfg.faults = Some(FaultPlan::standard(seed));
+        cfg.sweep_every = 16;
+        let report = run_family::<V6>(&table, &traces, &cfg);
+        assert_no_divergence(&report);
+        assert_failure_accounting(&report, psi, packets);
+        let victim = &report.workers[1];
+        assert!(victim.lost_packets > 0, "seed {seed}: victim lost nothing");
+        let sweeps = report.sweeps.as_ref().expect("sweep_every was set");
+        assert!(
+            sweeps.sweeps > 0 && sweeps.entries_checked > 0,
+            "seed {seed}"
+        );
+        assert_eq!(sweeps.mismatches, 0, "seed {seed}: mid-run sweep diverged");
+        let f = report.faults.as_ref().expect("fault plan ran");
+        assert!(f.delayed + f.duplicated + f.dropped_retransmitted > 100);
+    }
 }
 
 #[test]

@@ -7,11 +7,21 @@
 //! CI runs this suite with three fixed seeds (11, 42, 1337). A failure
 //! replays exactly: the whole run is a function of the config and the
 //! plan seed.
+//!
+//! The helpers take the address family as one more input; the two
+//! oracle tests run at both widths, the rest (mode and window
+//! mechanics, which never look at an address) at IPv4.
 
+mod common;
+
+use common::Fixture;
 use spal_cache::LrCacheConfig;
-use spal_dataplane::{run, ChurnConfig, DataplaneConfig, FaultPlan, IN_FLIGHT_WINDOW_BATCHES};
-use spal_rib::{synth, RoutingTable};
-use spal_traffic::{preset, PresetName, Trace, TracePreset};
+use spal_dataplane::{
+    run, run_family, AddrFamily, ChurnConfig, DataplaneConfig, FaultPlan, IN_FLIGHT_WINDOW_BATCHES,
+    V4, V6,
+};
+use spal_rib::RoutingTable;
+use spal_traffic::Trace;
 
 const SEEDS: [u64; 3] = [11, 42, 1337];
 
@@ -24,16 +34,10 @@ fn setup_distinct(
     packets_per_worker: usize,
     distinct: usize,
 ) -> (RoutingTable, Vec<Trace>) {
-    let table = synth::small(21);
-    let p = TracePreset {
-        distinct,
-        ..preset(PresetName::D75)
-    };
-    let traces = p.generate(&table, psi * packets_per_worker, 9).split(psi);
-    (table, traces)
+    V4::setup(21, 9, distinct, psi, packets_per_worker)
 }
 
-fn fault_cfg(psi: usize, seed: u64, churn: bool) -> DataplaneConfig {
+fn fault_cfg<F: AddrFamily>(psi: usize, seed: u64, churn: bool) -> DataplaneConfig<F> {
     DataplaneConfig {
         workers: psi,
         deterministic: true,
@@ -50,16 +54,15 @@ fn fault_cfg(psi: usize, seed: u64, churn: bool) -> DataplaneConfig {
     }
 }
 
-fn oracle_checksum(table: &RoutingTable, traces: &[Trace]) -> (u64, u64) {
+fn oracle_checksum<F: AddrFamily>(table: &F::Table, traces: &[F::Trace]) -> (u64, u64) {
     let mut packets = 0u64;
     let mut sum = 0u64;
     for t in traces {
-        for &addr in t.destinations() {
+        for &addr in F::destinations(t).iter() {
             packets += 1;
             sum = sum.wrapping_add(
-                table
-                    .longest_match(addr)
-                    .map(|e| e.next_hop.0 as u64 + 1)
+                F::longest_match(table, addr)
+                    .map(|nh| nh.0 as u64 + 1)
                     .unwrap_or(0),
             );
         }
@@ -92,12 +95,11 @@ fn assert_adversary_fired(report: &spal_dataplane::DataplaneReport, seed: u64) {
 /// Static table: faults reorder and duplicate work but the per-packet
 /// results are a pure function of the table, so the checksum must equal
 /// the scalar oracle exactly — nothing lost, nothing double-counted.
-#[test]
-fn static_table_fault_runs_match_oracle_exactly() {
-    let (table, traces) = setup(4, 3_000);
-    let (packets, sum) = oracle_checksum(&table, &traces);
+fn static_table_case<F: Fixture>() {
+    let (table, traces) = F::setup(21, 9, 600, 4, 3_000);
+    let (packets, sum) = oracle_checksum::<F>(&table, &traces);
     for seed in SEEDS {
-        let report = run(&table, &traces, &fault_cfg(4, seed, false));
+        let report = run_family::<F>(&table, &traces, &fault_cfg(4, seed, false));
         assert_eq!(report.total_packets(), packets, "seed {seed}");
         assert_eq!(report.checksum(), sum, "seed {seed}: checksum diverged");
         assert_eq!(report.oracle_divergence(), 0, "seed {seed}");
@@ -108,11 +110,10 @@ fn static_table_fault_runs_match_oracle_exactly() {
 /// Churn + faults: delayed/duplicated replies race real invalidations
 /// and forced epoch bumps. Spot checks, the control plane's final table
 /// samples, and the post-quiesce coherence sweep must all stay clean.
-#[test]
-fn churn_with_faults_has_zero_oracle_divergence() {
-    let (table, traces) = setup(4, 3_000);
+fn churn_case<F: Fixture>() {
+    let (table, traces) = F::setup(21, 9, 600, 4, 3_000);
     for seed in SEEDS {
-        let report = run(&table, &traces, &fault_cfg(4, seed, true));
+        let report = run_family::<F>(&table, &traces, &fault_cfg(4, seed, true));
         assert_eq!(report.total_packets(), 4 * 3_000, "seed {seed}");
         assert_eq!(
             report.oracle_divergence(),
@@ -131,6 +132,26 @@ fn churn_with_faults_has_zero_oracle_divergence() {
         let f = report.faults.as_ref().expect("plan ran");
         assert!(f.delayed + f.duplicated + f.dropped_retransmitted > 100);
     }
+}
+
+#[test]
+fn static_table_fault_runs_match_oracle_exactly() {
+    static_table_case::<V4>()
+}
+
+#[test]
+fn static_table_fault_runs_match_oracle_exactly_v6() {
+    static_table_case::<V6>()
+}
+
+#[test]
+fn churn_with_faults_has_zero_oracle_divergence() {
+    churn_case::<V4>()
+}
+
+#[test]
+fn churn_with_faults_has_zero_oracle_divergence_v6() {
+    churn_case::<V6>()
 }
 
 /// A fault run is a pure function of its seeds: re-running renders a
@@ -219,7 +240,7 @@ fn scalar_mode_survives_the_same_adversary() {
 #[test]
 fn stall_heavy_plan_holds_vectors_across_iterations() {
     let (table, traces) = setup(4, 2_000);
-    let (packets, sum) = oracle_checksum(&table, &traces);
+    let (packets, sum) = oracle_checksum::<V4>(&table, &traces);
     let mut plan = FaultPlan::standard(77);
     plan.stall_per_mille = 500; // every other iteration pauses
     let mut cfg = fault_cfg(4, 77, false);
@@ -300,7 +321,7 @@ fn assert_window_held(report: &spal_dataplane::DataplaneReport, what: &str) {
 #[test]
 fn threaded_stalls_fill_the_window_and_the_run_still_matches_the_oracle() {
     let (table, traces) = setup_distinct(2, 6_000, 20_000);
-    let (packets, sum) = oracle_checksum(&table, &traces);
+    let (packets, sum) = oracle_checksum::<V4>(&table, &traces);
     let report = run(&table, &traces, &stalled_cfg(false));
     assert_eq!(report.total_packets(), packets);
     assert_eq!(report.checksum(), sum, "checksum diverged");
@@ -312,7 +333,7 @@ fn threaded_stalls_fill_the_window_and_the_run_still_matches_the_oracle() {
 #[test]
 fn deterministic_stalls_fill_the_window_reproducibly() {
     let (table, traces) = setup_distinct(2, 6_000, 20_000);
-    let (packets, sum) = oracle_checksum(&table, &traces);
+    let (packets, sum) = oracle_checksum::<V4>(&table, &traces);
     let a = run(&table, &traces, &stalled_cfg(true));
     assert_eq!(a.total_packets(), packets);
     assert_eq!(a.checksum(), sum, "checksum diverged");

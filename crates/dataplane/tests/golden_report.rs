@@ -1,6 +1,7 @@
-//! Golden-report regression: one fixed deterministic run (churn +
-//! faults on) rendered through [`DataplaneReport::canonical_json`] and
-//! pinned byte-for-byte against a checked-in file. Any change to the
+//! Golden-report regression: two fixed deterministic runs (IPv4 with
+//! churn and faults on, IPv6 with churn) rendered through
+//! [`DataplaneReport::canonical_json`] and each pinned byte-for-byte
+//! against a checked-in file. Any change to the
 //! schedule, the fault stream, the cache policy, or the report shape
 //! shows up as a diff here before it shows up as a mystery elsewhere.
 //!
@@ -22,9 +23,36 @@
 //! in both modes.
 
 use spal_cache::LrCacheConfig;
-use spal_dataplane::{run, ChurnConfig, DataplaneConfig, FaultPlan};
+use spal_dataplane::{run, run6, ChurnConfig, Dataplane6Config, DataplaneConfig, FaultPlan};
 use spal_rib::synth;
-use spal_traffic::{preset, PresetName, TracePreset};
+use spal_rib::v6::synthesize6_dfz;
+use spal_traffic::{generate6, preset, PresetName, TracePreset};
+
+/// Compare `got` with `tests/golden/<file>`, or rewrite the file when
+/// `SPAL_BLESS` is set.
+fn check_golden(file: &str, got: &str) {
+    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("SPAL_BLESS").is_some() {
+        std::fs::write(&path, got).expect("write golden file");
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .expect("golden file missing — run once with SPAL_BLESS=1 to create it");
+    assert_eq!(
+        got, want,
+        "canonical report drifted from {path}; if the change is \
+         intentional, re-bless with SPAL_BLESS=1"
+    );
+}
+
+fn golden_churn() -> Option<ChurnConfig> {
+    Some(ChurnConfig {
+        updates: 200,
+        updates_per_publication: 25,
+        withdraw_fraction: 0.3,
+        pace_us: 0,
+    })
+}
 
 #[test]
 fn canonical_report_matches_golden_file() {
@@ -39,31 +67,30 @@ fn canonical_report_matches_golden_file() {
         workers: 3,
         deterministic: true,
         cache: LrCacheConfig::paper(512),
-        churn: Some(ChurnConfig {
-            updates: 200,
-            updates_per_publication: 25,
-            withdraw_fraction: 0.3,
-            pace_us: 0,
-        }),
+        churn: golden_churn(),
         seed: 3,
         faults: Some(FaultPlan::standard(42)),
         ..Default::default()
     };
     let got = run(&table, &traces, &cfg).canonical_json();
+    check_golden("dataplane_report.json", &got);
+}
 
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/dataplane_report.json"
-    );
-    if std::env::var_os("SPAL_BLESS").is_some() {
-        std::fs::write(path, &got).expect("write golden file");
-        return;
-    }
-    let want = std::fs::read_to_string(path)
-        .expect("golden file missing — run once with SPAL_BLESS=1 to create it");
-    assert_eq!(
-        got, want,
-        "canonical report drifted from {path}; if the change is \
-         intentional, re-bless with SPAL_BLESS=1"
-    );
+/// The IPv6 run (SHIP, faultless), blessed from the `runtime6.rs` fork
+/// before it was folded into the family-generic runtime: the generic
+/// runtime must reproduce the fork's report byte for byte.
+#[test]
+fn canonical_v6_report_matches_golden_file() {
+    let table = synthesize6_dfz(3_000, 21);
+    let traces = generate6(&table, 600, 6_000, 9).split(3);
+    let cfg = Dataplane6Config {
+        workers: 3,
+        deterministic: true,
+        cache: LrCacheConfig::paper(512),
+        churn: golden_churn(),
+        seed: 3,
+        ..Default::default()
+    };
+    let got = run6(&table, &traces, &cfg).canonical_json();
+    check_golden("dataplane6_report.json", &got);
 }

@@ -108,6 +108,9 @@ pub trait IpPrefix: Copy + Eq + Hash + Debug + Send + Sync + 'static {
     /// The address type this prefix matches.
     type Addr: AddressBits;
 
+    /// The prefix bits, left-aligned; bits beyond `len` are zero.
+    fn bits(self) -> Self::Addr;
+
     /// Prefix length in bits.
     fn len(self) -> u8;
 
@@ -117,6 +120,26 @@ pub trait IpPrefix: Copy + Eq + Hash + Debug + Send + Sync + 'static {
 
     /// Whether `addr` lies inside this prefix.
     fn matches(self, addr: Self::Addr) -> bool;
+}
+
+/// A routing table of either address width, as the SPAL partitioner
+/// sees it: a set of routes it reads, splits into per-LC fragments and
+/// rebuilds. Implemented by the IPv4 [`crate::RoutingTable`] and the
+/// IPv6 [`crate::v6::RoutingTable6`].
+pub trait IpTable: Sized {
+    /// The prefix type of this table's routes.
+    type Prefix: IpPrefix;
+    /// One route (prefix plus next hop).
+    type Entry: Copy;
+
+    /// Build from routes; duplicate prefixes keep the last next hop.
+    fn from_entries(entries: Vec<Self::Entry>) -> Self;
+
+    /// All routes, sorted by (prefix bits, length).
+    fn entries(&self) -> &[Self::Entry];
+
+    /// The prefix of one route.
+    fn prefix_of(entry: &Self::Entry) -> Self::Prefix;
 }
 
 impl AddressBits for u128 {

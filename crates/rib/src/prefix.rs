@@ -179,6 +179,11 @@ impl crate::bits::IpPrefix for Prefix {
     type Addr = u32;
 
     #[inline]
+    fn bits(self) -> u32 {
+        Prefix::bits(self)
+    }
+
+    #[inline]
     fn len(self) -> u8 {
         Prefix::len(self)
     }

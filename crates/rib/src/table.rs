@@ -179,6 +179,23 @@ impl RoutingTable {
     }
 }
 
+impl crate::bits::IpTable for RoutingTable {
+    type Prefix = Prefix;
+    type Entry = RouteEntry;
+
+    fn from_entries(entries: Vec<RouteEntry>) -> Self {
+        RoutingTable::from_entries(entries)
+    }
+
+    fn entries(&self) -> &[RouteEntry] {
+        RoutingTable::entries(self)
+    }
+
+    fn prefix_of(entry: &RouteEntry) -> Prefix {
+        entry.prefix
+    }
+}
+
 impl FromIterator<RouteEntry> for RoutingTable {
     fn from_iter<T: IntoIterator<Item = RouteEntry>>(iter: T) -> Self {
         RoutingTable::from_entries(iter)

@@ -97,6 +97,11 @@ impl crate::bits::IpPrefix for Prefix6 {
     type Addr = u128;
 
     #[inline]
+    fn bits(self) -> u128 {
+        Prefix6::bits(self)
+    }
+
+    #[inline]
     fn len(self) -> u8 {
         Prefix6::len(self)
     }
@@ -255,6 +260,23 @@ impl RoutingTable6 {
             .map(|e| e.next_hop.0 as usize + 1)
             .max()
             .unwrap_or(0)
+    }
+}
+
+impl crate::bits::IpTable for RoutingTable6 {
+    type Prefix = Prefix6;
+    type Entry = RouteEntry6;
+
+    fn from_entries(entries: Vec<RouteEntry6>) -> Self {
+        RoutingTable6::from_entries(entries)
+    }
+
+    fn entries(&self) -> &[RouteEntry6] {
+        RoutingTable6::entries(self)
+    }
+
+    fn prefix_of(entry: &RouteEntry6) -> Prefix6 {
+        entry.prefix
     }
 }
 

@@ -175,15 +175,33 @@ mod tests {
         };
         let t = flash_crowd(&rt, 40_000, 7, &cfg);
         assert_eq!(t.len(), 40_000);
-        let blocks = |s: &[u32]| -> HashSet<u32> { s.iter().map(|a| a >> 8).collect() };
-        let pre = blocks(&t.destinations()[..20_000]);
-        let post = blocks(&t.destinations()[20_000..]);
-        // Post-collapse traffic collapses onto far fewer /24s.
+        // The hot /24s are the four busiest post-collapse blocks.
+        let (pre, post) = t.destinations().split_at(20_000);
+        let mut counts: std::collections::HashMap<u32, usize> = Default::default();
+        for &a in post {
+            *counts.entry(a >> 8).or_default() += 1;
+        }
+        let mut by_count: Vec<(u32, usize)> = counts.into_iter().collect();
+        by_count.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let hot: HashSet<u32> = by_count[..cfg.hot_blocks].iter().map(|b| b.0).collect();
+        let share = |s: &[u32]| {
+            s.iter().filter(|&&a| hot.contains(&(a >> 8))).count() as f64 / s.len() as f64
+        };
+        // What the generator documents: after the collapse,
+        // `hot_fraction` of the packets land inside the hot blocks (the
+        // background Zipf stream keeps the rest — and keeps the count
+        // of distinct /24s high, so that count says nothing); before
+        // it, those blocks carry only their ordinary Zipf share — the
+        // top four of 2 000 ranks at α = 0.9, about 0.18.
         assert!(
-            post.len() * 4 < pre.len(),
-            "pre {} /24s vs post {}",
-            pre.len(),
-            post.len()
+            share(post) >= cfg.hot_fraction - 0.03,
+            "post-collapse hot share {:.3}",
+            share(post)
+        );
+        assert!(
+            share(pre) < 0.25,
+            "pre-collapse hot share {:.3}",
+            share(pre)
         );
         // Determinism.
         assert_eq!(
