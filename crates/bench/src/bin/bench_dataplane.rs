@@ -59,6 +59,8 @@ use spal_dataplane::{
     LatencyHisto, V4, V6,
 };
 use spal_lpm::CountedLookup;
+use spal_rib::RoutingTable;
+use spal_traffic::Trace;
 use std::io::Write;
 
 const REPS: usize = 3;
@@ -160,8 +162,8 @@ struct Row {
 
 /// Best (shortest) of `REPS` runs, at either address width.
 fn measure<F: AddrFamily>(
-    table: &F::Table,
-    traces: &[F::Trace],
+    table: &RoutingTable<F::Addr>,
+    traces: &[Trace<F::Addr>],
     cfg: &DataplaneConfig<F>,
 ) -> DataplaneReport {
     let mut best: Option<DataplaneReport> = None;
@@ -327,10 +329,10 @@ fn write_latency_json(path: &str, rows: &[String]) -> std::io::Result<()> {
 }
 
 /// What a full-table engine says the trace's next hops sum to.
-fn oracle_checksum<F: AddrFamily>(full: &F::Engine, trace: &F::Trace) -> u64 {
+fn oracle_checksum<F: AddrFamily>(full: &F::Engine, trace: &Trace<F::Addr>) -> u64 {
     let mut sum = 0u64;
     let mut out = vec![CountedLookup::MISS; 1024];
-    for chunk in F::destinations(trace).chunks(1024) {
+    for chunk in trace.destinations().chunks(1024) {
         F::lookup_batch(full, chunk, &mut out[..chunk.len()]);
         for r in &out[..chunk.len()] {
             sum = sum.wrapping_add(r.next_hop.map(|h| h.0 as u64 + 1).unwrap_or(0));

@@ -341,9 +341,9 @@ fn workers_arg(args: &Args, default: usize, min: usize) -> Result<usize, ArgErro
 
 /// What a dataplane command runs over.
 struct Workload<F: AddrFamily> {
-    table: F::Table,
+    table: RoutingTable<F::Addr>,
     /// One trace per worker.
-    traces: Vec<F::Trace>,
+    traces: Vec<Trace<F::Addr>>,
     /// The banner's description of the two.
     banner: String,
 }

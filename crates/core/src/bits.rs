@@ -19,8 +19,8 @@
 //! bit"): candidate scores are the sums of Φ* and |Φ0 − Φ1| across
 //! subsets.
 
-use spal_rib::bits::{AddressBits, IpPrefix, TriBit};
-use spal_rib::RoutingTable;
+use spal_rib::bits::{AddressBits, TriBit};
+use spal_rib::{Prefix, RoutingTable};
 
 /// How the two criteria combine into one ordering.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -83,7 +83,7 @@ impl BitScore {
 }
 
 /// Score candidate bit `nu` over the given subsets.
-fn score_bit<P: IpPrefix>(subsets: &[Vec<P>], nu: u8) -> BitScore {
+fn score_bit<A: AddressBits>(subsets: &[Vec<Prefix<A>>], nu: u8) -> BitScore {
     let mut phi_star = 0usize;
     let mut imbalance = 0usize;
     let mut max_size = 0usize;
@@ -114,7 +114,7 @@ fn score_bit<P: IpPrefix>(subsets: &[Vec<P>], nu: u8) -> BitScore {
 }
 
 /// Split every subset on bit `nu`; wildcards go to both halves.
-fn split_subsets<P: IpPrefix>(subsets: Vec<Vec<P>>, nu: u8) -> Vec<Vec<P>> {
+fn split_subsets<A: AddressBits>(subsets: Vec<Vec<Prefix<A>>>, nu: u8) -> Vec<Vec<Prefix<A>>> {
     let mut out = Vec::with_capacity(subsets.len() * 2);
     for subset in subsets {
         let mut zero = Vec::new();
@@ -142,16 +142,16 @@ fn split_subsets<P: IpPrefix>(subsets: Vec<Vec<P>>, nu: u8) -> Vec<Vec<P>> {
 /// # Panics
 /// Panics if `eta > max_bit + 1` (not enough distinct positions) or if
 /// `max_bit` exceeds the address width.
-pub fn select_bits_generic<P: IpPrefix>(
-    prefixes: &[P],
+pub fn select_bits_generic<A: AddressBits>(
+    prefixes: &[Prefix<A>],
     eta: usize,
     max_bit: u8,
     strategy: BitSelectionStrategy,
 ) -> Vec<u8> {
     assert!(
-        max_bit < P::Addr::BITS,
+        max_bit < A::BITS,
         "bit positions for this family are 0..={}",
-        P::Addr::BITS - 1
+        A::BITS - 1
     );
     assert!(
         eta <= max_bit as usize + 1,
@@ -159,7 +159,7 @@ pub fn select_bits_generic<P: IpPrefix>(
         max_bit as usize + 1
     );
     let mut chosen: Vec<u8> = Vec::with_capacity(eta);
-    let mut subsets: Vec<Vec<P>> = vec![prefixes.to_vec()];
+    let mut subsets: Vec<Vec<Prefix<A>>> = vec![prefixes.to_vec()];
     for _ in 0..eta {
         let best = (0..=max_bit)
             .filter(|nu| !chosen.contains(nu))
@@ -188,7 +188,7 @@ pub fn select_bits_with(
     strategy: BitSelectionStrategy,
 ) -> Vec<u8> {
     assert!(max_bit <= 31, "IPv4 bit positions are 0..=31");
-    let prefixes: Vec<spal_rib::Prefix> = table.prefixes().collect();
+    let prefixes: Vec<Prefix> = table.prefixes().collect();
     select_bits_generic(&prefixes, eta, max_bit, strategy)
 }
 

@@ -42,7 +42,7 @@ impl ForwardingTable6 {
     pub fn build(algorithm: LpmAlgorithm6, table: &RoutingTable6) -> Self {
         match algorithm {
             LpmAlgorithm6::Ship => ForwardingTable6::Ship(Ship6::build(table)),
-            LpmAlgorithm6::Binary => ForwardingTable6::Binary(GenericBinaryTrie::build6(table)),
+            LpmAlgorithm6::Binary => ForwardingTable6::Binary(GenericBinaryTrie::build(table)),
         }
     }
 }

@@ -11,15 +11,15 @@
 //! positions of its destination address ("can be determined immediately
 //! upon arrival by examining the appropriate bit positions").
 
-use spal_rib::bits::{AddressBits, IpPrefix, IpTable, TriBit};
-use spal_rib::{RouteEntry, RoutingTable};
+use spal_rib::bits::{AddressBits, TriBit};
+use spal_rib::{Prefix, RouteEntry, RoutingTable};
 
 /// The partitioning of one routing table over ψ line cards.
 ///
 /// The state is width-free — bit positions and a group→LC map — so one
 /// type serves IPv4 and IPv6: the methods that take a table, an address
-/// or a prefix are generic over [`IpTable`], [`AddressBits`] and
-/// [`IpPrefix`] (§6: "SPAL is feasibly applicable to IPv6").
+/// or a prefix are generic over the address width, [`AddressBits`]
+/// (§6: "SPAL is feasibly applicable to IPv6").
 ///
 /// ```
 /// use spal_core::bits::{select_bits, eta_for};
@@ -59,7 +59,7 @@ impl Partitioning {
     /// # Panics
     /// Panics if `psi == 0`, if `2^bits.len() < psi` (not enough groups),
     /// or if bit positions repeat.
-    pub fn new<T: IpTable>(table: &T, bits: Vec<u8>, psi: usize) -> Self {
+    pub fn new<A: AddressBits>(table: &RoutingTable<A>, bits: Vec<u8>, psi: usize) -> Self {
         assert!(psi >= 1, "a router needs at least one LC");
         let groups = 1usize << bits.len();
         assert!(
@@ -76,7 +76,7 @@ impl Partitioning {
         // Group sizes determine the balanced group→LC mapping.
         let mut sizes = vec![0usize; groups];
         for e in table.entries() {
-            for g in groups_of_prefix(&bits, T::prefix_of(e)) {
+            for g in groups_of_prefix(&bits, e.prefix) {
                 sizes[g] += 1;
             }
         }
@@ -130,7 +130,7 @@ impl Partitioning {
     /// in the chosen bits replicate it), sorted and deduplicated — the
     /// update-propagation fan-out: a routing update to `prefix` must
     /// reach exactly these LCs' forwarding tables.
-    pub fn lcs_of_prefix<P: IpPrefix>(&self, prefix: P) -> Vec<u16> {
+    pub fn lcs_of_prefix<A: AddressBits>(&self, prefix: Prefix<A>) -> Vec<u16> {
         let mut lcs: Vec<u16> = groups_of_prefix(&self.bits, prefix)
             .map(|g| self.group_to_lc[g])
             .collect();
@@ -143,23 +143,23 @@ impl Partitioning {
     /// LC). Every address's longest match within its home LC's table
     /// equals its longest match in the full table — the replication of
     /// wildcard-bit prefixes guarantees it.
-    pub fn forwarding_tables<T: IpTable>(&self, table: &T) -> Vec<T> {
-        let mut per_lc: Vec<Vec<T::Entry>> = vec![Vec::new(); self.psi];
+    pub fn forwarding_tables<A: AddressBits>(
+        &self,
+        table: &RoutingTable<A>,
+    ) -> Vec<RoutingTable<A>> {
+        let mut per_lc: Vec<Vec<RouteEntry<A>>> = vec![Vec::new(); self.psi];
         for e in table.entries() {
-            for lc in self.lcs_of_prefix(T::prefix_of(e)) {
+            for lc in self.lcs_of_prefix(e.prefix) {
                 per_lc[lc as usize].push(*e);
             }
         }
-        per_lc.into_iter().map(T::from_entries).collect()
+        per_lc.into_iter().map(RoutingTable::from_entries).collect()
     }
 
     /// Size statistics of the per-LC tables.
-    pub fn stats<T: IpTable>(&self, table: &T) -> PartitionStats {
+    pub fn stats<A: AddressBits>(&self, table: &RoutingTable<A>) -> PartitionStats {
         let tables = self.forwarding_tables(table);
-        PartitionStats::of(
-            table.entries().len(),
-            tables.iter().map(|t| t.entries().len()),
-        )
+        PartitionStats::of(table.len(), tables.iter().map(|t| t.len()))
     }
 
     /// Successor partitioning after line card `dead` fails: every bit
@@ -175,10 +175,10 @@ impl Partitioning {
     /// # Panics
     /// Panics if `psi < 2`, `dead` is out of range, or `survivor_loads`
     /// is not ψ long.
-    pub fn remap_without<T: IpTable>(
+    pub fn remap_without<A: AddressBits>(
         &self,
         dead: u16,
-        dead_fragment: &T,
+        dead_fragment: &RoutingTable<A>,
         survivor_loads: &[usize],
     ) -> Partitioning {
         assert!(self.psi >= 2, "cannot remap the only LC away");
@@ -186,7 +186,7 @@ impl Partitioning {
         assert_eq!(survivor_loads.len(), self.psi, "one load per LC");
         let mut sizes = vec![0usize; self.groups()];
         for e in dead_fragment.entries() {
-            for g in groups_of_prefix(&self.bits, T::prefix_of(e)) {
+            for g in groups_of_prefix(&self.bits, e.prefix) {
                 if self.group_to_lc[g] == dead {
                     sizes[g] += 1;
                 }
@@ -238,9 +238,9 @@ fn balance_groups(sizes: &[usize], psi: usize) -> Vec<u16> {
 
 /// Iterator over the bit groups a prefix belongs to: the cross product of
 /// its wildcard positions.
-fn groups_of_prefix<'a, P: IpPrefix>(
+fn groups_of_prefix<'a, A: AddressBits>(
     bits: &'a [u8],
-    prefix: P,
+    prefix: Prefix<A>,
 ) -> impl Iterator<Item = usize> + 'a {
     // Precompute the fixed part and the wildcard positions (MSB-first in
     // group index order).

@@ -2,8 +2,9 @@
 //! IPv6") made concrete: the same two-criteria bit selection and
 //! ROT-partitioning, over 128-bit prefixes.
 //!
-//! The machinery is shared with IPv4 through [`spal_rib::bits::IpPrefix`];
-//! this module provides the IPv6-typed surface: [`select_bits6`] and
+//! The machinery is the IPv4 machinery — [`spal_rib::Prefix`] and
+//! [`spal_rib::RoutingTable`] are generic over the address width; this
+//! module provides the IPv6-typed surface: [`select_bits6`] and
 //! [`Partitioning6`].
 
 use crate::bits::{select_bits_generic, BitSelectionStrategy};

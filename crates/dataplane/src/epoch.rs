@@ -5,11 +5,11 @@
 //! scheme is quiescent-state-based reclamation (QSBR) with an explicit
 //! grace period on the writer side:
 //!
-//! * a single `AtomicPtr` holds the current snapshot; readers [`pin`]
-//!   it for the duration of one processing iteration and drop the pin
+//! * a single `AtomicPtr` holds the current snapshot; readers
+//!   [`pin`](EpochReader::pin) it for the duration of one processing iteration and drop the pin
 //!   between iterations (their quiescent state);
 //! * a global epoch counter is bumped on every publication; each reader
-//!   owns one announcement slot that either holds [`IDLE`] (not
+//!   owns one announcement slot that either holds `IDLE` (not
 //!   reading) or the epoch it observed when it pinned;
 //! * [`EpochWriter::publish`] swaps the pointer, bumps the epoch to
 //!   `target`, then spins until every slot is `IDLE` or `>= target` —
@@ -208,8 +208,9 @@ impl<T> EpochWriter<T> {
         }
     }
 
-    /// The currently published snapshot. `&mut self` on [`publish`]
-    /// means it cannot be reclaimed while this borrow lives.
+    /// The currently published snapshot. `&mut self` on
+    /// [`publish`](EpochWriter::publish) means it cannot be reclaimed
+    /// while this borrow lives.
     pub fn peek(&self) -> &T {
         unsafe { &*self.shared.current.load(Ordering::SeqCst) }
     }

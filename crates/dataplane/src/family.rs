@@ -1,13 +1,16 @@
-//! Address families: what the runtime needs to know about an address
-//! width, in one trait.
+//! Address families: what differs between the two address widths the
+//! runtime serves, in one trait.
 //!
 //! Nothing in partitioning, home-LC routing, the LR-cache or the fabric
 //! depends on how wide an address is (§6: "SPAL is feasibly applicable
-//! to IPv6"), so [`crate::runtime`] is written once, generic over an
-//! [`AddrFamily`]. The family names the per-width types the runtime
-//! touches — address, prefix, table, update, trace, forwarding engine,
-//! algorithm — and the handful of calls it makes on them. [`V4`] and
-//! [`V6`] are the two instantiations.
+//! to IPv6"), and neither do prefixes, tables, updates or traces —
+//! `spal_rib` and `spal_traffic` have one generic type each, so
+//! [`crate::runtime`] is written once over `RoutingTable<F::Addr>`,
+//! `Update<F::Addr>`, `Trace<F::Addr>`. What an [`AddrFamily`] names is
+//! the remainder: the address type, the forwarding engine and its
+//! algorithm choice, the bit-selection candidate range, the seed salts
+//! the goldens pin, and how the final consistency check draws probes.
+//! [`V4`] and [`V6`] are the two instantiations.
 //!
 //! `spal_lpm`'s [`Lpm`] and [`Lpm6`] stay two traits (each engine
 //! implements the one of its width); the engine calls below are where
@@ -19,26 +22,15 @@ use spal_core::{
 };
 use spal_fabric::FabricAddr;
 use spal_lpm::{CountedLookup, DeltaStats, Lpm, Lpm6};
-use spal_rib::bits::{AddressBits, IpPrefix, IpTable};
-use spal_rib::updates::{apply, update_stream, Update, UpdateStreamConfig};
-use spal_rib::v6::{apply6, update_stream6, Prefix6, RouteEntry6, RoutingTable6, Update6};
-use spal_rib::{NextHop, Prefix, RouteEntry, RoutingTable};
-use spal_traffic::{Trace, Trace6};
+use spal_rib::updates::ChurnAddr;
+use spal_rib::{Prefix, RoutingTable};
 use std::fmt::Debug;
-use std::sync::Arc;
 
 /// One address width of the dataplane.
 pub trait AddrFamily: Copy + Debug + Send + Sync + 'static {
-    /// A destination address: cache key, fabric payload, in-flight key.
-    type Addr: Key + FabricAddr + AddressBits;
-    /// A CIDR prefix over [`Self::Addr`].
-    type Prefix: IpPrefix<Addr = Self::Addr>;
-    /// A routing table (the full RIB and each per-LC fragment).
-    type Table: IpTable<Prefix = Self::Prefix> + Send + Sync;
-    /// One BGP update against [`Self::Table`].
-    type Update: Copy + Send + Sync;
-    /// A destination-address trace.
-    type Trace: Sync;
+    /// A destination address: cache key, fabric payload, in-flight key,
+    /// and the width of every prefix, table, update and trace.
+    type Addr: Key + FabricAddr + ChurnAddr;
     /// One LC's forwarding engine.
     type Engine: Send + Sync;
     /// Which LPM structure an engine runs.
@@ -51,27 +43,12 @@ pub trait AddrFamily: Copy + Debug + Send + Sync + 'static {
     /// XORed into the run seed to seed the final consistency sampler.
     const CHECK_SEED_SALT: u64;
 
-    /// Partitioning bit positions for `table` (§3.1).
-    fn select_bits(table: &Self::Table, eta: usize) -> Vec<u8>;
-    /// The trace's destinations, shared without copying.
-    fn destinations(trace: &Self::Trace) -> Arc<[Self::Addr]>;
-
-    /// A consistent synthetic update stream against `table`.
-    fn update_stream(table: &Self::Table, cfg: &UpdateStreamConfig) -> Vec<Self::Update>;
-    /// The prefix an update announces or withdraws.
-    fn update_prefix(update: Self::Update) -> Self::Prefix;
-    /// Apply one update to a table.
-    fn apply_update(table: &mut Self::Table, update: Self::Update);
-
-    /// Insert or replace one route.
-    fn insert(table: &mut Self::Table, entry: <Self::Table as IpTable>::Entry);
-    /// Whether `table` holds a route for exactly `prefix`.
-    fn contains(table: &Self::Table, prefix: Self::Prefix) -> bool;
-    /// The RIB oracle: linear longest-prefix match.
-    fn longest_match(table: &Self::Table, addr: Self::Addr) -> Option<NextHop>;
+    /// Partitioning bit positions for `table` (§3.1), over the family's
+    /// candidate range.
+    fn select_bits(table: &RoutingTable<Self::Addr>, eta: usize) -> Vec<u8>;
 
     /// Build an engine from a (partitioned) table.
-    fn build(algorithm: Self::Algorithm, table: &Self::Table) -> Self::Engine;
+    fn build(algorithm: Self::Algorithm, table: &RoutingTable<Self::Addr>) -> Self::Engine;
     /// `lookup_counted` of the width's LPM trait.
     fn lookup_counted(engine: &Self::Engine, addr: Self::Addr) -> CountedLookup;
     /// `lookup_batch` of the width's LPM trait.
@@ -80,13 +57,13 @@ pub trait AddrFamily: Copy + Debug + Send + Sync + 'static {
     /// caller rebuilds).
     fn apply_delta(
         engine: &mut Self::Engine,
-        changed: &[Self::Prefix],
-        rib: &Self::Table,
+        changed: &[Prefix<Self::Addr>],
+        rib: &RoutingTable<Self::Addr>,
     ) -> Option<DeltaStats>;
 
     /// Probe address `i` of the final consistency check, from one
     /// xorshift word `x`; `ribs` are the per-LC fragments.
-    fn check_addr(x: u64, i: usize, ribs: &[Self::Table]) -> Self::Addr;
+    fn check_addr(x: u64, i: usize, ribs: &[RoutingTable<Self::Addr>]) -> Self::Addr;
 }
 
 /// IPv4: 32-bit addresses, the seven [`LpmAlgorithm`] engines.
@@ -99,10 +76,6 @@ pub struct V6;
 
 impl AddrFamily for V4 {
     type Addr = u32;
-    type Prefix = Prefix;
-    type Table = RoutingTable;
-    type Update = Update;
-    type Trace = Trace;
     type Engine = ForwardingTable;
     type Algorithm = LpmAlgorithm;
 
@@ -112,37 +85,6 @@ impl AddrFamily for V4 {
 
     fn select_bits(table: &RoutingTable, eta: usize) -> Vec<u8> {
         select_bits(table, eta)
-    }
-
-    fn destinations(trace: &Trace) -> Arc<[u32]> {
-        trace.destinations_shared()
-    }
-
-    fn update_stream(table: &RoutingTable, cfg: &UpdateStreamConfig) -> Vec<Update> {
-        update_stream(table, cfg).0
-    }
-
-    fn update_prefix(update: Update) -> Prefix {
-        match update {
-            Update::Announce(e) => e.prefix,
-            Update::Withdraw(p) => p,
-        }
-    }
-
-    fn apply_update(table: &mut RoutingTable, update: Update) {
-        apply(table, update)
-    }
-
-    fn insert(table: &mut RoutingTable, entry: RouteEntry) {
-        table.insert(entry)
-    }
-
-    fn contains(table: &RoutingTable, prefix: Prefix) -> bool {
-        table.get(prefix).is_some()
-    }
-
-    fn longest_match(table: &RoutingTable, addr: u32) -> Option<NextHop> {
-        table.longest_match(addr).map(|e| e.next_hop)
     }
 
     fn build(algorithm: LpmAlgorithm, table: &RoutingTable) -> ForwardingTable {
@@ -176,10 +118,6 @@ impl AddrFamily for V4 {
 
 impl AddrFamily for V6 {
     type Addr = u128;
-    type Prefix = Prefix6;
-    type Table = RoutingTable6;
-    type Update = Update6;
-    type Trace = Trace6;
     type Engine = ForwardingTable6;
     type Algorithm = LpmAlgorithm6;
 
@@ -187,42 +125,11 @@ impl AddrFamily for V6 {
     const CHURN_SEED_SALT: u64 = 0x5EED_CAF6;
     const CHECK_SEED_SALT: u64 = 0xF1A6;
 
-    fn select_bits(table: &RoutingTable6, eta: usize) -> Vec<u8> {
+    fn select_bits(table: &RoutingTable<u128>, eta: usize) -> Vec<u8> {
         select_bits6(table, eta)
     }
 
-    fn destinations(trace: &Trace6) -> Arc<[u128]> {
-        trace.destinations_shared()
-    }
-
-    fn update_stream(table: &RoutingTable6, cfg: &UpdateStreamConfig) -> Vec<Update6> {
-        update_stream6(table, cfg).0
-    }
-
-    fn update_prefix(update: Update6) -> Prefix6 {
-        match update {
-            Update6::Announce(e) => e.prefix,
-            Update6::Withdraw(p) => p,
-        }
-    }
-
-    fn apply_update(table: &mut RoutingTable6, update: Update6) {
-        apply6(table, update)
-    }
-
-    fn insert(table: &mut RoutingTable6, entry: RouteEntry6) {
-        table.insert(entry)
-    }
-
-    fn contains(table: &RoutingTable6, prefix: Prefix6) -> bool {
-        table.get(prefix).is_some()
-    }
-
-    fn longest_match(table: &RoutingTable6, addr: u128) -> Option<NextHop> {
-        table.longest_match(addr).map(|e| e.next_hop)
-    }
-
-    fn build(algorithm: LpmAlgorithm6, table: &RoutingTable6) -> ForwardingTable6 {
+    fn build(algorithm: LpmAlgorithm6, table: &RoutingTable<u128>) -> ForwardingTable6 {
         ForwardingTable6::build(algorithm, table)
     }
 
@@ -238,8 +145,8 @@ impl AddrFamily for V6 {
 
     fn apply_delta(
         engine: &mut ForwardingTable6,
-        changed: &[Prefix6],
-        rib: &RoutingTable6,
+        changed: &[Prefix<u128>],
+        rib: &RoutingTable<u128>,
     ) -> Option<DeltaStats> {
         Lpm6::apply_delta(engine, changed, rib)
     }
@@ -247,7 +154,7 @@ impl AddrFamily for V6 {
     /// Even probes land inside a live prefix of the first non-empty
     /// fragment, odd probes are uniform — a uniform 128-bit address
     /// almost never hits routed space.
-    fn check_addr(x: u64, i: usize, ribs: &[RoutingTable6]) -> u128 {
+    fn check_addr(x: u64, i: usize, ribs: &[RoutingTable<u128>]) -> u128 {
         let uniform = (x as u128) << 64 | x.rotate_left(29) as u128;
         if i % 2 == 1 {
             return uniform;

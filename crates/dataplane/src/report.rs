@@ -1,5 +1,5 @@
 //! Results of one dataplane run, shaped to be comparable with the
-//! discrete-event simulator's [`spal_sim`-style] per-LC reports.
+//! discrete-event simulator's (`spal_sim`-style) per-LC reports.
 
 use crate::fault::FaultStats;
 use spal_cache::CacheStats;

@@ -63,10 +63,9 @@ use spal_fabric::{
     BATCH_MSG_LANES,
 };
 use spal_lpm::CountedLookup;
-use spal_rib::bits::{IpPrefix, IpTable};
-use spal_rib::updates::UpdateStreamConfig;
+use spal_rib::updates::{apply, update_stream, Update, UpdateStreamConfig};
 use spal_rib::v6::RoutingTable6;
-use spal_rib::RoutingTable;
+use spal_rib::{Prefix, RoutingTable};
 use spal_traffic::{Trace, Trace6};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1195,10 +1194,10 @@ struct Control<F: AddrFamily> {
     /// Per-LC routing-table fragments, kept current with every ingested
     /// update — the rebuild source for non-incremental engines and the
     /// oracle for the final consistency check.
-    per_lc_rib: Vec<F::Table>,
+    per_lc_rib: Vec<RoutingTable<F::Addr>>,
     /// Updates ingested but not yet reflected in *both* snapshot
     /// copies; `log[i]` has sequence number `base_seq + i`.
-    log: Vec<F::Update>,
+    log: Vec<Update<F::Addr>>,
     base_seq: u64,
     next_seq: u64,
     writer: EpochWriter<Snapshot<F>>,
@@ -1236,9 +1235,9 @@ impl<F: AddrFamily> Control<F> {
     /// ([`Self::patch_tables`]).
     fn sync(&mut self, snap: &mut Snapshot<F>) {
         let from = (snap.applied_seq - self.base_seq) as usize;
-        let mut changed: Vec<Vec<F::Prefix>> = vec![Vec::new(); self.psi];
+        let mut changed: Vec<Vec<Prefix<F::Addr>>> = vec![Vec::new(); self.psi];
         for &u in &self.log[from..] {
-            let p = F::update_prefix(u);
+            let p = u.prefix();
             for lc in self.part.lcs_of_prefix(p) {
                 let per_lc = &mut changed[lc as usize];
                 if !per_lc.contains(&p) {
@@ -1254,7 +1253,7 @@ impl<F: AddrFamily> Control<F> {
     /// for the prefixes in `changed[lc]`: the engine's `apply_delta`
     /// patch path first; an engine that declines gets its fragment
     /// rebuilt from the post-update RIB.
-    fn patch_tables(&mut self, snap: &mut Snapshot<F>, changed: &[Vec<F::Prefix>]) {
+    fn patch_tables(&mut self, snap: &mut Snapshot<F>, changed: &[Vec<Prefix<F::Addr>>]) {
         for (lc, prefixes) in changed.iter().enumerate() {
             if prefixes.is_empty() {
                 continue;
@@ -1317,12 +1316,12 @@ impl<F: AddrFamily> Control<F> {
     /// states with warm caches, which keeps the wait short on
     /// oversubscribed hosts (invalidating first would have them
     /// grinding through misses and remote round trips mid-grace).
-    fn publish_batch(&mut self, batch: &[F::Update]) {
+    fn publish_batch(&mut self, batch: &[Update<F::Addr>]) {
         let mut shadow = self.shadow.take().expect("shadow snapshot present");
         let t0 = Instant::now();
         for &u in batch {
-            for lc in self.part.lcs_of_prefix(F::update_prefix(u)) {
-                F::apply_update(&mut self.per_lc_rib[lc as usize], u);
+            for lc in self.part.lcs_of_prefix(u.prefix()) {
+                apply(&mut self.per_lc_rib[lc as usize], u);
             }
             self.log.push(u);
             self.next_seq += 1;
@@ -1350,7 +1349,7 @@ impl<F: AddrFamily> Control<F> {
             InvalidationMode::FullFlush => self.broadcast(CtrlMsg::Flush { version }),
             InvalidationMode::Targeted => {
                 for &u in batch {
-                    let p = F::update_prefix(u);
+                    let p = u.prefix();
                     self.broadcast(CtrlMsg::Invalidate {
                         bits: p.bits(),
                         len: p.len(),
@@ -1365,7 +1364,7 @@ impl<F: AddrFamily> Control<F> {
 
     /// Threaded control loop: publish batches at the configured pace
     /// until the stream or the workers run out.
-    fn run_paced(&mut self, updates: &[F::Update], per_pub: usize, pace_us: u64) {
+    fn run_paced(&mut self, updates: &[Update<F::Addr>], per_pub: usize, pace_us: u64) {
         for batch in updates.chunks(per_pub.max(1)) {
             if self.done.load(Ordering::SeqCst) >= self.psi {
                 break;
@@ -1424,14 +1423,14 @@ impl<F: AddrFamily> Control<F> {
                 .remap_without(dead, &self.per_lc_rib[dead_idx], &loads),
         );
         let moved = self.per_lc_rib[dead_idx].entries().to_vec();
-        let mut changed: Vec<Vec<F::Prefix>> = vec![Vec::new(); self.psi];
+        let mut changed: Vec<Vec<Prefix<F::Addr>>> = vec![Vec::new(); self.psi];
         for e in &moved {
-            let prefix = F::Table::prefix_of(e);
+            let prefix = e.prefix;
             for lc in new_part.lcs_of_prefix(prefix) {
                 debug_assert_ne!(lc, dead, "remap re-homed a group onto the dead LC");
                 let rib = &mut self.per_lc_rib[lc as usize];
-                if !F::contains(rib, prefix) {
-                    F::insert(rib, *e);
+                if rib.get(prefix).is_none() {
+                    rib.insert(*e);
                     changed[lc as usize].push(prefix);
                 }
             }
@@ -1454,13 +1453,13 @@ impl<F: AddrFamily> Control<F> {
         // Both copies now reflect the whole log.
         self.log.clear();
         self.base_seq = self.next_seq;
-        self.per_lc_rib[dead_idx] = F::Table::from_entries(Vec::new());
+        self.per_lc_rib[dead_idx] = RoutingTable::new();
         let version = self.writer.epoch();
         let targeted = self.mode == InvalidationMode::Targeted
             && moved.len() + REMAP_CTRL_SLACK <= self.ctrl_cap;
         if targeted {
             for e in &moved {
-                let prefix = F::Table::prefix_of(e);
+                let prefix = e.prefix;
                 self.broadcast(CtrlMsg::Invalidate {
                     bits: prefix.bits(),
                     len: prefix.len(),
@@ -1501,7 +1500,7 @@ impl<F: AddrFamily> Control<F> {
             x ^= x << 17;
             let addr = F::check_addr(x, i, &self.per_lc_rib);
             let lc = self.part.home_of(addr) as usize;
-            let expect = F::longest_match(&self.per_lc_rib[lc], addr);
+            let expect = self.per_lc_rib[lc].longest_match(addr).map(|e| e.next_hop);
             let got = F::lookup_counted(&self.writer.peek().tables[lc], addr).next_hop;
             self.report.final_checks += 1;
             if expect != got {
@@ -1528,15 +1527,15 @@ pub fn run6(table: &RoutingTable6, traces: &[Trace6], cfg: &Dataplane6Config) ->
 /// Run the dataplane over `traces` (trace `i % traces.len()` drives
 /// worker `i`; each trace is consumed once) against `table`.
 pub fn run_family<F: AddrFamily>(
-    table: &F::Table,
-    traces: &[F::Trace],
+    table: &RoutingTable<F::Addr>,
+    traces: &[Trace<F::Addr>],
     cfg: &DataplaneConfig<F>,
 ) -> DataplaneReport {
     let psi = cfg.workers;
     assert!(psi >= 1, "need at least one worker");
     assert!(!traces.is_empty(), "need at least one trace");
     assert!(
-        traces.iter().all(|t| !F::destinations(t).is_empty()),
+        traces.iter().all(|t| !t.is_empty()),
         "traces must be non-empty"
     );
     if let Some(plan) = &cfg.failover {
@@ -1620,7 +1619,7 @@ pub fn run_family<F: AddrFamily>(
                 psi,
                 part: Arc::clone(&part),
                 cache: VersionedCache::new(LrCache::new(cfg.cache.clone())),
-                dests: F::destinations(&traces[lc % traces.len()]),
+                dests: traces[lc % traces.len()].destinations_shared(),
                 pos: 0,
                 batch: cfg.batch.max(1),
                 req_tx: std::mem::take(&mut tx_mat[lc]),
@@ -1686,7 +1685,7 @@ pub fn run_family<F: AddrFamily>(
     };
 
     let updates = cfg.churn.as_ref().map(|c| {
-        F::update_stream(
+        update_stream(
             table,
             &UpdateStreamConfig {
                 count: c.updates,
@@ -1694,6 +1693,7 @@ pub fn run_family<F: AddrFamily>(
                 seed: cfg.seed ^ F::CHURN_SEED_SALT,
             },
         )
+        .0
     });
 
     let t0 = Instant::now();
@@ -1765,7 +1765,7 @@ pub fn run_family<F: AddrFamily>(
 fn run_threaded<F: AddrFamily>(
     workers: Vec<Worker<F>>,
     control: &mut Control<F>,
-    updates: Option<&[F::Update]>,
+    updates: Option<&[Update<F::Addr>]>,
     cfg: &DataplaneConfig<F>,
 ) -> Vec<(WorkerReport, Vec<f64>)> {
     std::thread::scope(|s| {
@@ -1805,7 +1805,9 @@ fn sweep_caches<F: AddrFamily>(
         w.core.drain_ctrl();
         for (addr, value) in w.core.cache.entries() {
             let home = control.part.home_of(addr) as usize;
-            let expect = F::longest_match(&control.per_lc_rib[home], addr).map(|nh| nh.0);
+            let expect = control.per_lc_rib[home]
+                .longest_match(addr)
+                .map(|e| e.next_hop.0);
             summary.entries_checked += 1;
             if value != expect {
                 summary.mismatches += 1;
@@ -1822,7 +1824,7 @@ type DeterministicOutcome = (Vec<(WorkerReport, Vec<f64>)>, u64, Option<SweepSum
 fn run_deterministic<F: AddrFamily>(
     workers: &mut [Worker<F>],
     control: &mut Control<F>,
-    updates: Option<&[F::Update]>,
+    updates: Option<&[Update<F::Addr>]>,
     cfg: &DataplaneConfig<F>,
 ) -> DeterministicOutcome {
     let psi = workers.len();
@@ -1844,7 +1846,7 @@ fn run_deterministic<F: AddrFamily>(
     let mut forced_publications = 0u64;
     // Spread publications evenly over the rounds the longest trace
     // needs, so churn overlaps forwarding deterministically.
-    let mut batches: VecDeque<&[F::Update]> = match (updates, cfg.churn.as_ref()) {
+    let mut batches: VecDeque<&[Update<F::Addr>]> = match (updates, cfg.churn.as_ref()) {
         (Some(u), Some(c)) => u.chunks(c.updates_per_publication.max(1)).collect(),
         _ => VecDeque::new(),
     };
@@ -1917,7 +1919,10 @@ mod tests {
 
     /// A family plus the small table and 400-flow trace its cases run.
     trait TestFamily: AddrFamily {
-        fn small_setup(psi: usize, packets: usize) -> (Self::Table, Vec<Self::Trace>);
+        fn small_setup(
+            psi: usize,
+            packets: usize,
+        ) -> (RoutingTable<Self::Addr>, Vec<Trace<Self::Addr>>);
     }
 
     impl TestFamily for V4 {
@@ -1964,15 +1969,19 @@ mod tests {
         full_flush_mode_also_stays_coherent,
     );
 
-    fn oracle_checksum<F: AddrFamily>(table: &F::Table, traces: &[F::Trace]) -> (u64, u64) {
+    fn oracle_checksum<F: AddrFamily>(
+        table: &RoutingTable<F::Addr>,
+        traces: &[Trace<F::Addr>],
+    ) -> (u64, u64) {
         let mut packets = 0u64;
         let mut sum = 0u64;
         for t in traces {
-            for &addr in F::destinations(t).iter() {
+            for &addr in t.destinations() {
                 packets += 1;
                 sum = sum.wrapping_add(
-                    F::longest_match(table, addr)
-                        .map(|nh| nh.0 as u64 + 1)
+                    table
+                        .longest_match(addr)
+                        .map(|e| e.next_hop.0 as u64 + 1)
                         .unwrap_or(0),
                 );
             }
@@ -1995,8 +2004,8 @@ mod tests {
 
     fn assert_matches_oracle<F: AddrFamily>(
         report: &DataplaneReport,
-        table: &F::Table,
-        traces: &[F::Trace],
+        table: &RoutingTable<F::Addr>,
+        traces: &[Trace<F::Addr>],
     ) {
         let (packets, sum) = oracle_checksum::<F>(table, traces);
         assert_eq!(report.total_packets(), packets);

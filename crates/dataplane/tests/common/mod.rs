@@ -17,7 +17,7 @@ pub trait Fixture: AddrFamily {
         distinct: usize,
         psi: usize,
         packets: usize,
-    ) -> (Self::Table, Vec<Self::Trace>);
+    ) -> (RoutingTable<Self::Addr>, Vec<Trace<Self::Addr>>);
 }
 
 impl Fixture for V4 {

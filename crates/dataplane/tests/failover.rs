@@ -25,7 +25,10 @@ fn setup(psi: usize, packets_per_worker: usize) -> (RoutingTable, Vec<Trace>) {
     setup_family::<V4>(psi, packets_per_worker)
 }
 
-fn setup_family<F: Fixture>(psi: usize, packets_per_worker: usize) -> (F::Table, Vec<F::Trace>) {
+fn setup_family<F: Fixture>(
+    psi: usize,
+    packets_per_worker: usize,
+) -> (RoutingTable<F::Addr>, Vec<Trace<F::Addr>>) {
     F::setup(31, 13, 600, psi, packets_per_worker)
 }
 

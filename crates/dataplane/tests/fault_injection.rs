@@ -54,15 +54,19 @@ fn fault_cfg<F: AddrFamily>(psi: usize, seed: u64, churn: bool) -> DataplaneConf
     }
 }
 
-fn oracle_checksum<F: AddrFamily>(table: &F::Table, traces: &[F::Trace]) -> (u64, u64) {
+fn oracle_checksum<F: AddrFamily>(
+    table: &RoutingTable<F::Addr>,
+    traces: &[Trace<F::Addr>],
+) -> (u64, u64) {
     let mut packets = 0u64;
     let mut sum = 0u64;
     for t in traces {
-        for &addr in F::destinations(t).iter() {
+        for &addr in t.destinations() {
             packets += 1;
             sum = sum.wrapping_add(
-                F::longest_match(table, addr)
-                    .map(|nh| nh.0 as u64 + 1)
+                table
+                    .longest_match(addr)
+                    .map(|e| e.next_hop.0 as u64 + 1)
                     .unwrap_or(0),
             );
         }

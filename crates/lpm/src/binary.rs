@@ -7,10 +7,9 @@
 //! insert/withdraw, and is generic over address width so the IPv6
 //! extension (§6) can reuse it unchanged.
 
-use crate::{CountedLookup, LineSet, Lpm, Lpm6, BATCH_LANES};
+use crate::{CountedLookup, DeltaStats, LineSet, Lpm, Lpm6, BATCH_LANES};
 use spal_rib::bits::AddressBits;
-use spal_rib::v6::RoutingTable6;
-use spal_rib::{NextHop, RoutingTable};
+use spal_rib::{NextHop, Prefix, RoutingTable};
 
 /// Line-accounting region tag: the node arena (the only array read).
 const REGION_NODES: u32 = 0;
@@ -63,6 +62,15 @@ impl<A: AddressBits> GenericBinaryTrie<A> {
             routes: 0,
             _marker: std::marker::PhantomData,
         }
+    }
+
+    /// Build a binary trie from a routing table.
+    pub fn build(table: &RoutingTable<A>) -> Self {
+        let mut trie = Self::new();
+        for e in table {
+            trie.insert(e.prefix.bits(), e.prefix.len(), e.next_hop);
+        }
+        trie
     }
 
     /// Number of nodes, including the root.
@@ -157,10 +165,15 @@ impl<A: AddressBits> GenericBinaryTrie<A> {
         self.lookup_counted_generic(addr).next_hop
     }
 
-    /// One interleaved group of [`BATCH_LANES`] lookups at any address
-    /// width — the [`BinaryTrie::lookup_quad`] walk generalized so the
-    /// IPv6 trie gets the same memory-level parallelism. Per-lane steps
-    /// mirror [`GenericBinaryTrie::lookup_counted_generic`] exactly.
+    /// One interleaved group of [`BATCH_LANES`] lookups. Each round
+    /// advances every still-active lane one trie level, so the four
+    /// dependent child-pointer loads are in flight together instead of
+    /// one walk stalling to completion before the next starts. Per-lane
+    /// steps mirror [`GenericBinaryTrie::lookup_counted_generic`]
+    /// exactly, access counts included. Only the IPv4 `lookup_batch`
+    /// uses it: at 128 levels the lane bookkeeping costs more than the
+    /// overlap buys (0.55× the scalar loop at DFZ scale), and no timed
+    /// path runs the `u128` trie.
     fn lookup_quad_generic(&self, addrs: [A; BATCH_LANES]) -> [CountedLookup; BATCH_LANES] {
         let nodes = &self.nodes;
         let mut node = [0usize; BATCH_LANES];
@@ -208,46 +221,15 @@ impl<A: AddressBits> GenericBinaryTrie<A> {
     }
 }
 
-impl GenericBinaryTrie<u128> {
-    /// Build an IPv6 binary trie from a routing table.
-    pub fn build6(table: &RoutingTable6) -> Self {
-        let mut trie = Self::new();
-        for e in table.entries() {
-            trie.insert(e.prefix.bits(), e.prefix.len(), e.next_hop);
-        }
-        trie
-    }
-}
-
-impl Lpm6 for GenericBinaryTrie<u128> {
-    fn lookup_counted(&self, addr: u128) -> CountedLookup {
-        self.lookup_counted_generic(addr)
-    }
-
-    fn lookup_batch(&self, addrs: &[u128], out: &mut [CountedLookup]) {
-        assert_eq!(
-            addrs.len(),
-            out.len(),
-            "lookup_batch: addrs and out must have equal lengths"
-        );
-        let mut i = 0;
-        while i + BATCH_LANES <= addrs.len() {
-            let group = [addrs[i], addrs[i + 1], addrs[i + 2], addrs[i + 3]];
-            out[i..i + BATCH_LANES].copy_from_slice(&self.lookup_quad_generic(group));
-            i += BATCH_LANES;
-        }
-        for k in i..addrs.len() {
-            out[k] = self.lookup_counted_generic(addrs[k]);
-        }
-    }
-
-    /// Natively incremental, same as the IPv4 impl: replay each change
-    /// through insert/remove along the changed prefix's path.
-    fn apply_delta(
+impl<A: AddressBits> GenericBinaryTrie<A> {
+    /// The binary trie is natively incremental: each change replays
+    /// through [`GenericBinaryTrie::insert`]/[`GenericBinaryTrie::remove`],
+    /// touching only the path to the changed prefix. Never declines.
+    fn apply_delta_generic(
         &mut self,
-        changed: &[spal_rib::v6::Prefix6],
-        rib: &RoutingTable6,
-    ) -> Option<crate::DeltaStats> {
+        changed: &[Prefix<A>],
+        rib: &RoutingTable<A>,
+    ) -> Option<DeltaStats> {
         let before = self.nodes.len();
         for &p in changed {
             match rib.get(p) {
@@ -259,10 +241,26 @@ impl Lpm6 for GenericBinaryTrie<u128> {
                 }
             }
         }
-        Some(crate::DeltaStats {
+        Some(DeltaStats {
             prefixes_applied: changed.len(),
+            // Terminal-node rewrite per change plus the path nodes
+            // allocated or freed.
             bytes_touched: (changed.len() + self.nodes.len().abs_diff(before)) * NODE_BYTES,
         })
+    }
+}
+
+impl Lpm6 for GenericBinaryTrie<u128> {
+    fn lookup_counted(&self, addr: u128) -> CountedLookup {
+        self.lookup_counted_generic(addr)
+    }
+
+    fn apply_delta(
+        &mut self,
+        changed: &[Prefix<u128>],
+        rib: &RoutingTable<u128>,
+    ) -> Option<DeltaStats> {
+        self.apply_delta_generic(changed, rib)
     }
 
     fn storage_bytes(&self) -> usize {
@@ -274,103 +272,17 @@ impl Lpm6 for GenericBinaryTrie<u128> {
     }
 }
 
-impl BinaryTrie {
-    /// Build an IPv4 binary trie from a routing table.
-    pub fn build(table: &RoutingTable) -> Self {
-        let mut trie = Self::new();
-        for e in table {
-            trie.insert(e.prefix.bits(), e.prefix.len(), e.next_hop);
-        }
-        trie
-    }
-
-    /// One interleaved group of [`BATCH_LANES`] lookups. Each round
-    /// advances every still-active lane one trie level, so the four
-    /// dependent child-pointer loads are in flight together instead of
-    /// one walk stalling to completion before the next starts. Per-lane
-    /// steps mirror [`GenericBinaryTrie::lookup_counted_generic`]
-    /// exactly, access counts included.
-    fn lookup_quad(&self, addrs: [u32; BATCH_LANES]) -> [CountedLookup; BATCH_LANES] {
-        let nodes = &self.nodes;
-        let mut node = [0usize; BATCH_LANES];
-        let mut best = [nodes[0].route; BATCH_LANES];
-        let mut acc = [1u32; BATCH_LANES]; // root read
-        let mut depth = [0u8; BATCH_LANES];
-        let mut active = [true; BATCH_LANES];
-        let mut lines: [LineSet; BATCH_LANES] = std::array::from_fn(|_| LineSet::new());
-        for l in &mut lines {
-            l.touch(REGION_NODES, 0, NODE_BYTES);
-        }
-        loop {
-            let mut any = false;
-            for l in 0..BATCH_LANES {
-                if !active[l] {
-                    continue;
-                }
-                if depth[l] >= 32 {
-                    active[l] = false;
-                    continue;
-                }
-                let child = nodes[node[l]].children[addrs[l].bit(depth[l]) as usize];
-                if child == NONE {
-                    active[l] = false;
-                    continue;
-                }
-                node[l] = child as usize;
-                acc[l] += 1;
-                lines[l].touch(REGION_NODES, node[l] * NODE_BYTES, NODE_BYTES);
-                if let Some(nh) = nodes[node[l]].route {
-                    best[l] = Some(nh);
-                }
-                depth[l] += 1;
-                any = true;
-            }
-            if !any {
-                break;
-            }
-        }
-        std::array::from_fn(|l| CountedLookup {
-            next_hop: best[l],
-            mem_accesses: acc[l],
-            lines_touched: lines[l].count(),
-        })
-    }
-}
-
 impl Lpm for BinaryTrie {
     fn lookup_counted(&self, addr: u32) -> CountedLookup {
         self.lookup_counted_generic(addr)
     }
 
     fn lookup_batch(&self, addrs: &[u32], out: &mut [CountedLookup]) {
-        crate::run_quads(self, addrs, out, BinaryTrie::lookup_quad);
+        crate::run_quads(self, addrs, out, BinaryTrie::lookup_quad_generic);
     }
 
-    /// The binary trie is natively incremental: each change replays
-    /// through [`BinaryTrie::insert`]/[`BinaryTrie::remove`], touching
-    /// only the path to the changed prefix.
-    fn apply_delta(
-        &mut self,
-        changed: &[spal_rib::Prefix],
-        rib: &spal_rib::RoutingTable,
-    ) -> Option<crate::DeltaStats> {
-        let before = self.nodes.len();
-        for &p in changed {
-            match rib.get(p) {
-                Some(nh) => {
-                    self.insert(p.bits(), p.len(), nh);
-                }
-                None => {
-                    self.remove(p.bits(), p.len());
-                }
-            }
-        }
-        Some(crate::DeltaStats {
-            prefixes_applied: changed.len(),
-            // Terminal-node rewrite per change plus the path nodes
-            // allocated or freed.
-            bytes_touched: (changed.len() + self.nodes.len().abs_diff(before)) * NODE_BYTES,
-        })
+    fn apply_delta(&mut self, changed: &[Prefix], rib: &RoutingTable) -> Option<DeltaStats> {
+        self.apply_delta_generic(changed, rib)
     }
 
     fn storage_bytes(&self) -> usize {

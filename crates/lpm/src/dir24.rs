@@ -284,7 +284,7 @@ impl Lpm for Dir24_8 {
 
     /// Index-ahead batch path: the first level is a single dependent
     /// load per lookup, so the whole win is memory-level parallelism —
-    /// prefetch the `tbl24` line [`PREFETCH_AHEAD`] addresses before it
+    /// prefetch the `tbl24` line `PREFETCH_AHEAD` addresses before it
     /// is needed, then resolve in a tight loop the compiler keeps free
     /// of per-call overhead.
     fn lookup_batch(&self, addrs: &[u32], out: &mut [CountedLookup]) {

@@ -88,9 +88,14 @@ pub const LINE_BYTES: usize = 64;
 /// alias.
 ///
 /// The set is a fixed array with a linear-scan insert: lookups touch a
-/// handful of lines (the binary trie's worst case — a 32-deep walk of
-/// straddling 12-byte nodes — bounds it), so a scan beats hashing, and
-/// `clear` just resets the length instead of zeroing.
+/// handful of lines, so a scan beats hashing, and `clear` just resets
+/// the length instead of zeroing. It holds at most 80 lines and
+/// **saturates silently** there: further distinct lines are dropped and
+/// [`LineSet::count`] stays at 80. Every IPv4 engine stays below that
+/// (the worst case is the 33-node binary-trie walk with every 12-byte
+/// node straddling a boundary, 66 lines); the 129-node walk of the
+/// `u128` binary trie can exceed it, so its `lines_touched` is a floor
+/// on deep walks, not an exact count.
 #[derive(Debug, Clone)]
 pub struct LineSet {
     ids: [u64; Self::CAPACITY],
@@ -104,9 +109,7 @@ impl Default for LineSet {
 }
 
 impl LineSet {
-    /// Worst-case distinct lines per lookup: the 33-node binary-trie walk
-    /// with every 12-byte node straddling a line boundary stays below
-    /// this.
+    /// Distinct lines held before the set saturates (see the type docs).
     const CAPACITY: usize = 80;
 
     /// An empty set.
@@ -394,6 +397,19 @@ mod lineset_tests {
         assert_eq!(s.count(), 2);
         s.clear();
         assert_eq!(s.count(), 0);
+    }
+
+    #[test]
+    fn saturates_at_capacity_without_panicking() {
+        let mut s = LineSet::new();
+        for line in 0..3 * LineSet::CAPACITY {
+            s.touch(0, line * LINE_BYTES, 1);
+        }
+        assert_eq!(s.count() as usize, LineSet::CAPACITY);
+        // Lines already held still dedupe; new ones are still dropped.
+        s.touch(0, 0, 1);
+        s.touch(1, 0, 1);
+        assert_eq!(s.count() as usize, LineSet::CAPACITY);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! which is rebuilt from the post-update table's sorted range — O(bin)
 //! work, not O(table). Changes of length ≤ 16 repaint the covered
 //! bins' defaults. Orphaned arena space is tracked, and when garbage
-//! exceeds [`MAX_GARBAGE_FRACTION`] the patch declines (`None`) so the
+//! exceeds `MAX_GARBAGE_FRACTION` the patch declines (`None`) so the
 //! caller rebuilds — the explicit rebuild-fallback contract of
 //! [`crate::Lpm::apply_delta`].
 
@@ -452,6 +452,13 @@ impl Lpm6 for Ship6 {
     /// still-active lane one node, so the lanes' dependent loads
     /// overlap. Per-lane steps mirror the scalar path exactly (same
     /// accesses, same lines), pinned by the `ship_equiv` suite.
+    ///
+    /// Measured, because the two benches disagree: in `bench_lookup
+    /// --dfz`'s tight replay loop this path is 0.84× the scalar loop,
+    /// but in the dataplane it is worth 8 % of end-to-end throughput
+    /// (`v6-w1` 8.97 Mpkt/s without it, 9.91 with, ahead in 15 of 18
+    /// alternating rounds — EXPERIMENTS E28). The end-to-end row decides:
+    /// it stays.
     fn lookup_batch(&self, addrs: &[u128], out: &mut [CountedLookup]) {
         assert_eq!(
             addrs.len(),
@@ -731,7 +738,7 @@ mod tests {
     fn matches_oracle_on_dfz_table() {
         let t = synthesize6_dfz(4_000, 21);
         let ship = Ship6::build(&t);
-        let trie = GenericBinaryTrie::<u128>::build6(&t);
+        let trie = GenericBinaryTrie::build(&t);
         let mut rng_bits = 0x9E3779B97F4A7C15u128;
         for i in 0..2_000u128 {
             // Half probe near stored prefixes, half uniform.
@@ -799,7 +806,7 @@ mod tests {
         assert_eq!(stats.prefixes_applied, 3);
         assert!(stats.bytes_touched > 0);
         // Patched engine is lookup-equivalent to a fresh build.
-        let oracle = GenericBinaryTrie::<u128>::build6(&rib);
+        let oracle = GenericBinaryTrie::build(&rib);
         for e in rib.entries().iter().step_by(7) {
             let addr = e.prefix.bits() | 3;
             assert_eq!(ship.lookup(addr), oracle.lookup_generic(addr));
@@ -863,7 +870,7 @@ mod tests {
     fn storage_beats_binary_trie() {
         let t = synthesize6_dfz(20_000, 30);
         let ship = Ship6::build(&t);
-        let trie = GenericBinaryTrie::<u128>::build6(&t);
+        let trie = GenericBinaryTrie::build(&t);
         assert!(
             ship.storage_bytes() < Lpm6::storage_bytes(&trie),
             "ship {} vs binary {}",
@@ -876,7 +883,7 @@ mod tests {
     fn accesses_far_below_binary_trie() {
         let t = synthesize6_dfz(20_000, 31);
         let ship = Ship6::build(&t);
-        let trie = GenericBinaryTrie::<u128>::build6(&t);
+        let trie = GenericBinaryTrie::build(&t);
         let addrs: Vec<u128> = t
             .entries()
             .iter()

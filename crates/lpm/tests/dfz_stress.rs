@@ -23,8 +23,8 @@ use spal_lpm::poptrie::Poptrie;
 use spal_lpm::ship::Ship6;
 use spal_lpm::{Lpm, Lpm6};
 use spal_rib::synth::{self, SynthConfig};
-use spal_rib::updates::{update_stream, Update, UpdateStreamConfig};
-use spal_rib::v6::{apply6, synthesize6_dfz, update_stream6, Prefix6, Update6};
+use spal_rib::updates::{apply, update_stream, Update, UpdateStreamConfig};
+use spal_rib::v6::{synthesize6_dfz, Prefix6, Update6};
 use spal_rib::{Prefix, RoutingTable};
 use std::time::Instant;
 
@@ -198,7 +198,7 @@ fn run_v6_tier(size: usize, probes: usize) {
     let ship = Ship6::build(&table);
     let ship_build = t0.elapsed();
     let t0 = Instant::now();
-    let trie = GenericBinaryTrie::<u128>::build6(&table);
+    let trie = GenericBinaryTrie::build(&table);
     let trie_build = t0.elapsed();
     eprintln!(
         "[dfz] SHIP built in {ship_build:?} ({} B), binary in {trie_build:?} ({} B)",
@@ -233,7 +233,7 @@ fn run_v6_tier(size: usize, probes: usize) {
     }
 
     // Churn through the bin-granular patch path.
-    let (updates, fin) = update_stream6(
+    let (updates, fin) = update_stream(
         &table,
         &UpdateStreamConfig {
             count: 1_000,
@@ -255,7 +255,7 @@ fn run_v6_tier(size: usize, probes: usize) {
             if !changed.contains(&p) {
                 changed.push(p);
             }
-            apply6(&mut rib, u);
+            apply(&mut rib, u);
         }
         if ship.apply_delta(&changed, &rib).is_none() {
             declines += 1;

@@ -10,10 +10,8 @@ use proptest::prelude::*;
 use spal_lpm::binary::GenericBinaryTrie;
 use spal_lpm::ship::Ship6;
 use spal_lpm::{CountedLookup, Lpm6};
-use spal_rib::updates::UpdateStreamConfig;
-use spal_rib::v6::{
-    apply6, synthesize6_dfz, update_stream6, Prefix6, RouteEntry6, RoutingTable6, Update6,
-};
+use spal_rib::updates::{apply, update_stream, UpdateStreamConfig};
+use spal_rib::v6::{synthesize6_dfz, Prefix6, RouteEntry6, RoutingTable6, Update6};
 use spal_rib::NextHop;
 
 /// Arbitrary v6 prefix, biased toward the cases that stress SHIP's
@@ -71,7 +69,7 @@ proptest! {
         random in proptest::collection::vec(any::<u128>(), 1..=48),
     ) {
         let ship = Ship6::build(&table);
-        let trie = GenericBinaryTrie::<u128>::build6(&table);
+        let trie = GenericBinaryTrie::build(&table);
         for &addr in &probe_addrs(&table, &random) {
             let oracle = table.longest_match(addr).map(|e| e.next_hop);
             prop_assert_eq!(
@@ -130,14 +128,14 @@ proptest! {
         random in proptest::collection::vec(any::<u128>(), 1..=32),
     ) {
         let base = synthesize6_dfz(table_size, table_seed);
-        let (updates, fin) = update_stream6(&base, &UpdateStreamConfig {
+        let (updates, fin) = update_stream(&base, &UpdateStreamConfig {
             count: update_count,
             withdraw_fraction: withdraw_tenths as f64 / 10.0,
             seed: stream_seed,
         });
 
         let mut ship = Ship6::build(&base);
-        let mut trie = GenericBinaryTrie::<u128>::build6(&base);
+        let mut trie = GenericBinaryTrie::build(&base);
         let mut rib = base.clone();
         for chunk in updates.chunks(batch) {
             let mut changed: Vec<Prefix6> = Vec::with_capacity(chunk.len());
@@ -149,7 +147,7 @@ proptest! {
                 if !changed.contains(&p) {
                     changed.push(p);
                 }
-                apply6(&mut rib, u);
+                apply(&mut rib, u);
             }
             if ship.apply_delta(&changed, &rib).is_none() {
                 ship = Ship6::build(&rib);

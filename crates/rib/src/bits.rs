@@ -1,7 +1,8 @@
 //! Bit-level address abstractions shared by IPv4 and IPv6 code paths.
 
-use std::fmt::Debug;
+use std::fmt::{self, Debug};
 use std::hash::Hash;
+use std::ops::{BitAnd, BitOr, Not};
 
 /// One bit position of a prefix as seen by the partitioning algorithm:
 /// a concrete `0`, a concrete `1`, or `*` (the position lies beyond the
@@ -32,7 +33,21 @@ impl TriBit {
 /// An unsigned integer type usable as a big-endian IP address: bit 0 is the
 /// most significant bit, as in dotted-quad notation and in the paper's
 /// `b0 b1 …` convention.
-pub trait AddressBits: Copy + Clone + Eq + Ord + Hash + Debug + Send + Sync + 'static {
+pub trait AddressBits:
+    Copy
+    + Clone
+    + Eq
+    + Ord
+    + Hash
+    + Debug
+    + Send
+    + Sync
+    + BitAnd<Output = Self>
+    + BitOr<Output = Self>
+    + Not<Output = Self>
+    + Into<u128>
+    + 'static
+{
     /// Address width in bits (32 for IPv4, 128 for IPv6).
     const BITS: u8;
     /// The all-zero address.
@@ -47,15 +62,16 @@ pub trait AddressBits: Copy + Clone + Eq + Ord + Hash + Debug + Send + Sync + 's
     /// A mask with the top `len` bits set. `len` may be `0..=Self::BITS`.
     fn prefix_mask(len: u8) -> Self;
 
-    /// Bitwise AND, used to canonicalise prefixes.
-    fn and(self, other: Self) -> Self;
-
     /// Number of leading bits on which `self` and `other` agree.
     fn common_prefix_len(self, other: Self) -> u8;
 
     /// Extract `count` bits starting at bit `start` (MSB-first) as a `u32`.
     /// `count` must be `<= 32`.
     fn extract(self, start: u8, count: u8) -> u32;
+
+    /// Write the address in its family's text form: dotted quad for
+    /// IPv4, full (uncompressed) colon-hex for IPv6.
+    fn fmt_addr(self, f: &mut fmt::Formatter<'_>) -> fmt::Result;
 }
 
 impl AddressBits for u32 {
@@ -79,11 +95,6 @@ impl AddressBits for u32 {
     }
 
     #[inline]
-    fn and(self, other: Self) -> Self {
-        self & other
-    }
-
-    #[inline]
     fn common_prefix_len(self, other: Self) -> u8 {
         (self ^ other).leading_zeros() as u8
     }
@@ -96,50 +107,11 @@ impl AddressBits for u32 {
         }
         (self >> (32 - start - count)) & (u32::MAX >> (32 - count))
     }
-}
 
-/// A CIDR prefix of any address width, as the SPAL partitioner sees it:
-/// a length plus tri-state bits. Implemented by the IPv4 [`crate::Prefix`]
-/// and the IPv6 [`crate::v6::Prefix6`], which lets `spal-core`'s bit
-/// selection and ROT-partitioning run unchanged on both families (§6:
-/// "SPAL is feasibly applicable to IPv6").
-#[allow(clippy::len_without_is_empty)] // `len` is a bit count, not a container
-pub trait IpPrefix: Copy + Eq + Hash + Debug + Send + Sync + 'static {
-    /// The address type this prefix matches.
-    type Addr: AddressBits;
-
-    /// The prefix bits, left-aligned; bits beyond `len` are zero.
-    fn bits(self) -> Self::Addr;
-
-    /// Prefix length in bits.
-    fn len(self) -> u8;
-
-    /// Tri-state value of bit `i` (0 = MSB): concrete inside the prefix,
-    /// `*` beyond its length.
-    fn tri_bit(self, i: u8) -> TriBit;
-
-    /// Whether `addr` lies inside this prefix.
-    fn matches(self, addr: Self::Addr) -> bool;
-}
-
-/// A routing table of either address width, as the SPAL partitioner
-/// sees it: a set of routes it reads, splits into per-LC fragments and
-/// rebuilds. Implemented by the IPv4 [`crate::RoutingTable`] and the
-/// IPv6 [`crate::v6::RoutingTable6`].
-pub trait IpTable: Sized {
-    /// The prefix type of this table's routes.
-    type Prefix: IpPrefix;
-    /// One route (prefix plus next hop).
-    type Entry: Copy;
-
-    /// Build from routes; duplicate prefixes keep the last next hop.
-    fn from_entries(entries: Vec<Self::Entry>) -> Self;
-
-    /// All routes, sorted by (prefix bits, length).
-    fn entries(&self) -> &[Self::Entry];
-
-    /// The prefix of one route.
-    fn prefix_of(entry: &Self::Entry) -> Self::Prefix;
+    fn fmt_addr(self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let b = self.to_be_bytes();
+        write!(f, "{}.{}.{}.{}", b[0], b[1], b[2], b[3])
+    }
 }
 
 impl AddressBits for u128 {
@@ -163,11 +135,6 @@ impl AddressBits for u128 {
     }
 
     #[inline]
-    fn and(self, other: Self) -> Self {
-        self & other
-    }
-
-    #[inline]
     fn common_prefix_len(self, other: Self) -> u8 {
         (self ^ other).leading_zeros() as u8
     }
@@ -180,6 +147,14 @@ impl AddressBits for u128 {
             return 0;
         }
         ((self >> (128 - start as u32 - count as u32)) as u32) & (u32::MAX >> (32 - count))
+    }
+
+    fn fmt_addr(self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for g in 0..8 {
+            let sep = if g == 0 { "" } else { ":" };
+            write!(f, "{sep}{:x}", (self >> (112 - 16 * g)) as u16)?;
+        }
+        Ok(())
     }
 }
 

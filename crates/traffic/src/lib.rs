@@ -16,9 +16,11 @@
 //!   the operational-scenario suite;
 //! * [`locality`] — Zipf popularity with an O(1) alias-method sampler and
 //!   an optional packet-train (burst) overlay modelling flows;
-//! * [`pool`] — distinct-destination pools drawn inside a routing table's
+//! * [`pool`] — destination pools drawn inside a routing table's
 //!   covered space;
 //! * [`trace`] — trace containers, per-LC stream splitting, text I/O;
+//! * [`v6`] — the one-call IPv6 trace and the `Trace6` / `AddressPool6`
+//!   spellings (pools and traces are generic over the address width);
 //! * [`arrival`] — the §5.1 packet arrival processes (uniform 2–18 cycle
 //!   gaps at 40 Gbps, 6–74 at 10 Gbps, mean packet 256 B).
 

@@ -10,23 +10,44 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spal_rib::RoutingTable;
+use spal_rib::{AddressBits, RoutingTable};
 use std::collections::HashSet;
 
-/// A set of distinct destination addresses.
+/// A pool of destination addresses of type `A` (`u32` for IPv4, the
+/// default; `u128` for IPv6, spelled [`crate::AddressPool6`]).
 #[derive(Debug, Clone)]
-pub struct AddressPool {
-    addrs: Vec<u32>,
+pub struct AddressPool<A = u32> {
+    addrs: Vec<A>,
 }
 
-impl AddressPool {
-    /// Draw `size` distinct addresses covered by `table`, plus
-    /// `uncovered_fraction` of the pool (rounded down) drawn anywhere in
-    /// the address space (traffic that will miss the routing table).
+/// How [`AddressPool::covered`] draws addresses at one width. The two
+/// procedures are different algorithms — the IPv4 one rejects
+/// duplicates and shuffles, the IPv6 one does neither — and pinned hit
+/// rates depend on each, so they stay two.
+pub trait PoolAddr: AddressBits {
+    /// The addresses of `AddressPool::covered(table, size,
+    /// uncovered_fraction, seed)`, in pool order.
+    fn draw_covered(
+        table: &RoutingTable<Self>,
+        size: usize,
+        uncovered_fraction: f64,
+        seed: u64,
+    ) -> Vec<Self>;
+}
+
+impl PoolAddr for u32 {
+    /// `size` distinct addresses covered by `table`, of which
+    /// `uncovered_fraction` of the pool (rounded down) are instead drawn
+    /// anywhere outside it (traffic that will miss the routing table).
     ///
     /// # Panics
     /// Panics if the table is empty but covered addresses are requested.
-    pub fn covered(table: &RoutingTable, size: usize, uncovered_fraction: f64, seed: u64) -> Self {
+    fn draw_covered(
+        table: &RoutingTable,
+        size: usize,
+        uncovered_fraction: f64,
+        seed: u64,
+    ) -> Vec<u32> {
         assert!(
             (0.0..=1.0).contains(&uncovered_fraction),
             "uncovered fraction must be in [0, 1]"
@@ -63,9 +84,66 @@ impl AddressPool {
             let j = rng.gen_range(0..=i);
             addrs.swap(i, j);
         }
-        AddressPool { addrs }
+        addrs
     }
+}
 
+impl PoolAddr for u128 {
+    /// `size` draws — not deduplicated: two draws of the same `/128`
+    /// route collide — each uniform random with probability
+    /// `uncovered_fraction` (likely a routing miss), otherwise inside a
+    /// randomly chosen table prefix with random host bits.
+    ///
+    /// # Panics
+    /// Panics if the table is empty and `uncovered_fraction < 1.0`.
+    fn draw_covered(
+        table: &RoutingTable<u128>,
+        size: usize,
+        uncovered_fraction: f64,
+        seed: u64,
+    ) -> Vec<u128> {
+        assert!(
+            !table.is_empty() || uncovered_fraction >= 1.0,
+            "cannot draw covered v6 addresses from an empty table"
+        );
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x6666_0000_0000_0000);
+        let mut addrs = Vec::with_capacity(size);
+        for _ in 0..size {
+            let addr = if rng.gen_bool(uncovered_fraction.clamp(0.0, 1.0)) {
+                rng.gen::<u128>()
+            } else {
+                let e = table.entries()[rng.gen_range(0..table.len())];
+                let host = if e.prefix.len() >= 128 {
+                    0
+                } else {
+                    rng.gen::<u128>() >> e.prefix.len()
+                };
+                e.prefix.bits() | host
+            };
+            addrs.push(addr);
+        }
+        addrs
+    }
+}
+
+impl<A: PoolAddr> AddressPool<A> {
+    /// Draw `size` addresses inside `table`'s covered space, all but
+    /// `uncovered_fraction` of them; see [`PoolAddr::draw_covered`] for
+    /// what each width draws (IPv4 pools are distinct, IPv6 pools are
+    /// `size` independent draws).
+    pub fn covered(
+        table: &RoutingTable<A>,
+        size: usize,
+        uncovered_fraction: f64,
+        seed: u64,
+    ) -> Self {
+        AddressPool {
+            addrs: A::draw_covered(table, size, uncovered_fraction, seed),
+        }
+    }
+}
+
+impl AddressPool {
     /// Like [`AddressPool::covered`], but spatially *clustered*: routes
     /// are drawn `size / cluster` times and `cluster` distinct addresses
     /// are taken inside each, modelling many hosts per active subnet
@@ -104,20 +182,22 @@ impl AddressPool {
         }
         AddressPool { addrs }
     }
+}
 
+impl<A: AddressBits> AddressPool<A> {
     /// A pool of exactly the given addresses (deduplicated, order kept).
-    pub fn from_addresses(addrs: impl IntoIterator<Item = u32>) -> Self {
+    pub fn from_addresses(addrs: impl IntoIterator<Item = A>) -> Self {
         let mut seen = HashSet::new();
         let addrs = addrs.into_iter().filter(|a| seen.insert(*a)).collect();
         AddressPool { addrs }
     }
 
     /// The addresses, in Zipf-rank order (index 0 is the most popular).
-    pub fn addresses(&self) -> &[u32] {
+    pub fn addresses(&self) -> &[A] {
         &self.addrs
     }
 
-    /// Number of distinct destinations.
+    /// Number of pooled addresses.
     pub fn len(&self) -> usize {
         self.addrs.len()
     }
@@ -195,7 +275,7 @@ mod tests {
 
     #[test]
     fn from_addresses_dedups() {
-        let pool = AddressPool::from_addresses([1, 2, 2, 3, 1]);
+        let pool = AddressPool::from_addresses([1u32, 2, 2, 3, 1]);
         assert_eq!(pool.addresses(), &[1, 2, 3]);
     }
 }

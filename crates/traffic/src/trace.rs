@@ -5,23 +5,25 @@ use crate::locality::{LocalityModel, LocalitySampler};
 use crate::pool::AddressPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spal_rib::AddressBits;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::Arc;
 
-/// A sequence of packet destination addresses.
+/// A sequence of packet destination addresses of type `A` (`u32` for
+/// IPv4, the default; `u128` for IPv6, spelled [`crate::Trace6`]).
 ///
 /// Destinations live behind an [`Arc`], so cloning a trace — or handing
 /// its address stream to a simulator line card — shares one allocation
 /// instead of copying potentially hundreds of thousands of addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Trace {
+pub struct Trace<A = u32> {
     name: String,
-    dests: Arc<[u32]>,
+    dests: Arc<[A]>,
 }
 
-impl Trace {
+impl<A: AddressBits> Trace<A> {
     /// Wrap a destination sequence.
-    pub fn new(name: impl Into<String>, dests: Vec<u32>) -> Self {
+    pub fn new(name: impl Into<String>, dests: Vec<A>) -> Self {
         Trace {
             name: name.into(),
             dests: dests.into(),
@@ -31,7 +33,7 @@ impl Trace {
     /// Generate `len` destinations from a pool under a locality model.
     pub fn generate(
         name: impl Into<String>,
-        pool: &AddressPool,
+        pool: &AddressPool<A>,
         model: LocalityModel,
         len: usize,
         seed: u64,
@@ -55,12 +57,12 @@ impl Trace {
     }
 
     /// The destination sequence.
-    pub fn destinations(&self) -> &[u32] {
+    pub fn destinations(&self) -> &[A] {
         &self.dests
     }
 
     /// The destination sequence as a shared handle (no copy).
-    pub fn destinations_shared(&self) -> Arc<[u32]> {
+    pub fn destinations_shared(&self) -> Arc<[A]> {
         Arc::clone(&self.dests)
     }
 
@@ -84,9 +86,9 @@ impl Trace {
 
     /// Split into `n` per-LC streams round-robin, as if `n` links tapped
     /// the same backbone flow (§5.1 feeds every LC its own stream).
-    pub fn split(&self, n: usize) -> Vec<Trace> {
+    pub fn split(&self, n: usize) -> Vec<Self> {
         assert!(n >= 1, "need at least one stream");
-        let mut streams: Vec<Vec<u32>> = vec![Vec::with_capacity(self.len() / n + 1); n];
+        let mut streams: Vec<Vec<A>> = vec![Vec::with_capacity(self.len() / n + 1); n];
         for (i, &d) in self.dests.iter().enumerate() {
             streams[i % n].push(d);
         }
@@ -103,7 +105,7 @@ impl Trace {
     ///
     /// # Panics
     /// Panics if `size` is zero.
-    pub fn batches(&self, size: usize) -> impl Iterator<Item = &[u32]> {
+    pub fn batches(&self, size: usize) -> impl Iterator<Item = &[A]> {
         assert!(size >= 1, "batch size must be at least 1");
         self.dests.chunks(size)
     }
@@ -113,7 +115,7 @@ impl Trace {
     /// order — the right cut for replaying one trace across worker
     /// threads, where [`Trace::split`]'s round-robin interleave would
     /// destroy the locality each worker sees.
-    pub fn shard_slices(&self, n: usize) -> Vec<Trace> {
+    pub fn shard_slices(&self, n: usize) -> Vec<Self> {
         assert!(n >= 1, "need at least one shard");
         let base = self.len() / n;
         let extra = self.len() % n;
@@ -130,7 +132,10 @@ impl Trace {
             })
             .collect()
     }
+}
 
+/// The text format is IPv4's.
+impl Trace {
     /// Write one dotted-quad destination per line.
     pub fn write_text<W: Write>(&self, mut w: W) -> std::io::Result<()> {
         let mut buf = String::new();
@@ -198,59 +203,75 @@ mod tests {
         assert!(a.distinct() <= 100);
     }
 
-    #[test]
-    fn split_round_robin() {
-        let t = Trace::new("x", vec![1, 2, 3, 4, 5]);
+    /// The container never looks inside an address: every case below
+    /// runs at 32 and at 128 bits.
+    fn seq<A: AddressBits + From<u8>>(r: std::ops::Range<u8>) -> Vec<A> {
+        r.map(A::from).collect()
+    }
+
+    fn split_round_robin<A: AddressBits + From<u8>>() {
+        let t = Trace::new("x", seq::<A>(1..6));
         let s = t.split(2);
-        assert_eq!(s[0].destinations(), &[1, 3, 5]);
-        assert_eq!(s[1].destinations(), &[2, 4]);
+        assert_eq!(s[0].destinations(), [1, 3, 5].map(A::from));
+        assert_eq!(s[1].destinations(), [2, 4].map(A::from));
         assert_eq!(s[0].name(), "x#0");
+        // One stream is the trace itself.
+        assert_eq!(t.split(1)[0].destinations(), t.destinations());
     }
 
-    #[test]
-    fn split_one_is_identity() {
-        let t = Trace::new("x", vec![9, 8, 7]);
-        let s = t.split(1);
-        assert_eq!(s[0].destinations(), t.destinations());
-    }
-
-    #[test]
-    fn batches_cover_trace_in_order() {
-        let t = Trace::new("x", (0..10u32).collect());
-        let chunks: Vec<&[u32]> = t.batches(4).collect();
-        assert_eq!(chunks, vec![&[0, 1, 2, 3][..], &[4, 5, 6, 7], &[8, 9]]);
+    fn batches_cover_trace_in_order<A: AddressBits + From<u8>>() {
+        let t = Trace::new("x", seq::<A>(0..10));
+        let chunks: Vec<&[A]> = t.batches(4).collect();
+        assert_eq!(chunks, [&seq::<A>(0..4)[..], &seq(4..8), &seq(8..10)]);
         // One oversized batch yields the whole trace.
         assert_eq!(t.batches(100).next().unwrap(), t.destinations());
     }
 
-    #[test]
-    fn shard_slices_are_contiguous_and_balanced() {
-        let t = Trace::new("x", (0..11u32).collect());
+    fn shard_slices_are_contiguous_and_balanced<A: AddressBits + From<u8>>() {
+        let t = Trace::new("x", seq::<A>(0..11));
         let shards = t.shard_slices(3);
-        assert_eq!(shards[0].destinations(), &[0, 1, 2, 3]);
-        assert_eq!(shards[1].destinations(), &[4, 5, 6, 7]);
-        assert_eq!(shards[2].destinations(), &[8, 9, 10]);
+        assert_eq!(shards[0].destinations(), seq::<A>(0..4));
+        assert_eq!(shards[1].destinations(), seq::<A>(4..8));
+        assert_eq!(shards[2].destinations(), seq::<A>(8..11));
         assert_eq!(shards[0].name(), "x@0");
         // More shards than packets: trailing shards are empty, nothing
         // is lost.
-        let tiny = Trace::new("y", vec![1, 2]);
+        let tiny = Trace::new("y", seq::<A>(1..3));
         let s = tiny.shard_slices(4);
         assert_eq!(s.iter().map(|t| t.len()).sum::<usize>(), 2);
     }
 
-    #[test]
-    fn clones_share_destination_storage() {
-        let t = Trace::new("x", vec![1, 2, 3]);
+    fn clones_share_storage_and_count_distinct<A: AddressBits + From<u8>>() {
+        let t = Trace::new("x", [1, 2, 3, 2].map(A::from).to_vec());
         let c = t.clone();
         assert!(Arc::ptr_eq(
             &t.destinations_shared(),
             &c.destinations_shared()
         ));
+        assert_eq!((t.len(), t.distinct()), (4, 3));
     }
+
+    macro_rules! for_both_widths {
+        ($($case:ident),* $(,)?) => {
+            mod v4 {
+                $(#[test] fn $case() { super::$case::<u32>() })*
+            }
+            mod v6 {
+                $(#[test] fn $case() { super::$case::<u128>() })*
+            }
+        };
+    }
+
+    for_both_widths!(
+        split_round_robin,
+        batches_cover_trace_in_order,
+        shard_slices_are_contiguous_and_balanced,
+        clones_share_storage_and_count_distinct,
+    );
 
     #[test]
     fn text_roundtrip() {
-        let t = Trace::new("x", vec![0x0A000001, 0xC0A80001, 0]);
+        let t = Trace::new("x", vec![0x0A000001u32, 0xC0A80001, 0]);
         let mut buf = Vec::new();
         t.write_text(&mut buf).unwrap();
         assert_eq!(
@@ -282,5 +303,41 @@ mod tests {
         }
         let max = counts.values().copied().max().unwrap();
         assert!(max > 3 * t.len() / 100, "max count {max}");
+    }
+
+    /// FNV-1a over 64-bit words, low byte first.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The trace generators' streams, pinned directly (the dataplane
+    /// goldens pin them only through a whole run). Constants computed
+    /// at 8c43d71, before `Trace6` / `AddressPool6` were folded into the
+    /// generic types.
+    #[test]
+    fn generated_streams_are_pinned() {
+        use crate::{generate6, preset, PresetName};
+        let v4 = preset(PresetName::BL).generate(&synth::small(11), 5_000, 5);
+        assert_eq!(
+            fnv1a(v4.destinations().iter().map(|&d| d as u64)),
+            0xe99d2febd8e7650f,
+            "B_L preset stream drifted"
+        );
+        let v6 = generate6(&spal_rib::v6::synthesize6_dfz(3_000, 11), 400, 5_000, 5);
+        assert_eq!(
+            fnv1a(
+                v6.destinations()
+                    .iter()
+                    .flat_map(|&d| [(d >> 64) as u64, d as u64])
+            ),
+            0xfb0cc45331355e61,
+            "generate6 stream drifted"
+        );
     }
 }

@@ -1,158 +1,25 @@
-//! IPv6 destination traces: the 128-bit mirror of [`crate::trace`] and
-//! [`crate::pool`], sized for the v6 dataplane and the SHIP benchmarks.
+//! IPv6 destination traces: [`generate6`] plus the `…6` spellings of
+//! [`crate::Trace`] and [`crate::AddressPool`] at `u128`.
 //!
 //! The locality machinery (Zipf popularity, alias sampling, packet
-//! trains) never looks inside an address, so it is reused as-is; only
-//! the pool construction is width-specific — distinct destinations are
-//! drawn inside the covered space of a [`RoutingTable6`], host bits
-//! randomized below each drawn prefix, with an optional uncovered
-//! fraction for routing-miss traffic.
+//! trains) never looks inside an address, and neither do the trace and
+//! pool containers; only the pool *construction* is width-specific
+//! ([`crate::pool::PoolAddr`]) — draws land inside the covered space of
+//! a [`RoutingTable6`], host bits randomized below each drawn prefix,
+//! with an optional uncovered fraction for routing-miss traffic.
 
-use crate::locality::{LocalityModel, LocalitySampler};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::locality::LocalityModel;
 use spal_rib::v6::RoutingTable6;
-use std::sync::Arc;
 
-/// A pool of distinct IPv6 destination addresses.
-#[derive(Debug, Clone)]
-pub struct AddressPool6 {
-    addrs: Vec<u128>,
-}
+/// A pool of IPv6 destination addresses: `size` independent draws, so
+/// an address can appear twice.
+pub type AddressPool6 = crate::AddressPool<u128>;
+/// A sequence of IPv6 packet destination addresses.
+pub type Trace6 = crate::Trace<u128>;
 
-impl AddressPool6 {
-    /// Draw `distinct` addresses, `uncovered_fraction` of them uniform
-    /// random (likely routing misses), the rest inside randomly chosen
-    /// table prefixes with random host bits.
-    ///
-    /// # Panics
-    /// Panics if the table is empty and `uncovered_fraction < 1.0`.
-    pub fn covered(
-        table: &RoutingTable6,
-        distinct: usize,
-        uncovered_fraction: f64,
-        seed: u64,
-    ) -> Self {
-        assert!(
-            !table.is_empty() || uncovered_fraction >= 1.0,
-            "cannot draw covered v6 addresses from an empty table"
-        );
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x6666_0000_0000_0000);
-        let mut addrs = Vec::with_capacity(distinct);
-        for _ in 0..distinct {
-            let addr = if rng.gen_bool(uncovered_fraction.clamp(0.0, 1.0)) {
-                rng.gen::<u128>()
-            } else {
-                let e = table.entries()[rng.gen_range(0..table.len())];
-                let host = if e.prefix.len() >= 128 {
-                    0
-                } else {
-                    rng.gen::<u128>() >> e.prefix.len()
-                };
-                e.prefix.bits() | host
-            };
-            addrs.push(addr);
-        }
-        AddressPool6 { addrs }
-    }
-
-    /// The pooled addresses.
-    pub fn addresses(&self) -> &[u128] {
-        &self.addrs
-    }
-
-    /// Number of pooled addresses.
-    pub fn len(&self) -> usize {
-        self.addrs.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
-    }
-}
-
-/// A sequence of IPv6 packet destination addresses (shared storage, as
-/// [`crate::Trace`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Trace6 {
-    name: String,
-    dests: Arc<[u128]>,
-}
-
-impl Trace6 {
-    /// Wrap a destination sequence.
-    pub fn new(name: impl Into<String>, dests: Vec<u128>) -> Self {
-        Trace6 {
-            name: name.into(),
-            dests: dests.into(),
-        }
-    }
-
-    /// Generate `len` destinations from a pool under a locality model.
-    pub fn generate(
-        name: impl Into<String>,
-        pool: &AddressPool6,
-        model: LocalityModel,
-        len: usize,
-        seed: u64,
-    ) -> Self {
-        assert!(
-            !pool.is_empty(),
-            "cannot generate a trace from an empty pool"
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut sampler = LocalitySampler::new(model, pool.len());
-        let addrs = pool.addresses();
-        let dests = (0..len)
-            .map(|_| addrs[sampler.next_index(&mut rng)])
-            .collect();
-        Trace6::new(name, dests)
-    }
-
-    /// The trace's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The destination sequence.
-    pub fn destinations(&self) -> &[u128] {
-        &self.dests
-    }
-
-    /// The destination sequence as a shared handle (no copy).
-    pub fn destinations_shared(&self) -> Arc<[u128]> {
-        Arc::clone(&self.dests)
-    }
-
-    /// Number of packets.
-    pub fn len(&self) -> usize {
-        self.dests.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.dests.is_empty()
-    }
-
-    /// Split into `n` per-LC streams round-robin (see [`crate::Trace::split`]).
-    pub fn split(&self, n: usize) -> Vec<Trace6> {
-        assert!(n >= 1, "need at least one stream");
-        let mut streams: Vec<Vec<u128>> = vec![Vec::with_capacity(self.len() / n + 1); n];
-        for (i, &d) in self.dests.iter().enumerate() {
-            streams[i % n].push(d);
-        }
-        streams
-            .into_iter()
-            .enumerate()
-            .map(|(i, dests)| Trace6::new(format!("{}#{}", self.name, i), dests))
-            .collect()
-    }
-}
-
-/// One-call v6 trace: a Zipf(α = 1.0) stream over `distinct` covered
-/// destinations — the working-set shape the v4 presets use — split
-/// across nothing (the caller splits per LC).
+/// One-call v6 trace: a Zipf(α = 1.0) stream over `distinct` draws of
+/// covered destinations — the working-set shape the v4 presets use —
+/// split across nothing (the caller splits per LC).
 pub fn generate6(table: &RoutingTable6, distinct: usize, len: usize, seed: u64) -> Trace6 {
     let pool = AddressPool6::covered(table, distinct, 0.02, seed);
     Trace6::generate(
@@ -186,15 +53,6 @@ mod tests {
             "only {covered}/{} covered",
             a.len()
         );
-    }
-
-    #[test]
-    fn split_round_robin() {
-        let t = Trace6::new("x", vec![1, 2, 3, 4, 5]);
-        let s = t.split(2);
-        assert_eq!(s[0].destinations(), &[1, 3, 5]);
-        assert_eq!(s[1].destinations(), &[2, 4]);
-        assert_eq!(s[0].name(), "x#0");
     }
 
     #[test]
