@@ -26,7 +26,7 @@
 //!
 //! * **correctness** — every churn-free run's checksum equals a scalar
 //!   full-table oracle replay of its trace, in-run spot checks against
-//!   `lookup_counted` on the pinned snapshot never disagree, and the
+//!   the scalar `lookup` on the pinned snapshot never disagree, and the
 //!   post-churn published table matches the control plane's RIB;
 //! * **vector speedup** — single-worker vector-mode throughput on the
 //!   locality stream must be ≥ 10× the `w1-scalar-baseline` row;
@@ -58,7 +58,6 @@ use spal_dataplane::{
     run_family, AddrFamily, ChurnConfig, Dataplane6Config, DataplaneConfig, DataplaneReport,
     LatencyHisto, V4, V6,
 };
-use spal_lpm::CountedLookup;
 use spal_rib::RoutingTable;
 use spal_traffic::Trace;
 use std::io::Write;
@@ -331,11 +330,11 @@ fn write_latency_json(path: &str, rows: &[String]) -> std::io::Result<()> {
 /// What a full-table engine says the trace's next hops sum to.
 fn oracle_checksum<F: AddrFamily>(full: &F::Engine, trace: &Trace<F::Addr>) -> u64 {
     let mut sum = 0u64;
-    let mut out = vec![CountedLookup::MISS; 1024];
+    let mut out = vec![None; 1024];
     for chunk in trace.destinations().chunks(1024) {
-        F::lookup_batch(full, chunk, &mut out[..chunk.len()]);
+        F::forward_batch(full, chunk, &mut out[..chunk.len()]);
         for r in &out[..chunk.len()] {
-            sum = sum.wrapping_add(r.next_hop.map(|h| h.0 as u64 + 1).unwrap_or(0));
+            sum = sum.wrapping_add(r.map(|h| h.0 as u64 + 1).unwrap_or(0));
         }
     }
     sum

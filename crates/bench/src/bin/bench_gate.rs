@@ -25,10 +25,13 @@
 //!
 //! After the engine gate it runs the **lookup-throughput gate** (a
 //! compact version of `bench_lookup`): replay a stress trace through
-//! the three gated LPM engines, scalar vs batched, and enforce the
-//! batch-speedup floors (≥ 1.5× on DIR-24-8 and Lulea, ≥ 1.0× on the
-//! DP trie). Those rows are appended to `BENCH_lookup.json` next to the
-//! sim output.
+//! the gated LPM engines — scalar `lookup`, `forward_batch`, and the
+//! counted `lookup_batch` — and enforce the batch-speedup floors
+//! (≥ 1.5× on DIR-24-8 and Lulea, ≥ 1.0× on the DP trie and Poptrie)
+//! and the forward-vs-counted floor (`forward_batch` ≥ 1.0× the counted
+//! `lookup_batch` on each, ≥ 1.2× on Poptrie, ≥ 0.9× on DIR-24-8: the
+//! forwarding walk must shed the cost model's bookkeeping). Those rows are appended to
+//! `BENCH_lookup.json` next to the sim output.
 //!
 //! Exits non-zero if any bound is violated, so CI can run it as a
 //! smoke test: `bench_gate --quick`. Other flags: `--packets N`,

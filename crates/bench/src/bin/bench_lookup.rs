@@ -5,15 +5,22 @@
 //!
 //! For each engine the trace is sharded contiguously across scoped
 //! worker threads sharing one `Arc<dyn Lpm + Send + Sync>`; each worker
-//! replays its shard either one `lookup_counted` call per address
-//! (scalar — the pre-batch hot path) or through `lookup_batch` in
-//! 32-address chunks. Scalar and batch checksums are asserted equal, so
-//! every benchmark run re-verifies the batch contract on real traffic.
+//! replays its shard one `lookup` call per address (scalar — the
+//! pre-batch hot path), through `forward_batch` in 32-address chunks
+//! (batch — what the dataplane runs), and through the counted
+//! `lookup_batch` in the same chunks (the cost-model path, which also
+//! supplies the `mean_accesses` / `mean_lines` columns). The three
+//! arms' next hops are asserted equal, so every benchmark run
+//! re-verifies the batch contract on real traffic.
 //!
-//! The gate (enforced at one thread, where the ratio is a pure
-//! batch-vs-scalar comparison): batch ≥ 1.5× scalar packets/sec on
+//! The gate (enforced at one thread, where each ratio is a pure
+//! comparison of two code paths): batch ≥ 1.5× scalar packets/sec on
 //! DIR-24-8 and Lulea, ≥ 1.0× on the pointer-heavier DP trie and on
-//! the already-line-economical Poptrie. Exits
+//! the already-line-economical Poptrie; and `forward_batch` ≥ 1.0× the
+//! counted `lookup_batch` on every engine, ≥ 1.2× on Poptrie (and on
+//! SHIP in the `--dfz` arm), ≥ 0.9× on DIR-24-8 (same loads in both
+//! arms) — the forwarding walk must really shed the cost model's
+//! bookkeeping. Exits
 //! non-zero on a violation so CI can run `bench_lookup --quick`.
 //! Flags: `--quick`, `--packets N`, `--seed N`, `--threads N`,
 //! `--out PATH`.
@@ -28,7 +35,7 @@
 
 use spal_bench::dfz;
 use spal_bench::lookup::{
-    all_engines, measure_speedup, run_gate, stress_workload, write_rows, ReplayMode, DEFAULT_BATCH,
+    all_engines, measure_speedup, run_gate, stress_workload, write_rows, DEFAULT_BATCH,
 };
 
 struct Options {
@@ -120,27 +127,23 @@ fn run_dfz(opts: &Options) {
     let trace = dfz::dfz_v4_trace(&table, opts.packets, opts.seed);
     let shards = trace.shard_slices(1);
     for engine in &engines {
-        let (scalar, batch, ratio) = measure_speedup(
-            engine.as_ref(),
-            &shards,
-            ReplayMode::Batch {
-                size: DEFAULT_BATCH,
-            },
-        );
+        let m = measure_speedup(engine.as_ref(), &shards, DEFAULT_BATCH);
         // Checksum equality is asserted inside measure_speedup; the
-        // batch-speedup floors stay pinned to the 600k calibration
-        // sweep, so here the ratio is reported, not gated.
+        // speedup floors stay pinned to the 600k calibration sweep, so
+        // here the ratios are reported, not gated.
         println!(
-            "  {:9} t=1 scalar {:>11.0} pps | batch {:>11.0} pps | {ratio:.2}x \
-             ({:.2} acc, {:.2} lines/lookup)",
-            scalar.engine,
-            scalar.packets_per_sec,
-            batch.packets_per_sec,
-            scalar.mean_accesses,
-            scalar.mean_lines,
+            "  {:9} t=1 scalar {:>11.0} pps | batch {:>11.0} pps | {:.2}x | \
+             counted {:>11.0} pps | fwd {:.2}x ({:.2} acc, {:.2} lines/lookup)",
+            m.scalar.engine,
+            m.scalar.packets_per_sec,
+            m.batch.packets_per_sec,
+            m.batch_vs_scalar,
+            m.counted.packets_per_sec,
+            m.forward_vs_counted,
+            m.scalar.mean_accesses,
+            m.scalar.mean_lines,
         );
-        rows.push(scalar);
-        rows.push(batch);
+        rows.extend([m.scalar, m.batch, m.counted]);
     }
     drop(engines);
 

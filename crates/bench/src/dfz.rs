@@ -18,7 +18,10 @@
 //!   equal, but their batch floors are only *enforced* at the 600k
 //!   calibration scale (`bench_lookup` without `--dfz`).
 
-use crate::lookup::{LookupRow, ReplayChecksum, ReplayMode, DEFAULT_BATCH, REPS};
+use crate::lookup::{
+    forward_speedup_floor, measure_paired, LookupRow, ReplayChecksum, ReplayMode, Speedup,
+    DEFAULT_BATCH, REPS,
+};
 use spal_core::{ForwardingTable, ForwardingTable6, LpmAlgorithm, LpmAlgorithm6};
 use spal_lpm::{CountedLookup, Lpm, Lpm6};
 use spal_rib::v6::{dfz2026_v6, synthesize6_dfz, RoutingTable6};
@@ -209,15 +212,24 @@ fn replay6_shard(lpm: &(dyn Lpm6 + Sync), shard: &[u128], mode: ReplayMode) -> R
     match mode {
         ReplayMode::Scalar => {
             for &addr in shard {
-                sum.absorb(lpm.lookup_counted(addr));
+                sum.absorb(lpm.lookup(addr));
             }
         }
         ReplayMode::Batch { size } => {
+            let mut out = vec![None; size];
+            for chunk in shard.chunks(size) {
+                lpm.forward_batch(chunk, &mut out[..chunk.len()]);
+                for &nh in &out[..chunk.len()] {
+                    sum.absorb(nh);
+                }
+            }
+        }
+        ReplayMode::Counted { size } => {
             let mut out = vec![CountedLookup::MISS; size];
             for chunk in shard.chunks(size) {
                 lpm.lookup_batch(chunk, &mut out[..chunk.len()]);
                 for &c in &out[..chunk.len()] {
-                    sum.absorb(c);
+                    sum.absorb_counted(c);
                 }
             }
         }
@@ -324,29 +336,35 @@ pub fn run_v6_gate(table: &RoutingTable6, trace: &Trace6, threads: usize) -> V6G
         ship_build / binary_build
     );
 
-    let mode = ReplayMode::Batch {
-        size: DEFAULT_BATCH,
-    };
     let mut rows = Vec::new();
     let mut sums = Vec::new();
+    let mut failures = Vec::new();
     for engine in [&ship, &binary] {
-        let (scalar_row, batch_row, speedup) = measure6(engine, trace, threads, mode);
+        let m = measure6(engine, trace, threads, DEFAULT_BATCH);
         println!(
-            "  {:9} t={threads} scalar {:>11.0} pps | batch {:>11.0} pps | {speedup:.2}x \
-             ({:.2} acc, {:.2} lines/lookup, {} B)",
-            scalar_row.engine,
-            scalar_row.packets_per_sec,
-            batch_row.packets_per_sec,
-            scalar_row.mean_accesses,
-            scalar_row.mean_lines,
-            scalar_row.storage_bytes,
+            "  {:9} t={threads} scalar {:>11.0} pps | batch {:>11.0} pps | {:.2}x | \
+             counted {:>11.0} pps | fwd {:.2}x ({:.2} acc, {:.2} lines/lookup, {} B)",
+            m.scalar.engine,
+            m.scalar.packets_per_sec,
+            m.batch.packets_per_sec,
+            m.batch_vs_scalar,
+            m.counted.packets_per_sec,
+            m.forward_vs_counted,
+            m.scalar.mean_accesses,
+            m.scalar.mean_lines,
+            m.scalar.storage_bytes,
         );
-        sums.push(batch_row.packets_per_sec);
-        rows.push(scalar_row);
-        rows.push(batch_row);
+        sums.push(m.batch.packets_per_sec);
+        let floor = forward_speedup_floor(&m.scalar.engine);
+        if threads == 1 && m.forward_vs_counted < floor {
+            failures.push(format!(
+                "{}: forward/counted {:.2}x < {floor}x",
+                m.scalar.engine, m.forward_vs_counted
+            ));
+        }
+        rows.extend([m.scalar, m.batch, m.counted]);
     }
 
-    let mut failures = Vec::new();
     let (ship_pps, binary_pps) = (sums[0], sums[1]);
     let (ship_bytes, binary_bytes) = (ship.storage_bytes(), Lpm6::storage_bytes(&binary));
     let speed_ok = ship_pps >= binary_pps;
@@ -394,37 +412,12 @@ pub fn run_v6_gate(table: &RoutingTable6, trace: &Trace6, threads: usize) -> V6G
     }
 }
 
-/// Paired scalar/batch v6 measurement (the
-/// [`crate::lookup::measure_speedup`] shape at 128 bits): back-to-back
-/// reps, best pairwise ratio, checksums asserted equal across modes.
-pub fn measure6(
-    lpm: &(dyn Lpm6 + Sync),
-    trace: &Trace6,
-    threads: usize,
-    batch: ReplayMode,
-) -> (LookupRow, LookupRow, f64) {
-    let dests = trace.destinations();
-    let mut scalar_best: Option<(ReplayChecksum, f64)> = None;
-    let mut batch_best: Option<(ReplayChecksum, f64)> = None;
-    let mut speedup = 0.0f64;
-    for _ in 0..REPS {
-        let (s_sum, s_wall) = replay6_once(lpm, dests, threads, ReplayMode::Scalar);
-        let (b_sum, b_wall) = replay6_once(lpm, dests, threads, batch);
-        assert_eq!(s_sum, b_sum, "v6 batch replay diverged from scalar");
-        speedup = speedup.max(s_wall / b_wall);
-        if scalar_best.as_ref().is_none_or(|&(_, w)| s_wall < w) {
-            scalar_best = Some((s_sum, s_wall));
-        }
-        if batch_best.as_ref().is_none_or(|&(_, w)| b_wall < w) {
-            batch_best = Some((b_sum, b_wall));
-        }
-    }
-    let (s_sum, s_wall) = scalar_best.expect("at least one rep");
-    let (b_sum, b_wall) = batch_best.expect("at least one rep");
-    (
-        row6(lpm, ReplayMode::Scalar, threads, s_sum, s_wall),
-        row6(lpm, batch, threads, b_sum, b_wall),
-        speedup,
+/// [`crate::lookup::measure_speedup`] at 128 bits.
+pub fn measure6(lpm: &(dyn Lpm6 + Sync), trace: &Trace6, threads: usize, size: usize) -> Speedup {
+    measure_paired(
+        size,
+        |mode| replay6_once(lpm, trace.destinations(), threads, mode),
+        |mode, sum, wall| row6(lpm, mode, threads, sum, wall),
     )
 }
 
@@ -454,6 +447,13 @@ mod tests {
                 ReplayMode::Batch { size: 32 },
             );
             assert_eq!(scalar, batch);
+            let (counted, _) = replay6_once(
+                &ship,
+                trace.destinations(),
+                threads,
+                ReplayMode::Counted { size: 32 },
+            );
+            assert!(batch.same_next_hops(&counted));
             assert_eq!(scalar.lookups, 4_000);
             assert!(scalar.hits > 0);
         }
@@ -472,7 +472,7 @@ mod tests {
             let table = synthesize6_dfz(routes, 11);
             let trace = dfz_v6_trace(&table, 6_000, 3);
             let result = run_v6_gate(&table, &trace, 1);
-            assert_eq!(result.rows.len(), 4);
+            assert_eq!(result.rows.len(), 6);
             assert_eq!(result.storage_measured, measured, "{routes} routes");
             assert!(
                 !result.failures.iter().any(|f| f.contains("storage")),

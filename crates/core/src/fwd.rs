@@ -158,6 +158,20 @@ impl Lpm for ForwardingTable {
         }
     }
 
+    /// The forwarding path's batch (next hops only), one dispatch per
+    /// batch like [`Lpm::lookup_batch`].
+    fn forward_batch(&self, addrs: &[u32], out: &mut [Option<spal_rib::NextHop>]) {
+        match self {
+            ForwardingTable::Binary(t) => t.forward_batch(addrs, out),
+            ForwardingTable::Dp(t) => t.forward_batch(addrs, out),
+            ForwardingTable::Lulea(t) => t.forward_batch(addrs, out),
+            ForwardingTable::Lc(t) => t.forward_batch(addrs, out),
+            ForwardingTable::Dir24(t) => t.forward_batch(addrs, out),
+            ForwardingTable::Multibit(t) => t.forward_batch(addrs, out),
+            ForwardingTable::Poptrie(t) => t.forward_batch(addrs, out),
+        }
+    }
+
     /// One dispatch to the wrapped engine's incremental patch path; see
     /// [`Lpm::apply_delta`] for the contract. The binary and DP tries
     /// route through their native insert/remove, so every engine the

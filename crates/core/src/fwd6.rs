@@ -71,6 +71,15 @@ impl Lpm6 for ForwardingTable6 {
         }
     }
 
+    /// The forwarding path's batch (next hops only), one dispatch per
+    /// batch like [`Lpm6::lookup_batch`].
+    fn forward_batch(&self, addrs: &[u128], out: &mut [Option<spal_rib::NextHop>]) {
+        match self {
+            ForwardingTable6::Ship(t) => t.forward_batch(addrs, out),
+            ForwardingTable6::Binary(t) => Lpm6::forward_batch(t, addrs, out),
+        }
+    }
+
     /// See [`Lpm6::apply_delta`]: SHIP patches bin-granularly and may
     /// decline (the caller rebuilds); the binary trie never declines.
     fn apply_delta(&mut self, changed: &[Prefix6], rib: &RoutingTable6) -> Option<DeltaStats> {

@@ -21,9 +21,9 @@ use spal_core::{
     select_bits, select_bits6, ForwardingTable, ForwardingTable6, LpmAlgorithm, LpmAlgorithm6,
 };
 use spal_fabric::FabricAddr;
-use spal_lpm::{CountedLookup, DeltaStats, Lpm, Lpm6};
+use spal_lpm::{DeltaStats, Lpm, Lpm6};
 use spal_rib::updates::ChurnAddr;
-use spal_rib::{Prefix, RoutingTable};
+use spal_rib::{NextHop, Prefix, RoutingTable};
 use std::fmt::Debug;
 
 /// One address width of the dataplane.
@@ -49,10 +49,11 @@ pub trait AddrFamily: Copy + Debug + Send + Sync + 'static {
 
     /// Build an engine from a (partitioned) table.
     fn build(algorithm: Self::Algorithm, table: &RoutingTable<Self::Addr>) -> Self::Engine;
-    /// `lookup_counted` of the width's LPM trait.
-    fn lookup_counted(engine: &Self::Engine, addr: Self::Addr) -> CountedLookup;
-    /// `lookup_batch` of the width's LPM trait.
-    fn lookup_batch(engine: &Self::Engine, addrs: &[Self::Addr], out: &mut [CountedLookup]);
+    /// `lookup` of the width's LPM trait.
+    fn lookup(engine: &Self::Engine, addr: Self::Addr) -> Option<NextHop>;
+    /// `forward_batch` of the width's LPM trait: next hops only — the
+    /// dataplane forwards, it does not run the cost model.
+    fn forward_batch(engine: &Self::Engine, addrs: &[Self::Addr], out: &mut [Option<NextHop>]);
     /// `apply_delta` of the width's LPM trait (`None` = declined, the
     /// caller rebuilds).
     fn apply_delta(
@@ -92,13 +93,13 @@ impl AddrFamily for V4 {
     }
 
     #[inline]
-    fn lookup_counted(engine: &ForwardingTable, addr: u32) -> CountedLookup {
-        Lpm::lookup_counted(engine, addr)
+    fn lookup(engine: &ForwardingTable, addr: u32) -> Option<NextHop> {
+        Lpm::lookup(engine, addr)
     }
 
     #[inline]
-    fn lookup_batch(engine: &ForwardingTable, addrs: &[u32], out: &mut [CountedLookup]) {
-        Lpm::lookup_batch(engine, addrs, out)
+    fn forward_batch(engine: &ForwardingTable, addrs: &[u32], out: &mut [Option<NextHop>]) {
+        Lpm::forward_batch(engine, addrs, out)
     }
 
     fn apply_delta(
@@ -134,13 +135,13 @@ impl AddrFamily for V6 {
     }
 
     #[inline]
-    fn lookup_counted(engine: &ForwardingTable6, addr: u128) -> CountedLookup {
-        Lpm6::lookup_counted(engine, addr)
+    fn lookup(engine: &ForwardingTable6, addr: u128) -> Option<NextHop> {
+        Lpm6::lookup(engine, addr)
     }
 
     #[inline]
-    fn lookup_batch(engine: &ForwardingTable6, addrs: &[u128], out: &mut [CountedLookup]) {
-        Lpm6::lookup_batch(engine, addrs, out)
+    fn forward_batch(engine: &ForwardingTable6, addrs: &[u128], out: &mut [Option<NextHop>]) {
+        Lpm6::forward_batch(engine, addrs, out)
     }
 
     fn apply_delta(

@@ -4,7 +4,7 @@
 //! ψ LC worker threads each own their ROT-partition forwarding engine
 //! and LR-cache, exchange home-LC request/reply messages over bounded
 //! lock-free SPSC rings ([`spal_fabric::spsc`]), and drain packet
-//! batches through the engines' `lookup_batch` path. A control-plane
+//! batches through the engines' `forward_batch` path. A control-plane
 //! thread consumes a BGP update stream and republishes forwarding
 //! snapshots through an epoch-based RCU layer ([`epoch`]) — readers
 //! never block, and cache invalidation after a publication is either

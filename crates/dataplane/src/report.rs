@@ -176,8 +176,8 @@ pub struct WorkerReport {
     /// Replies whose table version predated a processed invalidation —
     /// completed but deliberately not cached.
     pub stale_replies: u64,
-    /// Batch results cross-checked against scalar `lookup_counted` on
-    /// the same pinned snapshot.
+    /// `forward_batch` next hops cross-checked against the scalar
+    /// `lookup` on the same pinned snapshot.
     pub spot_checks: u64,
     /// Spot checks that disagreed (must be zero).
     pub spot_check_mismatches: u64,

@@ -7,7 +7,7 @@
 //! insert/withdraw, and is generic over address width so the IPv6
 //! extension (§6) can reuse it unchanged.
 
-use crate::{CountedLookup, DeltaStats, LineSet, Lpm, Lpm6, BATCH_LANES};
+use crate::{CountedLookup, DeltaStats, Lpm, Lpm6, Tally, Walk, BATCH_LANES};
 use spal_rib::bits::AddressBits;
 use spal_rib::{NextHop, Prefix, RoutingTable};
 
@@ -136,58 +136,59 @@ impl<A: AddressBits> GenericBinaryTrie<A> {
     /// a [`NODE_BYTES`]-byte record at `index * NODE_BYTES` in the arena;
     /// records straddling a 64-byte boundary touch two lines.
     pub fn lookup_counted_generic(&self, addr: A) -> CountedLookup {
+        crate::walk_one::<_, crate::Counted>(self, addr)
+    }
+
+    /// Longest-prefix match for any address width.
+    pub fn lookup_generic(&self, addr: A) -> Option<NextHop> {
+        crate::walk_one::<_, crate::Forward>(self, addr)
+    }
+}
+
+impl<A: AddressBits> Walk for GenericBinaryTrie<A> {
+    type Addr = A;
+
+    fn walk<T: Tally>(&self, addr: A, t: &mut T) -> T::Out {
         let mut node = 0usize;
         let mut best = self.nodes[0].route;
-        let mut accesses = 1u32; // root read
-        let mut lines = LineSet::new();
-        lines.touch(REGION_NODES, 0, NODE_BYTES);
+        t.read(REGION_NODES, 0, NODE_BYTES); // root read
         for i in 0..A::BITS {
             let child = self.nodes[node].children[addr.bit(i) as usize];
             if child == NONE {
                 break;
             }
             node = child as usize;
-            accesses += 1;
-            lines.touch(REGION_NODES, node * NODE_BYTES, NODE_BYTES);
+            t.read(REGION_NODES, node * NODE_BYTES, NODE_BYTES);
             if let Some(nh) = self.nodes[node].route {
                 best = Some(nh);
             }
         }
-        CountedLookup {
-            next_hop: best,
-            mem_accesses: accesses,
-            lines_touched: lines.count(),
-        }
+        t.done(best)
     }
 
-    /// Longest-prefix match for any address width.
-    pub fn lookup_generic(&self, addr: A) -> Option<NextHop> {
-        self.lookup_counted_generic(addr).next_hop
-    }
-
-    /// One interleaved group of [`BATCH_LANES`] lookups. Each round
-    /// advances every still-active lane one trie level, so the four
-    /// dependent child-pointer loads are in flight together instead of
-    /// one walk stalling to completion before the next starts. Per-lane
-    /// steps mirror [`GenericBinaryTrie::lookup_counted_generic`]
-    /// exactly, access counts included. Only the IPv4 `lookup_batch`
-    /// uses it: at 128 levels the lane bookkeeping costs more than the
-    /// overlap buys (0.55× the scalar loop at DFZ scale), and no timed
-    /// path runs the `u128` trie.
-    fn lookup_quad_generic(&self, addrs: [A; BATCH_LANES]) -> [CountedLookup; BATCH_LANES] {
+    /// Each round advances every still-active lane one trie level, so
+    /// the dependent child-pointer loads are in flight together instead
+    /// of one walk stalling to completion before the next starts. Only
+    /// the IPv4 trie batches through it: at 128 levels the lane
+    /// bookkeeping costs more than the overlap buys (0.55× the scalar
+    /// loop at DFZ scale), and no timed path runs the `u128` trie.
+    fn group<T: Tally, const N: usize>(
+        &self,
+        addrs: &[A; N],
+        t: &mut [T; N],
+        out: &mut [T::Out; N],
+    ) {
         let nodes = &self.nodes;
-        let mut node = [0usize; BATCH_LANES];
-        let mut best = [nodes[0].route; BATCH_LANES];
-        let mut acc = [1u32; BATCH_LANES]; // root read
-        let mut depth = [0u8; BATCH_LANES];
-        let mut active = [true; BATCH_LANES];
-        let mut lines: [LineSet; BATCH_LANES] = std::array::from_fn(|_| LineSet::new());
-        for l in &mut lines {
-            l.touch(REGION_NODES, 0, NODE_BYTES);
+        let mut node = [0usize; N];
+        let mut best = [nodes[0].route; N];
+        let mut depth = [0u8; N];
+        let mut active = [true; N];
+        for lane in t.iter_mut() {
+            lane.read(REGION_NODES, 0, NODE_BYTES); // root read
         }
         loop {
             let mut any = false;
-            for l in 0..BATCH_LANES {
+            for l in 0..N {
                 if !active[l] {
                     continue;
                 }
@@ -201,8 +202,7 @@ impl<A: AddressBits> GenericBinaryTrie<A> {
                     continue;
                 }
                 node[l] = child as usize;
-                acc[l] += 1;
-                lines[l].touch(REGION_NODES, node[l] * NODE_BYTES, NODE_BYTES);
+                t[l].read(REGION_NODES, node[l] * NODE_BYTES, NODE_BYTES);
                 if let Some(nh) = nodes[node[l]].route {
                     best[l] = Some(nh);
                 }
@@ -213,11 +213,9 @@ impl<A: AddressBits> GenericBinaryTrie<A> {
                 break;
             }
         }
-        std::array::from_fn(|l| CountedLookup {
-            next_hop: best[l],
-            mem_accesses: acc[l],
-            lines_touched: lines[l].count(),
-        })
+        for l in 0..N {
+            out[l] = t[l].done(best[l]);
+        }
     }
 }
 
@@ -251,6 +249,10 @@ impl<A: AddressBits> GenericBinaryTrie<A> {
 }
 
 impl Lpm6 for GenericBinaryTrie<u128> {
+    fn lookup(&self, addr: u128) -> Option<NextHop> {
+        self.lookup_generic(addr)
+    }
+
     fn lookup_counted(&self, addr: u128) -> CountedLookup {
         self.lookup_counted_generic(addr)
     }
@@ -273,13 +275,7 @@ impl Lpm6 for GenericBinaryTrie<u128> {
 }
 
 impl Lpm for BinaryTrie {
-    fn lookup_counted(&self, addr: u32) -> CountedLookup {
-        self.lookup_counted_generic(addr)
-    }
-
-    fn lookup_batch(&self, addrs: &[u32], out: &mut [CountedLookup]) {
-        crate::run_quads(self, addrs, out, BinaryTrie::lookup_quad_generic);
-    }
+    walk_lookups!(u32, BATCH_LANES);
 
     fn apply_delta(&mut self, changed: &[Prefix], rib: &RoutingTable) -> Option<DeltaStats> {
         self.apply_delta_generic(changed, rib)

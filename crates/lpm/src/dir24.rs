@@ -9,7 +9,9 @@
 //! (> 32 Mbytes)" — the antithesis of SPAL's small-SRAM goal — while
 //! lookups run at memory speed.
 
-use crate::{prefetch_slice, CountedLookup, DeltaStats, Lpm};
+use crate::{
+    prefetch_slice, Counted, CountedLookup, DeltaStats, Forward, Lpm, Tally, LENGTH_MISMATCH,
+};
 use spal_rib::{NextHop, Prefix, RouteEntry, RoutingTable};
 
 /// First-level entries: 15-bit payload plus a "long" flag, as in the
@@ -248,38 +250,20 @@ impl Dir24_8 {
 /// miss pipeline full without racing past the prefetcher's usefulness.
 const PREFETCH_AHEAD: usize = 8;
 
-impl Lpm for Dir24_8 {
-    /// Uncounted fast path: same two table reads, no `CountedLookup`
-    /// bookkeeping on the (dominant) single-access branch.
-    fn lookup(&self, addr: u32) -> Option<NextHop> {
-        let e = self.tbl24[(addr >> 8) as usize];
-        let v = if e & LONG_FLAG == 0 {
-            e
-        } else {
-            self.tbl_long[(e & !LONG_FLAG) as usize * 256 + (addr & 0xFF) as usize]
-        };
-        (v != MISS).then_some(NextHop(v))
-    }
-
-    /// Both tables hold aligned 2-byte entries (2 divides 64, and the two
-    /// tables are distinct line regions), so an access never straddles a
-    /// line and `lines_touched == mem_accesses` with no dedup set needed.
-    fn lookup_counted(&self, addr: u32) -> CountedLookup {
-        let e = self.tbl24[(addr >> 8) as usize];
-        if e & LONG_FLAG == 0 {
-            return CountedLookup {
-                next_hop: (e != MISS).then_some(NextHop(e)),
-                mem_accesses: 1,
-                lines_touched: 1,
-            };
+impl Dir24_8 {
+    /// The descent: one `tbl24` read, plus one `tbl_long` read under a
+    /// spilled /24. Both tables hold aligned 2-byte entries (2 divides
+    /// 64) and are distinct arrays, so each read has a line to itself
+    /// and `lines_touched == mem_accesses`.
+    #[inline]
+    fn walk<T: Tally>(&self, addr: u32, t: &mut T) -> T::Out {
+        t.read_own_line();
+        let mut v = self.tbl24[(addr >> 8) as usize];
+        if v & LONG_FLAG != 0 {
+            t.read_own_line();
+            v = self.tbl_long[(v & !LONG_FLAG) as usize * 256 + (addr & 0xFF) as usize];
         }
-        let seg = (e & !LONG_FLAG) as usize;
-        let v = self.tbl_long[seg * 256 + (addr & 0xFF) as usize];
-        CountedLookup {
-            next_hop: (v != MISS).then_some(NextHop(v)),
-            mem_accesses: 2,
-            lines_touched: 2,
-        }
+        t.done((v != MISS).then_some(NextHop(v)))
     }
 
     /// Index-ahead batch path: the first level is a single dependent
@@ -287,33 +271,34 @@ impl Lpm for Dir24_8 {
     /// prefetch the `tbl24` line `PREFETCH_AHEAD` addresses before it
     /// is needed, then resolve in a tight loop the compiler keeps free
     /// of per-call overhead.
-    fn lookup_batch(&self, addrs: &[u32], out: &mut [CountedLookup]) {
-        assert_eq!(
-            addrs.len(),
-            out.len(),
-            "lookup_batch: addrs and out must have equal lengths"
-        );
+    fn lanes<T: Tally>(&self, addrs: &[u32], out: &mut [T::Out]) {
+        assert_eq!(addrs.len(), out.len(), "{LENGTH_MISMATCH}");
+        let mut t = T::new();
         for (i, (&addr, o)) in addrs.iter().zip(out.iter_mut()).enumerate() {
             if let Some(&ahead) = addrs.get(i + PREFETCH_AHEAD) {
                 prefetch_slice(&self.tbl24, (ahead >> 8) as usize);
             }
-            let e = self.tbl24[(addr >> 8) as usize];
-            *o = if e & LONG_FLAG == 0 {
-                CountedLookup {
-                    next_hop: (e != MISS).then_some(NextHop(e)),
-                    mem_accesses: 1,
-                    lines_touched: 1,
-                }
-            } else {
-                let seg = (e & !LONG_FLAG) as usize;
-                let v = self.tbl_long[seg * 256 + (addr & 0xFF) as usize];
-                CountedLookup {
-                    next_hop: (v != MISS).then_some(NextHop(v)),
-                    mem_accesses: 2,
-                    lines_touched: 2,
-                }
-            };
+            t.clear();
+            *o = self.walk(addr, &mut t);
         }
+    }
+}
+
+impl Lpm for Dir24_8 {
+    fn lookup(&self, addr: u32) -> Option<NextHop> {
+        self.walk(addr, &mut Forward)
+    }
+
+    fn lookup_counted(&self, addr: u32) -> CountedLookup {
+        self.walk(addr, &mut Counted::new())
+    }
+
+    fn lookup_batch(&self, addrs: &[u32], out: &mut [CountedLookup]) {
+        self.lanes::<Counted>(addrs, out)
+    }
+
+    fn forward_batch(&self, addrs: &[u32], out: &mut [Option<NextHop>]) {
+        self.lanes::<Forward>(addrs, out)
     }
 
     /// Direct range-write patching — the update path DIR-24-8 was

@@ -15,7 +15,7 @@
 //! condensed to the standard radix insert/withdraw with node splitting and
 //! pruning; no experiment in the paper exercises more.
 
-use crate::{CountedLookup, LineSet, Lpm, BATCH_LANES};
+use crate::{CountedLookup, Lpm, Tally, Walk, BATCH_LANES};
 use spal_rib::{NextHop, Prefix, RoutingTable};
 
 /// Bytes per DP-trie node under the paper's model (§4): 1 index byte +
@@ -279,76 +279,24 @@ impl BitAt for u32 {
 }
 
 impl DpTrie {
-    /// One interleaved group of [`BATCH_LANES`] lookups: each round runs
-    /// exactly one iteration of the scalar descent (route check, branch
-    /// bit, child read, label compare) on every still-active lane, so
-    /// the four path-compressed chains' node reads overlap. Per-lane
-    /// logic mirrors [`DpTrie::lookup_counted`] step for step.
-    fn lookup_quad(&self, addrs: [u32; BATCH_LANES]) -> [CountedLookup; BATCH_LANES] {
-        let nodes = &self.nodes;
-        let mut cur = [0usize; BATCH_LANES];
-        let mut best: [Option<NextHop>; BATCH_LANES] = [None; BATCH_LANES];
-        let mut acc = [1u32; BATCH_LANES]; // root node read
-        let mut active = [true; BATCH_LANES];
-        let mut lines: [LineSet; BATCH_LANES] = std::array::from_fn(|_| LineSet::new());
-        for l in &mut lines {
-            l.touch(REGION_NODES, 0, DP_NODE_BYTES);
+    /// Close a walk whose deepest match is `best`, tallying the next-hop
+    /// (data pointer) read on a match.
+    #[inline]
+    fn finish<T: Tally>(best: Option<NextHop>, t: &mut T) -> T::Out {
+        if let Some(nh) = best {
+            t.read(REGION_NH, nh.0 as usize * NH_DATA_BYTES, NH_DATA_BYTES);
         }
-        loop {
-            let mut any = false;
-            for l in 0..BATCH_LANES {
-                if !active[l] {
-                    continue;
-                }
-                let n = &nodes[cur[l]];
-                if let Some(nh) = n.route {
-                    best[l] = Some(nh);
-                }
-                if n.key_len >= 32 {
-                    active[l] = false;
-                    continue;
-                }
-                let child = n.children[addrs[l].bit(n.key_len) as usize];
-                if child == NONE {
-                    active[l] = false;
-                    continue;
-                }
-                let c = &nodes[child as usize];
-                acc[l] += 1;
-                lines[l].touch(REGION_NODES, child as usize * DP_NODE_BYTES, DP_NODE_BYTES);
-                if addrs[l] & mask(c.key_len) != c.key_bits {
-                    active[l] = false;
-                    continue;
-                }
-                cur[l] = child as usize;
-                any = true;
-            }
-            if !any {
-                break;
-            }
-        }
-        std::array::from_fn(|l| {
-            if let Some(nh) = best[l] {
-                lines[l].touch(REGION_NH, nh.0 as usize * NH_DATA_BYTES, NH_DATA_BYTES);
-            }
-            CountedLookup {
-                next_hop: best[l],
-                // Next-hop (data pointer) read on a match, as in the
-                // scalar path.
-                mem_accesses: acc[l] + best[l].is_some() as u32,
-                lines_touched: lines[l].count(),
-            }
-        })
+        t.done(best)
     }
 }
 
-impl Lpm for DpTrie {
-    fn lookup_counted(&self, addr: u32) -> CountedLookup {
+impl Walk for DpTrie {
+    type Addr = u32;
+
+    fn walk<T: Tally>(&self, addr: u32, t: &mut T) -> T::Out {
         let mut cur = 0u32;
         let mut best: Option<NextHop> = None;
-        let mut accesses = 1u32; // root node read
-        let mut lines = LineSet::new();
-        lines.touch(REGION_NODES, 0, DP_NODE_BYTES);
+        t.read(REGION_NODES, 0, DP_NODE_BYTES); // root node read
         loop {
             let n = &self.nodes[cur as usize];
             // `cur`'s label is guaranteed to match `addr` (checked before
@@ -366,8 +314,7 @@ impl Lpm for DpTrie {
             // One access reads the child node — its label (index/key) and
             // pointers come in the same 21-byte read.
             let c = &self.nodes[child as usize];
-            accesses += 1;
-            lines.touch(REGION_NODES, child as usize * DP_NODE_BYTES, DP_NODE_BYTES);
+            t.read(REGION_NODES, child as usize * DP_NODE_BYTES, DP_NODE_BYTES);
             if addr & mask(c.key_len) != c.key_bits {
                 // Path compression skipped over a divergence; the deepest
                 // match seen so far is the answer ([8]'s backtrack ends
@@ -377,20 +324,66 @@ impl Lpm for DpTrie {
             }
             cur = child;
         }
-        if let Some(nh) = best {
-            accesses += 1; // next-hop (data pointer) read
-            lines.touch(REGION_NH, nh.0 as usize * NH_DATA_BYTES, NH_DATA_BYTES);
-        }
-        CountedLookup {
-            next_hop: best,
-            mem_accesses: accesses,
-            lines_touched: lines.count(),
-        }
+        Self::finish(best, t)
     }
 
-    fn lookup_batch(&self, addrs: &[u32], out: &mut [CountedLookup]) {
-        crate::run_quads(self, addrs, out, DpTrie::lookup_quad);
+    /// Each round runs exactly one iteration of the scalar descent
+    /// (route check, branch bit, child read, label compare) on every
+    /// still-active lane, so the path-compressed chains' node reads
+    /// overlap.
+    fn group<T: Tally, const N: usize>(
+        &self,
+        addrs: &[u32; N],
+        t: &mut [T; N],
+        out: &mut [T::Out; N],
+    ) {
+        let nodes = &self.nodes;
+        let mut cur = [0usize; N];
+        let mut best: [Option<NextHop>; N] = [None; N];
+        let mut active = [true; N];
+        for lane in t.iter_mut() {
+            lane.read(REGION_NODES, 0, DP_NODE_BYTES); // root node read
+        }
+        loop {
+            let mut any = false;
+            for l in 0..N {
+                if !active[l] {
+                    continue;
+                }
+                let n = &nodes[cur[l]];
+                if let Some(nh) = n.route {
+                    best[l] = Some(nh);
+                }
+                if n.key_len >= 32 {
+                    active[l] = false;
+                    continue;
+                }
+                let child = n.children[addrs[l].bit(n.key_len) as usize];
+                if child == NONE {
+                    active[l] = false;
+                    continue;
+                }
+                let c = &nodes[child as usize];
+                t[l].read(REGION_NODES, child as usize * DP_NODE_BYTES, DP_NODE_BYTES);
+                if addrs[l] & mask(c.key_len) != c.key_bits {
+                    active[l] = false;
+                    continue;
+                }
+                cur[l] = child as usize;
+                any = true;
+            }
+            if !any {
+                break;
+            }
+        }
+        for l in 0..N {
+            out[l] = Self::finish(best[l], &mut t[l]);
+        }
     }
+}
+
+impl Lpm for DpTrie {
+    walk_lookups!(u32, BATCH_LANES);
 
     /// The DP trie is natively incremental (\[8\]'s whole point): each
     /// change replays through [`DpTrie::insert`]/[`DpTrie::remove`].

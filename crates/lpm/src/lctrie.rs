@@ -13,7 +13,7 @@
 //! correct (see `lookup_counted`). Branching never inspects bits past the
 //! shortest string in a range, so no leaf prefix can be skipped over.
 
-use crate::{CountedLookup, DeltaStats, LineSet, Lpm, BATCH_LANES};
+use crate::{CountedLookup, DeltaStats, Lpm, Tally, Walk, BATCH_LANES};
 use spal_rib::{NextHop, Prefix, RoutingTable};
 use std::collections::{HashMap, HashSet};
 
@@ -835,13 +835,7 @@ fn has_proper_descendant(
 }
 
 impl Lpm for LcTrie {
-    fn lookup_counted(&self, addr: u32) -> CountedLookup {
-        self.lookup_inner(addr)
-    }
-
-    fn lookup_batch(&self, addrs: &[u32], out: &mut [CountedLookup]) {
-        crate::run_quads(self, addrs, out, LcTrie::lookup_quad);
-    }
+    walk_lookups!(u32, BATCH_LANES);
 
     /// Dirty-subtrie patching. Leaf announces, withdrawals and
     /// re-targets rebuild only the deepest covering node's subtree;
@@ -877,121 +871,92 @@ impl Lpm for LcTrie {
 }
 
 impl LcTrie {
-    fn lookup_inner(&self, addr: u32) -> CountedLookup {
-        let mut accesses = 1u32; // root read
-        let mut lines = LineSet::new();
-        lines.touch(REGION_NODES, 0, NODE_BYTES);
-        let mut node = self.nodes[0];
-        let mut pos = 0u8;
-        while node.branch != 0 {
-            pos += node.skip;
-            let shift = 32 - pos as u32 - node.branch as u32;
-            let idx = ((addr >> shift) as usize) & ((1 << node.branch) - 1);
-            pos += node.branch;
-            lines.touch(
-                REGION_NODES,
-                (node.adr as usize + idx) * NODE_BYTES,
-                NODE_BYTES,
-            );
-            node = self.nodes[node.adr as usize + idx];
-            accesses += 1;
-        }
-        self.finish_lookup(addr, node, accesses, lines)
+    /// One level of the trie walk: from branching node `node` with `pos`
+    /// address bits consumed, read the child `addr` selects.
+    #[inline]
+    fn child<T: Tally>(&self, addr: u32, node: Node, pos: &mut u8, t: &mut T) -> Node {
+        *pos += node.skip;
+        let shift = 32 - *pos as u32 - node.branch as u32;
+        let idx = node.adr as usize + (((addr >> shift) as usize) & ((1 << node.branch) - 1));
+        *pos += node.branch;
+        t.read(REGION_NODES, idx * NODE_BYTES, NODE_BYTES);
+        self.nodes[idx]
     }
 
     /// Resolve a finished trie walk: base-vector read, full-match test,
     /// then the prefix-chain fallback. Shared between the scalar and
-    /// batch paths so both count accesses (and touched lines)
-    /// identically.
-    fn finish_lookup(
-        &self,
-        addr: u32,
-        node: Node,
-        mut accesses: u32,
-        mut lines: LineSet,
-    ) -> CountedLookup {
+    /// batch paths so both tally identically.
+    fn finish_lookup<T: Tally>(&self, addr: u32, node: Node, t: &mut T) -> T::Out {
         if node.adr == NONE {
-            return CountedLookup {
-                next_hop: None,
-                mem_accesses: accesses,
-                lines_touched: lines.count(),
-            };
+            return t.done(None);
         }
+        t.read(REGION_BASE, node.adr as usize * BASE_BYTES, BASE_BYTES);
         let entry = self.base[node.adr as usize];
-        accesses += 1; // base-vector read
-        lines.touch(REGION_BASE, node.adr as usize * BASE_BYTES, BASE_BYTES);
         // Leading bits on which the address agrees with the leaf string.
         let common = ((addr ^ entry.bits).leading_zeros() as u8).min(32);
         if common >= entry.len {
             // The leaf prefix matches in full: it is the longest match.
-            return CountedLookup {
-                next_hop: Some(entry.next_hop),
-                mem_accesses: accesses,
-                lines_touched: lines.count(),
-            };
+            return t.done(Some(entry.next_hop));
         }
         // Fall back through the chain of internal ancestors: the deepest
         // one fitting within the agreed bits matches the address.
         let mut chain = entry.chain;
         while chain != NONE {
+            t.read(REGION_PREFIX, chain as usize * PREFIX_BYTES, PREFIX_BYTES);
             let p = self.prefixes[chain as usize];
-            accesses += 1; // prefix-vector read
-            lines.touch(REGION_PREFIX, chain as usize * PREFIX_BYTES, PREFIX_BYTES);
             if p.len <= common {
-                return CountedLookup {
-                    next_hop: Some(p.next_hop),
-                    mem_accesses: accesses,
-                    lines_touched: lines.count(),
-                };
+                return t.done(Some(p.next_hop));
             }
             chain = p.chain;
         }
-        CountedLookup {
-            next_hop: None,
-            mem_accesses: accesses,
-            lines_touched: lines.count(),
+        t.done(None)
+    }
+}
+
+impl Walk for LcTrie {
+    type Addr = u32;
+
+    fn walk<T: Tally>(&self, addr: u32, t: &mut T) -> T::Out {
+        t.read(REGION_NODES, 0, NODE_BYTES); // root read
+        let mut node = self.nodes[0];
+        let mut pos = 0u8;
+        while node.branch != 0 {
+            node = self.child(addr, node, &mut pos, t);
         }
+        self.finish_lookup(addr, node, t)
     }
 
-    /// One interleaved group of [`BATCH_LANES`] lookups. The level walk
-    /// advances each still-branching lane one node per round so the four
-    /// dependent child-array reads overlap; finished lanes park on their
-    /// leaf until the group drains, then every lane resolves through
-    /// [`LcTrie::finish_lookup`] — the same code the scalar path runs, so
-    /// results and access counts are identical by construction.
-    fn lookup_quad(&self, addrs: [u32; BATCH_LANES]) -> [CountedLookup; BATCH_LANES] {
-        let nodes = &self.nodes;
-        let mut node = [nodes[0]; BATCH_LANES];
-        let mut pos = [0u8; BATCH_LANES];
-        let mut acc = [1u32; BATCH_LANES]; // root read
-        let mut lines: [LineSet; BATCH_LANES] = std::array::from_fn(|_| LineSet::new());
-        for l in &mut lines {
-            l.touch(REGION_NODES, 0, NODE_BYTES);
+    /// The level walk advances each still-branching lane one node per
+    /// round so the dependent child-array reads overlap; finished lanes
+    /// park on their leaf until the group drains, then every lane
+    /// resolves through [`LcTrie::finish_lookup`].
+    fn group<T: Tally, const N: usize>(
+        &self,
+        addrs: &[u32; N],
+        t: &mut [T; N],
+        out: &mut [T::Out; N],
+    ) {
+        let mut node = [self.nodes[0]; N];
+        let mut pos = [0u8; N];
+        for lane in t.iter_mut() {
+            lane.read(REGION_NODES, 0, NODE_BYTES); // root read
         }
         loop {
             let mut any = false;
-            for l in 0..BATCH_LANES {
+            for l in 0..N {
                 if node[l].branch == 0 {
                     continue;
                 }
-                pos[l] += node[l].skip;
-                let shift = 32 - pos[l] as u32 - node[l].branch as u32;
-                let idx = ((addrs[l] >> shift) as usize) & ((1 << node[l].branch) - 1);
-                pos[l] += node[l].branch;
-                lines[l].touch(
-                    REGION_NODES,
-                    (node[l].adr as usize + idx) * NODE_BYTES,
-                    NODE_BYTES,
-                );
-                node[l] = nodes[node[l].adr as usize + idx];
-                acc[l] += 1;
+                node[l] = self.child(addrs[l], node[l], &mut pos[l], &mut t[l]);
                 any = true;
             }
             if !any {
                 break;
             }
         }
-        std::array::from_fn(|l| self.finish_lookup(addrs[l], node[l], acc[l], lines[l].clone()))
+        for l in 0..N {
+            out[l] = self.finish_lookup(addrs[l], node[l], &mut t[l]);
+        }
     }
 }
 

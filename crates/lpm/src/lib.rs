@@ -1,8 +1,9 @@
 //! Longest-prefix-match (LPM) algorithms for the SPAL reproduction.
 //!
 //! The paper's forwarding engines run a software matching algorithm over a
-//! trie held in SRAM; §4 and §5.1 evaluate three published structures,
-//! all implemented here from scratch:
+//! trie held in SRAM. Eight structures are implemented here from scratch:
+//! the three §4 and §5.1 evaluate, the two §2 baselines, the reference
+//! trie, and the two modern engines the threaded dataplane runs.
 //!
 //! * [`dp::DpTrie`] — the *dynamic prefix trie* of Doeringer, Karjoth &
 //!   Nassehi \[8\]: a path-compressed binary trie whose nodes carry one
@@ -13,13 +14,63 @@
 //!   base-index + maptable machinery, averaging ≈6–7 accesses per lookup.
 //! * [`lctrie::LcTrie`] — the level-compressed trie of Nilsson & Karlsson
 //!   \[12\] with a configurable fill factor (the paper uses 0.25).
+//! * [`dir24::Dir24_8`] — DIR-24-8-BASIC of Gupta, Lin & McKeown \[10\]
+//!   (§2.1): one or two reads per lookup out of a > 32 MB table.
+//! * [`multibit::MultibitTrie`] — a fixed-stride multibit trie with
+//!   controlled prefix expansion (§2.1's "multiple-bit inspection",
+//!   ref \[15\]), the structure `exp_strides` sweeps.
 //! * [`binary::BinaryTrie`] — a plain bitwise trie used as the reference
 //!   implementation and for IPv6 (it is generic over address width).
+//! * [`poptrie::Poptrie`] — a cache-line-packed 16/8/8 multibit trie with
+//!   popcount-ranked nodes, after Asai & Ohara.
+//! * [`ship::Ship6`] — the SHIP-class two-level IPv6 engine: 2^16
+//!   address-block bins over hybrid dense/sparse tries.
 //!
-//! Every structure implements [`Lpm`], which exposes the two quantities
-//! the paper's experiments need besides the lookup result itself: the
-//! number of memory accesses the lookup performed and the storage the
-//! structure occupies under the paper's byte models.
+//! Every structure implements [`Lpm`] (or [`Lpm6`] at the 128-bit width),
+//! which exposes the two quantities the paper's experiments need besides
+//! the lookup result itself: the number of memory accesses the lookup
+//! performed and the storage the structure occupies under the paper's
+//! byte models.
+//!
+//! # What is modelled and what the dataplane pays
+//!
+//! The paper counts memory accesses to *model* its forwarding engine
+//! (§5.1's 40-cycle Lulea and 62-cycle DP figures); the engine itself
+//! does not count while it forwards. Each descent here is therefore
+//! written once, generic over a crate-private tally of the reads it
+//! makes, and instantiated twice. The *counted* instantiation
+//! ([`Lpm::lookup_counted`], [`Lpm::lookup_batch`]) fills in
+//! [`CountedLookup::mem_accesses`] and deduplicates the touched cache
+//! lines in a [`LineSet`]; the simulator, the `exp_*` experiments and the
+//! line-budget tests read those numbers. The *forwarding* instantiation
+//! ([`Lpm::lookup`], [`Lpm::forward_batch`]) tallies into a zero-sized
+//! type whose methods are empty, so the same walk compiles down to its
+//! loads and yields the bare next hop; that is what the threaded
+//! dataplane's `fe_flush` runs. Next hops are identical between the two
+//! by construction: they are one function body.
+
+/// The four lookup entry points of an engine whose descent is a
+/// [`Walk`]: the scalar and `$wide`-lane batched walk, each instantiated
+/// at the forwarding and at the counted tally.
+macro_rules! walk_lookups {
+    ($addr:ty, $wide:expr) => {
+        fn lookup(&self, addr: $addr) -> Option<NextHop> {
+            crate::walk_one::<_, crate::Forward>(self, addr)
+        }
+
+        fn lookup_counted(&self, addr: $addr) -> CountedLookup {
+            crate::walk_one::<_, crate::Counted>(self, addr)
+        }
+
+        fn lookup_batch(&self, addrs: &[$addr], out: &mut [CountedLookup]) {
+            crate::walk_batch::<_, crate::Counted, { $wide }>(self, addrs, out)
+        }
+
+        fn forward_batch(&self, addrs: &[$addr], out: &mut [Option<NextHop>]) {
+            crate::walk_batch::<_, crate::Forward, { $wide }>(self, addrs, out)
+        }
+    };
+}
 
 pub mod binary;
 pub mod delta;
@@ -156,6 +207,195 @@ impl LineSet {
     }
 }
 
+/// What a descent records about the memory it reads. Every engine's walk
+/// is generic over this, so the counted and the forwarding lookups are
+/// one function body (see the crate docs).
+pub(crate) trait Tally {
+    /// What a finished walk yields.
+    type Out: Copy;
+
+    /// An empty tally.
+    fn new() -> Self;
+
+    /// Forget everything recorded, ready for the next walk.
+    fn clear(&mut self);
+
+    /// Record `n` memory accesses.
+    fn access(&mut self, n: u32);
+
+    /// Record that `bytes` bytes at `byte_offset` of the array tagged
+    /// `region` were read (see [`LineSet::touch`]).
+    fn touch(&mut self, region: u32, byte_offset: usize, bytes: usize);
+
+    /// One access reading one record: [`Tally::access`] + [`Tally::touch`].
+    #[inline(always)]
+    fn read(&mut self, region: u32, byte_offset: usize, bytes: usize) {
+        self.access(1);
+        self.touch(region, byte_offset, bytes);
+    }
+
+    /// One access to a line no other read of the walk can share or
+    /// straddle into — counted without a dedup scan.
+    fn read_own_line(&mut self);
+
+    /// Close the walk with its result.
+    fn done(&self, next_hop: Option<NextHop>) -> Self::Out;
+}
+
+/// The cost-model tally: counts accesses and deduplicates touched lines,
+/// yielding a full [`CountedLookup`].
+pub(crate) struct Counted {
+    accesses: u32,
+    own_lines: u32,
+    lines: LineSet,
+}
+
+impl Tally for Counted {
+    type Out = CountedLookup;
+
+    fn new() -> Self {
+        Counted {
+            accesses: 0,
+            own_lines: 0,
+            lines: LineSet::new(),
+        }
+    }
+
+    #[inline]
+    fn clear(&mut self) {
+        self.accesses = 0;
+        self.own_lines = 0;
+        self.lines.clear();
+    }
+
+    #[inline]
+    fn access(&mut self, n: u32) {
+        self.accesses += n;
+    }
+
+    #[inline]
+    fn touch(&mut self, region: u32, byte_offset: usize, bytes: usize) {
+        self.lines.touch(region, byte_offset, bytes);
+    }
+
+    #[inline]
+    fn read_own_line(&mut self) {
+        self.accesses += 1;
+        self.own_lines += 1;
+    }
+
+    #[inline]
+    fn done(&self, next_hop: Option<NextHop>) -> CountedLookup {
+        CountedLookup {
+            next_hop,
+            mem_accesses: self.accesses,
+            lines_touched: self.own_lines + self.lines.count(),
+        }
+    }
+}
+
+/// The forwarding tally: records nothing and occupies nothing, so a walk
+/// instantiated with it is just its loads.
+pub(crate) struct Forward;
+
+impl Tally for Forward {
+    type Out = Option<NextHop>;
+
+    #[inline(always)]
+    fn new() -> Self {
+        Forward
+    }
+
+    #[inline(always)]
+    fn clear(&mut self) {}
+
+    #[inline(always)]
+    fn access(&mut self, _n: u32) {}
+
+    #[inline(always)]
+    fn touch(&mut self, _region: u32, _byte_offset: usize, _bytes: usize) {}
+
+    #[inline(always)]
+    fn read_own_line(&mut self) {}
+
+    #[inline(always)]
+    fn done(&self, next_hop: Option<NextHop>) -> Option<NextHop> {
+        next_hop
+    }
+}
+
+/// An engine's descent, written once over a [`Tally`]. The caller hands
+/// in cleared tallies.
+pub(crate) trait Walk {
+    /// The address width walked.
+    type Addr: Copy;
+
+    /// One descent.
+    fn walk<T: Tally>(&self, addr: Self::Addr, t: &mut T) -> T::Out;
+
+    /// `N` interleaved descents, lane `l` tallying into `t[l]` — the VPP
+    /// `lookup_four` shape: the lanes' dependent loads overlap instead of
+    /// serializing. Per-lane steps must mirror [`Walk::walk`] read for
+    /// read, so counts are bit-identical between the two.
+    fn group<T: Tally, const N: usize>(
+        &self,
+        addrs: &[Self::Addr; N],
+        t: &mut [T; N],
+        out: &mut [T::Out; N],
+    );
+}
+
+/// One scalar lookup through `engine`'s walk.
+#[inline]
+fn walk_one<E: Walk, T: Tally>(engine: &E, addr: E::Addr) -> T::Out {
+    engine.walk(addr, &mut T::new())
+}
+
+/// Shared driver for the engines' batch paths: `WIDE`-lane groups while
+/// they last, then [`BATCH_LANES`]-lane groups, then the scalar walk for
+/// the unaligned tail. Each stage allocates its tallies once per call and
+/// clears them per group ([`LineSet::clear`] writes nothing), so the
+/// counted path does not re-zero a [`LineSet`] per lane per group.
+fn walk_batch<E: Walk, T: Tally, const WIDE: usize>(
+    engine: &E,
+    addrs: &[E::Addr],
+    out: &mut [T::Out],
+) {
+    assert_eq!(addrs.len(), out.len(), "{LENGTH_MISMATCH}");
+    let (wide, rest) = addrs.as_chunks::<WIDE>();
+    let (wide_out, rest_out) = out.as_chunks_mut::<WIDE>();
+    walk_groups::<E, T, WIDE>(engine, wide, wide_out);
+    let (quads, tail) = rest.as_chunks::<BATCH_LANES>();
+    let (quads_out, tail_out) = rest_out.as_chunks_mut::<BATCH_LANES>();
+    walk_groups::<E, T, BATCH_LANES>(engine, quads, quads_out);
+    if !tail.is_empty() {
+        let mut t = T::new();
+        for (&addr, o) in tail.iter().zip(tail_out) {
+            t.clear();
+            *o = engine.walk(addr, &mut t);
+        }
+    }
+}
+
+fn walk_groups<E: Walk, T: Tally, const N: usize>(
+    engine: &E,
+    addrs: &[[E::Addr; N]],
+    out: &mut [[T::Out; N]],
+) {
+    if addrs.is_empty() {
+        return;
+    }
+    let mut t: [T; N] = std::array::from_fn(|_| T::new());
+    for (group, o) in addrs.iter().zip(out) {
+        t.iter_mut().for_each(T::clear);
+        engine.group(group, &mut t, o);
+    }
+}
+
+/// Panic message of every batch entry point handed slices of unequal
+/// length.
+const LENGTH_MISMATCH: &str = "batch lookup: addrs and out must have equal lengths";
+
 /// Number of interleaved lanes the specialized batch lookups run — the
 /// VPP `lookup_four` width: four independent walks give the CPU enough
 /// in-flight loads to hide most node-read latency without spilling lane
@@ -211,13 +451,26 @@ pub trait Lpm {
     /// # Panics
     /// Panics if `addrs` and `out` differ in length.
     fn lookup_batch(&self, addrs: &[u32], out: &mut [CountedLookup]) {
-        assert_eq!(
-            addrs.len(),
-            out.len(),
-            "lookup_batch: addrs and out must have equal lengths"
-        );
+        assert_eq!(addrs.len(), out.len(), "{LENGTH_MISMATCH}");
         for (o, &a) in out.iter_mut().zip(addrs) {
             *o = self.lookup_counted(a);
+        }
+    }
+
+    /// Batched longest-prefix match for the forwarding path: fill
+    /// `out[i]` with `lookup(addrs[i])` for every `i`, and nothing else.
+    ///
+    /// This is [`Lpm::lookup_batch`] without the cost model — the same
+    /// interleaved walk tallying into nothing — and what a forwarding
+    /// engine should call; `lookup_batch` is for callers that read
+    /// `mem_accesses` or `lines_touched`. The default is the scalar loop.
+    ///
+    /// # Panics
+    /// Panics if `addrs` and `out` differ in length.
+    fn forward_batch(&self, addrs: &[u32], out: &mut [Option<NextHop>]) {
+        assert_eq!(addrs.len(), out.len(), "{LENGTH_MISMATCH}");
+        for (o, &a) in out.iter_mut().zip(addrs) {
+            *o = self.lookup(a);
         }
     }
 
@@ -270,13 +523,21 @@ pub trait Lpm6 {
     /// # Panics
     /// Panics if `addrs` and `out` differ in length.
     fn lookup_batch(&self, addrs: &[u128], out: &mut [CountedLookup]) {
-        assert_eq!(
-            addrs.len(),
-            out.len(),
-            "lookup_batch: addrs and out must have equal lengths"
-        );
+        assert_eq!(addrs.len(), out.len(), "{LENGTH_MISMATCH}");
         for (o, &a) in out.iter_mut().zip(addrs) {
             *o = self.lookup_counted(a);
+        }
+    }
+
+    /// Batched lookup for the forwarding path: next hops only, no cost
+    /// model; see [`Lpm::forward_batch`].
+    ///
+    /// # Panics
+    /// Panics if `addrs` and `out` differ in length.
+    fn forward_batch(&self, addrs: &[u128], out: &mut [Option<NextHop>]) {
+        assert_eq!(addrs.len(), out.len(), "{LENGTH_MISMATCH}");
+        for (o, &a) in out.iter_mut().zip(addrs) {
+            *o = self.lookup(a);
         }
     }
 
@@ -316,31 +577,6 @@ pub fn mean_lines6<L: Lpm6 + ?Sized>(lpm: &L, addrs: &[u128]) -> f64 {
         .map(|&a| lpm.lookup_counted(a).lines_touched as u64)
         .sum();
     total as f64 / addrs.len() as f64
-}
-
-/// Shared driver for the engines' specialized batch paths: feed full
-/// [`BATCH_LANES`]-wide groups to `quad` and the unaligned tail to the
-/// scalar path.
-fn run_quads<L: Lpm>(
-    lpm: &L,
-    addrs: &[u32],
-    out: &mut [CountedLookup],
-    quad: impl Fn(&L, [u32; BATCH_LANES]) -> [CountedLookup; BATCH_LANES],
-) {
-    assert_eq!(
-        addrs.len(),
-        out.len(),
-        "lookup_batch: addrs and out must have equal lengths"
-    );
-    let mut i = 0;
-    while i + BATCH_LANES <= addrs.len() {
-        let group = [addrs[i], addrs[i + 1], addrs[i + 2], addrs[i + 3]];
-        out[i..i + BATCH_LANES].copy_from_slice(&quad(lpm, group));
-        i += BATCH_LANES;
-    }
-    for k in i..addrs.len() {
-        out[k] = lpm.lookup_counted(addrs[k]);
-    }
 }
 
 /// Mean memory accesses per lookup over a set of addresses.
@@ -410,6 +646,14 @@ mod lineset_tests {
         s.touch(0, 0, 1);
         s.touch(1, 0, 1);
         assert_eq!(s.count() as usize, LineSet::CAPACITY);
+    }
+
+    /// The forwarding walk carries no tally state at all — a lane array
+    /// of it is zero bytes, so nothing is left to spill or zero.
+    #[test]
+    fn forward_tally_is_zero_sized() {
+        assert_eq!(std::mem::size_of::<Forward>(), 0);
+        assert_eq!(std::mem::size_of::<[Forward; 16]>(), 0);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! pointer, chunk reads, next-hop table), which on backbone tables lands
 //! near the 6–7 accesses/lookup the paper measures in §5.1.
 
-use crate::{prefetch_slice, CountedLookup, DeltaStats, LineSet, Lpm, BATCH_LANES};
+use crate::{prefetch_slice, CountedLookup, DeltaStats, Forward, Lpm, Tally, Walk};
 use spal_rib::{NextHop, Prefix, RoutingTable};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::OnceLock;
@@ -45,7 +45,7 @@ const CW_BYTES: usize = 2;
 /// Modeled maptable row: 16 4-bit entries = 8 bytes.
 const MT_ROW_BYTES: usize = 8;
 
-// Line-accounting regions (see [`LineSet`]): distinct arrays carry
+// Line-accounting regions (see [`crate::LineSet`]): distinct arrays carry
 // distinct region ids so their modeled offsets never alias. Each level
 // 2/3 chunk is tagged with its id — every chunk is its own little block
 // of SRAM whose internal layout starts at offset 0.
@@ -212,63 +212,27 @@ impl CodedVector {
         self.groups.len() * 4
     }
 
-    /// Index of the head governing slot `pos`, and the number of memory
-    /// accesses performed (codeword, base when present, maptable), with
-    /// the maptable passed in so batch callers resolve the `OnceLock`
-    /// once per group instead of once per lane.
+    /// Index of the head governing slot `pos`, tallying the codeword,
+    /// base (when present) and maptable reads. The codeword and its base
+    /// live in one interleaved group record, so the two accesses usually
+    /// mark a single line; the maptable row is a second region. The
+    /// maptable is passed in so batch callers resolve the `OnceLock` once
+    /// per group instead of once per lane.
     #[inline]
-    fn head_index_mt(&self, mt: &MapTable, pos: usize) -> (usize, u32) {
+    fn head_index<T: Tally>(&self, mt: &MapTable, pos: usize, region: u32, t: &mut T) -> usize {
         let chunk = pos / 16;
         let within = pos % 16;
         let cw = self.cw(chunk);
-        let mut accesses = 1; // codeword read
         let base = if self.with_bases {
-            accesses += 1; // base index read
+            t.access(2); // codeword + base index
+            t.touch(region, (chunk / 4) * GROUP_BYTES, GROUP_BYTES);
             self.base(chunk)
         } else {
+            t.read(region, chunk * CW_BYTES, CW_BYTES);
             0
         };
+        t.read(REGION_MT, cw.ten as usize * MT_ROW_BYTES + within / 2, 1);
         let count = mt.rows[cw.ten as usize][within] as u32;
-        accesses += 1; // maptable read
-        let idx = base + cw.six as u32 + count - 1;
-        (idx as usize, accesses)
-    }
-
-    /// [`CodedVector::head_index_mt`] with cache-line accounting: the
-    /// codeword and its base live in one interleaved group record, so
-    /// the two reads usually mark a single line; the maptable row is a
-    /// second region.
-    #[inline]
-    fn head_index_lines(
-        &self,
-        mt: &MapTable,
-        pos: usize,
-        region: u32,
-        lines: &mut LineSet,
-    ) -> (usize, u32) {
-        let chunk = pos / 16;
-        if self.with_bases {
-            lines.touch(region, (chunk / 4) * GROUP_BYTES, GROUP_BYTES);
-        } else {
-            lines.touch(region, chunk * CW_BYTES, CW_BYTES);
-        }
-        let cw = self.cw(chunk);
-        lines.touch(
-            REGION_MT,
-            cw.ten as usize * MT_ROW_BYTES + (pos % 16) / 2,
-            1,
-        );
-        self.head_index_mt(mt, pos)
-    }
-
-    /// [`CodedVector::head_index_mt`] without the access bookkeeping,
-    /// for the uncounted [`Lpm::lookup`] fast path.
-    #[inline]
-    fn head_index_plain(&self, pos: usize) -> usize {
-        let chunk = pos / 16;
-        let cw = self.cw(chunk);
-        let base = if self.with_bases { self.base(chunk) } else { 0 };
-        let count = maptable().rows[cw.ten as usize][pos % 16] as u32;
         (base + cw.six as u32 + count - 1) as usize
     }
 
@@ -330,76 +294,50 @@ impl Chunk {
         }
     }
 
-    /// Resolve the 8 address bits `pos` within this chunk: the governing
-    /// pointer and the access count, with cache-line accounting under
-    /// the chunk's modeled layout (`region` tags this chunk's block).
-    fn resolve_lines(
-        &self,
-        mt: &MapTable,
-        pos: usize,
-        region: u32,
-        lines: &mut LineSet,
-    ) -> (Val, u32) {
-        let (ptrs, idx, accesses, ptr_base) = self.locate_lines(mt, pos, region, lines);
-        lines.touch(region, ptr_base + idx * 2, 2);
-        (ptrs[idx], accesses + 1) // + pointer read
+    /// Resolve the 8 address bits `pos` within this chunk to the governing
+    /// pointer, tallying under the chunk's modeled layout (`region` tags
+    /// this chunk's block).
+    #[inline]
+    fn resolve<T: Tally>(&self, mt: &MapTable, pos: usize, region: u32, t: &mut T) -> Val {
+        let (ptrs, idx, ptr_base) = self.locate(mt, pos, region, t);
+        t.read(region, ptr_base + idx * 2, 2);
+        ptrs[idx]
     }
 
     /// First half of [`Chunk::resolve`]: find the governing pointer's
     /// index without reading it, so the batched walk can prefetch the
-    /// pointer and defer the read to a later lane pass. The access
-    /// count covers everything *except* that deferred pointer read.
+    /// pointer and defer the read to a later lane pass. Tallies
+    /// everything *except* that deferred pointer read, and returns the
+    /// modeled byte offset of the pointer array within this chunk's
+    /// block so the caller can tally the read when it performs it.
     #[inline]
-    fn locate(&self, mt: &MapTable, pos: usize) -> (&[Val], usize, u32) {
+    fn locate<T: Tally>(
+        &self,
+        mt: &MapTable,
+        pos: usize,
+        region: u32,
+        t: &mut T,
+    ) -> (&[Val], usize, usize) {
         match self {
             Chunk::Sparse { heads, ptrs } => {
-                // One access reads the (24-byte) head block, one reads the
+                // One access reads the 8 head bytes, one reads the
                 // selected pointer. The governing head is the last one at
                 // or before `pos`; a branchless rank beats a binary search
                 // here, whose ~3 data-dependent branches mispredict freely
                 // on random addresses. Slot 0 is always a head, so the
                 // rank is ≥ 1 (`saturating_sub` only guards corruption).
+                t.read(region, 0, SPARSE_PTR_BASE);
                 let mut rank = 0usize;
                 for &h in heads {
                     rank += (h as usize <= pos) as usize;
                 }
-                (ptrs, rank.saturating_sub(1), 1)
-            }
-            Chunk::Dense { vec, ptrs } | Chunk::VeryDense { vec, ptrs } => {
-                let (idx, accesses) = vec.head_index_mt(mt, pos);
-                (ptrs, idx, accesses)
-            }
-        }
-    }
-
-    /// [`Chunk::locate`] with cache-line accounting. Also returns the
-    /// modeled byte offset of the pointer array within this chunk's
-    /// block, so the caller can mark the deferred pointer read's line
-    /// when it performs that read.
-    #[inline]
-    fn locate_lines(
-        &self,
-        mt: &MapTable,
-        pos: usize,
-        region: u32,
-        lines: &mut LineSet,
-    ) -> (&[Val], usize, u32, usize) {
-        match self {
-            Chunk::Sparse { heads, ptrs } => {
-                lines.touch(region, 0, SPARSE_PTR_BASE); // the 8 head bytes
-                let mut rank = 0usize;
-                for &h in heads {
-                    rank += (h as usize <= pos) as usize;
-                }
-                (ptrs, rank.saturating_sub(1), 1, SPARSE_PTR_BASE)
+                (ptrs, rank.saturating_sub(1), SPARSE_PTR_BASE)
             }
             Chunk::Dense { vec, ptrs } => {
-                let (idx, accesses) = vec.head_index_lines(mt, pos, region, lines);
-                (ptrs, idx, accesses, DENSE_PTR_BASE)
+                (ptrs, vec.head_index(mt, pos, region, t), DENSE_PTR_BASE)
             }
             Chunk::VeryDense { vec, ptrs } => {
-                let (idx, accesses) = vec.head_index_lines(mt, pos, region, lines);
-                (ptrs, idx, accesses, VDENSE_PTR_BASE)
+                (ptrs, vec.head_index(mt, pos, region, t), VDENSE_PTR_BASE)
             }
         }
     }
@@ -421,13 +359,6 @@ impl Chunk {
                 prefetch_slice(&vec.groups, pos / 64);
             }
         }
-    }
-
-    /// [`Chunk::resolve`] without the access bookkeeping.
-    #[inline]
-    fn resolve_plain(&self, pos: usize) -> Val {
-        let (ptrs, idx, _) = self.locate(maptable(), pos);
-        ptrs[idx]
     }
 
     /// Modelled bytes (§4): sparse chunks are fixed 8×1 B heads + 8×2 B
@@ -756,7 +687,7 @@ impl LuleaTrie {
         // ancestor is non-uniform), so its pointer index locates the
         // splice point.
         debug_assert!(self.upd.heads[lo]);
-        let first_idx = self.l1.head_index_plain(lo);
+        let first_idx = self.l1.head_index(maptable(), lo, REGION_L1, &mut Forward);
         let new_heads = head_vector(&self.upd.slots[lo..lo + size]);
         let h_old = self.upd.heads[lo..lo + size].iter().filter(|&&h| h).count();
         let h_new = new_heads.iter().filter(|&&h| h).count();
@@ -1035,15 +966,28 @@ fn build_chunk(
 const WIDE_LANES: usize = 16;
 
 impl LuleaTrie {
-    /// One interleaved group of `N` lookups, staged level by level: all
-    /// lanes read their level-1 codewords (prefetched up front), then
-    /// all lanes descend into level 2, then level 3, with the next
-    /// level's chunk headers prefetched between stages. Within a stage
-    /// the lanes' reads are independent, so they overlap where the
-    /// scalar walk would serialize one lookup's codeword → base →
-    /// maptable → pointer chain after another's. Per-lane arithmetic is
-    /// identical to [`LuleaTrie::lookup_counted`], so results and
-    /// access counts match bit for bit.
+    /// Level 1: the head governing `addr`'s top 16 bits and its pointer.
+    #[inline]
+    fn level1<T: Tally>(&self, mt: &MapTable, addr: u32, t: &mut T) -> Val {
+        let head = self.l1.head_index(mt, (addr >> 16) as usize, REGION_L1, t);
+        t.read(REGION_L1PTR, head * 2, 2);
+        self.l1_ptrs[head]
+    }
+
+    /// Close a walk that ended on `val`, tallying the next-hop table
+    /// read on a hit.
+    #[inline]
+    fn finish<T: Tally>(&self, val: Val, t: &mut T) -> T::Out {
+        match val {
+            Val::Miss => t.done(None),
+            Val::Nh(i) => {
+                t.read(REGION_NH, i as usize * 4, 4);
+                t.done(Some(self.next_hops[i as usize]))
+            }
+            Val::Sub(_) => unreachable!("level 3 never points deeper"),
+        }
+    }
+
     /// One level of the batched descent (`chunks` is `l2` or `l3`,
     /// `shift` selects the 8 address bits), software-pipelined over the
     /// lanes still pointing into this level in three passes: read each
@@ -1058,7 +1002,7 @@ impl LuleaTrie {
     /// Returns how many lanes still hold a [`Val::Sub`] afterwards, so
     /// the caller can skip the next level's passes when none descend.
     #[allow(clippy::too_many_arguments)] // the args are the pipeline's lane state
-    fn descend_group<const N: usize>(
+    fn descend_group<T: Tally, const N: usize>(
         &self,
         mt: &MapTable,
         chunks: &[Chunk],
@@ -1066,8 +1010,7 @@ impl LuleaTrie {
         region_tag: u32,
         addrs: &[u32; N],
         val: &mut [Val; N],
-        acc: &mut [u32; N],
-        lines: &mut [LineSet; N],
+        t: &mut [T; N],
         shift: u32,
     ) -> usize {
         let mut cur: [Option<(&Chunk, u32)>; N] = [None; N];
@@ -1084,16 +1027,15 @@ impl LuleaTrie {
         for l in 0..N {
             if let Some((chunk, region)) = cur[l] {
                 let pos = ((addrs[l] >> shift) & 0xFF) as usize;
-                let (ptrs, idx, a, ptr_base) = chunk.locate_lines(mt, pos, region, &mut lines[l]);
+                let (ptrs, idx, ptr_base) = chunk.locate(mt, pos, region, &mut t[l]);
                 prefetch_slice(ptrs, idx);
                 located[l] = Some((ptrs, idx, ptr_base, region));
-                acc[l] += a + 1; // + the pointer read performed below
             }
         }
         let mut descending = 0;
         for l in 0..N {
             if let Some((ptrs, idx, ptr_base, region)) = located[l] {
-                lines[l].touch(region, ptr_base + idx * 2, 2);
+                t[l].read(region, ptr_base + idx * 2, 2);
                 let v = ptrs[idx];
                 val[l] = v;
                 match v {
@@ -1110,25 +1052,46 @@ impl LuleaTrie {
         }
         descending
     }
+}
 
-    fn lookup_group<const N: usize>(&self, addrs: [u32; N]) -> [CountedLookup; N] {
-        for &a in &addrs {
+impl Walk for LuleaTrie {
+    type Addr = u32;
+
+    fn walk<T: Tally>(&self, addr: u32, t: &mut T) -> T::Out {
+        let mt = maptable();
+        let mut val = self.level1(mt, addr, t);
+        if let Val::Sub(id) = val {
+            let pos = ((addr >> 8) & 0xFF) as usize;
+            val = self.l2[id as usize].resolve(mt, pos, REGION_L2_TAG | id, t);
+        }
+        if let Val::Sub(id) = val {
+            let pos = (addr & 0xFF) as usize;
+            val = self.l3[id as usize].resolve(mt, pos, REGION_L3_TAG | id, t);
+        }
+        self.finish(val, t)
+    }
+
+    /// Staged level by level: all lanes read their level-1 codewords
+    /// (prefetched up front), then all lanes descend into level 2, then
+    /// level 3, with the next level's chunk headers prefetched between
+    /// stages. Within a stage the lanes' reads are independent, so they
+    /// overlap where the scalar walk would serialize one lookup's
+    /// codeword → base → maptable → pointer chain after another's.
+    fn group<T: Tally, const N: usize>(
+        &self,
+        addrs: &[u32; N],
+        t: &mut [T; N],
+        out: &mut [T::Out; N],
+    ) {
+        for &a in addrs {
             prefetch_slice(&self.l1.groups, (a >> 16) as usize / 64);
         }
         let mt = maptable();
         let mut val = [Val::Miss; N];
-        let mut acc = [0u32; N];
-        let mut lines: [LineSet; N] = std::array::from_fn(|_| LineSet::new());
         let mut descending = 0;
         for l in 0..N {
-            let (head, a) =
-                self.l1
-                    .head_index_lines(mt, (addrs[l] >> 16) as usize, REGION_L1, &mut lines[l]);
-            lines[l].touch(REGION_L1PTR, head * 2, 2);
-            let v = self.l1_ptrs[head];
-            val[l] = v;
-            acc[l] = a + 1; // pointer read
-            match v {
+            val[l] = self.level1(mt, addrs[l], &mut t[l]);
+            match val[l] {
                 Val::Sub(id) => {
                     descending += 1;
                     prefetch_slice(&self.l2, id as usize);
@@ -1138,134 +1101,20 @@ impl LuleaTrie {
             }
         }
         if descending > 0 {
-            let deeper = self.descend_group(
-                mt,
-                &self.l2,
-                Some(&self.l3),
-                REGION_L2_TAG,
-                &addrs,
-                &mut val,
-                &mut acc,
-                &mut lines,
-                8,
-            );
+            let (l2, l3) = (&self.l2, &self.l3);
+            let deeper = self.descend_group(mt, l2, Some(l3), REGION_L2_TAG, addrs, &mut val, t, 8);
             if deeper > 0 {
-                self.descend_group(
-                    mt,
-                    &self.l3,
-                    None,
-                    REGION_L3_TAG,
-                    &addrs,
-                    &mut val,
-                    &mut acc,
-                    &mut lines,
-                    0,
-                );
+                self.descend_group(mt, l3, None, REGION_L3_TAG, addrs, &mut val, t, 0);
             }
         }
-        let mut out = [CountedLookup::MISS; N];
         for l in 0..N {
-            out[l] = match val[l] {
-                Val::Miss => CountedLookup {
-                    next_hop: None,
-                    mem_accesses: acc[l],
-                    lines_touched: lines[l].count(),
-                },
-                Val::Nh(i) => {
-                    lines[l].touch(REGION_NH, i as usize * 4, 4);
-                    CountedLookup {
-                        next_hop: Some(self.next_hops[i as usize]),
-                        mem_accesses: acc[l] + 1, // next-hop table read
-                        lines_touched: lines[l].count(),
-                    }
-                }
-                Val::Sub(_) => unreachable!("level 3 never points deeper"),
-            };
+            out[l] = self.finish(val[l], &mut t[l]);
         }
-        out
     }
 }
 
 impl Lpm for LuleaTrie {
-    /// Uncounted fast path: the same three-level descent minus the
-    /// per-level access bookkeeping the counted walk threads through
-    /// every codeword/base/maptable read.
-    fn lookup(&self, addr: u32) -> Option<NextHop> {
-        let mut val = self.l1_ptrs[self.l1.head_index_plain((addr >> 16) as usize)];
-        if let Val::Sub(id) = val {
-            val = self.l2[id as usize].resolve_plain(((addr >> 8) & 0xFF) as usize);
-        }
-        if let Val::Sub(id) = val {
-            val = self.l3[id as usize].resolve_plain((addr & 0xFF) as usize);
-        }
-        match val {
-            Val::Miss => None,
-            Val::Nh(i) => Some(self.next_hops[i as usize]),
-            Val::Sub(_) => unreachable!("level 3 never points deeper"),
-        }
-    }
-
-    fn lookup_batch(&self, addrs: &[u32], out: &mut [CountedLookup]) {
-        assert_eq!(
-            addrs.len(),
-            out.len(),
-            "lookup_batch: addrs and out must have equal lengths"
-        );
-        let mut i = 0;
-        while i + WIDE_LANES <= addrs.len() {
-            let group: [u32; WIDE_LANES] = addrs[i..i + WIDE_LANES].try_into().expect("exact");
-            out[i..i + WIDE_LANES].copy_from_slice(&self.lookup_group(group));
-            i += WIDE_LANES;
-        }
-        while i + BATCH_LANES <= addrs.len() {
-            let group: [u32; BATCH_LANES] = addrs[i..i + BATCH_LANES].try_into().expect("exact");
-            out[i..i + BATCH_LANES].copy_from_slice(&self.lookup_group(group));
-            i += BATCH_LANES;
-        }
-        for k in i..addrs.len() {
-            out[k] = self.lookup_counted(addrs[k]);
-        }
-    }
-
-    fn lookup_counted(&self, addr: u32) -> CountedLookup {
-        let mt = maptable();
-        let mut lines = LineSet::new();
-        let ix = (addr >> 16) as usize;
-        let (head, mut accesses) = self.l1.head_index_lines(mt, ix, REGION_L1, &mut lines);
-        lines.touch(REGION_L1PTR, head * 2, 2);
-        let mut val = self.l1_ptrs[head];
-        accesses += 1; // pointer read
-        if let Val::Sub(id) = val {
-            let pos = ((addr >> 8) & 0xFF) as usize;
-            let (v, a) =
-                self.l2[id as usize].resolve_lines(mt, pos, REGION_L2_TAG | id, &mut lines);
-            val = v;
-            accesses += a;
-        }
-        if let Val::Sub(id) = val {
-            let pos = (addr & 0xFF) as usize;
-            let (v, a) =
-                self.l3[id as usize].resolve_lines(mt, pos, REGION_L3_TAG | id, &mut lines);
-            val = v;
-            accesses += a;
-        }
-        match val {
-            Val::Miss => CountedLookup {
-                next_hop: None,
-                mem_accesses: accesses,
-                lines_touched: lines.count(),
-            },
-            Val::Nh(i) => {
-                lines.touch(REGION_NH, i as usize * 4, 4);
-                CountedLookup {
-                    next_hop: Some(self.next_hops[i as usize]),
-                    mem_accesses: accesses + 1, // next-hop table read
-                    lines_touched: lines.count(),
-                }
-            }
-            Val::Sub(_) => unreachable!("level 3 never points deeper"),
-        }
-    }
+    walk_lookups!(u32, WIDE_LANES);
 
     /// Chunk-granular patching: each changed prefix re-encodes only the
     /// level-1 region its range covers (§"patch_l1_range") and rebuilds

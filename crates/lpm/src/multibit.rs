@@ -11,7 +11,7 @@
 //! expansion that removes backtracking: lookup inspects exactly one
 //! entry per level.
 
-use crate::{CountedLookup, DeltaStats, LineSet, Lpm, BATCH_LANES};
+use crate::{CountedLookup, DeltaStats, Lpm, Tally, Walk, BATCH_LANES};
 use spal_rib::{NextHop, Prefix, RouteEntry, RoutingTable};
 
 const NO_CHILD: u32 = u32::MAX;
@@ -148,50 +148,6 @@ impl MultibitTrie {
         }
     }
 
-    /// One interleaved group of [`BATCH_LANES`] lookups, walked
-    /// level-synchronously: every still-active lane does its slot read
-    /// for level `d` before any lane moves to level `d+1`, so the four
-    /// independent slot loads per level overlap. Per-lane steps mirror
-    /// [`MultibitTrie::lookup_counted`] exactly.
-    fn lookup_quad(&self, addrs: [u32; BATCH_LANES]) -> [CountedLookup; BATCH_LANES] {
-        let mut node = [0u32; BATCH_LANES];
-        let mut consumed = [0u8; BATCH_LANES];
-        let mut best: [Option<NextHop>; BATCH_LANES] = [None; BATCH_LANES];
-        let mut acc = [0u32; BATCH_LANES];
-        let mut active = [true; BATCH_LANES];
-        let mut lines: [LineSet; BATCH_LANES] = std::array::from_fn(|_| LineSet::new());
-        for level in 0..self.strides.len() {
-            let stride = self.strides[level];
-            for l in 0..BATCH_LANES {
-                if !active[l] {
-                    continue;
-                }
-                let base = self.nodes[node[l] as usize].base;
-                let idx = (addrs[l] >> (32 - consumed[l] - stride)) as usize & ((1 << stride) - 1);
-                let slot = self.slots[base + idx];
-                acc[l] += 1; // one slot read per level
-                lines[l].touch(REGION_SLOTS, (base + idx) * SLOT_BYTES, SLOT_BYTES);
-                if slot.result.is_some() {
-                    best[l] = slot.result;
-                }
-                if slot.child == NO_CHILD {
-                    active[l] = false;
-                    continue;
-                }
-                node[l] = slot.child;
-                consumed[l] += stride;
-            }
-            if active.iter().all(|&a| !a) {
-                break;
-            }
-        }
-        std::array::from_fn(|l| CountedLookup {
-            next_hop: best[l],
-            mem_accesses: acc[l].max(1),
-            lines_touched: lines[l].count().max(1),
-        })
-    }
-
     /// Dirty-subtrie patch for one changed prefix: walk to the node at
     /// the prefix's stride boundary (creating path nodes only for an
     /// announce), reset the covered slot range and repaint it from the
@@ -303,20 +259,18 @@ impl MultibitTrie {
     }
 }
 
-impl Lpm for MultibitTrie {
-    fn lookup_counted(&self, addr: u32) -> CountedLookup {
+impl Walk for MultibitTrie {
+    type Addr = u32;
+
+    fn walk<T: Tally>(&self, addr: u32, t: &mut T) -> T::Out {
         let mut node = 0u32;
         let mut consumed = 0u8;
         let mut best: Option<NextHop> = None;
-        let mut accesses = 0u32;
-        let mut lines = LineSet::new();
-        for level in 0..self.strides.len() {
-            let stride = self.strides[level];
+        for &stride in &self.strides {
             let base = self.nodes[node as usize].base;
             let idx = (addr >> (32 - consumed - stride)) as usize & ((1 << stride) - 1);
             let slot = self.slots[base + idx];
-            accesses += 1; // one slot read per level
-            lines.touch(REGION_SLOTS, (base + idx) * SLOT_BYTES, SLOT_BYTES);
+            t.read(REGION_SLOTS, (base + idx) * SLOT_BYTES, SLOT_BYTES); // one slot read per level
             if slot.result.is_some() {
                 best = slot.result;
             }
@@ -326,16 +280,53 @@ impl Lpm for MultibitTrie {
             node = slot.child;
             consumed += stride;
         }
-        CountedLookup {
-            next_hop: best,
-            mem_accesses: accesses.max(1),
-            lines_touched: lines.count().max(1),
-        }
+        t.done(best)
     }
 
-    fn lookup_batch(&self, addrs: &[u32], out: &mut [CountedLookup]) {
-        crate::run_quads(self, addrs, out, MultibitTrie::lookup_quad);
+    /// Level-synchronous: every still-active lane does its slot read for
+    /// level `d` before any lane moves to level `d+1`, so the independent
+    /// slot loads per level overlap.
+    fn group<T: Tally, const N: usize>(
+        &self,
+        addrs: &[u32; N],
+        t: &mut [T; N],
+        out: &mut [T::Out; N],
+    ) {
+        let mut node = [0u32; N];
+        let mut consumed = [0u8; N];
+        let mut best: [Option<NextHop>; N] = [None; N];
+        let mut active = [true; N];
+        for &stride in &self.strides {
+            for l in 0..N {
+                if !active[l] {
+                    continue;
+                }
+                let base = self.nodes[node[l] as usize].base;
+                let idx = (addrs[l] >> (32 - consumed[l] - stride)) as usize & ((1 << stride) - 1);
+                let slot = self.slots[base + idx];
+                t[l].read(REGION_SLOTS, (base + idx) * SLOT_BYTES, SLOT_BYTES);
+                if slot.result.is_some() {
+                    best[l] = slot.result;
+                }
+                if slot.child == NO_CHILD {
+                    active[l] = false;
+                    continue;
+                }
+                node[l] = slot.child;
+                consumed[l] += stride;
+            }
+            if active.iter().all(|&a| !a) {
+                break;
+            }
+        }
+        for l in 0..N {
+            out[l] = t[l].done(best[l]);
+        }
     }
+}
+
+impl Lpm for MultibitTrie {
+    walk_lookups!(u32, BATCH_LANES);
 
     /// Dirty-subtrie patching: each changed prefix repaints only the
     /// covered slot range of the node at its stride boundary. Withdrawn

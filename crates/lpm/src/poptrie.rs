@@ -41,7 +41,7 @@
 //! (two S32 nodes sharing a line). A typical deep lookup touches root +
 //! node + node + next-hop = 4 lines; a shallow one 2.
 
-use crate::{prefetch_slice, CountedLookup, DeltaStats, LineSet, Lpm, BATCH_LANES};
+use crate::{prefetch_slice, CountedLookup, DeltaStats, Lpm, Tally, Walk};
 use spal_rib::{NextHop, Prefix, RoutingTable};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -83,7 +83,7 @@ type LeafVal = u16;
 /// In run words and leaf payloads, bit 15 marks a child rank.
 const RUN_CHILD: u16 = 1 << 15;
 
-// Line-accounting regions (see [`LineSet`]).
+// Line-accounting regions (see [`crate::LineSet`]).
 const REGION_ROOT: u32 = 0;
 const REGION_ARENA: u32 = 1;
 const REGION_LEAVES: u32 = 2;
@@ -485,13 +485,21 @@ impl Poptrie {
     }
 
     /// Resolve one 8-bit stride (`pos`) at the node `(tag, slot)`,
-    /// without accounting — the uncounted fast path.
+    /// tallying one line-grain access per sparse or DLEAF node and two
+    /// for DENSE. Shared by the scalar and batched walks so their counts
+    /// match bit for bit.
     #[inline]
-    fn node_step_plain(&self, tag: u32, slot: u32, pos: usize) -> Step {
+    fn node_step<T: Tally>(&self, tag: u32, slot: u32, pos: usize, t: &mut T) -> Step {
         let w = slot as usize * SLOT_WORDS;
         match tag {
             TAG_SPARSE => {
                 let header = self.words[w];
+                let slots = if header & 0xFF == CLASS_S32 as u32 {
+                    1
+                } else {
+                    2
+                };
+                t.read(REGION_ARENA, slot as usize * SLOT_BYTES, slots * SLOT_BYTES);
                 let count = (header >> 8 & 0xFF) as usize;
                 // Last run starting at or before `pos`; run 0 starts at
                 // slot 0, so the scan always lands.
@@ -515,10 +523,13 @@ impl Poptrie {
                 }
             }
             TAG_DLEAF => {
+                t.read(REGION_ARENA, slot as usize * SLOT_BYTES, 2 * SLOT_BYTES);
                 let rank = rank_incl(&self.words[w + 2..w + 10], pos);
                 Step::Spill(self.words[w + 1] as usize + rank as usize - 1)
             }
             _ => {
+                t.access(2);
+                t.touch(REGION_ARENA, slot as usize * SLOT_BYTES, 4 * SLOT_BYTES);
                 if bit(&self.words[w..w + 8], pos) {
                     let header = self.words[w + 18];
                     let cc = (header >> 8 & 0x3) as u8;
@@ -541,60 +552,22 @@ impl Poptrie {
         }
     }
 
-    /// [`Poptrie::node_step_plain`] with line/access accounting: one
-    /// line per sparse or DLEAF node, two for DENSE. Shared by the
-    /// scalar and batched counted walks so their counts match bit for
-    /// bit.
+    /// Read the spilled leaf `i`.
     #[inline]
-    fn node_step(
-        &self,
-        tag: u32,
-        slot: u32,
-        pos: usize,
-        acc: &mut u32,
-        lines: &mut LineSet,
-    ) -> Step {
-        let bytes = match tag {
-            TAG_SPARSE => {
-                *acc += 1;
-                if self.words[slot as usize * SLOT_WORDS] & 0xFF == CLASS_S32 as u32 {
-                    SLOT_BYTES
-                } else {
-                    2 * SLOT_BYTES
-                }
-            }
-            TAG_DLEAF => {
-                *acc += 1;
-                2 * SLOT_BYTES
-            }
-            _ => {
-                *acc += 2;
-                4 * SLOT_BYTES
-            }
-        };
-        lines.touch(REGION_ARENA, slot as usize * SLOT_BYTES, bytes);
-        self.node_step_plain(tag, slot, pos)
+    fn spilled<T: Tally>(&self, i: usize, t: &mut T) -> LeafVal {
+        t.read(REGION_LEAVES, i * 2, 2);
+        self.leaves[i]
     }
 
     /// Finish a walk that produced leaf value `val`, charging the
     /// next-hop read on a hit.
     #[inline]
-    fn finish(&self, val: LeafVal, mut acc: u32, lines: &mut LineSet) -> CountedLookup {
+    fn finish<T: Tally>(&self, val: LeafVal, t: &mut T) -> T::Out {
         if val == 0 {
-            CountedLookup {
-                next_hop: None,
-                mem_accesses: acc,
-                lines_touched: lines.count(),
-            }
-        } else {
-            lines.touch(REGION_NH, (val as usize - 1) * 2, 2);
-            acc += 1;
-            CountedLookup {
-                next_hop: Some(self.next_hops[val as usize - 1]),
-                mem_accesses: acc,
-                lines_touched: lines.count(),
-            }
+            return t.done(None);
         }
+        t.read(REGION_NH, (val as usize - 1) * 2, 2);
+        t.done(Some(self.next_hops[val as usize - 1]))
     }
 
     /// Arena slots owned by the tree rooted at `(tag, slot)` — what a
@@ -629,27 +602,66 @@ impl Poptrie {
         }
         total
     }
+}
 
-    /// One interleaved group of `N` lookups, level-synchronous: all
-    /// lanes read their (prefetched) root entries, then every active
-    /// lane resolves one node level per pass with the next level's node
-    /// lines prefetched before any lane needs them, then spilled leaves
-    /// and next hops are read in two final passes. Per-lane arithmetic
-    /// is [`Poptrie::node_step`], the same function the scalar walk
-    /// uses, so results and counts match bit for bit.
-    fn lookup_group<const N: usize>(&self, addrs: [u32; N]) -> [CountedLookup; N] {
-        for &a in &addrs {
+impl Walk for Poptrie {
+    type Addr = u32;
+
+    fn walk<T: Tally>(&self, addr: u32, t: &mut T) -> T::Out {
+        let stem = (addr >> 16) as usize;
+        t.read(REGION_ROOT, stem * 4, 4);
+        let e = self.root[stem];
+        let val: LeafVal;
+        if e >> 30 == TAG_LEAF {
+            val = (e & PAYLOAD_MASK) as u16;
+        } else {
+            let mut slot = e & PAYLOAD_MASK;
+            let mut tag = e >> 30;
+            let mut shift = 8u32;
+            loop {
+                let pos = (addr >> shift & 0xFF) as usize;
+                match self.node_step(tag, slot, pos, t) {
+                    Step::Leaf(v) => {
+                        val = v;
+                        break;
+                    }
+                    Step::Spill(i) => {
+                        val = self.spilled(i, t);
+                        break;
+                    }
+                    Step::Child { slot: s, tag: g } => {
+                        slot = s;
+                        tag = g;
+                        shift -= 8;
+                    }
+                }
+            }
+        }
+        self.finish(val, t)
+    }
+
+    /// Level-synchronous: all lanes read their (prefetched) root
+    /// entries, then every active lane resolves one node level per pass
+    /// with the next level's node lines prefetched before any lane needs
+    /// them, then spilled leaves and next hops are read in two final
+    /// passes. Per-lane arithmetic is [`Poptrie::node_step`], the same
+    /// function the scalar walk uses.
+    fn group<T: Tally, const N: usize>(
+        &self,
+        addrs: &[u32; N],
+        t: &mut [T; N],
+        out: &mut [T::Out; N],
+    ) {
+        for &a in addrs {
             prefetch_slice(&self.root, (a >> 16) as usize);
         }
-        let mut acc = [1u32; N];
-        let mut lines: [LineSet; N] = std::array::from_fn(|_| LineSet::new());
         // Lane state: Some((slot, tag)) while descending.
         let mut node: [Option<(u32, u32)>; N] = [None; N];
         let mut val: [LeafVal; N] = [0; N];
         let mut spill: [Option<usize>; N] = [None; N];
         for l in 0..N {
             let stem = (addrs[l] >> 16) as usize;
-            lines[l].touch(REGION_ROOT, stem * 4, 4);
+            t[l].read(REGION_ROOT, stem * 4, 4);
             let e = self.root[stem];
             if e >> 30 == TAG_LEAF {
                 val[l] = (e & PAYLOAD_MASK) as u16;
@@ -665,7 +677,7 @@ impl Poptrie {
                 let Some((slot, tag)) = node[l] else { continue };
                 let pos = (addrs[l] >> shift & 0xFF) as usize;
                 node[l] = None;
-                match self.node_step(tag, slot, pos, &mut acc[l], &mut lines[l]) {
+                match self.node_step(tag, slot, pos, &mut t[l]) {
                     Step::Leaf(v) => val[l] = v,
                     Step::Spill(i) => {
                         prefetch_slice(&self.leaves, i);
@@ -681,113 +693,20 @@ impl Poptrie {
         }
         for l in 0..N {
             if let Some(i) = spill[l] {
-                lines[l].touch(REGION_LEAVES, i * 2, 2);
-                acc[l] += 1;
-                val[l] = self.leaves[i];
+                val[l] = self.spilled(i, &mut t[l]);
             }
             if val[l] != 0 {
                 prefetch_slice(&self.next_hops, val[l] as usize - 1);
             }
         }
-        std::array::from_fn(|l| self.finish(val[l], acc[l], &mut lines[l]))
+        for l in 0..N {
+            out[l] = self.finish(val[l], &mut t[l]);
+        }
     }
 }
 
 impl Lpm for Poptrie {
-    /// Uncounted fast path: the same descent minus the bookkeeping.
-    fn lookup(&self, addr: u32) -> Option<NextHop> {
-        let e = self.root[(addr >> 16) as usize];
-        let val: LeafVal;
-        if e >> 30 == TAG_LEAF {
-            val = (e & PAYLOAD_MASK) as u16;
-        } else {
-            let mut slot = e & PAYLOAD_MASK;
-            let mut tag = e >> 30;
-            let mut shift = 8u32;
-            loop {
-                let pos = (addr >> shift & 0xFF) as usize;
-                match self.node_step_plain(tag, slot, pos) {
-                    Step::Leaf(v) => {
-                        val = v;
-                        break;
-                    }
-                    Step::Spill(i) => {
-                        val = self.leaves[i];
-                        break;
-                    }
-                    Step::Child { slot: s, tag: t } => {
-                        slot = s;
-                        tag = t;
-                        shift -= 8;
-                    }
-                }
-            }
-        }
-        if val == 0 {
-            None
-        } else {
-            Some(self.next_hops[val as usize - 1])
-        }
-    }
-
-    fn lookup_counted(&self, addr: u32) -> CountedLookup {
-        let mut lines = LineSet::new();
-        let mut acc = 1u32; // root entry read
-        let stem = (addr >> 16) as usize;
-        lines.touch(REGION_ROOT, stem * 4, 4);
-        let e = self.root[stem];
-        let val: LeafVal;
-        if e >> 30 == TAG_LEAF {
-            val = (e & PAYLOAD_MASK) as u16;
-        } else {
-            let mut slot = e & PAYLOAD_MASK;
-            let mut tag = e >> 30;
-            let mut shift = 8u32;
-            loop {
-                let pos = (addr >> shift & 0xFF) as usize;
-                match self.node_step(tag, slot, pos, &mut acc, &mut lines) {
-                    Step::Leaf(v) => {
-                        val = v;
-                        break;
-                    }
-                    Step::Spill(i) => {
-                        lines.touch(REGION_LEAVES, i * 2, 2);
-                        acc += 1;
-                        val = self.leaves[i];
-                        break;
-                    }
-                    Step::Child { slot: s, tag: t } => {
-                        slot = s;
-                        tag = t;
-                        shift -= 8;
-                    }
-                }
-            }
-        }
-        self.finish(val, acc, &mut lines)
-    }
-
-    fn lookup_batch(&self, addrs: &[u32], out: &mut [CountedLookup]) {
-        assert_eq!(
-            addrs.len(),
-            out.len(),
-            "lookup_batch: addrs and out must have equal lengths"
-        );
-        let mut i = 0;
-        while i + WIDE_LANES <= addrs.len() {
-            let group: [u32; WIDE_LANES] = addrs[i..i + WIDE_LANES].try_into().expect("exact");
-            out[i..i + WIDE_LANES].copy_from_slice(&self.lookup_group(group));
-            i += WIDE_LANES;
-        }
-        while i + BATCH_LANES <= addrs.len() {
-            let group: [u32; BATCH_LANES] = addrs[i..i + BATCH_LANES].try_into().expect("exact");
-            out[i..i + BATCH_LANES].copy_from_slice(&self.lookup_group(group));
-            i += BATCH_LANES;
-        }
-        for k in i..addrs.len() {
-            out[k] = self.lookup_counted(addrs[k]);
-        }
-    }
+    walk_lookups!(u32, WIDE_LANES);
 
     /// Stem-granular patching: every changed prefix dirties the 16-bit
     /// stems it covers; each dirty stem's subtree is re-encoded fresh at
@@ -1001,18 +920,6 @@ mod tests {
         t.lookup_batch(&addrs, &mut out);
         for (i, &a) in addrs.iter().enumerate() {
             assert_eq!(out[i], t.lookup_counted(a), "addr {a:#010x}");
-        }
-    }
-
-    #[test]
-    fn counted_matches_plain() {
-        use rand::{Rng, SeedableRng};
-        let rt = synth::small(41);
-        let t = Poptrie::build(&rt);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        for _ in 0..2000 {
-            let addr: u32 = rng.gen();
-            assert_eq!(t.lookup(addr), t.lookup_counted(addr).next_hop);
         }
     }
 

@@ -37,7 +37,7 @@
 //! caller rebuilds — the explicit rebuild-fallback contract of
 //! [`crate::Lpm::apply_delta`].
 
-use crate::{prefetch_slice, CountedLookup, DeltaStats, LineSet, Lpm6, BATCH_LANES};
+use crate::{prefetch_slice, CountedLookup, DeltaStats, Lpm6, Tally, Walk, BATCH_LANES};
 use spal_rib::v6::{Prefix6, RouteEntry6, RoutingTable6};
 use spal_rib::NextHop;
 
@@ -77,7 +77,7 @@ const SPARSE_BYTES: usize = 20;
 const REF_BYTES: usize = 4;
 const ROUTE_BYTES: usize = 2;
 
-// Line-accounting regions (see [`LineSet`]).
+// Line-accounting regions (see [`crate::LineSet`]).
 const REGION_BINS: u32 = 0;
 const REGION_DENSE: u32 = 1;
 const REGION_SPARSE: u32 = 2;
@@ -379,102 +379,147 @@ impl Ship6 {
     }
 }
 
-impl Lpm6 for Ship6 {
-    fn lookup_counted(&self, addr: u128) -> CountedLookup {
-        let mut lines = LineSet::new();
+/// Per-lane walk state: the node to read next ([`NONE`] once the walk
+/// has ended), the address bits consumed, and the best route so far
+/// (next hop + 1, 0 = none).
+#[derive(Clone, Copy)]
+struct Lane {
+    node_ref: u32,
+    depth: u8,
+    best: u16,
+}
+
+impl Ship6 {
+    /// Level 1: read `addr`'s bin.
+    #[inline]
+    fn enter<T: Tally>(&self, addr: u128, t: &mut T) -> Lane {
         let bin_idx = (addr >> (128 - BIN_BITS)) as usize;
+        t.read(REGION_BINS, bin_idx * BIN_BYTES, BIN_BYTES);
         let bin = self.bins[bin_idx];
-        let mut accesses = 1u32;
-        lines.touch(REGION_BINS, bin_idx * BIN_BYTES, BIN_BYTES);
-        let mut best = bin.default;
-        let mut node_ref = bin.root;
-        let mut depth = BIN_BITS;
-        while node_ref != NONE {
-            if node_ref & DENSE_FLAG != 0 {
-                let idx = (node_ref & REF_MASK) as usize;
-                let node = self.dense[idx];
-                accesses += 1;
-                lines.touch(REGION_DENSE, idx * DENSE_BYTES, DENSE_BYTES);
-                let nib = extract_bits(addr, depth, STRIDE) as u16;
-                // Longest internal match: relative lengths 3 → 0.
-                for l in (0..STRIDE).rev() {
-                    let pos = (1u16 << l) - 1 + (nib >> (STRIDE - l));
-                    if node.int & (1 << pos) != 0 {
-                        let rank = (node.int & ((1 << pos) - 1)).count_ones();
-                        let ri = node.route_base as usize + rank as usize;
-                        best = self.routes[ri] + 1;
-                        accesses += 1;
-                        lines.touch(REGION_ROUTES, ri * ROUTE_BYTES, ROUTE_BYTES);
-                        break;
-                    }
-                }
-                if node.ext & (1 << nib) != 0 {
-                    let rank = (node.ext & ((1 << nib) - 1)).count_ones();
-                    let ci = node.child_base as usize + rank as usize;
-                    node_ref = self.refs[ci];
-                    accesses += 1;
-                    lines.touch(REGION_REFS, ci * REF_BYTES, REF_BYTES);
-                    depth += STRIDE;
-                } else {
-                    break;
-                }
-            } else {
-                let idx = node_ref as usize;
-                let node = self.sparse[idx];
-                accesses += 1;
-                lines.touch(REGION_SPARSE, idx * SPARSE_BYTES, SPARSE_BYTES);
-                if node.skip_len > 0 && extract_bits(addr, depth, node.skip_len) != node.skip {
-                    break;
-                }
-                depth += node.skip_len;
-                if node.route != 0 {
-                    best = node.route;
-                }
-                if depth >= 128 {
-                    break;
-                }
-                node_ref = node.children[extract_bits(addr, depth, 1) as usize];
-                depth += 1;
-            }
-        }
-        CountedLookup {
-            next_hop: if best == 0 {
-                None
-            } else {
-                Some(NextHop(best - 1))
-            },
-            mem_accesses: accesses,
-            lines_touched: lines.count(),
+        Lane {
+            node_ref: bin.root,
+            depth: BIN_BITS,
+            best: bin.default,
         }
     }
 
-    /// Four-lane interleaved walk, VPP-style: every round advances each
-    /// still-active lane one node, so the lanes' dependent loads
-    /// overlap. Per-lane steps mirror the scalar path exactly (same
-    /// accesses, same lines), pinned by the `ship_equiv` suite.
-    ///
-    /// Measured, because the two benches disagree: in `bench_lookup
-    /// --dfz`'s tight replay loop this path is 0.84× the scalar loop,
-    /// but in the dataplane it is worth 8 % of end-to-end throughput
-    /// (`v6-w1` 8.97 Mpkt/s without it, 9.91 with, ahead in 15 of 18
-    /// alternating rounds — EXPERIMENTS E28). The end-to-end row decides:
-    /// it stays.
-    fn lookup_batch(&self, addrs: &[u128], out: &mut [CountedLookup]) {
-        assert_eq!(
-            addrs.len(),
-            out.len(),
-            "lookup_batch: addrs and out must have equal lengths"
-        );
-        let mut i = 0;
-        while i + BATCH_LANES <= addrs.len() {
-            let group = [addrs[i], addrs[i + 1], addrs[i + 2], addrs[i + 3]];
-            out[i..i + BATCH_LANES].copy_from_slice(&self.lookup_quad(group));
-            i += BATCH_LANES;
-        }
-        for k in i..addrs.len() {
-            out[k] = self.lookup_counted(addrs[k]);
+    /// Level 2: read the node `lane` stands on and move to the child
+    /// `addr` selects, or end the walk.
+    #[inline]
+    fn step<T: Tally>(&self, addr: u128, lane: &mut Lane, t: &mut T) {
+        let node_ref = std::mem::replace(&mut lane.node_ref, NONE);
+        if node_ref & DENSE_FLAG != 0 {
+            let idx = (node_ref & REF_MASK) as usize;
+            t.read(REGION_DENSE, idx * DENSE_BYTES, DENSE_BYTES);
+            let node = self.dense[idx];
+            let nib = extract_bits(addr, lane.depth, STRIDE) as u16;
+            // Longest internal match: relative lengths 3 → 0.
+            for l in (0..STRIDE).rev() {
+                let pos = (1u16 << l) - 1 + (nib >> (STRIDE - l));
+                if node.int & (1 << pos) != 0 {
+                    let rank = (node.int & ((1 << pos) - 1)).count_ones();
+                    let ri = node.route_base as usize + rank as usize;
+                    t.read(REGION_ROUTES, ri * ROUTE_BYTES, ROUTE_BYTES);
+                    lane.best = self.routes[ri] + 1;
+                    break;
+                }
+            }
+            if node.ext & (1 << nib) != 0 {
+                let rank = (node.ext & ((1 << nib) - 1)).count_ones();
+                let ci = node.child_base as usize + rank as usize;
+                t.read(REGION_REFS, ci * REF_BYTES, REF_BYTES);
+                lane.node_ref = self.refs[ci];
+                lane.depth += STRIDE;
+            }
+        } else {
+            let idx = node_ref as usize;
+            t.read(REGION_SPARSE, idx * SPARSE_BYTES, SPARSE_BYTES);
+            let node = self.sparse[idx];
+            if node.skip_len > 0 && extract_bits(addr, lane.depth, node.skip_len) != node.skip {
+                return;
+            }
+            lane.depth += node.skip_len;
+            if node.route != 0 {
+                lane.best = node.route;
+            }
+            if lane.depth >= 128 {
+                return;
+            }
+            lane.node_ref = node.children[extract_bits(addr, lane.depth, 1) as usize];
+            lane.depth += 1;
         }
     }
+
+    /// Prefetch the node behind `node_ref` (nothing for [`NONE`], which
+    /// carries the dense flag).
+    #[inline]
+    fn prefetch_node(&self, node_ref: u32) {
+        if node_ref & DENSE_FLAG == 0 {
+            prefetch_slice(&self.sparse, node_ref as usize);
+        } else if node_ref != NONE {
+            prefetch_slice(&self.dense, (node_ref & REF_MASK) as usize);
+        }
+    }
+}
+
+/// Next hop + 1 (0 = none), as bins and nodes store routes, to a result.
+#[inline]
+fn hop(best: u16) -> Option<NextHop> {
+    best.checked_sub(1).map(NextHop)
+}
+
+impl Walk for Ship6 {
+    type Addr = u128;
+
+    fn walk<T: Tally>(&self, addr: u128, t: &mut T) -> T::Out {
+        let mut lane = self.enter(addr, t);
+        while lane.node_ref != NONE {
+            self.step(addr, &mut lane, t);
+        }
+        t.done(hop(lane.best))
+    }
+
+    /// VPP-style: every round advances each still-active lane one node,
+    /// so the lanes' dependent loads overlap.
+    ///
+    /// Worth 8 % of end-to-end throughput in the dataplane (`v6-w1`
+    /// 8.97 Mpkt/s without it, 9.91 with, ahead in 15 of 18 alternating
+    /// rounds — EXPERIMENTS E28), and 1.12× the scalar loop in
+    /// `bench_lookup --dfz` once neither arm times the line bookkeeping
+    /// (E29; it read 0.84× while both did).
+    fn group<T: Tally, const N: usize>(
+        &self,
+        addrs: &[u128; N],
+        t: &mut [T; N],
+        out: &mut [T::Out; N],
+    ) {
+        let mut lanes: [Lane; N] = std::array::from_fn(|l| {
+            let lane = self.enter(addrs[l], &mut t[l]);
+            self.prefetch_node(lane.node_ref);
+            lane
+        });
+        loop {
+            let mut any = false;
+            for l in 0..N {
+                if lanes[l].node_ref == NONE {
+                    continue;
+                }
+                any = true;
+                self.step(addrs[l], &mut lanes[l], &mut t[l]);
+                self.prefetch_node(lanes[l].node_ref);
+            }
+            if !any {
+                break;
+            }
+        }
+        for l in 0..N {
+            out[l] = t[l].done(hop(lanes[l].best));
+        }
+    }
+}
+
+impl Lpm6 for Ship6 {
+    walk_lookups!(u128, BATCH_LANES);
 
     fn apply_delta(&mut self, changed: &[Prefix6], rib: &RoutingTable6) -> Option<DeltaStats> {
         if changed.is_empty() {
@@ -531,125 +576,6 @@ impl Lpm6 for Ship6 {
 
     fn name(&self) -> &'static str {
         "SHIP"
-    }
-}
-
-/// Per-lane walk state for the interleaved batch path.
-#[derive(Clone, Copy)]
-struct Lane {
-    node_ref: u32,
-    depth: u8,
-    best: u16,
-    acc: u32,
-    active: bool,
-}
-
-impl Ship6 {
-    fn lookup_quad(&self, addrs: [u128; BATCH_LANES]) -> [CountedLookup; BATCH_LANES] {
-        let mut lanes = [Lane {
-            node_ref: NONE,
-            depth: BIN_BITS,
-            best: 0,
-            acc: 1,
-            active: true,
-        }; BATCH_LANES];
-        let mut lines: [LineSet; BATCH_LANES] = std::array::from_fn(|_| LineSet::new());
-        for l in 0..BATCH_LANES {
-            let bin_idx = (addrs[l] >> (128 - BIN_BITS)) as usize;
-            let bin = self.bins[bin_idx];
-            lines[l].touch(REGION_BINS, bin_idx * BIN_BYTES, BIN_BYTES);
-            lanes[l].best = bin.default;
-            lanes[l].node_ref = bin.root;
-            lanes[l].active = bin.root != NONE;
-            if lanes[l].active {
-                let r = bin.root;
-                if r & DENSE_FLAG != 0 {
-                    prefetch_slice(&self.dense, (r & REF_MASK) as usize);
-                } else {
-                    prefetch_slice(&self.sparse, r as usize);
-                }
-            }
-        }
-        loop {
-            let mut any = false;
-            for l in 0..BATCH_LANES {
-                if !lanes[l].active {
-                    continue;
-                }
-                any = true;
-                let lane = &mut lanes[l];
-                let addr = addrs[l];
-                if lane.node_ref & DENSE_FLAG != 0 {
-                    let idx = (lane.node_ref & REF_MASK) as usize;
-                    let node = self.dense[idx];
-                    lane.acc += 1;
-                    lines[l].touch(REGION_DENSE, idx * DENSE_BYTES, DENSE_BYTES);
-                    let nib = extract_bits(addr, lane.depth, STRIDE) as u16;
-                    for rl in (0..STRIDE).rev() {
-                        let pos = (1u16 << rl) - 1 + (nib >> (STRIDE - rl));
-                        if node.int & (1 << pos) != 0 {
-                            let rank = (node.int & ((1 << pos) - 1)).count_ones();
-                            let ri = node.route_base as usize + rank as usize;
-                            lane.best = self.routes[ri] + 1;
-                            lane.acc += 1;
-                            lines[l].touch(REGION_ROUTES, ri * ROUTE_BYTES, ROUTE_BYTES);
-                            break;
-                        }
-                    }
-                    if node.ext & (1 << nib) != 0 {
-                        let rank = (node.ext & ((1 << nib) - 1)).count_ones();
-                        let ci = node.child_base as usize + rank as usize;
-                        lane.node_ref = self.refs[ci];
-                        lane.acc += 1;
-                        lines[l].touch(REGION_REFS, ci * REF_BYTES, REF_BYTES);
-                        lane.depth += STRIDE;
-                    } else {
-                        lane.active = false;
-                        continue;
-                    }
-                } else {
-                    let idx = lane.node_ref as usize;
-                    let node = self.sparse[idx];
-                    lane.acc += 1;
-                    lines[l].touch(REGION_SPARSE, idx * SPARSE_BYTES, SPARSE_BYTES);
-                    if node.skip_len > 0
-                        && extract_bits(addr, lane.depth, node.skip_len) != node.skip
-                    {
-                        lane.active = false;
-                        continue;
-                    }
-                    lane.depth += node.skip_len;
-                    if node.route != 0 {
-                        lane.best = node.route;
-                    }
-                    if lane.depth >= 128 {
-                        lane.active = false;
-                        continue;
-                    }
-                    lane.node_ref = node.children[extract_bits(addr, lane.depth, 1) as usize];
-                    lane.depth += 1;
-                }
-                if lane.node_ref == NONE {
-                    lane.active = false;
-                } else if lane.node_ref & DENSE_FLAG != 0 {
-                    prefetch_slice(&self.dense, (lane.node_ref & REF_MASK) as usize);
-                } else {
-                    prefetch_slice(&self.sparse, lane.node_ref as usize);
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-        std::array::from_fn(|l| CountedLookup {
-            next_hop: if lanes[l].best == 0 {
-                None
-            } else {
-                Some(NextHop(lanes[l].best - 1))
-            },
-            mem_accesses: lanes[l].acc,
-            lines_touched: lines[l].count(),
-        })
     }
 }
 

@@ -1,8 +1,11 @@
 //! Property test for the batched lookup contract: for **every** engine,
 //! `lookup_batch` must be bit-identical to per-address `lookup_counted`
-//! — next hops *and* modelled memory-access counts — for arbitrary
-//! tables, arbitrary address mixes, and every batch size from 1 to 64
-//! (covering unaligned tails of the 4- and 16-lane group drivers).
+//! — next hops *and* modelled memory-access counts — and
+//! `forward_batch` must yield the same next hops as `lookup` and as the
+//! counted path, for arbitrary tables, arbitrary address mixes, and
+//! every batch length from 0 to 40 (covering 16-lane groups, 4-lane
+//! groups and the scalar tails of the group drivers), before and after
+//! an `apply_delta` of an arbitrary update stream.
 
 use proptest::prelude::*;
 use spal_lpm::binary::BinaryTrie;
@@ -13,7 +16,8 @@ use spal_lpm::lulea::LuleaTrie;
 use spal_lpm::multibit::MultibitTrie;
 use spal_lpm::poptrie::Poptrie;
 use spal_lpm::{CountedLookup, Lpm};
-use spal_rib::synth;
+use spal_rib::updates::{apply, update_stream, UpdateStreamConfig};
+use spal_rib::{synth, Prefix, RoutingTable};
 
 /// Address mix: half biased near the table's prefixes (via the low-seed
 /// synth generator's preference for common first octets), half fully
@@ -27,17 +31,36 @@ fn arb_addrs() -> impl Strategy<Value = Vec<u32>> {
             Just(0u32),
             Just(u32::MAX),
         ],
-        1..=130,
+        0..=130,
     )
 }
 
 fn check_engine(lpm: &dyn Lpm, addrs: &[u32], batch: usize) -> Result<(), TestCaseError> {
+    // Length 0 is a batch too.
+    lpm.lookup_batch(&[], &mut []);
+    lpm.forward_batch(&[], &mut []);
     let mut out = vec![CountedLookup::MISS; addrs.len()];
-    for (chunk, chunk_out) in addrs.chunks(batch).zip(out.chunks_mut(batch)) {
-        lpm.lookup_batch(chunk, &mut chunk_out[..chunk.len()]);
+    let mut fwd = vec![None; addrs.len()];
+    for ((chunk, chunk_out), chunk_fwd) in addrs
+        .chunks(batch)
+        .zip(out.chunks_mut(batch))
+        .zip(fwd.chunks_mut(batch))
+    {
+        lpm.lookup_batch(chunk, chunk_out);
+        lpm.forward_batch(chunk, chunk_fwd);
     }
     for (i, (&addr, &got)) in addrs.iter().zip(out.iter()).enumerate() {
         let want = lpm.lookup_counted(addr);
+        prop_assert_eq!(
+            (fwd[i], lpm.lookup(addr)),
+            (want.next_hop, want.next_hop),
+            "{}: forward_batch / lookup diverged from lookup_counted at index {} \
+             addr {:#010x} (batch size {})",
+            lpm.name(),
+            i,
+            addr,
+            batch
+        );
         prop_assert_eq!(
             got.next_hop,
             want.next_hop,
@@ -69,6 +92,19 @@ fn check_engine(lpm: &dyn Lpm, addrs: &[u32], batch: usize) -> Result<(), TestCa
     Ok(())
 }
 
+/// Every IPv4 engine with the constructor `apply_delta`'s rebuild
+/// fallback uses.
+type Build = fn(&RoutingTable) -> Box<dyn Lpm>;
+const ENGINES: [Build; 7] = [
+    |t| Box::new(Dir24_8::build(t)),
+    |t| Box::new(LuleaTrie::build(t)),
+    |t| Box::new(LcTrie::build(t)),
+    |t| Box::new(BinaryTrie::build(t)),
+    |t| Box::new(DpTrie::build(t)),
+    |t| Box::new(MultibitTrie::build_16_8_8(t)),
+    |t| Box::new(Poptrie::build(t)),
+];
+
 proptest! {
     // Each case builds seven engines over a fresh table; keep the count
     // modest — the address/batch-size space inside a case is wide.
@@ -79,20 +115,46 @@ proptest! {
         table_size in 50usize..1200,
         table_seed in 0u64..50,
         addrs in arb_addrs(),
-        batch in 1usize..=64,
+        batch in 1usize..=40,
+        update_count in 1usize..120,
+        stream_seed in 0u64..1_000,
     ) {
         let table = synth::synthesize(&synth::SynthConfig::sized(table_size, table_seed));
-        let engines: Vec<Box<dyn Lpm>> = vec![
-            Box::new(Dir24_8::build(&table)),
-            Box::new(LuleaTrie::build(&table)),
-            Box::new(LcTrie::build(&table)),
-            Box::new(BinaryTrie::build(&table)),
-            Box::new(DpTrie::build(&table)),
-            Box::new(MultibitTrie::build_16_8_8(&table)),
-            Box::new(Poptrie::build(&table)),
-        ];
-        for lpm in &engines {
+        // One delta batch from `update_equiv`'s stream generator.
+        let (updates, _) = update_stream(&table, &UpdateStreamConfig {
+            count: update_count,
+            withdraw_fraction: 0.4,
+            seed: stream_seed,
+        });
+        let mut rib = table.clone();
+        let mut changed: Vec<Prefix> = Vec::new();
+        for &u in &updates {
+            if !changed.contains(&u.prefix()) {
+                changed.push(u.prefix());
+            }
+            apply(&mut rib, u);
+        }
+        for build in ENGINES {
+            let mut lpm = build(&table);
+            check_engine(lpm.as_ref(), &addrs, batch)?;
+            if lpm.apply_delta(&changed, &rib).is_none() {
+                lpm = build(&rib);
+            }
             check_engine(lpm.as_ref(), &addrs, batch)?;
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "addrs and out must have equal lengths")]
+fn forward_batch_rejects_unequal_lengths_like_lookup_batch() {
+    let lpm = Poptrie::build(&synth::small(1));
+    lpm.forward_batch(&[1, 2, 3], &mut [None; 2]);
+}
+
+#[test]
+#[should_panic(expected = "addrs and out must have equal lengths")]
+fn lookup_batch_rejects_unequal_lengths() {
+    let lpm = Poptrie::build(&synth::small(1));
+    lpm.lookup_batch(&[1, 2, 3], &mut [CountedLookup::MISS; 2]);
 }

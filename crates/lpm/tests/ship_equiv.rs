@@ -84,29 +84,73 @@ proptest! {
     }
 
     /// Batched SHIP lookups are bit-identical to scalar — next hops,
-    /// access counts, and line counts — for every batch size across the
-    /// 4-lane group driver's aligned and tail paths.
+    /// access counts, and line counts — and `forward_batch` yields the
+    /// same next hops as `lookup` and the counted path, for every batch
+    /// length across the 4-lane group driver's aligned and tail paths
+    /// (0 included), before and after an `apply_delta`.
     #[test]
     fn ship_batch_bit_identical(
         table in arb_table6(150),
-        random in proptest::collection::vec(any::<u128>(), 1..=100),
-        batch in 1usize..=24,
+        random in proptest::collection::vec(any::<u128>(), 0..=100),
+        batch in 1usize..=40,
+        update_count in 1usize..80,
+        stream_seed in 0u64..1_000,
     ) {
-        let ship = Ship6::build(&table);
-        let addrs = probe_addrs(&table, &random);
-        let mut out = vec![CountedLookup::MISS; addrs.len()];
-        for (chunk, chunk_out) in addrs.chunks(batch).zip(out.chunks_mut(batch)) {
-            ship.lookup_batch(chunk, &mut chunk_out[..chunk.len()]);
+        let mut ship = Ship6::build(&table);
+        check_batches(&ship, &probe_addrs(&table, &random), batch)?;
+
+        let (updates, fin) = update_stream(&table, &UpdateStreamConfig {
+            count: update_count,
+            withdraw_fraction: 0.4,
+            seed: stream_seed,
+        });
+        let mut changed: Vec<Prefix6> = Vec::new();
+        for u in &updates {
+            if !changed.contains(&u.prefix()) {
+                changed.push(u.prefix());
+            }
         }
-        for (i, (&addr, &got)) in addrs.iter().zip(out.iter()).enumerate() {
-            let want = ship.lookup_counted(addr);
-            prop_assert_eq!(
-                got, want,
-                "batch diverged from scalar at index {} addr {:#034x} (batch size {})",
-                i, addr, batch
-            );
+        if ship.apply_delta(&changed, &fin).is_none() {
+            ship = Ship6::build(&fin);
         }
+        check_batches(&ship, &probe_addrs(&fin, &random), batch)?;
     }
+}
+
+fn check_batches(ship: &Ship6, addrs: &[u128], batch: usize) -> Result<(), TestCaseError> {
+    ship.lookup_batch(&[], &mut []);
+    ship.forward_batch(&[], &mut []);
+    let mut out = vec![CountedLookup::MISS; addrs.len()];
+    let mut fwd = vec![None; addrs.len()];
+    for ((chunk, chunk_out), chunk_fwd) in addrs
+        .chunks(batch)
+        .zip(out.chunks_mut(batch))
+        .zip(fwd.chunks_mut(batch))
+    {
+        ship.lookup_batch(chunk, chunk_out);
+        ship.forward_batch(chunk, chunk_fwd);
+    }
+    for (i, (&addr, &got)) in addrs.iter().zip(out.iter()).enumerate() {
+        let want = ship.lookup_counted(addr);
+        prop_assert_eq!(
+            got,
+            want,
+            "batch diverged from scalar at index {} addr {:#034x} (batch size {})",
+            i,
+            addr,
+            batch
+        );
+        prop_assert_eq!(
+            (fwd[i], ship.lookup(addr)),
+            (want.next_hop, want.next_hop),
+            "forward_batch / lookup diverged from lookup_counted at index {} addr {:#034x} \
+             (batch size {})",
+            i,
+            addr,
+            batch
+        );
+    }
+    Ok(())
 }
 
 proptest! {
