@@ -58,6 +58,7 @@ use spal_dataplane::{
     run_family, AddrFamily, ChurnConfig, Dataplane6Config, DataplaneConfig, DataplaneReport,
     LatencyHisto, V4, V6,
 };
+use spal_lpm::Lpm;
 use spal_rib::RoutingTable;
 use spal_traffic::Trace;
 use std::io::Write;
@@ -332,7 +333,7 @@ fn oracle_checksum<F: AddrFamily>(full: &F::Engine, trace: &Trace<F::Addr>) -> u
     let mut sum = 0u64;
     let mut out = vec![None; 1024];
     for chunk in trace.destinations().chunks(1024) {
-        F::forward_batch(full, chunk, &mut out[..chunk.len()]);
+        full.forward_batch(chunk, &mut out[..chunk.len()]);
         for r in &out[..chunk.len()] {
             sum = sum.wrapping_add(r.map(|h| h.0 as u64 + 1).unwrap_or(0));
         }

@@ -18,12 +18,9 @@
 //!   equal, but their batch floors are only *enforced* at the 600k
 //!   calibration scale (`bench_lookup` without `--dfz`).
 
-use crate::lookup::{
-    forward_speedup_floor, measure_paired, LookupRow, ReplayChecksum, ReplayMode, Speedup,
-    DEFAULT_BATCH, REPS,
-};
+use crate::lookup::{forward_speedup_floor, measure_speedup, LookupRow, DEFAULT_BATCH};
 use spal_core::{ForwardingTable, ForwardingTable6, LpmAlgorithm, LpmAlgorithm6};
-use spal_lpm::{CountedLookup, Lpm, Lpm6};
+use spal_lpm::Lpm;
 use spal_rib::v6::{dfz2026_v6, synthesize6_dfz, RoutingTable6};
 use spal_rib::{synth, RoutingTable};
 use spal_traffic::{generate6, preset, LocalityModel, PresetName, Trace, Trace6, TracePreset};
@@ -177,105 +174,6 @@ pub fn run_v4_build_gate(
     (engines, rows, failures)
 }
 
-/// Replay an IPv6 trace once through `lpm`, sharded contiguously across
-/// `threads` scoped workers (the 128-bit mirror of
-/// [`crate::lookup::replay_once`]).
-pub fn replay6_once(
-    lpm: &(dyn Lpm6 + Sync),
-    dests: &[u128],
-    threads: usize,
-    mode: ReplayMode,
-) -> (ReplayChecksum, f64) {
-    let per = dests.len().div_ceil(threads.max(1));
-    let shards: Vec<&[u128]> = dests.chunks(per.max(1)).collect();
-    let start = Instant::now();
-    let partials: Vec<ReplayChecksum> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|&shard| scope.spawn(move || replay6_shard(lpm, shard, mode)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("v6 replay worker panicked"))
-            .collect()
-    });
-    let wall = start.elapsed().as_secs_f64();
-    let mut total = ReplayChecksum::default();
-    for p in partials {
-        total.merge(p);
-    }
-    (total, wall)
-}
-
-fn replay6_shard(lpm: &(dyn Lpm6 + Sync), shard: &[u128], mode: ReplayMode) -> ReplayChecksum {
-    let mut sum = ReplayChecksum::default();
-    match mode {
-        ReplayMode::Scalar => {
-            for &addr in shard {
-                sum.absorb(lpm.lookup(addr));
-            }
-        }
-        ReplayMode::Batch { size } => {
-            let mut out = vec![None; size];
-            for chunk in shard.chunks(size) {
-                lpm.forward_batch(chunk, &mut out[..chunk.len()]);
-                for &nh in &out[..chunk.len()] {
-                    sum.absorb(nh);
-                }
-            }
-        }
-        ReplayMode::Counted { size } => {
-            let mut out = vec![CountedLookup::MISS; size];
-            for chunk in shard.chunks(size) {
-                lpm.lookup_batch(chunk, &mut out[..chunk.len()]);
-                for &c in &out[..chunk.len()] {
-                    sum.absorb_counted(c);
-                }
-            }
-        }
-    }
-    sum
-}
-
-/// Best-of-[`REPS`] v6 replay with the checksum asserted stable.
-pub fn replay6(
-    lpm: &(dyn Lpm6 + Sync),
-    dests: &[u128],
-    threads: usize,
-    mode: ReplayMode,
-) -> (ReplayChecksum, f64) {
-    let mut best: Option<(ReplayChecksum, f64)> = None;
-    for _ in 0..REPS {
-        let (sum, wall) = replay6_once(lpm, dests, threads, mode);
-        if let Some((prev, best_wall)) = &mut best {
-            assert_eq!(*prev, sum, "v6 replay checksum changed between reps");
-            *best_wall = best_wall.min(wall);
-        } else {
-            best = Some((sum, wall));
-        }
-    }
-    best.expect("at least one rep")
-}
-
-fn row6(
-    lpm: &(dyn Lpm6 + Sync),
-    mode: ReplayMode,
-    threads: usize,
-    sum: ReplayChecksum,
-    wall: f64,
-) -> LookupRow {
-    LookupRow {
-        engine: lpm.name().to_string(),
-        mode: mode.label(),
-        threads,
-        packets_per_sec: sum.lookups as f64 / wall,
-        wall_ms: wall * 1e3,
-        mean_accesses: sum.mem_accesses as f64 / sum.lookups.max(1) as f64,
-        mean_lines: sum.lines_touched as f64 / sum.lookups.max(1) as f64,
-        storage_bytes: Lpm6::storage_bytes(lpm),
-    }
-}
-
 /// Result of [`run_v6_gate`].
 pub struct V6GateResult {
     /// Scalar + batch rows per engine (SHIP first).
@@ -336,11 +234,12 @@ pub fn run_v6_gate(table: &RoutingTable6, trace: &Trace6, threads: usize) -> V6G
         ship_build / binary_build
     );
 
+    let shards = trace.shard_slices(threads);
     let mut rows = Vec::new();
     let mut sums = Vec::new();
     let mut failures = Vec::new();
     for engine in [&ship, &binary] {
-        let m = measure6(engine, trace, threads, DEFAULT_BATCH);
+        let m = measure_speedup(engine, &shards, DEFAULT_BATCH);
         println!(
             "  {:9} t={threads} scalar {:>11.0} pps | batch {:>11.0} pps | {:.2}x | \
              counted {:>11.0} pps | fwd {:.2}x ({:.2} acc, {:.2} lines/lookup, {} B)",
@@ -366,7 +265,7 @@ pub fn run_v6_gate(table: &RoutingTable6, trace: &Trace6, threads: usize) -> V6G
     }
 
     let (ship_pps, binary_pps) = (sums[0], sums[1]);
-    let (ship_bytes, binary_bytes) = (ship.storage_bytes(), Lpm6::storage_bytes(&binary));
+    let (ship_bytes, binary_bytes) = (ship.storage_bytes(), binary.storage_bytes());
     let speed_ok = ship_pps >= binary_pps;
     let storage_measured = table.len() >= SHIP_STORAGE_FLOOR_ROUTES;
     let storage_ok = !storage_measured || ship_bytes <= binary_bytes;
@@ -412,15 +311,6 @@ pub fn run_v6_gate(table: &RoutingTable6, trace: &Trace6, threads: usize) -> V6G
     }
 }
 
-/// [`crate::lookup::measure_speedup`] at 128 bits.
-pub fn measure6(lpm: &(dyn Lpm6 + Sync), trace: &Trace6, threads: usize, size: usize) -> Speedup {
-    measure_paired(
-        size,
-        |mode| replay6_once(lpm, trace.destinations(), threads, mode),
-        |mode, sum, wall| row6(lpm, mode, threads, sum, wall),
-    )
-}
-
 /// The `bench_dataplane --v6` traffic: a Zipf locality stream over the
 /// DFZ table (the v6 analogue of [`crate::lookup::dataplane_trace`]).
 pub fn dfz_v6_trace(table: &RoutingTable6, packets: usize, seed: u64) -> Trace6 {
@@ -430,6 +320,7 @@ pub fn dfz_v6_trace(table: &RoutingTable6, packets: usize, seed: u64) -> Trace6 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lookup::{replay_once, ReplayMode};
     use spal_lpm::ship::Ship6;
 
     #[test]
@@ -438,21 +329,11 @@ mod tests {
         let ship = Ship6::build(&table);
         let trace = dfz_v6_trace(&table, 4_000, 9);
         for threads in [1, 3] {
-            let (scalar, _) =
-                replay6_once(&ship, trace.destinations(), threads, ReplayMode::Scalar);
-            let (batch, _) = replay6_once(
-                &ship,
-                trace.destinations(),
-                threads,
-                ReplayMode::Batch { size: 32 },
-            );
+            let shards = trace.shard_slices(threads);
+            let (scalar, _) = replay_once(&ship, &shards, ReplayMode::Scalar);
+            let (batch, _) = replay_once(&ship, &shards, ReplayMode::Batch { size: 32 });
             assert_eq!(scalar, batch);
-            let (counted, _) = replay6_once(
-                &ship,
-                trace.destinations(),
-                threads,
-                ReplayMode::Counted { size: 32 },
-            );
+            let (counted, _) = replay_once(&ship, &shards, ReplayMode::Counted { size: 32 });
             assert!(batch.same_next_hops(&counted));
             assert_eq!(scalar.lookups, 4_000);
             assert!(scalar.hits > 0);

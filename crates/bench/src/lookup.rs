@@ -4,12 +4,12 @@
 //!
 //! The harness shards one trace into contiguous per-thread slices
 //! ([`Trace::shard_slices`]) and replays every shard through a shared
-//! `Arc<dyn Lpm + Send + Sync>` under `std::thread::scope`. Each worker
-//! folds its results into a [`ReplayChecksum`] — the sum survives into
-//! the return value, so the optimizer cannot discard the lookups, and
-//! scalar/batch runs over the same trace must produce the *same*
-//! checksum (spot-checking the batch contract on real traffic every
-//! time the benchmark runs).
+//! `dyn Lpm<A> + Sync`, at either address width, under
+//! `std::thread::scope`. Each worker folds its results into a
+//! [`ReplayChecksum`] — the sum survives into the return value, so the
+//! optimizer cannot discard the lookups, and scalar/batch runs over the
+//! same trace must produce the *same* checksum (spot-checking the batch
+//! contract on real traffic every time the benchmark runs).
 //!
 //! The scalar and batch arms time what the dataplane runs — `lookup`
 //! and `forward_batch`, next hops only. The cost-model columns
@@ -23,6 +23,7 @@
 use spal_core::{ForwardingTable, LpmAlgorithm};
 use spal_lpm::multibit::MultibitTrie;
 use spal_lpm::{CountedLookup, Lpm};
+use spal_rib::bits::AddressBits;
 use spal_rib::{synth, NextHop, RoutingTable};
 use spal_traffic::{preset, LocalityModel, PresetName, Trace, TracePreset};
 use std::io::Write;
@@ -80,7 +81,7 @@ pub struct ReplayChecksum {
 
 impl ReplayChecksum {
     #[inline]
-    pub(crate) fn absorb(&mut self, next_hop: Option<NextHop>) {
+    fn absorb(&mut self, next_hop: Option<NextHop>) {
         self.lookups += 1;
         if let Some(nh) = next_hop {
             self.hits += 1;
@@ -89,7 +90,7 @@ impl ReplayChecksum {
     }
 
     #[inline]
-    pub(crate) fn absorb_counted(&mut self, c: CountedLookup) {
+    fn absorb_counted(&mut self, c: CountedLookup) {
         self.absorb(c.next_hop);
         self.mem_accesses += c.mem_accesses as u64;
         self.lines_touched += c.lines_touched as u64;
@@ -102,7 +103,7 @@ impl ReplayChecksum {
             == (counted.lookups, counted.hits, counted.next_hop_sum)
     }
 
-    pub(crate) fn merge(&mut self, other: ReplayChecksum) {
+    fn merge(&mut self, other: ReplayChecksum) {
         self.lookups += other.lookups;
         self.hits += other.hits;
         self.next_hop_sum += other.next_hop_sum;
@@ -114,9 +115,9 @@ impl ReplayChecksum {
 /// Replay `shards` (one worker thread per shard) once and return the
 /// merged checksum plus wall seconds. Thread spawn/join is inside the
 /// timed region for both modes, so it cancels out of ratios.
-pub fn replay_once(
-    lpm: &(dyn Lpm + Sync),
-    shards: &[Trace],
+pub fn replay_once<A: AddressBits>(
+    lpm: &(dyn Lpm<A> + Sync),
+    shards: &[Trace<A>],
     mode: ReplayMode,
 ) -> (ReplayChecksum, f64) {
     let start = Instant::now();
@@ -138,7 +139,11 @@ pub fn replay_once(
     (total, wall)
 }
 
-fn replay_shard(lpm: &(dyn Lpm + Sync), shard: &Trace, mode: ReplayMode) -> ReplayChecksum {
+fn replay_shard<A: AddressBits>(
+    lpm: &(dyn Lpm<A> + Sync),
+    shard: &Trace<A>,
+    mode: ReplayMode,
+) -> ReplayChecksum {
     let mut sum = ReplayChecksum::default();
     match mode {
         ReplayMode::Scalar => {
@@ -170,7 +175,11 @@ fn replay_shard(lpm: &(dyn Lpm + Sync), shard: &Trace, mode: ReplayMode) -> Repl
 
 /// Best-of-[`REPS`] replay: returns the checksum (identical across
 /// reps — replays are deterministic) and the minimum wall seconds.
-pub fn replay(lpm: &(dyn Lpm + Sync), shards: &[Trace], mode: ReplayMode) -> (ReplayChecksum, f64) {
+pub fn replay<A: AddressBits>(
+    lpm: &(dyn Lpm<A> + Sync),
+    shards: &[Trace<A>],
+    mode: ReplayMode,
+) -> (ReplayChecksum, f64) {
     let mut best: Option<(ReplayChecksum, f64)> = None;
     for _ in 0..REPS {
         let (sum, wall) = replay_once(lpm, shards, mode);
@@ -209,14 +218,18 @@ pub struct LookupRow {
 
 impl LookupRow {
     /// Measure one `(engine, mode, threads)` cell.
-    pub fn measure(lpm: &(dyn Lpm + Sync), shards: &[Trace], mode: ReplayMode) -> LookupRow {
+    pub fn measure<A: AddressBits>(
+        lpm: &(dyn Lpm<A> + Sync),
+        shards: &[Trace<A>],
+        mode: ReplayMode,
+    ) -> LookupRow {
         let (sum, wall) = replay(lpm, shards, mode);
         Self::from_run(lpm, shards, mode, sum, wall)
     }
 
-    fn from_run(
-        lpm: &(dyn Lpm + Sync),
-        shards: &[Trace],
+    fn from_run<A: AddressBits>(
+        lpm: &(dyn Lpm<A> + Sync),
+        shards: &[Trace<A>],
         mode: ReplayMode,
         sum: ReplayChecksum,
         wall: f64,
@@ -310,21 +323,10 @@ pub struct Speedup {
 /// engine and the trace are the same, only the timed call differs.
 /// Scalar and batch checksums are asserted equal on every rep, and both
 /// to the counted replay's next hops.
-pub fn measure_speedup(lpm: &(dyn Lpm + Sync), shards: &[Trace], size: usize) -> Speedup {
-    measure_paired(
-        size,
-        |mode| replay_once(lpm, shards, mode),
-        |mode, sum, wall| LookupRow::from_run(lpm, shards, mode, sum, wall),
-    )
-}
-
-/// The pairing loop behind [`measure_speedup`] and its IPv6 twin
-/// (`dfz::measure6`): `replay` runs one mode once, `row` turns a mode's
-/// best wall time and the counted checksum into its report row.
-pub(crate) fn measure_paired(
+pub fn measure_speedup<A: AddressBits>(
+    lpm: &(dyn Lpm<A> + Sync),
+    shards: &[Trace<A>],
     size: usize,
-    replay: impl Fn(ReplayMode) -> (ReplayChecksum, f64),
-    row: impl Fn(ReplayMode, ReplayChecksum, f64) -> LookupRow,
 ) -> Speedup {
     let modes = [
         ReplayMode::Scalar,
@@ -335,7 +337,8 @@ pub(crate) fn measure_paired(
     let mut counts = ReplayChecksum::default();
     let (mut batch_vs_scalar, mut forward_vs_counted) = (0.0f64, 0.0f64);
     for _ in 0..REPS {
-        let [(s_sum, s_wall), (b_sum, b_wall), (c_sum, c_wall)] = modes.map(&replay);
+        let [(s_sum, s_wall), (b_sum, b_wall), (c_sum, c_wall)] =
+            modes.map(|mode| replay_once(lpm, shards, mode));
         assert_eq!(s_sum, b_sum, "batch replay diverged from scalar");
         assert!(
             b_sum.same_next_hops(&c_sum),
@@ -348,7 +351,8 @@ pub(crate) fn measure_paired(
         }
         counts = c_sum;
     }
-    let [scalar, batch, counted] = [0, 1, 2].map(|i| row(modes[i], counts, best[i]));
+    let [scalar, batch, counted] =
+        [0, 1, 2].map(|i| LookupRow::from_run(lpm, shards, modes[i], counts, best[i]));
     Speedup {
         scalar,
         batch,

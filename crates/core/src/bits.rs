@@ -178,24 +178,31 @@ pub fn select_bits_generic<A: AddressBits>(
     chosen
 }
 
-/// [`select_bits_generic`] for an IPv4 routing table, candidate
-/// positions `0..=max_bit` (the paper examines 0 ≤ ν ≤ 31; Criterion 1
-/// already rules out large ν on real tables).
-pub fn select_bits_with(
-    table: &RoutingTable,
+/// [`select_bits_generic`] for a routing table, candidate positions
+/// `0..=max_bit` (the paper examines 0 ≤ ν ≤ 31; Criterion 1 already
+/// rules out large ν on real tables).
+pub fn select_bits_with<A: AddressBits>(
+    table: &RoutingTable<A>,
     eta: usize,
     max_bit: u8,
     strategy: BitSelectionStrategy,
 ) -> Vec<u8> {
-    assert!(max_bit <= 31, "IPv4 bit positions are 0..=31");
-    let prefixes: Vec<Prefix> = table.prefixes().collect();
+    let prefixes: Vec<Prefix<A>> = table.prefixes().collect();
     select_bits_generic(&prefixes, eta, max_bit, strategy)
 }
 
-/// [`select_bits_with`] using the default strategy and the full 0..=31
-/// candidate range.
-pub fn select_bits(table: &RoutingTable, eta: usize) -> Vec<u8> {
-    select_bits_with(table, eta, 31, BitSelectionStrategy::default())
+/// [`select_bits_with`] using the default strategy and candidate
+/// positions `0..min(A::BITS, 64)`: every position of an IPv4 address,
+/// the upper half of an IPv6 one — interface identifiers (the low 64
+/// bits) are host bits, wild in almost every routed prefix, so
+/// Criterion 1 excludes them just as it excludes positions > 24 in IPv4.
+pub fn select_bits<A: AddressBits>(table: &RoutingTable<A>, eta: usize) -> Vec<u8> {
+    select_bits_with(
+        table,
+        eta,
+        A::BITS.min(64) - 1,
+        BitSelectionStrategy::default(),
+    )
 }
 
 /// Number of partitioning bits for a router with `psi` LCs:
@@ -336,6 +343,17 @@ mod tests {
         assert_eq!(scores[bits[0] as usize].imbalance, min_imb);
     }
 
+    /// Positions taken from `select_bits` / `select_bits6` while they
+    /// were two functions: the generic one must keep choosing them.
+    #[test]
+    fn selected_positions_are_pinned_at_both_widths() {
+        use spal_rib::v6::{dfz2026_v6, synthesize6};
+        assert_eq!(select_bits(&synth::rt1(1), 4), [9, 11, 14, 13]);
+        assert_eq!(select_bits(&synth::rt1(7), 5), [4, 13, 14, 12, 10]);
+        assert_eq!(select_bits(&synthesize6(5_000, 31), 5), [4, 16, 7, 23, 18]);
+        assert_eq!(select_bits(&dfz2026_v6(0xD15C), 2), [18, 4]);
+    }
+
     #[test]
     fn zero_eta_for_single_lc() {
         let rt = synth::small(9);
@@ -344,7 +362,7 @@ mod tests {
 
     #[test]
     fn empty_table() {
-        let rt = RoutingTable::new();
+        let rt: RoutingTable = RoutingTable::new();
         let bits = select_bits(&rt, 2);
         assert_eq!(bits.len(), 2);
     }

@@ -8,8 +8,8 @@
 //!   mapping of 2^η bit groups onto an *arbitrary* number ψ of line cards
 //!   (ψ need not be a power of two), and the LR1/LR2-style home-LC
 //!   detector;
-//! * [`fwd`] — a forwarding-table wrapper selecting one of the `spal-lpm`
-//!   algorithms per line card;
+//! * [`fwd`] — the forwarding-table wrappers (one per address width)
+//!   selecting one of the `spal-lpm` algorithms per line card;
 //! * [`router`] — the functional (untimed) SPAL router: partitioned
 //!   tables + per-LC LR-caches + home routing, with full result-sharing
 //!   semantics; the cycle-accurate version lives in `spal-sim`;
@@ -20,14 +20,12 @@
 pub mod baseline;
 pub mod bits;
 pub mod fwd;
-pub mod fwd6;
 pub mod partition;
 pub mod router;
 pub mod v6;
 
 pub use bits::{select_bits, BitScore, BitSelectionStrategy};
-pub use fwd::{ForwardingTable, LpmAlgorithm};
-pub use fwd6::{ForwardingTable6, LpmAlgorithm6};
+pub use fwd::{ForwardingTable, ForwardingTable6, LpmAlgorithm, LpmAlgorithm6};
 pub use partition::{PartitionStats, Partitioning};
 pub use router::{LookupOutcome, SpalRouter, SpalRouterConfig};
 pub use v6::{select_bits6, Partitioning6};

@@ -2,23 +2,17 @@
 //! IPv6") made concrete: the same two-criteria bit selection and
 //! ROT-partitioning, over 128-bit prefixes.
 //!
-//! The machinery is the IPv4 machinery — [`spal_rib::Prefix`] and
-//! [`spal_rib::RoutingTable`] are generic over the address width; this
-//! module provides the IPv6-typed surface: [`select_bits6`] and
-//! [`Partitioning6`].
+//! The machinery is the IPv4 machinery — [`spal_rib::Prefix`],
+//! [`spal_rib::RoutingTable`] and [`crate::select_bits`] are generic
+//! over the address width, and the partitioning state is width-free —
+//! so this module is two re-exports, [`select_bits6`] and
+//! [`Partitioning6`], and the tests that run the machinery at 128 bits.
 
-use crate::bits::{select_bits_generic, BitSelectionStrategy};
 use crate::partition::Partitioning;
-use spal_rib::v6::{Prefix6, RoutingTable6};
 
-/// Select `eta` partitioning bits for an IPv6 table. Candidates are
-/// restricted to positions `0..=63` — IPv6 interface identifiers (the
-/// low 64 bits) are host bits, wild in almost every routed prefix, so
-/// Criterion 1 excludes them just as it excludes positions >24 in IPv4.
-pub fn select_bits6(table: &RoutingTable6, eta: usize) -> Vec<u8> {
-    let prefixes: Vec<Prefix6> = table.entries().iter().map(|e| e.prefix).collect();
-    select_bits_generic(&prefixes, eta, 63, BitSelectionStrategy::default())
-}
+/// The IPv6 spelling of [`crate::select_bits`], which is generic over
+/// the address width (candidate positions `0..=63` at 128 bits).
+pub use crate::bits::select_bits as select_bits6;
 
 /// The IPv6 spelling of [`Partitioning`]: the partitioning state is
 /// width-free, so both families share one type.

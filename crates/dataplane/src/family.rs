@@ -8,22 +8,20 @@
 //! [`crate::runtime`] is written once over `RoutingTable<F::Addr>`,
 //! `Update<F::Addr>`, `Trace<F::Addr>`. What an [`AddrFamily`] names is
 //! the remainder: the address type, the forwarding engine and its
-//! algorithm choice, the bit-selection candidate range, the seed salts
-//! the goldens pin, and how the final consistency check draws probes.
-//! [`V4`] and [`V6`] are the two instantiations.
+//! algorithm choice, the seed salts the goldens pin, and how the final
+//! consistency check draws probes. [`V4`] and [`V6`] are the two
+//! instantiations.
 //!
-//! `spal_lpm`'s [`Lpm`] and [`Lpm6`] stay two traits (each engine
-//! implements the one of its width); the engine calls below are where
-//! the runtime bridges them.
+//! The lookup contract is not part of the remainder: an engine is an
+//! [`Lpm`] over the family's address, and the runtime calls that trait
+//! (and the width-generic `spal_core::select_bits`) directly.
 
 use crate::pending::Key;
-use spal_core::{
-    select_bits, select_bits6, ForwardingTable, ForwardingTable6, LpmAlgorithm, LpmAlgorithm6,
-};
+use spal_core::{ForwardingTable, ForwardingTable6, LpmAlgorithm, LpmAlgorithm6};
 use spal_fabric::FabricAddr;
-use spal_lpm::{DeltaStats, Lpm, Lpm6};
+use spal_lpm::Lpm;
 use spal_rib::updates::ChurnAddr;
-use spal_rib::{NextHop, Prefix, RoutingTable};
+use spal_rib::RoutingTable;
 use std::fmt::Debug;
 
 /// One address width of the dataplane.
@@ -32,7 +30,7 @@ pub trait AddrFamily: Copy + Debug + Send + Sync + 'static {
     /// and the width of every prefix, table, update and trace.
     type Addr: Key + FabricAddr + ChurnAddr;
     /// One LC's forwarding engine.
-    type Engine: Send + Sync;
+    type Engine: Lpm<Self::Addr> + Send + Sync;
     /// Which LPM structure an engine runs.
     type Algorithm: Copy + Debug + Send + Sync;
 
@@ -43,24 +41,8 @@ pub trait AddrFamily: Copy + Debug + Send + Sync + 'static {
     /// XORed into the run seed to seed the final consistency sampler.
     const CHECK_SEED_SALT: u64;
 
-    /// Partitioning bit positions for `table` (§3.1), over the family's
-    /// candidate range.
-    fn select_bits(table: &RoutingTable<Self::Addr>, eta: usize) -> Vec<u8>;
-
     /// Build an engine from a (partitioned) table.
     fn build(algorithm: Self::Algorithm, table: &RoutingTable<Self::Addr>) -> Self::Engine;
-    /// `lookup` of the width's LPM trait.
-    fn lookup(engine: &Self::Engine, addr: Self::Addr) -> Option<NextHop>;
-    /// `forward_batch` of the width's LPM trait: next hops only — the
-    /// dataplane forwards, it does not run the cost model.
-    fn forward_batch(engine: &Self::Engine, addrs: &[Self::Addr], out: &mut [Option<NextHop>]);
-    /// `apply_delta` of the width's LPM trait (`None` = declined, the
-    /// caller rebuilds).
-    fn apply_delta(
-        engine: &mut Self::Engine,
-        changed: &[Prefix<Self::Addr>],
-        rib: &RoutingTable<Self::Addr>,
-    ) -> Option<DeltaStats>;
 
     /// Probe address `i` of the final consistency check, from one
     /// xorshift word `x`; `ribs` are the per-LC fragments.
@@ -84,30 +66,8 @@ impl AddrFamily for V4 {
     const CHURN_SEED_SALT: u64 = 0x5EED_CAFE;
     const CHECK_SEED_SALT: u64 = 0xF1A1;
 
-    fn select_bits(table: &RoutingTable, eta: usize) -> Vec<u8> {
-        select_bits(table, eta)
-    }
-
     fn build(algorithm: LpmAlgorithm, table: &RoutingTable) -> ForwardingTable {
         ForwardingTable::build(algorithm, table)
-    }
-
-    #[inline]
-    fn lookup(engine: &ForwardingTable, addr: u32) -> Option<NextHop> {
-        Lpm::lookup(engine, addr)
-    }
-
-    #[inline]
-    fn forward_batch(engine: &ForwardingTable, addrs: &[u32], out: &mut [Option<NextHop>]) {
-        Lpm::forward_batch(engine, addrs, out)
-    }
-
-    fn apply_delta(
-        engine: &mut ForwardingTable,
-        changed: &[Prefix],
-        rib: &RoutingTable,
-    ) -> Option<DeltaStats> {
-        Lpm::apply_delta(engine, changed, rib)
     }
 
     /// Uniform over the address space (dense enough in IPv4 that a
@@ -126,30 +86,8 @@ impl AddrFamily for V6 {
     const CHURN_SEED_SALT: u64 = 0x5EED_CAF6;
     const CHECK_SEED_SALT: u64 = 0xF1A6;
 
-    fn select_bits(table: &RoutingTable<u128>, eta: usize) -> Vec<u8> {
-        select_bits6(table, eta)
-    }
-
     fn build(algorithm: LpmAlgorithm6, table: &RoutingTable<u128>) -> ForwardingTable6 {
         ForwardingTable6::build(algorithm, table)
-    }
-
-    #[inline]
-    fn lookup(engine: &ForwardingTable6, addr: u128) -> Option<NextHop> {
-        Lpm6::lookup(engine, addr)
-    }
-
-    #[inline]
-    fn forward_batch(engine: &ForwardingTable6, addrs: &[u128], out: &mut [Option<NextHop>]) {
-        Lpm6::forward_batch(engine, addrs, out)
-    }
-
-    fn apply_delta(
-        engine: &mut ForwardingTable6,
-        changed: &[Prefix<u128>],
-        rib: &RoutingTable<u128>,
-    ) -> Option<DeltaStats> {
-        Lpm6::apply_delta(engine, changed, rib)
     }
 
     /// Even probes land inside a live prefix of the first non-empty

@@ -57,11 +57,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spal_cache::{BatchProbe, LrCache, LrCacheConfig, Origin, ProbeResult};
 use spal_core::bits::eta_for;
-use spal_core::Partitioning;
+use spal_core::{select_bits, Partitioning};
 use spal_fabric::{
     spsc_ring, AddrBatch, FabricMsg, MsgKind, ReplyBatch, SpscConsumer, SpscProducer,
     BATCH_MSG_LANES,
 };
+use spal_lpm::Lpm;
 use spal_rib::updates::{apply, update_stream, Update, UpdateStreamConfig};
 use spal_rib::v6::RoutingTable6;
 use spal_rib::{NextHop, Prefix, RoutingTable};
@@ -852,7 +853,7 @@ impl<F: AddrFamily> WorkerCore<F> {
         self.results.clear();
         self.results.resize(addrs.len(), None);
         let table = &snap.tables[self.lc];
-        F::forward_batch(table, &addrs, &mut self.results);
+        table.forward_batch(&addrs, &mut self.results);
         self.report.fe_batches += 1;
         self.report.fe_lookups += addrs.len() as u64;
         let now = Instant::now();
@@ -863,7 +864,7 @@ impl<F: AddrFamily> WorkerCore<F> {
                 if self.fe_since_check >= self.spot_check_every {
                     self.fe_since_check = 0;
                     self.report.spot_checks += 1;
-                    if F::lookup(table, addr) != res {
+                    if table.lookup(addr) != res {
                         self.report.spot_check_mismatches += 1;
                     }
                 }
@@ -1258,7 +1259,7 @@ impl<F: AddrFamily> Control<F> {
                 continue;
             }
             let patched = if self.delta_patching {
-                F::apply_delta(&mut snap.tables[lc], prefixes, &self.per_lc_rib[lc])
+                snap.tables[lc].apply_delta(prefixes, &self.per_lc_rib[lc])
             } else {
                 None
             };
@@ -1500,7 +1501,7 @@ impl<F: AddrFamily> Control<F> {
             let addr = F::check_addr(x, i, &self.per_lc_rib);
             let lc = self.part.home_of(addr) as usize;
             let expect = self.per_lc_rib[lc].longest_match(addr).map(|e| e.next_hop);
-            let got = F::lookup(&self.writer.peek().tables[lc], addr);
+            let got = self.writer.peek().tables[lc].lookup(addr);
             self.report.final_checks += 1;
             if expect != got {
                 self.report.final_mismatches += 1;
@@ -1549,7 +1550,7 @@ pub fn run_family<F: AddrFamily>(
         );
     }
 
-    let bits = F::select_bits(table, eta_for(psi));
+    let bits = select_bits(table, eta_for(psi));
     let part = Arc::new(Partitioning::new(table, bits, psi));
     let per_lc_rib = part.forwarding_tables(table);
     let build = |version: u64| {

@@ -7,7 +7,7 @@
 //! insert/withdraw, and is generic over address width so the IPv6
 //! extension (§6) can reuse it unchanged.
 
-use crate::{CountedLookup, DeltaStats, Lpm, Lpm6, Tally, Walk, BATCH_LANES};
+use crate::{CountedLookup, DeltaStats, Lpm, Tally, Walk, BATCH_LANES};
 use spal_rib::bits::AddressBits;
 use spal_rib::{NextHop, Prefix, RoutingTable};
 
@@ -55,6 +55,12 @@ impl<A: AddressBits> Default for GenericBinaryTrie<A> {
 }
 
 impl<A: AddressBits> GenericBinaryTrie<A> {
+    /// Whether batches run the interleaved [`Walk::group`] (2.0× the
+    /// scalar loop at 32 levels) or the scalar loop: at 128 levels the
+    /// lane bookkeeping costs more than the overlap buys (0.55× at DFZ
+    /// scale).
+    const GROUPED: bool = A::BITS <= 32;
+
     /// An empty trie (just a root node).
     pub fn new() -> Self {
         GenericBinaryTrie {
@@ -130,24 +136,14 @@ impl<A: AddressBits> GenericBinaryTrie<A> {
         }
         prev
     }
-
-    /// Longest-prefix match with an access count (one access per node
-    /// visited). Works for any address width. Lines: each visited node is
-    /// a [`NODE_BYTES`]-byte record at `index * NODE_BYTES` in the arena;
-    /// records straddling a 64-byte boundary touch two lines.
-    pub fn lookup_counted_generic(&self, addr: A) -> CountedLookup {
-        crate::walk_one::<_, crate::Counted>(self, addr)
-    }
-
-    /// Longest-prefix match for any address width.
-    pub fn lookup_generic(&self, addr: A) -> Option<NextHop> {
-        crate::walk_one::<_, crate::Forward>(self, addr)
-    }
 }
 
 impl<A: AddressBits> Walk for GenericBinaryTrie<A> {
     type Addr = A;
 
+    /// One access per node visited. Lines: each visited node is a
+    /// [`NODE_BYTES`]-byte record at `index * NODE_BYTES` in the arena;
+    /// records straddling a 64-byte boundary touch two lines.
     fn walk<T: Tally>(&self, addr: A, t: &mut T) -> T::Out {
         let mut node = 0usize;
         let mut best = self.nodes[0].route;
@@ -168,10 +164,7 @@ impl<A: AddressBits> Walk for GenericBinaryTrie<A> {
 
     /// Each round advances every still-active lane one trie level, so
     /// the dependent child-pointer loads are in flight together instead
-    /// of one walk stalling to completion before the next starts. Only
-    /// the IPv4 trie batches through it: at 128 levels the lane
-    /// bookkeeping costs more than the overlap buys (0.55× the scalar
-    /// loop at DFZ scale), and no timed path runs the `u128` trie.
+    /// of one walk stalling to completion before the next starts.
     fn group<T: Tally, const N: usize>(
         &self,
         addrs: &[A; N],
@@ -219,15 +212,35 @@ impl<A: AddressBits> Walk for GenericBinaryTrie<A> {
     }
 }
 
-impl<A: AddressBits> GenericBinaryTrie<A> {
+impl<A: AddressBits> Lpm<A> for GenericBinaryTrie<A> {
+    fn lookup(&self, addr: A) -> Option<NextHop> {
+        crate::walk_one::<_, crate::Forward>(self, addr)
+    }
+
+    fn lookup_counted(&self, addr: A) -> CountedLookup {
+        crate::walk_one::<_, crate::Counted>(self, addr)
+    }
+
+    fn lookup_batch(&self, addrs: &[A], out: &mut [CountedLookup]) {
+        if Self::GROUPED {
+            crate::walk_batch::<_, crate::Counted, BATCH_LANES>(self, addrs, out)
+        } else {
+            crate::each(addrs, out, |a| self.lookup_counted(a))
+        }
+    }
+
+    fn forward_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
+        if Self::GROUPED {
+            crate::walk_batch::<_, crate::Forward, BATCH_LANES>(self, addrs, out)
+        } else {
+            crate::each(addrs, out, |a| self.lookup(a))
+        }
+    }
+
     /// The binary trie is natively incremental: each change replays
     /// through [`GenericBinaryTrie::insert`]/[`GenericBinaryTrie::remove`],
     /// touching only the path to the changed prefix. Never declines.
-    fn apply_delta_generic(
-        &mut self,
-        changed: &[Prefix<A>],
-        rib: &RoutingTable<A>,
-    ) -> Option<DeltaStats> {
+    fn apply_delta(&mut self, changed: &[Prefix<A>], rib: &RoutingTable<A>) -> Option<DeltaStats> {
         let before = self.nodes.len();
         for &p in changed {
             match rib.get(p) {
@@ -246,47 +259,19 @@ impl<A: AddressBits> GenericBinaryTrie<A> {
             bytes_touched: (changed.len() + self.nodes.len().abs_diff(before)) * NODE_BYTES,
         })
     }
-}
-
-impl Lpm6 for GenericBinaryTrie<u128> {
-    fn lookup(&self, addr: u128) -> Option<NextHop> {
-        self.lookup_generic(addr)
-    }
-
-    fn lookup_counted(&self, addr: u128) -> CountedLookup {
-        self.lookup_counted_generic(addr)
-    }
-
-    fn apply_delta(
-        &mut self,
-        changed: &[Prefix<u128>],
-        rib: &RoutingTable<u128>,
-    ) -> Option<DeltaStats> {
-        self.apply_delta_generic(changed, rib)
-    }
 
     fn storage_bytes(&self) -> usize {
         self.nodes.len() * NODE_BYTES
     }
 
+    /// `"Binary"` at 32 bits, `"Binary6"` at 128 — the labels the
+    /// committed benchmark rows carry.
     fn name(&self) -> &'static str {
-        "Binary"
-    }
-}
-
-impl Lpm for BinaryTrie {
-    walk_lookups!(u32, BATCH_LANES);
-
-    fn apply_delta(&mut self, changed: &[Prefix], rib: &RoutingTable) -> Option<DeltaStats> {
-        self.apply_delta_generic(changed, rib)
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.nodes.len() * NODE_BYTES
-    }
-
-    fn name(&self) -> &'static str {
-        "Binary"
+        if A::BITS == 32 {
+            "Binary"
+        } else {
+            "Binary6"
+        }
     }
 }
 
@@ -389,9 +374,9 @@ mod tests {
         let p48 = 0x2001_0db8_0001u128 << 80;
         t.insert(p32, 32, NextHop(1));
         t.insert(p48, 48, NextHop(2));
-        assert_eq!(t.lookup_generic(p48 | 5), Some(NextHop(2)));
-        assert_eq!(t.lookup_generic(p32 | (2u128 << 80)), Some(NextHop(1)));
-        assert_eq!(t.lookup_generic(0x3000u128 << 112), None);
+        assert_eq!(t.lookup(p48 | 5), Some(NextHop(2)));
+        assert_eq!(t.lookup(p32 | (2u128 << 80)), Some(NextHop(1)));
+        assert_eq!(t.lookup(0x3000u128 << 112), None);
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //! * [`ship::Ship6`] — the SHIP-class two-level IPv6 engine: 2^16
 //!   address-block bins over hybrid dense/sparse tries.
 //!
-//! Every structure implements [`Lpm`] (or [`Lpm6`] at the 128-bit width),
-//! which exposes the two quantities the paper's experiments need besides
-//! the lookup result itself: the number of memory accesses the lookup
+//! Every structure implements [`Lpm`] at its address width (`Lpm<u32>`,
+//! which plain `Lpm` means, or `Lpm<u128>`, also spelled [`Lpm6`]), which
+//! exposes the two quantities the paper's experiments need besides the
+//! lookup result itself: the number of memory accesses the lookup
 //! performed and the storage the structure occupies under the paper's
 //! byte models.
 //!
@@ -85,7 +86,7 @@ pub mod ship;
 
 pub use delta::DeltaStats;
 
-use spal_rib::v6::{Prefix6, RoutingTable6};
+use spal_rib::bits::AddressBits;
 use spal_rib::{NextHop, Prefix, RoutingTable};
 
 /// Result of an instrumented lookup.
@@ -426,20 +427,30 @@ pub fn prefetch_slice<T>(slice: &[T], index: usize) {
     }
 }
 
-/// A longest-prefix-match structure built from a routing table.
-pub trait Lpm {
+/// The scalar loop behind the batch entry points' defaults.
+fn each<A: Copy, O>(addrs: &[A], out: &mut [O], lookup: impl Fn(A) -> O) {
+    assert_eq!(addrs.len(), out.len(), "{LENGTH_MISMATCH}");
+    for (o, &a) in out.iter_mut().zip(addrs) {
+        *o = lookup(a);
+    }
+}
+
+/// A longest-prefix-match structure built from a routing table, over
+/// addresses of width `A` — `u32` unless said otherwise, so `Lpm` in
+/// type position (`dyn Lpm + Send + Sync`) is the IPv4 contract.
+pub trait Lpm<A: AddressBits = u32> {
     /// Longest-prefix match for `addr`.
-    fn lookup(&self, addr: u32) -> Option<NextHop> {
+    fn lookup(&self, addr: A) -> Option<NextHop> {
         self.lookup_counted(addr).next_hop
     }
 
     /// Longest-prefix match with a memory-access count, for the paper's
     /// §5.1 access measurements and the FE timing model.
-    fn lookup_counted(&self, addr: u32) -> CountedLookup;
+    fn lookup_counted(&self, addr: A) -> CountedLookup;
 
     /// Batched longest-prefix match: fill `out[i]` with exactly what
     /// `lookup_counted(addrs[i])` would return — same next hops, same
-    /// `mem_accesses` — for every `i`.
+    /// `mem_accesses`, same `lines_touched` — for every `i`.
     ///
     /// The default implementation is the scalar loop, so every engine
     /// supports batching; the flat-array and trie engines override it
@@ -450,11 +461,8 @@ pub trait Lpm {
     ///
     /// # Panics
     /// Panics if `addrs` and `out` differ in length.
-    fn lookup_batch(&self, addrs: &[u32], out: &mut [CountedLookup]) {
-        assert_eq!(addrs.len(), out.len(), "{LENGTH_MISMATCH}");
-        for (o, &a) in out.iter_mut().zip(addrs) {
-            *o = self.lookup_counted(a);
-        }
+    fn lookup_batch(&self, addrs: &[A], out: &mut [CountedLookup]) {
+        each(addrs, out, |a| self.lookup_counted(a));
     }
 
     /// Batched longest-prefix match for the forwarding path: fill
@@ -467,11 +475,8 @@ pub trait Lpm {
     ///
     /// # Panics
     /// Panics if `addrs` and `out` differ in length.
-    fn forward_batch(&self, addrs: &[u32], out: &mut [Option<NextHop>]) {
-        assert_eq!(addrs.len(), out.len(), "{LENGTH_MISMATCH}");
-        for (o, &a) in out.iter_mut().zip(addrs) {
-            *o = self.lookup(a);
-        }
+    fn forward_batch(&self, addrs: &[A], out: &mut [Option<NextHop>]) {
+        each(addrs, out, |a| self.lookup(a));
     }
 
     /// Patch the structure in place after a batch of route changes,
@@ -491,114 +496,46 @@ pub trait Lpm {
     /// fired (accumulated garbage, a structural change the patch
     /// granularity cannot express). After `None` the structure's state
     /// is unspecified; the caller must rebuild it from `rib`.
-    fn apply_delta(&mut self, changed: &[Prefix], rib: &RoutingTable) -> Option<DeltaStats> {
+    fn apply_delta(&mut self, changed: &[Prefix<A>], rib: &RoutingTable<A>) -> Option<DeltaStats> {
         let _ = (changed, rib);
         None
     }
 
     /// Bytes of SRAM the structure occupies under the paper's storage
-    /// models (§4).
+    /// models (§4), or the engine's modeled layout.
     fn storage_bytes(&self) -> usize;
 
     /// Short human-readable algorithm name ("DP", "Lulea", "LC", …).
     fn name(&self) -> &'static str;
 }
 
-/// A longest-prefix-match structure over 128-bit (IPv6) addresses —
-/// the [`Lpm`] contract at the wider address width. Same semantics:
-/// instrumented lookups, bit-identical batching, and `apply_delta`
-/// patch-or-decline against the post-update table.
-pub trait Lpm6 {
-    /// Longest-prefix match for `addr`.
-    fn lookup(&self, addr: u128) -> Option<NextHop> {
-        self.lookup_counted(addr).next_hop
-    }
-
-    /// Longest-prefix match with access and cache-line counts.
-    fn lookup_counted(&self, addr: u128) -> CountedLookup;
-
-    /// Batched lookup; must be bit-identical to the scalar path (same
-    /// next hops, same `mem_accesses`, same `lines_touched`).
-    ///
-    /// # Panics
-    /// Panics if `addrs` and `out` differ in length.
-    fn lookup_batch(&self, addrs: &[u128], out: &mut [CountedLookup]) {
-        assert_eq!(addrs.len(), out.len(), "{LENGTH_MISMATCH}");
-        for (o, &a) in out.iter_mut().zip(addrs) {
-            *o = self.lookup_counted(a);
-        }
-    }
-
-    /// Batched lookup for the forwarding path: next hops only, no cost
-    /// model; see [`Lpm::forward_batch`].
-    ///
-    /// # Panics
-    /// Panics if `addrs` and `out` differ in length.
-    fn forward_batch(&self, addrs: &[u128], out: &mut [Option<NextHop>]) {
-        assert_eq!(addrs.len(), out.len(), "{LENGTH_MISMATCH}");
-        for (o, &a) in out.iter_mut().zip(addrs) {
-            *o = self.lookup(a);
-        }
-    }
-
-    /// Patch in place after route changes; see [`Lpm::apply_delta`] for
-    /// the contract (`None` = declined, caller must rebuild from `rib`).
-    fn apply_delta(&mut self, changed: &[Prefix6], rib: &RoutingTable6) -> Option<DeltaStats> {
-        let _ = (changed, rib);
-        None
-    }
-
-    /// Bytes of SRAM under the engine's modeled layout.
-    fn storage_bytes(&self) -> usize;
-
-    /// Short human-readable algorithm name.
-    fn name(&self) -> &'static str;
-}
-
-/// Mean memory accesses per lookup over a set of IPv6 addresses.
-pub fn mean_accesses6<L: Lpm6 + ?Sized>(lpm: &L, addrs: &[u128]) -> f64 {
-    if addrs.is_empty() {
-        return 0.0;
-    }
-    let total: u64 = addrs
-        .iter()
-        .map(|&a| lpm.lookup_counted(a).mem_accesses as u64)
-        .sum();
-    total as f64 / addrs.len() as f64
-}
-
-/// Mean distinct cache lines per lookup over a set of IPv6 addresses.
-pub fn mean_lines6<L: Lpm6 + ?Sized>(lpm: &L, addrs: &[u128]) -> f64 {
-    if addrs.is_empty() {
-        return 0.0;
-    }
-    let total: u64 = addrs
-        .iter()
-        .map(|&a| lpm.lookup_counted(a).lines_touched as u64)
-        .sum();
-    total as f64 / addrs.len() as f64
-}
+/// [`Lpm`] where a caller wants to say "the IPv6 contract" by name:
+/// `Lpm6::lookup(&engine, addr)` is `Lpm::<u128>::lookup`, the width
+/// inferred from the arguments. A re-export rather than a second trait,
+/// so an engine implements `Lpm<u128>` and nothing else.
+pub use self::Lpm as Lpm6;
 
 /// Mean memory accesses per lookup over a set of addresses.
-pub fn mean_accesses<L: Lpm + ?Sized>(lpm: &L, addrs: &[u32]) -> f64 {
-    if addrs.is_empty() {
-        return 0.0;
-    }
-    let total: u64 = addrs
-        .iter()
-        .map(|&a| lpm.lookup_counted(a).mem_accesses as u64)
-        .sum();
-    total as f64 / addrs.len() as f64
+pub fn mean_accesses<A: AddressBits, L: Lpm<A> + ?Sized>(lpm: &L, addrs: &[A]) -> f64 {
+    mean_of(lpm, addrs, |c| c.mem_accesses)
 }
 
 /// Mean distinct cache lines touched per lookup over a set of addresses.
-pub fn mean_lines<L: Lpm + ?Sized>(lpm: &L, addrs: &[u32]) -> f64 {
+pub fn mean_lines<A: AddressBits, L: Lpm<A> + ?Sized>(lpm: &L, addrs: &[A]) -> f64 {
+    mean_of(lpm, addrs, |c| c.lines_touched)
+}
+
+fn mean_of<A: AddressBits, L: Lpm<A> + ?Sized>(
+    lpm: &L,
+    addrs: &[A],
+    field: impl Fn(CountedLookup) -> u32,
+) -> f64 {
     if addrs.is_empty() {
         return 0.0;
     }
     let total: u64 = addrs
         .iter()
-        .map(|&a| lpm.lookup_counted(a).lines_touched as u64)
+        .map(|&a| field(lpm.lookup_counted(a)) as u64)
         .sum();
     total as f64 / addrs.len() as f64
 }

@@ -37,7 +37,7 @@
 //! caller rebuilds — the explicit rebuild-fallback contract of
 //! [`crate::Lpm::apply_delta`].
 
-use crate::{prefetch_slice, CountedLookup, DeltaStats, Lpm6, Tally, Walk, BATCH_LANES};
+use crate::{prefetch_slice, CountedLookup, DeltaStats, Lpm, Tally, Walk, BATCH_LANES};
 use spal_rib::v6::{Prefix6, RouteEntry6, RoutingTable6};
 use spal_rib::NextHop;
 
@@ -518,7 +518,7 @@ impl Walk for Ship6 {
     }
 }
 
-impl Lpm6 for Ship6 {
+impl Lpm<u128> for Ship6 {
     walk_lookups!(u128, BATCH_LANES);
 
     fn apply_delta(&mut self, changed: &[Prefix6], rib: &RoutingTable6) -> Option<DeltaStats> {
@@ -675,11 +675,7 @@ mod tests {
             } else {
                 rng_bits
             };
-            assert_eq!(
-                ship.lookup(addr),
-                trie.lookup_generic(addr),
-                "addr {addr:#034x}"
-            );
+            assert_eq!(ship.lookup(addr), trie.lookup(addr), "addr {addr:#034x}");
         }
     }
 
@@ -735,10 +731,10 @@ mod tests {
         let oracle = GenericBinaryTrie::build(&rib);
         for e in rib.entries().iter().step_by(7) {
             let addr = e.prefix.bits() | 3;
-            assert_eq!(ship.lookup(addr), oracle.lookup_generic(addr));
+            assert_eq!(ship.lookup(addr), oracle.lookup(addr));
         }
         for probe in [victim.prefix.bits() | 3, added.bits() | 1, added.bits()] {
-            assert_eq!(ship.lookup(probe), oracle.lookup_generic(probe));
+            assert_eq!(ship.lookup(probe), oracle.lookup(probe));
         }
         assert_eq!(ship.lookup(added.bits()), Some(NextHop(9)));
     }
@@ -798,10 +794,10 @@ mod tests {
         let ship = Ship6::build(&t);
         let trie = GenericBinaryTrie::build(&t);
         assert!(
-            ship.storage_bytes() < Lpm6::storage_bytes(&trie),
+            ship.storage_bytes() < trie.storage_bytes(),
             "ship {} vs binary {}",
             ship.storage_bytes(),
-            Lpm6::storage_bytes(&trie)
+            trie.storage_bytes()
         );
     }
 
@@ -816,8 +812,8 @@ mod tests {
             .step_by(5)
             .map(|e| e.prefix.bits() | 0x99)
             .collect();
-        let ship_mean = crate::mean_accesses6(&ship, &addrs);
-        let trie_mean = crate::mean_accesses6(&trie, &addrs);
+        let ship_mean = crate::mean_accesses(&ship, &addrs);
+        let trie_mean = crate::mean_accesses(&trie, &addrs);
         assert!(
             ship_mean * 3.0 < trie_mean,
             "ship {ship_mean:.2} vs binary {trie_mean:.2}"

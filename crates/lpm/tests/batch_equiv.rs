@@ -1,12 +1,17 @@
-//! Property test for the batched lookup contract: for **every** engine,
-//! `lookup_batch` must be bit-identical to per-address `lookup_counted`
-//! — next hops *and* modelled memory-access counts — and
-//! `forward_batch` must yield the same next hops as `lookup` and as the
-//! counted path, for arbitrary tables, arbitrary address mixes, and
-//! every batch length from 0 to 40 (covering 16-lane groups, 4-lane
-//! groups and the scalar tails of the group drivers), before and after
-//! an `apply_delta` of an arbitrary update stream.
+//! Property test for the batched lookup contract: for **every** IPv4
+//! engine, `lookup_batch` must be bit-identical to per-address
+//! `lookup_counted` — next hops *and* modelled memory-access and line
+//! counts — and `forward_batch` must yield the same next hops as
+//! `lookup` and as the counted path, for arbitrary tables, arbitrary
+//! address mixes, and every batch length from 0 to 40 (covering 16-lane
+//! groups, 4-lane groups and the scalar tails of the group drivers),
+//! before and after an `apply_delta` of an arbitrary update stream. The
+//! checks are the shared battery's (`common`); the 128-bit engines run
+//! it in `ship_equiv.rs`.
 
+mod common;
+
+use common::check_delta_stream;
 use proptest::prelude::*;
 use spal_lpm::binary::BinaryTrie;
 use spal_lpm::dir24::Dir24_8;
@@ -16,8 +21,8 @@ use spal_lpm::lulea::LuleaTrie;
 use spal_lpm::multibit::MultibitTrie;
 use spal_lpm::poptrie::Poptrie;
 use spal_lpm::{CountedLookup, Lpm};
-use spal_rib::updates::{apply, update_stream, UpdateStreamConfig};
-use spal_rib::{synth, Prefix, RoutingTable};
+use spal_rib::synth;
+use spal_rib::updates::{update_stream, UpdateStreamConfig};
 
 /// Address mix: half biased near the table's prefixes (via the low-seed
 /// synth generator's preference for common first octets), half fully
@@ -34,76 +39,6 @@ fn arb_addrs() -> impl Strategy<Value = Vec<u32>> {
         0..=130,
     )
 }
-
-fn check_engine(lpm: &dyn Lpm, addrs: &[u32], batch: usize) -> Result<(), TestCaseError> {
-    // Length 0 is a batch too.
-    lpm.lookup_batch(&[], &mut []);
-    lpm.forward_batch(&[], &mut []);
-    let mut out = vec![CountedLookup::MISS; addrs.len()];
-    let mut fwd = vec![None; addrs.len()];
-    for ((chunk, chunk_out), chunk_fwd) in addrs
-        .chunks(batch)
-        .zip(out.chunks_mut(batch))
-        .zip(fwd.chunks_mut(batch))
-    {
-        lpm.lookup_batch(chunk, chunk_out);
-        lpm.forward_batch(chunk, chunk_fwd);
-    }
-    for (i, (&addr, &got)) in addrs.iter().zip(out.iter()).enumerate() {
-        let want = lpm.lookup_counted(addr);
-        prop_assert_eq!(
-            (fwd[i], lpm.lookup(addr)),
-            (want.next_hop, want.next_hop),
-            "{}: forward_batch / lookup diverged from lookup_counted at index {} \
-             addr {:#010x} (batch size {})",
-            lpm.name(),
-            i,
-            addr,
-            batch
-        );
-        prop_assert_eq!(
-            got.next_hop,
-            want.next_hop,
-            "{}: next hop diverged at index {} addr {:#010x} (batch size {})",
-            lpm.name(),
-            i,
-            addr,
-            batch
-        );
-        prop_assert_eq!(
-            got.mem_accesses,
-            want.mem_accesses,
-            "{}: access count diverged at index {} addr {:#010x} (batch size {})",
-            lpm.name(),
-            i,
-            addr,
-            batch
-        );
-        prop_assert_eq!(
-            got.lines_touched,
-            want.lines_touched,
-            "{}: line count diverged at index {} addr {:#010x} (batch size {})",
-            lpm.name(),
-            i,
-            addr,
-            batch
-        );
-    }
-    Ok(())
-}
-
-/// Every IPv4 engine with the constructor `apply_delta`'s rebuild
-/// fallback uses.
-type Build = fn(&RoutingTable) -> Box<dyn Lpm>;
-const ENGINES: [Build; 7] = [
-    |t| Box::new(Dir24_8::build(t)),
-    |t| Box::new(LuleaTrie::build(t)),
-    |t| Box::new(LcTrie::build(t)),
-    |t| Box::new(BinaryTrie::build(t)),
-    |t| Box::new(DpTrie::build(t)),
-    |t| Box::new(MultibitTrie::build_16_8_8(t)),
-    |t| Box::new(Poptrie::build(t)),
-];
 
 proptest! {
     // Each case builds seven engines over a fresh table; keep the count
@@ -126,22 +61,14 @@ proptest! {
             withdraw_fraction: 0.4,
             seed: stream_seed,
         });
-        let mut rib = table.clone();
-        let mut changed: Vec<Prefix> = Vec::new();
-        for &u in &updates {
-            if !changed.contains(&u.prefix()) {
-                changed.push(u.prefix());
-            }
-            apply(&mut rib, u);
-        }
-        for build in ENGINES {
-            let mut lpm = build(&table);
-            check_engine(lpm.as_ref(), &addrs, batch)?;
-            if lpm.apply_delta(&changed, &rib).is_none() {
-                lpm = build(&rib);
-            }
-            check_engine(lpm.as_ref(), &addrs, batch)?;
-        }
+        let all = updates.len();
+        check_delta_stream(Dir24_8::build, &table, &updates, all, &addrs, batch)?;
+        check_delta_stream(LuleaTrie::build, &table, &updates, all, &addrs, batch)?;
+        check_delta_stream(LcTrie::build, &table, &updates, all, &addrs, batch)?;
+        check_delta_stream(BinaryTrie::build, &table, &updates, all, &addrs, batch)?;
+        check_delta_stream(DpTrie::build, &table, &updates, all, &addrs, batch)?;
+        check_delta_stream(MultibitTrie::build_16_8_8, &table, &updates, all, &addrs, batch)?;
+        check_delta_stream(Poptrie::build, &table, &updates, all, &addrs, batch)?;
     }
 }
 

@@ -21,7 +21,7 @@ use spal_lpm::lulea::LuleaTrie;
 use spal_lpm::multibit::MultibitTrie;
 use spal_lpm::poptrie::Poptrie;
 use spal_lpm::ship::Ship6;
-use spal_lpm::{Lpm, Lpm6};
+use spal_lpm::Lpm;
 use spal_rib::synth::{self, SynthConfig};
 use spal_rib::updates::{apply, update_stream, Update, UpdateStreamConfig};
 use spal_rib::v6::{synthesize6_dfz, Prefix6, Update6};
@@ -203,11 +203,11 @@ fn run_v6_tier(size: usize, probes: usize) {
     eprintln!(
         "[dfz] SHIP built in {ship_build:?} ({} B), binary in {trie_build:?} ({} B)",
         ship.storage_bytes(),
-        Lpm6::storage_bytes(&trie)
+        trie.storage_bytes()
     );
     // The acceptance gate's storage half, pinned at both scales.
     assert!(
-        ship.storage_bytes() <= Lpm6::storage_bytes(&trie),
+        ship.storage_bytes() <= trie.storage_bytes(),
         "SHIP must not use more storage than the binary trie"
     );
 
@@ -227,7 +227,7 @@ fn run_v6_tier(size: usize, probes: usize) {
     for &addr in &addrs {
         assert_eq!(
             ship.lookup(addr),
-            trie.lookup_generic(addr),
+            trie.lookup(addr),
             "SHIP diverged at {addr:#034x}"
         );
     }
@@ -261,14 +261,14 @@ fn run_v6_tier(size: usize, probes: usize) {
             declines += 1;
             ship = Ship6::build(&rib);
         }
-        assert!(Lpm6::apply_delta(&mut trie, &changed, &rib).is_some());
+        assert!(trie.apply_delta(&changed, &rib).is_some());
     }
     assert_eq!(rib.len(), fin.len());
     eprintln!("[dfz] SHIP churn: {declines} decline(s)");
     for &addr in addrs.iter().take(probes / 2) {
         assert_eq!(
             ship.lookup(addr),
-            trie.lookup_generic(addr),
+            trie.lookup(addr),
             "SHIP diverged post-churn at {addr:#034x}"
         );
     }

@@ -1,17 +1,20 @@
-//! Property suite for the SHIP IPv6 engine: bit-identity of scalar vs
-//! batch lookups, equivalence with the generic binary trie (the IPv6
-//! reference structure) over arbitrary v6 RIBs, and the incremental
-//! contract — bin-granular `apply_delta` over arbitrary update streams
-//! must be lookup-identical to a fresh rebuild, with the decline →
-//! rebuild fallback exercised as part of the contract. Mirrors
-//! `batch_equiv.rs` / `update_equiv.rs` at the 128-bit width.
+//! Property suite for the two IPv6 engines — SHIP and the 128-bit
+//! binary trie every v6 oracle check trusts: agreement with the table's
+//! linear longest-match over arbitrary v6 RIBs, bit-identity of scalar
+//! vs batch lookups, and the incremental contract — `apply_delta` over
+//! arbitrary update streams must be lookup-identical to a fresh
+//! rebuild, with SHIP's decline → rebuild fallback exercised as part of
+//! the contract. The shared battery (`common`) at the 128-bit width,
+//! over generators biased toward SHIP's bin boundary.
 
+mod common;
+
+use common::{check_delta_stream, check_oracle};
 use proptest::prelude::*;
 use spal_lpm::binary::GenericBinaryTrie;
 use spal_lpm::ship::Ship6;
-use spal_lpm::{CountedLookup, Lpm6};
-use spal_rib::updates::{apply, update_stream, UpdateStreamConfig};
-use spal_rib::v6::{synthesize6_dfz, Prefix6, RouteEntry6, RoutingTable6, Update6};
+use spal_rib::updates::{update_stream, UpdateStreamConfig};
+use spal_rib::v6::{synthesize6_dfz, Prefix6, RouteEntry6, RoutingTable6};
 use spal_rib::NextHop;
 
 /// Arbitrary v6 prefix, biased toward the cases that stress SHIP's
@@ -68,24 +71,14 @@ proptest! {
         table in arb_table6(120),
         random in proptest::collection::vec(any::<u128>(), 1..=48),
     ) {
-        let ship = Ship6::build(&table);
-        let trie = GenericBinaryTrie::build(&table);
-        for &addr in &probe_addrs(&table, &random) {
-            let oracle = table.longest_match(addr).map(|e| e.next_hop);
-            prop_assert_eq!(
-                ship.lookup(addr), oracle,
-                "SHIP diverged from table oracle at {:#034x}", addr
-            );
-            prop_assert_eq!(
-                trie.lookup_generic(addr), oracle,
-                "binary trie diverged from table oracle at {:#034x}", addr
-            );
-        }
+        let probes = probe_addrs(&table, &random);
+        check_oracle(&Ship6::build(&table), &table, &probes)?;
+        check_oracle(&GenericBinaryTrie::build(&table), &table, &probes)?;
     }
 
-    /// Batched SHIP lookups are bit-identical to scalar — next hops,
-    /// access counts, and line counts — and `forward_batch` yields the
-    /// same next hops as `lookup` and the counted path, for every batch
+    /// Batched lookups are bit-identical to scalar — next hops, access
+    /// counts, and line counts — and `forward_batch` yields the same
+    /// next hops as `lookup` and the counted path, for every batch
     /// length across the 4-lane group driver's aligned and tail paths
     /// (0 included), before and after an `apply_delta`.
     #[test]
@@ -96,71 +89,28 @@ proptest! {
         update_count in 1usize..80,
         stream_seed in 0u64..1_000,
     ) {
-        let mut ship = Ship6::build(&table);
-        check_batches(&ship, &probe_addrs(&table, &random), batch)?;
-
         let (updates, fin) = update_stream(&table, &UpdateStreamConfig {
             count: update_count,
             withdraw_fraction: 0.4,
             seed: stream_seed,
         });
-        let mut changed: Vec<Prefix6> = Vec::new();
-        for u in &updates {
-            if !changed.contains(&u.prefix()) {
-                changed.push(u.prefix());
-            }
-        }
-        if ship.apply_delta(&changed, &fin).is_none() {
-            ship = Ship6::build(&fin);
-        }
-        check_batches(&ship, &probe_addrs(&fin, &random), batch)?;
+        let mut probes = probe_addrs(&table, &random);
+        probes.extend(probe_addrs(&fin, &[]));
+        let all = updates.len();
+        check_delta_stream(Ship6::build, &table, &updates, all, &probes, batch)?;
+        check_delta_stream(GenericBinaryTrie::build, &table, &updates, all, &probes, batch)?;
     }
-}
-
-fn check_batches(ship: &Ship6, addrs: &[u128], batch: usize) -> Result<(), TestCaseError> {
-    ship.lookup_batch(&[], &mut []);
-    ship.forward_batch(&[], &mut []);
-    let mut out = vec![CountedLookup::MISS; addrs.len()];
-    let mut fwd = vec![None; addrs.len()];
-    for ((chunk, chunk_out), chunk_fwd) in addrs
-        .chunks(batch)
-        .zip(out.chunks_mut(batch))
-        .zip(fwd.chunks_mut(batch))
-    {
-        ship.lookup_batch(chunk, chunk_out);
-        ship.forward_batch(chunk, chunk_fwd);
-    }
-    for (i, (&addr, &got)) in addrs.iter().zip(out.iter()).enumerate() {
-        let want = ship.lookup_counted(addr);
-        prop_assert_eq!(
-            got,
-            want,
-            "batch diverged from scalar at index {} addr {:#034x} (batch size {})",
-            i,
-            addr,
-            batch
-        );
-        prop_assert_eq!(
-            (fwd[i], ship.lookup(addr)),
-            (want.next_hop, want.next_hop),
-            "forward_batch / lookup diverged from lookup_counted at index {} addr {:#034x} \
-             (batch size {})",
-            i,
-            addr,
-            batch
-        );
-    }
-    Ok(())
 }
 
 proptest! {
     // Each case replays a whole stream against two engines; modest count.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Bin-granular delta patching over an arbitrary DFZ-shaped update
-    /// stream stays lookup-identical to a fresh build and to the
-    /// natively incremental binary trie, across batch sizes. A decline
-    /// (`None`) triggers the contract's rebuild fallback.
+    /// Delta patching over an arbitrary DFZ-shaped update stream stays
+    /// lookup-identical to a fresh build and to the table oracle, across
+    /// batch sizes: bin-granular on SHIP, where a decline (`None`)
+    /// triggers the contract's rebuild fallback, and natively
+    /// incremental on the binary trie, which never declines.
     #[test]
     fn ship_delta_stream_matches_rebuild(
         table_size in 30usize..500,
@@ -177,43 +127,10 @@ proptest! {
             withdraw_fraction: withdraw_tenths as f64 / 10.0,
             seed: stream_seed,
         });
-
-        let mut ship = Ship6::build(&base);
-        let mut trie = GenericBinaryTrie::build(&base);
-        let mut rib = base.clone();
-        for chunk in updates.chunks(batch) {
-            let mut changed: Vec<Prefix6> = Vec::with_capacity(chunk.len());
-            for &u in chunk {
-                let p = match u {
-                    Update6::Announce(e) => e.prefix,
-                    Update6::Withdraw(p) => p,
-                };
-                if !changed.contains(&p) {
-                    changed.push(p);
-                }
-                apply(&mut rib, u);
-            }
-            if ship.apply_delta(&changed, &rib).is_none() {
-                ship = Ship6::build(&rib);
-            }
-            prop_assert!(
-                Lpm6::apply_delta(&mut trie, &changed, &rib).is_some(),
-                "binary trie is natively incremental and never declines"
-            );
-        }
-        prop_assert_eq!(rib.len(), fin.len());
-
-        let ship_fresh = Ship6::build(&fin);
-        for &addr in &probe_addrs(&fin, &random) {
-            let oracle = trie.lookup_generic(addr);
-            prop_assert_eq!(
-                ship.lookup(addr), oracle,
-                "SHIP delta-patched diverged from binary trie at {:#034x}", addr
-            );
-            prop_assert_eq!(
-                ship.lookup(addr), ship_fresh.lookup(addr),
-                "SHIP delta-patched vs fresh build diverged at {:#034x}", addr
-            );
-        }
+        let probes = probe_addrs(&fin, &random);
+        check_delta_stream(Ship6::build, &base, &updates, batch, &probes, batch)?;
+        let declined =
+            check_delta_stream(GenericBinaryTrie::build, &base, &updates, batch, &probes, batch)?;
+        prop_assert_eq!(declined, 0, "binary trie is natively incremental and never declines");
     }
 }

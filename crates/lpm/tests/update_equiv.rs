@@ -6,6 +6,9 @@
 //! control plane relies on when it syncs a shadow snapshot
 //! incrementally instead of rebuilding it.
 
+mod common;
+
+use common::check_delta_stream;
 use proptest::prelude::*;
 use spal_lpm::binary::BinaryTrie;
 use spal_lpm::dir24::Dir24_8;
@@ -16,7 +19,7 @@ use spal_lpm::multibit::MultibitTrie;
 use spal_lpm::poptrie::Poptrie;
 use spal_lpm::Lpm;
 use spal_rib::updates::{update_stream, Update, UpdateStreamConfig};
-use spal_rib::{synth, Prefix, RoutingTable};
+use spal_rib::{synth, RoutingTable};
 
 /// Random probes plus every final-table prefix's first address and a
 /// near-miss neighbour — so equivalence is exercised on exact matches,
@@ -93,37 +96,6 @@ proptest! {
     }
 }
 
-/// Replay `updates` against `engine` in batches of `batch` through
-/// [`Lpm::apply_delta`], rebuilding with `build` whenever the engine
-/// declines a batch (`None` — that fallback IS the contract, not a
-/// failure). Returns the post-stream routing table so callers can probe.
-fn replay_deltas<L: Lpm>(
-    engine: &mut L,
-    build: &dyn Fn(&RoutingTable) -> L,
-    base: &RoutingTable,
-    updates: &[Update],
-    batch: usize,
-) -> RoutingTable {
-    let mut rib = base.clone();
-    for chunk in updates.chunks(batch.max(1)) {
-        let mut changed: Vec<Prefix> = Vec::with_capacity(chunk.len());
-        for &u in chunk {
-            let p = match u {
-                Update::Announce(e) => e.prefix,
-                Update::Withdraw(p) => p,
-            };
-            if !changed.contains(&p) {
-                changed.push(p);
-            }
-            spal_rib::updates::apply(&mut rib, u);
-        }
-        if engine.apply_delta(&changed, &rib).is_none() {
-            *engine = build(&rib);
-        }
-    }
-    rib
-}
-
 proptest! {
     // Five static engines × a whole stream each; modest case count.
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -132,7 +104,8 @@ proptest! {
     /// rebuild (and the table oracle) after delta-patching an arbitrary
     /// update stream in arbitrary batch sizes — the chunk-granular
     /// maintenance path the control plane's shadow sync takes instead of
-    /// a full rebuild per batch.
+    /// a full rebuild per batch. The replay-and-compare is the shared
+    /// battery's `check_delta_stream`.
     #[test]
     fn delta_patched_stream_matches_rebuild(
         table_size in 30usize..400,
@@ -149,72 +122,11 @@ proptest! {
             withdraw_fraction: withdraw_tenths as f64 / 10.0,
             seed: stream_seed,
         });
-
-        let mut lulea = LuleaTrie::build(&base);
-        let mut dir24 = Dir24_8::build(&base);
-        let mut lct = LcTrie::build(&base);
-        let mut mb = MultibitTrie::build_16_8_8(&base);
-        let mut pop = Poptrie::build(&base);
-
-        let r1 = replay_deltas(&mut lulea, &LuleaTrie::build, &base, &updates, batch);
-        let r2 = replay_deltas(&mut dir24, &Dir24_8::build, &base, &updates, batch);
-        let r3 = replay_deltas(&mut lct, &LcTrie::build, &base, &updates, batch);
-        let r4 = replay_deltas(&mut mb, &MultibitTrie::build_16_8_8, &base, &updates, batch);
-        let r5 = replay_deltas(&mut pop, &Poptrie::build, &base, &updates, batch);
-        prop_assert_eq!(r1.len(), fin.len());
-        prop_assert_eq!(r2.len(), fin.len());
-        prop_assert_eq!(r3.len(), fin.len());
-        prop_assert_eq!(r4.len(), fin.len());
-        prop_assert_eq!(r5.len(), fin.len());
-
-        let lulea_fresh = LuleaTrie::build(&fin);
-        let dir24_fresh = Dir24_8::build(&fin);
-        let lct_fresh = LcTrie::build(&fin);
-        let mb_fresh = MultibitTrie::build_16_8_8(&fin);
-        let pop_fresh = Poptrie::build(&fin);
-
-        for &addr in &probe_addrs(&fin, &random_probes) {
-            let oracle = fin.longest_match(addr).map(|e| e.next_hop);
-            prop_assert_eq!(
-                lulea.lookup(addr), oracle,
-                "Lulea delta-patched diverged from table oracle at {:#010x}", addr
-            );
-            prop_assert_eq!(
-                dir24.lookup(addr), oracle,
-                "DIR-24-8 delta-patched diverged from table oracle at {:#010x}", addr
-            );
-            prop_assert_eq!(
-                lct.lookup(addr), oracle,
-                "LC-trie delta-patched diverged from table oracle at {:#010x}", addr
-            );
-            prop_assert_eq!(
-                mb.lookup(addr), oracle,
-                "multibit delta-patched diverged from table oracle at {:#010x}", addr
-            );
-            prop_assert_eq!(
-                pop.lookup(addr), oracle,
-                "Poptrie delta-patched diverged from table oracle at {:#010x}", addr
-            );
-            prop_assert_eq!(
-                lulea.lookup(addr), lulea_fresh.lookup(addr),
-                "Lulea delta-patched vs fresh build diverged at {:#010x}", addr
-            );
-            prop_assert_eq!(
-                dir24.lookup(addr), dir24_fresh.lookup(addr),
-                "DIR-24-8 delta-patched vs fresh build diverged at {:#010x}", addr
-            );
-            prop_assert_eq!(
-                lct.lookup(addr), lct_fresh.lookup(addr),
-                "LC-trie delta-patched vs fresh build diverged at {:#010x}", addr
-            );
-            prop_assert_eq!(
-                mb.lookup(addr), mb_fresh.lookup(addr),
-                "multibit delta-patched vs fresh build diverged at {:#010x}", addr
-            );
-            prop_assert_eq!(
-                pop.lookup(addr), pop_fresh.lookup(addr),
-                "Poptrie delta-patched vs fresh build diverged at {:#010x}", addr
-            );
-        }
+        let probes = probe_addrs(&fin, &random_probes);
+        check_delta_stream(LuleaTrie::build, &base, &updates, batch, &probes, batch)?;
+        check_delta_stream(Dir24_8::build, &base, &updates, batch, &probes, batch)?;
+        check_delta_stream(LcTrie::build, &base, &updates, batch, &probes, batch)?;
+        check_delta_stream(MultibitTrie::build_16_8_8, &base, &updates, batch, &probes, batch)?;
+        check_delta_stream(Poptrie::build, &base, &updates, batch, &probes, batch)?;
     }
 }

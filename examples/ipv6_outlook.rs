@@ -6,17 +6,10 @@
 //!
 //! Run: `cargo run --release --example ipv6_outlook`
 
-use spal::core::v6::{select_bits6, Partitioning6};
+use spal::core::{select_bits, Partitioning};
 use spal::lpm::binary::GenericBinaryTrie;
-use spal::rib::v6::{synthesize6, RoutingTable6};
-
-fn build(table: &RoutingTable6) -> GenericBinaryTrie<u128> {
-    let mut t = GenericBinaryTrie::new();
-    for e in table.entries() {
-        t.insert(e.prefix.bits(), e.prefix.len(), e.next_hop);
-    }
-    t
-}
+use spal::lpm::Lpm;
+use spal::rib::v6::synthesize6;
 
 fn main() {
     let table = synthesize6(30_000, 2026);
@@ -26,18 +19,18 @@ fn main() {
     );
 
     let psi = 8;
-    let bits = select_bits6(&table, 3);
+    let bits = select_bits(&table, 3);
     println!("chosen partitioning bits: {bits:?} (criteria of Sec. 3.1, candidates 0..=63)");
-    let part = Partitioning6::new(&table, bits, psi);
+    let part = Partitioning::new(&table, bits, psi);
 
-    let whole = build(&table);
+    let whole = GenericBinaryTrie::build(&table);
     println!(
         "\nwhole-table binary trie: {} nodes (the IPv6 SRAM problem of Sec. 1)",
         whole.node_count()
     );
     let partitions = part.forwarding_tables(&table);
     for (lc, p) in partitions.iter().enumerate() {
-        let trie = build(p);
+        let trie = GenericBinaryTrie::build(p);
         println!(
             "LC {lc}: {:>6} prefixes, {:>8} trie nodes ({:.1}% of whole)",
             p.len(),
@@ -47,12 +40,12 @@ fn main() {
     }
 
     // The SPAL correctness invariant holds for 128-bit addresses too.
-    let tries: Vec<_> = partitions.iter().map(build).collect();
+    let tries: Vec<_> = partitions.iter().map(GenericBinaryTrie::build).collect();
     let mut verified = 0;
     for e in table.entries().iter().step_by(499) {
         let addr = e.prefix.bits() | 1;
         let home = part.home_of(addr) as usize;
-        assert_eq!(tries[home].lookup_generic(addr), whole.lookup_generic(addr));
+        assert_eq!(tries[home].lookup(addr), whole.lookup(addr));
         verified += 1;
     }
     println!("\nverified {verified} addresses: home-LC lookup == whole-table lookup");

@@ -1,6 +1,11 @@
 //! Property-based tests: every LPM implementation agrees with the
-//! linear reference matcher on arbitrary prefix sets and addresses.
+//! linear reference matcher on arbitrary prefix sets and addresses
+//! (`check_oracle` is the `spal-lpm` battery's, shared by file).
 
+#[path = "../crates/lpm/tests/common/oracle.rs"]
+mod oracle;
+
+use oracle::check_oracle;
 use proptest::prelude::*;
 use spal::core::{ForwardingTable, LpmAlgorithm};
 use spal::lpm::Lpm;
@@ -42,13 +47,7 @@ proptest! {
         randoms in proptest::collection::vec(any::<u32>(), 16),
     ) {
         let trie = ForwardingTable::build(LpmAlgorithm::Binary, &table);
-        for addr in probe_addresses(&table, &randoms) {
-            prop_assert_eq!(
-                trie.lookup(addr),
-                table.longest_match(addr).map(|e| e.next_hop),
-                "addr {:#010x}", addr
-            );
-        }
+        check_oracle(&trie, &table, &probe_addresses(&table, &randoms))?;
     }
 
     #[test]
@@ -57,13 +56,7 @@ proptest! {
         randoms in proptest::collection::vec(any::<u32>(), 16),
     ) {
         let trie = ForwardingTable::build(LpmAlgorithm::Dp, &table);
-        for addr in probe_addresses(&table, &randoms) {
-            prop_assert_eq!(
-                trie.lookup(addr),
-                table.longest_match(addr).map(|e| e.next_hop),
-                "addr {:#010x}", addr
-            );
-        }
+        check_oracle(&trie, &table, &probe_addresses(&table, &randoms))?;
     }
 
     #[test]
@@ -72,13 +65,7 @@ proptest! {
         randoms in proptest::collection::vec(any::<u32>(), 16),
     ) {
         let trie = ForwardingTable::build(LpmAlgorithm::Lulea, &table);
-        for addr in probe_addresses(&table, &randoms) {
-            prop_assert_eq!(
-                trie.lookup(addr),
-                table.longest_match(addr).map(|e| e.next_hop),
-                "addr {:#010x}", addr
-            );
-        }
+        check_oracle(&trie, &table, &probe_addresses(&table, &randoms))?;
     }
 
     #[test]
@@ -88,13 +75,7 @@ proptest! {
         fill in prop::sample::select(vec![0.125f64, 0.25, 0.5, 1.0]),
     ) {
         let trie = ForwardingTable::build(LpmAlgorithm::Lc { fill_factor: fill }, &table);
-        for addr in probe_addresses(&table, &randoms) {
-            prop_assert_eq!(
-                trie.lookup(addr),
-                table.longest_match(addr).map(|e| e.next_hop),
-                "addr {:#010x} fill {}", addr, fill
-            );
-        }
+        check_oracle(&trie, &table, &probe_addresses(&table, &randoms))?;
     }
 
     #[test]
@@ -163,13 +144,7 @@ proptest! {
             strides.push(tail);
         }
         let trie = MultibitTrie::build(&table, &strides);
-        for addr in probe_addresses(&table, &randoms) {
-            prop_assert_eq!(
-                trie.lookup(addr),
-                table.longest_match(addr).map(|e| e.next_hop),
-                "addr {:#010x} strides {:?}", addr, trie.strides()
-            );
-        }
+        check_oracle(&trie, &table, &probe_addresses(&table, &randoms))?;
     }
 
     #[test]

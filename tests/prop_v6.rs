@@ -5,6 +5,9 @@
 //! edges) and the version gate that keeps stale fabric replies out
 //! after a moved prefix's remap invalidation.
 
+#[path = "../crates/lpm/tests/common/oracle.rs"]
+mod oracle;
+
 use proptest::prelude::*;
 use spal::cache::{LrCache6, LrCacheConfig, Origin, ProbeResult};
 use spal::core::v6::Partitioning6;
@@ -205,11 +208,6 @@ proptest! {
             probes.push(e.prefix.bits());
             probes.push(e.prefix.bits() | !u128::MAX.checked_shl(128 - e.prefix.len() as u32).unwrap_or(0));
         }
-        for addr in probes {
-            prop_assert_eq!(
-                trie.lookup_generic(addr),
-                table.longest_match(addr).map(|e| e.next_hop)
-            );
-        }
+        oracle::check_oracle(&trie, &table, &probes)?;
     }
 }
