@@ -52,7 +52,7 @@ fn bench_probe_fill(c: &mut Criterion) {
     group.finish();
 }
 
-/// The miss path as the vector-mode worker drives it: `probe_batch`
+/// The miss path as the dataplane worker drives it: `probe_batch`
 /// over a 256-address burst that hits ≈ never, then one `fill` per
 /// lane. Addresses are pseudo-random (which set, and which way of it
 /// is oldest, is what the real stream cannot predict either) and the

@@ -1,25 +1,20 @@
 //! **Dataplane throughput gate**: the multi-threaded SPAL runtime on a
-//! 600k-prefix table, swept over worker counts, vector vs scalar mode,
-//! with and without BGP churn. Results go to `BENCH_dataplane.json`
-//! (one row per configuration) and `BENCH_latency.json` (per-path
-//! completion-latency percentiles per configuration):
+//! 600k-prefix table, swept over worker counts, with and without BGP
+//! churn. Results go to `BENCH_dataplane.json` (one row per
+//! configuration) and `BENCH_latency.json` (per-path completion-latency
+//! percentiles per configuration):
 //!
 //! ```json
 //! {"benchmark": "dataplane", "config": "w4", "workers": 4,
-//!  "vector": true, "throughput_mpps": 30.1, "hit_rate": 0.93,
-//!  "hit_rate_cold": 0.85, "hit_rate_steady": 0.96, ...}
+//!  "host_cores": 2, "measured": false, "throughput_mpps": 30.1,
+//!  "hit_rate": 0.93, "hit_rate_cold": 0.85, "hit_rate_steady": 0.96, ...}
 //! ```
 //!
-//! Two destination streams over the same table:
-//!
-//! * **stress** — near-uniform over 1.2M flows, cache-adversarial
-//!   (~0.003 LR-cache hit rate). One row keeps running it
-//!   (`w1-scalar-baseline`) because it is the configuration the
-//!   pre-vector benchmark recorded at ≈1.6 Mpps — the denominator of
-//!   the vector-speedup gate below.
-//! * **locality** — the paper's `B_L` preset (32k flows, Zipf bursts),
-//!   the stream the SPAL cache design actually targets. Every other
-//!   row runs this.
+//! Every row runs the paper's `B_L` preset (32k flows, Zipf bursts) —
+//! the stream the SPAL cache design targets. A row whose busy threads
+//! (workers, plus the control thread under churn) outnumber the host's
+//! cores is written `"measured": false`: it ran and was checked, but
+//! its wall-clock numbers describe the scheduler.
 //!
 //! Gated bounds (correctness bounds unconditional; throughput floors
 //! adapt to the host, reported in the output):
@@ -28,19 +23,15 @@
 //!   full-table oracle replay of its trace, in-run spot checks against
 //!   the scalar `lookup` on the pinned snapshot never disagree, and the
 //!   post-churn published table matches the control plane's RIB;
-//! * **vector speedup** — single-worker vector-mode throughput on the
-//!   locality stream must be ≥ 10× the `w1-scalar-baseline` row;
 //! * **scaling** — on hosts with ≥ 4 cores, 1 → 4 workers must scale
-//!   above 1.0× in vector mode; on smaller hosts the sweep still runs but
-//!   the gate is skipped (printed as such) — four workers time-sliced
-//!   onto one core measure the scheduler, not the dataplane;
-//! * **churn tail latency** — vector-mode p99.9 completion latency
-//!   under churn must stay ≤ 2× the scalar-mode run of the same churn
-//!   configuration (coalescing must not hold packets hostage);
+//!   above 1.0×; on smaller hosts the sweep still runs but the gate is
+//!   reported UNMEASURED and counted on the last line — four workers
+//!   time-sliced onto fewer cores measure the scheduler, not the
+//!   dataplane;
 //! * **churn degradation** — with the control plane republishing under
-//!   a paced update stream, vector-mode throughput at the widest sweep
-//!   point must stay ≥ 0.55× of the churn-free run (≥ 0.4× on < 4
-//!   cores, where the control thread steals the only core);
+//!   a paced update stream, throughput at the widest sweep point must
+//!   stay ≥ 0.55× of the churn-free run (≥ 0.4× on < 4 cores, where the
+//!   control thread steals a worker's core);
 //! * **churn apply** — the same stream against a Lulea snapshot,
 //!   patched chunk-granularly vs force-rebuilt (`delta_patching:
 //!   false`): the patch arm must engage (> 0 delta applies), beat the
@@ -55,8 +46,7 @@ use spal_bench::{dfz, lookup};
 use spal_cache::LrCacheConfig;
 use spal_core::{ForwardingTable, ForwardingTable6, LpmAlgorithm, LpmAlgorithm6};
 use spal_dataplane::{
-    run_family, AddrFamily, ChurnConfig, Dataplane6Config, DataplaneConfig, DataplaneReport,
-    LatencyHisto, V4, V6,
+    run_family, AddrFamily, ChurnConfig, Dataplane6Config, DataplaneConfig, DataplaneReport, V4, V6,
 };
 use spal_lpm::Lpm;
 use spal_rib::RoutingTable;
@@ -136,7 +126,6 @@ struct Row {
     config: String,
     workload: &'static str,
     workers: usize,
-    vector: bool,
     churn: bool,
     packets: u64,
     throughput_mpps: f64,
@@ -179,7 +168,6 @@ fn measure<F: AddrFamily>(
 fn row_from(
     config: &str,
     workload: &'static str,
-    vector: bool,
     report: &DataplaneReport,
     oracle: Option<u64>,
 ) -> Row {
@@ -188,7 +176,6 @@ fn row_from(
         config: config.to_string(),
         workload,
         workers: report.workers.len(),
-        vector,
         churn: churn.is_some(),
         packets: report.total_packets(),
         throughput_mpps: report.throughput_mpps(),
@@ -245,10 +232,12 @@ fn write_json(path: &str, rows: &[Row], cores: usize) -> std::io::Result<()> {
     writeln!(f, "[")?;
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
+        // Busy threads: the workers, plus the control thread under churn.
+        let measured = r.workers + usize::from(r.churn) <= cores;
         writeln!(
             f,
             "  {{\"benchmark\": \"dataplane\", \"config\": \"{}\", \"workload\": \"{}\", \
-             \"workers\": {}, \"vector\": {}, \"host_cores\": {cores}, \"churn\": {}, \
+             \"workers\": {}, \"host_cores\": {cores}, \"measured\": {measured}, \"churn\": {}, \
              \"packets\": {}, \"throughput_mpps\": {:.4}, \"wall_ms\": {:.3}, \
              \"hit_rate\": {:.6}, \"hit_rate_cold\": {:.6}, \"hit_rate_steady\": {:.6}, \
              \"rem_share\": {:.6}, \"checksum_ok\": {}, \"spot_mismatches\": {}, \
@@ -259,7 +248,6 @@ fn write_json(path: &str, rows: &[Row], cores: usize) -> std::io::Result<()> {
             r.config,
             r.workload,
             r.workers,
-            r.vector,
             r.churn,
             r.packets,
             r.throughput_mpps,
@@ -293,27 +281,13 @@ fn write_json(path: &str, rows: &[Row], cores: usize) -> std::io::Result<()> {
 /// packet sees — hit paths record the admit burst's probe cost, the
 /// miss path records admit → resolve (including the remote round
 /// trip).
-fn latency_row(config: &str, workers: usize, vector: bool, report: &DataplaneReport) -> String {
-    let paths = report.latency_paths();
-    let one = |h: &LatencyHisto| {
-        format!(
-            "{{\"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {}}}",
-            h.count(),
-            h.p50_ns(),
-            h.p99_ns(),
-            h.p999_ns(),
-            h.max_ns()
-        )
-    };
+fn latency_row(config: &str, report: &DataplaneReport) -> String {
     format!(
-        "{{\"benchmark\": \"dataplane_latency\", \"config\": \"{config}\", \"workers\": {workers}, \
-         \"vector\": {vector}, \"churn\": {}, \"loc_hit\": {}, \"rem_hit\": {}, \"miss\": {}, \
-         \"all\": {}}}",
+        "{{\"benchmark\": \"dataplane_latency\", \"config\": \"{config}\", \"workers\": {}, \
+         \"churn\": {}, \"latency\": {}}}",
+        report.workers.len(),
         report.churn.is_some(),
-        one(&paths.loc_hit),
-        one(&paths.rem_hit),
-        one(&paths.miss),
-        one(&paths.all()),
+        report.latency_paths().to_json(),
     )
 }
 
@@ -326,6 +300,24 @@ fn write_latency_json(path: &str, rows: &[String]) -> std::io::Result<()> {
     }
     writeln!(f, "]")?;
     Ok(())
+}
+
+/// The per-row correctness gates of a churn-free run: its checksum
+/// equals the full-table oracle replay and no in-run spot check
+/// disagreed.
+fn check_row(row: &Row, failures: &mut Vec<String>) {
+    if row.checksum_ok == Some(false) {
+        failures.push(format!(
+            "{}: checksum mismatch vs full-table oracle",
+            row.config
+        ));
+    }
+    if row.spot_mismatches > 0 {
+        failures.push(format!(
+            "{}: {} spot-check mismatches",
+            row.config, row.spot_mismatches
+        ));
+    }
 }
 
 /// What a full-table engine says the trace's next hops sum to.
@@ -393,20 +385,10 @@ fn run_v6(opts: &Options) {
         };
         let report = measure::<V6>(&table, &trace.split(workers), &cfg);
         let config = format!("v6-w{workers}");
-        let row = row_from(&config, "v6", true, &report, Some(oracle));
+        let row = row_from(&config, "v6", &report, Some(oracle));
         print_row(&row);
-        if row.checksum_ok == Some(false) {
-            failures.push(format!(
-                "{config}: checksum mismatch vs longest_match oracle"
-            ));
-        }
-        if row.spot_mismatches > 0 {
-            failures.push(format!(
-                "{config}: {} spot-check mismatches",
-                row.spot_mismatches
-            ));
-        }
-        latency_rows.push(latency_row(&config, workers, true, &report));
+        check_row(&row, &mut failures);
+        latency_rows.push(latency_row(&config, &report));
         rows.push(row);
     }
 
@@ -425,7 +407,7 @@ fn run_v6(opts: &Options) {
     };
     let churn_report = measure::<V6>(&table, &trace.split(churn_workers), &churn_cfg);
     let config = format!("v6-w{churn_workers}-churn");
-    let row = row_from(&config, "v6", true, &churn_report, None);
+    let row = row_from(&config, "v6", &churn_report, None);
     let churn_stats = churn_report.churn.as_ref().expect("churn ran");
     print_row(&row);
     println!(
@@ -479,7 +461,7 @@ fn run_v6(opts: &Options) {
             "{config}: apply p99 {p99:.1} us > {ceiling:.0} us ceiling"
         ));
     }
-    latency_rows.push(latency_row(&config, churn_workers, true, &churn_report));
+    latency_rows.push(latency_row(&config, &churn_report));
     rows.push(row);
 
     let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dataplane6.json");
@@ -511,34 +493,32 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    // One table, two streams: the historical cache-adversarial stress
-    // stream and the locality stream the runtime is designed for.
-    let (table, stress) = lookup::stress_workload(opts.prefixes, opts.packets, opts.seed);
-    let locality = lookup::dataplane_trace(&table, opts.packets, opts.seed);
+    let (table, locality) = lookup::dataplane_workload(opts.prefixes, opts.packets, opts.seed);
     println!(
         "bench_dataplane: {} packets/config, table {} prefixes, {cores} host cores, best of {REPS}",
         opts.packets,
         table.len(),
     );
     println!(
-        "  streams: stress {} distinct dests | locality (B_L) {} distinct dests",
-        stress.distinct(),
+        "  stream: locality (B_L) {} distinct dests",
         locality.distinct()
     );
 
-    // Scalar full-table oracle checksums: the partitioned, cached,
+    // Scalar full-table oracle checksum: the partitioned, cached,
     // message-passing runtime must resolve every packet to exactly what
-    // one big DP trie says — per trace.
+    // one big DP trie says.
     let full = ForwardingTable::build(LpmAlgorithm::Dp, &table);
-    let stress_oracle = oracle_checksum::<V4>(&full, &stress);
     let locality_oracle = oracle_checksum::<V4>(&full, &locality);
     drop(full);
 
-    // Large batches amortize ring/epoch traffic per admitted packet —
-    // on a time-sliced single core, every cross-worker round trip costs
-    // a scheduling quantum, so bigger batches matter most there.
+    // The rows model the paper's deployment: each LC runs the flat
+    // DIR-24-8 engine (whose batched lookup interleaves its table reads)
+    // over its partition. Large batches amortize ring/epoch traffic per
+    // admitted packet — on a time-sliced core, every cross-worker round
+    // trip costs a scheduling quantum, so bigger batches matter most
+    // there.
     let base_cfg = DataplaneConfig {
-        algorithm: LpmAlgorithm::Dp,
+        algorithm: LpmAlgorithm::Dir24,
         cache: LrCacheConfig::paper(4096),
         batch: 256,
         ring_capacity: 8192,
@@ -550,118 +530,26 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     let mut latency_rows: Vec<String> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
+    // Gates this host cannot run: reported, never counted as passed.
+    let mut unmeasured = 0usize;
 
-    let check_correctness = |row: &Row, failures: &mut Vec<String>| {
-        if row.checksum_ok == Some(false) {
-            failures.push(format!(
-                "{}: checksum mismatch vs scalar oracle",
-                row.config
-            ));
-        }
-        if row.spot_mismatches > 0 {
-            failures.push(format!(
-                "{}: {} spot-check mismatches",
-                row.config, row.spot_mismatches
-            ));
-        }
-    };
-
-    // --- The pre-vector baseline row: scalar loop, stress stream. ---
-    // This reproduces the configuration the seed benchmark recorded at
-    // ≈1.6 Mpps single-worker; the vector gate below divides by it.
-    let baseline_cfg = DataplaneConfig {
-        workers: 1,
-        vector: false,
-        ..base_cfg.clone()
-    };
-    let baseline_report = measure::<V4>(&table, &stress.split(1), &baseline_cfg);
-    let baseline_row = row_from(
-        "w1-scalar-baseline",
-        "stress",
-        false,
-        &baseline_report,
-        Some(stress_oracle),
-    );
-    print_row(&baseline_row);
-    check_correctness(&baseline_row, &mut failures);
-    latency_rows.push(latency_row(
-        "w1-scalar-baseline",
-        1,
-        false,
-        &baseline_report,
-    ));
-    let baseline_mpps = baseline_row.throughput_mpps;
-    rows.push(baseline_row);
-
-    // The locality rows model the paper's deployment: each LC runs the
-    // flat DIR-24-8 engine (whose batched lookup interleaves its table
-    // reads) over its partition; the Dp trie above is the *historical*
-    // baseline configuration, kept for the speedup denominator.
-    let locality_cfg = DataplaneConfig {
-        algorithm: LpmAlgorithm::Dir24,
-        ..base_cfg.clone()
-    };
-
-    // --- Scalar loop on the locality stream: isolates how much of the
-    // speedup is the workload fix vs the vector rework. ---
-    let novector_cfg = DataplaneConfig {
-        workers: 1,
-        vector: false,
-        ..locality_cfg.clone()
-    };
-    let novector_report = measure::<V4>(&table, &locality.split(1), &novector_cfg);
-    let novector_row = row_from(
-        "w1-novector",
-        "locality",
-        false,
-        &novector_report,
-        Some(locality_oracle),
-    );
-    print_row(&novector_row);
-    check_correctness(&novector_row, &mut failures);
-    latency_rows.push(latency_row("w1-novector", 1, false, &novector_report));
-    rows.push(novector_row);
-
-    // --- Vector-mode sweep on the locality stream. ---
+    // --- Worker sweep on the locality stream. ---
     let sweep = [1usize, 2, 4];
     let mut mpps_by_workers = std::collections::HashMap::new();
     for &workers in &sweep {
         let traces = locality.split(workers);
         let cfg = DataplaneConfig {
             workers,
-            ..locality_cfg.clone()
+            ..base_cfg.clone()
         };
         let report = measure::<V4>(&table, &traces, &cfg);
         let config = format!("w{workers}");
-        let row = row_from(&config, "locality", true, &report, Some(locality_oracle));
+        let row = row_from(&config, "locality", &report, Some(locality_oracle));
         print_row(&row);
-        check_correctness(&row, &mut failures);
-        latency_rows.push(latency_row(&config, workers, true, &report));
+        check_row(&row, &mut failures);
+        latency_rows.push(latency_row(&config, &report));
         mpps_by_workers.insert(workers, row.throughput_mpps);
         rows.push(row);
-    }
-
-    // Vector-speedup gate: w1 vector vs the scalar-baseline row. The
-    // 10x contract is calibrated at full scale, where the 600k-prefix
-    // trie makes the stress baseline genuinely miss-bound (~1.6 Mpps);
-    // --quick's 60k-prefix table flatters the baseline (its trie walk
-    // fits cache), so the quick floor is proportionally lower.
-    let vector_floor: f64 = if opts.quick { 5.0 } else { 10.0 };
-    let vector_speedup = mpps_by_workers[&1] / baseline_mpps;
-    let verdict = if vector_speedup >= vector_floor {
-        "ok"
-    } else {
-        "FAIL"
-    };
-    println!(
-        "  vector speedup: w1 {:.2} Mpps = {vector_speedup:.1}x of scalar baseline \
-         {baseline_mpps:.2} Mpps (floor {vector_floor}x) {verdict}",
-        mpps_by_workers[&1]
-    );
-    if vector_speedup < vector_floor {
-        failures.push(format!(
-            "vector speedup {vector_speedup:.2}x < {vector_floor}x vs scalar baseline"
-        ));
     }
 
     // Scaling gate, host-aware: positive scaling needs real cores.
@@ -675,14 +563,11 @@ fn main() {
             ));
         }
     } else {
-        println!(
-            "  scaling 1->4 workers: {scaling:.2}x — gate SKIPPED ({cores} host cores < 4: \
-             time-sliced workers measure the scheduler, not the dataplane)"
-        );
+        unmeasured += 1;
+        println!("  scaling 1->4 workers: {scaling:.2}x — UNMEASURED ({cores} host cores < 4)");
     }
 
-    // --- Churn rows at the widest sweep point: vector, and a scalar
-    // arm as the tail-latency control. ---
+    // --- Churn row at the widest sweep point. ---
     let churn_workers = *sweep.last().expect("non-empty sweep");
     let traces = locality.split(churn_workers);
     let churn = ChurnConfig {
@@ -694,11 +579,11 @@ fn main() {
     let churn_cfg = DataplaneConfig {
         workers: churn_workers,
         churn: Some(churn.clone()),
-        ..locality_cfg.clone()
+        ..base_cfg.clone()
     };
     let churn_report = measure::<V4>(&table, &traces, &churn_cfg);
     let churn_config = format!("w{churn_workers}-churn");
-    let row = row_from(&churn_config, "locality", true, &churn_report, None);
+    let row = row_from(&churn_config, "locality", &churn_report, None);
     let churn_stats = churn_report.churn.as_ref().expect("churn ran");
     print_row(&row);
     println!(
@@ -726,68 +611,13 @@ fn main() {
             churn_stats.final_mismatches
         ));
     }
-    latency_rows.push(latency_row(
-        &churn_config,
-        churn_workers,
-        true,
-        &churn_report,
-    ));
-    let churn_vector_p999 = row.latency_p999_ns;
-    let churn_vector_mpps = row.throughput_mpps;
+    latency_rows.push(latency_row(&churn_config, &churn_report));
+    let churn_mpps = row.throughput_mpps;
     rows.push(row);
-
-    let churn_scalar_cfg = DataplaneConfig {
-        vector: false,
-        ..churn_cfg.clone()
-    };
-    let churn_scalar_report = measure::<V4>(&table, &traces, &churn_scalar_cfg);
-    let churn_scalar_config = format!("w{churn_workers}-churn-novector");
-    let row = row_from(
-        &churn_scalar_config,
-        "locality",
-        false,
-        &churn_scalar_report,
-        None,
-    );
-    print_row(&row);
-    if row.spot_mismatches > 0 {
-        failures.push(format!(
-            "churn-novector: {} spot-check mismatches",
-            row.spot_mismatches
-        ));
-    }
-    latency_rows.push(latency_row(
-        &churn_scalar_config,
-        churn_workers,
-        false,
-        &churn_scalar_report,
-    ));
-    let churn_scalar_p999 = row.latency_p999_ns;
-    rows.push(row);
-
-    // Churn tail-latency gate: coalescing must not hold packets
-    // hostage — vector-mode p99.9 under churn stays within 2x of the
-    // scalar arm of the exact same churn configuration.
-    const CHURN_P999_RATIO_CEILING: f64 = 2.0;
-    let p999_ratio = churn_vector_p999 as f64 / (churn_scalar_p999 as f64).max(1.0);
-    let verdict = if p999_ratio <= CHURN_P999_RATIO_CEILING {
-        "ok"
-    } else {
-        "FAIL"
-    };
-    println!(
-        "  churn p99.9: vector {churn_vector_p999} ns vs scalar {churn_scalar_p999} ns = \
-         {p999_ratio:.2}x (ceiling {CHURN_P999_RATIO_CEILING}x) {verdict}"
-    );
-    if p999_ratio > CHURN_P999_RATIO_CEILING {
-        failures.push(format!(
-            "churn p99.9 latency {p999_ratio:.2}x scalar > {CHURN_P999_RATIO_CEILING}x ceiling"
-        ));
-    }
 
     // Churn-degradation gate: incremental patching keeps publications
     // cheap, so the floor is tighter than the rebuild-era 0.5x / 0.35x.
-    let degradation = churn_vector_mpps / mpps_by_workers[&churn_workers];
+    let degradation = churn_mpps / mpps_by_workers[&churn_workers];
     let churn_floor = if cores >= 4 { 0.55 } else { 0.4 };
     let verdict = if degradation >= churn_floor {
         "ok"
@@ -821,7 +651,6 @@ fn main() {
     let patched_row = row_from(
         &format!("w{churn_workers}-churn-lulea"),
         "locality",
-        true,
         &patched_report,
         None,
     );
@@ -833,7 +662,6 @@ fn main() {
     let rebuild_row = row_from(
         &format!("w{churn_workers}-churn-lulea-rebuild"),
         "locality",
-        true,
         &rebuild_report,
         None,
     );
@@ -921,5 +749,8 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!("bench_dataplane passed");
+    match unmeasured {
+        0 => println!("bench_dataplane passed"),
+        n => println!("bench_dataplane passed, {n} gate(s) unmeasured on this host"),
+    }
 }

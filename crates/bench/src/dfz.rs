@@ -312,7 +312,7 @@ pub fn run_v6_gate(table: &RoutingTable6, trace: &Trace6, threads: usize) -> V6G
 }
 
 /// The `bench_dataplane --v6` traffic: a Zipf locality stream over the
-/// DFZ table (the v6 analogue of [`crate::lookup::dataplane_trace`]).
+/// DFZ table (the v6 analogue of [`crate::lookup::dataplane_workload`]'s).
 pub fn dfz_v6_trace(table: &RoutingTable6, packets: usize, seed: u64) -> Trace6 {
     generate6(table, 32_768.min(table.len() * 4), packets, seed)
 }

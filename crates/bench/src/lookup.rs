@@ -429,19 +429,11 @@ pub fn stress_workload(prefixes: usize, packets: usize, seed: u64) -> (RoutingTa
 /// run over it measures only the miss path. That is the right stream
 /// for raw LPM engines — and the wrong one for the SPAL runtime, whose
 /// entire design (paper §2) banks on the flow locality refs [5, 6]
-/// measured on real links. The dataplane benchmark keeps one stress
-/// row as the historical baseline and runs everything else on this.
+/// measured on real links.
 pub fn dataplane_workload(prefixes: usize, packets: usize, seed: u64) -> (RoutingTable, Trace) {
     let table = synth::synthesize(&synth::SynthConfig::sized(prefixes, 0xB0B));
-    let trace = dataplane_trace(&table, packets, seed);
+    let trace = preset(PresetName::BL).generate(&table, packets, seed);
     (table, trace)
-}
-
-/// The [`dataplane_workload`] trace over an existing table —
-/// `bench_dataplane` builds the (expensive) 600k-prefix table once and
-/// generates both the stress and the locality stream over it.
-pub fn dataplane_trace(table: &RoutingTable, packets: usize, seed: u64) -> Trace {
-    preset(PresetName::BL).generate(table, packets, seed)
 }
 
 /// Build engines from forwarding-table algorithms, as trait objects the

@@ -47,7 +47,7 @@ pub enum IndexScheme {
 /// hardware-cache-resident: under locality traffic against the paper's
 /// β = 4K (a ~130 KiB way array that lives comfortably in L2) the hot
 /// sets are already cached and the prefetch instructions are pure
-/// issue-port overhead — measured as a ~5% vector-mode throughput loss
+/// issue-port overhead — measured as a ~5% dataplane throughput loss
 /// on the locality workload. `Auto` combines a build-time *array-size*
 /// gate (small arrays never prefetch) with a runtime *working-set*
 /// probe: every [`PrefetchMode::AUTO_WINDOW_PROBES`] probes it looks at
@@ -151,7 +151,7 @@ pub enum ProbeResult<V> {
 }
 
 /// Outcome of one lane of [`LrCache::probe_batch`]: a probe with the
-/// miss-path reservation folded in, so a vector-mode caller gets the
+/// miss-path reservation folded in, so a batching caller gets the
 /// complete cache verdict for every packet in one pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchProbe<V> {
@@ -532,7 +532,7 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
     }
 
     /// Hint the hardware prefetcher at `addr`'s set. A large LR-cache
-    /// lives beyond L1, so a vector-mode probe pass that announces set
+    /// lives beyond L1, so a batched probe pass that announces set
     /// N+`lookahead` while scanning set N hides most of the L2/L3
     /// latency. No-op off x86_64.
     #[inline]

@@ -198,8 +198,7 @@ fn exhaustive_burst_ring_preserves_fifo() {
 
 /// Mixed scalar/burst traffic: producer bursts, consumer pops one at a
 /// time. The two paths share the same indices, so interleaving them is
-/// exactly what the dataplane does when a vector-mode worker talks to a
-/// scalar-mode drain.
+/// what any caller mixing `push_slice` with `try_pop` does.
 #[test]
 fn burst_producer_scalar_consumer_preserves_fifo() {
     let harness = move || {

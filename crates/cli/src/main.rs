@@ -82,20 +82,17 @@ commands:
   dataplane  --workers N [--engine dp|binary|lulea|lc|dir24|multibit|poptrie]
              [--beta B] [--gamma G] [--batch N] [--preset NAME] [--packets N]
              [--churn UPDATES] [--publish-every N] [--withdraw-fraction F]
-             [--pace-us US] [--invalidation targeted|flush] [--scalar]
+             [--pace-us US] [--invalidation targeted|flush]
              [--deterministic] [--seed S] [--faults SEED] [--json]
              [--out-latency FILE]
              run the threaded SPAL runtime with RCU table publication;
-             --scalar disables the vector-mode worker loop (burst ring
-             drains, batched cache probes, coalesced home-LC lookups)
-             and processes one packet per iteration as before;
              --faults injects seed-driven message drops/delays/dups and
              worker stalls (implies --deterministic) and exits non-zero
              on any oracle divergence
   dataplane6 --workers N [--engine ship|binary] [--prefixes N]
              [--beta B] [--gamma G] [--batch N] [--packets N]
              [--churn UPDATES] [--publish-every N] [--withdraw-fraction F]
-             [--pace-us US] [--invalidation targeted|flush] [--scalar]
+             [--pace-us US] [--invalidation targeted|flush]
              [--deterministic] [--seed S] [--faults SEED] [--json]
              [--out-latency FILE]
              the same runtime over IPv6 (SHIP engines, 128-bit
@@ -493,7 +490,6 @@ fn cmd_dataplane<F: CliFamily>(args: &Args) -> Result<(), ArgError> {
             ..LrCacheConfig::default()
         },
         batch: args.get_or("batch", 32usize)?,
-        vector: !args.has("scalar"),
         churn,
         invalidation,
         // Fault runs use the deterministic schedule so every fault —
@@ -509,24 +505,7 @@ fn cmd_dataplane<F: CliFamily>(args: &Args) -> Result<(), ArgError> {
     };
     let report = run_family::<F>(&table, &traces, &cfg);
     if let Some(path) = args.get("out-latency") {
-        let p = report.latency_paths();
-        let json = format!(
-            "{{\"loc_hit\": {{\"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}, \
-             \"rem_hit\": {{\"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}, \
-             \"miss\": {{\"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}}}\n",
-            p.loc_hit.count(),
-            p.loc_hit.p50_ns(),
-            p.loc_hit.p99_ns(),
-            p.loc_hit.p999_ns(),
-            p.rem_hit.count(),
-            p.rem_hit.p50_ns(),
-            p.rem_hit.p99_ns(),
-            p.rem_hit.p999_ns(),
-            p.miss.count(),
-            p.miss.p50_ns(),
-            p.miss.p99_ns(),
-            p.miss.p999_ns(),
-        );
+        let json = report.latency_paths().to_json() + "\n";
         std::fs::write(path, json).map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
         eprintln!("wrote latency histogram to {path}");
     }

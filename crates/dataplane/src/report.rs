@@ -8,7 +8,7 @@ use std::time::Duration;
 /// HDR-style latency histogram: log-linear buckets with 4 sub-bucket
 /// bits (16 sub-buckets per power of two, ~6 % relative resolution),
 /// O(1) record, O(buckets) percentile. Unlike [`LatencySummary`] it
-/// never stores raw samples, so the vector-mode hot path can record
+/// never stores raw samples, so the worker's hot path can record
 /// per-packet at tens of Mpps without unbounded allocation.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyHisto {
@@ -49,8 +49,8 @@ impl LatencyHisto {
         self.record_n(ns, 1);
     }
 
-    /// Record `n` samples of the same value — how a vector-mode worker
-    /// books a whole burst of same-path packets with one call.
+    /// Record `n` samples of the same value — how a worker books a
+    /// whole burst of same-path packets with one call.
     pub fn record_n(&mut self, ns: u64, n: u64) {
         if n == 0 {
             return;
@@ -123,8 +123,8 @@ impl LatencyHisto {
 /// complete in §3's terms — LR-cache hit on a locally produced result
 /// (LOC), hit on a remote-sourced result (REM), or a miss that had to
 /// run a lookup (local FE or a round trip to the home LC). Keeping the
-/// paths separate is what lets BENCH_latency.json show that vector
-/// mode's throughput does not come out of the miss path's tail.
+/// paths separate is what lets BENCH_latency.json show the miss path's
+/// tail apart from the burst-granular hit paths.
 #[derive(Debug, Clone, Default)]
 pub struct PathLatency {
     /// Completed by an LR-cache hit with M = LOC.
@@ -150,6 +150,29 @@ impl PathLatency {
         h.merge(&self.rem_hit);
         h.merge(&self.miss);
         h
+    }
+
+    /// JSON object with each path's percentiles, plus all three merged
+    /// — the one rendering behind [`DataplaneReport::to_json`],
+    /// BENCH_latency.json and the CLI's `--out-latency` file.
+    pub fn to_json(&self) -> String {
+        let one = |h: &LatencyHisto| {
+            format!(
+                "{{ \"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {} }}",
+                h.count(),
+                h.p50_ns(),
+                h.p99_ns(),
+                h.p999_ns(),
+                h.max_ns()
+            )
+        };
+        format!(
+            "{{ \"loc_hit\": {}, \"rem_hit\": {}, \"miss\": {}, \"all\": {} }}",
+            one(&self.loc_hit),
+            one(&self.rem_hit),
+            one(&self.miss),
+            one(&self.all()),
+        )
     }
 }
 
@@ -197,9 +220,9 @@ pub struct WorkerReport {
     pub cache_cold: CacheStats,
     /// Per-path packet-latency histograms (admission to completion).
     pub latency: PathLatency,
-    /// Coalesced `BatchRequest` messages sent (vector mode).
+    /// Coalesced `BatchRequest` messages sent.
     pub batch_requests_sent: u64,
-    /// Coalesced `BatchReply` messages sent (vector mode).
+    /// Coalesced `BatchReply` messages sent.
     pub batch_replies_sent: u64,
     /// Packets this worker lost when it was killed by a
     /// [`FailoverPlan`](crate::runtime::FailoverPlan): the unadmitted
@@ -653,7 +676,10 @@ impl DataplaneReport {
             "  \"tail_ns\": {{ \"p50\": {:.1}, \"p99\": {:.1}, \"max\": {:.1} }},\n",
             self.tail.p50_ns, self.tail.p99_ns, self.tail.max_ns
         ));
-        s.push_str(&self.latency_json());
+        s.push_str(&format!(
+            "  \"latency\": {},\n",
+            self.latency_paths().to_json()
+        ));
         match &self.churn {
             Some(c) => s.push_str(&format!(
                 "  \"churn\": {{ \"updates\": {}, \"publications\": {}, \"invalidations_sent\": {}, \"apply_us\": {{ \"mean\": {:.2}, \"min\": {:.2}, \"max\": {:.2}, \"p50\": {:.2}, \"p95\": {:.2}, \"p99\": {:.2} }}, \"delta_applies\": {}, \"rebuild_applies\": {}, \"delta_bytes_touched\": {}, \"delta_prefixes_applied\": {}, \"reclaim_us\": {{ \"mean\": {:.2}, \"max\": {:.2} }}, \"final_checks\": {}, \"final_mismatches\": {} }},\n",
@@ -730,29 +756,6 @@ impl DataplaneReport {
             ),
             None => "  \"sweeps\": null,\n".to_string(),
         }
-    }
-
-    /// JSON object with per-path latency percentiles — the payload
-    /// BENCH_latency.json collects per configuration.
-    pub fn latency_json(&self) -> String {
-        let paths = self.latency_paths();
-        let one = |h: &LatencyHisto| {
-            format!(
-                "{{ \"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {} }}",
-                h.count(),
-                h.p50_ns(),
-                h.p99_ns(),
-                h.p999_ns(),
-                h.max_ns()
-            )
-        };
-        format!(
-            "  \"latency\": {{ \"loc_hit\": {}, \"rem_hit\": {}, \"miss\": {}, \"all\": {} }},\n",
-            one(&paths.loc_hit),
-            one(&paths.rem_hit),
-            one(&paths.miss),
-            one(&paths.all()),
-        )
     }
 
     fn faults_json(&self) -> String {

@@ -175,14 +175,6 @@ pub struct DataplaneConfig<F: AddrFamily = V4> {
     /// per-LC fragment from scratch on each publication (`false` — the
     /// benchmark's patch-vs-rebuild control arm).
     pub delta_patching: bool,
-    /// Vector mode (`true`, the default): burst ring drains, the
-    /// batched LR-cache probe pass, and per-destination coalescing of
-    /// fabric messages. `false` is the scalar per-packet/per-message
-    /// hot loop — the benchmark's baseline arm. In deterministic
-    /// faultless runs both modes produce bit-identical canonical
-    /// reports (the per-address operation sequences are the same; only
-    /// the message framing differs).
-    pub vector: bool,
     /// Record per-packet latency histograms (`true`, the default).
     /// When no consumer wants the histograms (the CLI without
     /// `--out-latency`), turning this off removes the admit-burst
@@ -224,7 +216,6 @@ impl<F: AddrFamily> Default for DataplaneConfig<F> {
             seed: 1,
             faults: None,
             delta_patching: true,
-            vector: true,
             capture_latency: true,
             failover: None,
             overload: None,
@@ -261,14 +252,12 @@ enum CtrlMsg<A> {
 }
 
 /// One would-be fabric message, recorded per destination in creation
-/// order. Vector mode accumulates these where scalar mode pushes a
-/// [`FabricMsg`] straight into the outbox; at flush time consecutive
-/// same-kind runs (same-version for replies) coalesce into batch
-/// messages. Keeping the *event stream* — rather than separate
-/// request/reply buffers — preserves the scalar per-destination message
-/// order exactly, which is what keeps the receiver's cache-operation
-/// sequence (and therefore the canonical report) bit-identical across
-/// the two modes.
+/// order; at flush time consecutive same-kind runs (same-version for
+/// replies) coalesce into batch messages. Keeping the *event stream* —
+/// rather than separate request/reply buffers — preserves the
+/// per-destination creation order exactly, so the receiver's
+/// cache-operation sequence (and therefore the canonical report) is
+/// the one a message per event would produce.
 #[derive(Debug, Clone, Copy)]
 enum OutEvent<A> {
     /// "Look this address up for me" → [`MsgKind::Request`] /
@@ -288,7 +277,7 @@ enum OutEvent<A> {
 type FabricTx<F> = SpscProducer<FabricMsg<<F as AddrFamily>::Addr>>;
 type FabricRx<F> = SpscConsumer<FabricMsg<<F as AddrFamily>::Addr>>;
 
-/// Fabric-ring drain burst in vector mode (messages per `pop_slice`).
+/// Fabric-ring drain burst (messages per `pop_slice`).
 const DRAIN_BURST: usize = 256;
 
 /// The in-flight window, in admit batches: a worker stops admitting
@@ -372,10 +361,8 @@ struct WorkerCore<F: AddrFamily> {
     done: Arc<AtomicUsize>,
     marked_done: bool,
     completed_this_iter: u64,
-    /// Vector mode on (burst drains, batched probes, coalesced sends).
-    vector: bool,
-    /// Per-destination would-be messages awaiting coalescing (vector
-    /// mode; all empty in scalar mode). Entry `self.lc` stays unused.
+    /// Per-destination would-be messages awaiting coalescing. Entry
+    /// `self.lc` stays unused.
     out_events: Vec<Vec<OutEvent<F::Addr>>>,
     /// Scratch for the batched probe pass (reused across iterations).
     probe_scratch: Vec<BatchProbe<Option<u16>>>,
@@ -425,8 +412,7 @@ impl<F: AddrFamily> WorkerCore<F> {
         self.completed_this_iter += 1;
     }
 
-    /// Queue a reply: a scalar message straight into the outbox, or —
-    /// in vector mode — an event awaiting per-destination coalescing.
+    /// Queue a reply as an event awaiting per-destination coalescing.
     /// Replies to a dead LC are dropped (the requester cannot drain
     /// them, and its waiters died with it).
     fn emit_reply(
@@ -441,27 +427,16 @@ impl<F: AddrFamily> WorkerCore<F> {
             self.report.dead_letters += 1;
             return;
         }
-        if self.vector {
-            self.out_events[dst as usize].push(OutEvent::Rep {
-                addr,
-                packet_id,
-                nh,
-                version,
-            });
-        } else {
-            self.outbox.push_back(FabricMsg {
-                kind: MsgKind::Reply { next_hop: nh },
-                src: self.lc as u16,
-                dst,
-                addr,
-                packet_id,
-                sent_at: version,
-            });
-        }
+        self.out_events[dst as usize].push(OutEvent::Rep {
+            addr,
+            packet_id,
+            nh,
+            version,
+        });
     }
 
-    /// Queue a home-LC lookup request (scalar message or coalescable
-    /// event, as [`Self::emit_reply`]). Requests are never addressed to
+    /// Queue a home-LC lookup request (a coalescable event, as
+    /// [`Self::emit_reply`]). Requests are never addressed to
     /// a known-dead LC: `home_of` under the adopted partitioning never
     /// returns one, and the rehome sweep re-routes using the new map.
     fn emit_request(&mut self, dst: u16, addr: F::Addr) {
@@ -469,18 +444,7 @@ impl<F: AddrFamily> WorkerCore<F> {
             self.dead_mask >> dst & 1 == 0,
             "request addressed to a dead LC"
         );
-        if self.vector {
-            self.out_events[dst as usize].push(OutEvent::Req { addr });
-        } else {
-            self.outbox.push_back(FabricMsg {
-                kind: MsgKind::Request,
-                src: self.lc as u16,
-                dst,
-                addr,
-                packet_id: 0,
-                sent_at: 0,
-            });
-        }
+        self.out_events[dst as usize].push(OutEvent::Req { addr });
     }
 
     /// Park a waiter on `addr`; the first waiter creates the job and
@@ -705,27 +669,20 @@ impl<F: AddrFamily> WorkerCore<F> {
             let Some(mut rx) = self.req_rx[src].take() else {
                 continue;
             };
-            if self.vector {
-                // Burst drain: one Acquire/Release pair per up-to-256
-                // messages instead of per message. Loop until the ring
-                // is dry so both modes drain each source fully.
-                loop {
-                    self.pop_scratch.clear();
-                    if rx.pop_slice(&mut self.pop_scratch, DRAIN_BURST) == 0 {
-                        break;
-                    }
-                    n += self.pop_scratch.len() as u64;
-                    let msgs = std::mem::take(&mut self.pop_scratch);
-                    for &msg in &msgs {
-                        self.dispatch(msg, snap, now);
-                    }
-                    self.pop_scratch = msgs;
+            // Burst drain: one Acquire/Release pair per up-to-256
+            // messages instead of per message, looping until the ring
+            // is dry so each source is drained fully.
+            loop {
+                self.pop_scratch.clear();
+                if rx.pop_slice(&mut self.pop_scratch, DRAIN_BURST) == 0 {
+                    break;
                 }
-            } else {
-                while let Some(msg) = rx.try_pop() {
-                    n += 1;
+                n += self.pop_scratch.len() as u64;
+                let msgs = std::mem::take(&mut self.pop_scratch);
+                for &msg in &msgs {
                     self.dispatch(msg, snap, now);
                 }
+                self.pop_scratch = msgs;
             }
             self.req_rx[src] = Some(rx);
         }
@@ -783,50 +740,29 @@ impl<F: AddrFamily> WorkerCore<F> {
             self.epoch
         };
         let (mut loc_hits, mut rem_hits) = (0u64, 0u64);
-        if self.vector {
-            // Batched probe pass with set prefetch; per lane it performs
-            // the identical probe(+reserve on miss) sequence the scalar
-            // arm below does, so cache state and statistics match
-            // bit-for-bit — the speed comes from prefetch distance and
-            // from not re-entering the probe machinery per packet.
-            let mut probes = std::mem::take(&mut self.probe_scratch);
-            probes.clear();
-            self.cache
-                .probe_batch(&self.dests[self.pos..end], &mut probes);
-            for (i, lane) in probes.iter().enumerate() {
-                match *lane {
-                    BatchProbe::Hit { value, origin } => {
-                        match origin {
-                            Origin::Loc => loc_hits += 1,
-                            Origin::Rem => rem_hits += 1,
-                        }
-                        self.complete(value);
+        // Batched probe pass with set prefetch: per lane, the probe
+        // (+ reserve on a miss) `handle_request_addr` performs per
+        // address, so cache state and statistics are those of probing
+        // packet by packet.
+        let mut probes = std::mem::take(&mut self.probe_scratch);
+        probes.clear();
+        self.cache
+            .probe_batch(&self.dests[self.pos..end], &mut probes);
+        for (i, lane) in probes.iter().enumerate() {
+            match *lane {
+                BatchProbe::Hit { value, origin } => {
+                    match origin {
+                        Origin::Loc => loc_hits += 1,
+                        Origin::Rem => rem_hits += 1,
                     }
-                    BatchProbe::Waiting | BatchProbe::MissReserved | BatchProbe::MissUnrecorded => {
-                        self.park(self.dests[self.pos + i], Waiter::Local { admitted: t0 });
-                    }
+                    self.complete(value);
                 }
-            }
-            self.probe_scratch = probes;
-        } else {
-            for i in self.pos..end {
-                let addr = self.dests[i];
-                match self.cache.probe(addr) {
-                    ProbeResult::Hit { value, origin } => {
-                        match origin {
-                            Origin::Loc => loc_hits += 1,
-                            Origin::Rem => rem_hits += 1,
-                        }
-                        self.complete(value);
-                    }
-                    ProbeResult::HitWaiting => self.park(addr, Waiter::Local { admitted: t0 }),
-                    ProbeResult::Miss => {
-                        let _ = self.cache.reserve(addr);
-                        self.park(addr, Waiter::Local { admitted: t0 });
-                    }
+                BatchProbe::Waiting | BatchProbe::MissReserved | BatchProbe::MissUnrecorded => {
+                    self.park(self.dests[self.pos + i], Waiter::Local { admitted: t0 });
                 }
             }
         }
+        self.probe_scratch = probes;
         if let Some(p) = &self.probe {
             p.record_admit(n, loc_hits + rem_hits);
         }
@@ -974,8 +910,8 @@ impl<F: AddrFamily> WorkerCore<F> {
     /// its messages (in order) to the next iteration rather than block.
     /// Consecutive same-destination messages go out through one
     /// `push_slice` — one published head store per run instead of per
-    /// message — with identical delivery order and deferral semantics
-    /// to the scalar per-message loop.
+    /// message — with the delivery order and deferral semantics of
+    /// pushing message by message.
     fn flush_outbox(&mut self) {
         self.pack_events();
         if let Some(f) = self.faults.as_mut() {
@@ -1638,7 +1574,6 @@ pub fn run_family<F: AddrFamily>(
                 done: Arc::clone(&done),
                 marked_done: false,
                 completed_this_iter: 0,
-                vector: cfg.vector,
                 out_events: (0..psi).map(|_| Vec::new()).collect(),
                 probe_scratch: Vec::new(),
                 pop_scratch: Vec::new(),
@@ -1961,9 +1896,8 @@ mod tests {
         deterministic_single_worker_matches_oracle,
         deterministic_multi_worker_matches_oracle_and_shares_results,
         deterministic_runs_are_reproducible,
-        scalar_mode_matches_oracle,
         latency_capture_off_skips_timestamp_reads,
-        vector_and_scalar_canonical_reports_match,
+        deterministic_churn_stays_coherent_and_coalesces,
         threaded_run_matches_oracle,
         threaded_run_with_churn_matches_oracle_checks,
         full_flush_mode_also_stays_coherent,
@@ -2053,7 +1987,7 @@ mod tests {
         );
         assert_eq!(remote, served);
         assert!(report.rem_share() > 0.0);
-        // Vector mode actually coalesced messages.
+        // The outbox actually coalesced messages.
         let batched: u64 = report
             .workers
             .iter()
@@ -2078,24 +2012,6 @@ mod tests {
             assert_eq!(wa.fe_lookups, wb.fe_lookups);
             assert_eq!(wa.remote_requests, wb.remote_requests);
         }
-    }
-
-    fn scalar_mode_matches_oracle<F: TestFamily>() {
-        let (table, traces) = F::small_setup(4, 2_000);
-        let cfg = DataplaneConfig {
-            workers: 4,
-            deterministic: true,
-            vector: false,
-            cache: LrCacheConfig::paper(256),
-            ..Default::default()
-        };
-        let report = run_family::<F>(&table, &traces, &cfg);
-        assert_matches_oracle::<F>(&report, &table, &traces);
-        // Scalar mode never coalesces.
-        assert!(report
-            .workers
-            .iter()
-            .all(|w| w.batch_requests_sent == 0 && w.batch_replies_sent == 0));
     }
 
     fn latency_capture_off_skips_timestamp_reads<F: TestFamily>() {
@@ -2130,14 +2046,14 @@ mod tests {
         assert_eq!(off.latency_paths().all().count(), 0);
     }
 
-    /// The bit-stability contract: in a deterministic faultless run the
-    /// two modes perform identical per-address cache/FE/fabric
-    /// operation sequences, so the canonical reports must match
-    /// byte-for-byte — only the message framing differs — and under
-    /// churn neither mode may diverge from the oracle.
-    fn vector_and_scalar_canonical_reports_match<F: TestFamily>() {
+    /// Under churn a deterministic run must not diverge from the
+    /// oracle anywhere it is checked — spot checks, the published
+    /// tables, the post-quiesce cache sweep — while batch framing is
+    /// actually in play. (The byte-level report is pinned by the
+    /// `golden_report` fixtures.)
+    fn deterministic_churn_stays_coherent_and_coalesces<F: TestFamily>() {
         let (table, traces) = F::small_setup(3, 2_000);
-        let base = DataplaneConfig {
+        let cfg = DataplaneConfig {
             workers: 3,
             deterministic: true,
             cache: LrCacheConfig::paper(256),
@@ -2145,30 +2061,17 @@ mod tests {
             seed: 7,
             ..Default::default()
         };
-        let vector = run_family::<F>(&table, &traces, &base);
-        let scalar = run_family::<F>(
-            &table,
-            &traces,
-            &DataplaneConfig {
-                vector: false,
-                ..base
-            },
-        );
-        assert_eq!(vector.canonical_json(), scalar.canonical_json());
-        for r in [&vector, &scalar] {
-            assert_eq!(r.spot_check_mismatches(), 0);
-            let churn = r.churn.as_ref().expect("churn configured");
-            assert!(churn.publications > 0);
-            assert_eq!(churn.final_mismatches, 0, "published tables diverged");
-            // An engine that declines a patch gets its fragment
-            // rebuilt; either path must have engaged.
-            assert!(churn.delta_applies + churn.rebuild_applies > 0);
-            let coh = r.coherence.as_ref().expect("deterministic sweep");
-            assert_eq!(coh.mismatches, 0, "cache coherence violated");
-        }
-        // And the vector run actually coalesced something, or the
-        // equivalence proved nothing about batch framing.
-        let batched: u64 = vector
+        let r = run_family::<F>(&table, &traces, &cfg);
+        assert_eq!(r.spot_check_mismatches(), 0);
+        let churn = r.churn.as_ref().expect("churn configured");
+        assert!(churn.publications > 0);
+        assert_eq!(churn.final_mismatches, 0, "published tables diverged");
+        // An engine that declines a patch gets its fragment rebuilt;
+        // either path must have engaged.
+        assert!(churn.delta_applies + churn.rebuild_applies > 0);
+        let coh = r.coherence.as_ref().expect("deterministic sweep");
+        assert_eq!(coh.mismatches, 0, "cache coherence violated");
+        let batched: u64 = r
             .workers
             .iter()
             .map(|w| w.batch_requests_sent + w.batch_replies_sent)

@@ -58,7 +58,7 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> VersionedCache<V, A> {
         self.cache.reserve(addr)
     }
 
-    /// See [`LrCache::probe_batch`] — the vector-mode probe pass with
+    /// See [`LrCache::probe_batch`] — the batched probe pass with
     /// the miss-path reservation folded in, one [`BatchProbe`] per
     /// address. Versioning does not enter the probe path (only fills
     /// are gated), so this is a plain delegation.

@@ -265,24 +265,6 @@ fn duplicate_and_stale_replies_after_remap_do_not_diverge() {
 }
 
 #[test]
-fn vector_and_scalar_failover_match() {
-    // The remap path is mode-independent: vector and scalar runs over
-    // the same failure schedule complete the same packets to the same
-    // checksum.
-    let psi = 3;
-    let packets = 2_000;
-    let (table, traces) = setup(psi, packets);
-    let vector = run(&table, &traces, &failover_cfg(psi, packets, true));
-    let mut scalar_cfg = failover_cfg(psi, packets, true);
-    scalar_cfg.vector = false;
-    let scalar = run(&table, &traces, &scalar_cfg);
-    assert_eq!(vector.checksum(), scalar.checksum());
-    assert_eq!(vector.total_packets(), scalar.total_packets());
-    assert_no_divergence(&vector);
-    assert_no_divergence(&scalar);
-}
-
-#[test]
 fn threaded_failover_stays_consistent() {
     let psi = 4;
     let packets = 20_000;

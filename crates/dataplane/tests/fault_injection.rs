@@ -177,10 +177,10 @@ fn fault_runs_replay_deterministically() {
     );
 }
 
-/// Batch-message faults: the default (vector-mode) configs above
-/// already run the adversary against coalesced messages, but this test
-/// makes the coverage explicit — the runs must actually put
-/// `BatchRequest`/`BatchReply` messages on the wire, the injector must
+/// Batch-message faults: the configs above already run the adversary
+/// against coalesced messages, but this test makes the coverage
+/// explicit — the runs must actually put `BatchRequest`/`BatchReply`
+/// messages on the wire, the injector must
 /// drop/delay/duplicate them as whole units (a dropped batch reply
 /// stalls up to 32 addresses until the retransmit lands; a duplicated
 /// one must be recognized per address), and the oracle and coherence
@@ -208,30 +208,6 @@ fn batch_messages_face_the_adversary_with_zero_divergence() {
         );
         let coh = report.coherence.expect("deterministic run sweeps");
         assert_eq!(coh.mismatches, 0, "seed {seed}: stale cache entries");
-        assert_adversary_fired(&report, seed);
-    }
-}
-
-/// Control arm: the same adversary against the scalar (non-vector)
-/// loop. Proves the fault machinery itself is mode-agnostic and pins
-/// the scalar path's resilience now that vector is the default.
-#[test]
-fn scalar_mode_survives_the_same_adversary() {
-    let (table, traces) = setup(4, 3_000);
-    for seed in SEEDS {
-        let mut cfg = fault_cfg(4, seed, true);
-        cfg.vector = false;
-        let report = run(&table, &traces, &cfg);
-        assert!(report
-            .workers
-            .iter()
-            .all(|w| w.batch_requests_sent == 0 && w.batch_replies_sent == 0));
-        assert_eq!(
-            report.oracle_divergence(),
-            0,
-            "seed {seed}: {}",
-            report.fault_summary()
-        );
         assert_adversary_fired(&report, seed);
     }
 }

@@ -1,7 +1,7 @@
-//! Golden-report regression: two fixed deterministic runs (IPv4 with
-//! churn and faults on, IPv6 with churn) rendered through
-//! [`DataplaneReport::canonical_json`] and each pinned byte-for-byte
-//! against a checked-in file. Any change to the
+//! Golden-report regression: three fixed deterministic runs (IPv4 with
+//! churn and faults on, the same IPv4 run faultless, IPv6 with churn)
+//! rendered through [`DataplaneReport::canonical_json`] and each pinned
+//! byte-for-byte against a checked-in file. Any change to the
 //! schedule, the fault stream, the cache policy, or the report shape
 //! shows up as a diff here before it shows up as a mystery elsewhere.
 //!
@@ -11,16 +11,17 @@
 //! SPAL_BLESS=1 cargo test -p spal-dataplane --test golden_report
 //! ```
 //!
-//! Re-bless history: the vector-mode dataplane (coalesced batch
-//! messages, default on) changed the *number of fabric messages* this
-//! faulted run sends, and the fault injector's RNG advances per
-//! message — so the same plan seed now lands delays/drops/duplicates
-//! on different messages and the pinned counters shifted. The
-//! per-address semantics are unchanged: the faultless equivalence test
-//! (`vector_and_scalar_canonical_reports_match` in `runtime.rs`)
-//! proves scalar and vector runs render byte-identical canonical
-//! reports, and the fault suite still asserts zero oracle divergence
-//! in both modes.
+//! Re-bless history: coalescing fabric messages into batches changed
+//! the *number of messages* the faulted run sends, and the fault
+//! injector's RNG advances per message — so the same plan seed landed
+//! delays/drops/duplicates on different messages and
+//! `dataplane_report.json`'s pinned counters shifted. The per-address
+//! semantics did not: the two faultless fixtures are the frozen output
+//! of the one-message-per-event worker loop that coalescing replaced
+//! (`dataplane_report_faultless.json` was blessed from it at the last
+//! commit that still had it, and `dataplane6_report.json` was checked
+//! against it unblessed there), and the coalescing loop reproduces
+//! both byte for byte.
 
 use spal_cache::LrCacheConfig;
 use spal_dataplane::{run, run6, ChurnConfig, Dataplane6Config, DataplaneConfig, FaultPlan};
@@ -54,8 +55,9 @@ fn golden_churn() -> Option<ChurnConfig> {
     })
 }
 
-#[test]
-fn canonical_report_matches_golden_file() {
+/// The IPv4 run: 3 workers, D75 traffic over the small table, churn
+/// on, with or without the standard fault plan.
+fn v4_report(faults: Option<FaultPlan>) -> String {
     let table = synth::small(21);
     let traces = TracePreset {
         distinct: 600,
@@ -69,11 +71,23 @@ fn canonical_report_matches_golden_file() {
         cache: LrCacheConfig::paper(512),
         churn: golden_churn(),
         seed: 3,
-        faults: Some(FaultPlan::standard(42)),
+        faults,
         ..Default::default()
     };
-    let got = run(&table, &traces, &cfg).canonical_json();
+    run(&table, &traces, &cfg).canonical_json()
+}
+
+#[test]
+fn canonical_report_matches_golden_file() {
+    let got = v4_report(Some(FaultPlan::standard(42)));
     check_golden("dataplane_report.json", &got);
+}
+
+/// The same run on a faultless fabric, where message framing cannot
+/// move the report: blessed from the one-message-per-event loop.
+#[test]
+fn faultless_canonical_report_matches_golden_file() {
+    check_golden("dataplane_report_faultless.json", &v4_report(None));
 }
 
 /// The IPv6 run (SHIP, faultless), blessed from the `runtime6.rs` fork

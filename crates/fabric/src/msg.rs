@@ -14,7 +14,7 @@ impl FabricAddr for u128 {}
 /// Maximum addresses one batch message carries. Batch payloads are
 /// fixed-size inline arrays (the SPSC ring requires `Copy` slots, so no
 /// heap indirection): at 32 lanes a v4 `FabricMsg` is ~290 bytes, which
-/// keeps per-packet ring traffic under 10 bytes once a vector-mode
+/// keeps per-packet ring traffic under 10 bytes once a dataplane
 /// worker coalesces its misses, without bloating ring memory the way a
 /// cache-line-per-address layout would. (A v6 batch message is ~4×
 /// larger — still far below a line per address.)
@@ -122,7 +122,7 @@ impl<A: FabricAddr> ReplyBatch<A> {
 /// Requests travel from a packet's arrival LC to its home LC; replies
 /// carry the lookup result back (§3.3). Identifiers are raw `u16`s so
 /// this crate stays dependency-free; `spal-core` maps them to `NextHop`.
-/// The batch variants are the vector-mode dataplane's coalesced forms:
+/// The batch variants are the threaded dataplane's coalesced forms:
 /// one message per destination LC per iteration instead of one per
 /// address, with the same per-address semantics on the receiving side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

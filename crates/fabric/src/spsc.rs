@@ -111,7 +111,7 @@ impl<T: Copy + Send> SpscProducer<T> {
 
     /// Burst push: append as many of `items` as fit, in order, with ONE
     /// `Release` store of `head` for the whole burst — the amortization
-    /// vector-mode workers rely on (a per-item `try_push` loop pays a
+    /// dataplane workers rely on (a per-item `try_push` loop pays a
     /// published store, and the consumer an `Acquire` reload, per
     /// message). Returns how many items were pushed; a full ring takes a
     /// capacity-aware partial prefix and leaves the rest to the caller.

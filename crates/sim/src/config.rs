@@ -104,17 +104,9 @@ pub struct SimConfig {
     pub seed: u64,
     /// Clock-advance strategy. [`EngineMode::FastForward`] (the default)
     /// and [`EngineMode::Naive`] are report-identical; the switch exists
-    /// for the equivalence suite and for perf comparisons.
+    /// so the equivalence suite and `bench_gate`'s simulator gate can run
+    /// the naive engine as their reference.
     pub engine: EngineMode,
-    /// Drain FE arrival bursts through the batched lookup path: when an
-    /// FE starts a lookup and more jobs are queued behind it, resolve up
-    /// to a quad of addresses in one interleaved `lookup_batch` call and
-    /// stash the extra results for the jobs' own start cycles. The
-    /// forwarding table is immutable during a run and the batch contract
-    /// is bit-identical to scalar (access counts included), so reports
-    /// do not change — only host-side wall clock. Default on; the
-    /// switch exists for the equivalence suite and perf comparisons.
-    pub fe_batch: bool,
 }
 
 impl Default for SimConfig {
@@ -133,7 +125,6 @@ impl Default for SimConfig {
             measure_after_cycle: 0,
             seed: 1,
             engine: EngineMode::FastForward,
-            fe_batch: true,
         }
     }
 }

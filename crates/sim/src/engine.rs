@@ -42,7 +42,7 @@ use rand::SeedableRng;
 use spal_cache::{LrCache, LrCacheConfig, Origin, ProbeResult, ReserveOutcome};
 use spal_core::{ForwardingTable, Partitioning};
 use spal_fabric::{FabricMsg, FabricStats, MsgKind, Queue, SwitchingFabric};
-use spal_lpm::{CountedLookup, Lpm, BATCH_LANES};
+use spal_lpm::Lpm;
 use spal_rib::RoutingTable;
 use spal_traffic::{ArrivalProcess, Trace};
 use std::collections::HashMap;
@@ -100,11 +100,6 @@ struct Lc {
     input: Queue<WorkItem>,
     outgoing: Queue<FabricMsg>,
     fe_queue: Queue<FeJob>,
-    /// Results resolved ahead of time by a batched FE start: `(addr,
-    /// result)` for jobs still sitting in `fe_queue`. Bounded at
-    /// `BATCH_LANES - 1` entries — a batch is only issued when the stash
-    /// is empty, and the stashed jobs are by FIFO order the next pops.
-    fe_prefetched: Vec<(u32, CountedLookup)>,
     fe_busy_until: u64,
     fe_job: Option<ActiveFeJob>,
     fe_lookups: u64,
@@ -207,7 +202,6 @@ impl RouterSim {
                 input: Queue::unbounded(),
                 outgoing: Queue::unbounded(),
                 fe_queue: Queue::unbounded(),
-                fe_prefetched: Vec::with_capacity(BATCH_LANES - 1),
                 fe_busy_until: 0,
                 fe_job: None,
                 fe_lookups: 0,
@@ -555,30 +549,7 @@ impl RouterSim {
             return;
         }
         let job = lc.fe_queue.pop().expect("non-empty");
-        // Lookups are pure and the table is immutable during a run (the
-        // same property ActiveFeJob relies on), so a result resolved at
-        // batch time equals one resolved now — access count included.
-        let counted = if let Some(k) = lc.fe_prefetched.iter().position(|e| e.0 == job.addr) {
-            lc.fe_prefetched.swap_remove(k).1
-        } else if self.config.fe_batch && !lc.fe_queue.is_empty() {
-            // A burst is queued behind this job: resolve up to a quad of
-            // addresses through the engine's interleaved batch path and
-            // stash the extras for their own start cycles.
-            let mut addrs = [job.addr; BATCH_LANES];
-            let mut n = 1;
-            for queued in lc.fe_queue.iter().take(BATCH_LANES - 1) {
-                addrs[n] = queued.addr;
-                n += 1;
-            }
-            let mut out = [CountedLookup::MISS; BATCH_LANES];
-            lc.fwd.lookup_batch(&addrs[..n], &mut out[..n]);
-            for k in 1..n {
-                lc.fe_prefetched.push((addrs[k], out[k]));
-            }
-            out[0]
-        } else {
-            lc.fwd.lookup_counted(job.addr)
-        };
+        let counted = lc.fwd.lookup_counted(job.addr);
         let fe_cost = match self.config.fe {
             FeServiceModel::Fixed(c) => c,
             FeServiceModel::PerLookup => self.config.fe.cycles(counted.mem_accesses),
@@ -838,37 +809,6 @@ mod tests {
         assert!(report.mean_lookup_cycles() >= 20.0);
         let fe_total: u64 = report.per_lc.iter().map(|l| l.fe_lookups).sum();
         assert_eq!(fe_total, 2 * 2_000);
-    }
-
-    #[test]
-    fn fe_batch_drain_is_report_identical() {
-        // The batched FE drain must not change simulation results at
-        // all — PerLookup makes every access count load-bearing for
-        // timing, and Conventional at 40G keeps the FE queue deep so
-        // real quads are issued.
-        let rt = synth::small(97);
-        for kind in [
-            RouterKind::Conventional,
-            RouterKind::Spal,
-            RouterKind::CacheOnly,
-        ] {
-            let cfg = SimConfig {
-                fe: FeServiceModel::PerLookup,
-                ..tiny_config(kind, 2)
-            };
-            let traces = tiny_traces(&rt, 2);
-            let batched = RouterSim::new(&rt, &traces, cfg.clone()).run();
-            let scalar = RouterSim::new(
-                &rt,
-                &traces,
-                SimConfig {
-                    fe_batch: false,
-                    ..cfg
-                },
-            )
-            .run();
-            assert_eq!(batched, scalar, "{kind:?}");
-        }
     }
 
     #[test]

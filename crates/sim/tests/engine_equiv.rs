@@ -177,21 +177,17 @@ fn per_lookup_fe_model() {
 }
 
 #[test]
-fn batch_drain_under_deep_fe_backlog() {
+fn deep_fe_backlog() {
     // 40 Gbps with a per-lookup-cost FE overloads the engines, so the
-    // FE queues stay deep and the batched drain issues real quads on
-    // nearly every start; both engines must still agree cycle for
-    // cycle, with batching both on and off.
+    // FE queues stay deep for the whole run; both engines must still
+    // agree cycle for cycle.
     let rt = synth::small(89);
     let streams = traces(&rt, 2, 2_000);
-    for fe_batch in [true, false] {
-        let cfg = SimConfig {
-            fe: FeServiceModel::PerLookup,
-            fe_batch,
-            ..base(RouterKind::Conventional, 2, LcSpeed::Gbps40)
-        };
-        assert_run_for_equiv(&rt, &streams, cfg, 30_000);
-    }
+    let cfg = SimConfig {
+        fe: FeServiceModel::PerLookup,
+        ..base(RouterKind::Conventional, 2, LcSpeed::Gbps40)
+    };
+    assert_run_for_equiv(&rt, &streams, cfg, 30_000);
 }
 
 #[test]
