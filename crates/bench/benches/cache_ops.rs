@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spal_cache::{LrCache, LrCacheConfig, Origin, ProbeResult};
+use spal_cache::{BatchProbe, LrCache, LrCacheConfig, Origin, ProbeResult};
 use spal_traffic::locality::{LocalityModel, LocalitySampler};
 
 fn zipf_addresses(n: usize, distinct: usize, seed: u64) -> Vec<u32> {
@@ -92,5 +92,74 @@ fn bench_miss_path(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_probe_fill, bench_miss_path);
+/// The hit path as the dataplane worker drives it: 256-address bursts
+/// of a Zipf stream the warmed β = 4K cache hits ≈ 0.9 of the time,
+/// hits tallied (count and a next-hop sum), the lanes that did not hit
+/// filled once their burst is done. `hit_path_probe_each` consumes each
+/// lane in the sink, as `admit_own` does; `hit_path_probe_batch` is the
+/// same stream through the collected vector and a second pass over it,
+/// so what the round trip through memory costs stays visible.
+fn bench_hit_path(c: &mut Criterion) {
+    const BURST: usize = 256;
+    let addrs = zipf_addresses(64 * BURST, 40_000, 5);
+    let warmed = || {
+        let mut cache: LrCache<Option<u16>> = LrCache::new(LrCacheConfig::paper(4096));
+        for &a in &addrs {
+            if !matches!(cache.probe(a), ProbeResult::Hit { .. }) {
+                let _ = cache.fill(a, Some(1), Origin::Loc);
+            }
+        }
+        cache
+    };
+    let checksum = |hop: Option<u16>| hop.map_or(0, |h| h as u64 + 1);
+    let mut group = c.benchmark_group("lr_cache");
+    group.throughput(Throughput::Elements(addrs.len() as u64));
+    group.bench_function("hit_path_probe_each", |b| {
+        let mut cache = warmed();
+        let mut misses: Vec<u32> = Vec::with_capacity(BURST);
+        b.iter(|| {
+            let (mut hits, mut hop_sum) = (0u64, 0u64);
+            for burst in addrs.chunks(BURST) {
+                misses.clear();
+                cache.probe_each(black_box(burst), |i, lane| match lane {
+                    BatchProbe::Hit { value, .. } => {
+                        hits += 1;
+                        hop_sum += checksum(value);
+                    }
+                    _ => misses.push(i as u32),
+                });
+                for &i in &misses {
+                    let _ = cache.fill(burst[i as usize], Some(1), Origin::Loc);
+                }
+            }
+            (hits, hop_sum)
+        })
+    });
+    group.bench_function("hit_path_probe_batch", |b| {
+        let mut cache = warmed();
+        let mut lanes = Vec::with_capacity(BURST);
+        b.iter(|| {
+            let (mut hits, mut hop_sum) = (0u64, 0u64);
+            for burst in addrs.chunks(BURST) {
+                lanes.clear();
+                cache.probe_batch(black_box(burst), &mut lanes);
+                for (i, lane) in lanes.iter().enumerate() {
+                    match *lane {
+                        BatchProbe::Hit { value, .. } => {
+                            hits += 1;
+                            hop_sum += checksum(value);
+                        }
+                        _ => {
+                            let _ = cache.fill(burst[i], Some(1), Origin::Loc);
+                        }
+                    }
+                }
+            }
+            (hits, hop_sum)
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_probe_fill, bench_miss_path, bench_hit_path);
 criterion_main!(benches);

@@ -41,7 +41,7 @@ pub enum IndexScheme {
     XorFold,
 }
 
-/// When [`LrCache::probe_batch`] issues its distance-8 set prefetch.
+/// When [`LrCache::probe_each`] issues its distance-8 set prefetch.
 ///
 /// Prefetching pays only when the sets being scanned are not already
 /// hardware-cache-resident: under locality traffic against the paper's
@@ -150,7 +150,7 @@ pub enum ProbeResult<V> {
     Miss,
 }
 
-/// Outcome of one lane of [`LrCache::probe_batch`]: a probe with the
+/// Outcome of one lane of [`LrCache::probe_each`]: a probe with the
 /// miss-path reservation folded in, so a batching caller gets the
 /// complete cache verdict for every packet in one pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -275,7 +275,7 @@ pub struct LrCache<V, A: CacheAddr = u32> {
     rng: SmallRng,
     /// ⌈γ · assoc⌉ blocks per set for REM, precomputed.
     rem_quota: usize,
-    /// Whether [`LrCache::probe_batch`] prefetches right now; seeded
+    /// Whether [`LrCache::probe_each`] prefetches right now; seeded
     /// from [`LrCacheConfig::prefetch`] at build time and — in `Auto`
     /// mode — retuned from the windowed hit rate.
     prefetch_sets: bool,
@@ -351,7 +351,7 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
         }
     }
 
-    /// Whether [`LrCache::probe_batch`] would issue set prefetches right
+    /// Whether [`LrCache::probe_each`] would issue set prefetches right
     /// now (the `Auto` decision is observable for tests and profiling).
     pub fn prefetch_active(&self) -> bool {
         self.prefetch_sets
@@ -384,21 +384,31 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
     }
 
     /// The slot of `addr`'s set holding `addr` (waiting or complete):
-    /// one pass over the set's tags. Ways past `assoc` are never valid,
-    /// so they never match. Which way matches is as good as random, so
-    /// the four compares of a group are folded into a mask instead of
-    /// branched on one by one.
+    /// the first *valid* way, in way order, whose tag matches. Tags
+    /// first: which way matches is as good as random, so the four
+    /// compares of a group are folded into a mask instead of branched
+    /// on one by one, and a `meta` word is read only behind a set bit
+    /// of that mask — a miss reads no `meta` at all (for a `u128` set,
+    /// only the line holding the tags). A tag outlives its entry
+    /// (invalidation and flush clear `meta` only) and a never-used way
+    /// carries `A::ZERO`, so a matching tag proves nothing until its
+    /// `VALID` bit is seen; the mask is walked in ascending order so
+    /// such a way is skipped and the valid one behind it is found.
+    /// Ways past `assoc` are never valid, so they never match.
     #[inline]
     fn find(&self, base: usize, addr: A) -> Option<usize> {
         let set = &self.groups[base / LANES..][..self.groups_per_set];
         for (g, group) in set.iter().enumerate() {
             let mut matches = 0u32;
             for lane in 0..LANES {
-                let hit = (group.tags[lane] == addr) & (group.meta[lane] & VALID != 0);
-                matches |= (hit as u32) << lane;
+                matches |= ((group.tags[lane] == addr) as u32) << lane;
             }
-            if matches != 0 {
-                return Some(base + g * LANES + matches.trailing_zeros() as usize);
+            while matches != 0 {
+                let lane = matches.trailing_zeros() as usize;
+                if group.meta[lane] & VALID != 0 {
+                    return Some(base + g * LANES + lane);
+                }
+                matches &= matches - 1;
             }
         }
         None
@@ -571,18 +581,21 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
         self.auto_last_hits = hits;
     }
 
-    /// Batched probe pass with software prefetch: for each address, a
-    /// [`LrCache::probe`] with the miss-path [`LrCache::reserve`] folded
-    /// in. Appends one [`BatchProbe`] per address onto `out`, in order.
+    /// The batched probe pass with software prefetch: for each address,
+    /// a [`LrCache::probe`] with the miss-path [`LrCache::reserve`]
+    /// folded in, its verdict handed to `sink(lane index, verdict)` in
+    /// address order. The sink sees each lane while it is still in
+    /// registers, so a caller that only tallies hits and notes which
+    /// lanes missed never writes the verdicts to memory.
     ///
     /// Per lane the clocks, statistics and replacement state end up
     /// bit-identical to a scalar probe-then-reserve — but a miss lane
     /// looks for its address once, not once per call: the probe just
     /// established it is absent, so the reservation goes straight to
     /// the replacement decision.
-    pub fn probe_batch(&mut self, addrs: &[A], out: &mut Vec<BatchProbe<V>>) {
+    #[inline]
+    pub fn probe_each<S: FnMut(usize, BatchProbe<V>)>(&mut self, addrs: &[A], mut sink: S) {
         const PREFETCH_DIST: usize = 8;
-        out.reserve(addrs.len());
         if self.auto_adapt {
             self.maybe_retune_prefetch();
         }
@@ -593,15 +606,23 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
                 }
             }
             let base = self.set_base(addr);
-            out.push(match self.probe_in(base, addr) {
+            let lane = match self.probe_in(base, addr) {
                 ProbeResult::Hit { value, origin } => BatchProbe::Hit { value, origin },
                 ProbeResult::HitWaiting => BatchProbe::Waiting,
                 ProbeResult::Miss => match self.reserve_absent(base, addr) {
                     ReserveOutcome::Reserved => BatchProbe::MissReserved,
                     ReserveOutcome::SetFullOfWaiting => BatchProbe::MissUnrecorded,
                 },
-            });
+            };
+            sink(i, lane);
         }
+    }
+
+    /// [`LrCache::probe_each`] collected: appends one [`BatchProbe`]
+    /// per address onto `out`, in order.
+    pub fn probe_batch(&mut self, addrs: &[A], out: &mut Vec<BatchProbe<V>>) {
+        out.reserve(addrs.len());
+        self.probe_each(addrs, |_, lane| out.push(lane));
     }
 
     /// Reserve a waiting block for `addr` after a miss (early recording).
@@ -1146,15 +1167,24 @@ mod tests {
         // The batched pass must leave the cache (state AND statistics)
         // exactly where the equivalent scalar probe/reserve loop does.
         let mut batched = tiny(4, 4);
+        let mut sunk = tiny(4, 4);
         let mut scalar = tiny(4, 4);
         // Mixed workload: repeats (hits), fresh addresses (misses), an
         // address left waiting (Waiting lanes).
         let addrs: Vec<u32> = vec![100, 104, 100, 108, 104, 100, 112, 108];
         scalar.fill(104, 7, Origin::Rem);
         batched.fill(104, 7, Origin::Rem);
+        sunk.fill(104, 7, Origin::Rem);
 
         let mut out = Vec::new();
         batched.probe_batch(&addrs, &mut out);
+        // The same pass through a collecting sink: every lane arrives
+        // once, in address order, under its own index.
+        let mut collected = Vec::new();
+        sunk.probe_each(&addrs, |i, lane| {
+            assert_eq!(i, collected.len());
+            collected.push(lane);
+        });
 
         let mut expected = Vec::new();
         for &a in &addrs {
@@ -1168,9 +1198,13 @@ mod tests {
             });
         }
         assert_eq!(out, expected);
-        assert_eq!(batched.stats(), scalar.stats());
-        assert_eq!(batched.waiting_count(), scalar.waiting_count());
-        assert_eq!(batched.occupancy(), scalar.occupancy());
+        assert_eq!(collected, expected);
+        for pass in [&batched, &sunk] {
+            assert_eq!(pass.stats(), scalar.stats());
+            assert_eq!(pass.waiting_count(), scalar.waiting_count());
+            assert_eq!(pass.occupancy(), scalar.occupancy());
+            assert!(pass.entries().eq(scalar.entries()));
+        }
     }
 
     #[test]
@@ -1396,57 +1430,92 @@ mod tests {
             })
     }
 
+    /// What one [`Op`] returned.
+    #[derive(Debug, PartialEq)]
+    enum Outcome {
+        Probe(ProbeResult<u16>),
+        Reserve(ReserveOutcome),
+        Batch(Vec<BatchProbe<u16>>),
+        Fill(FillOutcome),
+        Dropped(usize),
+        Flushed,
+    }
+
     /// Drive `ops` through the fused cache and the scan-per-step oracle
     /// side by side. After every operation the result, the statistics,
     /// the waiting count and the resident entries *in way order* (which
     /// pins the replacement victim and, under `Random`, the RNG draws)
-    /// must agree. `widen` spreads an index over the address width;
-    /// `top` is the shift that turns an 8-bit prefix into address bits.
+    /// must agree. The fused cache runs twice — batches through
+    /// `probe_batch` on one copy, through `probe_each` and a collecting
+    /// sink on the other — against the oracle's scalar probe + reserve
+    /// per lane. `widen` spreads an index over the address width.
     fn differential<A: CacheAddr>(config: LrCacheConfig, ops: &[Op], widen: fn(u32) -> A) {
-        let mut fused: LrCache<u16, A> = LrCache::new(config.clone());
+        let mut fused: [LrCache<u16, A>; 2] =
+            [LrCache::new(config.clone()), LrCache::new(config.clone())];
         let mut oracle: OracleCache<u16, A> = OracleCache::new(config);
+        let origin_of = |rem| if rem { Origin::Rem } else { Origin::Loc };
         for (step, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Probe(a) => assert_eq!(fused.probe(widen(a)), oracle.probe(widen(a))),
-                Op::Reserve(a) => assert_eq!(fused.reserve(widen(a)), oracle.reserve(widen(a))),
+            let expect = match *op {
+                Op::Probe(a) => Outcome::Probe(oracle.probe(widen(a))),
+                Op::Reserve(a) => Outcome::Reserve(oracle.reserve(widen(a))),
                 Op::ProbeBatch(ref lanes) => {
                     let addrs: Vec<A> = lanes.iter().map(|&a| widen(a)).collect();
-                    let (mut got, mut expect) = (vec![], vec![]);
-                    fused.probe_batch(&addrs, &mut got);
-                    oracle.probe_batch(&addrs, &mut expect);
-                    assert_eq!(got, expect);
+                    let mut out = vec![];
+                    oracle.probe_batch(&addrs, &mut out);
+                    Outcome::Batch(out)
                 }
-                Op::Fill(a, v, rem) => {
-                    let origin = if rem { Origin::Rem } else { Origin::Loc };
-                    assert_eq!(
-                        fused.fill(widen(a), v, origin),
-                        oracle.fill(widen(a), v, origin)
-                    );
+                Op::Fill(a, v, rem) => Outcome::Fill(oracle.fill(widen(a), v, origin_of(rem))),
+                Op::InvalidateCovered(a, len) => {
+                    Outcome::Dropped(oracle.invalidate_covered(widen(a), A::BITS - len))
                 }
-                Op::InvalidateCovered(a, len) => assert_eq!(
-                    fused.invalidate_covered(widen(a), A::BITS - len),
-                    oracle.invalidate_covered(widen(a), A::BITS - len)
-                ),
-                Op::InvalidateAddr(a) => assert_eq!(
-                    fused.invalidate_addr(widen(a)),
-                    oracle.invalidate_covered(widen(a), A::BITS)
-                ),
+                Op::InvalidateAddr(a) => {
+                    Outcome::Dropped(oracle.invalidate_covered(widen(a), A::BITS))
+                }
                 Op::Flush => {
-                    fused.flush();
                     oracle.flush();
+                    Outcome::Flushed
                 }
+            };
+            for (arm, fused) in fused.iter_mut().enumerate() {
+                let got = match *op {
+                    Op::Probe(a) => Outcome::Probe(fused.probe(widen(a))),
+                    Op::Reserve(a) => Outcome::Reserve(fused.reserve(widen(a))),
+                    Op::ProbeBatch(ref lanes) => {
+                        let addrs: Vec<A> = lanes.iter().map(|&a| widen(a)).collect();
+                        let mut out = vec![];
+                        if arm == 0 {
+                            fused.probe_batch(&addrs, &mut out);
+                        } else {
+                            fused.probe_each(&addrs, |i, lane| {
+                                assert_eq!(i, out.len());
+                                out.push(lane);
+                            });
+                        }
+                        Outcome::Batch(out)
+                    }
+                    Op::Fill(a, v, rem) => Outcome::Fill(fused.fill(widen(a), v, origin_of(rem))),
+                    Op::InvalidateCovered(a, len) => {
+                        Outcome::Dropped(fused.invalidate_covered(widen(a), A::BITS - len))
+                    }
+                    Op::InvalidateAddr(a) => Outcome::Dropped(fused.invalidate_addr(widen(a))),
+                    Op::Flush => {
+                        fused.flush();
+                        Outcome::Flushed
+                    }
+                };
+                assert_eq!(got, expect, "arm {arm}, step {step} {op:?}");
+                assert_eq!(
+                    fused.stats(),
+                    oracle.stats(),
+                    "stats of arm {arm} after step {step} {op:?}"
+                );
+                assert_eq!(fused.waiting_count(), oracle.waiting_count());
+                assert_eq!(
+                    fused.entries().collect::<Vec<_>>(),
+                    oracle.entries().collect::<Vec<_>>(),
+                    "entries of arm {arm} after step {step} {op:?}"
+                );
             }
-            assert_eq!(
-                fused.stats(),
-                oracle.stats(),
-                "stats after step {step} {op:?}"
-            );
-            assert_eq!(fused.waiting_count(), oracle.waiting_count());
-            assert_eq!(
-                fused.entries().collect::<Vec<_>>(),
-                oracle.entries().collect::<Vec<_>>(),
-                "entries after step {step} {op:?}"
-            );
         }
     }
 
@@ -1466,6 +1535,119 @@ mod tests {
                 (i as u128 & 7) | (i as u128 >> 3) << 64 | 0x2001 << 112
             });
         }
+    }
+
+    /// One set of four ways, no victim cache: every address collides.
+    fn one_set() -> LrCacheConfig {
+        LrCacheConfig {
+            blocks: 4,
+            assoc: 4,
+            victim_blocks: 0,
+            prefetch: PrefetchMode::Never,
+            ..Default::default()
+        }
+    }
+
+    /// `find` meets tags whose entry is gone — invalidation and flush
+    /// clear `meta` only — and must take none of them for the entry:
+    /// alone in the set (a miss, then the reservation reuses the way),
+    /// and behind the valid way that holds the same address again.
+    #[test]
+    fn stale_tags_are_skipped_at_both_widths() {
+        let ops = [
+            Op::Fill(1, 10, false),
+            Op::Fill(2, 20, true),
+            Op::Fill(3, 30, false),
+            Op::Fill(4, 40, true),
+            // Way 1 keeps tag 2 and is invalid: a miss, not a hit.
+            Op::InvalidateAddr(2),
+            Op::Probe(2),
+            Op::ProbeBatch(vec![2, 2]),
+            Op::Fill(2, 21, false),
+            // Ways 2 and 0 go stale; 3 comes back in way 0, ahead of
+            // its own stale tag in way 2.
+            Op::InvalidateAddr(3),
+            Op::InvalidateAddr(1),
+            Op::Fill(3, 31, true),
+            Op::Probe(3),
+            Op::ProbeBatch(vec![3, 1, 3]),
+            // Exactly one entry for 3 is dropped; then both its tags
+            // are stale.
+            Op::InvalidateAddr(3),
+            Op::Probe(3),
+            Op::Reserve(3),
+            Op::Fill(3, 32, false),
+            Op::Flush,
+            Op::ProbeBatch(vec![4, 3, 2, 1, 4]),
+        ];
+        differential::<u32>(one_set(), &ops, |i| i);
+        differential::<u128>(one_set(), &ops, |i| (i as u128) << 64 | 0x2001 << 112);
+    }
+
+    /// Every way of a fresh cache carries tag `A::ZERO` and is invalid,
+    /// so address zero matches four tags and no entry.
+    #[test]
+    fn address_zero_misses_in_a_fresh_cache() {
+        let ops = [
+            Op::Probe(0),
+            Op::Reserve(0),
+            Op::Probe(0),
+            Op::Fill(0, 9, false),
+            Op::Probe(0),
+            Op::InvalidateAddr(0),
+            Op::ProbeBatch(vec![0, 0]),
+            Op::Fill(0, 8, true),
+            Op::ProbeBatch(vec![0, 4, 0]),
+        ];
+        differential::<u32>(one_set(), &ops, |i| i);
+        differential::<u128>(one_set(), &ops, |i| i as u128);
+        differential::<u32>(LrCacheConfig::paper(4096), &ops, |i| i);
+        differential::<u128>(LrCacheConfig::paper(4096), &ops, |i| i as u128);
+    }
+
+    /// `find` returns the first *valid* way whose tag matches, walking
+    /// the matching ways in order. First-free placement always puts an
+    /// address at or before its own stale tags, so the public API
+    /// cannot build "stale tag first, entry behind it" — `find` must
+    /// not lean on that, so the layout is written into the set by hand
+    /// and checked against the oracle in the same logical state.
+    fn stale_tag_ahead_of_its_entry<A: CacheAddr>(p: A, x: A, y: A) {
+        let mut c: LrCache<u16, A> = LrCache::new(one_set());
+        let mut oracle: OracleCache<u16, A> = OracleCache::new(one_set());
+        for (addr, v) in [(p, 1), (x, 2)] {
+            c.fill(addr, v, Origin::Loc);
+            oracle.fill(addr, v, Origin::Loc);
+        }
+        assert_eq!(c.invalidate_addr(p), 1);
+        assert_eq!(oracle.invalidate_covered(p, A::BITS), 1);
+        // Way 0: invalid, and now carrying the probed address.
+        c.groups[0].tags[0] = x;
+        assert_eq!(c.find(0, x), Some(1));
+        assert_eq!(c.probe(x), oracle.probe(x));
+        assert_eq!(c.fill(x, 3, Origin::Rem), oracle.fill(x, 3, Origin::Rem));
+        assert_eq!(c.stats(), oracle.stats());
+        assert!(c.entries().eq(oracle.entries()));
+        // Dropping it takes way 1, not the stale way 0, which is still
+        // the first free one.
+        assert_eq!(c.invalidate_addr(x), oracle.invalidate_covered(x, A::BITS));
+        assert_eq!(c.find(0, x), None);
+        assert_eq!(c.probe(x), oracle.probe(x));
+        assert_eq!(c.reserve(x), oracle.reserve(x));
+        assert_eq!(c.find(0, x), Some(0));
+        assert_eq!(c.fill(y, 4, Origin::Loc), oracle.fill(y, 4, Origin::Loc));
+        assert_eq!(c.find(0, y), Some(1));
+        assert_eq!(c.stats(), oracle.stats());
+        assert_eq!(c.waiting_count(), oracle.waiting_count());
+        assert!(c.entries().eq(oracle.entries()));
+    }
+
+    #[test]
+    fn find_walks_past_a_stale_tag_at_both_widths() {
+        stale_tag_ahead_of_its_entry::<u32>(7, 11, 13);
+        stale_tag_ahead_of_its_entry::<u128>(7 << 64, 11 << 64 | 1, 13);
+        // …including the tag a never-used way starts with.
+        stale_tag_ahead_of_its_entry::<u32>(7, 0, 13);
+        stale_tag_ahead_of_its_entry::<u128>(7, 0, 13 << 100);
     }
 
     #[test]

@@ -364,8 +364,9 @@ struct WorkerCore<F: AddrFamily> {
     /// Per-destination would-be messages awaiting coalescing. Entry
     /// `self.lc` stays unused.
     out_events: Vec<Vec<OutEvent<F::Addr>>>,
-    /// Scratch for the batched probe pass (reused across iterations).
-    probe_scratch: Vec<BatchProbe<Option<u16>>>,
+    /// Lanes of the admit burst that did not hit, as offsets from
+    /// `pos` (reused across iterations).
+    miss_scratch: Vec<u32>,
     /// Scratch for burst ring drains.
     pop_scratch: Vec<FabricMsg<F::Addr>>,
     /// Scratch for burst ring pushes.
@@ -402,13 +403,17 @@ struct Worker<F: AddrFamily> {
     core: WorkerCore<F>,
 }
 
+/// A completed packet's contribution to `next_hop_sum`: its next hop
+/// plus one, so "no route" (0) is distinguishable from next hop 0.
+#[inline]
+fn hop_checksum(nh: Option<u16>) -> u64 {
+    nh.map_or(0, |h| h as u64 + 1)
+}
+
 impl<F: AddrFamily> WorkerCore<F> {
     fn complete(&mut self, nh: Option<u16>) {
         self.report.packets += 1;
-        self.report.next_hop_sum = self
-            .report
-            .next_hop_sum
-            .wrapping_add(nh.map(|h| h as u64 + 1).unwrap_or(0));
+        self.report.next_hop_sum = self.report.next_hop_sum.wrapping_add(hop_checksum(nh));
         self.completed_this_iter += 1;
     }
 
@@ -739,32 +744,42 @@ impl<F: AddrFamily> WorkerCore<F> {
         } else {
             self.epoch
         };
-        let (mut loc_hits, mut rem_hits) = (0u64, 0u64);
-        // Batched probe pass with set prefetch: per lane, the probe
+        // One batched probe pass with set prefetch: per lane, the probe
         // (+ reserve on a miss) `handle_request_addr` performs per
         // address, so cache state and statistics are those of probing
-        // packet by packet.
-        let mut probes = std::mem::take(&mut self.probe_scratch);
-        probes.clear();
+        // packet by packet. Hits are tallied as the pass hands them
+        // over; only the lanes that did not hit are noted, to be parked
+        // once the pass is done (`park` never touches the cache).
+        let (mut loc_hits, mut rem_hits, mut hop_sum) = (0u64, 0u64, 0u64);
+        let mut misses = std::mem::take(&mut self.miss_scratch);
+        misses.clear();
         self.cache
-            .probe_batch(&self.dests[self.pos..end], &mut probes);
-        for (i, lane) in probes.iter().enumerate() {
-            match *lane {
+            .probe_each(&self.dests[self.pos..end], |i, lane| match lane {
                 BatchProbe::Hit { value, origin } => {
                     match origin {
                         Origin::Loc => loc_hits += 1,
                         Origin::Rem => rem_hits += 1,
                     }
-                    self.complete(value);
+                    hop_sum = hop_sum.wrapping_add(hop_checksum(value));
                 }
                 BatchProbe::Waiting | BatchProbe::MissReserved | BatchProbe::MissUnrecorded => {
-                    self.park(self.dests[self.pos + i], Waiter::Local { admitted: t0 });
+                    misses.push(i as u32);
                 }
-            }
+            });
+        // `complete`, once for every hit of the burst.
+        let hits = loc_hits + rem_hits;
+        self.report.packets += hits;
+        self.report.next_hop_sum = self.report.next_hop_sum.wrapping_add(hop_sum);
+        self.completed_this_iter += hits;
+        for &i in &misses {
+            self.park(
+                self.dests[self.pos + i as usize],
+                Waiter::Local { admitted: t0 },
+            );
         }
-        self.probe_scratch = probes;
+        self.miss_scratch = misses;
         if let Some(p) = &self.probe {
-            p.record_admit(n, loc_hits + rem_hits);
+            p.record_admit(n, hits);
         }
         // Hit-path latency: one timestamp pair per admit burst (a
         // per-packet clock read would dominate the very path being
@@ -774,8 +789,6 @@ impl<F: AddrFamily> WorkerCore<F> {
             let dt = t0.elapsed().as_nanos() as u64;
             self.report.latency.loc_hit.record_n(dt, loc_hits);
             self.report.latency.rem_hit.record_n(dt, rem_hits);
-        } else {
-            let _ = (loc_hits, rem_hits);
         }
         self.pos = end;
         n
@@ -1486,6 +1499,98 @@ pub fn run_family<F: AddrFamily>(
         );
     }
 
+    // First, before the partitioning and the engines exist: generating
+    // the stream holds a copy of the table's prefixes, and that
+    // transient should not stack on the engine builds'.
+    let updates = cfg.churn.as_ref().map(|c| {
+        update_stream(
+            table,
+            &UpdateStreamConfig {
+                count: c.updates,
+                withdraw_fraction: c.withdraw_fraction,
+                seed: cfg.seed ^ F::CHURN_SEED_SALT,
+            },
+        )
+        .0
+    });
+    let (mut workers, mut control) = assemble(table, traces, cfg);
+
+    let t0 = Instant::now();
+    let (mut results, coherence, forced_publications, sweeps) = if cfg.deterministic {
+        let (r, forced, sweeps) =
+            run_deterministic(&mut workers, &mut control, updates.as_deref(), cfg);
+        // Post-quiesce coherence sweep: the trailing publications left
+        // their invalidations queued in the control rings, so drain
+        // those first; then every entry still resident in any cache
+        // must agree with the control plane's RIB oracle — targeted
+        // invalidation plus the reply-version gate must leave no entry
+        // covered by an updated prefix. A failed worker's cache froze
+        // at its death and stopped receiving invalidations, so it is
+        // out of the sweep (it serves no lookups either).
+        let mut last = SweepSummary::default();
+        sweep_caches(&mut workers, &control, &mut last);
+        (
+            r,
+            Some(CoherenceSummary {
+                entries_checked: last.entries_checked,
+                mismatches: last.mismatches,
+            }),
+            forced,
+            sweeps,
+        )
+    } else {
+        let r = run_threaded(workers, &mut control, updates.as_deref(), cfg);
+        (r, None, 0, None)
+    };
+    let elapsed = t0.elapsed();
+
+    let mut report = DataplaneReport {
+        deterministic: cfg.deterministic,
+        elapsed,
+        ..Default::default()
+    };
+    let mut all_samples = Vec::new();
+    results.sort_by_key(|(w, _)| w.lc);
+    for (w, samples) in results {
+        all_samples.extend(samples);
+        report.workers.push(w);
+    }
+    report.tail = TailSummary::from_samples(all_samples);
+    if cfg.churn.is_some() {
+        control.final_check(1_000, cfg.seed ^ F::CHECK_SEED_SALT);
+        report.churn = Some(control.report.clone());
+    }
+    report.coherence = coherence;
+    report.failover = control.failover;
+    report.sweeps = sweeps;
+    if let Some(plan) = &cfg.faults {
+        let mut fr = FaultReport {
+            seed: plan.seed,
+            forced_publications,
+            ..Default::default()
+        };
+        for w in &report.workers {
+            fr.delayed += w.faults.delayed;
+            fr.dropped_retransmitted += w.faults.dropped_retransmitted;
+            fr.duplicated += w.faults.duplicated;
+            fr.stalls += w.faults.stalls;
+            fr.duplicate_replies += w.duplicate_replies;
+        }
+        report.faults = Some(fr);
+    }
+    report
+}
+
+/// Everything a run needs before its first iteration: the partitioning,
+/// one engine per LC behind the epoch table, the fabric and control
+/// rings, and a worker per LC wired to them, plus the control plane
+/// that owns the writer side. `cfg` was validated by [`run_family`].
+fn assemble<F: AddrFamily>(
+    table: &RoutingTable<F::Addr>,
+    traces: &[Trace<F::Addr>],
+    cfg: &DataplaneConfig<F>,
+) -> (Vec<Worker<F>>, Control<F>) {
+    let psi = cfg.workers;
     let bits = select_bits(table, eta_for(psi));
     let part = Arc::new(Partitioning::new(table, bits, psi));
     let per_lc_rib = part.forwarding_tables(table);
@@ -1575,7 +1680,7 @@ pub fn run_family<F: AddrFamily>(
                 marked_done: false,
                 completed_this_iter: 0,
                 out_events: (0..psi).map(|_| Vec::new()).collect(),
-                probe_scratch: Vec::new(),
+                miss_scratch: Vec::new(),
                 pop_scratch: Vec::new(),
                 push_scratch: Vec::new(),
                 cold_recorded: false,
@@ -1597,7 +1702,7 @@ pub fn run_family<F: AddrFamily>(
         });
     }
 
-    let mut control = Control {
+    let control = Control {
         part: Arc::clone(&part),
         algorithm: cfg.algorithm,
         per_lc_rib,
@@ -1618,83 +1723,7 @@ pub fn run_family<F: AddrFamily>(
         ctrl_cap,
         failover: None,
     };
-
-    let updates = cfg.churn.as_ref().map(|c| {
-        update_stream(
-            table,
-            &UpdateStreamConfig {
-                count: c.updates,
-                withdraw_fraction: c.withdraw_fraction,
-                seed: cfg.seed ^ F::CHURN_SEED_SALT,
-            },
-        )
-        .0
-    });
-
-    let t0 = Instant::now();
-    let (mut results, coherence, forced_publications, sweeps) = if cfg.deterministic {
-        let (r, forced, sweeps) =
-            run_deterministic(&mut workers, &mut control, updates.as_deref(), cfg);
-        // Post-quiesce coherence sweep: the trailing publications left
-        // their invalidations queued in the control rings, so drain
-        // those first; then every entry still resident in any cache
-        // must agree with the control plane's RIB oracle — targeted
-        // invalidation plus the reply-version gate must leave no entry
-        // covered by an updated prefix. A failed worker's cache froze
-        // at its death and stopped receiving invalidations, so it is
-        // out of the sweep (it serves no lookups either).
-        let mut last = SweepSummary::default();
-        sweep_caches(&mut workers, &control, &mut last);
-        (
-            r,
-            Some(CoherenceSummary {
-                entries_checked: last.entries_checked,
-                mismatches: last.mismatches,
-            }),
-            forced,
-            sweeps,
-        )
-    } else {
-        let r = run_threaded(workers, &mut control, updates.as_deref(), cfg);
-        (r, None, 0, None)
-    };
-    let elapsed = t0.elapsed();
-
-    let mut report = DataplaneReport {
-        deterministic: cfg.deterministic,
-        elapsed,
-        ..Default::default()
-    };
-    let mut all_samples = Vec::new();
-    results.sort_by_key(|(w, _)| w.lc);
-    for (w, samples) in results {
-        all_samples.extend(samples);
-        report.workers.push(w);
-    }
-    report.tail = TailSummary::from_samples(all_samples);
-    if cfg.churn.is_some() {
-        control.final_check(1_000, cfg.seed ^ F::CHECK_SEED_SALT);
-        report.churn = Some(control.report.clone());
-    }
-    report.coherence = coherence;
-    report.failover = control.failover;
-    report.sweeps = sweeps;
-    if let Some(plan) = &cfg.faults {
-        let mut fr = FaultReport {
-            seed: plan.seed,
-            forced_publications,
-            ..Default::default()
-        };
-        for w in &report.workers {
-            fr.delayed += w.faults.delayed;
-            fr.dropped_retransmitted += w.faults.dropped_retransmitted;
-            fr.duplicated += w.faults.duplicated;
-            fr.stalls += w.faults.stalls;
-            fr.duplicate_replies += w.duplicate_replies;
-        }
-        report.faults = Some(fr);
-    }
-    report
+    (workers, control)
 }
 
 fn run_threaded<F: AddrFamily>(
@@ -1901,6 +1930,7 @@ mod tests {
         threaded_run_matches_oracle,
         threaded_run_with_churn_matches_oracle_checks,
         full_flush_mode_also_stays_coherent,
+        mixed_admit_burst_books_hits_and_parks_misses_in_lane_order,
     );
 
     fn oracle_checksum<F: AddrFamily>(
@@ -2077,6 +2107,83 @@ mod tests {
             .map(|w| w.batch_requests_sent + w.batch_replies_sent)
             .sum();
         assert!(batched > 0, "no message was ever coalesced");
+    }
+
+    /// One admit burst holding every lane kind — `Hit` (LOC and REM),
+    /// `Waiting`, `MissReserved`, `MissUnrecorded` — against a one-set
+    /// cache seeded by hand. The counts are what the two-pass
+    /// `probe_batch` + re-read admit booked for this burst, frozen
+    /// here; the FE queue / fabric split follows from `home_of`.
+    fn mixed_admit_burst_books_hits_and_parks_misses_in_lane_order<F: TestFamily>() {
+        let (table, traces) = F::small_setup(1, 400);
+        let mut d: Vec<F::Addr> = Vec::new();
+        for &a in traces[0].destinations() {
+            if !d.contains(&a) {
+                d.push(a);
+            }
+        }
+        let lanes = [0usize, 2, 3, 1, 0, 4, 5, 6, 3, 0];
+        let burst: Vec<F::Addr> = lanes.iter().map(|&i| d[i]).collect();
+        let cfg = DataplaneConfig {
+            workers: 2,
+            deterministic: true,
+            cache: LrCacheConfig {
+                blocks: 4,
+                assoc: 4,
+                victim_blocks: 0,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let (mut workers, _control) =
+            assemble::<F>(&table, &[Trace::new("burst", burst.clone())], &cfg);
+        let core = &mut workers[0].core;
+        core.cache.fill_local(d[0], Some(7), Origin::Loc);
+        core.cache.fill_local(d[1], None, Origin::Rem);
+        core.cache.reserve(d[2]);
+
+        // d0 hits (LOC), d2 waits, d3 takes the free way, d1 hits (REM,
+        // no route), d0 hits again, d4 evicts d1 and d5 evicts d0, d6
+        // finds the set all waiting, d3 waits, d0 is gone and cannot
+        // be recorded.
+        assert_eq!(core.admit_own(), 10);
+        assert_eq!(core.pos, 10);
+        assert_eq!(core.report.packets, 3);
+        assert_eq!(core.completed_this_iter, 3);
+        assert_eq!(core.report.next_hop_sum, 16);
+        assert_eq!(core.report.timestamp_pairs, 1);
+        assert_eq!(core.report.latency.loc_hit.count(), 2);
+        assert_eq!(core.report.latency.rem_hit.count(), 1);
+        let stats = *core.cache.stats();
+        assert_eq!(
+            (stats.hits_loc, stats.hits_rem, stats.hits_waiting),
+            (2, 1, 2)
+        );
+        assert_eq!(
+            (stats.misses, stats.reservations, stats.evictions),
+            (5, 4, 2)
+        );
+        assert_eq!(stats.reservation_failures, 2);
+
+        // Six addresses in flight, first-parked first: the ones homed
+        // here queue for the FE in lane order, the others await a
+        // reply; d3 carries both of its packets.
+        let parked = [2usize, 3, 4, 5, 6, 0].map(|i| d[i]);
+        let local = |a: &F::Addr| core.part.home_of(*a) as usize == core.lc;
+        let homed_here: Vec<F::Addr> = parked.iter().copied().filter(|a| local(a)).collect();
+        let mut remote: Vec<F::Addr> = parked.iter().copied().filter(|a| !local(a)).collect();
+        remote.sort_unstable();
+        assert_eq!(core.pending.len(), 6);
+        assert_eq!(core.fe_queue, homed_here);
+        assert_eq!(core.pending.in_flight(), remote.len());
+        assert_eq!(core.pending.awaiting_sorted(), remote);
+        assert_eq!(core.report.remote_requests, remote.len() as u64);
+        let mut waiters = Vec::new();
+        for (addr, expect) in parked.iter().zip([1usize, 2, 1, 1, 1, 1]) {
+            assert!(core.pending.take(*addr, &mut waiters));
+            assert_eq!(waiters.len(), expect);
+        }
+        assert!(core.pending.is_empty());
     }
 
     fn threaded_run_matches_oracle<F: TestFamily>() {

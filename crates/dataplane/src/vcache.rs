@@ -58,12 +58,14 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> VersionedCache<V, A> {
         self.cache.reserve(addr)
     }
 
-    /// See [`LrCache::probe_batch`] — the batched probe pass with
-    /// the miss-path reservation folded in, one [`BatchProbe`] per
-    /// address. Versioning does not enter the probe path (only fills
-    /// are gated), so this is a plain delegation.
-    pub fn probe_batch(&mut self, addrs: &[A], out: &mut Vec<BatchProbe<V>>) {
-        self.cache.probe_batch(addrs, out)
+    /// See [`LrCache::probe_each`] — the batched probe pass with the
+    /// miss-path reservation folded in, one [`BatchProbe`] per address
+    /// handed to `sink` with its lane index. Versioning does not enter
+    /// the probe path (only fills are gated), so this is a plain
+    /// delegation.
+    #[inline]
+    pub fn probe_each<S: FnMut(usize, BatchProbe<V>)>(&mut self, addrs: &[A], sink: S) {
+        self.cache.probe_each(addrs, sink)
     }
 
     /// Process a full-flush invalidation published at `version`.

@@ -11,6 +11,7 @@ use crate::prefix::Prefix;
 use crate::table::{NextHop, RouteEntry, RoutingTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::hash_map::{Entry, HashMap};
 
 /// One routing update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,12 +86,23 @@ pub fn update_stream<A: ChurnAddr>(
 ) -> (Vec<Update<A>>, RoutingTable<A>) {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut live: Vec<RouteEntry<A>> = base.entries().to_vec();
+    // Where each live prefix sits in `live`, so a fresh announce finds
+    // its duplicate without scanning the table.
+    let mut position: HashMap<Prefix<A>, usize> = live
+        .iter()
+        .enumerate()
+        .map(|(i, e)| (e.prefix, i))
+        .collect();
     let mut updates = Vec::with_capacity(cfg.count);
     for _ in 0..cfg.count {
         let withdraw = !live.is_empty() && rng.gen_bool(cfg.withdraw_fraction);
         if withdraw {
             let i = rng.gen_range(0..live.len());
             let e = live.swap_remove(i);
+            position.remove(&e.prefix);
+            if let Some(moved) = live.get(i) {
+                position.insert(moved.prefix, i);
+            }
             updates.push(Update::Withdraw(e.prefix));
         } else if !live.is_empty() && rng.gen_bool(0.5) {
             // Re-announce an existing prefix with a new next hop.
@@ -104,9 +116,12 @@ pub fn update_stream<A: ChurnAddr>(
                 prefix,
                 next_hop: NextHop(rng.gen_range(0..A::NEXT_HOPS)),
             };
-            match live.iter_mut().find(|e| e.prefix == prefix) {
-                Some(e) => e.next_hop = entry.next_hop,
-                None => live.push(entry),
+            match position.entry(prefix) {
+                Entry::Occupied(at) => live[*at.get()].next_hop = entry.next_hop,
+                Entry::Vacant(slot) => {
+                    slot.insert(live.len());
+                    live.push(entry);
+                }
             }
             updates.push(Update::Announce(entry));
         }
