@@ -1,5 +1,7 @@
 //! Minimal flag parsing (no external dependencies): `--key value` pairs
-//! plus positional arguments.
+//! plus positional arguments. Every binary in the workspace parses its
+//! command line through this module and names the flags it accepts, so
+//! a misspelled flag is an error rather than a silently applied default.
 
 use std::collections::HashMap;
 
@@ -11,10 +13,18 @@ pub struct Args {
 }
 
 /// A parse failure with a user-facing message.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ArgError(pub String);
 
 impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.0)
+    }
+}
+
+/// The message itself: what a `main` returning `Result<_, ArgError>`
+/// prints after `Error: `.
+impl std::fmt::Debug for ArgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.0)
     }
@@ -53,6 +63,24 @@ impl Args {
             }
         }
         Ok(out)
+    }
+
+    /// Reject every flag not in `known` (names without the `--`).
+    pub fn expect_only(&self, known: &[&str]) -> Result<(), ArgError> {
+        let mut unknown: Vec<&str> = self
+            .flags
+            .keys()
+            .map(String::as_str)
+            .filter(|name| !known.contains(name))
+            .collect();
+        unknown.sort_unstable();
+        match unknown.first() {
+            None => Ok(()),
+            Some(name) => Err(ArgError(format!(
+                "unknown flag --{name}; known flags: --{}",
+                known.join(" --")
+            ))),
+        }
     }
 
     /// A string flag.
@@ -117,6 +145,15 @@ mod tests {
         let a = parse(&["--quick", "--n", "3"]);
         assert!(a.has("quick"));
         assert_eq!(a.get_or("n", 0usize).unwrap(), 3);
+    }
+
+    #[test]
+    fn expect_only_names_the_unknown_flag() {
+        let a = parse(&["--quick", "--workrs", "1"]);
+        assert!(a.expect_only(&["quick", "workrs"]).is_ok());
+        let err = a.expect_only(&["quick", "workers"]).unwrap_err();
+        assert!(err.0.contains("--workrs"), "{err}");
+        assert!(parse(&["positional"]).expect_only(&[]).is_ok());
     }
 
     #[test]

@@ -32,6 +32,8 @@ fn sample_addresses(table: &RoutingTable, n: usize, seed: u64) -> Vec<u32> {
 }
 
 fn main() {
+    // Nothing here reads the shared flags; this rejects any other.
+    spal_bench::ExpOptions::from_args();
     let algorithms = [
         ("Lulea", LpmAlgorithm::Lulea),
         ("DP", LpmAlgorithm::Dp),

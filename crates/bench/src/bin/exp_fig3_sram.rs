@@ -19,6 +19,8 @@ use spal_core::{ForwardingTable, LpmAlgorithm};
 use spal_lpm::Lpm;
 
 fn main() {
+    // Nothing here reads the shared flags; this rejects any other.
+    spal_bench::ExpOptions::from_args();
     let algorithms = [
         ("DP", LpmAlgorithm::Dp),
         ("LL", LpmAlgorithm::Lulea),

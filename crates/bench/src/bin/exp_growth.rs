@@ -15,6 +15,8 @@ use spal_rib::updates::{apply, update_stream, UpdateStreamConfig};
 use spal_rib::{synth, RoutingTable};
 
 fn main() {
+    // Nothing here reads the shared flags; this rejects any other.
+    spal_bench::ExpOptions::from_args();
     let psi = 16;
     let start = synth::synthesize(&synth::SynthConfig::sized(80_000, 0xBEEF));
     let frozen_bits = select_bits(&start, eta_for(psi));

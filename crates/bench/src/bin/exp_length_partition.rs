@@ -17,6 +17,8 @@ use spal_core::bits::{eta_for, select_bits};
 use spal_core::partition::{PartitionStats, Partitioning};
 
 fn main() {
+    // Nothing here reads the shared flags; this rejects any other.
+    spal_bench::ExpOptions::from_args();
     let tables = [("RT_1", rt1()), ("RT_2", rt2())];
     println!("E9: SPAL bit partitioning vs partition-by-length (ref [1])");
     let mut printer = TablePrinter::new(&[

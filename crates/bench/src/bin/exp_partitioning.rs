@@ -15,6 +15,8 @@ use spal_core::bits::{eta_for, select_bits};
 use spal_core::partition::{rot_partitions, PartitionStats, Partitioning};
 
 fn main() {
+    // Nothing here reads the shared flags; this rejects any other.
+    spal_bench::ExpOptions::from_args();
     let tables = [("RT_1", rt1()), ("RT_2", rt2())];
     let mut printer = TablePrinter::new(&[
         "table",

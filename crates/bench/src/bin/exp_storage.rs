@@ -22,6 +22,8 @@ use spal_lpm::Lpm;
 const LR_CACHE_BYTES: usize = 4096 * 6;
 
 fn main() {
+    // Nothing here reads the shared flags; this rejects any other.
+    spal_bench::ExpOptions::from_args();
     let algorithms = [
         ("DP", LpmAlgorithm::Dp),
         ("Lulea", LpmAlgorithm::Lulea),

@@ -28,6 +28,8 @@ fn sample(table: &RoutingTable, n: usize, seed: u64) -> Vec<u32> {
 }
 
 fn main() {
+    // Nothing here reads the shared flags; this rejects any other.
+    spal_bench::ExpOptions::from_args();
     let table = rt2();
     let addrs = sample(&table, 20_000, 5);
     let timing = FeTimingModel::default();

@@ -18,7 +18,8 @@
 //!   equal, but their batch floors are only *enforced* at the 600k
 //!   calibration scale (`bench_lookup` without `--dfz`).
 
-use crate::lookup::{forward_speedup_floor, measure_speedup, LookupRow, DEFAULT_BATCH};
+use crate::gate::Gates;
+use crate::lookup::{grade_speedup, measure_speedup, print_speedup, LookupRow, DEFAULT_BATCH};
 use spal_core::{ForwardingTable, ForwardingTable6, LpmAlgorithm, LpmAlgorithm6};
 use spal_lpm::Lpm;
 use spal_rib::v6::{dfz2026_v6, synthesize6_dfz, RoutingTable6};
@@ -106,17 +107,6 @@ pub fn dfz_v4_trace(table: &RoutingTable, packets: usize, seed: u64) -> Trace {
     .generate(table, packets, seed)
 }
 
-/// One engine-build measurement.
-#[derive(Debug, Clone)]
-pub struct BuildRow {
-    /// Engine name.
-    pub engine: String,
-    /// Wall seconds for one build.
-    pub build_s: f64,
-    /// `storage_bytes` of the built engine.
-    pub bytes: usize,
-}
-
 /// The IPv4 algorithms the DFZ arm sweeps. Multibit is excluded: its
 /// fixed 16-8-8 strides are not a forwarding-table choice and its DFZ
 /// storage is pinned by the stress tests instead.
@@ -128,62 +118,35 @@ pub const DFZ_V4_ALGORITHMS: [LpmAlgorithm; 5] = [
     LpmAlgorithm::Poptrie,
 ];
 
-/// Build every DFZ-swept IPv4 engine, timing each build and checking
-/// the build-time ceiling and the per-route storage caps. Returns the
-/// engines (for the replay sweep), the build rows, and any violations.
-#[allow(clippy::type_complexity)]
+/// Build every DFZ-swept IPv4 engine, grading each build against the
+/// build-time ceiling and its per-route storage cap. Returns the
+/// engines, for the replay sweep.
 pub fn run_v4_build_gate(
     table: &RoutingTable,
     quick: bool,
-) -> (Vec<Arc<dyn Lpm + Send + Sync>>, Vec<BuildRow>, Vec<String>) {
+    gates: &mut Gates,
+) -> Vec<Arc<dyn Lpm + Send + Sync>> {
     let ceiling = build_ceiling_s(quick);
     let caps = v4_caps(quick);
     let mut engines: Vec<Arc<dyn Lpm + Send + Sync>> = Vec::new();
-    let mut rows = Vec::new();
-    let mut failures = Vec::new();
     for &alg in &DFZ_V4_ALGORITHMS {
         let t0 = Instant::now();
         let engine = ForwardingTable::build(alg, table);
         let build_s = t0.elapsed().as_secs_f64();
         let bytes = engine.storage_bytes();
         let per_route = bytes as f64 / table.len() as f64;
-        let name = engine.name().to_string();
-        println!(
-            "  {:9} built in {:>7.2} s | {:>12} B ({per_route:>6.1} B/route, ceiling {ceiling} s)",
-            name, build_s, bytes
-        );
-        if build_s > ceiling {
-            failures.push(format!(
-                "{name}: DFZ build took {build_s:.1} s > {ceiling} s ceiling"
-            ));
-        }
+        let name = engine.name();
+        println!("  {name:9} built in {build_s:>7.2} s | {bytes:>12} B");
+        gates.ceiling(&format!("{name} DFZ build s"), build_s, ceiling, 1);
         if let Some(&(_, cap)) = caps.iter().find(|&&(n, _)| n == name) {
-            if per_route > cap {
-                failures.push(format!(
-                    "{name}: DFZ storage {per_route:.1} B/route > {cap} B/route cap"
-                ));
-            }
+            gates.require(
+                &format!("{name} DFZ storage {per_route:.1} B/route <= {cap}"),
+                per_route <= cap,
+            );
         }
-        rows.push(BuildRow {
-            engine: name,
-            build_s,
-            bytes,
-        });
         engines.push(Arc::new(engine));
     }
-    (engines, rows, failures)
-}
-
-/// Result of [`run_v6_gate`].
-pub struct V6GateResult {
-    /// Scalar + batch rows per engine (SHIP first).
-    pub rows: Vec<LookupRow>,
-    /// Gate violations (empty = pass).
-    pub failures: Vec<String>,
-    /// Whether the storage half was evaluated: `false` below
-    /// [`SHIP_STORAGE_FLOOR_ROUTES`], where it is reported as
-    /// unmeasured instead of failing or passing.
-    pub storage_measured: bool,
+    engines
 }
 
 /// SHIP build time must stay within this multiple of the v6 binary
@@ -205,12 +168,17 @@ pub const SHIP_STORAGE_FLOOR_ROUTES: usize = 5_000;
 /// replay `trace` through both, and require SHIP to **beat the binary
 /// trie on batched lookup throughput at equal-or-lower storage** with a
 /// build time within [`SHIP_BUILD_RATIO_CEILING`]. The storage half is
-/// evaluated from [`SHIP_STORAGE_FLOOR_ROUTES`] routes up and reported
-/// as `"measured": false` below. Scalar and batch
+/// evaluated from [`SHIP_STORAGE_FLOOR_ROUTES`] routes up and
+/// unmeasured below. Scalar and batch
 /// checksums are asserted equal per engine, and the two engines'
 /// checksums are asserted equal to each other (bit-identity on the
 /// benchmark stream itself).
-pub fn run_v6_gate(table: &RoutingTable6, trace: &Trace6, threads: usize) -> V6GateResult {
+pub fn run_v6_gate(
+    table: &RoutingTable6,
+    trace: &Trace6,
+    threads: usize,
+    gates: &mut Gates,
+) -> Vec<LookupRow> {
     let build = |alg| {
         // Best-of-3 build timing: quick-tier builds are milliseconds,
         // where one scheduler hiccup would dominate a single sample.
@@ -228,87 +196,43 @@ pub fn run_v6_gate(table: &RoutingTable6, trace: &Trace6, threads: usize) -> V6G
     let (ship, ship_build) = build(LpmAlgorithm6::Ship);
     let (binary, binary_build) = build(LpmAlgorithm6::Binary);
     println!(
-        "  build: SHIP {:.1} ms vs binary {:.1} ms ({:.2}x, ceiling {SHIP_BUILD_RATIO_CEILING}x)",
+        "  build: SHIP {:.1} ms vs binary {:.1} ms",
         ship_build * 1e3,
-        binary_build * 1e3,
-        ship_build / binary_build
+        binary_build * 1e3
+    );
+    gates.ceiling(
+        "SHIP/binary build time",
+        ship_build / binary_build,
+        SHIP_BUILD_RATIO_CEILING,
+        1,
     );
 
     let shards = trace.shard_slices(threads);
     let mut rows = Vec::new();
-    let mut sums = Vec::new();
-    let mut failures = Vec::new();
+    let mut batch_pps = Vec::new();
     for engine in [&ship, &binary] {
         let m = measure_speedup(engine, &shards, DEFAULT_BATCH);
-        println!(
-            "  {:9} t={threads} scalar {:>11.0} pps | batch {:>11.0} pps | {:.2}x | \
-             counted {:>11.0} pps | fwd {:.2}x ({:.2} acc, {:.2} lines/lookup, {} B)",
-            m.scalar.engine,
-            m.scalar.packets_per_sec,
-            m.batch.packets_per_sec,
-            m.batch_vs_scalar,
-            m.counted.packets_per_sec,
-            m.forward_vs_counted,
-            m.scalar.mean_accesses,
-            m.scalar.mean_lines,
-            m.scalar.storage_bytes,
-        );
-        sums.push(m.batch.packets_per_sec);
-        let floor = forward_speedup_floor(&m.scalar.engine);
-        if threads == 1 && m.forward_vs_counted < floor {
-            failures.push(format!(
-                "{}: forward/counted {:.2}x < {floor}x",
-                m.scalar.engine, m.forward_vs_counted
-            ));
-        }
+        print_speedup(&m, threads);
+        batch_pps.push(m.batch.packets_per_sec);
+        grade_speedup(&m, threads, gates);
         rows.extend([m.scalar, m.batch, m.counted]);
     }
 
-    let (ship_pps, binary_pps) = (sums[0], sums[1]);
+    gates.floor(
+        "SHIP/binary batched throughput",
+        batch_pps[0] / batch_pps[1],
+        1.0,
+        threads,
+    );
     let (ship_bytes, binary_bytes) = (ship.storage_bytes(), binary.storage_bytes());
-    let speed_ok = ship_pps >= binary_pps;
-    let storage_measured = table.len() >= SHIP_STORAGE_FLOOR_ROUTES;
-    let storage_ok = !storage_measured || ship_bytes <= binary_bytes;
-    let build_ok = ship_build <= SHIP_BUILD_RATIO_CEILING * binary_build;
-    println!(
-        "  v6 gate: SHIP {:.2}x binary throughput (floor 1.0x) | {} B vs {} B | {}",
-        ship_pps / binary_pps,
-        ship_bytes,
-        binary_bytes,
-        if speed_ok && storage_ok && build_ok {
-            "ok"
-        } else {
-            "FAIL"
-        }
-    );
-    println!(
-        "  {{\"gate\": \"v6_storage\", \"measured\": {storage_measured}, \"routes\": {}, \
-         \"floor_routes\": {SHIP_STORAGE_FLOOR_ROUTES}, \"ship_bytes\": {ship_bytes}, \
-         \"binary_bytes\": {binary_bytes}}}",
-        table.len()
-    );
-    if !speed_ok {
-        failures.push(format!(
-            "SHIP batched throughput {ship_pps:.0} pps < binary trie {binary_pps:.0} pps"
-        ));
+    let storage = format!("SHIP storage {ship_bytes} B <= binary trie {binary_bytes} B");
+    if table.len() >= SHIP_STORAGE_FLOOR_ROUTES {
+        gates.require(&storage, ship_bytes <= binary_bytes);
+    } else {
+        let why = format!("{} routes < {SHIP_STORAGE_FLOOR_ROUTES}", table.len());
+        gates.unmeasured(&storage, &why);
     }
-    if !storage_ok {
-        failures.push(format!(
-            "SHIP storage {ship_bytes} B > binary trie {binary_bytes} B"
-        ));
-    }
-    if !build_ok {
-        failures.push(format!(
-            "SHIP build {:.1} ms > {SHIP_BUILD_RATIO_CEILING}x binary {:.1} ms",
-            ship_build * 1e3,
-            binary_build * 1e3
-        ));
-    }
-    V6GateResult {
-        rows,
-        failures,
-        storage_measured,
-    }
+    rows
 }
 
 /// The `bench_dataplane --v6` traffic: a Zipf locality stream over the
@@ -341,24 +265,28 @@ mod tests {
     }
 
     /// Storage is deterministic, so that half of the gate is asserted
-    /// here: it must hold above the floor and be reported unmeasured
-    /// (neither failed nor passed) below it. The throughput half is
+    /// here: it must hold above the floor and be unmeasured (neither
+    /// failed nor passed) below it. The throughput half is
     /// hardware-dependent and asserted only in the benchmark binaries.
     #[test]
     fn v6_gate_passes_at_small_scale() {
-        for (routes, measured) in [
-            (SHIP_STORAGE_FLOOR_ROUTES, true),
-            (SHIP_STORAGE_FLOOR_ROUTES - 2_000, false),
+        for (routes, verdict) in [
+            (SHIP_STORAGE_FLOOR_ROUTES, "t passed"),
+            (
+                SHIP_STORAGE_FLOOR_ROUTES - 2_000,
+                "t passed, 1 gate(s) unmeasured on this host",
+            ),
         ] {
             let table = synthesize6_dfz(routes, 11);
             let trace = dfz_v6_trace(&table, 6_000, 3);
-            let result = run_v6_gate(&table, &trace, 1);
-            assert_eq!(result.rows.len(), 6);
-            assert_eq!(result.storage_measured, measured, "{routes} routes");
+            let mut gates = Gates::new("t");
+            let rows = run_v6_gate(&table, &trace, 1, &mut gates);
+            assert_eq!(rows.len(), 6);
+            assert_eq!(gates.verdict(), verdict, "{routes} routes");
             assert!(
-                !result.failures.iter().any(|f| f.contains("storage")),
+                !gates.failures().iter().any(|f| f.contains("storage")),
                 "{routes} routes: {:?}",
-                result.failures
+                gates.failures()
             );
         }
     }

@@ -2,10 +2,14 @@
 //! figure — see `DESIGN.md`'s per-experiment index) and the Criterion
 //! micro-benches.
 
+pub mod args;
 pub mod dfz;
 pub mod fmt;
+pub mod gate;
 pub mod lookup;
 pub mod setup;
 
+pub use args::{ArgError, Args};
 pub use fmt::TablePrinter;
+pub use gate::Gates;
 pub use setup::{rt1, rt2, trace_streams, ExpOptions};

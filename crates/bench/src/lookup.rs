@@ -17,16 +17,16 @@
 //! (`lookup_batch`), which is also timed so the gate can check that the
 //! forwarding walk really sheds the bookkeeping.
 //!
-//! Both the full `bench_lookup` sweep binary and `bench_gate`'s quick
-//! lookup gate drive this module, so their numbers are comparable.
+//! `bench_lookup` drives this module at both of its scales (the 600k
+//! calibration sweep and, through [`crate::dfz`], the `--dfz` arms).
 
+use crate::gate::Gates;
 use spal_core::{ForwardingTable, LpmAlgorithm};
 use spal_lpm::multibit::MultibitTrie;
 use spal_lpm::{CountedLookup, Lpm};
 use spal_rib::bits::AddressBits;
 use spal_rib::{synth, NextHop, RoutingTable};
 use spal_traffic::{preset, LocalityModel, PresetName, Trace, TracePreset};
-use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -35,7 +35,7 @@ use std::time::Instant;
 /// buffer stays in L1.
 pub const DEFAULT_BATCH: usize = 32;
 
-/// Repetitions per measurement; the minimum-wall run is kept.
+/// Paired repetitions per measurement; see [`measure_speedup`].
 pub const REPS: usize = 5;
 
 /// How a replay drives the engine.
@@ -173,26 +173,6 @@ fn replay_shard<A: AddressBits>(
     sum
 }
 
-/// Best-of-[`REPS`] replay: returns the checksum (identical across
-/// reps — replays are deterministic) and the minimum wall seconds.
-pub fn replay<A: AddressBits>(
-    lpm: &(dyn Lpm<A> + Sync),
-    shards: &[Trace<A>],
-    mode: ReplayMode,
-) -> (ReplayChecksum, f64) {
-    let mut best: Option<(ReplayChecksum, f64)> = None;
-    for _ in 0..REPS {
-        let (sum, wall) = replay_once(lpm, shards, mode);
-        if let Some((prev, best_wall)) = &mut best {
-            assert_eq!(*prev, sum, "replay checksum changed between reps");
-            *best_wall = best_wall.min(wall);
-        } else {
-            best = Some((sum, wall));
-        }
-    }
-    best.expect("at least one rep")
-}
-
 /// One result row of the lookup benchmark.
 #[derive(Debug, Clone)]
 pub struct LookupRow {
@@ -217,16 +197,6 @@ pub struct LookupRow {
 }
 
 impl LookupRow {
-    /// Measure one `(engine, mode, threads)` cell.
-    pub fn measure<A: AddressBits>(
-        lpm: &(dyn Lpm<A> + Sync),
-        shards: &[Trace<A>],
-        mode: ReplayMode,
-    ) -> LookupRow {
-        let (sum, wall) = replay(lpm, shards, mode);
-        Self::from_run(lpm, shards, mode, sum, wall)
-    }
-
     fn from_run<A: AddressBits>(
         lpm: &(dyn Lpm<A> + Sync),
         shards: &[Trace<A>],
@@ -246,7 +216,8 @@ impl LookupRow {
         }
     }
 
-    fn to_json(&self) -> String {
+    /// The row as one line of `BENCH_lookup.json` / `BENCH_dfz.json`.
+    pub fn to_json(&self) -> String {
         format!(
             "{{\"benchmark\": \"lookup_replay\", \"engine\": \"{}\", \"mode\": \"{}\", \
              \"threads\": {}, \"packets_per_sec\": {:.1}, \"wall_ms\": {:.3}, \
@@ -261,33 +232,6 @@ impl LookupRow {
             self.storage_bytes
         )
     }
-}
-
-/// Write rows to `path` as a JSON array, one row per line. With
-/// `append`, rows already in the file are kept (the file is rewritten
-/// with old rows first) — `bench_gate` uses this to add its quick-gate
-/// rows after a full `bench_lookup` sweep.
-pub fn write_rows(path: &str, rows: &[LookupRow], append: bool) -> std::io::Result<()> {
-    let mut lines: Vec<String> = Vec::new();
-    if append {
-        if let Ok(existing) = std::fs::read_to_string(path) {
-            lines.extend(
-                existing
-                    .lines()
-                    .map(|l| l.trim().trim_end_matches(',').to_string())
-                    .filter(|l| l.starts_with('{')),
-            );
-        }
-    }
-    lines.extend(rows.iter().map(|r| r.to_json()));
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "[")?;
-    for (i, line) in lines.iter().enumerate() {
-        let comma = if i + 1 < lines.len() { "," } else { "" };
-        writeln!(f, "  {line}{comma}")?;
-    }
-    writeln!(f, "]")?;
-    Ok(())
 }
 
 /// One engine's paired measurement; see [`measure_speedup`].
@@ -436,98 +380,76 @@ pub fn dataplane_workload(prefixes: usize, packets: usize, seed: u64) -> (Routin
     (table, trace)
 }
 
-/// Build engines from forwarding-table algorithms, as trait objects the
-/// replay workers can share.
-pub fn build_engines(
-    table: &RoutingTable,
-    algorithms: &[LpmAlgorithm],
-) -> Vec<Arc<dyn Lpm + Send + Sync>> {
-    algorithms
-        .iter()
-        .map(|&a| Arc::new(ForwardingTable::build(a, table)) as Arc<dyn Lpm + Send + Sync>)
-        .collect()
-}
-
-/// The engines whose batch speedup is gated.
-pub const GATED_ALGORITHMS: [LpmAlgorithm; 4] = [
-    LpmAlgorithm::Dir24,
-    LpmAlgorithm::Lulea,
-    LpmAlgorithm::Dp,
-    LpmAlgorithm::Poptrie,
-];
-
 /// Measure scalar vs batch vs counted for every engine at `threads`
-/// workers, printing one line per engine. Returns the result rows plus
-/// the floor violations (floors apply only at one thread, where each
-/// ratio is a pure comparison of two code paths).
+/// workers, printing one line per engine and grading its floors into
+/// `gates`.
 pub fn run_gate(
     engines: &[Arc<dyn Lpm + Send + Sync>],
     trace: &Trace,
     threads: usize,
-) -> (Vec<LookupRow>, Vec<String>) {
+    gates: &mut Gates,
+) -> Vec<LookupRow> {
     let shards = trace.shard_slices(threads);
     let mut rows = Vec::new();
-    let mut failures = Vec::new();
     for engine in engines {
         let m = measure_speedup(engine.as_ref(), &shards, DEFAULT_BATCH);
-        let name = &m.scalar.engine;
-        // (what, measured ratio, floor) — floors bind at one thread only.
-        let gated = threads == 1;
-        let floors = [
-            (
-                "batch/scalar",
-                m.batch_vs_scalar,
-                batch_speedup_floor(name).filter(|_| gated),
-            ),
-            (
-                "forward/counted",
-                m.forward_vs_counted,
-                Some(forward_speedup_floor(name)).filter(|_| gated),
-            ),
-        ];
-        let verdict = |i: usize| match floors[i] {
-            (_, ratio, Some(floor)) if ratio < floor => "FAIL",
-            (_, _, Some(_)) => "ok",
-            (_, _, None) => "-",
-        };
-        println!(
-            "  {name:9} t={threads} scalar {:>11.0} pps | batch {:>11.0} pps | {:.2}x {} | \
-             counted {:>11.0} pps | fwd {:.2}x {} ({:.2} acc, {:.2} lines/lookup)",
-            m.scalar.packets_per_sec,
-            m.batch.packets_per_sec,
-            m.batch_vs_scalar,
-            verdict(0),
-            m.counted.packets_per_sec,
-            m.forward_vs_counted,
-            verdict(1),
-            m.scalar.mean_accesses,
-            m.scalar.mean_lines,
-        );
-        for (what, ratio, floor) in floors {
-            if let Some(f) = floor.filter(|&f| ratio < f) {
-                failures.push(format!("{name}: {what} {ratio:.2}x < {f}x"));
-            }
-        }
+        print_speedup(&m, threads);
+        grade_speedup(&m, threads, gates);
         rows.extend([m.scalar, m.batch, m.counted]);
     }
-    (rows, failures)
+    rows
+}
+
+/// Grade one engine's two ratio floors — at one thread only, where
+/// each ratio is a pure comparison of two code paths.
+pub fn grade_speedup(m: &Speedup, threads: usize, gates: &mut Gates) {
+    if threads != 1 {
+        return;
+    }
+    let name = &m.scalar.engine;
+    if let Some(floor) = batch_speedup_floor(name) {
+        gates.floor(&format!("{name} batch/scalar"), m.batch_vs_scalar, floor, 1);
+    }
+    gates.floor(
+        &format!("{name} forward/counted"),
+        m.forward_vs_counted,
+        forward_speedup_floor(name),
+        1,
+    );
+}
+
+/// One engine's line of a replay sweep.
+pub fn print_speedup(m: &Speedup, threads: usize) {
+    println!(
+        "  {:9} t={threads} scalar {:>11.0} pps | batch {:>11.0} pps | {:.2}x | \
+         counted {:>11.0} pps | fwd {:.2}x ({:.2} acc, {:.2} lines/lookup, {} B)",
+        m.scalar.engine,
+        m.scalar.packets_per_sec,
+        m.batch.packets_per_sec,
+        m.batch_vs_scalar,
+        m.counted.packets_per_sec,
+        m.forward_vs_counted,
+        m.scalar.mean_accesses,
+        m.scalar.mean_lines,
+        m.scalar.storage_bytes,
+    );
 }
 
 /// All engines the full `bench_lookup` sweep runs: the six
 /// forwarding-table algorithms plus the raw fixed-stride multibit trie
 /// (not a forwarding-table choice, but it has a batch path too).
 pub fn all_engines(table: &RoutingTable) -> Vec<Arc<dyn Lpm + Send + Sync>> {
-    let mut engines = build_engines(
-        table,
-        &[
-            LpmAlgorithm::Dir24,
-            LpmAlgorithm::Lulea,
-            LpmAlgorithm::Lc { fill_factor: 0.25 },
-            LpmAlgorithm::Dp,
-            LpmAlgorithm::Binary,
-            LpmAlgorithm::Poptrie,
-        ],
-    );
+    let mut engines: Vec<Arc<dyn Lpm + Send + Sync>> = [
+        LpmAlgorithm::Dir24,
+        LpmAlgorithm::Lulea,
+        LpmAlgorithm::Lc { fill_factor: 0.25 },
+        LpmAlgorithm::Dp,
+        LpmAlgorithm::Binary,
+        LpmAlgorithm::Poptrie,
+    ]
+    .into_iter()
+    .map(|a| Arc::new(ForwardingTable::build(a, table)) as _)
+    .collect();
     engines.push(Arc::new(MultibitTrie::build_16_8_8(table)));
     engines
 }
@@ -535,6 +457,7 @@ pub fn all_engines(table: &RoutingTable) -> Vec<Arc<dyn Lpm + Send + Sync>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::write_array;
     use spal_lpm::dir24::Dir24_8;
     use spal_rib::synth;
     use spal_traffic::{preset, PresetName, TracePreset};
@@ -562,8 +485,11 @@ mod tests {
         }
     }
 
+    /// The array framing is what `write_rows(path, rows, false)` wrote
+    /// before the writers were folded into [`write_array`]: the bytes
+    /// below are that function's output for this row.
     #[test]
-    fn rows_roundtrip_through_json_append() {
+    fn rows_render_through_the_one_array_writer() {
         let row = |e: &str| LookupRow {
             engine: e.into(),
             mode: "scalar".into(),
@@ -578,16 +504,24 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("rows.json");
         let path = path.to_str().unwrap();
-        write_rows(path, &[row("A")], false).unwrap();
-        write_rows(path, &[row("B")], true).unwrap();
-        let text = std::fs::read_to_string(path).unwrap();
-        assert_eq!(text.matches("lookup_replay").count(), 2);
-        assert!(text.contains("\"engine\": \"A\""));
-        assert!(text.contains("\"engine\": \"B\""));
-        // Overwrite drops the old rows.
-        write_rows(path, &[row("C")], false).unwrap();
-        let text = std::fs::read_to_string(path).unwrap();
-        assert_eq!(text.matches("lookup_replay").count(), 1);
+        let json = |e| {
+            format!(
+                "{{\"benchmark\": \"lookup_replay\", \"engine\": \"{e}\", \"mode\": \"scalar\", \
+                 \"threads\": 1, \"packets_per_sec\": 1.0, \"wall_ms\": 2.000, \
+                 \"mean_accesses\": 3.000, \"mean_lines\": 2.500, \"storage_bytes\": 1024}}"
+            )
+        };
+        write_array(path, &[row("A").to_json(), row("B").to_json()]).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(path).unwrap(),
+            format!("[\n  {},\n  {}\n]\n", json("A"), json("B"))
+        );
+        // A second write replaces the file.
+        write_array(path, &[row("C").to_json()]).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(path).unwrap(),
+            format!("[\n  {}\n]\n", json("C"))
+        );
     }
 
     #[test]

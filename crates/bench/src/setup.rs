@@ -1,6 +1,7 @@
 //! Common experiment setup: the two routing tables, per-LC trace
 //! streams, and command-line options shared by every experiment binary.
 
+use crate::args::{ArgError, Args};
 use spal_rib::{synth, RoutingTable};
 use spal_traffic::{preset, PresetName, Trace};
 
@@ -34,11 +35,14 @@ pub fn trace_streams(
         .split(psi)
 }
 
-/// Options every experiment binary accepts:
+/// Options every experiment binary accepts, and the only ones:
 /// `--quick` (30k packets/LC instead of 300k, for smoke runs),
 /// `--packets N` (explicit override), `--seed N`, and `--rt1`
 /// (simulate over the RT_1 stand-in instead of RT_2 — the paper reports
-/// "a similar trend" for both and shows only RT_2).
+/// "a similar trend" for both and shows only RT_2). The binaries that
+/// simulate nothing parse them too: `run_experiments.sh` hands every
+/// binary the same flags, and a misspelled one must not run the
+/// default tier silently.
 #[derive(Debug, Clone, Copy)]
 pub struct ExpOptions {
     /// Packets per LC per simulation.
@@ -60,35 +64,29 @@ impl Default for ExpOptions {
 }
 
 impl ExpOptions {
-    /// Parse from `std::env::args` (ignoring unknown flags so binaries
-    /// can add their own).
+    /// Parse this process's command line; an unknown flag or a
+    /// malformed value is reported and exits 1.
     pub fn from_args() -> Self {
-        let mut opts = ExpOptions::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--quick" => opts.packets_per_lc = 30_000,
-                "--rt1" => opts.use_rt1 = true,
-                "--packets" => {
-                    i += 1;
-                    opts.packets_per_lc = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--packets needs a number");
-                }
-                "--seed" => {
-                    i += 1;
-                    opts.seed = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--seed needs a number");
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        opts
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        })
+    }
+
+    fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Self, ArgError> {
+        let args = Args::parse(raw)?;
+        args.expect_only(&["quick", "rt1", "packets", "seed"])?;
+        let default = ExpOptions::default();
+        let packets_per_lc = if args.has("quick") {
+            30_000
+        } else {
+            default.packets_per_lc
+        };
+        Ok(ExpOptions {
+            packets_per_lc: args.get_or("packets", packets_per_lc)?,
+            seed: args.get_or("seed", default.seed)?,
+            use_rt1: args.has("rt1"),
+        })
     }
 
     /// The routing table this run simulates over (RT_2 unless `--rt1`).
@@ -134,6 +132,19 @@ mod tests {
         let a = spal_rib::synth::synthesize(&spal_rib::synth::SynthConfig::sized(1000, RT1_SEED));
         let b = spal_rib::synth::synthesize(&spal_rib::synth::SynthConfig::sized(1000, RT1_SEED));
         assert_eq!(a.entries(), b.entries());
+    }
+
+    #[test]
+    fn options_parse_and_reject_unknown_flags() {
+        let parse = |s: &[&str]| ExpOptions::parse(s.iter().map(|x| x.to_string()));
+        let o = parse(&["--quick", "--rt1", "--seed", "9"]).unwrap();
+        assert_eq!((o.packets_per_lc, o.seed, o.use_rt1), (30_000, 9, true));
+        let o = parse(&["--quick", "--packets", "500"]).unwrap();
+        assert_eq!(o.packets_per_lc, 500);
+        assert_eq!(parse(&[]).unwrap().packets_per_lc, 300_000);
+        let err = parse(&["--quik"]).unwrap_err();
+        assert!(err.0.contains("--quik"), "{err}");
+        assert!(parse(&["--packets", "many"]).is_err());
     }
 
     #[test]

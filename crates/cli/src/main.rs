@@ -11,9 +11,8 @@
 //! spal dataplane6 --workers 4 --prefixes 50000 --churn 1000
 //! ```
 
-mod args;
-
-use args::{ArgError, Args};
+use spal_bench::gate::{stamp, write_array};
+use spal_bench::{ArgError, Args, Gates};
 use spal_cache::LrCacheConfig;
 use spal_core::bits::{eta_for, select_bits};
 use spal_core::partition::Partitioning;
@@ -39,25 +38,67 @@ fn main() {
         Ok(a) => a,
         Err(e) => die(&e.to_string()),
     };
-    let result = match command.as_str() {
-        "gen-table" => cmd_gen_table(&args),
-        "stats" => cmd_stats(&args),
-        "partition" => cmd_partition(&args),
-        "lookup" => cmd_lookup(&args),
-        "gen-trace" => cmd_gen_trace(&args),
-        "analyze-trace" => cmd_analyze_trace(&args),
-        "simulate" => cmd_simulate(&args),
-        "dataplane" => cmd_dataplane::<V4>(&args),
-        "dataplane6" => cmd_dataplane::<V6>(&args),
-        "scenario" => cmd_scenario(&args),
-        other => Err(ArgError(format!(
-            "unknown command {other:?}; try 'spal help'"
-        ))),
+    // Each command with the flags it accepts; any other is an error.
+    type Command = fn(&Args) -> Result<(), ArgError>;
+    let (run, flags): (Command, &[&[&str]]) = match command.as_str() {
+        "gen-table" => (cmd_gen_table, &[&["size", "seed", "out"]]),
+        "stats" => (cmd_stats, &[TABLE_FLAGS]),
+        "partition" => (cmd_partition, &[TABLE_FLAGS, &["psi"]]),
+        "lookup" => (cmd_lookup, &[TABLE_FLAGS]),
+        "gen-trace" => (cmd_gen_trace, &[TABLE_FLAGS, TRACE_FLAGS, &["out"]]),
+        "analyze-trace" => (
+            cmd_analyze_trace,
+            &[TABLE_FLAGS, TRACE_FLAGS, &["in", "max-capacity"]],
+        ),
+        "simulate" => (
+            cmd_simulate,
+            &[
+                TABLE_FLAGS,
+                TRACE_FLAGS,
+                &["psi", "beta", "gamma", "kind", "speed", "fe"],
+            ],
+        ),
+        "dataplane" => (
+            cmd_dataplane::<V4>,
+            &[TABLE_FLAGS, DATAPLANE_FLAGS, &["preset"]],
+        ),
+        "dataplane6" => (
+            cmd_dataplane::<V6>,
+            &[DATAPLANE_FLAGS, &["prefixes", "seed"]],
+        ),
+        "scenario" => (
+            cmd_scenario,
+            &[&["quick", "workers", "packets", "seed", "out"]],
+        ),
+        other => die(&format!("unknown command {other:?}; try 'spal help'")),
     };
-    if let Err(e) = result {
+    if let Err(e) = args.expect_only(&flags.concat()).and_then(|()| run(&args)) {
         die(&e.to_string());
     }
 }
+
+/// Flags of [`load_table`].
+const TABLE_FLAGS: &[&str] = &["rt1", "rt2", "table", "size", "seed"];
+/// The generated-trace flags (`--seed` is in [`TABLE_FLAGS`]).
+const TRACE_FLAGS: &[&str] = &["preset", "packets"];
+/// Flags `dataplane` and `dataplane6` share, `--seed` aside.
+const DATAPLANE_FLAGS: &[&str] = &[
+    "workers",
+    "engine",
+    "beta",
+    "gamma",
+    "batch",
+    "packets",
+    "churn",
+    "publish-every",
+    "withdraw-fraction",
+    "pace-us",
+    "invalidation",
+    "deterministic",
+    "faults",
+    "json",
+    "out-latency",
+];
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -99,13 +140,16 @@ commands:
              LR-caches and fabric) and a DFZ-2026-shaped synthetic v6
              table; every flag means what it means for dataplane
   scenario   NAME|all [--quick] [--workers N] [--packets N] [--seed S]
-             [--json] [--out FILE]
+             [--out FILE]
              run a scripted operational episode against the live
              dataplane and grade it against hard gates; exits non-zero
              when any gate fails. NAME is one of lc-failure (kill an LC
              mid-traffic, online re-partitioning), flash-crowd,
              overload, soak (deterministic long-horizon mix). --out
-             appends one JSON row per scenario
+             writes the scenarios' rows as a JSON array (`spal scenario
+             all --out BENCH_scenario.json` refreshes the committed file)
+
+a flag a command does not list is an error.
 
 presets: D_75 D_81 L_92-0 L_92-1 B_L"
     );
@@ -603,7 +647,7 @@ fn cmd_scenario(args: &Args) -> Result<(), ArgError> {
 
     let quick = args.has("quick");
     let mut rows = Vec::new();
-    let mut failed = Vec::new();
+    let mut gates = Gates::new("spal scenario");
     for kind in kinds {
         let mut cfg = ScenarioConfig::new(kind, quick);
         cfg.workers = workers_arg(args, cfg.workers, 2)?;
@@ -617,38 +661,26 @@ fn cmd_scenario(args: &Args) -> Result<(), ArgError> {
             if quick { " (quick)" } else { "" },
         );
         let result = run_scenario(&cfg);
-        if args.has("json") {
-            println!("{}", result.json_row());
+        println!("{}", result.summary());
+        // The scenario graded its own hard gates; the ledger collects
+        // them. Busy threads as in `bench_dataplane`'s rows: one on the
+        // deterministic schedule, else the workers plus the control
+        // thread under churn.
+        let report = &result.report;
+        let busy = if report.deterministic {
+            1
         } else {
-            println!("{}", result.summary());
-        }
-        rows.push(result.json_row());
-        if !result.passed() {
-            failed.push(format!(
-                "{}: {}",
-                kind.name(),
-                result.gate_failures.join("; ")
-            ));
-        }
+            report.workers.len() + usize::from(report.churn.is_some())
+        };
+        rows.push(stamp(&result.json_row(), busy));
+        let name = kind.name();
+        gates.extend(result.gate_failures.iter().map(|g| format!("{name}: {g}")));
     }
     if let Some(path) = args.get("out") {
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| ArgError(format!("cannot open {path}: {e}")))?;
-        for row in &rows {
-            writeln!(f, "{row}").map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        }
-        eprintln!("appended {} row(s) to {path}", rows.len());
+        write_array(path, &rows).map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
+        eprintln!("wrote {} row(s) to {path}", rows.len());
     }
-    if !failed.is_empty() {
-        return Err(ArgError(format!(
-            "scenario gates failed: {}",
-            failed.join(" | ")
-        )));
-    }
+    gates.finish();
     Ok(())
 }
 

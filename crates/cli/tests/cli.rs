@@ -155,6 +155,23 @@ fn simulate_rejects_bad_kind_and_speed() {
     assert!(!out.status.success());
 }
 
+/// A flag the command does not know is an error naming it, not a
+/// silently applied default (`--workrs 1` used to run four workers).
+#[test]
+fn misspelled_flags_are_rejected_by_name() {
+    for args in [
+        &["dataplane", "--workrs", "1", "--packets", "100"][..],
+        &["scenario", "soak", "--quik"],
+        &["simulate", "--pakets", "100"],
+    ] {
+        let out = spal(args);
+        assert!(!out.status.success(), "{args:?} ran");
+        let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+    }
+}
+
 #[test]
 fn lookup_requires_address() {
     let out = spal(&["lookup", "--size", "100"]);

@@ -42,7 +42,7 @@ pub use family::{AddrFamily, V4, V6};
 pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use report::{
     ChurnReport, CoherenceSummary, DataplaneReport, FailoverSummary, FaultReport, LatencyHisto,
-    LatencySummary, PathLatency, SweepSummary, TailSummary, WorkerReport,
+    LatencySummary, PathLatency, SweepSummary, WorkerReport,
 };
 pub use runtime::{
     run, run6, run_family, ChurnConfig, Dataplane6Config, DataplaneConfig, FailoverPlan,

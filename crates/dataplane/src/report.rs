@@ -420,33 +420,6 @@ pub struct SweepSummary {
     pub mismatches: u64,
 }
 
-/// Tail statistics over per-packet processing cost, estimated from
-/// per-iteration wall time divided by packets completed that iteration.
-#[derive(Debug, Clone, Default)]
-pub struct TailSummary {
-    pub samples: u64,
-    pub p50_ns: f64,
-    pub p99_ns: f64,
-    pub max_ns: f64,
-}
-
-impl TailSummary {
-    /// Build from raw ns-per-packet samples (consumed; order destroyed).
-    pub fn from_samples(mut ns: Vec<f64>) -> Self {
-        if ns.is_empty() {
-            return TailSummary::default();
-        }
-        ns.sort_by(|a, b| a.partial_cmp(b).expect("latency samples are finite"));
-        let q = |f: f64| ns[((ns.len() - 1) as f64 * f).round() as usize];
-        TailSummary {
-            samples: ns.len() as u64,
-            p50_ns: q(0.50),
-            p99_ns: q(0.99),
-            max_ns: *ns.last().expect("non-empty"),
-        }
-    }
-}
-
 /// Results of one dataplane run.
 #[derive(Debug, Clone, Default)]
 pub struct DataplaneReport {
@@ -456,8 +429,6 @@ pub struct DataplaneReport {
     pub churn: Option<ChurnReport>,
     /// Wall-clock duration of the run (worker spawn to last join).
     pub elapsed: Duration,
-    /// Lookup-cost tail across all workers.
-    pub tail: TailSummary,
     /// Whether the run used the deterministic single-threaded schedule.
     pub deterministic: bool,
     /// Fault-injection results (`None` when no plan was configured).
@@ -601,16 +572,19 @@ impl DataplaneReport {
             ),
             None => String::new(),
         };
+        let all = self.latency_paths().all();
+        let p99 = match all.count() {
+            0 => String::new(),
+            _ => format!(" | p99 {} ns", all.p99_ns()),
+        };
         format!(
-            "{} pkts on {} workers in {:.3} s | {:.2} Mpps | hit rate {:.3} | REM share {:.3} | p99 {:.0} ns/pkt{}",
+            "{} pkts on {} workers in {:.3} s | {:.2} Mpps | hit rate {:.3} | REM share {:.3}{p99}{churn}",
             self.total_packets(),
             self.workers.len(),
             self.elapsed.as_secs_f64(),
             self.throughput_mpps(),
             self.hit_rate(),
             self.rem_share(),
-            self.tail.p99_ns,
-            churn,
         )
     }
 
@@ -671,10 +645,6 @@ impl DataplaneReport {
         s.push_str(&format!(
             "  \"spot_check_mismatches\": {},\n",
             self.spot_check_mismatches()
-        ));
-        s.push_str(&format!(
-            "  \"tail_ns\": {{ \"p50\": {:.1}, \"p99\": {:.1}, \"max\": {:.1} }},\n",
-            self.tail.p50_ns, self.tail.p99_ns, self.tail.max_ns
         ));
         s.push_str(&format!(
             "  \"latency\": {},\n",
@@ -786,7 +756,7 @@ impl DataplaneReport {
 
     /// Deterministic subset of [`Self::to_json`]: everything that is a
     /// pure function of the configuration and seeds, with all
-    /// wall-clock-derived numbers (elapsed, throughput, tail
+    /// wall-clock-derived numbers (elapsed, throughput, latency
     /// percentiles, apply latencies) omitted. Deterministic runs render
     /// byte-for-byte identically across machines, which is what the
     /// golden-report regression test pins.
@@ -849,16 +819,6 @@ impl DataplaneReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tail_summary_quantiles() {
-        let t = TailSummary::from_samples((1..=100).map(|i| i as f64).collect());
-        assert_eq!(t.samples, 100);
-        assert_eq!(t.p50_ns, 51.0);
-        assert_eq!(t.p99_ns, 99.0);
-        assert_eq!(t.max_ns, 100.0);
-        assert_eq!(TailSummary::from_samples(vec![]).samples, 0);
-    }
 
     #[test]
     fn latency_summary_tracks_extremes() {

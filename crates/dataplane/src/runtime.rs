@@ -49,7 +49,7 @@ use crate::fault::{FaultInjector, FaultPlan};
 use crate::pending::{PendingTable, Waiter};
 use crate::report::{
     ChurnReport, CoherenceSummary, DataplaneReport, FailoverSummary, FaultReport, SweepSummary,
-    TailSummary, WorkerReport,
+    WorkerReport,
 };
 use crate::scenario::LiveProbe;
 use crate::vcache::{VersionedCache, VersionedFill};
@@ -360,7 +360,6 @@ struct WorkerCore<F: AddrFamily> {
     report: WorkerReport,
     done: Arc<AtomicUsize>,
     marked_done: bool,
-    completed_this_iter: u64,
     /// Per-destination would-be messages awaiting coalescing. Entry
     /// `self.lc` stays unused.
     out_events: Vec<Vec<OutEvent<F::Addr>>>,
@@ -414,7 +413,6 @@ impl<F: AddrFamily> WorkerCore<F> {
     fn complete(&mut self, nh: Option<u16>) {
         self.report.packets += 1;
         self.report.next_hop_sum = self.report.next_hop_sum.wrapping_add(hop_checksum(nh));
-        self.completed_this_iter += 1;
     }
 
     /// Queue a reply as an event awaiting per-destination coalescing.
@@ -770,7 +768,6 @@ impl<F: AddrFamily> WorkerCore<F> {
         let hits = loc_hits + rem_hits;
         self.report.packets += hits;
         self.report.next_hop_sum = self.report.next_hop_sum.wrapping_add(hop_sum);
-        self.completed_this_iter += hits;
         for &i in &misses {
             self.park(
                 self.dests[self.pos + i as usize],
@@ -1001,14 +998,13 @@ impl<F: AddrFamily> WorkerCore<F> {
         }
     }
 
-    fn step(&mut self, snap: &Snapshot<F>) -> (u64, u64) {
-        self.completed_this_iter = 0;
+    fn step(&mut self, snap: &Snapshot<F>) -> u64 {
         self.sync_partition(snap);
         if self.maybe_die() {
             // A dead LC does no work; it only discards control traffic
             // so the control plane's bounded ring never wedges on it.
             while self.ctrl_rx.try_pop().is_some() {}
-            return (0, 0);
+            return 0;
         }
         let mut work = self.drain_ctrl();
         work += self.drain_fabric(snap);
@@ -1025,12 +1021,12 @@ impl<F: AddrFamily> WorkerCore<F> {
             // is held as-is. The next unstalled iteration resumes
             // against whatever snapshot is then current — i.e. possibly
             // across a publication.
-            return (work, self.completed_this_iter);
+            return work;
         }
         self.fe_flush(snap);
         self.flush_outbox();
         self.maybe_mark_done();
-        (work, self.completed_this_iter)
+        work
     }
 
     fn finalize_report(&mut self) {
@@ -1097,7 +1093,7 @@ impl Backoff {
 }
 
 impl<F: AddrFamily> Worker<F> {
-    fn iterate(&mut self) -> (u64, u64) {
+    fn iterate(&mut self) -> u64 {
         let pin = self.reader.pin();
         self.core.step(&pin)
     }
@@ -1106,15 +1102,10 @@ impl<F: AddrFamily> Worker<F> {
         self.core.done.load(Ordering::SeqCst) >= self.core.psi
     }
 
-    fn run_threaded(mut self) -> (WorkerReport, Vec<f64>) {
-        let mut samples = Vec::new();
+    fn run_threaded(mut self) -> WorkerReport {
         let mut backoff = Backoff::new(self.core.psi + 1);
         loop {
-            let t0 = Instant::now();
-            let (work, completed) = self.iterate();
-            if completed > 0 {
-                samples.push(t0.elapsed().as_nanos() as f64 / completed as f64);
-            }
+            let work = self.iterate();
             if self.core.marked_done && self.all_done() {
                 break;
             }
@@ -1124,12 +1115,8 @@ impl<F: AddrFamily> Worker<F> {
                 backoff.reset();
             }
         }
-        self.into_results(samples)
-    }
-
-    fn into_results(mut self, samples: Vec<f64>) -> (WorkerReport, Vec<f64>) {
         self.core.finalize_report();
-        (self.core.report, samples)
+        self.core.report
     }
 }
 
@@ -1549,13 +1536,8 @@ pub fn run_family<F: AddrFamily>(
         elapsed,
         ..Default::default()
     };
-    let mut all_samples = Vec::new();
-    results.sort_by_key(|(w, _)| w.lc);
-    for (w, samples) in results {
-        all_samples.extend(samples);
-        report.workers.push(w);
-    }
-    report.tail = TailSummary::from_samples(all_samples);
+    results.sort_by_key(|w| w.lc);
+    report.workers = results;
     if cfg.churn.is_some() {
         control.final_check(1_000, cfg.seed ^ F::CHECK_SEED_SALT);
         report.churn = Some(control.report.clone());
@@ -1678,7 +1660,6 @@ fn assemble<F: AddrFamily>(
                 report: WorkerReport::default(),
                 done: Arc::clone(&done),
                 marked_done: false,
-                completed_this_iter: 0,
                 out_events: (0..psi).map(|_| Vec::new()).collect(),
                 miss_scratch: Vec::new(),
                 pop_scratch: Vec::new(),
@@ -1731,7 +1712,7 @@ fn run_threaded<F: AddrFamily>(
     control: &mut Control<F>,
     updates: Option<&[Update<F::Addr>]>,
     cfg: &DataplaneConfig<F>,
-) -> Vec<(WorkerReport, Vec<f64>)> {
+) -> Vec<WorkerReport> {
     std::thread::scope(|s| {
         let handles: Vec<_> = workers
             .into_iter()
@@ -1780,10 +1761,10 @@ fn sweep_caches<F: AddrFamily>(
     }
 }
 
-/// What one deterministic run returns: the per-worker reports with
-/// their publication-tail samples, the forced-publication count, and
-/// the coherence-sweep summary when `sweep_every` was set.
-type DeterministicOutcome = (Vec<(WorkerReport, Vec<f64>)>, u64, Option<SweepSummary>);
+/// What one deterministic run returns: the per-worker reports, the
+/// forced-publication count, and the coherence-sweep summary when
+/// `sweep_every` was set.
+type DeterministicOutcome = (Vec<WorkerReport>, u64, Option<SweepSummary>);
 
 fn run_deterministic<F: AddrFamily>(
     workers: &mut [Worker<F>],
@@ -1822,7 +1803,6 @@ fn run_deterministic<F: AddrFamily>(
     let total_rounds = longest.div_ceil(cfg.batch.max(1)).max(1);
     let publish_every = (total_rounds / (batches.len() + 1)).max(1);
 
-    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); psi];
     let mut sweeps = (cfg.sweep_every > 0).then(SweepSummary::default);
     let mut round = 0usize;
     let round_cap = 1000 * total_rounds + 10_000;
@@ -1848,12 +1828,8 @@ fn run_deterministic<F: AddrFamily>(
                 forced_publications += 1;
             }
         }
-        for (i, w) in workers.iter_mut().enumerate() {
-            let t0 = Instant::now();
-            let (_, completed) = w.iterate();
-            if completed > 0 {
-                samples[i].push(t0.elapsed().as_nanos() as f64 / completed as f64);
-            }
+        for w in workers.iter_mut() {
+            w.iterate();
         }
     }
     // Publish whatever churn remains so the final table reflects the
@@ -1865,10 +1841,7 @@ fn run_deterministic<F: AddrFamily>(
         .iter_mut()
         .map(|w| {
             w.core.finalize_report();
-            (
-                w.core.report.clone(),
-                std::mem::take(&mut samples[w.core.lc]),
-            )
+            w.core.report.clone()
         })
         .collect();
     (results, forced_publications, sweeps)
@@ -2149,7 +2122,6 @@ mod tests {
         assert_eq!(core.admit_own(), 10);
         assert_eq!(core.pos, 10);
         assert_eq!(core.report.packets, 3);
-        assert_eq!(core.completed_this_iter, 3);
         assert_eq!(core.report.next_hop_sum, 16);
         assert_eq!(core.report.timestamp_pairs, 1);
         assert_eq!(core.report.latency.loc_hit.count(), 2);

@@ -11,9 +11,10 @@
 
 use spal_lpm::binary::BinaryTrie;
 use spal_lpm::dir24::Dir24_8;
+use spal_lpm::lulea::LuleaTrie;
 use spal_lpm::poptrie::Poptrie;
 use spal_lpm::{mean_lines, Lpm};
-use spal_rib::{NextHop, Prefix, RouteEntry, RoutingTable};
+use spal_rib::{synth, NextHop, Prefix, RouteEntry, RoutingTable};
 
 /// A deterministic table of /8, /16 and /24 routes where every 16-bit
 /// stem holds at most six /24 runs — each Poptrie stem encodes as one
@@ -97,5 +98,21 @@ fn pointer_chasing_engines_exceed_the_budget() {
         bin_mean > 2.0 * pop_mean,
         "binary trie should touch far more lines than Poptrie \
          (binary {bin_mean:.2} vs poptrie {pop_mean:.2})"
+    );
+}
+
+/// Poptrie's reason to exist beside Lulea is fewer lines per lookup at
+/// no more storage. The storage half is a pure function of the table,
+/// so it is asserted here, on the 600k-prefix stress table the lookup
+/// gate replays (`spal_bench::lookup::stress_workload`).
+#[test]
+fn poptrie_is_no_larger_than_lulea_on_the_stress_table() {
+    let table = synth::synthesize(&synth::SynthConfig::sized(600_000, 0xB0B));
+    let (pop, lulea) = (Poptrie::build(&table), LuleaTrie::build(&table));
+    assert!(
+        pop.storage_bytes() <= lulea.storage_bytes(),
+        "Poptrie {} B > Lulea {} B",
+        pop.storage_bytes(),
+        lulea.storage_bytes()
     );
 }
