@@ -26,17 +26,12 @@
 //!   equals a full-table oracle replay of its trace, in-run spot checks
 //!   against the scalar `lookup` on the pinned snapshot never disagree,
 //!   the post-churn published tables match the control plane's RIB, and
-//!   in the patch-vs-rebuild pair the delta path engages in one arm and
-//!   only there;
+//!   the churn row patched at least one fragment through `apply_delta`;
 //! * **scaling** — 1 → 4 workers must scale above 1.0×;
 //! * **churn degradation** — with the control plane republishing under
 //!   a paced update stream, throughput at the widest sweep point must
 //!   stay ≥ 0.55× of the churn-free run;
-//! * **churn apply** — apply p99 ≤ 50 ms on every patched churn row;
-//!   and, where the plan names a patch-vs-rebuild engine (IPv4: Lulea),
-//!   the same stream patched chunk-granularly vs force-rebuilt
-//!   (`delta_patching: false`) must show the patch arm beating the
-//!   rebuild arm's mean apply latency ≥ 2×.
+//! * **churn apply** — apply p99 ≤ 50 ms on every churn row.
 //!
 //! Exits non-zero on any violation so CI can run it:
 //! `bench_dataplane [--v6] --quick`. Flags: `--packets N` (total per
@@ -62,7 +57,6 @@ const SWEEP: [usize; 3] = [1, 2, 4];
 /// Incremental patching keeps publications cheap, so the floor is
 /// tighter than the rebuild-era 0.5x.
 const CHURN_DEGRADATION_FLOOR: f64 = 0.55;
-const APPLY_SPEEDUP_FLOOR: f64 = 2.0;
 /// A rebuild per publication (or a grace wait back on the apply path)
 /// would blow through this.
 const APPLY_P99_CEILING_US: f64 = 50_000.0;
@@ -82,9 +76,6 @@ struct Plan<F: AddrFamily> {
     /// The full-table engine whose replay every churn-free checksum
     /// must equal.
     oracle: F::Algorithm,
-    /// Engine (and its row label) of the patched-vs-force-rebuilt churn
-    /// pair, for a family that has a compressed static engine to pair.
-    patch_vs_rebuild: Option<(&'static str, F::Algorithm)>,
     /// Default `--out` / `--out-latency`, relative to the repo root.
     out: &'static str,
     out_latency: &'static str,
@@ -179,8 +170,8 @@ impl<F: AddrFamily> Sweep<F> {
     /// Run one configuration, print and record its rows, and grade the
     /// gates every run carries: a churn-free run's checksum equals
     /// `oracle`, no in-run spot check disagreed, after churn the
-    /// published tables match the control plane's RIB, and a patched
-    /// churn run holds the apply-p99 ceiling.
+    /// published tables match the control plane's RIB, the delta path
+    /// engaged, and the apply-p99 ceiling holds.
     fn run(
         &mut self,
         suffix: &str,
@@ -233,11 +224,13 @@ impl<F: AddrFamily> Sweep<F> {
                 &format!("{config}: published tables match the RIB"),
                 c.final_mismatches == 0,
             );
-            if cfg.delta_patching {
-                let what = format!("{config}: apply p99 (us)");
-                self.gates
-                    .ceiling(&what, c.apply_us.p99_us(), APPLY_P99_CEILING_US, busy);
-            }
+            self.gates.require(
+                &format!("{config}: delta path engaged"),
+                c.delta_applies > 0,
+            );
+            let what = format!("{config}: apply p99 (us)");
+            self.gates
+                .ceiling(&what, c.apply_us.p99_us(), APPLY_P99_CEILING_US, busy);
         }
         let row = row_json(&config, plan.workload, &report, checksum_ok);
         self.rows.push(stamp(&row, busy));
@@ -256,8 +249,8 @@ impl<F: AddrFamily> Sweep<F> {
     }
 }
 
-/// The sweep, at either width: workers 1 → 2 → 4 churn-free, a churn
-/// row at the widest point, and the plan's patch-vs-rebuild pair.
+/// The sweep, at either width: workers 1 → 2 → 4 churn-free and a churn
+/// row at the widest point.
 fn sweep<F: AddrFamily>(
     plan: Plan<F>,
     args: &Args,
@@ -339,46 +332,6 @@ fn sweep<F: AddrFamily>(
         busy,
     );
 
-    // The same churn stream against a compressed static engine, patched
-    // vs force-rebuilt. The rebuild arm is the control — both arms run
-    // on this host back to back, so the ratio is immune to machine
-    // speed. Chunk-granular patching must actually engage, and must
-    // beat whole-fragment rebuilds on mean apply latency.
-    if let Some((label, engine)) = s.plan.patch_vs_rebuild {
-        let patched_cfg = DataplaneConfig {
-            algorithm: engine,
-            ..churn_cfg
-        };
-        let rebuild_cfg = DataplaneConfig {
-            delta_patching: false,
-            ..patched_cfg.clone()
-        };
-        let patched = s.run(&format!("w{wide}-churn-{label}"), &patched_cfg, None);
-        let rebuilt = s.run(
-            &format!("w{wide}-churn-{label}-rebuild"),
-            &rebuild_cfg,
-            None,
-        );
-        let (p, r) = (
-            patched.churn.as_ref().expect("churn ran"),
-            rebuilt.churn.as_ref().expect("churn ran"),
-        );
-        s.gates.require(
-            &format!("{label}-patched: delta path engaged"),
-            p.delta_applies > 0,
-        );
-        s.gates.require(
-            &format!("{label}-rebuild: no delta applies with patching disabled"),
-            r.delta_applies == 0,
-        );
-        s.gates.floor(
-            &format!("{label} apply speedup, patched vs rebuild (x)"),
-            r.apply_us.mean_us() / p.apply_us.mean_us(),
-            APPLY_SPEEDUP_FLOOR,
-            busy,
-        );
-    }
-
     write_array(&out, &s.rows).expect("writing benchmark JSON");
     println!("wrote {} rows to {out}", s.rows.len());
     write_array(&out_latency, &s.latency_rows).expect("writing latency JSON");
@@ -418,7 +371,6 @@ fn main() -> Result<(), ArgError> {
             trace,
             engine: LpmAlgorithm6::Ship,
             oracle: LpmAlgorithm6::Binary,
-            patch_vs_rebuild: None,
             out: "BENCH_dataplane6.json",
             out_latency: "BENCH_latency6.json",
         };
@@ -442,7 +394,6 @@ fn main() -> Result<(), ArgError> {
             trace,
             engine: LpmAlgorithm::Dir24,
             oracle: LpmAlgorithm::Dp,
-            patch_vs_rebuild: Some(("lulea", LpmAlgorithm::Lulea)),
             out: "BENCH_dataplane.json",
             out_latency: "BENCH_latency.json",
         };

@@ -7,41 +7,15 @@
 //! * set associativity (1 / 2 / 4 / 8; the paper picks 4),
 //! * replacement policy (LRU / FIFO / random).
 //!
-//! Run: `cargo run --release -p spal-bench --bin exp_ablations`
+//! Run: `cargo run --release -p spal-bench --bin exp -- ablations`
 
-use spal_bench::setup::{parallel_map, rt2, trace_streams, ExpOptions};
+use spal_bench::setup::{parallel_map, rt2, sim, ExpOptions};
 use spal_bench::TablePrinter;
 use spal_cache::{LrCacheConfig, MixMode, ReplacementPolicy};
-use spal_sim::{RouterKind, RouterSim, SimConfig};
+use spal_sim::{RouterKind, SimConfig};
 use spal_traffic::PresetName;
 
-fn run_case(
-    label: &str,
-    cache: LrCacheConfig,
-    early_recording: bool,
-    opts: ExpOptions,
-    table: &spal_rib::RoutingTable,
-) -> (String, spal_sim::SimReport) {
-    let traces = trace_streams(PresetName::D75, table, 4, opts.packets_per_lc, opts.seed);
-    let report = RouterSim::new(
-        table,
-        &traces,
-        SimConfig {
-            kind: RouterKind::Spal,
-            psi: 4,
-            cache,
-            early_recording,
-            packets_per_lc: opts.packets_per_lc,
-            seed: opts.seed,
-            ..SimConfig::default()
-        },
-    )
-    .run();
-    (label.to_string(), report)
-}
-
-fn main() {
-    let opts = ExpOptions::from_args();
+pub fn run(opts: &ExpOptions) {
     let table = rt2();
     let base = LrCacheConfig::paper(4096);
     println!(
@@ -49,19 +23,19 @@ fn main() {
         opts.packets_per_lc
     );
 
-    let cases: Vec<(String, LrCacheConfig, bool)> = vec![
-        ("baseline (paper)".into(), base.clone(), true),
+    let cases: Vec<(&str, LrCacheConfig, bool)> = vec![
+        ("baseline (paper)", base.clone(), true),
         (
-            "no victim cache".into(),
+            "no victim cache",
             LrCacheConfig {
                 victim_blocks: 0,
                 ..base.clone()
             },
             true,
         ),
-        ("no early recording".into(), base.clone(), false),
+        ("no early recording", base.clone(), false),
         (
-            "mix rule off (plain LRU)".into(),
+            "mix rule off (plain LRU)",
             LrCacheConfig {
                 mix_mode: MixMode::Ignore,
                 ..base.clone()
@@ -69,7 +43,7 @@ fn main() {
             true,
         ),
         (
-            "assoc 1".into(),
+            "assoc 1",
             LrCacheConfig {
                 assoc: 1,
                 mix_rem_fraction: 0.0,
@@ -80,7 +54,7 @@ fn main() {
         // Where the victim cache earns its 8 blocks: conflict misses of a
         // direct-mapped array (at 4-way it is nearly idle, see row 2).
         (
-            "assoc 1, no victim".into(),
+            "assoc 1, no victim",
             LrCacheConfig {
                 assoc: 1,
                 mix_rem_fraction: 0.0,
@@ -90,7 +64,7 @@ fn main() {
             true,
         ),
         (
-            "assoc 2".into(),
+            "assoc 2",
             LrCacheConfig {
                 assoc: 2,
                 ..base.clone()
@@ -98,7 +72,7 @@ fn main() {
             true,
         ),
         (
-            "assoc 8".into(),
+            "assoc 8",
             LrCacheConfig {
                 assoc: 8,
                 ..base.clone()
@@ -106,7 +80,7 @@ fn main() {
             true,
         ),
         (
-            "FIFO replacement".into(),
+            "FIFO replacement",
             LrCacheConfig {
                 policy: ReplacementPolicy::Fifo,
                 ..base.clone()
@@ -114,7 +88,7 @@ fn main() {
             true,
         ),
         (
-            "random replacement".into(),
+            "random replacement",
             LrCacheConfig {
                 policy: ReplacementPolicy::Random,
                 ..base.clone()
@@ -125,9 +99,18 @@ fn main() {
 
     let jobs: Vec<_> = cases
         .into_iter()
-        .map(|(label, cache, early)| {
+        .map(|(label, cache, early_recording)| {
             let table = &table;
-            move || run_case(&label, cache, early, opts, table)
+            move || {
+                let cfg = SimConfig {
+                    kind: RouterKind::Spal,
+                    psi: 4,
+                    cache,
+                    early_recording,
+                    ..SimConfig::default()
+                };
+                (label, sim(table, PresetName::D75, opts, cfg))
+            }
         })
         .collect();
     let results = parallel_map(jobs);
@@ -141,7 +124,7 @@ fn main() {
     ]);
     for (label, report) in &results {
         printer.row(&[
-            label.clone(),
+            label.to_string(),
             format!("{:.2}", report.mean_lookup_cycles()),
             format!("{:.3}", report.hit_rate()),
             report.fabric.sent.to_string(),

@@ -8,32 +8,15 @@
 //! 62-cycle FE models. Shape to reproduce: Lulea ≈ 5–8, DP ≈ 2–3× Lulea,
 //! implied cycles ≈ 40 vs ≈ 60.
 //!
-//! Run: `cargo run --release -p spal-bench --bin exp_accesses`
+//! Run: `cargo run --release -p spal-bench --bin exp -- accesses`
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use spal_bench::setup::{rt1, rt2};
+use spal_bench::setup::{rt1, rt2, sample_covered, ExpOptions};
 use spal_bench::TablePrinter;
 use spal_core::{ForwardingTable, LpmAlgorithm};
 use spal_lpm::model::FeTimingModel;
 use spal_lpm::{mean_accesses, Lpm};
-use spal_rib::RoutingTable;
 
-/// Traffic-like address sample: uniform over routes, uniform within the
-/// matched route (covered traffic, as FEs see after the LR-cache).
-fn sample_addresses(table: &RoutingTable, n: usize, seed: u64) -> Vec<u32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let e = table.entries()[rng.gen_range(0..table.len())];
-            e.prefix.first_addr() + (rng.gen::<u64>() % e.prefix.size()) as u32
-        })
-        .collect()
-}
-
-fn main() {
-    // Nothing here reads the shared flags; this rejects any other.
-    spal_bench::ExpOptions::from_args();
+pub fn run(_: &ExpOptions) {
     let algorithms = [
         ("Lulea", LpmAlgorithm::Lulea),
         ("DP", LpmAlgorithm::Dp),
@@ -46,7 +29,7 @@ fn main() {
     println!("E4: mean memory accesses per lookup and implied FE cycles (paper Sec. 5.1)");
     let mut printer = TablePrinter::new(&["trie", "table", "mean accesses", "implied FE cycles"]);
     for (tname, table) in &tables {
-        let addrs = sample_addresses(table, 20_000, 11);
+        let addrs = sample_covered(table, 20_000, 11);
         for (aname, algo) in algorithms {
             let fwd = ForwardingTable::build(algo, table);
             let mean = mean_accesses(&fwd, &addrs);

@@ -8,19 +8,17 @@
 //! sit near the whole-table size (partitioning splits, replication adds
 //! a little), so `_S` ≪ `_W` everywhere, and Lulea < LC < DP in size.
 //!
-//! Run: `cargo run --release -p spal-bench --bin exp_fig3_sram`
+//! Run: `cargo run --release -p spal-bench --bin exp -- fig3_sram`
 
 use spal_bench::fmt::kbytes;
-use spal_bench::setup::{rt1, rt2};
+use spal_bench::setup::{rt1, rt2, ExpOptions};
 use spal_bench::TablePrinter;
 use spal_core::bits::{eta_for, select_bits};
 use spal_core::partition::Partitioning;
 use spal_core::{ForwardingTable, LpmAlgorithm};
 use spal_lpm::Lpm;
 
-fn main() {
-    // Nothing here reads the shared flags; this rejects any other.
-    spal_bench::ExpOptions::from_args();
+pub fn run(_: &ExpOptions) {
     let algorithms = [
         ("DP", LpmAlgorithm::Dp),
         ("LL", LpmAlgorithm::Lulea),

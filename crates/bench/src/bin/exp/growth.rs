@@ -6,17 +6,15 @@
 //! announce-heavy update churn in steps, and track partition balance
 //! with the *frozen* bits versus freshly reselected ones.
 //!
-//! Run: `cargo run --release -p spal-bench --bin exp_growth`
+//! Run: `cargo run --release -p spal-bench --bin exp -- growth`
 
-use spal_bench::TablePrinter;
+use spal_bench::{ExpOptions, TablePrinter};
 use spal_core::bits::{eta_for, select_bits};
 use spal_core::partition::Partitioning;
 use spal_rib::updates::{apply, update_stream, UpdateStreamConfig};
 use spal_rib::{synth, RoutingTable};
 
-fn main() {
-    // Nothing here reads the shared flags; this rejects any other.
-    spal_bench::ExpOptions::from_args();
+pub fn run(_: &ExpOptions) {
     let psi = 16;
     let start = synth::synthesize(&synth::SynthConfig::sized(80_000, 0xBEEF));
     let frozen_bits = select_bits(&start, eta_for(psi));

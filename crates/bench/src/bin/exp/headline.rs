@@ -4,16 +4,15 @@
 //! the FE is ignored optimistically" — the paper's own baseline
 //! arithmetic, reproduced here, plus a simulated cache-only comparison).
 //!
-//! Run: `cargo run --release -p spal-bench --bin exp_headline`
+//! Run: `cargo run --release -p spal-bench --bin exp -- headline`
 
-use spal_bench::setup::{parallel_map, rt2, trace_streams, ExpOptions};
+use spal_bench::setup::{parallel_map, rt2, sim, ExpOptions};
 use spal_bench::TablePrinter;
 use spal_cache::LrCacheConfig;
-use spal_sim::{RouterKind, RouterSim, SimConfig};
+use spal_sim::{RouterKind, SimConfig};
 use spal_traffic::ALL_PRESETS;
 
-fn main() {
-    let opts = ExpOptions::from_args();
+pub fn run(opts: &ExpOptions) {
     let table = rt2();
     println!(
         "E8: headline forwarding rates at psi=16, beta=4K, 40 Gbps, 40-cycle FE ({} packets/LC)",
@@ -31,44 +30,23 @@ fn main() {
         "cache-only cycles",
     ]);
     for name in ALL_PRESETS {
-        let table_ref = &table;
-        let jobs: Vec<Box<dyn FnOnce() -> spal_sim::SimReport + Send>> = vec![
-            Box::new(move || {
-                let traces = trace_streams(name, table_ref, 16, opts.packets_per_lc, opts.seed);
-                RouterSim::new(
-                    table_ref,
-                    &traces,
-                    SimConfig {
-                        kind: RouterKind::Spal,
+        let jobs = [RouterKind::Spal, RouterKind::CacheOnly]
+            .into_iter()
+            .map(|kind| {
+                let table = &table;
+                move || {
+                    let cfg = SimConfig {
+                        kind,
                         psi: 16,
                         cache: LrCacheConfig::paper(4096),
-                        packets_per_lc: opts.packets_per_lc,
-                        seed: opts.seed,
                         ..SimConfig::default()
-                    },
-                )
-                .run()
-            }),
-            Box::new(move || {
-                let traces = trace_streams(name, table_ref, 16, opts.packets_per_lc, opts.seed);
-                RouterSim::new(
-                    table_ref,
-                    &traces,
-                    SimConfig {
-                        kind: RouterKind::CacheOnly,
-                        psi: 16,
-                        cache: LrCacheConfig::paper(4096),
-                        packets_per_lc: opts.packets_per_lc,
-                        seed: opts.seed,
-                        ..SimConfig::default()
-                    },
-                )
-                .run()
-            }),
-        ];
-        let mut reports = parallel_map(jobs);
-        let cache_only = reports.pop().expect("two jobs");
-        let spal = reports.pop().expect("two jobs");
+                    };
+                    sim(table, name, opts, cfg)
+                }
+            })
+            .collect();
+        let reports = parallel_map(jobs);
+        let (spal, cache_only) = (&reports[0], &reports[1]);
         let spal_cycles = spal.mean_lookup_cycles();
         let spal_router_mpps = spal.router_packets_per_second() / 1e6;
         printer.row(&[

@@ -8,17 +8,15 @@
 //! shared. SPAL's bit partitions are near-equal and per-LC memory drops
 //! as ψ grows.
 //!
-//! Run: `cargo run --release -p spal-bench --bin exp_length_partition`
+//! Run: `cargo run --release -p spal-bench --bin exp -- length_partition`
 
-use spal_bench::setup::{rt1, rt2};
+use spal_bench::setup::{rt1, rt2, ExpOptions};
 use spal_bench::TablePrinter;
 use spal_core::baseline::partition_by_length;
 use spal_core::bits::{eta_for, select_bits};
 use spal_core::partition::{PartitionStats, Partitioning};
 
-fn main() {
-    // Nothing here reads the shared flags; this rejects any other.
-    spal_bench::ExpOptions::from_args();
+pub fn run(_: &ExpOptions) {
     let tables = [("RT_1", rt1()), ("RT_2", rt2())];
     println!("E9: SPAL bit partitioning vs partition-by-length (ref [1])");
     let mut printer = TablePrinter::new(&[

@@ -5,7 +5,7 @@
 //! how SPAL couples LCs: a poor-locality LC leans on its neighbours'
 //! home caches, and its misses load the FEs every LC shares.
 //!
-//! Run: `cargo run --release -p spal-bench --bin exp_mixed_traces`
+//! Run: `cargo run --release -p spal-bench --bin exp -- mixed_traces`
 
 use spal_bench::setup::{rt2, ExpOptions};
 use spal_bench::TablePrinter;
@@ -13,8 +13,7 @@ use spal_cache::LrCacheConfig;
 use spal_sim::{RouterKind, RouterSim, SimConfig};
 use spal_traffic::{preset, ALL_PRESETS};
 
-fn main() {
-    let opts = ExpOptions::from_args();
+pub fn run(opts: &ExpOptions) {
     let table = rt2();
     let psi = ALL_PRESETS.len(); // one LC per preset
     println!(

@@ -6,7 +6,7 @@
 //! experiment runs both routers open-loop for a fixed horizon and shows
 //! the divergence directly — what "ignored optimistically" hides.
 //!
-//! Run: `cargo run --release -p spal-bench --bin exp_overload`
+//! Run: `cargo run --release -p spal-bench --bin exp -- overload`
 
 use spal_bench::setup::{parallel_map, rt2, trace_streams, ExpOptions};
 use spal_bench::TablePrinter;
@@ -14,8 +14,7 @@ use spal_cache::LrCacheConfig;
 use spal_sim::{RouterKind, RouterSim, SimConfig, SimReport};
 use spal_traffic::PresetName;
 
-fn main() {
-    let opts = ExpOptions::from_args();
+pub fn run(opts: &ExpOptions) {
     let table = rt2();
     let psi = 4usize;
     let horizon: u64 = 1_500_000; // 7.5 ms of 5 ns cycles

@@ -7,16 +7,14 @@
 //! mid-prefix band (≪ 24, per Criterion 1) and the partitions come out
 //! near-equal (Criterion 2).
 //!
-//! Run: `cargo run --release -p spal-bench --bin exp_partitioning`
+//! Run: `cargo run --release -p spal-bench --bin exp -- partitioning`
 
-use spal_bench::setup::{rt1, rt2};
+use spal_bench::setup::{rt1, rt2, ExpOptions};
 use spal_bench::TablePrinter;
 use spal_core::bits::{eta_for, select_bits};
 use spal_core::partition::{rot_partitions, PartitionStats, Partitioning};
 
-fn main() {
-    // Nothing here reads the shared flags; this rejects any other.
-    spal_bench::ExpOptions::from_args();
+pub fn run(_: &ExpOptions) {
     let tables = [("RT_1", rt1()), ("RT_2", rt2())];
     let mut printer = TablePrinter::new(&[
         "table",

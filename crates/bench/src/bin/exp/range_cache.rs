@@ -11,7 +11,7 @@
 //! RT_2 with extra host-route exceptions injected into the active
 //! subnets.
 //!
-//! Run: `cargo run --release -p spal-bench --bin exp_range_cache`
+//! Run: `cargo run --release -p spal-bench --bin exp -- range_cache`
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,8 +59,7 @@ fn run_case(name: &str, table: &RoutingTable, trace: &Trace, printer: &mut Table
     ]);
 }
 
-fn main() {
-    let opts = ExpOptions::from_args();
+pub fn run(opts: &ExpOptions) {
     let packets = opts.packets_per_lc;
     let full = rt2();
     let clean = RoutingTable::from_entries(

@@ -8,10 +8,10 @@
 //! reproduce: per-LC size ≈ whole/ψ (+ replication), savings always far
 //! exceed the 24 KB LR-cache.
 //!
-//! Run: `cargo run --release -p spal-bench --bin exp_storage`
+//! Run: `cargo run --release -p spal-bench --bin exp -- storage`
 
 use spal_bench::fmt::kbytes;
-use spal_bench::setup::{rt1, rt2};
+use spal_bench::setup::{rt1, rt2, ExpOptions};
 use spal_bench::TablePrinter;
 use spal_core::bits::{eta_for, select_bits};
 use spal_core::partition::Partitioning;
@@ -21,9 +21,7 @@ use spal_lpm::Lpm;
 /// The LR-cache the savings must dominate: 4K blocks × 6 B (§6).
 const LR_CACHE_BYTES: usize = 4096 * 6;
 
-fn main() {
-    // Nothing here reads the shared flags; this rejects any other.
-    spal_bench::ExpOptions::from_args();
+pub fn run(_: &ExpOptions) {
     let algorithms = [
         ("DP", LpmAlgorithm::Dp),
         ("Lulea", LpmAlgorithm::Lulea),

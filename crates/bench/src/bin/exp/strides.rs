@@ -5,33 +5,18 @@
 //! the paper's structures (Lulea = compressed 16/8/8, DIR-24-8 = 24/8 in
 //! hardware, LC-trie = adaptive strides) on the same axes.
 //!
-//! Run: `cargo run --release -p spal-bench --bin exp_strides`
+//! Run: `cargo run --release -p spal-bench --bin exp -- strides`
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use spal_bench::setup::rt2;
+use spal_bench::setup::{rt2, sample_covered, ExpOptions};
 use spal_bench::TablePrinter;
 use spal_core::{ForwardingTable, LpmAlgorithm};
 use spal_lpm::model::FeTimingModel;
 use spal_lpm::multibit::MultibitTrie;
 use spal_lpm::{mean_accesses, Lpm};
-use spal_rib::RoutingTable;
 
-fn sample(table: &RoutingTable, n: usize, seed: u64) -> Vec<u32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let e = table.entries()[rng.gen_range(0..table.len())];
-            e.prefix.first_addr() + (rng.gen::<u64>() % e.prefix.size()) as u32
-        })
-        .collect()
-}
-
-fn main() {
-    // Nothing here reads the shared flags; this rejects any other.
-    spal_bench::ExpOptions::from_args();
+pub fn run(_: &ExpOptions) {
     let table = rt2();
-    let addrs = sample(&table, 20_000, 5);
+    let addrs = sample_covered(&table, 20_000, 5);
     let timing = FeTimingModel::default();
     println!(
         "E14: stride vs storage vs speed on RT_2 ({} prefixes)",

@@ -8,11 +8,9 @@
 //!    cycle simulation under the per-lookup FE cost model, SPAL vs the
 //!    conventional router's flat 40-cycle floor.
 //!
-//! Run: `cargo run --release -p spal-bench --bin exp_worst_case`
+//! Run: `cargo run --release -p spal-bench --bin exp -- worst_case`
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use spal_bench::setup::{rt2, trace_streams, ExpOptions};
+use spal_bench::setup::{rt2, sample_covered, sim, ExpOptions};
 use spal_bench::TablePrinter;
 use spal_cache::LrCacheConfig;
 use spal_core::bits::{eta_for, select_bits};
@@ -20,15 +18,12 @@ use spal_core::partition::Partitioning;
 use spal_core::{ForwardingTable, LpmAlgorithm};
 use spal_lpm::Lpm;
 use spal_rib::RoutingTable;
-use spal_sim::{FeServiceModel, RouterKind, RouterSim, SimConfig};
+use spal_sim::{FeServiceModel, RouterKind, SimConfig};
 use spal_traffic::PresetName;
 
 fn max_accesses(fwd: &ForwardingTable, table: &RoutingTable, seed: u64) -> u32 {
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut worst = 0;
-    for _ in 0..30_000 {
-        let e = table.entries()[rng.gen_range(0..table.len())];
-        let addr = e.prefix.first_addr() + (rng.gen::<u64>() % e.prefix.size()) as u32;
+    for addr in sample_covered(table, 30_000, seed) {
         worst = worst.max(fwd.lookup_counted(addr).mem_accesses);
     }
     // Prefix boundaries are where deep searches live.
@@ -39,8 +34,7 @@ fn max_accesses(fwd: &ForwardingTable, table: &RoutingTable, seed: u64) -> u32 {
     worst
 }
 
-fn main() {
-    let opts = ExpOptions::from_args();
+pub fn run(opts: &ExpOptions) {
     let table = rt2();
     println!("E13: worst-case lookup, whole table vs largest psi=16 partition (RT_2)");
 
@@ -74,21 +68,18 @@ fn main() {
         "Dynamic tail latency at psi=16, beta=4K, per-lookup FE costs, {} packets/LC:",
         opts.packets_per_lc
     );
-    let traces = trace_streams(PresetName::BL, &table, 16, opts.packets_per_lc, opts.seed);
-    let report = RouterSim::new(
+    let report = sim(
         &table,
-        &traces,
+        PresetName::BL,
+        opts,
         SimConfig {
             kind: RouterKind::Spal,
             psi: 16,
             fe: FeServiceModel::PerLookup,
             cache: LrCacheConfig::paper(4096),
-            packets_per_lc: opts.packets_per_lc,
-            seed: opts.seed,
             ..SimConfig::default()
         },
-    )
-    .run();
+    );
     println!(
         "SPAL (B_L, worst trace): mean {:.2}, p99 {}, p99.9 {}, max {} cycles",
         report.mean_lookup_cycles(),

@@ -90,12 +90,15 @@ impl TablePrinter {
         std::fs::write(path, self.to_csv())
     }
 
-    /// Best-effort CSV drop into `results/csv/<name>.csv` (for plotting);
-    /// silently skipped when the directory cannot be created (e.g. the
-    /// binary runs outside the repository).
+    /// CSV drop into `results/csv/<name>.csv` under the working
+    /// directory (for plotting). A failure — a read-only tree, say — is
+    /// reported on stderr and the run goes on: the table itself is
+    /// already on stdout.
     pub fn save_results_csv(&self, name: &str) {
-        if std::fs::create_dir_all("results/csv").is_ok() {
-            let _ = self.save_csv(&format!("results/csv/{name}.csv"));
+        let path = format!("results/csv/{name}.csv");
+        let saved = std::fs::create_dir_all("results/csv").and_then(|()| self.save_csv(&path));
+        if let Err(e) = saved {
+            eprintln!("warning: {path} not written: {e}");
         }
     }
 }

@@ -14,11 +14,8 @@ pub trait CacheAddr: Copy + Eq + std::hash::Hash + std::fmt::Debug {
     /// The all-zero address (what an empty cache slot's tag holds).
     const ZERO: Self;
 
-    /// Low bits of the address, for the `LowBits` set-index scheme.
+    /// Low bits of the address: the set index before masking.
     fn low_bits(self) -> usize;
-
-    /// XOR-fold of the whole address into one word, for `XorFold`.
-    fn xor_fold(self) -> usize;
 
     /// Whether this address falls under `prefix_bits/prefix_len`
     /// (`prefix_len == 0` covers everything).
@@ -32,11 +29,6 @@ impl CacheAddr for u32 {
     #[inline]
     fn low_bits(self) -> usize {
         self as usize
-    }
-
-    #[inline]
-    fn xor_fold(self) -> usize {
-        (self ^ (self >> 16)) as usize
     }
 
     #[inline]
@@ -58,13 +50,6 @@ impl CacheAddr for u128 {
     #[inline]
     fn low_bits(self) -> usize {
         self as usize
-    }
-
-    #[inline]
-    fn xor_fold(self) -> usize {
-        let folded = self ^ (self >> 64);
-        let folded = (folded as u64) ^ ((folded as u64) >> 32);
-        folded as usize
     }
 
     #[inline]
@@ -101,13 +86,5 @@ mod tests {
         assert!(!a.covered_by(0x2001_0db9_0000_0000_0000_0000_0000_0000, 32));
         assert!(a.covered_by(a, 128));
         assert!(!a.covered_by(a ^ 1, 128));
-    }
-
-    #[test]
-    fn v6_fold_mixes_high_bits() {
-        // Addresses differing only above bit 64 must still fold apart.
-        let a: u128 = 1 << 100;
-        let b: u128 = 2 << 100;
-        assert_ne!(a.xor_fold(), b.xor_fold());
     }
 }

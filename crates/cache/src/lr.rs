@@ -30,17 +30,6 @@ pub enum MixMode {
     Ignore,
 }
 
-/// How an address maps to a set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexScheme {
-    /// Low `log2(sets)` address bits (hardware-faithful default).
-    #[default]
-    LowBits,
-    /// XOR of the high and low halves before masking (ablation; robust
-    /// against pathological strides).
-    XorFold,
-}
-
 /// When [`LrCache::probe_each`] issues its distance-8 set prefetch.
 ///
 /// Prefetching pays only when the sets being scanned are not already
@@ -102,8 +91,6 @@ pub struct LrCacheConfig {
     pub policy: ReplacementPolicy,
     /// Victim-cache capacity in blocks (paper: 8; 0 disables).
     pub victim_blocks: usize,
-    /// Set-index scheme.
-    pub index_scheme: IndexScheme,
     /// Seed for the (only) source of randomness, the `Random` policy.
     pub seed: u64,
     /// Batched-probe prefetch policy (see [`PrefetchMode`]).
@@ -119,7 +106,6 @@ impl Default for LrCacheConfig {
             mix_mode: MixMode::Enforce,
             policy: ReplacementPolicy::Lru,
             victim_blocks: 8,
-            index_scheme: IndexScheme::LowBits,
             seed: 0x5EED,
             prefetch: PrefetchMode::Auto,
         }
@@ -372,14 +358,11 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
         self.stats.reset();
     }
 
-    /// First slot of `addr`'s set.
+    /// First slot of `addr`'s set: the low `log2(sets)` address bits
+    /// pick the set, as the paper's hardware does.
     #[inline]
     fn set_base(&self, addr: A) -> usize {
-        let mask = self.sets - 1;
-        let set = match self.config.index_scheme {
-            IndexScheme::LowBits => addr.low_bits() & mask,
-            IndexScheme::XorFold => addr.xor_fold() & mask,
-        };
+        let set = addr.low_bits() & (self.sets - 1);
         set * self.groups_per_set * LANES
     }
 
@@ -1362,8 +1345,8 @@ mod tests {
     }
 
     /// One step of the differential workload. Addresses are small
-    /// indices, widened per address type so that both index schemes
-    /// see varying bits.
+    /// indices, widened per address type so that the set index and
+    /// the tag above it both vary.
     #[derive(Debug, Clone)]
     enum Op {
         Probe(u32),
@@ -1405,10 +1388,9 @@ mod tests {
                 ReplacementPolicy::Random,
             ]),
             any::<bool>(),
-            any::<bool>(),
         )
-            .prop_map(|(sets, assoc, gamma, victim, policy, enforce, fold)| {
-                LrCacheConfig {
+            .prop_map(
+                |(sets, assoc, gamma, victim, policy, enforce)| LrCacheConfig {
                     blocks: sets * assoc,
                     assoc,
                     mix_rem_fraction: gamma,
@@ -1419,15 +1401,10 @@ mod tests {
                     },
                     policy,
                     victim_blocks: victim,
-                    index_scheme: if fold {
-                        IndexScheme::XorFold
-                    } else {
-                        IndexScheme::LowBits
-                    },
                     seed: 99,
                     prefetch: PrefetchMode::Never,
-                }
-            })
+                },
+            )
     }
 
     /// What one [`Op`] returned.
@@ -1524,8 +1501,8 @@ mod tests {
 
         #[test]
         fn differential_v4(config in arb_config(), ops in arb_ops()) {
-            // Low three bits and bits 16.. both vary, so LowBits and
-            // XorFold index differently.
+            // Low three bits (the set index) and bits 16.. (tag only)
+            // both vary.
             differential::<u32>(config, &ops, |i| (i & 7) | (i >> 3) << 16);
         }
 
@@ -1697,39 +1674,5 @@ mod tests {
             assoc: 4,
             ..Default::default()
         });
-    }
-
-    #[test]
-    fn xorfold_differs_from_lowbits() {
-        let mut a: LrCache<u16> = LrCache::new(LrCacheConfig {
-            blocks: 64,
-            assoc: 4,
-            victim_blocks: 0,
-            index_scheme: IndexScheme::LowBits,
-            ..Default::default()
-        });
-        let mut b: LrCache<u16> = LrCache::new(LrCacheConfig {
-            blocks: 64,
-            assoc: 4,
-            victim_blocks: 0,
-            index_scheme: IndexScheme::XorFold,
-            ..Default::default()
-        });
-        // Addresses differing only in high bits collide under LowBits but
-        // spread under XorFold.
-        let addrs: Vec<u32> = (0..8).map(|i| i << 16).collect();
-        for &x in &addrs {
-            a.fill(x, 1, Origin::Loc);
-            b.fill(x, 1, Origin::Loc);
-        }
-        let a_hits = addrs
-            .iter()
-            .filter(|&&x| matches!(a.probe(x), ProbeResult::Hit { .. }))
-            .count();
-        let b_hits = addrs
-            .iter()
-            .filter(|&&x| matches!(b.probe(x), ProbeResult::Hit { .. }))
-            .count();
-        assert!(b_hits > a_hits, "xorfold {b_hits} vs lowbits {a_hits}");
     }
 }

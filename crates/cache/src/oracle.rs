@@ -13,8 +13,7 @@
 
 use crate::addr::CacheAddr;
 use crate::lr::{
-    BatchProbe, FillOutcome, IndexScheme, LrCacheConfig, MixMode, Origin, ProbeResult,
-    ReserveOutcome,
+    BatchProbe, FillOutcome, LrCacheConfig, MixMode, Origin, ProbeResult, ReserveOutcome,
 };
 use crate::policy::ReplacementPolicy;
 use crate::stats::CacheStats;
@@ -165,11 +164,7 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> OracleCache<V, A> {
     }
 
     fn set_of(&self, addr: A) -> usize {
-        let mask = self.sets - 1;
-        match self.config.index_scheme {
-            IndexScheme::LowBits => addr.low_bits() & mask,
-            IndexScheme::XorFold => addr.xor_fold() & mask,
-        }
+        addr.low_bits() & (self.sets - 1)
     }
 
     fn set_range(&self, set: usize) -> std::ops::Range<usize> {

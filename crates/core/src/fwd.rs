@@ -144,44 +144,6 @@ forwarding_table! {
 }
 
 impl ForwardingTable {
-    /// Whether this structure supports incremental announce/withdraw
-    /// (the binary and DP tries do; the compressed structures rebuild).
-    pub fn supports_incremental_updates(&self) -> bool {
-        matches!(self, ForwardingTable::Binary(_) | ForwardingTable::Dp(_))
-    }
-
-    /// Announce (insert or replace) a route incrementally. Returns
-    /// `false` when the structure does not support in-place updates (the
-    /// caller should rebuild instead).
-    pub fn announce(&mut self, prefix: spal_rib::Prefix, next_hop: spal_rib::NextHop) -> bool {
-        match self {
-            ForwardingTable::Binary(t) => {
-                t.insert(prefix.bits(), prefix.len(), next_hop);
-                true
-            }
-            ForwardingTable::Dp(t) => {
-                t.insert(prefix, next_hop);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Withdraw a route incrementally; see [`ForwardingTable::announce`].
-    pub fn withdraw(&mut self, prefix: spal_rib::Prefix) -> bool {
-        match self {
-            ForwardingTable::Binary(t) => {
-                t.remove(prefix.bits(), prefix.len());
-                true
-            }
-            ForwardingTable::Dp(t) => {
-                t.remove(prefix);
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Build a forwarding table from a (partitioned) routing table.
     pub fn build(algorithm: LpmAlgorithm, table: &RoutingTable) -> Self {
         match algorithm {

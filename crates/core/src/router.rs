@@ -178,34 +178,6 @@ impl SpalRouter {
         }
     }
 
-    /// Apply one routing update: the route reaches exactly the LCs whose
-    /// partitions contain it (wildcards in the chosen bits replicate it),
-    /// and every LR-cache flushes — the §3.2 protocol. Returns `false`
-    /// when the configured LPM structure cannot update in place (rebuild
-    /// the router instead).
-    pub fn apply_update(&mut self, update: spal_rib::updates::Update) -> bool {
-        if !self.lcs[0].fwd.supports_incremental_updates() {
-            return false;
-        }
-        let prefix = match update {
-            spal_rib::updates::Update::Announce(e) => e.prefix,
-            spal_rib::updates::Update::Withdraw(p) => p,
-        };
-        for lc in self.partitioning.lcs_of_prefix(prefix) {
-            let fwd = &mut self.lcs[lc as usize].fwd;
-            match update {
-                spal_rib::updates::Update::Announce(e) => {
-                    fwd.announce(e.prefix, e.next_hop);
-                }
-                spal_rib::updates::Update::Withdraw(p) => {
-                    fwd.withdraw(p);
-                }
-            }
-        }
-        self.flush_caches();
-        true
-    }
-
     fn fe_lookup(&mut self, lc: u16, addr: u32) -> Option<NextHop> {
         self.fe_lookups[lc as usize] += 1;
         self.lcs[lc as usize].fwd.lookup(addr)
@@ -305,77 +277,6 @@ mod tests {
         let (_, o) = router.lookup(0, addr);
         assert_ne!(o, LookupOutcome::LocalCacheHit);
         assert_eq!(router.fe_lookups().iter().sum::<u64>(), before + 1);
-    }
-
-    #[test]
-    fn apply_update_keeps_router_consistent() {
-        use spal_rib::updates::{apply, update_stream, Update, UpdateStreamConfig};
-        let rt = synth::synthesize(&synth::SynthConfig::sized(2_000, 151));
-        // DP trie supports in-place updates.
-        let mut router = SpalRouter::build(
-            &rt,
-            &SpalRouterConfig {
-                psi: 4,
-                algorithm: LpmAlgorithm::Dp,
-                cache: LrCacheConfig {
-                    blocks: 256,
-                    ..LrCacheConfig::default()
-                },
-            },
-        );
-        let (updates, final_table) = update_stream(
-            &rt,
-            &UpdateStreamConfig {
-                count: 400,
-                withdraw_fraction: 0.3,
-                seed: 3,
-            },
-        );
-        let mut oracle = rt.clone();
-        for &u in &updates {
-            assert!(router.apply_update(u));
-            apply(&mut oracle, u);
-        }
-        assert_eq!(oracle.entries(), final_table.entries());
-        // After churn, lookups from every LC match the updated table.
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        for _ in 0..300 {
-            let addr: u32 = rng.gen();
-            let lc = rng.gen_range(0..4) as u16;
-            let (nh, _) = router.lookup(lc, addr);
-            assert_eq!(nh, final_table.longest_match(addr).map(|e| e.next_hop));
-        }
-        // A withdrawn route is really gone everywhere.
-        if let Some(Update::Withdraw(p)) = updates
-            .iter()
-            .rev()
-            .find(|u| matches!(u, Update::Withdraw(_)))
-        {
-            if final_table.longest_match(p.first_addr()).is_none() {
-                let (nh, _) = router.lookup(0, p.first_addr());
-                assert_eq!(nh, None);
-            }
-        }
-    }
-
-    #[test]
-    fn compressed_structures_refuse_in_place_updates() {
-        use spal_rib::updates::Update;
-        let rt = synth::small(153);
-        let mut router = SpalRouter::build(
-            &rt,
-            &SpalRouterConfig {
-                psi: 2,
-                algorithm: LpmAlgorithm::Lulea,
-                cache: LrCacheConfig {
-                    blocks: 256,
-                    ..LrCacheConfig::default()
-                },
-            },
-        );
-        let e = rt.entries()[0];
-        assert!(!router.apply_update(Update::Announce(e)));
     }
 
     #[test]

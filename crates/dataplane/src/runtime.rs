@@ -170,11 +170,6 @@ pub struct DataplaneConfig<F: AddrFamily = V4> {
     /// Fault-injection plan (`None` = faultless fabric). Deterministic
     /// for a given plan seed; see [`crate::fault`].
     pub faults: Option<FaultPlan>,
-    /// Patch shadow tables chunk-granularly via the engine's
-    /// `apply_delta` (`true`, the default) or rebuild every touched
-    /// per-LC fragment from scratch on each publication (`false` — the
-    /// benchmark's patch-vs-rebuild control arm).
-    pub delta_patching: bool,
     /// Record per-packet latency histograms (`true`, the default).
     /// When no consumer wants the histograms (the CLI without
     /// `--out-latency`), turning this off removes the admit-burst
@@ -215,7 +210,6 @@ impl<F: AddrFamily> Default for DataplaneConfig<F> {
             deterministic: false,
             seed: 1,
             faults: None,
-            delta_patching: true,
             capture_latency: true,
             failover: None,
             overload: None,
@@ -1146,9 +1140,6 @@ struct Control<F: AddrFamily> {
     /// drain it); the deterministic schedule cannot, so capacity is
     /// sized to make overflow impossible and treated as a bug.
     blocking: bool,
-    /// `false` forces a full fragment rebuild per touched LC (the
-    /// benchmark's patch-vs-rebuild control arm).
-    delta_patching: bool,
     report: ChurnReport,
     /// Shared failure flag the victim worker raises (`usize::MAX` =
     /// no failure).
@@ -1194,12 +1185,7 @@ impl<F: AddrFamily> Control<F> {
             if prefixes.is_empty() {
                 continue;
             }
-            let patched = if self.delta_patching {
-                snap.tables[lc].apply_delta(prefixes, &self.per_lc_rib[lc])
-            } else {
-                None
-            };
-            match patched {
+            match snap.tables[lc].apply_delta(prefixes, &self.per_lc_rib[lc]) {
                 Some(stats) => {
                     self.report.delta_applies += 1;
                     self.report.delta_bytes_touched += stats.bytes_touched as u64;
@@ -1697,7 +1683,6 @@ fn assemble<F: AddrFamily>(
         done: Arc::clone(&done),
         psi,
         blocking: !cfg.deterministic,
-        delta_patching: cfg.delta_patching,
         report: ChurnReport::default(),
         failed_flag,
         dead_mask: 0,

@@ -1,12 +1,13 @@
-//! Dataplane correctness under BGP churn: RCU publication, shadow
-//! rebuild vs incremental apply, and targeted vs full-flush cache
+//! Dataplane correctness under BGP churn: RCU publication, incremental
+//! apply with its rebuild fallback, and targeted vs full-flush cache
 //! invalidation.
 
 use spal_cache::LrCacheConfig;
 use spal_core::LpmAlgorithm;
-use spal_dataplane::{run, ChurnConfig, DataplaneConfig, InvalidationMode};
+use spal_dataplane::{run, run6, ChurnConfig, Dataplane6Config, DataplaneConfig, InvalidationMode};
+use spal_rib::v6::synthesize6_dfz;
 use spal_rib::{synth, RoutingTable};
-use spal_traffic::{preset, PresetName, Trace, TracePreset};
+use spal_traffic::{generate6, preset, PresetName, Trace, TracePreset};
 
 fn setup(psi: usize, packets_per_worker: usize) -> (RoutingTable, Vec<Trace>) {
     let table = synth::small(21);
@@ -103,9 +104,9 @@ fn full_flush_and_targeted_invalidation_both_stay_consistent() {
 }
 
 #[test]
-fn static_engine_churn_uses_shadow_rebuild() {
-    // Lulea does not support incremental updates: every publication
-    // must rebuild the affected partitions and still end consistent.
+fn compressed_engine_churn_is_patched_in_place() {
+    // Lulea re-encodes the touched chunks through `apply_delta`; no
+    // publication of this stream needs a whole-fragment rebuild.
     let (table, traces) = setup(2, 1_500);
     let mut cfg = churn_cfg(2, true);
     cfg.algorithm = LpmAlgorithm::Lulea;
@@ -118,6 +119,38 @@ fn static_engine_churn_uses_shadow_rebuild() {
     let report = run(&table, &traces, &cfg);
     let churn = report.churn.as_ref().expect("churn ran");
     assert_eq!(churn.updates_applied, 120);
+    assert!(churn.delta_applies > 0);
+    assert_eq!(churn.rebuild_applies, 0);
+    assert_eq!(churn.final_mismatches, 0);
+    assert_eq!(report.spot_check_mismatches(), 0);
+}
+
+#[test]
+fn declined_patch_falls_back_to_a_fragment_rebuild() {
+    // SHIP declines a patch once orphaned arena space passes a third of
+    // the arena; the control plane then rebuilds that LC's fragment
+    // from its RIB. Three publications is the shortest stream on which
+    // the rule fires (two end with every apply patched).
+    let table = synthesize6_dfz(3_000, 21);
+    let traces = generate6(&table, 600, 2 * 1_500, 9).split(2);
+    let cfg = Dataplane6Config {
+        workers: 2,
+        deterministic: true,
+        cache: LrCacheConfig::paper(512),
+        churn: Some(ChurnConfig {
+            updates: 90,
+            updates_per_publication: 30,
+            withdraw_fraction: 0.3,
+            pace_us: 0,
+        }),
+        seed: 3,
+        ..Default::default()
+    };
+    let report = run6(&table, &traces, &cfg);
+    let churn = report.churn.as_ref().expect("churn ran");
+    assert_eq!(churn.updates_applied, 90);
+    assert!(churn.rebuild_applies > 0, "SHIP never declined a patch");
+    assert!(churn.delta_applies > 0);
     assert_eq!(churn.final_mismatches, 0);
     assert_eq!(report.spot_check_mismatches(), 0);
 }

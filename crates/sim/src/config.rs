@@ -95,11 +95,6 @@ pub struct SimConfig {
     /// 10–50 ms = 2M–10M cycles). `None` = no updates during the run,
     /// the paper's default of one 300k-packet window per update.
     pub flush_interval_cycles: Option<u64>,
-    /// Exclude packets arriving before this cycle from latency
-    /// statistics (cold-start caches still *process* them). The paper
-    /// measures whole windows including the post-flush cold start
-    /// (default 0); a warm-up window isolates steady-state behaviour.
-    pub measure_after_cycle: u64,
     /// RNG seed for arrivals and random replacement.
     pub seed: u64,
     /// Clock-advance strategy. [`EngineMode::FastForward`] (the default)
@@ -122,7 +117,6 @@ impl Default for SimConfig {
             packets_per_lc: 300_000,
             early_recording: true,
             flush_interval_cycles: None,
-            measure_after_cycle: 0,
             seed: 1,
             engine: EngineMode::FastForward,
         }

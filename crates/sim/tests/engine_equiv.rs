@@ -201,11 +201,8 @@ fn early_recording_off() {
 }
 
 #[test]
-fn single_lc_and_warmup_window() {
+fn single_lc() {
     let rt = synth::small(83);
-    let cfg = SimConfig {
-        measure_after_cycle: 5_000,
-        ..base(RouterKind::Spal, 1, LcSpeed::Gbps10)
-    };
+    let cfg = base(RouterKind::Spal, 1, LcSpeed::Gbps10);
     assert_run_equiv(&rt, &traces(&rt, 1, 2_000), cfg);
 }

@@ -1,5 +1,8 @@
 #!/bin/sh
-# Regenerate every paper table/figure. ~15-30 min on a laptop-class box.
+# Regenerate every paper table/figure: results/exp_<name>.txt and
+# results/csv/*.csv are written here and nowhere else. Measured on the
+# 2-core reference host: the experiments loop takes 90 s at the full
+# tier (35 s with --quick), the two gates before it about 10 s.
 set -e
 cd "$(dirname "$0")"
 cargo build --release -p spal-bench
@@ -18,11 +21,11 @@ echo "=== bench_gate ==="
 # print UNMEASURED and are counted on its last line.
 echo "=== bench_dataplane ==="
 ./target/release/bench_dataplane "$@" | tee results/bench_dataplane.txt
-for exp in exp_partitioning exp_storage exp_fig3_sram exp_accesses \
-           exp_fig4_mix exp_fig5_cache_size exp_fig6_scaling exp_headline \
-           exp_length_partition exp_speed_cases exp_ablations exp_update_rate \
-           exp_range_cache exp_worst_case exp_strides exp_growth exp_mixed_traces \
-           exp_overload; do
-  echo "=== $exp ==="
-  ./target/release/$exp "$@" | tee results/$exp.txt
+# The experiments, in the registry's order (`exp list` is the one list).
+for name in $(./target/release/exp list); do
+  echo "=== exp_$name ==="
+  ./target/release/exp "$name" "$@" | tee "results/exp_$name.txt"
 done
+# E7b: Fig. 6 over the RT_1 stand-in (its CSV is fig6_scaling_rt1.csv).
+echo "=== exp_fig6_scaling --rt1 ==="
+./target/release/exp fig6_scaling --rt1 "$@" | tee results/exp_fig6_scaling_rt1.txt
