@@ -7,7 +7,7 @@
 //! spal lookup --table table.txt 10.1.2.3 192.168.0.1
 //! spal gen-trace --preset D_75 --packets 100000 --table table.txt --out trace.txt
 //! spal simulate --psi 16 --beta 4096 --preset D_75 --packets 100000
-//! spal dataplane --workers 4 --engine lulea --churn 2000 --json
+//! spal dataplane --workers 4 --engine poptrie --churn 2000 --json
 //! spal dataplane6 --workers 4 --prefixes 50000 --churn 1000
 //! ```
 

@@ -62,8 +62,9 @@ macro_rules! forwarding_table {
 
             /// One dispatch to the wrapped engine's incremental patch
             /// path; see [`Lpm::apply_delta`] for the contract. The binary
-            /// and DP tries never decline; SHIP, the LC-trie and the
-            /// compressed structures may, and the caller rebuilds.
+            /// and DP tries never decline; SHIP, DIR-24-8 and Poptrie may;
+            /// Lulea, the LC-trie and the multibit trie have no patch path
+            /// and always decline. On a decline the caller rebuilds.
             fn apply_delta(
                 &mut self,
                 changed: &[Prefix<$addr>],
@@ -106,8 +107,7 @@ pub enum LpmAlgorithm {
     /// sensible per-LC choice for SPAL; provided as the §2.1 baseline.
     Dir24,
     /// Multibit trie with controlled prefix expansion, 16/8/8 strides —
-    /// the middle ground between the compressed tries and DIR-24-8, and
-    /// fully patchable in place.
+    /// the middle ground between the compressed tries and DIR-24-8.
     Multibit,
     /// Popcount-compressed multibit trie (Poptrie-class) with 16-bit
     /// direct root and cache-line-packed 8-bit-stride nodes — the

@@ -104,25 +104,35 @@ fn full_flush_and_targeted_invalidation_both_stay_consistent() {
 }
 
 #[test]
-fn compressed_engine_churn_is_patched_in_place() {
-    // Lulea re-encodes the touched chunks through `apply_delta`; no
-    // publication of this stream needs a whole-fragment rebuild.
+fn compressed_engine_churn_is_patched_or_rebuilt() {
+    // Poptrie patches the touched stems through `apply_delta`, so no
+    // publication of this stream needs a whole-fragment rebuild. Lulea
+    // has no patch path: the trait default declines every apply and
+    // the control plane rebuilds the LC's fragment each time instead.
     let (table, traces) = setup(2, 1_500);
-    let mut cfg = churn_cfg(2, true);
-    cfg.algorithm = LpmAlgorithm::Lulea;
-    cfg.churn = Some(ChurnConfig {
-        updates: 120,
-        updates_per_publication: 30,
-        withdraw_fraction: 0.3,
-        pace_us: 0,
-    });
-    let report = run(&table, &traces, &cfg);
-    let churn = report.churn.as_ref().expect("churn ran");
-    assert_eq!(churn.updates_applied, 120);
-    assert!(churn.delta_applies > 0);
-    assert_eq!(churn.rebuild_applies, 0);
-    assert_eq!(churn.final_mismatches, 0);
-    assert_eq!(report.spot_check_mismatches(), 0);
+    for (algorithm, patches) in [(LpmAlgorithm::Poptrie, true), (LpmAlgorithm::Lulea, false)] {
+        let mut cfg = churn_cfg(2, true);
+        cfg.algorithm = algorithm;
+        cfg.churn = Some(ChurnConfig {
+            updates: 120,
+            updates_per_publication: 30,
+            withdraw_fraction: 0.3,
+            pace_us: 0,
+        });
+        let report = run(&table, &traces, &cfg);
+        let churn = report.churn.as_ref().expect("churn ran");
+        let label = algorithm.label();
+        assert_eq!(churn.updates_applied, 120, "{label}");
+        if patches {
+            assert!(churn.delta_applies > 0, "{label} never patched");
+            assert_eq!(churn.rebuild_applies, 0, "{label} rebuilt");
+        } else {
+            assert_eq!(churn.delta_applies, 0, "{label} patched");
+            assert!(churn.rebuild_applies > 0, "{label} never rebuilt");
+        }
+        assert_eq!(churn.final_mismatches, 0, "{label}");
+        assert_eq!(report.spot_check_mismatches(), 0, "{label}");
+    }
 }
 
 #[test]

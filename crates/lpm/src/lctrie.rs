@@ -13,9 +13,8 @@
 //! correct (see `lookup_counted`). Branching never inspects bits past the
 //! shortest string in a range, so no leaf prefix can be skipped over.
 
-use crate::{CountedLookup, DeltaStats, Lpm, Tally, Walk, BATCH_LANES};
+use crate::{CountedLookup, Lpm, Tally, Walk, BATCH_LANES};
 use spal_rib::{NextHop, Prefix, RoutingTable};
-use std::collections::{HashMap, HashSet};
 
 /// Modelled bytes per trie node: branch/skip/address packed in 32 bits.
 pub const NODE_BYTES: usize = 4;
@@ -72,19 +71,6 @@ pub struct LcTrie {
     prefixes: Vec<PrefixEntry>,
     fill_factor: f64,
     routes: usize,
-    /// Control-plane index: internal prefix → `prefixes` slot. Retained
-    /// for incremental patching (chain resolution); not part of the
-    /// modelled SRAM footprint.
-    internal_idx: HashMap<Prefix, u32>,
-    /// Control-plane shadow of `prefixes`: the full prefix at each slot
-    /// (the SRAM entry models only the length). Needed to re-thread
-    /// chains when a classification flip inserts or removes a slot.
-    internal_keys: Vec<Prefix>,
-    /// Distinct leaves currently reachable from the node array. Patched
-    /// rebuilds append base segments and strand the old copies, so
-    /// `base.len() - live_base` is the garbage the next full rebuild
-    /// reclaims.
-    live_base: usize,
 }
 
 impl LcTrie {
@@ -170,22 +156,12 @@ impl LcTrie {
             .collect();
         base.sort_by_key(|e| e.bits);
 
-        let internal_idx: HashMap<Prefix, u32> = internal
-            .iter()
-            .enumerate()
-            .map(|(i, &(p, _))| (p, i as u32))
-            .collect();
-        let internal_keys: Vec<Prefix> = internal.iter().map(|&(p, _)| p).collect();
-        let live_base = base.len();
         let mut trie = LcTrie {
             nodes: Vec::new(),
             base,
             prefixes,
             fill_factor,
             routes,
-            internal_idx,
-            internal_keys,
-            live_base,
         };
         if trie.base.is_empty() {
             trie.nodes.push(Node {
@@ -352,441 +328,6 @@ impl LcTrie {
         self.fill_factor
     }
 
-    /// Deepest internal ancestor of `p` currently in the prefix vector.
-    fn chain_of(&self, p: Prefix) -> u32 {
-        let mut cur = p;
-        while let Some(parent) = cur.parent() {
-            cur = parent;
-            if let Some(&i) = self.internal_idx.get(&cur) {
-                return i;
-            }
-        }
-        NONE
-    }
-
-    /// Bits of some leaf in `node_idx`'s subtree — every leaf (including
-    /// empty-slot backers, which are drawn from the same build range)
-    /// agrees with the subtree's common prefix, so any one tells the
-    /// patch path where the subtree lives in address space.
-    fn sample_bits(&self, mut idx: usize) -> u32 {
-        loop {
-            let n = self.nodes[idx];
-            if n.branch == 0 {
-                return self.base[n.adr as usize].bits;
-            }
-            idx = n.adr as usize;
-        }
-    }
-
-    /// Collect the distinct live leaves reachable from `node_idx`.
-    /// Empty-slot backers and stale pre-patch copies repeat a (bits, len)
-    /// key, so dedup by key rather than by base index.
-    fn collect_leaves(
-        &self,
-        node_idx: usize,
-        out: &mut Vec<(u32, u8)>,
-        seen: &mut HashSet<(u32, u8)>,
-    ) {
-        let node = self.nodes[node_idx];
-        if node.branch == 0 {
-            if node.adr == NONE {
-                return;
-            }
-            let e = self.base[node.adr as usize];
-            if seen.insert((e.bits, e.len)) {
-                out.push((e.bits, e.len));
-            }
-            return;
-        }
-        for c in 0..(1usize << node.branch) {
-            self.collect_leaves(node.adr as usize + c, out, seen);
-        }
-    }
-
-    /// Dirty-subtrie rebuild: re-derive `node_idx`'s subtree from its
-    /// live leaves (±`add`/`remove`), writing the leaves as a fresh
-    /// contiguous base segment and splicing the new child nodes onto the
-    /// shared arena. Old nodes and base entries are stranded as garbage;
-    /// stale base copies stay valid for the empty-slot backers elsewhere
-    /// that still reference them (their bits and chains are unchanged,
-    /// and a backed slot can never full-match its backer). Next hops are
-    /// refreshed from `rib` so stale copies collected through backers
-    /// cannot resurrect old targets.
-    fn rebuild_at(
-        &mut self,
-        node_idx: usize,
-        pos: u8,
-        rib: &RoutingTable,
-        add: Option<Prefix>,
-        remove: Option<Prefix>,
-    ) -> Option<usize> {
-        let mut seen = HashSet::new();
-        let mut keys = Vec::new();
-        self.collect_leaves(node_idx, &mut keys, &mut seen);
-        let pre = keys.len();
-        if let Some(p) = add {
-            if seen.insert((p.bits(), p.len())) {
-                keys.push((p.bits(), p.len()));
-            }
-        }
-        if let Some(p) = remove {
-            keys.retain(|&(b, l)| (b, l) != (p.bits(), p.len()));
-        }
-        let mut entries: Vec<BaseEntry> = Vec::new();
-        for (b, l) in keys {
-            let q = Prefix::new(b, l).expect("stored prefixes are canonical");
-            if let Some(nh) = rib.get(q) {
-                entries.push(BaseEntry {
-                    bits: b,
-                    len: l,
-                    next_hop: nh,
-                    chain: self.chain_of(q),
-                });
-            }
-        }
-        entries.sort_by_key(|e| e.bits);
-        let n = entries.len();
-        if node_idx == 0 {
-            // Root-spanning change (e.g. an announce shorter than every
-            // current leaf): compact instead of stranding the whole old
-            // structure as garbage — clear both arenas and rebuild from
-            // the live leaf set. Chains were recomputed per entry above;
-            // the prefix vector is untouched.
-            self.nodes.clear();
-            self.base.clear();
-            self.live_base = n;
-            let adr = if n == 0 { NONE } else { 0 };
-            self.nodes.push(Node {
-                branch: 0,
-                skip: 0,
-                adr,
-            });
-            self.base.extend(entries);
-            if n > 1 {
-                self.subdivide(0, 0, n, 0);
-            }
-            return Some(NODE_BYTES * self.nodes.len() + BASE_BYTES * n);
-        }
-        if n == 0 {
-            // Every distinct leaf under this node was a stale backer copy
-            // of an already-withdrawn prefix (the rib refresh dropped them
-            // all). Only the root may become an empty leaf; anywhere else
-            // the slot must keep backing an ancestor match we cannot
-            // derive locally, so decline and let the caller rebuild.
-            return None;
-        }
-        self.live_base = self.live_base + n - pre.min(self.live_base);
-        let first = self.base.len();
-        self.base.extend(entries);
-        let nodes_before = self.nodes.len();
-        if n == 0 {
-            self.nodes[node_idx] = Node {
-                branch: 0,
-                skip: 0,
-                adr: NONE,
-            };
-        } else {
-            self.subdivide(node_idx, first, n, pos);
-        }
-        Some(NODE_BYTES * (1 + self.nodes.len() - nodes_before) + BASE_BYTES * n)
-    }
-
-    /// Insert (or re-target) the leaf prefix `p`. The walk descends while
-    /// `p` agrees with each subtree's common prefix and is long enough to
-    /// index a full branch slot; an empty slot takes the new leaf
-    /// directly, anything structural falls back to [`LcTrie::rebuild_at`]
-    /// on the deepest covering node.
-    fn insert_leaf(&mut self, p: Prefix, rib: &RoutingTable) -> Option<usize> {
-        let nh = rib.get(p)?;
-        let root = self.nodes[0];
-        if root.branch == 0 {
-            if root.adr == NONE {
-                let bi = self.base.len() as u32;
-                self.base.push(BaseEntry {
-                    bits: p.bits(),
-                    len: p.len(),
-                    next_hop: nh,
-                    chain: self.chain_of(p),
-                });
-                self.nodes[0] = Node {
-                    branch: 0,
-                    skip: 0,
-                    adr: bi,
-                };
-                self.live_base += 1;
-                return Some(NODE_BYTES + BASE_BYTES);
-            }
-            let e = self.base[root.adr as usize];
-            if (e.bits, e.len) == (p.bits(), p.len()) {
-                self.base[root.adr as usize].next_hop = nh;
-                return Some(BASE_BYTES);
-            }
-            return self.rebuild_at(0, 0, rib, Some(p), None);
-        }
-        let mut node_idx = 0usize;
-        let mut pos = 0u8;
-        loop {
-            let node = self.nodes[node_idx];
-            let sample = self.sample_bits(node_idx);
-            let bp = pos + node.skip;
-            let agree = ((p.bits() ^ sample).leading_zeros() as u8).min(32);
-            if agree < bp || (p.len() as u16) < bp as u16 + node.branch as u16 {
-                // Diverges inside the skip, or too short to occupy a
-                // single slot: re-derive this subtree with `p` included
-                // (subdivide re-caps the branch at the new shortest).
-                return self.rebuild_at(node_idx, pos, rib, Some(p), None);
-            }
-            let shift = 32 - bp as u32 - node.branch as u32;
-            let idx = ((p.bits() >> shift) as usize) & ((1usize << node.branch) - 1);
-            let child = node.adr as usize + idx;
-            let cnode = self.nodes[child];
-            if cnode.branch != 0 {
-                node_idx = child;
-                pos = bp + node.branch;
-                continue;
-            }
-            let e = self.base[cnode.adr as usize];
-            let epat = ((e.bits >> shift) as usize) & ((1usize << node.branch) - 1);
-            if epat != idx {
-                // Empty-backed slot: the new leaf claims it outright.
-                // Existing empty-slot backings stay correct — `p` adds no
-                // internal prefix, and addresses matching `p` now route
-                // to this very slot.
-                let bi = self.base.len() as u32;
-                self.base.push(BaseEntry {
-                    bits: p.bits(),
-                    len: p.len(),
-                    next_hop: nh,
-                    chain: self.chain_of(p),
-                });
-                self.nodes[child] = Node {
-                    branch: 0,
-                    skip: 0,
-                    adr: bi,
-                };
-                self.live_base += 1;
-                return Some(NODE_BYTES + BASE_BYTES);
-            }
-            if (e.bits, e.len) == (p.bits(), p.len()) {
-                self.base[cnode.adr as usize].next_hop = nh;
-                return Some(BASE_BYTES);
-            }
-            // Slot already holds a different leaf: split via subtree
-            // rebuild at the covering node.
-            return self.rebuild_at(node_idx, pos, rib, Some(p), None);
-        }
-    }
-
-    /// Withdraw the leaf prefix `p`, rebuilding its parent node's subtree
-    /// without it. Absent prefixes (including walks that diverge inside
-    /// skipped bits) are a no-op.
-    fn withdraw_leaf(&mut self, p: Prefix, rib: &RoutingTable) -> Option<usize> {
-        let root = self.nodes[0];
-        if root.branch == 0 {
-            if root.adr != NONE {
-                let e = self.base[root.adr as usize];
-                if (e.bits, e.len) == (p.bits(), p.len()) {
-                    self.nodes[0] = Node {
-                        branch: 0,
-                        skip: 0,
-                        adr: NONE,
-                    };
-                    self.live_base -= 1;
-                    return Some(NODE_BYTES);
-                }
-            }
-            return Some(0);
-        }
-        let mut node_idx = 0usize;
-        let mut pos = 0u8;
-        loop {
-            let node = self.nodes[node_idx];
-            let bp = pos + node.skip;
-            if (p.len() as u16) < bp as u16 + node.branch as u16 {
-                return Some(0); // cannot be a leaf under this branch
-            }
-            let shift = 32 - bp as u32 - node.branch as u32;
-            let idx = ((p.bits() >> shift) as usize) & ((1usize << node.branch) - 1);
-            let child = node.adr as usize + idx;
-            let cnode = self.nodes[child];
-            if cnode.branch != 0 {
-                node_idx = child;
-                pos = bp + node.branch;
-                continue;
-            }
-            let e = self.base[cnode.adr as usize];
-            if (e.bits, e.len) == (p.bits(), p.len()) {
-                return self.rebuild_at(node_idx, pos, rib, None, Some(p));
-            }
-            return Some(0);
-        }
-    }
-
-    /// Append `p` to the prefix vector (new internal route, or a leaf →
-    /// internal flip) and re-thread chains: every entry strictly below
-    /// `p` whose chain currently skips past it must now stop at `p`
-    /// first. Stale base copies are re-threaded too — they still serve
-    /// as chain heads for backed slots. Returns modelled bytes touched.
-    fn add_internal(&mut self, p: Prefix, nh: NextHop) -> usize {
-        let j = self.prefixes.len() as u32;
-        self.prefixes.push(PrefixEntry {
-            len: p.len(),
-            next_hop: nh,
-            chain: self.chain_of(p),
-        });
-        self.internal_keys.push(p);
-        self.internal_idx.insert(p, j);
-        let mut touched = PREFIX_BYTES;
-        // A chain pointer shallower than p (or NONE) on a strict
-        // descendant means the chain skips p; deeper pointers reach p
-        // transitively once their own entries are re-threaded.
-        for i in 0..self.base.len() {
-            let e = self.base[i];
-            let q = Prefix::new(e.bits, e.len).expect("stored prefixes are canonical");
-            if q != p && p.contains(q) {
-                let c = self.base[i].chain;
-                if c == NONE || self.prefixes[c as usize].len < p.len() {
-                    self.base[i].chain = j;
-                    touched += 4;
-                }
-            }
-        }
-        for qi in 0..self.internal_keys.len() {
-            let q = self.internal_keys[qi];
-            if q != p && p.contains(q) {
-                let c = self.prefixes[qi].chain;
-                if c == NONE || self.prefixes[c as usize].len < p.len() {
-                    self.prefixes[qi].chain = j;
-                    touched += 4;
-                }
-            }
-        }
-        touched
-    }
-
-    /// Remove `p` from the prefix vector (internal withdraw, or an
-    /// internal → leaf flip), re-threading every chain through it to its
-    /// own next ancestor and patching up the swap-removed slot's index.
-    /// Returns modelled bytes touched.
-    fn remove_internal(&mut self, p: Prefix) -> usize {
-        let i = self
-            .internal_idx
-            .remove(&p)
-            .expect("flip source is internal");
-        let removed = self.prefixes.swap_remove(i as usize);
-        self.internal_keys.swap_remove(i as usize);
-        let last = self.prefixes.len() as u32; // old index of the entry now at i
-        if i != last {
-            let moved = self.internal_keys[i as usize];
-            self.internal_idx.insert(moved, i);
-        }
-        // If p's own ancestor sat in the slot that just moved, chase it.
-        let bypass = if removed.chain == last && i != last {
-            i
-        } else {
-            removed.chain
-        };
-        let mut touched = PREFIX_BYTES;
-        for e in &mut self.base {
-            if e.chain == i {
-                e.chain = bypass;
-                touched += 4;
-            } else if e.chain == last {
-                e.chain = i;
-                touched += 4;
-            }
-        }
-        for pe in &mut self.prefixes {
-            if pe.chain == i {
-                pe.chain = bypass;
-                touched += 4;
-            } else if pe.chain == last {
-                pe.chain = i;
-                touched += 4;
-            }
-        }
-        touched
-    }
-
-    /// After removing `p` from the route set, the deepest stored internal
-    /// ancestor may have lost its last strict descendant; flip it back to
-    /// a leaf. At most one ancestor can flip — any shallower internal
-    /// ancestor keeps the flipped route itself as a strict descendant.
-    /// Ancestors withdrawn in the same batch are skipped; their own
-    /// `changed` entry removes them.
-    fn flip_childless_ancestor(&mut self, p: Prefix, rib: &RoutingTable) -> Option<usize> {
-        let mut anc = p;
-        while let Some(a) = anc.parent() {
-            anc = a;
-            if self.internal_idx.contains_key(&anc)
-                && rib.get(anc).is_some()
-                && !rib.has_strict_descendant_except(anc, &[])
-            {
-                let bytes = self.remove_internal(anc);
-                return Some(bytes + self.insert_leaf(anc, rib)?);
-            }
-        }
-        Some(0)
-    }
-
-    /// Patch one changed prefix, or `None` to demand a full rebuild.
-    /// Leaf announces/withdrawals rebuild the deepest covering subtree;
-    /// internal re-targets write one prefix-vector slot; leaf/internal
-    /// classification flips move the prefix between the base and prefix
-    /// vectors with a chain re-thread (including flips induced on stored
-    /// ancestors). The only remaining decline is a subtree whose live
-    /// leaves all vanished under a non-root node (`rebuild_at`).
-    fn patch_prefix(&mut self, p: Prefix, rib: &RoutingTable) -> Option<usize> {
-        let now = rib.get(p);
-        let was_internal = self.internal_idx.contains_key(&p);
-        match now {
-            Some(nh) if was_internal => {
-                if rib.has_strict_descendant_except(p, &[]) {
-                    let i = self.internal_idx[&p] as usize;
-                    self.prefixes[i].next_hop = nh;
-                    Some(PREFIX_BYTES)
-                } else {
-                    // internal → leaf flip: the descendants are gone.
-                    let bytes = self.remove_internal(p);
-                    Some(bytes + self.insert_leaf(p, rib)?)
-                }
-            }
-            None if was_internal => {
-                // Internal withdraw: descendants' chains bypass p, and an
-                // internal ancestor left childless flips back to a leaf.
-                let bytes = self.remove_internal(p);
-                Some(bytes + self.flip_childless_ancestor(p, rib)?)
-            }
-            Some(nh) => {
-                if rib.has_strict_descendant_except(p, &[]) {
-                    // New internal route, or a leaf → internal flip.
-                    let bytes = self.add_internal(p, nh);
-                    Some(bytes + self.withdraw_leaf(p, rib)?)
-                } else {
-                    // Stored strict ancestors not yet internal flip first,
-                    // so p's chain (and its subtree rebuilds) resolve
-                    // through them.
-                    let mut bytes = 0usize;
-                    let mut anc = p;
-                    while let Some(a) = anc.parent() {
-                        anc = a;
-                        if let Some(anh) = rib.get(anc) {
-                            if !self.internal_idx.contains_key(&anc) {
-                                bytes += self.add_internal(anc, anh);
-                                bytes += self.withdraw_leaf(anc, rib)?;
-                            }
-                        }
-                    }
-                    Some(bytes + self.insert_leaf(p, rib)?)
-                }
-            }
-            None => {
-                let bytes = self.withdraw_leaf(p, rib)?;
-                Some(bytes + self.flip_childless_ancestor(p, rib)?)
-            }
-        }
-    }
-
     /// Mean depth (trie nodes visited) over all leaves — the quantity
     /// level compression minimises.
     pub fn mean_leaf_depth(&self) -> f64 {
@@ -837,29 +378,7 @@ fn has_proper_descendant(
 impl Lpm for LcTrie {
     walk_lookups!(u32, BATCH_LANES);
 
-    /// Dirty-subtrie patching. Leaf announces, withdrawals and
-    /// re-targets rebuild only the deepest covering node's subtree;
-    /// internal re-targets write one prefix-vector slot; leaf/internal
-    /// classification flips splice the prefix vector and re-thread
-    /// chains. Garbage buildup (stranded base segments exceeding the
-    /// live leaf count) declines, handing the caller a full rebuild
-    /// that reclaims the stranded space.
-    fn apply_delta(&mut self, changed: &[Prefix], rib: &RoutingTable) -> Option<DeltaStats> {
-        if self.base.len() > (2 * self.live_base).max(64) {
-            return None; // stranded segments dominate: rebuild reclaims them
-        }
-        let mut stats = DeltaStats::default();
-        for &p in changed {
-            stats.bytes_touched += self.patch_prefix(p, rib)?;
-            stats.prefixes_applied += 1;
-        }
-        self.routes = rib.len();
-        Some(stats)
-    }
-
     fn storage_bytes(&self) -> usize {
-        // Includes stranded patch garbage: it occupies SRAM until the
-        // next full rebuild reclaims it.
         self.nodes.len() * NODE_BYTES
             + self.base.len() * BASE_BYTES
             + self.prefixes.len() * PREFIX_BYTES
@@ -1088,195 +607,6 @@ mod tests {
     #[should_panic]
     fn zero_fill_factor_rejected() {
         let _ = LcTrie::build_with_fill(&RoutingTable::new(), 0.0);
-    }
-
-    #[test]
-    fn delta_patch_matches_rebuild() {
-        let mut rt = table(&[
-            ("10.0.0.0/8", 1),
-            ("10.1.0.0/16", 2),
-            ("10.1.2.0/24", 3),
-            ("10.9.0.0/16", 4),
-            ("192.168.0.0/24", 5),
-        ]);
-        let mut trie = LcTrie::build(&rt);
-        // (prefix, next hop or withdraw, patch must succeed)
-        let steps: &[(&str, Option<u16>, bool)] = &[
-            ("10.9.0.0/16", Some(14), true),   // leaf re-target in place
-            ("10.0.0.0/8", Some(11), true),    // internal re-target in place
-            ("192.168.1.0/24", Some(6), true), // new leaf near a sibling
-            ("172.16.0.0/12", Some(7), true),  // new leaf in fresh space
-            ("192.168.1.0/24", None, true),    // withdraw rebuilds the parent
-            ("10.9.0.0/16", None, true),       // withdraw a build-time leaf
-            ("10.1.0.0/16", None, true),       // internal withdraw re-threads
-            ("10.1.2.9/32", Some(8), true),    // flips 10.1.2.0/24 to internal
-            ("10.1.2.9/32", None, true),       // flips it back to a leaf
-        ];
-        for &(s, nh, expect_patch) in steps {
-            let p: Prefix = s.parse().unwrap();
-            match nh {
-                Some(nh) => {
-                    rt.insert(RouteEntry {
-                        prefix: p,
-                        next_hop: NextHop(nh),
-                    });
-                }
-                None => {
-                    rt.remove(p);
-                }
-            }
-            match trie.apply_delta(&[p], &rt) {
-                Some(stats) => {
-                    assert!(expect_patch, "expected decline after {s}");
-                    assert_eq!(stats.prefixes_applied, 1);
-                }
-                None => {
-                    assert!(!expect_patch, "expected patch after {s}");
-                    trie = LcTrie::build(&rt); // the contract: caller rebuilds
-                }
-            }
-            let fresh = LcTrie::build(&rt);
-            let mut probes: Vec<u32> = vec![0, 1, u32::MAX, 0x0A01_0203, 0xC0A8_0105, 0xAC10_0001];
-            for e in rt.entries() {
-                for a in [e.prefix.first_addr(), e.prefix.last_addr()] {
-                    probes.push(a);
-                    probes.push(a.wrapping_sub(1));
-                    probes.push(a.wrapping_add(1));
-                }
-            }
-            for &a in &probes {
-                assert_eq!(
-                    trie.lookup(a),
-                    fresh.lookup(a),
-                    "patched vs rebuilt at {a:#010x} after {s}"
-                );
-                assert_eq!(
-                    trie.lookup(a),
-                    rt.longest_match(a).map(|e| e.next_hop),
-                    "patched vs oracle at {a:#010x} after {s}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn delta_patches_classification_flips() {
-        // Withdrawing the /16 leaves the internal /8 without descendants:
-        // /8 must flip back to a leaf inside the patch.
-        let rt0 = table(&[("10.0.0.0/8", 1), ("10.1.0.0/16", 2)]);
-        let mut trie = LcTrie::build(&rt0);
-        let mut rt = rt0.clone();
-        rt.remove("10.1.0.0/16".parse().unwrap());
-        assert!(trie
-            .apply_delta(&["10.1.0.0/16".parse().unwrap()], &rt)
-            .is_some());
-        assert_eq!(trie.lookup(0x0A01_0203), Some(NextHop(1)));
-        assert_eq!(trie.lookup(0x0B00_0000), None);
-        // A later re-target of the flipped /8 must hit the leaf copy.
-        rt.insert(RouteEntry {
-            prefix: "10.0.0.0/8".parse().unwrap(),
-            next_hop: NextHop(7),
-        });
-        assert!(trie
-            .apply_delta(&["10.0.0.0/8".parse().unwrap()], &rt)
-            .is_some());
-        assert_eq!(trie.lookup(0x0A01_0203), Some(NextHop(7)));
-
-        // Announcing below the leaf /16 flips it to internal; lookups
-        // between the two must now chain through it.
-        let mut trie = LcTrie::build(&rt0);
-        let mut rt = rt0.clone();
-        let deep: Prefix = "10.1.2.0/24".parse().unwrap();
-        rt.insert(RouteEntry {
-            prefix: deep,
-            next_hop: NextHop(3),
-        });
-        assert!(trie.apply_delta(&[deep], &rt).is_some());
-        assert_eq!(trie.lookup(0x0A01_0203), Some(NextHop(3)));
-        assert_eq!(trie.lookup(0x0A01_0303), Some(NextHop(2)));
-        assert_eq!(trie.lookup(0x0A02_0000), Some(NextHop(1)));
-
-        // A batch whose announce order lists the deep leaf before its
-        // brand-new ancestors forces the ancestor-flip walk.
-        let mut rt = rt0.clone();
-        let mut trie = LcTrie::build(&rt);
-        for (s, nh) in [("10.1.2.0/24", 3), ("10.1.2.0/25", 4), ("10.1.2.0/26", 5)] {
-            rt.insert(RouteEntry {
-                prefix: s.parse().unwrap(),
-                next_hop: NextHop(nh),
-            });
-        }
-        let changed: Vec<Prefix> = ["10.1.2.0/26", "10.1.2.0/25", "10.1.2.0/24"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        assert!(trie.apply_delta(&changed, &rt).is_some());
-        let fresh = LcTrie::build(&rt);
-        for a in [
-            0x0A01_0200u32,
-            0x0A01_0250,
-            0x0A01_02C0,
-            0x0A01_0300,
-            0x0A02_0000,
-        ] {
-            assert_eq!(trie.lookup(a), fresh.lookup(a), "addr {a:#010x}");
-            assert_eq!(trie.lookup(a), rt.longest_match(a).map(|e| e.next_hop));
-        }
-    }
-
-    /// DFZ-shaped churn regression: before classification flips were
-    /// patchable, every 256-update batch at this nesting density
-    /// declined (8/8 at both 150k and 1M — see EXPERIMENTS.md E25). The
-    /// patch path must absorb whole batches and stay oracle-equivalent.
-    #[test]
-    fn delta_survives_dfz_churn_without_decline() {
-        use spal_rib::updates::{update_stream, Update, UpdateStreamConfig};
-        let table = synth::synthesize(&synth::SynthConfig::dfz2026(8_000, 0xFEE1));
-        let mut trie = LcTrie::build(&table);
-        let (updates, fin) = update_stream(
-            &table,
-            &UpdateStreamConfig {
-                count: 600,
-                withdraw_fraction: 0.3,
-                seed: 0xBEEF,
-            },
-        );
-        let mut rib = table.clone();
-        let mut declines = 0usize;
-        for chunk in updates.chunks(64) {
-            let mut changed: Vec<Prefix> = Vec::new();
-            for &u in chunk {
-                let p = match u {
-                    Update::Announce(e) => e.prefix,
-                    Update::Withdraw(p) => p,
-                };
-                if !changed.contains(&p) {
-                    changed.push(p);
-                }
-                spal_rib::updates::apply(&mut rib, u);
-            }
-            if trie.apply_delta(&changed, &rib).is_none() {
-                declines += 1;
-                trie = LcTrie::build(&rib);
-            }
-        }
-        assert_eq!(rib.len(), fin.len());
-        // The garbage guard may still fire late in a long stream; the
-        // flip paths themselves must not decline on the first batches.
-        assert!(
-            declines <= 2,
-            "classification flips regressed to declines: {declines}/10 batches"
-        );
-        let fresh = LcTrie::build(&fin);
-        let mut addrs: Vec<u32> = Vec::new();
-        for e in fin.entries().iter().step_by(7) {
-            addrs.push(e.prefix.first_addr());
-            addrs.push(e.prefix.first_addr() ^ 1);
-            addrs.push(e.prefix.last_addr());
-        }
-        for &a in &addrs {
-            assert_eq!(trie.lookup(a), fresh.lookup(a), "addr {a:#010x}");
-        }
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //! pointer, chunk reads, next-hop table), which on backbone tables lands
 //! near the 6–7 accesses/lookup the paper measures in §5.1.
 
-use crate::{prefetch_slice, CountedLookup, DeltaStats, Forward, Lpm, Tally, Walk};
-use spal_rib::{NextHop, Prefix, RoutingTable};
-use std::collections::{BTreeMap, HashMap};
+use crate::{prefetch_slice, CountedLookup, Lpm, Tally, Walk};
+use spal_rib::{NextHop, RoutingTable};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Number of slots per chunk at levels 2 and 3.
@@ -205,11 +205,6 @@ impl CodedVector {
     #[inline]
     fn base(&self, j: usize) -> u32 {
         self.groups[j / 4].base
-    }
-
-    /// Number of codewords.
-    fn n_codewords(&self) -> usize {
-        self.groups.len() * 4
     }
 
     /// Index of the head governing slot `pos`, tallying the codeword,
@@ -440,86 +435,6 @@ pub struct LuleaTrie {
     l3: Vec<Chunk>,
     next_hops: Vec<NextHop>,
     routes: usize,
-    /// Control-plane update state — not part of the lookup SRAM image
-    /// (excluded from [`Lpm::storage_bytes`]), retained so
-    /// [`Lpm::apply_delta`] can re-encode only the regions a route
-    /// change touches.
-    upd: UpdateState,
-}
-
-/// Uncompressed shadow of the level-1 cut plus the intern map and chunk
-/// free lists — everything an in-place patch needs that the compressed
-/// image throws away.
-#[derive(Debug)]
-struct UpdateState {
-    /// The 2^16 level-1 slot values (post chunk substitution).
-    slots: Vec<Val>,
-    /// The level-1 head vector the codewords currently encode.
-    heads: Vec<bool>,
-    /// Next-hop interning map (`next_hops` index by value).
-    nh_index: HashMap<NextHop, u16>,
-    /// Level-2 chunk ids freed by withdrawals, reused before growing.
-    free_l2: Vec<u32>,
-    /// Level-3 chunk ids freed by withdrawals, reused before growing.
-    free_l3: Vec<u32>,
-}
-
-/// Intern a next hop, returning its `Val::Nh` index.
-fn intern_val(
-    next_hops: &mut Vec<NextHop>,
-    nh_index: &mut HashMap<NextHop, u16>,
-    nh: NextHop,
-) -> Val {
-    let idx = *nh_index.entry(nh).or_insert_with(|| {
-        let i = next_hops.len() as u16;
-        next_hops.push(nh);
-        i
-    });
-    Val::Nh(idx)
-}
-
-/// Store `chunk` in `l3`, reusing a freed slot when one exists.
-fn alloc_l3(l3: &mut Vec<Chunk>, free_l3: &mut Vec<u32>, chunk: Chunk) -> u32 {
-    match free_l3.pop() {
-        Some(id) => {
-            l3[id as usize] = chunk;
-            id
-        }
-        None => {
-            let id = l3.len() as u32;
-            l3.push(chunk);
-            id
-        }
-    }
-}
-
-/// A freed chunk's replacement: one head covering the whole range,
-/// resolving to a miss. Never looked up (nothing references a freed id);
-/// exists so freed slots don't pin their old arrays.
-fn placeholder_chunk() -> Chunk {
-    Chunk::Sparse {
-        heads: vec![0],
-        ptrs: vec![Val::Miss],
-    }
-}
-
-/// The level-3 chunk ids a level-2 chunk points at.
-fn chunk_sub_ids(chunk: &Chunk) -> Vec<u32> {
-    let ptrs = match chunk {
-        Chunk::Sparse { ptrs, .. } => ptrs,
-        Chunk::Dense { ptrs, .. } | Chunk::VeryDense { ptrs, .. } => ptrs,
-    };
-    ptrs.iter()
-        .filter_map(|v| match v {
-            Val::Sub(id) => Some(*id),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Whether every slot in the region holds the same value.
-fn region_uniform(slots: &[Val]) -> bool {
-    slots.iter().all(|v| *v == slots[0])
 }
 
 impl LuleaTrie {
@@ -527,7 +442,14 @@ impl LuleaTrie {
     pub fn build(table: &RoutingTable) -> Self {
         let mut next_hops: Vec<NextHop> = Vec::new();
         let mut nh_index: HashMap<NextHop, u16> = HashMap::new();
-        let mut intern = |nh: NextHop| -> Val { intern_val(&mut next_hops, &mut nh_index, nh) };
+        let mut intern = |nh: NextHop| -> Val {
+            let idx = *nh_index.entry(nh).or_insert_with(|| {
+                let i = next_hops.len() as u16;
+                next_hops.push(nh);
+                i
+            });
+            Val::Nh(idx)
+        };
 
         // Level-1 slot values from routes of length <= 16, shortest first
         // (so longer routes overwrite inside their ranges).
@@ -560,7 +482,7 @@ impl LuleaTrie {
         bases.sort_by_key(|&(b, _)| b);
         for (base, routes) in bases {
             let default = slots[base];
-            let chunk = build_chunk(&routes, 16, default, &mut l3, &mut Vec::new(), &mut intern);
+            let chunk = build_chunk(&routes, 16, default, &mut l3, &mut intern);
             let id = l2.len() as u32;
             l2.push(chunk);
             slots[base] = Val::Sub(id);
@@ -582,13 +504,6 @@ impl LuleaTrie {
             l3,
             next_hops,
             routes: table.len(),
-            upd: UpdateState {
-                slots,
-                heads,
-                nh_index,
-                free_l2: Vec::new(),
-                free_l3: Vec::new(),
-            },
         }
     }
 
@@ -618,298 +533,6 @@ impl LuleaTrie {
                 .map(Chunk::head_count)
                 .sum::<usize>()
     }
-
-    /// Free a level-2 chunk and its level-3 descendants, leaving their
-    /// ids on the free lists for reuse.
-    fn free_l2_chunk(&mut self, id: u32) {
-        for sub in chunk_sub_ids(&self.l2[id as usize]) {
-            self.l3[sub as usize] = placeholder_chunk();
-            self.upd.free_l3.push(sub);
-        }
-        self.l2[id as usize] = placeholder_chunk();
-        self.upd.free_l2.push(id);
-    }
-
-    /// Modelled bytes of a level-2 chunk tree (the chunk plus its
-    /// level-3 children) — the work a chunk rebuild touches.
-    fn tree_bytes(&self, chunk: &Chunk) -> usize {
-        chunk.model_bytes()
-            + chunk_sub_ids(chunk)
-                .iter()
-                .map(|&id| self.l3[id as usize].model_bytes())
-                .sum::<usize>()
-    }
-
-    /// Re-encode the level-1 structure after the (aligned, power-of-two
-    /// sized) slot range `[lo, lo+size)` takes the values `new_vals`.
-    ///
-    /// The rewritten region grows past the range only as far as head
-    /// positions can actually change: while the parent buddy region was
-    /// uniform *before* the write (its single interval is about to
-    /// split, surfacing heads in the sibling) or is uniform *after* it
-    /// (the sibling's intervals merge away). Every strict ancestor of
-    /// the final region is then non-uniform under both the old and new
-    /// slot values, so the decomposition reaches the region both times
-    /// and heads outside it cannot move. Within the region: recompute
-    /// the head vector, splice the pointer array, re-encode the touched
-    /// 16-slot codeword groups, and shift the downstream bases (plus the
-    /// same-group codeword offsets) by the head-count delta. Returns
-    /// modelled bytes touched.
-    fn patch_l1_range(&mut self, lo: usize, size: usize, new_vals: &[Val]) -> usize {
-        debug_assert!(size.is_power_of_two() && lo.is_multiple_of(size));
-        debug_assert_eq!(new_vals.len(), size);
-        let (mut lo, mut size) = (lo, size);
-        let orig_lo = lo;
-        // Grow while the parent's single old interval is about to split.
-        while size < L1_SLOTS {
-            let plo = lo & !(2 * size - 1);
-            if region_uniform(&self.upd.slots[plo..plo + 2 * size]) {
-                lo = plo;
-                size *= 2;
-            } else {
-                break;
-            }
-        }
-        self.upd.slots[orig_lo..orig_lo + new_vals.len()].copy_from_slice(new_vals);
-        // Grow while the new values merge the parent into one interval.
-        while size < L1_SLOTS {
-            let plo = lo & !(2 * size - 1);
-            if region_uniform(&self.upd.slots[plo..plo + 2 * size]) {
-                lo = plo;
-                size *= 2;
-            } else {
-                break;
-            }
-        }
-
-        // The region's start always carries a head in the old encoding
-        // (the old decomposition visits the region: every strict
-        // ancestor is non-uniform), so its pointer index locates the
-        // splice point.
-        debug_assert!(self.upd.heads[lo]);
-        let first_idx = self.l1.head_index(maptable(), lo, REGION_L1, &mut Forward);
-        let new_heads = head_vector(&self.upd.slots[lo..lo + size]);
-        let h_old = self.upd.heads[lo..lo + size].iter().filter(|&&h| h).count();
-        let h_new = new_heads.iter().filter(|&&h| h).count();
-        let new_ptrs: Vec<Val> = new_heads
-            .iter()
-            .enumerate()
-            .filter(|&(_, &h)| h)
-            .map(|(q, _)| self.upd.slots[lo + q])
-            .collect();
-        self.l1_ptrs.splice(first_idx..first_idx + h_old, new_ptrs);
-        self.upd.heads[lo..lo + size].copy_from_slice(&new_heads);
-
-        // Re-encode the touched codeword groups; `cum` starts from the
-        // old arithmetic, valid because everything before the region is
-        // untouched.
-        let mt = maptable();
-        let g0 = lo / 16;
-        let g1 = (lo + size - 1) / 16;
-        let mut cum: u32 = self.l1.base(g0) + self.l1.cw(g0).six as u32;
-        for g in g0..=g1 {
-            if g % 4 == 0 {
-                self.l1.groups[g / 4].base = cum;
-            }
-            let six = cum - self.l1.groups[g / 4].base;
-            let mut pat: u16 = 0;
-            for p in 0..16 {
-                if self.upd.heads[g * 16 + p] {
-                    pat |= 1 << (15 - p);
-                }
-            }
-            let ten = *mt
-                .index
-                .get(&pat)
-                .unwrap_or_else(|| panic!("invalid cut pattern {pat:#018b}"));
-            self.l1.groups[g / 4].cws[g % 4] = Codeword {
-                ten,
-                six: six as u16,
-            };
-            cum += pat.count_ones();
-        }
-        let delta = h_new as i64 - h_old as i64;
-        let mut bases_shifted = 0usize;
-        if delta != 0 {
-            let mut g = g1 + 1;
-            while g < self.l1.n_codewords() && g % 4 != 0 {
-                let cw = &mut self.l1.groups[g / 4].cws[g % 4];
-                cw.six = (cw.six as i64 + delta) as u16;
-                g += 1;
-            }
-            for k in (g1 / 4 + 1)..self.l1.groups.len() {
-                self.l1.groups[k].base = (self.l1.groups[k].base as i64 + delta) as u32;
-            }
-            bases_shifted = self.l1.groups.len().saturating_sub(g1 / 4 + 1);
-        }
-        // Modelled bytes: codewords and bases at 2 B each, spliced-in
-        // pointers at 2 B each. (The pointer-array tail compaction a
-        // splice implies is a bulk memmove the byte model omits, as in
-        // a segmented hardware pointer array.)
-        (g1 - g0 + 1) * 2 + bases_shifted * 2 + h_new * 2
-    }
-
-    /// Patch for a changed prefix of length ≤ 16: repaint the covered
-    /// level-1 slot range from the post-update RIB (rebuilding the chunk
-    /// trees under bases that keep deep routes, freeing those that lost
-    /// them), then re-encode the affected level-1 region.
-    fn patch_shallow(&mut self, p: Prefix, rib: &RoutingTable) -> usize {
-        let start = (p.bits() >> 16) as usize;
-        let count = 1usize << (L1_BITS - p.len());
-        let mut bytes = 0usize;
-
-        // New ≤16-bit values for the range: the value inherited from at
-        // or above `p`, then longer contained routes shortest-first —
-        // the build's fill order restricted to the range.
-        let base_val = match rib.best_cover(p.first_addr(), p.len()) {
-            Some(e) => intern_val(&mut self.next_hops, &mut self.upd.nh_index, e.next_hop),
-            None => Val::Miss,
-        };
-        let mut vals = vec![base_val; count];
-        let mut contained: Vec<_> = rib
-            .range(p.first_addr(), p.last_addr())
-            .iter()
-            .filter(|e| e.prefix.len() > p.len() && e.prefix.len() <= L1_BITS)
-            .collect();
-        contained.sort_by_key(|e| e.prefix.len());
-        for e in contained {
-            let v = intern_val(&mut self.next_hops, &mut self.upd.nh_index, e.next_hop);
-            let s = ((e.prefix.bits() >> 16) as usize) - start;
-            let c = 1usize << (L1_BITS - e.prefix.len());
-            vals[s..s + c].fill(v);
-        }
-
-        // Deep routes in the range, grouped by 16-bit base.
-        let mut deep: BTreeMap<usize, Vec<(u32, u8, NextHop)>> = BTreeMap::new();
-        for e in rib
-            .range(p.first_addr(), p.last_addr())
-            .iter()
-            .filter(|e| e.prefix.len() > L1_BITS)
-        {
-            let base = (e.prefix.bits() >> 16) as usize;
-            deep.entry(base)
-                .or_default()
-                .push((e.prefix.bits(), e.prefix.len(), e.next_hop));
-        }
-
-        // Bases that had a chunk but lost their last deep route (both
-        // withdrawn in this batch): free the chunk; the painted value
-        // already stands in `vals`.
-        let freed: Vec<u32> = (0..count)
-            .filter_map(|i| match self.upd.slots[start + i] {
-                Val::Sub(id) if !deep.contains_key(&(start + i)) => Some(id),
-                _ => None,
-            })
-            .collect();
-        for id in freed {
-            self.free_l2_chunk(id);
-        }
-
-        // Rebuild the chunk tree under every base that keeps deep
-        // routes, seeding it with the (possibly changed) painted value.
-        for (&base, routes) in &deep {
-            let default = vals[base - start];
-            let id = self.rebuild_base_chunk(base, routes, default);
-            vals[base - start] = Val::Sub(id);
-            bytes += self.tree_bytes(&self.l2[id as usize]);
-        }
-
-        bytes + self.patch_l1_range(start, count, &vals)
-    }
-
-    /// Rebuild (or allocate) the level-2 chunk tree for `base`, reusing
-    /// the existing id when the base already had one. Returns the id.
-    fn rebuild_base_chunk(
-        &mut self,
-        base: usize,
-        routes: &[(u32, u8, NextHop)],
-        default: Val,
-    ) -> u32 {
-        // Free the old tree's level-3 children first so the rebuild can
-        // recycle their slots.
-        let old_id = match self.upd.slots[base] {
-            Val::Sub(id) => {
-                for sub in chunk_sub_ids(&self.l2[id as usize]) {
-                    self.l3[sub as usize] = placeholder_chunk();
-                    self.upd.free_l3.push(sub);
-                }
-                Some(id)
-            }
-            _ => None,
-        };
-        let LuleaTrie {
-            ref mut l2,
-            ref mut l3,
-            ref mut next_hops,
-            ref mut upd,
-            ..
-        } = *self;
-        let UpdateState {
-            ref mut nh_index,
-            ref mut free_l2,
-            ref mut free_l3,
-            ..
-        } = *upd;
-        let mut intern = |nh: NextHop| intern_val(next_hops, nh_index, nh);
-        let chunk = build_chunk(routes, 16, default, l3, free_l3, &mut intern);
-        match old_id {
-            Some(id) => {
-                l2[id as usize] = chunk;
-                id
-            }
-            None => match free_l2.pop() {
-                Some(id) => {
-                    l2[id as usize] = chunk;
-                    id
-                }
-                None => {
-                    let id = l2.len() as u32;
-                    l2.push(chunk);
-                    id
-                }
-            },
-        }
-    }
-
-    /// Patch for a changed prefix of length > 16: rebuild the one chunk
-    /// tree under its 16-bit base (allocating or freeing it as deep
-    /// routes appear and disappear), touching level 1 only if the slot's
-    /// value changes.
-    fn patch_deep(&mut self, p: Prefix, rib: &RoutingTable) -> usize {
-        let base = (p.bits() >> 16) as usize;
-        let base_addr = (base as u32) << 16;
-        let routes: Vec<(u32, u8, NextHop)> = rib
-            .range(base_addr, base_addr | 0xFFFF)
-            .iter()
-            .filter(|e| e.prefix.len() > L1_BITS)
-            .map(|e| (e.prefix.bits(), e.prefix.len(), e.next_hop))
-            .collect();
-        let default = match rib.best_cover(base_addr, L1_BITS) {
-            Some(e) => intern_val(&mut self.next_hops, &mut self.upd.nh_index, e.next_hop),
-            None => Val::Miss,
-        };
-        let old = self.upd.slots[base];
-        if routes.is_empty() {
-            if let Val::Sub(id) = old {
-                self.free_l2_chunk(id);
-            }
-            if old != default {
-                self.patch_l1_range(base, 1, &[default])
-            } else {
-                0
-            }
-        } else {
-            let had_chunk = matches!(old, Val::Sub(_));
-            let id = self.rebuild_base_chunk(base, &routes, default);
-            let bytes = self.tree_bytes(&self.l2[id as usize]);
-            if had_chunk {
-                // Same id, same slot value: level 1 is untouched.
-                bytes
-            } else {
-                bytes + self.patch_l1_range(base, 1, &[Val::Sub(id)])
-            }
-        }
-    }
 }
 
 /// Build a level-2 chunk (covering address bits `start..start+8`) for the
@@ -923,7 +546,6 @@ fn build_chunk(
     start: u8,
     default: Val,
     l3: &mut Vec<Chunk>,
-    free_l3: &mut Vec<u32>,
     intern: &mut impl FnMut(NextHop) -> Val,
 ) -> Chunk {
     let mut slots = vec![default; CHUNK_SLOTS];
@@ -950,8 +572,9 @@ fn build_chunk(
     deeper.sort_by_key(|&(s, _)| s);
     for (slot, sub_routes) in deeper {
         let sub_default = slots[slot];
-        let chunk = build_chunk(&sub_routes, end, sub_default, l3, free_l3, intern);
-        let id = alloc_l3(l3, free_l3, chunk);
+        let chunk = build_chunk(&sub_routes, end, sub_default, l3, intern);
+        let id = l3.len() as u32;
+        l3.push(chunk);
         slots[slot] = Val::Sub(id);
     }
     Chunk::build(&slots)
@@ -1115,30 +738,6 @@ impl Walk for LuleaTrie {
 
 impl Lpm for LuleaTrie {
     walk_lookups!(u32, WIDE_LANES);
-
-    /// Chunk-granular patching: each changed prefix re-encodes only the
-    /// level-1 region its range covers (§"patch_l1_range") and rebuilds
-    /// only the chunk trees under bases whose deep routes changed, with
-    /// freed chunk ids recycled through free lists. Fallback rule:
-    /// prefixes shorter than /4 cover ≥ 4096 of the 65536 level-1 slots
-    /// — at that span a patch approaches rebuild cost, so decline.
-    fn apply_delta(&mut self, changed: &[Prefix], rib: &RoutingTable) -> Option<DeltaStats> {
-        if changed.iter().any(|p| p.len() < 4) {
-            return None;
-        }
-        let mut stats = DeltaStats::default();
-        for &p in changed {
-            let bytes = if p.len() <= L1_BITS {
-                self.patch_shallow(p, rib)
-            } else {
-                self.patch_deep(p, rib)
-            };
-            stats.prefixes_applied += 1;
-            stats.bytes_touched += bytes;
-        }
-        self.routes = rib.len();
-        Some(stats)
-    }
 
     fn storage_bytes(&self) -> usize {
         let maptable_bytes = MAPTABLE_ROWS * 16 / 2; // 4-bit entries
@@ -1403,75 +1002,6 @@ mod tests {
             binary.storage_bytes()
         );
         assert!(lulea.total_heads() > 0);
-    }
-
-    #[test]
-    fn delta_patch_matches_rebuild() {
-        let mut rt = table(&[
-            ("10.0.0.0/8", 1),
-            ("10.1.0.0/16", 7),
-            ("10.1.2.0/24", 2),
-            ("10.1.2.128/25", 3),
-            ("10.9.9.9/32", 6),
-        ]);
-        let mut trie = LuleaTrie::build(&rt);
-        let steps: &[(&str, Option<u16>)] = &[
-            ("10.2.0.0/16", Some(9)),    // announce at level 1
-            ("10.1.2.128/25", None),     // withdraw under an l2 chunk
-            ("10.1.2.3/32", Some(4)),    // announce creating an l3 chunk
-            ("10.1.0.0/16", Some(5)),    // re-target: chunk default changes
-            ("10.1.2.0/24", None),       // withdraw inside the chunk
-            ("10.1.2.3/32", None),       // last deep route under the base
-            ("10.9.9.9/32", None),       // free the other chunk
-            ("10.2.0.0/16", None),       // withdraw merges level-1 heads
-            ("172.16.31.0/28", Some(8)), // fresh deep route reuses freed ids
-        ];
-        for &(s, nh) in steps {
-            let p: Prefix = s.parse().unwrap();
-            match nh {
-                Some(nh) => rt.insert(RouteEntry {
-                    prefix: p,
-                    next_hop: NextHop(nh),
-                }),
-                None => {
-                    rt.remove(p);
-                }
-            }
-            trie.apply_delta(&[p], &rt).expect("patchable");
-            let fresh = LuleaTrie::build(&rt);
-            let mut probes: Vec<u32> = Vec::new();
-            for e in rt.entries() {
-                for a in [e.prefix.first_addr(), e.prefix.last_addr()] {
-                    probes.extend([a.wrapping_sub(1), a, a.wrapping_add(1)]);
-                }
-            }
-            probes.extend([0, u32::MAX, 0x0A01_0203, 0x0A09_0909, 0xAC10_1F05]);
-            for probe in probes {
-                assert_eq!(
-                    trie.lookup(probe),
-                    fresh.lookup(probe),
-                    "step {s}, probe {probe:#010x}"
-                );
-                assert_eq!(
-                    trie.lookup(probe),
-                    rt.longest_match(probe).map(|e| e.next_hop),
-                    "oracle at step {s}, probe {probe:#010x}"
-                );
-            }
-            assert_eq!(trie.route_count(), rt.len());
-        }
-    }
-
-    #[test]
-    fn delta_declines_very_short_prefixes() {
-        let rt = table(&[("0.0.0.0/0", 1)]);
-        let mut trie = LuleaTrie::build(&rt);
-        assert!(trie
-            .apply_delta(&["0.0.0.0/0".parse().unwrap()], &rt)
-            .is_none());
-        assert!(trie
-            .apply_delta(&["10.0.0.0/4".parse().unwrap()], &rt)
-            .is_some());
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! expansion that removes backtracking: lookup inspects exactly one
 //! entry per level.
 
-use crate::{CountedLookup, DeltaStats, Lpm, Tally, Walk, BATCH_LANES};
-use spal_rib::{NextHop, Prefix, RouteEntry, RoutingTable};
+use crate::{CountedLookup, Lpm, Tally, Walk, BATCH_LANES};
+use spal_rib::{NextHop, RoutingTable};
 
 const NO_CHILD: u32 = u32::MAX;
 
@@ -148,101 +148,6 @@ impl MultibitTrie {
         }
     }
 
-    /// Dirty-subtrie patch for one changed prefix: walk to the node at
-    /// the prefix's stride boundary (creating path nodes only for an
-    /// announce), reset the covered slot range and repaint it from the
-    /// post-update RIB's routes in this level's length band. Children
-    /// are untouched — deeper routes live in deeper nodes. Returns
-    /// bytes touched.
-    fn patch_prefix(&mut self, p: Prefix, rib: &RoutingTable) -> usize {
-        let bits = p.bits();
-        let len = p.len();
-        let announce = rib.get(p).is_some();
-        let mut node = 0u32;
-        let mut consumed = 0u8;
-        let mut level = 0usize;
-        let mut bytes = 0usize;
-        loop {
-            let stride = self.strides[level];
-            let base = self.nodes[node as usize].base;
-            if len <= consumed + stride {
-                let within = len - consumed;
-                let first = if within == 0 {
-                    0
-                } else {
-                    ((bits >> (32 - consumed - within)) as usize & ((1 << within) - 1))
-                        << (stride - within)
-                };
-                let count = 1usize << (stride - within);
-                for s in &mut self.slots[base + first..base + first + count] {
-                    s.result = None;
-                    s.result_len = 0;
-                }
-                // Candidate routes terminating in this node that overlap
-                // the covered range: ancestors of `p` in this level's
-                // band (they cover the whole range) plus routes
-                // contained in `p`'s range that end within the band.
-                let lo_len = if level == 0 { 0 } else { consumed + 1 };
-                let hi_len = consumed + stride;
-                let mut cands: Vec<RouteEntry> = Vec::new();
-                for l in lo_len..len {
-                    let ap = Prefix::new(bits, l).expect("masked prefix is valid");
-                    if let Some(nh) = rib.get(ap) {
-                        cands.push(RouteEntry {
-                            prefix: ap,
-                            next_hop: nh,
-                        });
-                    }
-                }
-                for e in rib.range(p.first_addr(), p.last_addr()) {
-                    if e.prefix.len() >= len && e.prefix.len() <= hi_len {
-                        cands.push(*e);
-                    }
-                }
-                cands.sort_by_key(|e| e.prefix.len());
-                for e in cands {
-                    let ew = e.prefix.len().saturating_sub(consumed);
-                    let efirst = if ew == 0 {
-                        0
-                    } else {
-                        ((e.prefix.bits() >> (32 - consumed - ew)) as usize & ((1 << ew) - 1))
-                            << (stride - ew)
-                    };
-                    let ecount = 1usize << (stride - ew);
-                    // Clip to the reset range: an ancestor's expansion
-                    // covers the whole node, but slots outside `p`'s
-                    // range already hold their (possibly longer) wins.
-                    let s0 = efirst.max(first);
-                    let s1 = (efirst + ecount).min(first + count);
-                    for s in &mut self.slots[base + s0..base + s1.max(s0)] {
-                        s.result = Some(e.next_hop);
-                        s.result_len = e.prefix.len();
-                    }
-                }
-                bytes += count * 6;
-                return bytes;
-            }
-            let idx = (bits >> (32 - consumed - stride)) as usize & ((1 << stride) - 1);
-            let child = self.slots[base + idx].child;
-            let child = if child == NO_CHILD {
-                if !announce {
-                    // Withdrawing below a path that was never built:
-                    // nothing to remove.
-                    return bytes;
-                }
-                let id = self.alloc_node(level + 1);
-                bytes += (1usize << self.strides[level + 1]) * 6;
-                self.slots[base + idx].child = id;
-                id
-            } else {
-                child
-            };
-            node = child;
-            consumed += stride;
-            level += 1;
-        }
-    }
-
     /// The stride vector.
     pub fn strides(&self) -> &[u8] {
         &self.strides
@@ -327,21 +232,6 @@ impl Walk for MultibitTrie {
 
 impl Lpm for MultibitTrie {
     walk_lookups!(u32, BATCH_LANES);
-
-    /// Dirty-subtrie patching: each changed prefix repaints only the
-    /// covered slot range of the node at its stride boundary. Withdrawn
-    /// subtrees keep their (empty) nodes — lookups fall through them
-    /// with the same next hops as a fresh build, at most one extra
-    /// access; the arena is reclaimed on the next full rebuild.
-    fn apply_delta(&mut self, changed: &[Prefix], rib: &RoutingTable) -> Option<DeltaStats> {
-        let mut stats = DeltaStats::default();
-        for &p in changed {
-            stats.bytes_touched += self.patch_prefix(p, rib);
-            stats.prefixes_applied += 1;
-        }
-        self.routes = rib.len();
-        Some(stats)
-    }
 
     fn storage_bytes(&self) -> usize {
         // Per slot: 2 B result + 4 B child pointer (result_len is build
@@ -461,62 +351,6 @@ mod tests {
         assert!(wide.storage_bytes() > narrow.storage_bytes());
         let addr = rt.entries()[5000].prefix.first_addr();
         assert!(wide.lookup_counted(addr).mem_accesses <= narrow.lookup_counted(addr).mem_accesses);
-    }
-
-    #[test]
-    fn delta_patch_matches_rebuild() {
-        let mut rt = table(&[("10.0.0.0/8", 1), ("10.1.0.0/16", 2), ("10.1.2.0/24", 3)]);
-        let mut trie = MultibitTrie::build_16_8_8(&rt);
-        let steps: &[(&str, Option<u16>)] = &[
-            ("10.1.2.3/32", Some(7)),  // deep announce creates level-3 node
-            ("10.1.2.0/24", None),     // withdraw re-exposes the /16
-            ("10.1.0.0/16", Some(9)),  // re-target an existing route
-            ("10.1.2.3/32", None),     // withdraw leaves an empty subtree
-            ("0.0.0.0/0", Some(11)),   // default announce covers the root
-            ("10.0.0.0/8", None),      // withdraw under the new default
-            ("10.64.0.0/10", Some(4)), // covered-range paint inside root node
-            ("0.0.0.0/0", None),       // default withdraw clears the root band
-        ];
-        for &(s, nh) in steps {
-            let p: Prefix = s.parse().unwrap();
-            match nh {
-                Some(nh) => {
-                    rt.insert(RouteEntry {
-                        prefix: p,
-                        next_hop: NextHop(nh),
-                    });
-                }
-                None => {
-                    rt.remove(p);
-                }
-            }
-            let stats = trie
-                .apply_delta(&[p], &rt)
-                .expect("multibit always patches");
-            assert_eq!(stats.prefixes_applied, 1);
-            assert!(stats.bytes_touched > 0);
-            let fresh = MultibitTrie::build_16_8_8(&rt);
-            let mut probes: Vec<u32> = vec![0, 1, u32::MAX, 0x0A01_0204, 0x0A40_0001];
-            for e in rt.entries() {
-                for a in [e.prefix.first_addr(), e.prefix.last_addr()] {
-                    probes.push(a);
-                    probes.push(a.wrapping_sub(1));
-                    probes.push(a.wrapping_add(1));
-                }
-            }
-            for &a in &probes {
-                assert_eq!(
-                    trie.lookup(a),
-                    fresh.lookup(a),
-                    "patched vs rebuilt at {a:#010x} after {s}"
-                );
-                assert_eq!(
-                    trie.lookup(a),
-                    rt.longest_match(a).map(|e| e.next_hop),
-                    "patched vs oracle at {a:#010x} after {s}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -13,9 +13,6 @@ use proptest::prelude::*;
 use spal_lpm::binary::BinaryTrie;
 use spal_lpm::dir24::Dir24_8;
 use spal_lpm::dp::DpTrie;
-use spal_lpm::lctrie::LcTrie;
-use spal_lpm::lulea::LuleaTrie;
-use spal_lpm::multibit::MultibitTrie;
 use spal_lpm::poptrie::Poptrie;
 use spal_lpm::Lpm;
 use spal_rib::updates::{update_stream, Update, UpdateStreamConfig};
@@ -97,15 +94,17 @@ proptest! {
 }
 
 proptest! {
-    // Five static engines × a whole stream each; modest case count.
+    // Two static engines × a whole stream each; modest case count.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The compressed/static engines must be lookup-identical to a fresh
-    /// rebuild (and the table oracle) after delta-patching an arbitrary
-    /// update stream in arbitrary batch sizes — the chunk-granular
-    /// maintenance path the control plane's shadow sync takes instead of
-    /// a full rebuild per batch. The replay-and-compare is the shared
-    /// battery's `check_delta_stream`.
+    /// The static engines that patch (DIR-24-8, Poptrie) must be
+    /// lookup-identical to a fresh rebuild (and the table oracle) after
+    /// delta-patching an arbitrary update stream in arbitrary batch
+    /// sizes — the maintenance path the control plane's shadow sync
+    /// takes instead of a full rebuild per batch. The engines without a
+    /// patch path decline every batch, so for them this would only
+    /// re-test `build`; `batch_equiv` covers that. The replay-and-compare
+    /// is the shared battery's `check_delta_stream`.
     #[test]
     fn delta_patched_stream_matches_rebuild(
         table_size in 30usize..400,
@@ -123,10 +122,7 @@ proptest! {
             seed: stream_seed,
         });
         let probes = probe_addrs(&fin, &random_probes);
-        check_delta_stream(LuleaTrie::build, &base, &updates, batch, &probes, batch)?;
         check_delta_stream(Dir24_8::build, &base, &updates, batch, &probes, batch)?;
-        check_delta_stream(LcTrie::build, &base, &updates, batch, &probes, batch)?;
-        check_delta_stream(MultibitTrie::build_16_8_8, &base, &updates, batch, &probes, batch)?;
         check_delta_stream(Poptrie::build, &base, &updates, batch, &probes, batch)?;
     }
 }

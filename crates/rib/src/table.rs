@@ -153,8 +153,7 @@ impl<A: AddressBits> RoutingTable<A> {
     }
 
     /// Whether any route strictly contained in `prefix` (longer, inside
-    /// its range) exists, other than routes in `except`. Used by the
-    /// LC-trie patch path to detect leaf↔internal classification flips.
+    /// its range) exists, other than routes in `except`.
     pub fn has_strict_descendant_except(&self, prefix: Prefix<A>, except: &[Prefix<A>]) -> bool {
         self.range(prefix.first_addr(), prefix.last_addr())
             .iter()
