@@ -33,8 +33,8 @@ pub mod victim;
 
 pub use addr::CacheAddr;
 pub use lr::{
-    BatchProbe, FillOutcome, LrCache, LrCache6, LrCacheConfig, MixMode, Origin, PrefetchMode,
-    ProbeResult, ReserveOutcome,
+    BatchProbe, FillOutcome, LrCache, LrCache6, LrCacheConfig, MixMode, Origin, ProbeResult,
+    ReserveOutcome,
 };
 pub use policy::ReplacementPolicy;
 pub use stats::CacheStats;

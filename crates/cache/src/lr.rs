@@ -30,50 +30,6 @@ pub enum MixMode {
     Ignore,
 }
 
-/// When [`LrCache::probe_each`] issues its distance-8 set prefetch.
-///
-/// Prefetching pays only when the sets being scanned are not already
-/// hardware-cache-resident: under locality traffic against the paper's
-/// β = 4K (a ~130 KiB way array that lives comfortably in L2) the hot
-/// sets are already cached and the prefetch instructions are pure
-/// issue-port overhead — measured as a ~5% dataplane throughput loss
-/// on the locality workload. `Auto` combines a build-time *array-size*
-/// gate (small arrays never prefetch) with a runtime *working-set*
-/// probe: every [`PrefetchMode::AUTO_WINDOW_PROBES`] probes it looks at
-/// the windowed hit rate — a high rate means the traffic's working set
-/// (and therefore the hot sets) fits in the hardware caches even though
-/// the full array would not, so prefetch turns off; a low rate means
-/// the scan is striding cold sets, so it turns back on. The explicit
-/// modes exist for experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PrefetchMode {
-    /// Prefetch only while the way array exceeds
-    /// [`PrefetchMode::AUTO_RESIDENT_BYTES`] *and* the observed
-    /// working set does not look cache-resident.
-    #[default]
-    Auto,
-    /// Always prefetch (the pre-knob behaviour).
-    Always,
-    /// Never prefetch.
-    Never,
-}
-
-impl PrefetchMode {
-    /// `Auto` cut-off: way arrays at or below this many bytes are
-    /// assumed cache-resident (half a conservative 1 MiB per-core L2,
-    /// leaving room for the trie's hot lines).
-    pub const AUTO_RESIDENT_BYTES: usize = 512 * 1024;
-
-    /// `Auto` re-evaluates its prefetch decision once per this many
-    /// probes (checked at batch granularity, so the per-lane hot path
-    /// pays nothing).
-    pub const AUTO_WINDOW_PROBES: u64 = 32_768;
-
-    /// Windowed hit rate at or above which `Auto` treats the working
-    /// set as hardware-cache-resident and stops prefetching.
-    pub const AUTO_RESIDENT_HIT_RATE: f64 = 0.9;
-}
-
 /// Configuration of one LR-cache.
 #[derive(Debug, Clone)]
 pub struct LrCacheConfig {
@@ -93,8 +49,6 @@ pub struct LrCacheConfig {
     pub victim_blocks: usize,
     /// Seed for the (only) source of randomness, the `Random` policy.
     pub seed: u64,
-    /// Batched-probe prefetch policy (see [`PrefetchMode`]).
-    pub prefetch: PrefetchMode,
 }
 
 impl Default for LrCacheConfig {
@@ -107,7 +61,6 @@ impl Default for LrCacheConfig {
             policy: ReplacementPolicy::Lru,
             victim_blocks: 8,
             seed: 0x5EED,
-            prefetch: PrefetchMode::Auto,
         }
     }
 }
@@ -261,22 +214,43 @@ pub struct LrCache<V, A: CacheAddr = u32> {
     rng: SmallRng,
     /// ⌈γ · assoc⌉ blocks per set for REM, precomputed.
     rem_quota: usize,
-    /// Whether [`LrCache::probe_each`] prefetches right now; seeded
-    /// from [`LrCacheConfig::prefetch`] at build time and — in `Auto`
-    /// mode — retuned from the windowed hit rate.
+    /// Whether [`LrCache::probe_each`] prefetches right now: the size
+    /// gate at build time, then retuned from the windowed hit rate.
     prefetch_sets: bool,
-    /// `Auto` mode: adapt `prefetch_sets` at runtime.
-    auto_adapt: bool,
-    /// `Auto` mode's build-time gate: the way array is large enough
-    /// that prefetching can ever pay.
-    auto_size_gate: bool,
-    /// Probe count at the last `Auto` re-evaluation.
-    auto_last_probes: u64,
-    /// Hit count at the last `Auto` re-evaluation.
-    auto_last_hits: u64,
+    /// The build-time gate: the way array is larger than
+    /// [`Self::PREFETCH_RESIDENT_BYTES`], so prefetching can ever pay.
+    prefetch_size_gate: bool,
+    /// Probe count at the last prefetch re-evaluation.
+    window_start_probes: u64,
+    /// Hit count at the last prefetch re-evaluation.
+    window_start_hits: u64,
 }
 
 impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
+    /// When [`LrCache::probe_each`] issues its distance-8 set prefetch:
+    /// prefetching pays only when the sets being scanned are not
+    /// already hardware-cache-resident. Under locality traffic against
+    /// the paper's β = 4K (a ~130 KiB way array that lives comfortably
+    /// in L2) the hot sets are already cached and the prefetch
+    /// instructions are pure issue-port overhead — measured as a ~5%
+    /// dataplane throughput loss on the locality workload. So the cache
+    /// combines a build-time *array-size* gate (way arrays at or below
+    /// this many bytes never prefetch: half a conservative 1 MiB
+    /// per-core L2, leaving room for the trie's hot lines) with a
+    /// runtime *working-set* probe (below).
+    pub const PREFETCH_RESIDENT_BYTES: usize = 512 * 1024;
+
+    /// The working-set probe re-evaluates the prefetch decision once
+    /// per this many probes (checked at batch granularity, so the
+    /// per-lane hot path pays nothing).
+    pub const PREFETCH_WINDOW_PROBES: u64 = 32_768;
+
+    /// Windowed hit rate at or above which the working set counts as
+    /// hardware-cache-resident (even though the full array would not
+    /// be) and prefetch turns off; below it the scan is striding cold
+    /// sets, so it turns back on.
+    pub const PREFETCH_RESIDENT_HIT_RATE: f64 = 0.9;
+
     /// Build a cache from a configuration.
     ///
     /// # Panics
@@ -312,13 +286,7 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
         let victim = VictimCache::new(config.victim_blocks, config.policy);
         let rng = SmallRng::seed_from_u64(config.seed);
         let size_gate =
-            std::mem::size_of::<Group<V, A>>() * groups.len() > PrefetchMode::AUTO_RESIDENT_BYTES;
-        let prefetch_sets = match config.prefetch {
-            PrefetchMode::Always => true,
-            PrefetchMode::Never => false,
-            PrefetchMode::Auto => size_gate,
-        };
-        let auto_adapt = config.prefetch == PrefetchMode::Auto;
+            std::mem::size_of::<Group<V, A>>() * groups.len() > Self::PREFETCH_RESIDENT_BYTES;
         LrCache {
             sets,
             groups,
@@ -328,17 +296,16 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
             clock: 0,
             rng,
             rem_quota,
-            prefetch_sets,
-            auto_adapt,
-            auto_size_gate: size_gate,
-            auto_last_probes: 0,
-            auto_last_hits: 0,
+            prefetch_sets: size_gate,
+            prefetch_size_gate: size_gate,
+            window_start_probes: 0,
+            window_start_hits: 0,
             config,
         }
     }
 
     /// Whether [`LrCache::probe_each`] would issue set prefetches right
-    /// now (the `Auto` decision is observable for tests and profiling).
+    /// now (the decision is observable for tests).
     pub fn prefetch_active(&self) -> bool {
         self.prefetch_sets
     }
@@ -547,21 +514,21 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
         let _ = addr;
     }
 
-    /// Re-evaluate the `Auto` prefetch decision from the windowed hit
-    /// rate. Purely a performance toggle — probe/reserve semantics,
+    /// Re-evaluate the prefetch decision from the windowed hit rate.
+    /// Purely a performance toggle — probe/reserve semantics,
     /// statistics and replacement state are untouched, so deterministic
     /// runs stay bit-identical whatever it decides.
     fn maybe_retune_prefetch(&mut self) {
         let probes = self.stats.probes();
-        let window = probes - self.auto_last_probes;
-        if window < PrefetchMode::AUTO_WINDOW_PROBES {
+        let window = probes - self.window_start_probes;
+        if window < Self::PREFETCH_WINDOW_PROBES {
             return;
         }
         let hits = self.stats.hits_loc + self.stats.hits_rem + self.stats.hits_waiting;
-        let rate = (hits - self.auto_last_hits) as f64 / window as f64;
-        self.prefetch_sets = self.auto_size_gate && rate < PrefetchMode::AUTO_RESIDENT_HIT_RATE;
-        self.auto_last_probes = probes;
-        self.auto_last_hits = hits;
+        let rate = (hits - self.window_start_hits) as f64 / window as f64;
+        self.prefetch_sets = self.prefetch_size_gate && rate < Self::PREFETCH_RESIDENT_HIT_RATE;
+        self.window_start_probes = probes;
+        self.window_start_hits = hits;
     }
 
     /// The batched probe pass with software prefetch: for each address,
@@ -579,9 +546,7 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
     #[inline]
     pub fn probe_each<S: FnMut(usize, BatchProbe<V>)>(&mut self, addrs: &[A], mut sink: S) {
         const PREFETCH_DIST: usize = 8;
-        if self.auto_adapt {
-            self.maybe_retune_prefetch();
-        }
+        self.maybe_retune_prefetch();
         for (i, &addr) in addrs.iter().enumerate() {
             if self.prefetch_sets {
                 if let Some(&ahead) = addrs.get(i + PREFETCH_DIST) {
@@ -1227,19 +1192,17 @@ mod tests {
         assert_eq!(c.stats().misses, 0);
     }
 
-    /// A way array big enough to fail the `Auto` size gate at build
+    /// A way array big enough to pass the prefetch size gate at build
     /// time (> 512 KiB for `LrCache<u32, u32>`).
-    fn big_auto_cache(prefetch: PrefetchMode) -> LrCache<u32> {
-        LrCache::new(LrCacheConfig {
-            blocks: 32_768,
-            prefetch,
-            ..LrCacheConfig::paper(32_768)
-        })
+    fn big_cache() -> LrCache<u32> {
+        LrCache::new(LrCacheConfig::paper(32_768))
     }
+
+    const WINDOW: usize = LrCache::<u32>::PREFETCH_WINDOW_PROBES as usize;
 
     #[test]
     fn auto_prefetch_disables_on_resident_working_set() {
-        let mut c = big_auto_cache(PrefetchMode::Auto);
+        let mut c = big_cache();
         assert!(
             c.prefetch_active(),
             "large array should start with prefetch on"
@@ -1252,7 +1215,7 @@ mod tests {
             c.fill(a, 1, Origin::Loc);
         }
         let mut out = Vec::new();
-        let rounds = (2 * PrefetchMode::AUTO_WINDOW_PROBES as usize) / addrs.len();
+        let rounds = 2 * WINDOW / addrs.len();
         for _ in 0..rounds {
             out.clear();
             c.probe_batch(&addrs, &mut out);
@@ -1264,7 +1227,7 @@ mod tests {
         // A cold, striding working set turns it back on.
         let mut cold: Vec<u32> = Vec::new();
         let mut x = 1u32;
-        while cold.len() < 2 * PrefetchMode::AUTO_WINDOW_PROBES as usize + 4_096 {
+        while cold.len() < 2 * WINDOW + 4_096 {
             x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
             cold.push(x);
         }
@@ -1279,69 +1242,11 @@ mod tests {
     }
 
     #[test]
-    fn explicit_prefetch_modes_never_adapt() {
-        for (mode, expect) in [(PrefetchMode::Always, true), (PrefetchMode::Never, false)] {
-            let mut c = big_auto_cache(mode);
-            assert_eq!(c.prefetch_active(), expect);
-            let addrs: Vec<u32> = (0..256u32).collect();
-            for &a in &addrs {
-                c.reserve(a);
-                c.fill(a, 1, Origin::Loc);
-            }
-            let mut out = Vec::new();
-            for _ in 0..(2 * PrefetchMode::AUTO_WINDOW_PROBES as usize / addrs.len()) {
-                out.clear();
-                c.probe_batch(&addrs, &mut out);
-            }
-            assert_eq!(c.prefetch_active(), expect, "{mode:?} must not adapt");
-        }
-    }
-
-    #[test]
     fn auto_prefetch_small_array_stays_off() {
         // The paper's β = 4K way array is ~130 KiB — under the size
-        // gate, so Auto never prefetches no matter the hit rate.
+        // gate, so it never prefetches no matter the hit rate.
         let c: LrCache<u32> = LrCache::new(LrCacheConfig::paper(4096));
         assert!(!c.prefetch_active());
-    }
-
-    /// Profiling harness for EXPERIMENTS.md (run with `--ignored`):
-    /// times the batched probe pass over a cache-resident working set
-    /// with prefetch forced on, forced off, and Auto.
-    #[test]
-    #[ignore]
-    fn profile_prefetch_on_resident_working_set() {
-        for mode in [
-            PrefetchMode::Always,
-            PrefetchMode::Never,
-            PrefetchMode::Auto,
-        ] {
-            let mut c = big_auto_cache(mode);
-            let addrs: Vec<u32> = (0..2_048u32)
-                .map(|i| i.wrapping_mul(2_654_435_761))
-                .collect();
-            for &a in &addrs {
-                c.reserve(a);
-                c.fill(a, 1, Origin::Loc);
-            }
-            let mut out = Vec::new();
-            // Warm-up (lets Auto converge), then the timed pass.
-            for _ in 0..64 {
-                out.clear();
-                c.probe_batch(&addrs, &mut out);
-            }
-            let t0 = std::time::Instant::now();
-            let rounds = 2_000;
-            for _ in 0..rounds {
-                out.clear();
-                c.probe_batch(&addrs, &mut out);
-            }
-            let ns = t0.elapsed().as_nanos() as f64 / (rounds * addrs.len()) as f64;
-            println!(
-                "{mode:?}: {ns:.2} ns/probe (prefetch_active={})",
-                c.prefetch_active()
-            );
-        }
     }
 
     /// One step of the differential workload. Addresses are small
@@ -1402,7 +1307,6 @@ mod tests {
                     policy,
                     victim_blocks: victim,
                     seed: 99,
-                    prefetch: PrefetchMode::Never,
                 },
             )
     }
@@ -1520,7 +1424,6 @@ mod tests {
             blocks: 4,
             assoc: 4,
             victim_blocks: 0,
-            prefetch: PrefetchMode::Never,
             ..Default::default()
         }
     }

@@ -25,7 +25,6 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spal_fabric::{FabricAddr, FabricMsg};
-use std::collections::VecDeque;
 
 /// Fault intensities, all per-message (or per-iteration) probabilities
 /// in permille. Deterministic for a given `seed`.
@@ -122,19 +121,22 @@ impl<A: FabricAddr> FaultInjector<A> {
         stalled
     }
 
-    /// Pass the worker's queued messages through the adversary:
-    /// releases any held-back message that has come due, then drops,
-    /// delays, duplicates, or passes each new message. Everything
-    /// emitted into `out` goes on the wire this iteration.
-    pub fn filter(&mut self, queued: VecDeque<FabricMsg<A>>, out: &mut VecDeque<FabricMsg<A>>) {
+    /// Pass the worker's queued messages — one queue per destination,
+    /// read in destination order — through the adversary: releases any
+    /// held-back message that has come due, then drops, delays,
+    /// duplicates, or passes each queued message. Whatever is left in
+    /// `queues` goes on the wire this iteration.
+    pub fn filter(&mut self, queues: &mut [Vec<FabricMsg<A>>]) {
         self.now += 1;
         let now = self.now;
+        let queued: Vec<FabricMsg<A>> = queues.iter_mut().flat_map(|q| q.drain(..)).collect();
         // Release due messages first (they have waited longest); order
         // among them follows insertion, keeping replay deterministic.
         let mut i = 0;
         while i < self.delayed.len() {
             if self.delayed[i].0 <= now {
-                out.push_back(self.delayed.remove(i).1);
+                let msg = self.delayed.remove(i).1;
+                queues[msg.dst as usize].push(msg);
             } else {
                 i += 1;
             }
@@ -142,6 +144,7 @@ impl<A: FabricAddr> FaultInjector<A> {
         for msg in queued {
             let roll = self.rng.gen_range(0u16..1000);
             let p = &self.plan;
+            let out = &mut queues[msg.dst as usize];
             if roll < p.drop_per_mille {
                 // "Lost": the fabric's retry recovers it much later.
                 self.stats.dropped_retransmitted += 1;
@@ -152,10 +155,10 @@ impl<A: FabricAddr> FaultInjector<A> {
                 self.delayed.push((now + d, msg));
             } else if roll < p.drop_per_mille + p.delay_per_mille + p.dup_per_mille {
                 self.stats.duplicated += 1;
-                out.push_back(msg);
-                out.push_back(msg);
+                out.push(msg);
+                out.push(msg);
             } else {
-                out.push_back(msg);
+                out.push(msg);
             }
         }
     }
@@ -176,11 +179,11 @@ impl<A: FabricAddr> FaultInjector<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spal_fabric::MsgKind;
+    use spal_fabric::{AddrBatch, MsgKind};
 
     fn msg(addr: u32) -> FabricMsg {
         FabricMsg {
-            kind: MsgKind::Request,
+            kind: MsgKind::BatchRequest(AddrBatch::from_slice(&[addr])),
             src: 0,
             dst: 1,
             addr,
@@ -195,19 +198,18 @@ mod tests {
     fn conservation_under_faults() {
         let mut inj = FaultInjector::new(&FaultPlan::standard(7), 0);
         let mut seen = vec![0u32; 500];
-        let mut out = VecDeque::new();
+        let mut queues = vec![Vec::new(); 2];
         for a in 0..500u32 {
-            let mut q = VecDeque::new();
-            q.push_back(msg(a));
-            inj.filter(q, &mut out);
-            for m in out.drain(..) {
+            queues[1].push(msg(a));
+            inj.filter(&mut queues);
+            for m in queues[1].drain(..) {
                 seen[m.addr as usize] += 1;
             }
         }
         // Drain the tail: empty iterations release what is still held.
         while inj.pending() > 0 {
-            inj.filter(VecDeque::new(), &mut out);
-            for m in out.drain(..) {
+            inj.filter(&mut queues);
+            for m in queues[1].drain(..) {
                 seen[m.addr as usize] += 1;
             }
         }
@@ -225,12 +227,11 @@ mod tests {
         let run = |lc: usize| {
             let mut inj = FaultInjector::new(&FaultPlan::standard(42), lc);
             let mut trace = Vec::new();
-            let mut out = VecDeque::new();
+            let mut queues = vec![Vec::new(); 2];
             for a in 0..200u32 {
-                let mut q = VecDeque::new();
-                q.push_back(msg(a));
-                inj.filter(q, &mut out);
-                trace.push(out.drain(..).map(|m| m.addr).collect::<Vec<_>>());
+                queues[1].push(msg(a));
+                inj.filter(&mut queues);
+                trace.push(queues[1].drain(..).map(|m| m.addr).collect::<Vec<_>>());
                 trace.push(vec![inj.roll_stall() as u32]);
             }
             (trace, inj.stats())

@@ -45,7 +45,7 @@ pub(crate) enum Waiter {
     /// admit burst started, for the miss-path latency histogram.
     Local { admitted: Instant },
     /// A remote request to answer once the address resolves.
-    Remote { src: u16, packet_id: u64 },
+    Remote { src: u16 },
 }
 
 const NIL: u32 = u32::MAX;
@@ -373,10 +373,11 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashMap;
 
+    /// A waiter tagged `n` (its `src`): every test tags fewer than
+    /// 2^16 waiters, so tags stay distinct.
     fn remote(n: u64) -> Waiter {
         Waiter::Remote {
-            src: (n % 7) as u16,
-            packet_id: n,
+            src: u16::try_from(n).expect("tag fits a u16"),
         }
     }
 
@@ -449,7 +450,7 @@ mod tests {
                     assert_eq!(table.clear_awaiting(widen(k)), flag == Some(true));
                 }
                 Op::DropOdd => {
-                    let odd = |w: &Waiter| matches!(w, Waiter::Remote { packet_id, .. } if packet_id % 2 == 1);
+                    let odd = |w: &Waiter| matches!(w, Waiter::Remote { src } if src % 2 == 1);
                     table.retain_waiters(|w| !odd(w));
                     for e in model.values_mut() {
                         e.0.retain(|w| !odd(w));

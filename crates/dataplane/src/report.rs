@@ -233,7 +233,8 @@ pub struct WorkerReport {
     /// into the local FE queue).
     pub rehomed_requests: u64,
     /// Messages discarded because their destination LC was dead —
-    /// purged from the outbox at remap time or suppressed at emit.
+    /// purged from the outbox at remap time (whole messages, however
+    /// many lanes they carry) or suppressed at emit (one per reply).
     pub dead_letters: u64,
     /// Packets dropped at ingress by the overload admission gate
     /// (offered load exceeded the bounded ingress queue).
@@ -319,15 +320,18 @@ impl LatencySummary {
 pub struct ChurnReport {
     /// Routing updates consumed from the stream.
     pub updates_applied: u64,
-    /// Snapshot publications (epoch bumps).
+    /// Update-batch publications (epoch bumps; a failover remap's
+    /// publication is not counted here).
     pub publications: u64,
     /// Invalidation messages broadcast (prefix count × workers in
     /// targeted mode, one flush per worker per publication otherwise).
     pub invalidations_sent: u64,
-    /// Per-publication latency: RIB ingest + shadow patch/rebuild +
-    /// pointer swap, i.e. update-visible-to-dataplane (readers see the
-    /// new snapshot from the swap onward). The grace-period wait for
-    /// the retiring snapshot is off this path — see `reclaim_us`.
+    /// Per-publication latency: RIB ingest (or a remap's fragment
+    /// move), shadow patch/rebuild and pointer swap, i.e.
+    /// update-visible-to-dataplane (readers see the new snapshot from
+    /// the swap onward). One sample per update batch, plus one for a
+    /// failover remap. The grace-period wait for the retiring snapshot
+    /// is off this path — see `reclaim_us`.
     pub apply_us: LatencySummary,
     /// Per-LC shadow syncs that went through the engine's incremental
     /// `apply_delta` patch path.
@@ -395,9 +399,8 @@ pub struct FailoverSummary {
     /// Prefixes in the dead LC's RIB fragment, all re-homed across the
     /// survivors.
     pub moved_prefixes: u64,
-    /// Wall-clock cost of the remap: fragment move, both snapshot-copy
-    /// patches, epoch publication and grace wait, and the cache
-    /// invalidations.
+    /// Wall-clock cost of the remap: fragment move, shadow patch, epoch
+    /// publication and grace wait, and the cache invalidations.
     pub remap_us: f64,
     /// Whether invalidations were prefix-targeted (`true`) or the remap
     /// fell back to a full flush because the moved set exceeded the

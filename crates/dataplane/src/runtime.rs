@@ -22,15 +22,18 @@
 //! control ring (cache invalidations), drains its fabric rings
 //! (requests from other workers and replies to its own), admits one
 //! batch from its trace, resolves the accumulated FE queue through one
-//! `forward_batch` call, and flushes its outbox. Missed addresses are
-//! *parked* (one pending job per distinct address — the W-bit early
+//! `forward_batch` call, and flushes its outbox: one queue of messages
+//! per destination, each request or reply lane appended to the newest
+//! message where it is emitted (`emit_request`/`emit_reply`). Missed
+//! addresses are *parked* (one pending job per distinct address — the W-bit early
 //! recording discipline of §3.2) so duplicate work is never issued;
 //! each resolved address completes every parked waiter at once, either
 //! locally or with a reply over the fabric.
 //!
-//! Pushes never block: undeliverable messages sit in a per-worker
-//! outbox and retry next iteration while the worker keeps draining its
-//! own rings — so two workers flooding each other cannot deadlock.
+//! Pushes never block: undeliverable messages stay in their
+//! destination's queue and retry next iteration while the worker keeps
+//! draining its own rings — so two workers flooding each other cannot
+//! deadlock.
 //! A worker is *done* when its trace is exhausted and it holds no
 //! pending jobs, queued messages, or outstanding requests; it keeps
 //! serving remote requests until every worker is done.
@@ -60,7 +63,6 @@ use spal_core::bits::eta_for;
 use spal_core::{select_bits, Partitioning};
 use spal_fabric::{
     spsc_ring, AddrBatch, FabricMsg, MsgKind, ReplyBatch, SpscConsumer, SpscProducer,
-    BATCH_MSG_LANES,
 };
 use spal_lpm::Lpm;
 use spal_rib::updates::{apply, update_stream, Update, UpdateStreamConfig};
@@ -219,12 +221,9 @@ impl<F: AddrFamily> Default for DataplaneConfig<F> {
     }
 }
 
-/// One published forwarding state: every LC's partition engine plus the
-/// update sequence number it reflects.
+/// One published forwarding state: every LC's partition engine.
 struct Snapshot<F: AddrFamily> {
     tables: Vec<F::Engine>,
-    /// Updates `< applied_seq` are reflected in `tables`.
-    applied_seq: u64,
     /// Publication version (epoch at publish time); stamps replies.
     version: u64,
     /// The partitioning `tables` was built for. Published through the
@@ -243,28 +242,6 @@ enum CtrlMsg<A> {
     Flush { version: u64 },
     /// Evict entries covered by one changed prefix (Targeted mode).
     Invalidate { bits: A, len: u8, version: u64 },
-}
-
-/// One would-be fabric message, recorded per destination in creation
-/// order; at flush time consecutive same-kind runs (same-version for
-/// replies) coalesce into batch messages. Keeping the *event stream* —
-/// rather than separate request/reply buffers — preserves the
-/// per-destination creation order exactly, so the receiver's
-/// cache-operation sequence (and therefore the canonical report) is
-/// the one a message per event would produce.
-#[derive(Debug, Clone, Copy)]
-enum OutEvent<A> {
-    /// "Look this address up for me" → [`MsgKind::Request`] /
-    /// [`MsgKind::BatchRequest`].
-    Req { addr: A },
-    /// A lookup result computed against table `version` →
-    /// [`MsgKind::Reply`] / [`MsgKind::BatchReply`].
-    Rep {
-        addr: A,
-        packet_id: u64,
-        nh: Option<u16>,
-        version: u64,
-    },
 }
 
 /// One worker's sending and receiving end of a fabric ring.
@@ -298,9 +275,8 @@ pub const IN_FLIGHT_WINDOW_BATCHES: usize = 16;
 /// that cannot fit falls back to one full flush.
 const REMAP_CTRL_SLACK: usize = 128;
 
-/// Most LC workers one run supports: the dead-LC mask and the
-/// blocked-destination mask of the outbox flush hold one bit per
-/// worker in a `u64`. [`run_family`] panics above it.
+/// Most LC workers one run supports: the dead-LC mask holds one bit
+/// per worker in a `u64`. [`run_family`] panics above it.
 pub const MAX_WORKERS: usize = 64;
 
 // ---------------------------------------------------------------------
@@ -332,10 +308,10 @@ struct WorkerCore<F: AddrFamily> {
     /// Consumers from every other worker (`None` at `self.lc`).
     req_rx: Vec<Option<FabricRx<F>>>,
     ctrl_rx: SpscConsumer<CtrlMsg<F::Addr>>,
-    outbox: VecDeque<FabricMsg<F::Addr>>,
-    /// Empty between flushes; `flush_outbox` collects the deferred
-    /// messages here and swaps it in, so neither deque is reallocated.
-    outbox_scratch: VecDeque<FabricMsg<F::Addr>>,
+    /// Per destination, the messages not yet on the wire, oldest first;
+    /// lanes join the newest one as they are emitted. Entry `self.lc`
+    /// stays empty.
+    outbox: Vec<Vec<FabricMsg<F::Addr>>>,
     /// One entry per distinct in-flight address: all packets/requests
     /// waiting on its result (the W-bit discipline), and whether a
     /// remote request for it is unanswered — a per-address flag, not a
@@ -354,16 +330,11 @@ struct WorkerCore<F: AddrFamily> {
     report: WorkerReport,
     done: Arc<AtomicUsize>,
     marked_done: bool,
-    /// Per-destination would-be messages awaiting coalescing. Entry
-    /// `self.lc` stays unused.
-    out_events: Vec<Vec<OutEvent<F::Addr>>>,
     /// Lanes of the admit burst that did not hit, as offsets from
     /// `pos` (reused across iterations).
     miss_scratch: Vec<u32>,
     /// Scratch for burst ring drains.
     pop_scratch: Vec<FabricMsg<F::Addr>>,
-    /// Scratch for burst ring pushes.
-    push_scratch: Vec<FabricMsg<F::Addr>>,
     /// Whether the midpoint cold-start cache snapshot was taken.
     cold_recorded: bool,
     /// Record latency histograms (from
@@ -409,39 +380,69 @@ impl<F: AddrFamily> WorkerCore<F> {
         self.report.next_hop_sum = self.report.next_hop_sum.wrapping_add(hop_checksum(nh));
     }
 
-    /// Queue a reply as an event awaiting per-destination coalescing.
+    /// Queue one reply lane for `dst`: appended to the newest message
+    /// queued for it when that is a reply at the same table `version`
+    /// with a free lane, else a new one-lane [`MsgKind::BatchReply`].
     /// Replies to a dead LC are dropped (the requester cannot drain
     /// them, and its waiters died with it).
-    fn emit_reply(
-        &mut self,
-        dst: u16,
-        addr: F::Addr,
-        packet_id: u64,
-        nh: Option<u16>,
-        version: u64,
-    ) {
+    fn emit_reply(&mut self, dst: u16, addr: F::Addr, nh: Option<u16>, version: u64) {
         if self.dead_mask >> dst & 1 == 1 {
             self.report.dead_letters += 1;
             return;
         }
-        self.out_events[dst as usize].push(OutEvent::Rep {
+        let queue = &mut self.outbox[dst as usize];
+        if let Some(FabricMsg {
+            kind: MsgKind::BatchReply(b),
+            sent_at,
+            ..
+        }) = queue.last_mut()
+        {
+            if *sent_at == version && b.push(addr, nh) {
+                self.report.batch_replies_sent += (b.len() == 2) as u64;
+                return;
+            }
+        }
+        queue.push(FabricMsg {
+            kind: MsgKind::BatchReply(ReplyBatch::from_pairs(&[(addr, nh)])),
+            src: self.lc as u16,
+            dst,
             addr,
-            packet_id,
-            nh,
-            version,
+            packet_id: 0,
+            sent_at: version,
         });
     }
 
-    /// Queue a home-LC lookup request (a coalescable event, as
-    /// [`Self::emit_reply`]). Requests are never addressed to
-    /// a known-dead LC: `home_of` under the adopted partitioning never
-    /// returns one, and the rehome sweep re-routes using the new map.
+    /// Queue one home-LC lookup request lane for `dst`, coalescing as
+    /// [`Self::emit_reply`] does: each destination's queue is the
+    /// greedy run-length packing of its lanes in emission order, so the
+    /// receiver sees every address in the order a message per address
+    /// would deliver it. Requests are never addressed to a known-dead
+    /// LC: `home_of` under the adopted partitioning never returns one,
+    /// and the rehome sweep re-routes using the new map.
     fn emit_request(&mut self, dst: u16, addr: F::Addr) {
         debug_assert!(
             self.dead_mask >> dst & 1 == 0,
             "request addressed to a dead LC"
         );
-        self.out_events[dst as usize].push(OutEvent::Req { addr });
+        let queue = &mut self.outbox[dst as usize];
+        if let Some(FabricMsg {
+            kind: MsgKind::BatchRequest(b),
+            ..
+        }) = queue.last_mut()
+        {
+            if b.push(addr) {
+                self.report.batch_requests_sent += (b.len() == 2) as u64;
+                return;
+            }
+        }
+        queue.push(FabricMsg {
+            kind: MsgKind::BatchRequest(AddrBatch::from_slice(&[addr])),
+            src: self.lc as u16,
+            dst,
+            addr,
+            packet_id: 0,
+            sent_at: 0,
+        });
     }
 
     /// Park a waiter on `addr`; the first waiter creates the job and
@@ -474,9 +475,7 @@ impl<F: AddrFamily> WorkerCore<F> {
                     }
                     self.complete(nh);
                 }
-                Waiter::Remote { src, packet_id } => {
-                    self.emit_reply(src, addr, packet_id, nh, version)
-                }
+                Waiter::Remote { src } => self.emit_reply(src, addr, nh, version),
             }
         }
         self.waiters = waiters;
@@ -506,16 +505,13 @@ impl<F: AddrFamily> WorkerCore<F> {
             return;
         }
         self.pending.retain_waiters(|w| match w {
-            Waiter::Remote { src, .. } => dead >> *src & 1 == 0,
+            Waiter::Remote { src } => dead >> *src & 1 == 0,
             Waiter::Local { .. } => true,
         });
-        let before = self.outbox.len();
-        self.outbox.retain(|m| dead >> m.dst & 1 == 0);
-        self.report.dead_letters += (before - self.outbox.len()) as u64;
-        for (dst, events) in self.out_events.iter_mut().enumerate() {
-            if dead >> dst & 1 == 1 && !events.is_empty() {
-                self.report.dead_letters += events.len() as u64;
-                events.clear();
+        for (dst, queue) in self.outbox.iter_mut().enumerate() {
+            if dead >> dst & 1 == 1 {
+                self.report.dead_letters += queue.len() as u64;
+                queue.clear();
             }
         }
         // Ascending addresses: slot order depends on the table's
@@ -558,9 +554,8 @@ impl<F: AddrFamily> WorkerCore<F> {
         self.pos = self.dests.len();
         self.pending.clear();
         self.fe_queue.clear();
-        self.outbox.clear();
-        for events in self.out_events.iter_mut() {
-            events.clear();
+        for queue in self.outbox.iter_mut() {
+            queue.clear();
         }
         self.failed = true;
         if let Some(p) = &self.probe {
@@ -589,34 +584,33 @@ impl<F: AddrFamily> WorkerCore<F> {
         n
     }
 
-    /// One remote request for one address — the per-address semantics
-    /// shared by scalar [`MsgKind::Request`]s and each lane of a
-    /// [`MsgKind::BatchRequest`].
-    fn handle_request_addr(&mut self, src: u16, addr: F::Addr, packet_id: u64, snap: &Snapshot<F>) {
+    /// One lane of a [`MsgKind::BatchRequest`]: one remote request for
+    /// one address.
+    fn handle_request_addr(&mut self, src: u16, addr: F::Addr, snap: &Snapshot<F>) {
         // Under failover a request routed on the old partitioning can
-        // arrive after this worker adopted the new one; it is answered
-        // from the local table regardless (the reply's version gate
-        // handles staleness). Without failover the home must match.
+        // arrive after this worker adopted the new one. A cache hit
+        // answers it (the reply's version gate handles staleness); a
+        // miss parks it like any remote miss, and `park` routes the
+        // lookup by `home_of` under the new map — on to the new home if
+        // that is another LC (request chaining). Without failover the
+        // home must match.
         debug_assert!(
             self.failover.is_some() || self.part.home_of(addr) as usize == self.lc,
             "request arrived at a non-home LC without failover"
         );
         self.report.remote_served += 1;
         match self.cache.probe(addr) {
-            ProbeResult::Hit { value, .. } => {
-                self.emit_reply(src, addr, packet_id, value, snap.version)
-            }
-            ProbeResult::HitWaiting => self.park(addr, Waiter::Remote { src, packet_id }),
+            ProbeResult::Hit { value, .. } => self.emit_reply(src, addr, value, snap.version),
+            ProbeResult::HitWaiting => self.park(addr, Waiter::Remote { src }),
             ProbeResult::Miss => {
                 let _ = self.cache.reserve(addr);
-                self.park(addr, Waiter::Remote { src, packet_id });
+                self.park(addr, Waiter::Remote { src });
             }
         }
     }
 
-    /// One reply for one address — shared by scalar [`MsgKind::Reply`]s
-    /// and each lane of a [`MsgKind::BatchReply`] (`sent_at` is the
-    /// carrying message's table version; every lane of a batch reply
+    /// One lane of a [`MsgKind::BatchReply`]: one reply for one address
+    /// (`sent_at` is the carrying message's table version; every lane
     /// was computed against it).
     fn handle_reply_addr(&mut self, addr: F::Addr, nh: Option<u16>, sent_at: u64, now: Instant) {
         if !self.pending.take_awaiting(addr, &mut self.waiters) {
@@ -637,24 +631,23 @@ impl<F: AddrFamily> WorkerCore<F> {
         self.resolve(addr, nh, sent_at, now);
     }
 
-    /// Route one delivered message. Batch messages unpack to the same
-    /// per-address handlers, in lane order — a receiver processes a
-    /// coalesced message exactly as it would the equivalent scalar run.
+    /// Route one delivered message to the per-address handlers, in lane
+    /// order — a receiver processes a coalesced message exactly as it
+    /// would one message per address.
     fn dispatch(&mut self, msg: FabricMsg<F::Addr>, snap: &Snapshot<F>, now: Instant) {
         match msg.kind {
-            MsgKind::Request => self.handle_request_addr(msg.src, msg.addr, msg.packet_id, snap),
-            MsgKind::Reply { next_hop } => {
-                self.handle_reply_addr(msg.addr, next_hop, msg.sent_at, now)
-            }
             MsgKind::BatchRequest(b) => {
                 for &addr in b.addrs() {
-                    self.handle_request_addr(msg.src, addr, 0, snap);
+                    self.handle_request_addr(msg.src, addr, snap);
                 }
             }
             MsgKind::BatchReply(b) => {
                 for (addr, nh) in b.iter() {
                     self.handle_reply_addr(addr, nh, msg.sent_at, now);
                 }
+            }
+            MsgKind::Request | MsgKind::Reply { .. } => {
+                unreachable!("the dataplane sends every message as a batch")
             }
         }
     }
@@ -819,162 +812,42 @@ impl<F: AddrFamily> WorkerCore<F> {
         self.fe_queue.clear();
     }
 
-    /// Coalesce the per-destination event streams into outbox messages:
-    /// greedy runs of consecutive same-kind events (same-version for
-    /// replies) become one batch message each, up to
-    /// [`BATCH_MSG_LANES`] lanes; singleton runs stay scalar. Runs
-    /// never reorder across kinds, so each destination still receives
-    /// the events in creation order.
-    fn pack_events(&mut self) {
-        for dst in 0..self.psi {
-            if self.out_events[dst].is_empty() {
+    /// Put the queued messages on the wire: one `push_slice` per
+    /// destination — one published head store per destination per
+    /// iteration. A full ring keeps the rest of its queue, in order, for
+    /// the next iteration rather than block.
+    fn flush_outbox(&mut self) {
+        if let Some(f) = self.faults.as_mut() {
+            // The adversary goes between the queues and the wire: it
+            // may hold messages back, clone them, or release ones held
+            // on earlier iterations, each message as a whole unit.
+            f.filter(&mut self.outbox);
+        }
+        for (dst, queue) in self.outbox.iter_mut().enumerate() {
+            if queue.is_empty() {
                 continue;
             }
-            let events = std::mem::take(&mut self.out_events[dst]);
-            let src = self.lc as u16;
-            let mut i = 0;
-            while i < events.len() {
-                match events[i] {
-                    OutEvent::Req { addr } => {
-                        let mut addrs = [F::Addr::default(); BATCH_MSG_LANES];
-                        let mut n = 0;
-                        while i + n < events.len() && n < BATCH_MSG_LANES {
-                            let OutEvent::Req { addr } = events[i + n] else {
-                                break;
-                            };
-                            addrs[n] = addr;
-                            n += 1;
-                        }
-                        let kind = if n == 1 {
-                            MsgKind::Request
-                        } else {
-                            self.report.batch_requests_sent += 1;
-                            MsgKind::BatchRequest(AddrBatch::from_slice(&addrs[..n]))
-                        };
-                        self.outbox.push_back(FabricMsg {
-                            kind,
-                            src,
-                            dst: dst as u16,
-                            addr,
-                            packet_id: 0,
-                            sent_at: 0,
-                        });
-                        i += n;
-                    }
-                    OutEvent::Rep {
-                        addr,
-                        packet_id,
-                        nh,
-                        version,
-                    } => {
-                        let mut pairs = [(F::Addr::default(), None); BATCH_MSG_LANES];
-                        let mut n = 0;
-                        while i + n < events.len() && n < BATCH_MSG_LANES {
-                            let OutEvent::Rep {
-                                addr,
-                                nh,
-                                version: v,
-                                ..
-                            } = events[i + n]
-                            else {
-                                break;
-                            };
-                            if v != version {
-                                break;
-                            }
-                            pairs[n] = (addr, nh);
-                            n += 1;
-                        }
-                        let kind = if n == 1 {
-                            MsgKind::Reply { next_hop: nh }
-                        } else {
-                            self.report.batch_replies_sent += 1;
-                            MsgKind::BatchReply(ReplyBatch::from_pairs(&pairs[..n]))
-                        };
-                        self.outbox.push_back(FabricMsg {
-                            kind,
-                            src,
-                            dst: dst as u16,
-                            addr,
-                            packet_id,
-                            sent_at: version,
-                        });
-                        i += n;
-                    }
-                }
-            }
-            // Hand the allocation back for the next iteration.
-            let mut events = events;
-            events.clear();
-            self.out_events[dst] = events;
-        }
-    }
-
-    /// Try to deliver queued messages; a full destination ring defers
-    /// its messages (in order) to the next iteration rather than block.
-    /// Consecutive same-destination messages go out through one
-    /// `push_slice` — one published head store per run instead of per
-    /// message — with the delivery order and deferral semantics of
-    /// pushing message by message.
-    fn flush_outbox(&mut self) {
-        self.pack_events();
-        if let Some(f) = self.faults.as_mut() {
-            // The adversary goes between the outbox and the wire: it
-            // may hold messages back, clone them, or release ones held
-            // on earlier iterations. Batch messages are faulted as
-            // whole units, exactly like scalar ones.
-            let queued = std::mem::take(&mut self.outbox);
-            f.filter(queued, &mut self.outbox);
-        }
-        if self.outbox.is_empty() {
-            return;
-        }
-        // Destinations whose ring filled this pass, one bit each
-        // (`MAX_WORKERS`), as `dead_mask`.
-        let mut blocked = 0u64;
-        let mut deferred = std::mem::take(&mut self.outbox_scratch);
-        while let Some(msg) = self.outbox.pop_front() {
-            let dst = msg.dst as usize;
             if self.dead_mask >> dst & 1 == 1 {
                 // A fault injector can release held messages to an LC
                 // that died after they were queued; they go nowhere.
-                self.report.dead_letters += 1;
+                self.report.dead_letters += queue.len() as u64;
+                queue.clear();
                 continue;
-            }
-            if blocked >> dst & 1 == 1 {
-                deferred.push_back(msg);
-                continue;
-            }
-            // Gather the run of consecutive messages to this dst.
-            self.push_scratch.clear();
-            self.push_scratch.push(msg);
-            while self.outbox.front().is_some_and(|m| m.dst as usize == dst) {
-                let m = self.outbox.pop_front().expect("front checked");
-                self.push_scratch.push(m);
             }
             let tx = self.req_tx[dst]
                 .as_mut()
                 .expect("messages are never addressed to self");
-            let pushed = tx.push_slice(&self.push_scratch);
-            let depth = tx.len() as u64;
-            if depth > self.report.max_ring_depth {
-                self.report.max_ring_depth = depth;
-            }
-            if pushed < self.push_scratch.len() {
-                blocked |= 1 << dst;
-                deferred.extend(self.push_scratch[pushed..].iter().copied());
-            }
+            let pushed = tx.push_slice(queue);
+            self.report.max_ring_depth = self.report.max_ring_depth.max(tx.len() as u64);
+            queue.drain(..pushed);
         }
-        // The drained outbox becomes the next pass's empty scratch.
-        self.outbox_scratch = std::mem::replace(&mut self.outbox, deferred);
     }
 
     fn maybe_mark_done(&mut self) {
         if !self.marked_done
             && self.pos >= self.dests.len()
             && self.pending.is_empty()
-            && self.outbox.is_empty()
-            && self.out_events.iter().all(|e| e.is_empty())
+            && self.outbox.iter().all(Vec::is_empty)
             && self.faults.as_ref().map_or(0, |f| f.pending()) == 0
         {
             self.marked_done = true;
@@ -1011,8 +884,8 @@ impl<F: AddrFamily> WorkerCore<F> {
         if self.faults.as_mut().is_some_and(|f| f.roll_stall()) {
             // Mid-batch stall: the batch just admitted (probes,
             // reservations, parked waiters) and anything queued for the
-            // FE or the fabric — including un-coalesced out-events —
-            // is held as-is. The next unstalled iteration resumes
+            // FE or the fabric is held as-is; lanes emitted later join
+            // the queued messages. The next unstalled iteration resumes
             // against whatever snapshot is then current — i.e. possibly
             // across a publication.
             return work;
@@ -1125,11 +998,10 @@ struct Control<F: AddrFamily> {
     /// update — the rebuild source for non-incremental engines and the
     /// oracle for the final consistency check.
     per_lc_rib: Vec<RoutingTable<F::Addr>>,
-    /// Updates ingested but not yet reflected in *both* snapshot
-    /// copies; `log[i]` has sequence number `base_seq + i`.
-    log: Vec<Update<F::Addr>>,
-    base_seq: u64,
-    next_seq: u64,
+    /// Per LC, the prefixes the shadow copy has not seen: the previous
+    /// publication's changed set. The two copies ping-pong, so the
+    /// shadow is always exactly one publication behind.
+    lagging: Vec<Vec<Prefix<F::Addr>>>,
     writer: EpochWriter<Snapshot<F>>,
     shadow: Option<Box<Snapshot<F>>>,
     ctrl_tx: Vec<SpscProducer<CtrlMsg<F::Addr>>>,
@@ -1155,27 +1027,6 @@ struct Control<F: AddrFamily> {
 }
 
 impl<F: AddrFamily> Control<F> {
-    /// Bring `snap` up to `next_seq`. The changed prefixes are first
-    /// coalesced per LC (a batch touching one prefix twice, or many
-    /// prefixes homed on one LC, yields one patch call with the deduped
-    /// union — and at worst one rebuild — per LC), then patched in
-    /// ([`Self::patch_tables`]).
-    fn sync(&mut self, snap: &mut Snapshot<F>) {
-        let from = (snap.applied_seq - self.base_seq) as usize;
-        let mut changed: Vec<Vec<Prefix<F::Addr>>> = vec![Vec::new(); self.psi];
-        for &u in &self.log[from..] {
-            let p = u.prefix();
-            for lc in self.part.lcs_of_prefix(p) {
-                let per_lc = &mut changed[lc as usize];
-                if !per_lc.contains(&p) {
-                    per_lc.push(p);
-                }
-            }
-        }
-        self.patch_tables(snap, &changed);
-        snap.applied_seq = self.next_seq;
-    }
-
     /// Bring each LC's engine in `snap` in line with its RIB fragment
     /// for the prefixes in `changed[lc]`: the engine's `apply_delta`
     /// patch path first; an engine that declines gets its fragment
@@ -1228,50 +1079,60 @@ impl<F: AddrFamily> Control<F> {
         }
     }
 
-    /// Apply one update batch and make it visible to the dataplane:
-    /// RIB fragments → shadow patch/rebuild → RCU pointer swap. The
-    /// recorded apply latency spans those three — the moment the swap
-    /// lands, every new reader pin sees the updated table. The
-    /// grace-period wait for the swapped-out snapshot resolves right
-    /// after, *outside* the timed window but before the cache
-    /// invalidations go out: readers race through their quiescent
-    /// states with warm caches, which keeps the wait short on
-    /// oversubscribed hosts (invalidating first would have them
-    /// grinding through misses and remote round trips mid-grace).
-    fn publish_batch(&mut self, batch: &[Update<F::Addr>]) {
+    /// Make the per-LC RIB fragments' latest changes visible to the
+    /// dataplane — one publication, the same for an update batch and a
+    /// failover remap. `changed[lc]` holds the prefixes whose routes on
+    /// LC `lc` changed since the last publication, each once.
+    ///
+    /// 1. Patch the shadow copy with `lagging ∪ changed`
+    ///    ([`Self::patch_tables`]).
+    /// 2. Stamp it with the current partitioning, dead mask and the next
+    ///    version, and swap it in RCU-style. The recorded apply latency
+    ///    runs from `t0` (the caller's RIB work) to the swap — the
+    ///    moment every new reader pin sees the updated table.
+    /// 3. Wait out the grace period on the swapped-out copy, *outside*
+    ///    the timed window but before the invalidations go out: readers
+    ///    race through their quiescent states with warm caches, which
+    ///    keeps the wait short on oversubscribed hosts (invalidating
+    ///    first would have them grinding through misses and remote
+    ///    round trips mid-grace). That copy is the next shadow, and it
+    ///    lags by `changed`.
+    /// 4. Invalidate at the new version: one targeted
+    ///    [`CtrlMsg::Invalidate`] per `stale` prefix, in order, or one
+    ///    [`CtrlMsg::Flush`] when `stale` is `None`.
+    fn publish(
+        &mut self,
+        t0: Instant,
+        changed: Vec<Vec<Prefix<F::Addr>>>,
+        stale: Option<&[Prefix<F::Addr>]>,
+    ) {
         let mut shadow = self.shadow.take().expect("shadow snapshot present");
-        let t0 = Instant::now();
-        for &u in batch {
-            for lc in self.part.lcs_of_prefix(u.prefix()) {
-                apply(&mut self.per_lc_rib[lc as usize], u);
+        let mut patch = std::mem::replace(&mut self.lagging, changed);
+        for (lag, new) in patch.iter_mut().zip(&self.lagging) {
+            let seen = lag.len();
+            for &p in new {
+                if !lag[..seen].contains(&p) {
+                    lag.push(p);
+                }
             }
-            self.log.push(u);
-            self.next_seq += 1;
         }
-        self.sync(&mut shadow);
+        self.patch_tables(&mut shadow, &patch);
+        shadow.part = Arc::clone(&self.part);
+        shadow.dead = self.dead_mask;
         shadow.version = self.writer.epoch() + 1;
-        // Ping-pong: the swapped-out snapshot becomes the next shadow;
-        // it lags by exactly this batch, which stays in the log.
-        let lag = self.writer.peek().applied_seq;
         let retiring = self.writer.publish_deferred(shadow);
         self.report
             .apply_us
             .record(t0.elapsed().as_secs_f64() * 1e6);
-        // Reclaim the swapped-out snapshot: the grace wait lands here,
-        // off the apply-latency window and ahead of the invalidations.
         let t1 = Instant::now();
         self.shadow = Some(retiring.into_inner());
         self.report
             .reclaim_us
             .record(t1.elapsed().as_secs_f64() * 1e6);
-        self.log.drain(..(lag - self.base_seq) as usize);
-        self.base_seq = lag;
         let version = self.writer.epoch();
-        match self.mode {
-            InvalidationMode::FullFlush => self.broadcast(CtrlMsg::Flush { version }),
-            InvalidationMode::Targeted => {
-                for &u in batch {
-                    let p = u.prefix();
+        match stale {
+            Some(prefixes) => {
+                for p in prefixes {
                     self.broadcast(CtrlMsg::Invalidate {
                         bits: p.bits(),
                         len: p.len(),
@@ -1279,7 +1140,28 @@ impl<F: AddrFamily> Control<F> {
                     });
                 }
             }
+            None => self.broadcast(CtrlMsg::Flush { version }),
         }
+    }
+
+    /// Apply one update batch to the RIB fragments of the LCs each
+    /// prefix is homed on, then [`Self::publish`] it.
+    fn publish_batch(&mut self, batch: &[Update<F::Addr>]) {
+        let t0 = Instant::now();
+        let mut changed: Vec<Vec<Prefix<F::Addr>>> = vec![Vec::new(); self.psi];
+        for &u in batch {
+            let p = u.prefix();
+            for lc in self.part.lcs_of_prefix(p) {
+                apply(&mut self.per_lc_rib[lc as usize], u);
+                let per_lc = &mut changed[lc as usize];
+                if !per_lc.contains(&p) {
+                    per_lc.push(p);
+                }
+            }
+        }
+        let stale: Option<Vec<Prefix<F::Addr>>> = (self.mode == InvalidationMode::Targeted)
+            .then(|| batch.iter().map(|u| u.prefix()).collect());
+        self.publish(t0, changed, stale.as_deref());
         self.report.updates_applied += batch.len() as u64;
         self.report.publications += 1;
     }
@@ -1321,34 +1203,31 @@ impl<F: AddrFamily> Control<F> {
     ///    ([`Partitioning::remap_without`]);
     /// 2. move the dead RIB fragment's routes into the survivors'
     ///    fragments (skipping routes already replicated there);
-    /// 3. patch the shadow snapshot — pending churn log first, then the
-    ///    re-homed prefixes ([`Self::patch_tables`]) — stamp it
-    ///    with the new partitioning and dead mask, and publish it
-    ///    RCU-style (`publish_deferred`); workers adopt the new map on
-    ///    their next pin and migrate their in-flight state
-    ///    (`sync_partition`);
-    /// 4. after the grace wait, patch the retiring copy identically
-    ///    (the ping-pong log discipline cannot reproduce a remap, so
-    ///    both copies are patched and the log fully drains);
-    /// 5. invalidate the moved range at the new version — targeted
-    ///    [`CtrlMsg::Invalidate`] per moved prefix when the set fits
-    ///    the control-ring budget, one full flush otherwise. Replies
-    ///    computed by the dead LC before it died carry pre-remap
+    /// 3. [`Self::publish`] the moved prefixes like any update batch,
+    ///    stamped with the new partitioning and dead mask; workers adopt
+    ///    the new map on their next pin and migrate their in-flight
+    ///    state (`sync_partition`). The retiring copy catches up at the
+    ///    next publication. The dead LC's lag is dropped: its engine is
+    ///    never read again;
+    /// 4. the publication invalidates the moved range at the new version
+    ///    — targeted [`CtrlMsg::Invalidate`] per moved prefix when the
+    ///    set fits the control-ring budget, one full flush otherwise.
+    ///    Replies computed by the dead LC before it died carry pre-remap
     ///    versions, so the reply-version gate (`fill_versioned`) drops
     ///    them instead of caching stale values.
     fn remap_failed(&mut self, dead: u16) {
         let t0 = Instant::now();
         let dead_idx = dead as usize;
         let loads: Vec<usize> = self.per_lc_rib.iter().map(|r| r.entries().len()).collect();
-        let new_part = Arc::new(
+        self.part = Arc::new(
             self.part
                 .remap_without(dead, &self.per_lc_rib[dead_idx], &loads),
         );
-        let moved = self.per_lc_rib[dead_idx].entries().to_vec();
+        let fragment = std::mem::replace(&mut self.per_lc_rib[dead_idx], RoutingTable::new());
         let mut changed: Vec<Vec<Prefix<F::Addr>>> = vec![Vec::new(); self.psi];
-        for e in &moved {
+        for e in fragment.entries() {
             let prefix = e.prefix;
-            for lc in new_part.lcs_of_prefix(prefix) {
+            for lc in self.part.lcs_of_prefix(prefix) {
                 debug_assert_ne!(lc, dead, "remap re-homed a group onto the dead LC");
                 let rib = &mut self.per_lc_rib[lc as usize];
                 if rib.get(prefix).is_none() {
@@ -1357,40 +1236,12 @@ impl<F: AddrFamily> Control<F> {
                 }
             }
         }
-        self.part = Arc::clone(&new_part);
         self.dead_mask |= 1 << dead;
-        let mut shadow = self.shadow.take().expect("shadow snapshot present");
-        self.sync(&mut shadow);
-        self.patch_tables(&mut shadow, &changed);
-        shadow.part = Arc::clone(&new_part);
-        shadow.dead |= 1 << dead;
-        shadow.version = self.writer.epoch() + 1;
-        let retiring = self.writer.publish_deferred(shadow);
-        let mut retiring = retiring.into_inner();
-        self.sync(&mut retiring);
-        self.patch_tables(&mut retiring, &changed);
-        retiring.part = Arc::clone(&new_part);
-        retiring.dead |= 1 << dead;
-        self.shadow = Some(retiring);
-        // Both copies now reflect the whole log.
-        self.log.clear();
-        self.base_seq = self.next_seq;
-        self.per_lc_rib[dead_idx] = RoutingTable::new();
-        let version = self.writer.epoch();
+        self.lagging[dead_idx].clear();
+        let moved: Vec<Prefix<F::Addr>> = fragment.entries().iter().map(|e| e.prefix).collect();
         let targeted = self.mode == InvalidationMode::Targeted
             && moved.len() + REMAP_CTRL_SLACK <= self.ctrl_cap;
-        if targeted {
-            for e in &moved {
-                let prefix = e.prefix;
-                self.broadcast(CtrlMsg::Invalidate {
-                    bits: prefix.bits(),
-                    len: prefix.len(),
-                    version,
-                });
-            }
-        } else {
-            self.broadcast(CtrlMsg::Flush { version });
-        }
+        self.publish(t0, changed, targeted.then_some(&moved));
         self.failover = Some(FailoverSummary {
             dead_lc: dead,
             moved_prefixes: moved.len() as u64,
@@ -1568,7 +1419,6 @@ fn assemble<F: AddrFamily>(
                 .iter()
                 .map(|f| F::build(cfg.algorithm, f))
                 .collect(),
-            applied_seq: 0,
             version,
             part: Arc::clone(&part),
             dead: 0,
@@ -1634,8 +1484,7 @@ fn assemble<F: AddrFamily>(
                 req_tx: std::mem::take(&mut tx_mat[lc]),
                 req_rx: std::mem::take(&mut rx_mat[lc]),
                 ctrl_rx: ctrl_rx.remove(0),
-                outbox: VecDeque::new(),
-                outbox_scratch: VecDeque::new(),
+                outbox: vec![Vec::new(); psi],
                 pending: PendingTable::with_capacity(2 * cfg.batch.max(1)),
                 waiters: Vec::new(),
                 fe_queue: Vec::new(),
@@ -1646,10 +1495,8 @@ fn assemble<F: AddrFamily>(
                 report: WorkerReport::default(),
                 done: Arc::clone(&done),
                 marked_done: false,
-                out_events: (0..psi).map(|_| Vec::new()).collect(),
                 miss_scratch: Vec::new(),
                 pop_scratch: Vec::new(),
-                push_scratch: Vec::new(),
                 cold_recorded: false,
                 capture_latency: cfg.capture_latency,
                 epoch: now,
@@ -1673,9 +1520,7 @@ fn assemble<F: AddrFamily>(
         part: Arc::clone(&part),
         algorithm: cfg.algorithm,
         per_lc_rib,
-        log: Vec::new(),
-        base_seq: 0,
-        next_seq: 0,
+        lagging: vec![Vec::new(); psi],
         writer,
         shadow: Some(shadow),
         ctrl_tx,

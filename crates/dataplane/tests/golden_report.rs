@@ -1,6 +1,6 @@
-//! Golden-report regression: three fixed deterministic runs (IPv4 with
-//! churn and faults on, the same IPv4 run faultless, IPv6 with churn)
-//! rendered through [`DataplaneReport::canonical_json`] and each pinned
+//! Golden-report regression: five fixed deterministic runs (IPv4 with
+//! churn and faults on, the same IPv4 run faultless, IPv6 with churn,
+//! and one LC-failover run per width) rendered through [`DataplaneReport::canonical_json`] and each pinned
 //! byte-for-byte against a checked-in file. Any change to the
 //! schedule, the fault stream, the cache policy, or the report shape
 //! shows up as a diff here before it shows up as a mystery elsewhere.
@@ -21,10 +21,16 @@
 //! (`dataplane_report_faultless.json` was blessed from it at the last
 //! commit that still had it, and `dataplane6_report.json` was checked
 //! against it unblessed there), and the coalescing loop reproduces
-//! both byte for byte.
+//! both byte for byte. The two failover fixtures were blessed at the
+//! last commit whose remap patched both ping-pong copies by hand and
+//! whose worker coalesced a recorded event stream at flush time; the
+//! remap published like an update batch and the in-place coalescing
+//! that replaced them reproduce both unblessed.
 
 use spal_cache::LrCacheConfig;
-use spal_dataplane::{run, run6, ChurnConfig, Dataplane6Config, DataplaneConfig, FaultPlan};
+use spal_dataplane::{
+    run, run6, ChurnConfig, Dataplane6Config, DataplaneConfig, FailoverPlan, FaultPlan,
+};
 use spal_rib::synth;
 use spal_rib::v6::synthesize6_dfz;
 use spal_traffic::{generate6, preset, PresetName, TracePreset};
@@ -55,9 +61,20 @@ fn golden_churn() -> Option<ChurnConfig> {
     })
 }
 
+/// The failover fixtures' failure: LC 1 dies a fifth of the way into
+/// its 2 000-packet trace, early enough that the remap is followed by
+/// most of the churn stream's publications — so each ping-pong copy is
+/// published, and patched, after it.
+fn golden_failover() -> Option<FailoverPlan> {
+    Some(FailoverPlan {
+        lc: 1,
+        after_packets: 400,
+    })
+}
+
 /// The IPv4 run: 3 workers, D75 traffic over the small table, churn
-/// on, with or without the standard fault plan.
-fn v4_report(faults: Option<FaultPlan>) -> String {
+/// on, with or without the standard fault plan and an LC failure.
+fn v4_report(faults: Option<FaultPlan>, failover: Option<FailoverPlan>) -> String {
     let table = synth::small(21);
     let traces = TracePreset {
         distinct: 600,
@@ -72,6 +89,7 @@ fn v4_report(faults: Option<FaultPlan>) -> String {
         churn: golden_churn(),
         seed: 3,
         faults,
+        failover,
         ..Default::default()
     };
     run(&table, &traces, &cfg).canonical_json()
@@ -79,7 +97,7 @@ fn v4_report(faults: Option<FaultPlan>) -> String {
 
 #[test]
 fn canonical_report_matches_golden_file() {
-    let got = v4_report(Some(FaultPlan::standard(42)));
+    let got = v4_report(Some(FaultPlan::standard(42)), None);
     check_golden("dataplane_report.json", &got);
 }
 
@@ -87,14 +105,12 @@ fn canonical_report_matches_golden_file() {
 /// move the report: blessed from the one-message-per-event loop.
 #[test]
 fn faultless_canonical_report_matches_golden_file() {
-    check_golden("dataplane_report_faultless.json", &v4_report(None));
+    check_golden("dataplane_report_faultless.json", &v4_report(None, None));
 }
 
-/// The IPv6 run (SHIP, faultless), blessed from the `runtime6.rs` fork
-/// before it was folded into the family-generic runtime: the generic
-/// runtime must reproduce the fork's report byte for byte.
-#[test]
-fn canonical_v6_report_matches_golden_file() {
+/// The IPv6 run: SHIP, 3 workers, churn on, with or without the
+/// standard fault plan and an LC failure.
+fn v6_report(faults: Option<FaultPlan>, failover: Option<FailoverPlan>) -> String {
     let table = synthesize6_dfz(3_000, 21);
     let traces = generate6(&table, 600, 6_000, 9).split(3);
     let cfg = Dataplane6Config {
@@ -103,8 +119,31 @@ fn canonical_v6_report_matches_golden_file() {
         cache: LrCacheConfig::paper(512),
         churn: golden_churn(),
         seed: 3,
+        faults,
+        failover,
         ..Default::default()
     };
-    let got = run6(&table, &traces, &cfg).canonical_json();
-    check_golden("dataplane6_report.json", &got);
+    run6(&table, &traces, &cfg).canonical_json()
+}
+
+/// The faultless IPv6 run, blessed from the `runtime6.rs` fork before
+/// it was folded into the family-generic runtime: the generic runtime
+/// must reproduce the fork's report byte for byte.
+#[test]
+fn canonical_v6_report_matches_golden_file() {
+    check_golden("dataplane6_report.json", &v6_report(None, None));
+}
+
+/// LC 1 dies under churn and the standard adversary; the remap's
+/// publication and the ones after it are pinned at each width.
+#[test]
+fn failover_canonical_report_matches_golden_file() {
+    let got = v4_report(Some(FaultPlan::standard(42)), golden_failover());
+    check_golden("dataplane_failover_report.json", &got);
+}
+
+#[test]
+fn failover_canonical_v6_report_matches_golden_file() {
+    let got = v6_report(Some(FaultPlan::standard(42)), golden_failover());
+    check_golden("dataplane6_failover_report.json", &got);
 }

@@ -48,6 +48,18 @@ impl<A: FabricAddr> AddrBatch<A> {
         }
     }
 
+    /// Append one address; `false`, and no change, when every lane is
+    /// taken.
+    pub fn push(&mut self, addr: A) -> bool {
+        let n = self.len as usize;
+        if n == BATCH_MSG_LANES {
+            return false;
+        }
+        self.addrs[n] = addr;
+        self.len += 1;
+        true
+    }
+
     /// The packed addresses, in sender order.
     pub fn addrs(&self) -> &[A] {
         &self.addrs[..self.len as usize]
@@ -67,8 +79,11 @@ impl<A: FabricAddr> AddrBatch<A> {
 
 /// Payload of a [`MsgKind::BatchReply`]: up to [`BATCH_MSG_LANES`]
 /// `(address, next_hop)` results, all computed against the same table
-/// version (the carrying message's `sent_at`) — the home LC answers a
-/// coalesced request with one `lookup_batch` call and one of these.
+/// version (the carrying message's `sent_at`). The home LC answers each
+/// request lane as it resolves — a cache hit at once, a miss through
+/// `fe_flush`'s one `forward_batch` over its whole FE queue — and each
+/// answer joins the newest reply queued for the requester at that
+/// version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplyBatch<A: FabricAddr = u32> {
     len: u8,
@@ -100,6 +115,19 @@ impl<A: FabricAddr> ReplyBatch<A> {
         }
     }
 
+    /// Append one result; `false`, and no change, when every lane is
+    /// taken.
+    pub fn push(&mut self, addr: A, next_hop: Option<u16>) -> bool {
+        let n = self.len as usize;
+        if n == BATCH_MSG_LANES {
+            return false;
+        }
+        self.addrs[n] = addr;
+        self.next_hops[n] = next_hop;
+        self.len += 1;
+        true
+    }
+
     /// Iterate the packed `(address, next_hop)` pairs in sender order.
     pub fn iter(&self) -> impl Iterator<Item = (A, Option<u16>)> + '_ {
         (0..self.len as usize).map(move |i| (self.addrs[i], self.next_hops[i]))
@@ -122,9 +150,9 @@ impl<A: FabricAddr> ReplyBatch<A> {
 /// Requests travel from a packet's arrival LC to its home LC; replies
 /// carry the lookup result back (§3.3). Identifiers are raw `u16`s so
 /// this crate stays dependency-free; `spal-core` maps them to `NextHop`.
-/// The batch variants are the threaded dataplane's coalesced forms:
-/// one message per destination LC per iteration instead of one per
-/// address, with the same per-address semantics on the receiving side.
+/// The simulator sends the scalar kinds. The threaded dataplane sends
+/// only the batch kinds — a lone address is a one-lane batch — with the
+/// same per-address semantics on the receiving side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MsgKind<A: FabricAddr = u32> {
     /// "Look this address up for me" — routed by the partitioning bits.
@@ -148,9 +176,11 @@ pub struct FabricMsg<A: FabricAddr = u32> {
     pub dst: u16,
     /// The packet's destination IP address.
     pub addr: A,
-    /// Simulator-level packet identity (latency accounting).
+    /// Simulator-level packet identity (latency accounting). Unused by
+    /// the dataplane, which sends 0.
     pub packet_id: u64,
-    /// Cycle the message entered the fabric.
+    /// Simulator: the cycle the message entered the fabric. Dataplane:
+    /// the table version a reply was computed against (0 on requests).
     pub sent_at: u64,
 }
 
@@ -210,6 +240,22 @@ mod tests {
         };
         assert!(msg.is_request());
         assert_eq!(msg.lanes(), 7);
+    }
+
+    #[test]
+    fn push_fills_the_free_lanes_then_refuses() {
+        let mut b = AddrBatch::from_slice(&[1u32]);
+        let mut r = ReplyBatch::from_pairs(&[(1u32, Some(1))]);
+        for i in 2..=BATCH_MSG_LANES as u32 {
+            assert!(b.push(i));
+            assert!(r.push(i, (i % 2 == 0).then_some(i as u16)));
+        }
+        assert!(!b.push(0));
+        assert!(!r.push(0, None));
+        let lanes: Vec<u32> = (1..=BATCH_MSG_LANES as u32).collect();
+        assert_eq!(b.addrs(), &lanes[..]);
+        assert_eq!(r.len(), BATCH_MSG_LANES);
+        assert_eq!(r.iter().last(), Some((BATCH_MSG_LANES as u32, Some(32))));
     }
 
     #[test]

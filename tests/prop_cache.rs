@@ -59,7 +59,6 @@ fn arb_config() -> impl Strategy<Value = LrCacheConfig> {
                 policy,
                 victim_blocks: victim,
                 seed: 99,
-                ..LrCacheConfig::default()
             },
         )
 }
