@@ -22,7 +22,6 @@
 
 use crate::gate::Gates;
 use spal_core::{ForwardingTable, LpmAlgorithm};
-use spal_lpm::multibit::MultibitTrie;
 use spal_lpm::{CountedLookup, Lpm};
 use spal_rib::bits::AddressBits;
 use spal_rib::{synth, NextHop, RoutingTable};
@@ -435,23 +434,21 @@ pub fn print_speedup(m: &Speedup, threads: usize) {
     );
 }
 
-/// All engines the full `bench_lookup` sweep runs: the six
-/// forwarding-table algorithms plus the raw fixed-stride multibit trie
-/// (not a forwarding-table choice, but it has a batch path too).
+/// All engines the full `bench_lookup` sweep runs: the seven IPv4
+/// forwarding-table algorithms.
 pub fn all_engines(table: &RoutingTable) -> Vec<Arc<dyn Lpm + Send + Sync>> {
-    let mut engines: Vec<Arc<dyn Lpm + Send + Sync>> = [
+    [
         LpmAlgorithm::Dir24,
         LpmAlgorithm::Lulea,
         LpmAlgorithm::Lc { fill_factor: 0.25 },
         LpmAlgorithm::Dp,
         LpmAlgorithm::Binary,
         LpmAlgorithm::Poptrie,
+        LpmAlgorithm::Multibit,
     ]
     .into_iter()
     .map(|a| Arc::new(ForwardingTable::build(a, table)) as _)
-    .collect();
-    engines.push(Arc::new(MultibitTrie::build_16_8_8(table)));
-    engines
+    .collect()
 }
 
 #[cfg(test)]

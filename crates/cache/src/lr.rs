@@ -320,11 +320,6 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
         &self.stats
     }
 
-    /// Reset statistics (the cache contents are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
     /// First slot of `addr`'s set: the low `log2(sets)` address bits
     /// pick the set, as the paper's hardware does.
     #[inline]

@@ -1,8 +1,8 @@
 //! Hit/miss accounting for an LR-cache.
 
 /// Event counters accumulated by an [`crate::LrCache`]. All counters are
-/// monotone; [`CacheStats::reset`] zeroes them (flushes do *not* reset
-//  statistics — the paper accumulates across update-induced flushes).
+/// monotone: flushes do *not* reset them — the paper accumulates
+/// statistics across update-induced flushes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Probes that hit a complete entry with M = LOC.
@@ -49,11 +49,6 @@ impl CacheStats {
         }
         (self.hits_loc + self.hits_rem + self.hits_waiting) as f64 / probes as f64
     }
-
-    /// Zero every counter.
-    pub fn reset(&mut self) {
-        *self = CacheStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -78,16 +73,5 @@ mod tests {
         let s = CacheStats::default();
         assert_eq!(s.probes(), 0);
         assert_eq!(s.hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let mut s = CacheStats {
-            misses: 3,
-            flushes: 1,
-            ..Default::default()
-        };
-        s.reset();
-        assert_eq!(s, CacheStats::default());
     }
 }

@@ -1,119 +1,17 @@
-//! Baseline routers the paper compares SPAL against.
+//! The schemes the paper contrasts SPAL with, short of whole routers.
+//! (The conventional router of §1/§5.2 and ref \[6\]'s cache-only router
+//! are simulated as `spal_sim::RouterKind::{Conventional, CacheOnly}`.)
 //!
-//! * [`ConventionalRouter`] — "an existing router, which keeps all
-//!   prefixes of the routing table in each LC and has no LR-caches"
-//!   (§1/§5.2): every packet pays one full FE lookup at its arrival LC.
-//! * [`CacheOnlyRouter`] — ref \[6\]'s processor-caching approach: every
-//!   LC keeps the *whole* table plus an LR-cache, no partitioning; the
-//!   paper notes its mean lookup time is "independent of ψ and … always
-//!   equal to that of ψ = 1" because identical addresses must be looked
-//!   up again at every LC.
+//! * [`interval_map`] — ref \[6\]'s range caching (§2.2): the table's
+//!   address space cut into intervals of constant lookup result, with
+//!   [`interval_of`] to locate one and [`interval_stats`] for the
+//!   granularity argument against it.
 //! * [`partition_by_length`] — ref \[1\]'s scheme: prefixes grouped by
 //!   *length*. Partition sizes vary wildly (≈50 % of a backbone table is
 //!   /24), every FE keeps all partitions, and no result is shared.
 
-use crate::fwd::{ForwardingTable, LpmAlgorithm};
-use spal_cache::{LrCache, LrCacheConfig, Origin, ProbeResult};
 use spal_lpm::Lpm;
 use spal_rib::{NextHop, RoutingTable};
-
-/// A conventional router: full table per LC, no result caching.
-pub struct ConventionalRouter {
-    fwd: ForwardingTable,
-    psi: usize,
-    fe_lookups: u64,
-}
-
-impl ConventionalRouter {
-    /// Build. One trie is shared in memory here (all ψ copies are
-    /// identical); storage accounting multiplies by ψ.
-    pub fn build(table: &RoutingTable, psi: usize, algorithm: LpmAlgorithm) -> Self {
-        assert!(psi >= 1);
-        ConventionalRouter {
-            fwd: ForwardingTable::build(algorithm, table),
-            psi,
-            fe_lookups: 0,
-        }
-    }
-
-    /// Look a packet up: always a full FE lookup at the arrival LC.
-    pub fn lookup(&mut self, _arrival_lc: u16, addr: u32) -> Option<NextHop> {
-        self.fe_lookups += 1;
-        self.fwd.lookup(addr)
-    }
-
-    /// Total FE lookups performed.
-    pub fn fe_lookups(&self) -> u64 {
-        self.fe_lookups
-    }
-
-    /// SRAM in one LC (the full trie).
-    pub fn lc_storage_bytes(&self) -> usize {
-        self.fwd.storage_bytes()
-    }
-
-    /// SRAM across the router: ψ identical copies.
-    pub fn total_storage_bytes(&self) -> usize {
-        self.fwd.storage_bytes() * self.psi
-    }
-}
-
-/// A cache-only router (\[6\]-style): whole table + LR-cache per LC,
-/// no partitioning, no result sharing between LCs.
-pub struct CacheOnlyRouter {
-    fwd: ForwardingTable,
-    caches: Vec<LrCache<Option<NextHop>>>,
-    fe_lookups: u64,
-}
-
-impl CacheOnlyRouter {
-    /// Build with ψ LCs and the given cache configuration.
-    pub fn build(
-        table: &RoutingTable,
-        psi: usize,
-        algorithm: LpmAlgorithm,
-        cache: &LrCacheConfig,
-    ) -> Self {
-        assert!(psi >= 1);
-        let caches = (0..psi)
-            .map(|i| {
-                LrCache::new(LrCacheConfig {
-                    seed: cache.seed.wrapping_add(i as u64),
-                    ..cache.clone()
-                })
-            })
-            .collect();
-        CacheOnlyRouter {
-            fwd: ForwardingTable::build(algorithm, table),
-            caches,
-            fe_lookups: 0,
-        }
-    }
-
-    /// Look a packet up at its arrival LC: local cache, else local FE.
-    /// Another LC looking up the same address repeats the FE work — the
-    /// sharing SPAL adds is exactly what is missing here.
-    pub fn lookup(&mut self, arrival_lc: u16, addr: u32) -> (Option<NextHop>, bool) {
-        let cache = &mut self.caches[arrival_lc as usize];
-        if let ProbeResult::Hit { value, .. } = cache.probe(addr) {
-            return (value, true);
-        }
-        self.fe_lookups += 1;
-        let nh = self.fwd.lookup(addr);
-        let _ = self.caches[arrival_lc as usize].fill(addr, nh, Origin::Loc);
-        (nh, false)
-    }
-
-    /// Total FE lookups performed.
-    pub fn fe_lookups(&self) -> u64 {
-        self.fe_lookups
-    }
-
-    /// Cache statistics of one LC.
-    pub fn cache_stats(&self, lc: usize) -> &spal_cache::CacheStats {
-        self.caches[lc].stats()
-    }
-}
 
 /// One interval of the address space over which the routing table's
 /// longest-prefix match is constant: `[start, end]` inclusive.
@@ -234,62 +132,6 @@ mod tests {
     use super::*;
     use crate::partition::PartitionStats;
     use spal_rib::synth;
-
-    #[test]
-    fn conventional_always_does_fe_work() {
-        let rt = synth::small(61);
-        let mut r = ConventionalRouter::build(&rt, 4, LpmAlgorithm::Lulea);
-        let addr = rt.entries()[0].prefix.first_addr();
-        r.lookup(0, addr);
-        r.lookup(0, addr);
-        r.lookup(1, addr);
-        assert_eq!(r.fe_lookups(), 3);
-        assert_eq!(r.total_storage_bytes(), 4 * r.lc_storage_bytes());
-    }
-
-    #[test]
-    fn cache_only_caches_locally_but_not_across_lcs() {
-        let rt = synth::small(63);
-        let mut r = CacheOnlyRouter::build(
-            &rt,
-            4,
-            LpmAlgorithm::Lulea,
-            &LrCacheConfig {
-                blocks: 256,
-                ..Default::default()
-            },
-        );
-        let addr = rt.entries()[7].prefix.first_addr();
-        let (_, hit1) = r.lookup(0, addr);
-        assert!(!hit1);
-        let (_, hit2) = r.lookup(0, addr);
-        assert!(hit2);
-        // The same address from another LC misses: no sharing.
-        let (_, hit3) = r.lookup(1, addr);
-        assert!(!hit3);
-        assert_eq!(r.fe_lookups(), 2);
-    }
-
-    #[test]
-    fn cache_only_matches_oracle() {
-        use rand::{Rng, SeedableRng};
-        let rt = synth::small(65);
-        let mut r = CacheOnlyRouter::build(
-            &rt,
-            2,
-            LpmAlgorithm::Dp,
-            &LrCacheConfig {
-                blocks: 128,
-                ..Default::default()
-            },
-        );
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        for _ in 0..300 {
-            let addr: u32 = rng.gen();
-            let (nh, _) = r.lookup(rng.gen_range(0..2), addr);
-            assert_eq!(nh, rt.longest_match(addr).map(|e| e.next_hop));
-        }
-    }
 
     #[test]
     fn length_partitioning_is_lossless_but_imbalanced() {

@@ -13,9 +13,10 @@
 //! * [`router`] — the functional (untimed) SPAL router: partitioned
 //!   tables + per-LC LR-caches + home routing, with full result-sharing
 //!   semantics; the cycle-accurate version lives in `spal-sim`;
-//! * [`baseline`] — the comparison points: a conventional router (full
-//!   table per LC, no caches), a cache-only router (ref \[6\]-style), and
-//!   the partition-by-length scheme of ref \[1\].
+//! * [`baseline`] — the comparison schemes that are not routers: ref
+//!   \[6\]'s range-caching interval map and the partition-by-length
+//!   scheme of ref \[1\] (the conventional and cache-only routers run in
+//!   `spal-sim`).
 
 pub mod baseline;
 pub mod bits;

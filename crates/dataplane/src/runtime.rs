@@ -896,12 +896,13 @@ impl<F: AddrFamily> WorkerCore<F> {
         work
     }
 
-    fn finalize_report(&mut self) {
+    fn finalize_report(&mut self) -> WorkerReport {
         self.report.lc = self.lc;
         self.report.cache = *self.cache.stats();
         if let Some(f) = &self.faults {
             self.report.faults = f.stats();
         }
+        std::mem::take(&mut self.report)
     }
 }
 
@@ -964,26 +965,37 @@ impl<F: AddrFamily> Worker<F> {
         let pin = self.reader.pin();
         self.core.step(&pin)
     }
+}
 
-    fn all_done(&self) -> bool {
-        self.core.done.load(Ordering::SeqCst) >= self.core.psi
-    }
-
-    fn run_threaded(mut self) -> WorkerReport {
-        let mut backoff = Backoff::new(self.core.psi + 1);
-        loop {
-            let work = self.iterate();
-            if self.core.marked_done && self.all_done() {
-                break;
-            }
-            if work == 0 {
-                backoff.snooze();
-            } else {
-                backoff.reset();
+/// Step `workers` round-robin — `between` first, then one iteration of
+/// each LC in order — until every LC of the run is done, snoozing after
+/// a round in which none of them did any work. The one loop both
+/// schedules run: a threaded run gives each thread a one-LC slice and a
+/// no-op `between`; the deterministic run passes every LC and the
+/// control plane's round hook. The shared `done` counter is read only
+/// once this slice's own LCs are all done.
+fn drive<F: AddrFamily>(
+    workers: &mut [Worker<F>],
+    mut backoff: Backoff,
+    mut between: impl FnMut(&mut [Worker<F>]),
+) {
+    loop {
+        between(workers);
+        let mut work = 0;
+        for w in workers.iter_mut() {
+            work += w.iterate();
+        }
+        if workers.iter().all(|w| w.core.marked_done) {
+            let core = &workers[0].core;
+            if core.done.load(Ordering::SeqCst) >= core.psi {
+                return;
             }
         }
-        self.core.finalize_report();
-        self.core.report
+        if work == 0 {
+            backoff.snooze();
+        } else {
+            backoff.reset();
+        }
     }
 }
 
@@ -1166,17 +1178,32 @@ impl<F: AddrFamily> Control<F> {
         self.report.publications += 1;
     }
 
-    /// Threaded control loop: publish batches at the configured pace
-    /// until the stream or the workers run out.
-    fn run_paced(&mut self, updates: &[Update<F::Addr>], per_pub: usize, pace_us: u64) {
-        for batch in updates.chunks(per_pub.max(1)) {
-            if self.done.load(Ordering::SeqCst) >= self.psi {
-                break;
-            }
-            self.maybe_remap();
-            self.publish_batch(batch);
-            if pace_us > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(pace_us));
+    /// The threaded control loop, on the caller's thread while the
+    /// workers run: publish the update stream's batches at the
+    /// configured pace and poll the failure flag between them. Without
+    /// a failover plan it returns when the stream runs out; with one it
+    /// keeps polling until every worker is done (survivors with requests
+    /// in flight to the victim cannot finish until the remap re-homes
+    /// them). Either way it stops once every worker is done.
+    fn serve(&mut self, updates: Option<&[Update<F::Addr>]>, cfg: &DataplaneConfig<F>) {
+        let (per_pub, pace_us) = cfg
+            .churn
+            .as_ref()
+            .map_or((1, 0), |c| (c.updates_per_publication.max(1), c.pace_us));
+        let mut batches = updates.unwrap_or_default().chunks(per_pub);
+        while self.done.load(Ordering::SeqCst) < self.psi {
+            let remapped = self.maybe_remap();
+            let pause = match batches.next() {
+                Some(batch) => {
+                    self.publish_batch(batch);
+                    pace_us
+                }
+                None if cfg.failover.is_none() => return,
+                None if remapped => 0,
+                None => 50,
+            };
+            if pause > 0 {
+                std::thread::sleep(std::time::Duration::from_micros(pause));
             }
         }
     }
@@ -1249,18 +1276,6 @@ impl<F: AddrFamily> Control<F> {
             targeted,
             invalidations_per_lc: if targeted { moved.len() as u64 } else { 1 },
         });
-    }
-
-    /// Threaded failover watch: after any churn stream finishes, keep
-    /// polling the failure flag until every worker is done (survivors
-    /// with requests in flight to the victim cannot finish until the
-    /// remap re-homes them).
-    fn watch_failover(&mut self) {
-        while self.done.load(Ordering::SeqCst) < self.psi {
-            if !self.maybe_remap() {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
-        }
     }
 
     /// Sample the published tables against the per-LC RIB oracle (each
@@ -1340,46 +1355,49 @@ pub fn run_family<F: AddrFamily>(
     let (mut workers, mut control) = assemble(table, traces, cfg);
 
     let t0 = Instant::now();
-    let (mut results, coherence, forced_publications, sweeps) = if cfg.deterministic {
-        let (r, forced, sweeps) =
-            run_deterministic(&mut workers, &mut control, updates.as_deref(), cfg);
-        // Post-quiesce coherence sweep: the trailing publications left
-        // their invalidations queued in the control rings, so drain
-        // those first; then every entry still resident in any cache
-        // must agree with the control plane's RIB oracle — targeted
-        // invalidation plus the reply-version gate must leave no entry
-        // covered by an updated prefix. A failed worker's cache froze
-        // at its death and stopped receiving invalidations, so it is
-        // out of the sweep (it serves no lookups either).
-        let mut last = SweepSummary::default();
-        sweep_caches(&mut workers, &control, &mut last);
-        (
-            r,
-            Some(CoherenceSummary {
-                entries_checked: last.entries_checked,
-                mismatches: last.mismatches,
-            }),
-            forced,
-            sweeps,
-        )
+    let (forced_publications, sweeps) = if cfg.deterministic {
+        run_deterministic(&mut workers, &mut control, updates.as_deref(), cfg)
     } else {
-        let r = run_threaded(workers, &mut control, updates.as_deref(), cfg);
-        (r, None, 0, None)
+        std::thread::scope(|s| {
+            for lc in workers.chunks_mut(1) {
+                s.spawn(move || drive(lc, Backoff::new(psi + 1), |_| {}));
+            }
+            control.serve(updates.as_deref(), cfg);
+        });
+        (0, None)
     };
     let elapsed = t0.elapsed();
 
     let mut report = DataplaneReport {
         deterministic: cfg.deterministic,
         elapsed,
+        workers: workers
+            .iter_mut()
+            .map(|w| w.core.finalize_report())
+            .collect(),
         ..Default::default()
     };
-    results.sort_by_key(|w| w.lc);
-    report.workers = results;
+    if cfg.deterministic {
+        // Post-quiesce coherence sweep, after the reports are final (its
+        // control-ring drain counts invalidations): the trailing
+        // publications left their invalidations queued in the control
+        // rings, so drain those first; then every entry still resident
+        // in any cache must agree with the control plane's RIB oracle —
+        // targeted invalidation plus the reply-version gate must leave
+        // no entry covered by an updated prefix. A failed worker's cache
+        // froze at its death and stopped receiving invalidations, so it
+        // is out of the sweep (it serves no lookups either).
+        let mut last = SweepSummary::default();
+        sweep_caches(&mut workers, &control, &mut last);
+        report.coherence = Some(CoherenceSummary {
+            entries_checked: last.entries_checked,
+            mismatches: last.mismatches,
+        });
+    }
     if cfg.churn.is_some() {
         control.final_check(1_000, cfg.seed ^ F::CHECK_SEED_SALT);
         report.churn = Some(control.report.clone());
     }
-    report.coherence = coherence;
     report.failover = control.failover;
     report.sweeps = sweeps;
     if let Some(plan) = &cfg.faults {
@@ -1537,33 +1555,6 @@ fn assemble<F: AddrFamily>(
     (workers, control)
 }
 
-fn run_threaded<F: AddrFamily>(
-    workers: Vec<Worker<F>>,
-    control: &mut Control<F>,
-    updates: Option<&[Update<F::Addr>]>,
-    cfg: &DataplaneConfig<F>,
-) -> Vec<WorkerReport> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = workers
-            .into_iter()
-            .map(|w| s.spawn(move || w.run_threaded()))
-            .collect();
-        if let Some(updates) = updates {
-            let churn = cfg.churn.as_ref().expect("updates imply churn config");
-            control.run_paced(updates, churn.updates_per_publication, churn.pace_us);
-        }
-        if cfg.failover.is_some() {
-            // Survivors with requests in flight to the victim cannot
-            // finish until the control plane re-homes them.
-            control.watch_failover();
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-}
-
 /// One mid-run invariant sweep (deterministic soak runs): drain each
 /// live worker's control ring, then compare every resident cache entry
 /// against the control plane's per-LC RIB oracle. Sound between rounds:
@@ -1591,19 +1582,18 @@ fn sweep_caches<F: AddrFamily>(
     }
 }
 
-/// What one deterministic run returns: the per-worker reports, the
-/// forced-publication count, and the coherence-sweep summary when
-/// `sweep_every` was set.
-type DeterministicOutcome = (Vec<WorkerReport>, u64, Option<SweepSummary>);
-
+/// The deterministic schedule: every LC on the caller's thread, stepped
+/// by one [`drive`] whose round hook runs the control plane — the
+/// round-cap assert, a pending remap, the due sweep, the due
+/// publication, the forced-publication coin. Returns the number of
+/// forced publications and, when `sweep_every` was set, the sweep
+/// summary.
 fn run_deterministic<F: AddrFamily>(
     workers: &mut [Worker<F>],
     control: &mut Control<F>,
     updates: Option<&[Update<F::Addr>]>,
     cfg: &DataplaneConfig<F>,
-) -> DeterministicOutcome {
-    let psi = workers.len();
-    let done = Arc::clone(&workers[0].core.done);
+) -> (u64, Option<SweepSummary>) {
     // Adversarial snapshot swaps: a seeded coin decides, per round,
     // whether to force an extra (no-update) publication right before
     // the workers run — an epoch bump at a schedule point the paced
@@ -1636,7 +1626,7 @@ fn run_deterministic<F: AddrFamily>(
     let mut sweeps = (cfg.sweep_every > 0).then(SweepSummary::default);
     let mut round = 0usize;
     let round_cap = 1000 * total_rounds + 10_000;
-    while done.load(Ordering::SeqCst) < psi {
+    drive(workers, Backoff::new(1), |workers| {
         round += 1;
         assert!(
             round <= round_cap,
@@ -1658,23 +1648,13 @@ fn run_deterministic<F: AddrFamily>(
                 forced_publications += 1;
             }
         }
-        for w in workers.iter_mut() {
-            w.iterate();
-        }
-    }
+    });
     // Publish whatever churn remains so the final table reflects the
     // whole stream (mirrors the paced mode finishing its stream).
     while let Some(batch) = batches.pop_front() {
         control.publish_batch(batch);
     }
-    let results = workers
-        .iter_mut()
-        .map(|w| {
-            w.core.finalize_report();
-            w.core.report.clone()
-        })
-        .collect();
-    (results, forced_publications, sweeps)
+    (forced_publications, sweeps)
 }
 
 #[cfg(test)]

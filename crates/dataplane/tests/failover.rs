@@ -264,21 +264,26 @@ fn duplicate_and_stale_replies_after_remap_do_not_diverge() {
     assert!(dups > 0, "fault plan injected no duplicate replies");
 }
 
+/// Threaded, with and without an update stream: the control loop must
+/// remap whether the victim dies mid-stream or while it only watches.
 #[test]
 fn threaded_failover_stays_consistent() {
     let psi = 4;
     let packets = 20_000;
     let (table, traces) = setup(psi, packets);
-    let mut cfg = failover_cfg(psi, packets, false);
-    cfg.churn = Some(ChurnConfig {
+    let churn = ChurnConfig {
         updates: 400,
         updates_per_publication: 20,
         withdraw_fraction: 0.3,
         pace_us: 50,
-    });
-    let report = run(&table, &traces, &cfg);
-    assert_no_divergence(&report);
-    report.failover.as_ref().expect("remap ran");
-    let lost: u64 = report.workers.iter().map(|w| w.lost_packets).sum();
-    assert_eq!(report.total_packets(), (psi * packets) as u64 - lost);
+    };
+    for churn in [None, Some(churn)] {
+        let mut cfg = failover_cfg(psi, packets, false);
+        cfg.churn = churn;
+        let report = run(&table, &traces, &cfg);
+        assert_no_divergence(&report);
+        report.failover.as_ref().expect("remap ran");
+        let lost: u64 = report.workers.iter().map(|w| w.lost_packets).sum();
+        assert_eq!(report.total_packets(), (psi * packets) as u64 - lost);
+    }
 }

@@ -3,14 +3,13 @@
 
 use std::collections::VecDeque;
 
-/// A FIFO queue with an optional capacity bound and a high-water mark.
+/// An unbounded FIFO queue with a high-water mark. Lookup traffic in
+/// the simulator is never silently dropped: pressure shows up as latency
+/// and in the high-water mark instead.
 #[derive(Debug, Clone)]
 pub struct Queue<T> {
     items: VecDeque<T>,
-    capacity: Option<usize>,
     high_water: usize,
-    total_enqueued: u64,
-    rejected: u64,
 }
 
 impl<T> Default for Queue<T> {
@@ -20,43 +19,18 @@ impl<T> Default for Queue<T> {
 }
 
 impl<T> Queue<T> {
-    /// A queue without a capacity bound (the simulator's default: lookup
-    /// traffic must not be silently dropped; pressure shows up as latency
-    /// and in the high-water mark instead).
+    /// An empty queue.
     pub fn unbounded() -> Self {
         Queue {
             items: VecDeque::new(),
-            capacity: None,
             high_water: 0,
-            total_enqueued: 0,
-            rejected: 0,
         }
     }
 
-    /// A queue holding at most `capacity` items.
-    pub fn bounded(capacity: usize) -> Self {
-        Queue {
-            items: VecDeque::with_capacity(capacity),
-            capacity: Some(capacity),
-            high_water: 0,
-            total_enqueued: 0,
-            rejected: 0,
-        }
-    }
-
-    /// Append an item. Returns `false` (and counts a rejection) if the
-    /// queue is at capacity.
-    pub fn push(&mut self, item: T) -> bool {
-        if let Some(cap) = self.capacity {
-            if self.items.len() >= cap {
-                self.rejected += 1;
-                return false;
-            }
-        }
+    /// Append an item.
+    pub fn push(&mut self, item: T) {
         self.items.push_back(item);
-        self.total_enqueued += 1;
         self.high_water = self.high_water.max(self.items.len());
-        true
     }
 
     /// Remove and return the oldest item.
@@ -83,27 +57,6 @@ impl<T> Queue<T> {
     pub fn high_water(&self) -> usize {
         self.high_water
     }
-
-    /// Total successful enqueues.
-    pub fn total_enqueued(&self) -> u64 {
-        self.total_enqueued
-    }
-
-    /// Pushes rejected by the capacity bound.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Drop everything (table-update flush of in-flight state is NOT part
-    /// of the paper's design; this exists for tests and resets).
-    pub fn clear(&mut self) {
-        self.items.clear();
-    }
-
-    /// Iterate without consuming.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
-    }
 }
 
 #[cfg(test)]
@@ -124,18 +77,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_rejects_at_capacity() {
-        let mut q = Queue::bounded(2);
-        assert!(q.push(1));
-        assert!(q.push(2));
-        assert!(!q.push(3));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.rejected(), 1);
-        q.pop();
-        assert!(q.push(3));
-    }
-
-    #[test]
     fn high_water_tracks_peak() {
         let mut q = Queue::unbounded();
         q.push(1);
@@ -143,15 +84,5 @@ mod tests {
         q.pop();
         q.push(3);
         assert_eq!(q.high_water(), 2);
-        assert_eq!(q.total_enqueued(), 3);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut q = Queue::unbounded();
-        q.push(1);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.high_water(), 1); // stats survive
     }
 }

@@ -184,16 +184,6 @@ impl SwitchingFabric {
         self.in_transit.iter().map(VecDeque::len).sum()
     }
 
-    /// Whether [`SwitchingFabric::receive`] would hand `dst` a message
-    /// at cycle `now` — a side-effect-free preview for schedulers that
-    /// skip idle ports.
-    pub fn deliverable(&self, dst: u16, now: u64) -> bool {
-        self.last_delivery[dst as usize] != Some(now)
-            && self.in_transit[dst as usize]
-                .front()
-                .is_some_and(|&(arrives, _)| arrives <= now)
-    }
-
     /// Earliest cycle at which any in-flight message finishes transit,
     /// or `None` when the fabric is empty. Constant latency keeps each
     /// per-destination queue ordered by arrival time, so only queue

@@ -76,25 +76,23 @@ proptest! {
     }
 
     #[test]
-    fn queue_is_fifo_and_bounded(
-        capacity in 1usize..32,
+    fn queue_is_fifo(
         items in proptest::collection::vec(any::<u32>(), 0..64),
         pops_between in proptest::collection::vec(any::<bool>(), 64),
     ) {
-        let mut q = Queue::bounded(capacity);
+        let mut q = Queue::unbounded();
         let mut model: std::collections::VecDeque<u32> = Default::default();
+        let mut peak = 0;
         for (i, &x) in items.iter().enumerate() {
-            let accepted = q.push(x);
-            prop_assert_eq!(accepted, model.len() < capacity);
-            if accepted {
-                model.push_back(x);
-            }
+            q.push(x);
+            model.push_back(x);
+            peak = peak.max(model.len());
             if pops_between[i % pops_between.len()] {
                 prop_assert_eq!(q.pop(), model.pop_front());
             }
-            prop_assert!(q.len() <= capacity);
             prop_assert_eq!(q.len(), model.len());
         }
+        prop_assert_eq!(q.high_water(), peak);
         while let Some(x) = q.pop() {
             prop_assert_eq!(Some(x), model.pop_front());
         }

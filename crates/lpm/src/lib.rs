@@ -18,7 +18,7 @@
 //!   (§2.1): one or two reads per lookup out of a > 32 MB table.
 //! * [`multibit::MultibitTrie`] — a fixed-stride multibit trie with
 //!   controlled prefix expansion (§2.1's "multiple-bit inspection",
-//!   ref \[15\]), the structure `exp_strides` sweeps.
+//!   ref \[15\]), the structure `exp strides` sweeps.
 //! * [`binary::BinaryTrie`] — a plain bitwise trie used as the reference
 //!   implementation and for IPv6 (it is generic over address width).
 //! * [`poptrie::Poptrie`] — a cache-line-packed 16/8/8 multibit trie with
@@ -42,7 +42,7 @@
 //! makes, and instantiated twice. The *counted* instantiation
 //! ([`Lpm::lookup_counted`], [`Lpm::lookup_batch`]) fills in
 //! [`CountedLookup::mem_accesses`] and deduplicates the touched cache
-//! lines in a [`LineSet`]; the simulator, the `exp_*` experiments and the
+//! lines in a [`LineSet`]; the simulator, the `exp` experiments and the
 //! line-budget tests read those numbers. The *forwarding* instantiation
 //! ([`Lpm::lookup`], [`Lpm::forward_batch`]) tallies into a zero-sized
 //! type whose methods are empty, so the same walk compiles down to its

@@ -152,18 +152,6 @@ impl<A: AddressBits> RoutingTable<A> {
         None
     }
 
-    /// Whether any route strictly contained in `prefix` (longer, inside
-    /// its range) exists, other than routes in `except`.
-    pub fn has_strict_descendant_except(&self, prefix: Prefix<A>, except: &[Prefix<A>]) -> bool {
-        self.range(prefix.first_addr(), prefix.last_addr())
-            .iter()
-            .any(|e| {
-                e.prefix.len() > prefix.len()
-                    && prefix.contains(e.prefix)
-                    && !except.contains(&e.prefix)
-            })
-    }
-
     /// Reference longest-prefix match: scans every route. O(n) per lookup,
     /// used as the oracle the trie implementations are tested against.
     pub fn longest_match(&self, addr: A) -> Option<RouteEntry<A>> {
@@ -224,7 +212,6 @@ mod tests {
         next_hop_count,
         same_bits_different_len_are_distinct_routes,
         range_and_best_cover,
-        strict_descendants,
         collects_and_iterates,
     );
 
@@ -318,23 +305,6 @@ mod tests {
             RoutingTable::from_entries([route::<A>(&[10], 8, 1)]).best_cover(a, A::BITS),
             None
         );
-    }
-
-    fn strict_descendants<A: AddressBits>() {
-        let p8 = prefix::<A>(&[10], 8);
-        let p16 = prefix::<A>(&[10, 1], 16);
-        let t = RoutingTable::from_entries([
-            route(&[10], 8, 1),
-            route(&[10, 1], 16, 2),
-            route(&[11], 8, 3),
-        ]);
-        assert!(t.has_strict_descendant_except(p8, &[]));
-        assert!(!t.has_strict_descendant_except(p8, &[p16]));
-        // A prefix is not its own strict descendant, and a sibling's
-        // routes are not inside it.
-        assert!(!t.has_strict_descendant_except(p16, &[]));
-        assert!(!t.has_strict_descendant_except(prefix(&[11], 8), &[]));
-        assert!(t.has_strict_descendant_except(Prefix::DEFAULT, &[p8, p16]));
     }
 
     fn collects_and_iterates<A: AddressBits>() {
