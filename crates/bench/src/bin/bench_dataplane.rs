@@ -5,14 +5,15 @@
 //! preset (32k flows, Zipf bursts — the stream the SPAL cache design
 //! targets); `--v6` runs SHIP LCs (128-bit caches and fabric) over the
 //! DFZ-2026 v6 table and a Zipf locality stream. Results go to
-//! `BENCH_dataplane{,6}.json` (one row per configuration) and
-//! `BENCH_latency{,6}.json` (per-path completion-latency percentiles
-//! per configuration):
+//! `BENCH_dataplane{,6}.json`, one row per configuration: the row's own
+//! keys, and the best rep's [`DataplaneReport::to_json`] (throughput,
+//! hit rates, per-path latency, churn apply times, per-worker counters)
+//! under `"report"`:
 //!
 //! ```json
-//! {"benchmark": "dataplane", "config": "w4", "workers": 4,
-//!  "throughput_mpps": 30.1, "hit_rate": 0.93, "hit_rate_cold": 0.85,
-//!  "hit_rate_steady": 0.96, ..., "host_cores": 2, "measured": false}
+//! {"benchmark": "dataplane", "config": "w4", "workload": "locality",
+//!  "checksum_ok": true, "report": {"workers": 4, ...},
+//!  "host_cores": 2, "measured": false}
 //! ```
 //!
 //! Verdicts go through the [`Gates`] ledger (see `spal_bench::gate` for
@@ -36,8 +37,8 @@
 //! Exits non-zero on any violation so CI can run it:
 //! `bench_dataplane [--v6] --quick`. Flags: `--packets N` (total per
 //! sweep point), `--prefixes N` (IPv4 table size), `--seed N`,
-//! `--out PATH`, `--out-latency PATH`, and `--rt1` (accepted and
-//! ignored, for `run_experiments.sh`). Any other flag is an error.
+//! `--out PATH`, and `--rt1` (accepted and ignored, for
+//! `run_experiments.sh`). Any other flag is an error.
 
 use spal_bench::gate::{stamp, write_array};
 use spal_bench::{dfz, lookup, ArgError, Args, Gates};
@@ -76,9 +77,8 @@ struct Plan<F: AddrFamily> {
     /// The full-table engine whose replay every churn-free checksum
     /// must equal.
     oracle: F::Algorithm,
-    /// Default `--out` / `--out-latency`, relative to the repo root.
+    /// Default `--out`, relative to the repo root.
     out: &'static str,
-    out_latency: &'static str,
 }
 
 /// Best (shortest) of `REPS` runs.
@@ -97,54 +97,6 @@ fn measure<F: AddrFamily>(
     best.expect("at least one rep")
 }
 
-fn opt_json<T: std::fmt::Display>(v: Option<T>) -> String {
-    v.map_or("null".to_string(), |x| x.to_string())
-}
-
-/// One `BENCH_dataplane.json` row.
-fn row_json(
-    config: &str,
-    workload: &str,
-    r: &DataplaneReport,
-    checksum_ok: Option<bool>,
-) -> String {
-    let churn = r.churn.as_ref();
-    let us = |f: fn(&spal_dataplane::LatencySummary) -> f64| {
-        opt_json(churn.map(|c| format!("{:.2}", f(&c.apply_us))))
-    };
-    format!(
-        "{{\"benchmark\": \"dataplane\", \"config\": \"{config}\", \"workload\": \"{workload}\", \
-         \"workers\": {}, \"churn\": {}, \"packets\": {}, \"throughput_mpps\": {:.4}, \
-         \"wall_ms\": {:.3}, \"hit_rate\": {:.6}, \"hit_rate_cold\": {:.6}, \
-         \"hit_rate_steady\": {:.6}, \"rem_share\": {:.6}, \"checksum_ok\": {}, \
-         \"spot_mismatches\": {}, \"final_mismatches\": {}, \"apply_mean_us\": {}, \
-         \"apply_max_us\": {}, \"apply_p50_us\": {}, \"apply_p95_us\": {}, \"apply_p99_us\": {}, \
-         \"delta_applies\": {}, \"rebuild_applies\": {}, \"delta_bytes_touched\": {}, \
-         \"latency_p999_ns\": {}}}",
-        r.workers.len(),
-        churn.is_some(),
-        r.total_packets(),
-        r.throughput_mpps(),
-        r.elapsed.as_secs_f64() * 1e3,
-        r.hit_rate(),
-        r.hit_rate_cold(),
-        r.hit_rate_steady(),
-        r.rem_share(),
-        opt_json(checksum_ok),
-        r.spot_check_mismatches(),
-        opt_json(churn.map(|c| c.final_mismatches)),
-        us(|a| a.mean_us()),
-        us(|a| a.max_us),
-        us(|a| a.p50_us()),
-        us(|a| a.p95_us()),
-        us(|a| a.p99_us()),
-        opt_json(churn.map(|c| c.delta_applies)),
-        opt_json(churn.map(|c| c.rebuild_applies)),
-        opt_json(churn.map(|c| c.delta_bytes_touched)),
-        r.latency_paths().all().p999_ns(),
-    )
-}
-
 /// What a full-table engine says the trace's next hops sum to.
 fn oracle_checksum<F: AddrFamily>(full: &F::Engine, trace: &Trace<F::Addr>) -> u64 {
     let mut sum = 0u64;
@@ -158,16 +110,15 @@ fn oracle_checksum<F: AddrFamily>(full: &F::Engine, trace: &Trace<F::Addr>) -> u
     sum
 }
 
-/// The sweep's outputs: the ledger and the two row files.
+/// The sweep's outputs: the ledger and the rows.
 struct Sweep<F: AddrFamily> {
     plan: Plan<F>,
     gates: Gates,
     rows: Vec<String>,
-    latency_rows: Vec<String>,
 }
 
 impl<F: AddrFamily> Sweep<F> {
-    /// Run one configuration, print and record its rows, and grade the
+    /// Run one configuration, print and record its row, and grade the
     /// gates every run carries: a churn-free run's checksum equals
     /// `oracle`, no in-run spot check disagreed, after churn the
     /// published tables match the control plane's RIB, the delta path
@@ -181,33 +132,7 @@ impl<F: AddrFamily> Sweep<F> {
         let plan = &self.plan;
         let config = format!("{}{suffix}", plan.prefix);
         let report = measure::<F>(&plan.table, &plan.trace.split(cfg.workers), cfg);
-        println!(
-            "  {config:22} {:>8.3} Mpps {:>9.1} ms | hit {:.3} (cold {:.3} / steady {:.3}) \
-             rem {:.3} | p99.9 {:>8} ns",
-            report.throughput_mpps(),
-            report.elapsed.as_secs_f64() * 1e3,
-            report.hit_rate(),
-            report.hit_rate_cold(),
-            report.hit_rate_steady(),
-            report.rem_share(),
-            report.latency_paths().all().p999_ns(),
-        );
-        if let Some(c) = &report.churn {
-            println!(
-                "  {:22} {} updates in {} pubs | apply mean {:.1} us p99 {:.1} us max {:.1} us \
-                 | {} patched / {} rebuilt | {} B touched | reclaim mean {:.1} us",
-                "",
-                c.updates_applied,
-                c.publications,
-                c.apply_us.mean_us(),
-                c.apply_us.p99_us(),
-                c.apply_us.max_us,
-                c.delta_applies,
-                c.rebuild_applies,
-                c.delta_bytes_touched,
-                c.reclaim_us.mean_us(),
-            );
-        }
+        println!("  {config:14} {}", report.summary());
         let checksum_ok = oracle.map(|sum| report.checksum() == sum);
         if let Some(ok) = checksum_ok {
             let what = format!("{config}: checksum equals the full-table oracle's");
@@ -232,19 +157,14 @@ impl<F: AddrFamily> Sweep<F> {
             self.gates
                 .ceiling(&what, c.apply_us.p99_us(), APPLY_P99_CEILING_US, busy);
         }
-        let row = row_json(&config, plan.workload, &report, checksum_ok);
-        self.rows.push(stamp(&row, busy));
-        // Per-path completion latency — what the paper's packet sees:
-        // hit paths record the admit burst's probe cost, the miss path
-        // records admit → resolve (including the remote round trip).
-        let latency = format!(
-            "{{\"benchmark\": \"dataplane_latency\", \"config\": \"{config}\", \
-             \"workers\": {}, \"churn\": {}, \"latency\": {}}}",
-            cfg.workers,
-            cfg.churn.is_some(),
-            report.latency_paths().to_json(),
+        let row = format!(
+            "{{\"benchmark\": \"dataplane\", \"config\": \"{config}\", \"workload\": \"{}\", \
+             \"checksum_ok\": {}, \"report\": {}}}",
+            plan.workload,
+            checksum_ok.map_or("null".to_string(), |ok| ok.to_string()),
+            report.to_json().trim_end(),
         );
-        self.latency_rows.push(stamp(&latency, busy));
+        self.rows.push(stamp(&row, busy));
         report
     }
 }
@@ -259,7 +179,6 @@ fn sweep<F: AddrFamily>(
 ) -> Result<(), ArgError> {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let out = args.get_or("out", format!("{root}/{}", plan.out))?;
-    let out_latency = args.get_or("out-latency", format!("{root}/{}", plan.out_latency))?;
     println!(
         "{}: {packets} packets/config ({} distinct dests), table {} prefixes, {} host cores, \
          best of {REPS}",
@@ -288,7 +207,6 @@ fn sweep<F: AddrFamily>(
         gates: Gates::new(plan.name),
         plan,
         rows: Vec::new(),
-        latency_rows: Vec::new(),
     };
 
     let mpps: Vec<f64> = SWEEP
@@ -334,24 +252,13 @@ fn sweep<F: AddrFamily>(
 
     write_array(&out, &s.rows).expect("writing benchmark JSON");
     println!("wrote {} rows to {out}", s.rows.len());
-    write_array(&out_latency, &s.latency_rows).expect("writing latency JSON");
-    println!("wrote {} rows to {out_latency}", s.latency_rows.len());
     s.gates.finish();
     Ok(())
 }
 
 fn main() -> Result<(), ArgError> {
     let args = Args::parse(std::env::args().skip(1))?;
-    args.expect_only(&[
-        "quick",
-        "v6",
-        "packets",
-        "prefixes",
-        "seed",
-        "out",
-        "out-latency",
-        "rt1",
-    ])?;
+    args.expect_only(&["quick", "v6", "packets", "prefixes", "seed", "out", "rt1"])?;
     let quick = args.has("quick");
     let packets = args.get_or("packets", if quick { 200_000 } else { 2_000_000 })?;
     let seed = args.get_or("seed", 1u64)?;
@@ -372,7 +279,6 @@ fn main() -> Result<(), ArgError> {
             engine: LpmAlgorithm6::Ship,
             oracle: LpmAlgorithm6::Binary,
             out: "BENCH_dataplane6.json",
-            out_latency: "BENCH_latency6.json",
         };
         sweep(plan, &args, packets, seed)
     } else {
@@ -395,7 +301,6 @@ fn main() -> Result<(), ArgError> {
             engine: LpmAlgorithm::Dir24,
             oracle: LpmAlgorithm::Dp,
             out: "BENCH_dataplane.json",
-            out_latency: "BENCH_latency.json",
         };
         sweep(plan, &args, packets, seed)
     }

@@ -41,8 +41,9 @@ pub fn stamp(row: &str, busy_threads: usize) -> String {
     )
 }
 
-/// Write rendered JSON object rows to `path` as a JSON array, one row
-/// per line (the layout of every `BENCH_*.json`).
+/// Write rendered JSON object rows to `path` as a JSON array, each row
+/// starting a line (the layout of every `BENCH_*.json`; a row that nests
+/// a report spans several).
 pub fn write_array(path: &str, rows: &[String]) -> std::io::Result<()> {
     let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
     writeln!(f, "[")?;
@@ -190,6 +191,13 @@ mod tests {
         assert_eq!(
             stamp("{ \"a\": [] }", usize::MAX),
             format!("{{ \"a\": [], \"host_cores\": {cores}, \"measured\": false}}")
+        );
+        // A row nesting a multi-line report object.
+        assert_eq!(
+            stamp("{\"a\": 1, \"report\": {\n  \"b\": [\n  ]\n}}", 1),
+            format!(
+                "{{\"a\": 1, \"report\": {{\n  \"b\": [\n  ]\n}}, \"host_cores\": {cores}, \"measured\": true}}"
+            )
         );
     }
 }

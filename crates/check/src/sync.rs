@@ -235,8 +235,10 @@ pub struct CheckCell<T> {
     inner: std::cell::UnsafeCell<T>,
 }
 
-// Same bound UnsafeCell-based containers use: sharing is sound as long
-// as the contained value can move between threads.
+// SAFETY: same bound UnsafeCell-based containers use: sharing is sound
+// as long as the contained value can move between threads. `&CheckCell`
+// hands out only raw pointers, and the caller upholds exclusivity (the
+// type's safety contract above), which the checker verifies.
 unsafe impl<T: Send> Sync for CheckCell<T> {}
 
 impl<T> CheckCell<T> {

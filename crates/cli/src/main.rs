@@ -97,7 +97,6 @@ const DATAPLANE_FLAGS: &[&str] = &[
     "deterministic",
     "faults",
     "json",
-    "out-latency",
 ];
 
 fn die(msg: &str) -> ! {
@@ -125,17 +124,16 @@ commands:
              [--churn UPDATES] [--publish-every N] [--withdraw-fraction F]
              [--pace-us US] [--invalidation targeted|flush]
              [--deterministic] [--seed S] [--faults SEED] [--json]
-             [--out-latency FILE]
              run the threaded SPAL runtime with RCU table publication;
              --faults injects seed-driven message drops/delays/dups and
              worker stalls (implies --deterministic) and exits non-zero
-             on any oracle divergence
+             on any oracle divergence; --json prints the whole report,
+             per-path latency included
   dataplane6 --workers N [--engine ship|binary] [--prefixes N]
              [--beta B] [--gamma G] [--batch N] [--packets N]
              [--churn UPDATES] [--publish-every N] [--withdraw-fraction F]
              [--pace-us US] [--invalidation targeted|flush]
              [--deterministic] [--seed S] [--faults SEED] [--json]
-             [--out-latency FILE]
              the same runtime over IPv6 (SHIP engines, 128-bit
              LR-caches and fabric) and a DFZ-2026-shaped synthetic v6
              table; every flag means what it means for dataplane
@@ -542,37 +540,16 @@ fn cmd_dataplane<F: CliFamily>(args: &Args) -> Result<(), ArgError> {
         seed,
         faults,
         // Latency histograms cost a timestamp pair per admit burst;
-        // only pay for them when something consumes them (the JSON
-        // report or an --out-latency file).
-        capture_latency: args.has("json") || args.get("out-latency").is_some(),
+        // only pay for them when the JSON report consumes them.
+        capture_latency: args.has("json"),
         ..Default::default()
     };
     let report = run_family::<F>(&table, &traces, &cfg);
-    if let Some(path) = args.get("out-latency") {
-        let json = report.latency_paths().to_json() + "\n";
-        std::fs::write(path, json).map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        eprintln!("wrote latency histogram to {path}");
-    }
     if args.has("json") {
         print!("{}", report.to_json());
         return Ok(());
     }
     println!("{}", report.summary());
-    let paths = report.latency_paths();
-    let all = paths.all();
-    if all.count() > 0 {
-        println!(
-            "latency (ns): loc-hit p50/p99.9 {}/{}, rem-hit p50/p99.9 {}/{}, \
-             miss p50/p99.9 {}/{}, all p99.9 {}",
-            paths.loc_hit.p50_ns(),
-            paths.loc_hit.p999_ns(),
-            paths.rem_hit.p50_ns(),
-            paths.rem_hit.p999_ns(),
-            paths.miss.p50_ns(),
-            paths.miss.p999_ns(),
-            all.p999_ns(),
-        );
-    }
     if let Some(c) = &report.churn {
         println!(
             "churn: {} invalidations sent, apply min/mean/max {:.1}/{:.1}/{:.1} µs, \
@@ -604,13 +581,11 @@ fn cmd_dataplane<F: CliFamily>(args: &Args) -> Result<(), ArgError> {
 fn print_worker_table(report: &spal_dataplane::DataplaneReport) {
     println!("\nlc  packets   hit-rate  remote-req  served  stale  in-flight  throttled");
     for w in &report.workers {
-        let probes = w.cache.probes().max(1);
-        let hits = w.cache.hits_loc + w.cache.hits_rem + w.cache.hits_waiting;
         println!(
             "{:>2}  {:>8}  {:>8.3}  {:>10}  {:>6}  {:>5}  {:>9}  {:>9}",
             w.lc,
             w.packets,
-            hits as f64 / probes as f64,
+            w.cache.hit_rate(),
             w.remote_requests,
             w.remote_served,
             w.stale_replies,

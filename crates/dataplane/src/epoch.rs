@@ -53,6 +53,10 @@ impl<T> Drop for Shared<T> {
         // still published is freed here, when the last handle goes.
         let p = *self.current.get_mut();
         if !p.is_null() {
+            // SAFETY: `p` came from `Box::into_raw` (in `epoch_table` or
+            // `publish_deferred`) and is still published, so no
+            // `Deferred` owns it; `Shared` drops with the last `Arc`, so
+            // no reader, writer or `Deferred` is left to pin or peek it.
             drop(unsafe { Box::from_raw(p) });
         }
     }
@@ -212,6 +216,10 @@ impl<T> EpochWriter<T> {
     /// [`publish`](EpochWriter::publish) means it cannot be reclaimed
     /// while this borrow lives.
     pub fn peek(&self) -> &T {
+        // SAFETY: the pointer is never null (`epoch_table` publishes
+        // `initial`, every swap installs a `Box`), and only this writer
+        // swaps it, through `&mut self` — so the snapshot stays published,
+        // and is not reclaimed, for as long as the returned borrow lives.
         unsafe { &*self.shared.current.load(Ordering::SeqCst) }
     }
 

@@ -41,8 +41,8 @@ pub use epoch::{epoch_table, EpochReader, EpochWriter, Pinned};
 pub use family::{AddrFamily, V4, V6};
 pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use report::{
-    ChurnReport, CoherenceSummary, DataplaneReport, FailoverSummary, FaultReport, LatencyHisto,
-    LatencySummary, PathLatency, SweepSummary, WorkerReport,
+    ChurnReport, DataplaneReport, FailoverSummary, FaultReport, LatencyHisto, LatencySummary,
+    PathLatency, SweepSummary, WorkerReport,
 };
 pub use runtime::{
     run, run6, run_family, ChurnConfig, Dataplane6Config, DataplaneConfig, FailoverPlan,

@@ -123,8 +123,8 @@ impl LatencyHisto {
 /// complete in §3's terms — LR-cache hit on a locally produced result
 /// (LOC), hit on a remote-sourced result (REM), or a miss that had to
 /// run a lookup (local FE or a round trip to the home LC). Keeping the
-/// paths separate is what lets BENCH_latency.json show the miss path's
-/// tail apart from the burst-granular hit paths.
+/// paths separate is what lets a report's `latency` show the miss
+/// path's tail apart from the burst-granular hit paths.
 #[derive(Debug, Clone, Default)]
 pub struct PathLatency {
     /// Completed by an LR-cache hit with M = LOC.
@@ -150,29 +150,6 @@ impl PathLatency {
         h.merge(&self.rem_hit);
         h.merge(&self.miss);
         h
-    }
-
-    /// JSON object with each path's percentiles, plus all three merged
-    /// — the one rendering behind [`DataplaneReport::to_json`],
-    /// BENCH_latency.json and the CLI's `--out-latency` file.
-    pub fn to_json(&self) -> String {
-        let one = |h: &LatencyHisto| {
-            format!(
-                "{{ \"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {} }}",
-                h.count(),
-                h.p50_ns(),
-                h.p99_ns(),
-                h.p999_ns(),
-                h.max_ns()
-            )
-        };
-        format!(
-            "{{ \"loc_hit\": {}, \"rem_hit\": {}, \"miss\": {}, \"all\": {} }}",
-            one(&self.loc_hit),
-            one(&self.rem_hit),
-            one(&self.miss),
-            one(&self.all()),
-        )
     }
 }
 
@@ -306,10 +283,6 @@ impl LatencySummary {
         self.percentile_us(0.50)
     }
 
-    pub fn p95_us(&self) -> f64 {
-        self.percentile_us(0.95)
-    }
-
     pub fn p99_us(&self) -> f64 {
         self.percentile_us(0.99)
     }
@@ -378,18 +351,6 @@ pub struct FaultReport {
     pub duplicate_replies: u64,
 }
 
-/// Post-quiesce cache-coherence sweep (deterministic runs): every
-/// entry still resident in any LR-cache compared against the control
-/// plane's per-LC RIB oracle.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CoherenceSummary {
-    /// Resident entries compared (main array + victim caches).
-    pub entries_checked: u64,
-    /// Entries whose cached next hop disagreed with the oracle
-    /// (must be zero).
-    pub mismatches: u64,
-}
-
 /// Online re-partitioning after an LC failure: what the control plane
 /// did when the failure flag was raised.
 #[derive(Debug, Clone, Copy, Default)]
@@ -410,9 +371,9 @@ pub struct FailoverSummary {
     pub invalidations_per_lc: u64,
 }
 
-/// Periodic mid-run coherence sweeps (deterministic soak runs): every
-/// resident cache entry of every live worker compared against the
-/// control plane's per-LC RIB oracle, `sweep_every` rounds apart.
+/// Cache-coherence sweeps (deterministic runs): every resident entry
+/// (main array + victim caches) of every live worker's cache compared
+/// against the control plane's per-LC RIB oracle.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SweepSummary {
     /// Sweeps performed.
@@ -437,7 +398,7 @@ pub struct DataplaneReport {
     /// Fault-injection results (`None` when no plan was configured).
     pub faults: Option<FaultReport>,
     /// Post-quiesce coherence sweep (`None` on threaded runs).
-    pub coherence: Option<CoherenceSummary>,
+    pub coherence: Option<SweepSummary>,
     /// Online re-partitioning results (`None` unless a
     /// [`FailoverPlan`](crate::runtime::FailoverPlan) fired and the
     /// control plane remapped).
@@ -463,47 +424,34 @@ impl DataplaneReport {
         }
     }
 
+    /// Complete + waiting hits and probes of every worker's `stats`,
+    /// each summed as `u64`.
+    fn pooled(&self, stats: impl Fn(&WorkerReport) -> &CacheStats) -> (u64, u64) {
+        let (mut hits, mut probes) = (0, 0);
+        for s in self.workers.iter().map(stats) {
+            hits += s.hits_loc + s.hits_rem + s.hits_waiting;
+            probes += s.probes();
+        }
+        (hits, probes)
+    }
+
     /// Aggregate LR-cache hit rate (complete + waiting hits over
     /// probes), the same ratio [`spal-sim`'s report] computes.
     pub fn hit_rate(&self) -> f64 {
-        let mut hits = 0u64;
-        let mut probes = 0u64;
-        for w in &self.workers {
-            hits += w.cache.hits_loc + w.cache.hits_rem + w.cache.hits_waiting;
-            probes += w.cache.probes();
-        }
-        if probes == 0 {
-            0.0
-        } else {
-            hits as f64 / probes as f64
-        }
+        ratio(self.pooled(|w| &w.cache)).unwrap_or(0.0)
     }
 
     /// Share of complete-entry hits that were remote-sourced (REM).
     pub fn rem_share(&self) -> f64 {
         let loc: u64 = self.workers.iter().map(|w| w.cache.hits_loc).sum();
         let rem: u64 = self.workers.iter().map(|w| w.cache.hits_rem).sum();
-        if loc + rem == 0 {
-            0.0
-        } else {
-            rem as f64 / (loc + rem) as f64
-        }
+        ratio((rem, loc + rem)).unwrap_or(0.0)
     }
 
     /// LR-cache hit rate over the cold-start half of the run (each
     /// worker's stats up to its trace midpoint).
     pub fn hit_rate_cold(&self) -> f64 {
-        let mut hits = 0u64;
-        let mut probes = 0u64;
-        for w in &self.workers {
-            hits += w.cache_cold.hits_loc + w.cache_cold.hits_rem + w.cache_cold.hits_waiting;
-            probes += w.cache_cold.probes();
-        }
-        if probes == 0 {
-            0.0
-        } else {
-            hits as f64 / probes as f64
-        }
+        ratio(self.pooled(|w| &w.cache_cold)).unwrap_or(0.0)
     }
 
     /// LR-cache hit rate over the steady-state half of the run (final
@@ -511,19 +459,9 @@ impl DataplaneReport {
     /// when no cold snapshot was taken (threaded runs record it too;
     /// the guard covers hand-built reports).
     pub fn hit_rate_steady(&self) -> f64 {
-        let mut hits = 0u64;
-        let mut probes = 0u64;
-        for w in &self.workers {
-            let h = w.cache.hits_loc + w.cache.hits_rem + w.cache.hits_waiting;
-            let hc = w.cache_cold.hits_loc + w.cache_cold.hits_rem + w.cache_cold.hits_waiting;
-            hits += h - hc;
-            probes += w.cache.probes() - w.cache_cold.probes();
-        }
-        if probes == 0 {
-            self.hit_rate()
-        } else {
-            hits as f64 / probes as f64
-        }
+        let (hits, probes) = self.pooled(|w| &w.cache);
+        let (cold_hits, cold_probes) = self.pooled(|w| &w.cache_cold);
+        ratio((hits - cold_hits, probes - cold_probes)).unwrap_or_else(|| self.hit_rate())
     }
 
     /// Per-path latency histograms merged across workers.
@@ -597,14 +535,10 @@ impl DataplaneReport {
         let Some(f) = &self.faults else {
             return String::new();
         };
-        let coh = match &self.coherence {
-            Some(c) => format!(
-                " | coherence {}/{} ok",
-                c.entries_checked - c.mismatches,
-                c.entries_checked
-            ),
-            None => String::new(),
-        };
+        let coh = self.coherence.map_or(String::new(), |c| {
+            let ok = c.entries_checked - c.mismatches;
+            format!(" | coherence {ok}/{} ok", c.entries_checked)
+        });
         format!(
             "faults(seed {}): {} delayed, {} dropped+retransmitted, {} duplicated ({} dup replies dropped), {} stalls, {} forced pubs | oracle divergence {}{}",
             f.seed,
@@ -619,204 +553,182 @@ impl DataplaneReport {
         )
     }
 
-    /// Hand-rolled JSON rendering (the workspace has no serde).
+    /// Hand-rolled JSON rendering (the workspace has no serde) of every
+    /// field of the run — the object each BENCH and scenario row nests
+    /// under `"report"`.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"workers\": {},\n", self.workers.len()));
-        s.push_str(&format!("  \"deterministic\": {},\n", self.deterministic));
-        s.push_str(&format!("  \"total_packets\": {},\n", self.total_packets()));
-        s.push_str(&format!(
-            "  \"elapsed_s\": {:.6},\n",
-            self.elapsed.as_secs_f64()
-        ));
-        s.push_str(&format!(
-            "  \"throughput_mpps\": {:.4},\n",
-            self.throughput_mpps()
-        ));
-        s.push_str(&format!("  \"hit_rate\": {:.6},\n", self.hit_rate()));
-        s.push_str(&format!(
-            "  \"hit_rate_cold\": {:.6},\n",
-            self.hit_rate_cold()
-        ));
-        s.push_str(&format!(
-            "  \"hit_rate_steady\": {:.6},\n",
-            self.hit_rate_steady()
-        ));
-        s.push_str(&format!("  \"rem_share\": {:.6},\n", self.rem_share()));
-        s.push_str(&format!("  \"checksum\": {},\n", self.checksum()));
-        s.push_str(&format!(
-            "  \"spot_check_mismatches\": {},\n",
-            self.spot_check_mismatches()
-        ));
-        s.push_str(&format!(
-            "  \"latency\": {},\n",
-            self.latency_paths().to_json()
-        ));
-        match &self.churn {
-            Some(c) => s.push_str(&format!(
-                "  \"churn\": {{ \"updates\": {}, \"publications\": {}, \"invalidations_sent\": {}, \"apply_us\": {{ \"mean\": {:.2}, \"min\": {:.2}, \"max\": {:.2}, \"p50\": {:.2}, \"p95\": {:.2}, \"p99\": {:.2} }}, \"delta_applies\": {}, \"rebuild_applies\": {}, \"delta_bytes_touched\": {}, \"delta_prefixes_applied\": {}, \"reclaim_us\": {{ \"mean\": {:.2}, \"max\": {:.2} }}, \"final_checks\": {}, \"final_mismatches\": {} }},\n",
-                c.updates_applied,
-                c.publications,
-                c.invalidations_sent,
-                c.apply_us.mean_us(),
-                c.apply_us.min_us,
-                c.apply_us.max_us,
-                c.apply_us.p50_us(),
-                c.apply_us.p95_us(),
-                c.apply_us.p99_us(),
-                c.delta_applies,
-                c.rebuild_applies,
-                c.delta_bytes_touched,
-                c.delta_prefixes_applied,
-                c.reclaim_us.mean_us(),
-                c.reclaim_us.max_us,
-                c.final_checks,
-                c.final_mismatches,
-            )),
-            None => s.push_str("  \"churn\": null,\n"),
-        }
-        s.push_str(&self.faults_json());
-        s.push_str(&self.coherence_json());
-        s.push_str(&self.failover_json());
-        s.push_str(&self.sweeps_json());
-        s.push_str("  \"per_worker\": [\n");
-        for (i, w) in self.workers.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{ \"lc\": {}, \"packets\": {}, \"hits_loc\": {}, \"hits_rem\": {}, \"hits_waiting\": {}, \"misses\": {}, \"invalidations\": {}, \"flushes\": {}, \"fe_lookups\": {}, \"remote_requests\": {}, \"remote_served\": {}, \"stale_replies\": {}, \"duplicate_replies\": {}, \"lost_packets\": {}, \"rehomed_requests\": {}, \"dead_letters\": {}, \"ingress_dropped\": {}, \"max_ring_depth\": {}, \"max_in_flight\": {}, \"admit_throttled\": {} }}{}\n",
-                w.lc,
-                w.packets,
-                w.cache.hits_loc,
-                w.cache.hits_rem,
-                w.cache.hits_waiting,
-                w.cache.misses,
-                w.cache.invalidations,
-                w.cache.flushes,
-                w.fe_lookups,
-                w.remote_requests,
-                w.remote_served,
-                w.stale_replies,
-                w.duplicate_replies,
-                w.lost_packets,
-                w.rehomed_requests,
-                w.dead_letters,
-                w.ingress_dropped,
-                w.max_ring_depth,
-                w.max_in_flight,
-                w.admit_throttled,
-                if i + 1 < self.workers.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        self.render(true)
     }
 
-    fn failover_json(&self) -> String {
-        match &self.failover {
-            Some(f) => format!(
-                "  \"failover\": {{ \"dead_lc\": {}, \"moved_prefixes\": {}, \"remap_us\": {:.2}, \"targeted\": {}, \"invalidations_per_lc\": {} }},\n",
-                f.dead_lc, f.moved_prefixes, f.remap_us, f.targeted, f.invalidations_per_lc,
-            ),
-            None => "  \"failover\": null,\n".to_string(),
-        }
-    }
-
-    fn sweeps_json(&self) -> String {
-        match &self.sweeps {
-            Some(s) => format!(
-                "  \"sweeps\": {{ \"sweeps\": {}, \"entries_checked\": {}, \"mismatches\": {} }},\n",
-                s.sweeps, s.entries_checked, s.mismatches,
-            ),
-            None => "  \"sweeps\": null,\n".to_string(),
-        }
-    }
-
-    fn faults_json(&self) -> String {
-        match &self.faults {
-            Some(f) => format!(
-                "  \"faults\": {{ \"seed\": {}, \"delayed\": {}, \"dropped_retransmitted\": {}, \"duplicated\": {}, \"stalls\": {}, \"forced_publications\": {}, \"duplicate_replies\": {} }},\n",
-                f.seed,
-                f.delayed,
-                f.dropped_retransmitted,
-                f.duplicated,
-                f.stalls,
-                f.forced_publications,
-                f.duplicate_replies,
-            ),
-            None => "  \"faults\": null,\n".to_string(),
-        }
-    }
-
-    fn coherence_json(&self) -> String {
-        match &self.coherence {
-            Some(c) => format!(
-                "  \"coherence\": {{ \"entries_checked\": {}, \"mismatches\": {} }},\n",
-                c.entries_checked, c.mismatches,
-            ),
-            None => "  \"coherence\": null,\n".to_string(),
-        }
-    }
-
-    /// Deterministic subset of [`Self::to_json`]: everything that is a
-    /// pure function of the configuration and seeds, with all
-    /// wall-clock-derived numbers (elapsed, throughput, latency
-    /// percentiles, apply latencies) omitted. Deterministic runs render
-    /// byte-for-byte identically across machines, which is what the
-    /// golden-report regression test pins.
+    /// [`Self::to_json`] without its wall-clock and unpinned fields: a
+    /// pure function of the configuration and seeds, so deterministic
+    /// runs render byte-for-byte identically across machines, which is
+    /// what the golden-report regression test pins.
     pub fn canonical_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"workers\": {},\n", self.workers.len()));
-        s.push_str(&format!("  \"deterministic\": {},\n", self.deterministic));
-        s.push_str(&format!("  \"total_packets\": {},\n", self.total_packets()));
-        s.push_str(&format!("  \"hit_rate\": {:.6},\n", self.hit_rate()));
-        s.push_str(&format!("  \"rem_share\": {:.6},\n", self.rem_share()));
-        s.push_str(&format!("  \"checksum\": {},\n", self.checksum()));
-        s.push_str(&format!(
-            "  \"spot_check_mismatches\": {},\n",
-            self.spot_check_mismatches()
-        ));
-        s.push_str(&format!(
-            "  \"oracle_divergence\": {},\n",
-            self.oracle_divergence()
-        ));
-        match &self.churn {
-            Some(c) => s.push_str(&format!(
-                "  \"churn\": {{ \"updates\": {}, \"publications\": {}, \"invalidations_sent\": {}, \"final_checks\": {}, \"final_mismatches\": {} }},\n",
-                c.updates_applied,
-                c.publications,
-                c.invalidations_sent,
-                c.final_checks,
-                c.final_mismatches,
-            )),
-            None => s.push_str("  \"churn\": null,\n"),
-        }
-        s.push_str(&self.faults_json());
-        s.push_str(&self.coherence_json());
-        s.push_str("  \"per_worker\": [\n");
-        for (i, w) in self.workers.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{ \"lc\": {}, \"packets\": {}, \"hits_loc\": {}, \"hits_rem\": {}, \"hits_waiting\": {}, \"misses\": {}, \"invalidations\": {}, \"flushes\": {}, \"fe_lookups\": {}, \"remote_requests\": {}, \"remote_served\": {}, \"stale_replies\": {}, \"duplicate_replies\": {}, \"next_hop_sum\": {} }}{}\n",
-                w.lc,
-                w.packets,
-                w.cache.hits_loc,
-                w.cache.hits_rem,
-                w.cache.hits_waiting,
-                w.cache.misses,
-                w.cache.invalidations,
-                w.cache.flushes,
-                w.fe_lookups,
-                w.remote_requests,
-                w.remote_served,
-                w.stale_replies,
-                w.duplicate_replies,
-                w.next_hop_sum,
-                if i + 1 < self.workers.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        self.render(false)
     }
+
+    /// The one field list behind both renderings, in canonical order;
+    /// `full` keeps the fields [`Self::canonical_json`] leaves out.
+    fn render(&self, full: bool) -> String {
+        let or_null = |v: Option<String>| v.unwrap_or_else(|| "null".to_string());
+        let (f2, f6) = (|x: f64| format!("{x:.2}"), |x: f64| format!("{x:.6}"));
+        let sweep = |s: SweepSummary| {
+            Fields(full, vec![])
+                .full("sweeps", s.sweeps)
+                .put("entries_checked", s.entries_checked)
+                .put("mismatches", s.mismatches)
+                .inline()
+        };
+        let churn = self.churn.as_ref().map(|c| {
+            let (apply, reclaim) = (&c.apply_us, &c.reclaim_us);
+            let apply_us = Fields(true, vec![])
+                .put("mean", f2(apply.mean_us()))
+                .put("min", f2(apply.min_us))
+                .put("max", f2(apply.max_us))
+                .put("p50", f2(apply.p50_us()))
+                .put("p95", f2(apply.percentile_us(0.95)))
+                .put("p99", f2(apply.p99_us()));
+            let reclaim_us = Fields(true, vec![])
+                .put("mean", f2(reclaim.mean_us()))
+                .put("max", f2(reclaim.max_us));
+            Fields(full, vec![])
+                .put("updates", c.updates_applied)
+                .put("publications", c.publications)
+                .put("invalidations_sent", c.invalidations_sent)
+                .full("apply_us", apply_us.inline())
+                .full("delta_applies", c.delta_applies)
+                .full("rebuild_applies", c.rebuild_applies)
+                .full("delta_bytes_touched", c.delta_bytes_touched)
+                .full("delta_prefixes_applied", c.delta_prefixes_applied)
+                .full("reclaim_us", reclaim_us.inline())
+                .put("final_checks", c.final_checks)
+                .put("final_mismatches", c.final_mismatches)
+                .inline()
+        });
+        let faults = self.faults.as_ref().map(|f| {
+            Fields(full, vec![])
+                .put("seed", f.seed)
+                .put("delayed", f.delayed)
+                .put("dropped_retransmitted", f.dropped_retransmitted)
+                .put("duplicated", f.duplicated)
+                .put("stalls", f.stalls)
+                .put("forced_publications", f.forced_publications)
+                .put("duplicate_replies", f.duplicate_replies)
+                .inline()
+        });
+        let failover = self.failover.as_ref().map(|f| {
+            Fields(true, vec![])
+                .put("dead_lc", f.dead_lc)
+                .put("moved_prefixes", f.moved_prefixes)
+                .put("remap_us", f2(f.remap_us))
+                .put("targeted", f.targeted)
+                .put("invalidations_per_lc", f.invalidations_per_lc)
+                .inline()
+        });
+        let histo = |h: &LatencyHisto| {
+            Fields(true, vec![])
+                .put("count", h.count())
+                .put("p50_ns", h.p50_ns())
+                .put("p99_ns", h.p99_ns())
+                .put("p999_ns", h.p999_ns())
+                .put("max_ns", h.max_ns())
+                .inline()
+        };
+        let paths = self.latency_paths();
+        let latency = Fields(true, vec![])
+            .put("loc_hit", histo(&paths.loc_hit))
+            .put("rem_hit", histo(&paths.rem_hit))
+            .put("miss", histo(&paths.miss))
+            .put("all", histo(&paths.all()));
+        let row = |w: &WorkerReport| {
+            Fields(full, vec![])
+                .put("lc", w.lc)
+                .put("packets", w.packets)
+                .put("hits_loc", w.cache.hits_loc)
+                .put("hits_rem", w.cache.hits_rem)
+                .put("hits_waiting", w.cache.hits_waiting)
+                .put("misses", w.cache.misses)
+                .put("invalidations", w.cache.invalidations)
+                .put("flushes", w.cache.flushes)
+                .put("fe_lookups", w.fe_lookups)
+                .put("remote_requests", w.remote_requests)
+                .put("remote_served", w.remote_served)
+                .put("stale_replies", w.stale_replies)
+                .put("duplicate_replies", w.duplicate_replies)
+                .full("lost_packets", w.lost_packets)
+                .full("rehomed_requests", w.rehomed_requests)
+                .full("dead_letters", w.dead_letters)
+                .full("ingress_dropped", w.ingress_dropped)
+                .full("max_ring_depth", w.max_ring_depth)
+                .full("max_in_flight", w.max_in_flight)
+                .full("admit_throttled", w.admit_throttled)
+                .put("next_hop_sum", w.next_hop_sum)
+                .inline()
+        };
+        let rows = self
+            .workers
+            .iter()
+            .map(row)
+            .collect::<Vec<_>>()
+            .join(",\n    ");
+        let top = Fields(full, vec![])
+            .put("workers", self.workers.len())
+            .put("deterministic", self.deterministic)
+            .put("total_packets", self.total_packets())
+            .full("elapsed_s", f6(self.elapsed.as_secs_f64()))
+            .full("throughput_mpps", format!("{:.4}", self.throughput_mpps()))
+            .put("hit_rate", f6(self.hit_rate()))
+            .full("hit_rate_cold", f6(self.hit_rate_cold()))
+            .full("hit_rate_steady", f6(self.hit_rate_steady()))
+            .put("rem_share", f6(self.rem_share()))
+            .put("checksum", self.checksum())
+            .put("spot_check_mismatches", self.spot_check_mismatches())
+            .put("oracle_divergence", self.oracle_divergence())
+            .full("latency", latency.inline())
+            .put("churn", or_null(churn))
+            .put("faults", or_null(faults))
+            .put("coherence", or_null(self.coherence.map(sweep)))
+            .full("failover", or_null(failover))
+            .full("sweeps", or_null(self.sweeps.map(sweep)))
+            .put("per_worker", format!("[\n    {rows}\n  ]"))
+            .1
+            .join(",\n  ");
+        format!("{{\n  {top}\n}}\n")
+    }
+}
+
+/// Whether the rendering is full, and one JSON object's `"key": value`
+/// pairs in order; a pair added with [`Fields::full`] is kept only in a
+/// full rendering.
+struct Fields(bool, Vec<String>);
+
+impl Fields {
+    /// A pair every rendering carries.
+    fn put(mut self, key: &str, value: impl std::fmt::Display) -> Self {
+        self.1.push(format!("\"{key}\": {value}"));
+        self
+    }
+
+    /// A pair only the full rendering carries.
+    fn full(self, k: &str, v: impl std::fmt::Display) -> Self {
+        if self.0 {
+            self.put(k, v)
+        } else {
+            self
+        }
+    }
+
+    /// `{ "key": value, ... }` on one line.
+    fn inline(self) -> String {
+        format!("{{ {} }}", self.1.join(", "))
+    }
+}
+
+/// `part` over `whole` as one `f64` division of the `u64` counts;
+/// `None` when `whole` is zero.
+fn ratio((part, whole): (u64, u64)) -> Option<f64> {
+    (whole > 0).then(|| part as f64 / whole as f64)
 }
 
 #[cfg(test)]
@@ -843,7 +755,7 @@ mod tests {
             l.record(i as f64);
         }
         assert_eq!(l.p50_us(), 51.0);
-        assert_eq!(l.p95_us(), 95.0);
+        assert_eq!(l.percentile_us(0.95), 95.0);
         assert_eq!(l.p99_us(), 99.0);
         assert_eq!(l.percentile_us(1.0), 100.0);
     }
@@ -943,6 +855,36 @@ mod tests {
         let canon = r.canonical_json();
         assert!(!canon.contains("hit_rate_cold"));
         assert!(!canon.contains("latency"));
+    }
+
+    #[test]
+    fn canonical_keys_appear_in_to_json_in_order() {
+        let mut r = DataplaneReport {
+            churn: Some(ChurnReport::default()),
+            faults: Some(FaultReport::default()),
+            coherence: Some(SweepSummary::default()),
+            failover: Some(FailoverSummary::default()),
+            sweeps: Some(SweepSummary::default()),
+            ..Default::default()
+        };
+        r.workers = vec![WorkerReport::default(), WorkerReport::default()];
+        // Every value is a number, bool or null, so the quoted strings
+        // are exactly the keys.
+        let keys = |json: String| -> Vec<String> {
+            json.split('"')
+                .skip(1)
+                .step_by(2)
+                .map(String::from)
+                .collect()
+        };
+        let full = keys(r.to_json());
+        let mut rest = full.iter();
+        for key in keys(r.canonical_json()) {
+            assert!(
+                rest.any(|k| *k == key),
+                "canonical key {key:?} missing from to_json or out of order"
+            );
+        }
     }
 
     #[test]

@@ -51,8 +51,7 @@ use crate::family::{AddrFamily, V4, V6};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::pending::{PendingTable, Waiter};
 use crate::report::{
-    ChurnReport, CoherenceSummary, DataplaneReport, FailoverSummary, FaultReport, SweepSummary,
-    WorkerReport,
+    ChurnReport, DataplaneReport, FailoverSummary, FaultReport, SweepSummary, WorkerReport,
 };
 use crate::scenario::LiveProbe;
 use crate::vcache::{VersionedCache, VersionedFill};
@@ -174,7 +173,7 @@ pub struct DataplaneConfig<F: AddrFamily = V4> {
     pub faults: Option<FaultPlan>,
     /// Record per-packet latency histograms (`true`, the default).
     /// When no consumer wants the histograms (the CLI without
-    /// `--out-latency`), turning this off removes the admit-burst
+    /// `--json`), turning this off removes the admit-burst
     /// timestamp pair and the per-waiter clock reads from the hot
     /// path; throughput counters and checksums are unaffected.
     pub capture_latency: bool,
@@ -1387,12 +1386,9 @@ pub fn run_family<F: AddrFamily>(
         // no entry covered by an updated prefix. A failed worker's cache
         // froze at its death and stopped receiving invalidations, so it
         // is out of the sweep (it serves no lookups either).
-        let mut last = SweepSummary::default();
-        sweep_caches(&mut workers, &control, &mut last);
-        report.coherence = Some(CoherenceSummary {
-            entries_checked: last.entries_checked,
-            mismatches: last.mismatches,
-        });
+        let mut coherence = SweepSummary::default();
+        sweep_caches(&mut workers, &control, &mut coherence);
+        report.coherence = Some(coherence);
     }
     if cfg.churn.is_some() {
         control.final_check(1_000, cfg.seed ^ F::CHECK_SEED_SALT);

@@ -11,8 +11,8 @@
 //! [`crate::runtime::run`], and grades the resulting
 //! [`DataplaneReport`] against hard gates (zero oracle divergence
 //! always; per-scenario recovery/accounting gates on top). The result
-//! is a [`ScenarioReport`] with a flat JSON row for the bench/CI
-//! trajectory and per-path latency histograms from the underlying run.
+//! is a [`ScenarioReport`], whose JSON row carries the scenario's own
+//! keys and nests the underlying run's [`DataplaneReport::to_json`].
 //!
 //! The LC-failure scenario additionally samples a [`LiveProbe`] from a
 //! side thread while the run executes, producing the recovery-time
@@ -208,7 +208,6 @@ pub struct RecoverySummary {
 #[derive(Debug, Clone)]
 pub struct ScenarioReport {
     pub kind: ScenarioKind,
-    pub workers: usize,
     pub packets: usize,
     pub seed: u64,
     pub quick: bool,
@@ -233,28 +232,13 @@ impl ScenarioReport {
         self.report.workers.iter().map(f).sum()
     }
 
-    /// Flat single-line JSON row (the bench gate / trajectory payload).
+    /// One `BENCH_scenario.json` row: the scenario's own keys, and the
+    /// run as [`DataplaneReport::to_json`] under `"report"`.
     pub fn json_row(&self) -> String {
-        let r = &self.report;
-        let paths = r.latency_paths();
-        let failover = match &r.failover {
-            Some(f) => format!(
-                "{{ \"dead_lc\": {}, \"moved_prefixes\": {}, \"remap_us\": {:.1}, \"targeted\": {} }}",
-                f.dead_lc, f.moved_prefixes, f.remap_us, f.targeted
-            ),
-            None => "null".to_string(),
-        };
         let recovery = match &self.recovery {
             Some(rec) => format!(
                 "{{ \"kill_ms\": {:.3}, \"recovery_ms\": {:.3}, \"pre_hit_rate\": {:.4}, \"post_hit_rate\": {:.4} }}",
                 rec.kill_ms, rec.recovery_ms, rec.pre_hit_rate, rec.post_hit_rate
-            ),
-            None => "null".to_string(),
-        };
-        let sweeps = match &r.sweeps {
-            Some(s) => format!(
-                "{{ \"sweeps\": {}, \"entries_checked\": {}, \"mismatches\": {} }}",
-                s.sweeps, s.entries_checked, s.mismatches
             ),
             None => "null".to_string(),
         };
@@ -264,37 +248,16 @@ impl ScenarioReport {
             .map(|g| format!("\"{}\"", g.replace('"', "'")))
             .collect();
         format!(
-            "{{ \"scenario\": \"{}\", \"workers\": {}, \"packets_per_worker\": {}, \"quick\": {}, \"seed\": {}, \"total_packets\": {}, \"throughput_mpps\": {:.3}, \"hit_rate\": {:.4}, \"hit_rate_steady\": {:.4}, \"oracle_divergence\": {}, \"lost_packets\": {}, \"ingress_dropped\": {}, \"dead_letters\": {}, \"rehomed_requests\": {}, \"max_ring_depth\": {}, \"ring_capacity\": {}, \"stale_replies\": {}, \"duplicate_replies\": {}, \"p99_loc_hit_ns\": {}, \"p99_miss_ns\": {}, \"failover\": {}, \"recovery\": {}, \"sweeps\": {}, \"passed\": {}, \"gates_failed\": [{}] }}",
+            "{{\"scenario\": \"{}\", \"packets_per_worker\": {}, \"quick\": {}, \"seed\": {}, \"ring_capacity\": {}, \"recovery\": {}, \"passed\": {}, \"gates_failed\": [{}], \"report\": {}}}",
             self.kind.name(),
-            self.workers,
             self.packets,
             self.quick,
             self.seed,
-            r.total_packets(),
-            r.throughput_mpps(),
-            r.hit_rate(),
-            r.hit_rate_steady(),
-            r.oracle_divergence(),
-            self.sum(|w| w.lost_packets),
-            self.sum(|w| w.ingress_dropped),
-            self.sum(|w| w.dead_letters),
-            self.sum(|w| w.rehomed_requests),
-            self.report
-                .workers
-                .iter()
-                .map(|w| w.max_ring_depth)
-                .max()
-                .unwrap_or(0),
             self.ring_capacity,
-            self.sum(|w| w.stale_replies),
-            self.sum(|w| w.duplicate_replies),
-            paths.loc_hit.p99_ns(),
-            paths.miss.p99_ns(),
-            failover,
             recovery,
-            sweeps,
             self.passed(),
             gates.join(", "),
+            self.report.to_json().trim_end(),
         )
     }
 
@@ -389,23 +352,37 @@ fn base_config(cfg: &ScenarioConfig) -> DataplaneConfig {
     }
 }
 
+/// What a scenario runner hands back: the run, its recovery metric
+/// (LC failure only), and the gates it failed.
+type Graded = (DataplaneReport, Option<RecoverySummary>, Vec<String>);
+
 /// Run one scenario end to end: build table and traces, run the
 /// dataplane, grade the gates.
 pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioReport {
     assert!(cfg.workers >= 2, "scenarios need at least two workers");
     assert!(cfg.packets > 0, "scenarios need packets");
-    match cfg.kind {
+    let (report, recovery, gate_failures) = match cfg.kind {
         ScenarioKind::LcFailure => run_lc_failure(cfg),
         ScenarioKind::FlashCrowd => run_flash_crowd(cfg),
         ScenarioKind::Overload => run_overload(cfg),
         ScenarioKind::Soak => run_soak(cfg),
+    };
+    ScenarioReport {
+        kind: cfg.kind,
+        packets: cfg.packets,
+        seed: cfg.seed,
+        quick: cfg.quick,
+        ring_capacity: RING_CAPACITY,
+        report,
+        recovery,
+        gate_failures,
     }
 }
 
 /// E21: kill LC 1 at 40% of its trace; survivors re-home its partition
 /// online. Gates: zero divergence, a finite recovery time, and the
 /// post-failure hit rate back to ≥95% of pre-failure.
-fn run_lc_failure(cfg: &ScenarioConfig) -> ScenarioReport {
+fn run_lc_failure(cfg: &ScenarioConfig) -> Graded {
     let table = cfg.table();
     let p = preset(PresetName::D75);
     let traces: Vec<Trace> = (0..cfg.workers)
@@ -465,23 +442,13 @@ fn run_lc_failure(cfg: &ScenarioConfig) -> ScenarioReport {
             report.total_packets()
         ));
     }
-    ScenarioReport {
-        kind: cfg.kind,
-        workers: cfg.workers,
-        packets: cfg.packets,
-        seed: cfg.seed,
-        quick: cfg.quick,
-        ring_capacity: RING_CAPACITY,
-        report,
-        recovery,
-        gate_failures: failures,
-    }
+    (report, recovery, failures)
 }
 
 /// E22: Zipf stream collapsing onto hot /24s mid-trace, under light
 /// churn. Gates: zero divergence, every packet completed, bounded
 /// fabric queues.
-fn run_flash_crowd(cfg: &ScenarioConfig) -> ScenarioReport {
+fn run_flash_crowd(cfg: &ScenarioConfig) -> Graded {
     let table = cfg.table();
     let fc = FlashCrowdConfig {
         distinct: if cfg.quick { 8_000 } else { 20_000 },
@@ -510,17 +477,7 @@ fn run_flash_crowd(cfg: &ScenarioConfig) -> ScenarioReport {
         ));
     }
     gate_ring_depth(&report, &mut failures);
-    ScenarioReport {
-        kind: cfg.kind,
-        workers: cfg.workers,
-        packets: cfg.packets,
-        seed: cfg.seed,
-        quick: cfg.quick,
-        ring_capacity: RING_CAPACITY,
-        report,
-        recovery: None,
-        gate_failures: failures,
-    }
+    (report, None, failures)
 }
 
 /// Fabric backpressure gate: rings stayed within their bound (the
@@ -546,7 +503,7 @@ fn gate_ring_depth(report: &DataplaneReport, failures: &mut Vec<String>) {
 /// E23: offered load above capacity against a bounded ingress queue.
 /// Gates: zero divergence, drops happened and are exactly accounted
 /// (completed + dropped = offered), bounded fabric queues.
-fn run_overload(cfg: &ScenarioConfig) -> ScenarioReport {
+fn run_overload(cfg: &ScenarioConfig) -> Graded {
     let table = cfg.table();
     let p = preset(PresetName::BL); // least cacheable preset: most FE work
     let traces: Vec<Trace> = (0..cfg.workers)
@@ -576,24 +533,14 @@ fn run_overload(cfg: &ScenarioConfig) -> ScenarioReport {
         }
     }
     gate_ring_depth(&report, &mut failures);
-    ScenarioReport {
-        kind: cfg.kind,
-        workers: cfg.workers,
-        packets: cfg.packets,
-        seed: cfg.seed,
-        quick: cfg.quick,
-        ring_capacity: RING_CAPACITY,
-        report,
-        recovery: None,
-        gate_failures: failures,
-    }
+    (report, None, failures)
 }
 
 /// E24: deterministic long-horizon soak — churn + fabric faults + an
 /// LC failure + flash-crowd-then-thrash traffic, with a coherence
 /// sweep every 64 rounds. Gates: zero divergence (including every
 /// sweep), sweeps actually ran, the remap ran.
-fn run_soak(cfg: &ScenarioConfig) -> ScenarioReport {
+fn run_soak(cfg: &ScenarioConfig) -> Graded {
     let table = cfg.table();
     let fc = FlashCrowdConfig {
         distinct: if cfg.quick { 6_000 } else { 15_000 },
@@ -657,17 +604,7 @@ fn run_soak(cfg: &ScenarioConfig) -> ScenarioReport {
     if report.failover.is_none() {
         failures.push("no remap ran".to_string());
     }
-    ScenarioReport {
-        kind: cfg.kind,
-        workers: cfg.workers,
-        packets: cfg.packets,
-        seed: cfg.seed,
-        quick: cfg.quick,
-        ring_capacity: RING_CAPACITY,
-        report,
-        recovery: None,
-        gate_failures: failures,
-    }
+    (report, None, failures)
 }
 
 #[cfg(test)]

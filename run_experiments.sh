@@ -15,10 +15,11 @@ cargo build --release -p spal-bench
 # tracked alongside the science.
 echo "=== bench_gate ==="
 ./target/release/bench_gate "$@" | tee results/bench_gate.txt
-# Threaded-dataplane gate: refreshes BENCH_dataplane.json and
-# BENCH_latency.json (worker scaling, churn degradation, oracle
-# checksums) — E18's harness; wall-clock gates this host cannot measure
-# print UNMEASURED and are counted on its last line.
+# Threaded-dataplane gate: refreshes BENCH_dataplane.json (worker
+# scaling, churn degradation, oracle checksums; each row nests its run's
+# full report, per-path latency included) — E18's harness; wall-clock
+# gates this host cannot measure print UNMEASURED and are counted on its
+# last line.
 echo "=== bench_dataplane ==="
 ./target/release/bench_dataplane "$@" | tee results/bench_dataplane.txt
 # The experiments, in the registry's order (`exp list` is the one list).
