@@ -26,7 +26,7 @@ use spal_rib::{NextHop, Prefix, RoutingTable};
 macro_rules! forwarding_table {
     ($(#[$doc:meta])* $table:ident<$addr:ty> { $($variant:ident($engine:ty)),+ $(,)? }) => {
         $(#[$doc])*
-        #[derive(Debug)]
+        #[derive(Debug, Clone)]
         pub enum $table {
             $($variant($engine)),+
         }

@@ -29,8 +29,9 @@ pub trait AddrFamily: Copy + Debug + Send + Sync + 'static {
     /// A destination address: cache key, fabric payload, in-flight key,
     /// and the width of every prefix, table, update and trace.
     type Addr: Key + FabricAddr + ChurnAddr;
-    /// One LC's forwarding engine.
-    type Engine: Lpm<Self::Addr> + Send + Sync;
+    /// One LC's forwarding engine. `Clone` gives the control plane a
+    /// private copy of an engine the two snapshots share, to patch.
+    type Engine: Lpm<Self::Addr> + Clone + Send + Sync;
     /// Which LPM structure an engine runs.
     type Algorithm: Copy + Debug + Send + Sync;
 

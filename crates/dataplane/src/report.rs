@@ -310,7 +310,8 @@ pub struct ChurnReport {
     /// `apply_delta` patch path.
     pub delta_applies: u64,
     /// Per-LC shadow syncs that fell back to a full fragment rebuild
-    /// (engine declined, or no patch path).
+    /// (engine declined, or no patch path). Both snapshot copies share
+    /// the rebuilt engine, so each is one build.
     pub rebuild_applies: u64,
     /// Engine bytes rewritten by successful patches, summed — the
     /// O(delta)-not-O(table) evidence.

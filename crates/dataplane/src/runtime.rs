@@ -222,7 +222,10 @@ impl<F: AddrFamily> Default for DataplaneConfig<F> {
 
 /// One published forwarding state: every LC's partition engine.
 struct Snapshot<F: AddrFamily> {
-    tables: Vec<F::Engine>,
+    /// Per LC, the engine — one allocation shared with the other
+    /// ping-pong copy until the control plane patches this copy's
+    /// (`Control::patch_tables`), so an untouched LC holds one engine.
+    tables: Vec<Arc<F::Engine>>,
     /// Publication version (epoch at publish time); stamps replies.
     version: u64,
     /// The partitioning `tables` was built for. Published through the
@@ -1011,7 +1014,8 @@ struct Control<F: AddrFamily> {
     per_lc_rib: Vec<RoutingTable<F::Addr>>,
     /// Per LC, the prefixes the shadow copy has not seen: the previous
     /// publication's changed set. The two copies ping-pong, so the
-    /// shadow is always exactly one publication behind.
+    /// shadow is always exactly one publication behind — except on an
+    /// LC whose engine both copies share, which has no lag.
     lagging: Vec<Vec<Prefix<F::Addr>>>,
     writer: EpochWriter<Snapshot<F>>,
     shadow: Option<Box<Snapshot<F>>>,
@@ -1041,13 +1045,18 @@ impl<F: AddrFamily> Control<F> {
     /// Bring each LC's engine in `snap` in line with its RIB fragment
     /// for the prefixes in `changed[lc]`: the engine's `apply_delta`
     /// patch path first; an engine that declines gets its fragment
-    /// rebuilt from the post-update RIB.
-    fn patch_tables(&mut self, snap: &mut Snapshot<F>, changed: &[Vec<Prefix<F::Addr>>]) {
+    /// rebuilt from the post-update RIB. An engine still shared with
+    /// the live copy is cloned before it is patched (`Arc::make_mut`);
+    /// a clone that declines is dropped for the rebuild. Returns the
+    /// rebuilt LCs as a mask (bit `i` = LC `i`).
+    fn patch_tables(&mut self, snap: &mut Snapshot<F>, changed: &[Vec<Prefix<F::Addr>>]) -> u64 {
+        let mut rebuilt = 0u64;
         for (lc, prefixes) in changed.iter().enumerate() {
             if prefixes.is_empty() {
                 continue;
             }
-            match snap.tables[lc].apply_delta(prefixes, &self.per_lc_rib[lc]) {
+            let rib = &self.per_lc_rib[lc];
+            match Arc::make_mut(&mut snap.tables[lc]).apply_delta(prefixes, rib) {
                 Some(stats) => {
                     self.report.delta_applies += 1;
                     self.report.delta_bytes_touched += stats.bytes_touched as u64;
@@ -1055,10 +1064,12 @@ impl<F: AddrFamily> Control<F> {
                 }
                 None => {
                     self.report.rebuild_applies += 1;
-                    snap.tables[lc] = F::build(self.algorithm, &self.per_lc_rib[lc]);
+                    snap.tables[lc] = Arc::new(F::build(self.algorithm, rib));
+                    rebuilt |= 1 << lc;
                 }
             }
         }
+        rebuilt
     }
 
     fn broadcast(&mut self, msg: CtrlMsg<F::Addr>) {
@@ -1107,7 +1118,9 @@ impl<F: AddrFamily> Control<F> {
     ///    keeps the wait short on oversubscribed hosts (invalidating
     ///    first would have them grinding through misses and remote
     ///    round trips mid-grace). That copy is the next shadow, and it
-    ///    lags by `changed`.
+    ///    lags by `changed` — except on the LCs step 1 rebuilt: it takes
+    ///    the live copy's `Arc` for those, so a rebuilt fragment is
+    ///    built once and the lagging copy never rebuilds it again.
     /// 4. Invalidate at the new version: one targeted
     ///    [`CtrlMsg::Invalidate`] per `stale` prefix, in order, or one
     ///    [`CtrlMsg::Flush`] when `stale` is `None`.
@@ -1127,7 +1140,7 @@ impl<F: AddrFamily> Control<F> {
                 }
             }
         }
-        self.patch_tables(&mut shadow, &patch);
+        let rebuilt = self.patch_tables(&mut shadow, &patch);
         shadow.part = Arc::clone(&self.part);
         shadow.dead = self.dead_mask;
         shadow.version = self.writer.epoch() + 1;
@@ -1136,10 +1149,16 @@ impl<F: AddrFamily> Control<F> {
             .apply_us
             .record(t0.elapsed().as_secs_f64() * 1e6);
         let t1 = Instant::now();
-        self.shadow = Some(retiring.into_inner());
+        let mut next = retiring.into_inner();
         self.report
             .reclaim_us
             .record(t1.elapsed().as_secs_f64() * 1e6);
+        let live = self.writer.peek();
+        for lc in (0..self.psi).filter(|lc| rebuilt >> lc & 1 == 1) {
+            next.tables[lc] = Arc::clone(&live.tables[lc]);
+            self.lagging[lc].clear();
+        }
+        self.shadow = Some(next);
         let version = self.writer.epoch();
         match stale {
             Some(prefixes) => {
@@ -1427,19 +1446,21 @@ fn assemble<F: AddrFamily>(
     let bits = select_bits(table, eta_for(psi));
     let part = Arc::new(Partitioning::new(table, bits, psi));
     let per_lc_rib = part.forwarding_tables(table);
-    let build = |version: u64| {
+    // Each engine is built once; the live and shadow snapshots share it.
+    let tables: Vec<Arc<F::Engine>> = per_lc_rib
+        .iter()
+        .map(|f| Arc::new(F::build(cfg.algorithm, f)))
+        .collect();
+    let snapshot = || {
         Box::new(Snapshot {
-            tables: per_lc_rib
-                .iter()
-                .map(|f| F::build(cfg.algorithm, f))
-                .collect(),
-            version,
+            tables: tables.clone(),
+            version: 0,
             part: Arc::clone(&part),
             dead: 0,
         })
     };
-    let (writer, readers) = epoch_table(build(0), psi);
-    let shadow = build(0);
+    let (writer, readers) = epoch_table(snapshot(), psi);
+    let shadow = snapshot();
 
     // Fabric rings: one SPSC ring per ordered worker pair.
     let mut tx_mat: Vec<Vec<Option<FabricTx<F>>>> =
@@ -1656,19 +1677,32 @@ fn run_deterministic<F: AddrFamily>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spal_core::{LpmAlgorithm, LpmAlgorithm6};
     use spal_rib::synth;
     use spal_rib::v6::synthesize6_dfz;
     use spal_traffic::{generate6, preset, PresetName, TracePreset};
 
     /// A family plus the small table and 400-flow trace its cases run.
     trait TestFamily: AddrFamily {
+        /// An engine whose patch declines on `decline_table`'s stream.
+        const DECLINING: Self::Algorithm;
+
         fn small_setup(
             psi: usize,
             packets: usize,
         ) -> (RoutingTable<Self::Addr>, Vec<Trace<Self::Addr>>);
+
+        /// The table `churn.rs`'s decline stream runs over.
+        fn decline_table() -> RoutingTable<Self::Addr>;
     }
 
     impl TestFamily for V4 {
+        const DECLINING: LpmAlgorithm = LpmAlgorithm::Lulea;
+
+        fn decline_table() -> RoutingTable {
+            synth::small(21)
+        }
+
         fn small_setup(psi: usize, packets: usize) -> (RoutingTable, Vec<Trace>) {
             let table = synth::small(11);
             let p = TracePreset {
@@ -1681,6 +1715,12 @@ mod tests {
     }
 
     impl TestFamily for V6 {
+        const DECLINING: LpmAlgorithm6 = LpmAlgorithm6::Ship;
+
+        fn decline_table() -> RoutingTable6 {
+            synthesize6_dfz(3_000, 21)
+        }
+
         fn small_setup(psi: usize, packets: usize) -> (RoutingTable6, Vec<Trace6>) {
             let table = synthesize6_dfz(3_000, 11);
             let traces = generate6(&table, 400, psi * packets, 5).split(psi);
@@ -1710,7 +1750,134 @@ mod tests {
         threaded_run_with_churn_matches_oracle_checks,
         full_flush_mode_also_stays_coherent,
         mixed_admit_burst_books_hits_and_parks_misses_in_lane_order,
+        churn_free_run_shares_every_engine,
+        untouched_lc_keeps_sharing_its_engine_under_churn,
+        declined_fragment_is_rebuilt_once_and_shared,
     );
+
+    /// Without churn nothing is patched: each LC's engine is built once
+    /// and both ping-pong copies hold that one allocation to the end.
+    fn churn_free_run_shares_every_engine<F: TestFamily>() {
+        let (table, traces) = F::small_setup(3, 1_000);
+        let cfg = DataplaneConfig {
+            workers: 3,
+            deterministic: true,
+            cache: LrCacheConfig::paper(128),
+            ..Default::default()
+        };
+        let (mut workers, mut control) = assemble::<F>(&table, &traces, &cfg);
+        run_deterministic(&mut workers, &mut control, None, &cfg);
+        let live = control.writer.peek();
+        let shadow = control.shadow.as_deref().expect("shadow present");
+        for lc in 0..3 {
+            assert!(Arc::ptr_eq(&live.tables[lc], &shadow.tables[lc]), "lc {lc}");
+            assert_eq!(Arc::strong_count(&live.tables[lc]), 2, "lc {lc}");
+        }
+    }
+
+    /// Under churn only the LCs an update reaches get a private copy:
+    /// the stream here skips every prefix homed on LC 0.
+    fn untouched_lc_keeps_sharing_its_engine_under_churn<F: TestFamily>() {
+        let (table, traces) = F::small_setup(3, 2_000);
+        let cfg = DataplaneConfig {
+            workers: 3,
+            deterministic: true,
+            cache: LrCacheConfig::paper(256),
+            churn: Some(churn(120, 20, 0.3)),
+            seed: 7,
+            ..Default::default()
+        };
+        let (mut workers, mut control) = assemble::<F>(&table, &traces, &cfg);
+        let stream = UpdateStreamConfig {
+            count: 120,
+            withdraw_fraction: 0.3,
+            seed: cfg.seed ^ F::CHURN_SEED_SALT,
+        };
+        let updates: Vec<Update<F::Addr>> = update_stream(&table, &stream)
+            .0
+            .into_iter()
+            .filter(|u| !control.part.lcs_of_prefix(u.prefix()).contains(&0))
+            .collect();
+        assert!(!updates.is_empty());
+        run_deterministic(&mut workers, &mut control, Some(&updates), &cfg);
+        assert!(control.report.delta_applies + control.report.rebuild_applies > 0);
+        control.final_check(1_000, cfg.seed);
+        assert_eq!(control.report.final_mismatches, 0);
+        let live = control.writer.peek();
+        let shadow = control.shadow.as_deref().expect("shadow present");
+        assert!(Arc::ptr_eq(&live.tables[0], &shadow.tables[0]));
+    }
+
+    /// `churn.rs`'s decline stream (two LCs, 90 updates in publications
+    /// of 30), published batch by batch on an engine that declines —
+    /// Lulea always, SHIP once its garbage rule fires. Each publication
+    /// rebuilds exactly the LCs whose patch declines, predicted on a
+    /// clone of the shadow's engine; after a rebuild that engine is the
+    /// live one and the LC has no lag, so the next publication rebuilds
+    /// it only if its own new changes decline.
+    fn declined_fragment_is_rebuilt_once_and_shared<F: TestFamily>() {
+        let table = F::decline_table();
+        let traces = [Trace::new("idle", vec![table.entries()[0].prefix.bits()])];
+        let cfg = DataplaneConfig {
+            workers: 2,
+            deterministic: true,
+            algorithm: F::DECLINING,
+            churn: Some(churn(90, 30, 0.3)),
+            seed: 3,
+            ..Default::default()
+        };
+        let (_workers, mut control) = assemble::<F>(&table, &traces, &cfg);
+        let stream = UpdateStreamConfig {
+            count: 90,
+            withdraw_fraction: 0.3,
+            seed: cfg.seed ^ F::CHURN_SEED_SALT,
+        };
+        let updates = update_stream(&table, &stream).0;
+        let mut rebuilt_last = [false; 2];
+        for batch in updates.chunks(30) {
+            let mut declines = [false; 2];
+            for (lc, decline) in declines.iter_mut().enumerate() {
+                if rebuilt_last[lc] {
+                    assert!(
+                        control.lagging[lc].is_empty(),
+                        "lc {lc} lags after a rebuild"
+                    );
+                }
+                let mut rib = control.per_lc_rib[lc].clone();
+                let mut patch = control.lagging[lc].clone();
+                for &u in batch {
+                    if control
+                        .part
+                        .lcs_of_prefix(u.prefix())
+                        .contains(&(lc as u16))
+                    {
+                        apply(&mut rib, u);
+                        if !patch.contains(&u.prefix()) {
+                            patch.push(u.prefix());
+                        }
+                    }
+                }
+                let mut engine = (*control.shadow.as_ref().unwrap().tables[lc]).clone();
+                *decline = !patch.is_empty() && engine.apply_delta(&patch, &rib).is_none();
+            }
+            let before = control.report.rebuild_applies;
+            control.publish_batch(batch);
+            let expect = declines.iter().filter(|&&d| d).count() as u64;
+            assert_eq!(control.report.rebuild_applies - before, expect);
+            let live = control.writer.peek();
+            let shadow = control.shadow.as_deref().expect("shadow present");
+            for (lc, &declined) in declines.iter().enumerate() {
+                if declined {
+                    assert!(Arc::ptr_eq(&live.tables[lc], &shadow.tables[lc]), "lc {lc}");
+                    assert!(control.lagging[lc].is_empty());
+                }
+            }
+            rebuilt_last = declines;
+        }
+        assert!(control.report.rebuild_applies > 0, "no patch ever declined");
+        control.final_check(1_000, cfg.seed);
+        assert_eq!(control.report.final_mismatches, 0);
+    }
 
     fn oracle_checksum<F: AddrFamily>(
         table: &RoutingTable<F::Addr>,

@@ -108,7 +108,9 @@ fn compressed_engine_churn_is_patched_or_rebuilt() {
     // Poptrie patches the touched stems through `apply_delta`, so no
     // publication of this stream needs a whole-fragment rebuild. Lulea
     // has no patch path: the trait default declines every apply and
-    // the control plane rebuilds the LC's fragment each time instead.
+    // the control plane rebuilds the LC's fragment instead, once per
+    // publication that touches the LC — both snapshot copies then share
+    // the rebuilt engine, so the lagging copy never rebuilds it again.
     let (table, traces) = setup(2, 1_500);
     for (algorithm, patches) in [(LpmAlgorithm::Poptrie, true), (LpmAlgorithm::Lulea, false)] {
         let mut cfg = churn_cfg(2, true);

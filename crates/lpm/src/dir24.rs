@@ -22,6 +22,7 @@ const LONG_FLAG: u16 = 0x8000;
 const MISS: u16 = 0x7FFF;
 
 /// The DIR-24-8 lookup structure.
+#[derive(Clone)]
 pub struct Dir24_8 {
     // (fields below; Debug is implemented by hand — dumping a 16M-entry
     // table is never what a derive user wants)

@@ -427,7 +427,7 @@ fn head_vector(slots: &[Val]) -> Vec<bool> {
 /// // costs a handful of memory accesses.
 /// assert!(trie.lookup_counted(addr).mem_accesses <= 12);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LuleaTrie {
     l1: CodedVector,
     l1_ptrs: Vec<Val>,

@@ -44,13 +44,13 @@ impl Slot {
 
 /// A node: `2^strides[level]` slots, stored contiguously in the arena
 /// starting at `base` (the stride itself is implied by the level).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Node {
     base: usize,
 }
 
 /// The fixed-stride multibit trie.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MultibitTrie {
     strides: Vec<u8>,
     nodes: Vec<Node>,

@@ -389,7 +389,7 @@ enum Step {
 /// // + spilled leaf + next hop.
 /// assert!(trie.lookup_counted(addr).lines_touched <= 7);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Poptrie {
     /// Direct-indexed 16-bit root: one tagged word per stem.
     root: Vec<u32>,
