@@ -37,8 +37,8 @@
 
 use spal_bench::gate::{host_cores, stamp, write_array};
 use spal_bench::lookup::{
-    all_engines, measure_speedup, print_speedup, run_gate, stress_workload, LookupRow,
-    DEFAULT_BATCH, STRESS_PREFIXES,
+    all_engines, measure_speedup, print_speedup, run_gate, stress_trace, stress_workload,
+    LookupRow, DEFAULT_BATCH, STRESS_PREFIXES,
 };
 use spal_bench::{dfz, ArgError, Args, Gates};
 
@@ -69,7 +69,7 @@ fn run_dfz(quick: bool, packets: usize, seed: u64, out: &str) {
     );
     let engines = dfz::run_v4_build_gate(&table, quick, &mut gates);
 
-    let trace = dfz::dfz_v4_trace(&table, packets, seed);
+    let trace = stress_trace(&table, packets, seed);
     let shards = trace.shard_slices(1);
     for engine in &engines {
         // Checksum equality is asserted inside measure_speedup; the

@@ -24,7 +24,7 @@ use spal_core::{ForwardingTable, ForwardingTable6, LpmAlgorithm, LpmAlgorithm6};
 use spal_lpm::Lpm;
 use spal_rib::v6::{dfz2026_v6, synthesize6_dfz, RoutingTable6};
 use spal_rib::{synth, RoutingTable};
-use spal_traffic::{generate6, preset, LocalityModel, PresetName, Trace, Trace6, TracePreset};
+use spal_traffic::{generate6, Trace6};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -93,18 +93,6 @@ pub fn dfz_v6_table(quick: bool) -> RoutingTable6 {
     } else {
         dfz2026_v6(0xD15C)
     }
-}
-
-/// Near-uniform IPv4 stress stream over a DFZ table (same shape as
-/// [`crate::lookup::stress_workload`]'s trace: cache-adversarial, so
-/// the replay measures the engines, not the host cache).
-pub fn dfz_v4_trace(table: &RoutingTable, packets: usize, seed: u64) -> Trace {
-    TracePreset {
-        distinct: 2 * table.len(),
-        model: LocalityModel::Zipf { alpha: 0.05 },
-        ..preset(PresetName::D75)
-    }
-    .generate(table, packets, seed)
 }
 
 /// The IPv4 algorithms the DFZ arm sweeps. Multibit is a forwarding-

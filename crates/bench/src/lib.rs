@@ -1,6 +1,6 @@
-//! Shared harness for the experiment binaries (one per paper table or
-//! figure — see `DESIGN.md`'s per-experiment index) and the Criterion
-//! micro-benches.
+//! Shared harness for the `exp` driver (one experiment per paper table
+//! or figure — see `DESIGN.md`'s per-experiment index) and the `bench_*`
+//! gates.
 
 pub mod args;
 pub mod dfz;

@@ -352,13 +352,20 @@ pub const STRESS_PREFIXES: usize = 600_000;
 /// cache, which is exactly the latency the batch interleave hides.
 pub fn stress_workload(prefixes: usize, packets: usize, seed: u64) -> (RoutingTable, Trace) {
     let table = synth::synthesize(&synth::SynthConfig::sized(prefixes, 0xB0B));
-    let trace = TracePreset {
-        distinct: 2 * prefixes,
+    let trace = stress_trace(&table, packets, seed);
+    (table, trace)
+}
+
+/// [`stress_workload`]'s destination stream over any IPv4 table (the
+/// DFZ arm replays it too): Zipf α 0.05 over a flow pool twice the
+/// table's size.
+pub fn stress_trace(table: &RoutingTable, packets: usize, seed: u64) -> Trace {
+    TracePreset {
+        distinct: 2 * table.len(),
         model: LocalityModel::Zipf { alpha: 0.05 },
         ..preset(PresetName::D75)
     }
-    .generate(&table, packets, seed);
-    (table, trace)
+    .generate(table, packets, seed)
 }
 
 /// The dataplane-runtime workload: the same backbone-sized synthetic

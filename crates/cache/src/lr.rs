@@ -444,8 +444,11 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
 
     /// [`LrCache::probe`] in the set at `base`. Returning `Miss` leaves
     /// the set without `addr`, exactly as [`Self::reserve_absent`]
-    /// expects it.
-    #[inline]
+    /// expects it. Always inlined: with a second `probe_each` sink in
+    /// the same worker (the request lanes), the inliner otherwise
+    /// outlines it, and the admit burst's hit path pays a call per lane
+    /// (`churn-w1` −15 % Mpkt/s, EXPERIMENTS E40).
+    #[inline(always)]
     fn probe_in(&mut self, base: usize, addr: A) -> ProbeResult<V> {
         self.clock += 1;
         if let Some(slot) = self.find(base, addr) {

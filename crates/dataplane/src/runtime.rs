@@ -57,7 +57,7 @@ use crate::scenario::LiveProbe;
 use crate::vcache::{VersionedCache, VersionedFill};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use spal_cache::{BatchProbe, LrCache, LrCacheConfig, Origin, ProbeResult};
+use spal_cache::{BatchProbe, LrCache, LrCacheConfig, Origin};
 use spal_core::bits::eta_for;
 use spal_core::{select_bits, Partitioning};
 use spal_fabric::{
@@ -335,6 +335,9 @@ struct WorkerCore<F: AddrFamily> {
     /// Lanes of the admit burst that did not hit, as offsets from
     /// `pos` (reused across iterations).
     miss_scratch: Vec<u32>,
+    /// Per lane of the request message being served, its hit value
+    /// (`None`: the lane did not hit; reused across messages).
+    lane_hits: Vec<Option<Option<u16>>>,
     /// Scratch for burst ring drains.
     pop_scratch: Vec<FabricMsg<F::Addr>>,
     /// Whether the midpoint cold-start cache snapshot was taken.
@@ -586,31 +589,6 @@ impl<F: AddrFamily> WorkerCore<F> {
         n
     }
 
-    /// One lane of a [`MsgKind::BatchRequest`]: one remote request for
-    /// one address.
-    fn handle_request_addr(&mut self, src: u16, addr: F::Addr, snap: &Snapshot<F>) {
-        // Under failover a request routed on the old partitioning can
-        // arrive after this worker adopted the new one. A cache hit
-        // answers it (the reply's version gate handles staleness); a
-        // miss parks it like any remote miss, and `park` routes the
-        // lookup by `home_of` under the new map — on to the new home if
-        // that is another LC (request chaining). Without failover the
-        // home must match.
-        debug_assert!(
-            self.failover.is_some() || self.part.home_of(addr) as usize == self.lc,
-            "request arrived at a non-home LC without failover"
-        );
-        self.report.remote_served += 1;
-        match self.cache.probe(addr) {
-            ProbeResult::Hit { value, .. } => self.emit_reply(src, addr, value, snap.version),
-            ProbeResult::HitWaiting => self.park(addr, Waiter::Remote { src }),
-            ProbeResult::Miss => {
-                let _ = self.cache.reserve(addr);
-                self.park(addr, Waiter::Remote { src });
-            }
-        }
-    }
-
     /// One lane of a [`MsgKind::BatchReply`]: one reply for one address
     /// (`sent_at` is the carrying message's table version; every lane
     /// was computed against it).
@@ -633,15 +611,45 @@ impl<F: AddrFamily> WorkerCore<F> {
         self.resolve(addr, nh, sent_at, now);
     }
 
-    /// Route one delivered message to the per-address handlers, in lane
-    /// order — a receiver processes a coalesced message exactly as it
-    /// would one message per address.
+    /// Serve one delivered message in lane order — a receiver processes
+    /// a coalesced message exactly as it would one message per address.
     fn dispatch(&mut self, msg: FabricMsg<F::Addr>, snap: &Snapshot<F>, now: Instant) {
         match msg.kind {
             MsgKind::BatchRequest(b) => {
-                for &addr in b.addrs() {
-                    self.handle_request_addr(msg.src, addr, snap);
+                // Under failover a request routed on the old
+                // partitioning can arrive after this worker adopted the
+                // new one. A cache hit answers it (the reply's version
+                // gate handles staleness); a miss parks it like any
+                // remote miss, and `park` routes the lookup by
+                // `home_of` under the new map — on to the new home if
+                // that is another LC (request chaining). Without
+                // failover the home must match.
+                debug_assert!(
+                    self.failover.is_some()
+                        || b.addrs()
+                            .iter()
+                            .all(|&a| self.part.home_of(a) as usize == self.lc),
+                    "request arrived at a non-home LC without failover"
+                );
+                self.report.remote_served += b.len() as u64;
+                // One batched probe pass, as `admit_own`'s; each lane's
+                // hit value is noted, then lanes are answered or parked
+                // in lane order (neither touches the cache).
+                let mut hits = std::mem::take(&mut self.lane_hits);
+                hits.clear();
+                self.cache.probe_each(b.addrs(), |_, lane| {
+                    hits.push(match lane {
+                        BatchProbe::Hit { value, .. } => Some(value),
+                        _ => None,
+                    })
+                });
+                for (&addr, &hit) in b.addrs().iter().zip(&hits) {
+                    match hit {
+                        Some(nh) => self.emit_reply(msg.src, addr, nh, snap.version),
+                        None => self.park(addr, Waiter::Remote { src: msg.src }),
+                    }
                 }
+                self.lane_hits = hits;
             }
             MsgKind::BatchReply(b) => {
                 for (addr, nh) in b.iter() {
@@ -731,12 +739,12 @@ impl<F: AddrFamily> WorkerCore<F> {
         } else {
             self.epoch
         };
-        // One batched probe pass with set prefetch: per lane, the probe
-        // (+ reserve on a miss) `handle_request_addr` performs per
-        // address, so cache state and statistics are those of probing
-        // packet by packet. Hits are tallied as the pass hands them
-        // over; only the lanes that did not hit are noted, to be parked
-        // once the pass is done (`park` never touches the cache).
+        // One batched probe pass with set prefetch: per lane, a scalar
+        // probe (+ reserve on a miss), so cache state and statistics
+        // are those of probing packet by packet. Hits are tallied as
+        // the pass hands them over; only the lanes that did not hit are
+        // noted, to be parked once the pass is done (`park` never
+        // touches the cache).
         let (mut loc_hits, mut rem_hits, mut hop_sum) = (0u64, 0u64, 0u64);
         let mut misses = std::mem::take(&mut self.miss_scratch);
         misses.clear();
@@ -1531,6 +1539,7 @@ fn assemble<F: AddrFamily>(
                 done: Arc::clone(&done),
                 marked_done: false,
                 miss_scratch: Vec::new(),
+                lane_hits: Vec::new(),
                 pop_scratch: Vec::new(),
                 cold_recorded: false,
                 capture_latency: cfg.capture_latency,
@@ -1750,6 +1759,7 @@ mod tests {
         threaded_run_with_churn_matches_oracle_checks,
         full_flush_mode_also_stays_coherent,
         mixed_admit_burst_books_hits_and_parks_misses_in_lane_order,
+        mixed_request_message_answers_hits_and_parks_misses_in_lane_order,
         churn_free_run_shares_every_engine,
         untouched_lc_keeps_sharing_its_engine_under_churn,
         declined_fragment_is_rebuilt_once_and_shared,
@@ -2127,6 +2137,99 @@ mod tests {
         for (addr, expect) in parked.iter().zip([1usize, 2, 1, 1, 1, 1]) {
             assert!(core.pending.take(*addr, &mut waiters));
             assert_eq!(waiters.len(), expect);
+        }
+        assert!(core.pending.is_empty());
+    }
+
+    /// One request message from LC 1 holding every lane kind — `Hit`
+    /// (LOC and REM), `Waiting`, `MissReserved`, `MissUnrecorded` and
+    /// repeated addresses — served by its home LC 0 against a one-set
+    /// cache seeded by hand, as in the admit-burst case above. The
+    /// counts are what the scalar per-lane probe + reserve booked for
+    /// this message, frozen here: hits are answered in lane order in
+    /// one coalesced reply, every other lane is parked for the FE.
+    fn mixed_request_message_answers_hits_and_parks_misses_in_lane_order<F: TestFamily>() {
+        let (table, traces) = F::small_setup(2, 400);
+        let cfg = DataplaneConfig {
+            workers: 2,
+            deterministic: true,
+            cache: LrCacheConfig {
+                blocks: 4,
+                assoc: 4,
+                victim_blocks: 0,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let (mut workers, control) = assemble::<F>(&table, &traces, &cfg);
+        let snap = control.writer.peek();
+        let core = &mut workers[0].core;
+        let mut d: Vec<F::Addr> = Vec::new();
+        for &a in traces.iter().flat_map(|t| t.destinations()) {
+            if core.part.home_of(a) == 0 && !d.contains(&a) {
+                d.push(a);
+            }
+        }
+        core.cache.fill_local(d[0], Some(7), Origin::Loc);
+        core.cache.fill_local(d[1], None, Origin::Rem);
+        core.cache.reserve(d[2]);
+        let lanes: Vec<F::Addr> = [0usize, 2, 3, 1, 0, 4, 5, 6, 3, 0]
+            .iter()
+            .map(|&i| d[i])
+            .collect();
+        let msg = FabricMsg {
+            kind: MsgKind::BatchRequest(AddrBatch::from_slice(&lanes)),
+            src: 1,
+            dst: 0,
+            addr: lanes[0],
+            packet_id: 0,
+            sent_at: 0,
+        };
+        core.dispatch(msg, snap, Instant::now());
+
+        // d0 hits (LOC), d2 waits, d3 takes the free way, d1 hits (REM,
+        // no route), d0 hits again, d4 evicts d1 and d5 evicts d0, d6
+        // finds the set all waiting, d3 waits, d0 is gone and cannot
+        // be recorded.
+        assert_eq!(core.report.remote_served, 10);
+        assert_eq!(core.report.packets, 0);
+        let stats = *core.cache.stats();
+        assert_eq!(
+            (stats.hits_loc, stats.hits_rem, stats.hits_waiting),
+            (2, 1, 2)
+        );
+        assert_eq!(
+            (stats.misses, stats.reservations, stats.evictions),
+            (5, 4, 2)
+        );
+        assert_eq!(stats.reservation_failures, 2);
+
+        // The three hits, in lane order, in one reply at the snapshot's
+        // version.
+        assert!(core.outbox[0].is_empty());
+        let [reply] = core.outbox[1].as_slice() else {
+            panic!("expected one reply message, got {:?}", core.outbox[1]);
+        };
+        let MsgKind::BatchReply(b) = &reply.kind else {
+            panic!("expected a reply, got {:?}", reply.kind);
+        };
+        assert_eq!((reply.src, reply.dst, reply.sent_at), (0, 1, snap.version));
+        let answered: Vec<_> = b.iter().collect();
+        assert_eq!(answered, [(d[0], Some(7)), (d[1], None), (d[0], Some(7))]);
+        assert_eq!(core.report.batch_replies_sent, 1);
+
+        // Six addresses parked first-parked first, all homed here, so
+        // all queue for the FE; every waiter is LC 1's, d3 carries both
+        // of its lanes.
+        let parked = [2usize, 3, 4, 5, 6, 0].map(|i| d[i]);
+        assert_eq!(core.fe_queue, parked);
+        assert_eq!(core.pending.len(), 6);
+        assert_eq!(core.pending.in_flight(), 0);
+        assert_eq!(core.report.remote_requests, 0);
+        let mut waiters = Vec::new();
+        for (addr, expect) in parked.iter().zip([1usize, 2, 1, 1, 1, 1]) {
+            assert!(core.pending.take(*addr, &mut waiters));
+            assert_eq!(waiters, vec![Waiter::Remote { src: 1 }; expect]);
         }
         assert!(core.pending.is_empty());
     }

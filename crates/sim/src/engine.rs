@@ -609,12 +609,9 @@ impl RouterSim {
                     });
                 } else {
                     // Remote home: request crosses the fabric. The packet
-                    // rides its own request/reply pair; same-address
-                    // followers park on the reserved entry.
-                    if reserved {
-                        // The W entry exists; this packet completes when
-                        // the reply fills it (it is the reply's carrier).
-                    }
+                    // rides its own request/reply pair (it is the reply's
+                    // carrier); same-address followers park on the W
+                    // entry, if one was reserved, which the reply fills.
                     let src = self.lcs[i].id;
                     let dst = self.home_of(addr);
                     self.lcs[i].outgoing.push(FabricMsg {
