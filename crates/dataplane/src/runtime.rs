@@ -64,7 +64,7 @@ use spal_fabric::{
     spsc_ring, AddrBatch, FabricMsg, MsgKind, ReplyBatch, SpscConsumer, SpscProducer,
 };
 use spal_lpm::Lpm;
-use spal_rib::updates::{apply, update_stream, Update, UpdateStreamConfig};
+use spal_rib::updates::{apply_batch, update_stream, Update, UpdateStreamConfig};
 use spal_rib::v6::RoutingTable6;
 use spal_rib::{NextHop, Prefix, RoutingTable};
 use spal_traffic::{Trace, Trace6};
@@ -1183,19 +1183,24 @@ impl<F: AddrFamily> Control<F> {
     }
 
     /// Apply one update batch to the RIB fragments of the LCs each
-    /// prefix is homed on, then [`Self::publish`] it.
+    /// prefix is homed on — one [`apply_batch`] per LC — then
+    /// [`Self::publish`] it.
     fn publish_batch(&mut self, batch: &[Update<F::Addr>]) {
         let t0 = Instant::now();
+        let mut per_lc: Vec<Vec<Update<F::Addr>>> = vec![Vec::new(); self.psi];
         let mut changed: Vec<Vec<Prefix<F::Addr>>> = vec![Vec::new(); self.psi];
         for &u in batch {
             let p = u.prefix();
             for lc in self.part.lcs_of_prefix(p) {
-                apply(&mut self.per_lc_rib[lc as usize], u);
-                let per_lc = &mut changed[lc as usize];
-                if !per_lc.contains(&p) {
-                    per_lc.push(p);
+                per_lc[lc as usize].push(u);
+                let changed = &mut changed[lc as usize];
+                if !changed.contains(&p) {
+                    changed.push(p);
                 }
             }
+        }
+        for (rib, updates) in self.per_lc_rib.iter_mut().zip(&per_lc) {
+            apply_batch(rib, updates);
         }
         let stale: Option<Vec<Prefix<F::Addr>>> = (self.mode == InvalidationMode::Targeted)
             .then(|| batch.iter().map(|u| u.prefix()).collect());
@@ -1255,7 +1260,8 @@ impl<F: AddrFamily> Control<F> {
     ///    LC's groups across the least-loaded survivors
     ///    ([`Partitioning::remap_without`]);
     /// 2. move the dead RIB fragment's routes into the survivors'
-    ///    fragments (skipping routes already replicated there);
+    ///    fragments (skipping routes already replicated there), one
+    ///    [`apply_batch`] per survivor;
     /// 3. [`Self::publish`] the moved prefixes like any update batch,
     ///    stamped with the new partitioning and dead mask; workers adopt
     ///    the new map on their next pin and migrate their in-flight
@@ -1277,17 +1283,21 @@ impl<F: AddrFamily> Control<F> {
                 .remap_without(dead, &self.per_lc_rib[dead_idx], &loads),
         );
         let fragment = std::mem::replace(&mut self.per_lc_rib[dead_idx], RoutingTable::new());
-        let mut changed: Vec<Vec<Prefix<F::Addr>>> = vec![Vec::new(); self.psi];
-        for e in fragment.entries() {
-            let prefix = e.prefix;
-            for lc in self.part.lcs_of_prefix(prefix) {
+        let mut moved_in: Vec<Vec<Update<F::Addr>>> = vec![Vec::new(); self.psi];
+        for &e in fragment.entries() {
+            for lc in self.part.lcs_of_prefix(e.prefix) {
                 debug_assert_ne!(lc, dead, "remap re-homed a group onto the dead LC");
-                let rib = &mut self.per_lc_rib[lc as usize];
-                if rib.get(prefix).is_none() {
-                    rib.insert(*e);
-                    changed[lc as usize].push(prefix);
+                if self.per_lc_rib[lc as usize].get(e.prefix).is_none() {
+                    moved_in[lc as usize].push(Update::Announce(e));
                 }
             }
+        }
+        let changed: Vec<Vec<Prefix<F::Addr>>> = moved_in
+            .iter()
+            .map(|updates| updates.iter().map(|u| u.prefix()).collect())
+            .collect();
+        for (rib, updates) in self.per_lc_rib.iter_mut().zip(&moved_in) {
+            apply_batch(rib, updates);
         }
         self.dead_mask |= 1 << dead;
         self.lagging[dead_idx].clear();
@@ -1688,6 +1698,7 @@ mod tests {
     use super::*;
     use spal_core::{LpmAlgorithm, LpmAlgorithm6};
     use spal_rib::synth;
+    use spal_rib::updates::apply;
     use spal_rib::v6::synthesize6_dfz;
     use spal_traffic::{generate6, preset, PresetName, TracePreset};
 

@@ -7,9 +7,9 @@
 //!   partitioning algorithm needs (`0` / `1` / `*` per bit position),
 //!   generic over the address width ([`AddressBits`]; `u32` unless said
 //!   otherwise, so `Prefix` alone is the IPv4 prefix),
-//! * [`RoutingTable`] — an in-memory BGP-style routing table with a linear
-//!   reference longest-prefix-match used as a test oracle, generic the
-//!   same way,
+//! * [`RoutingTable`] — an in-memory BGP-style routing table with a
+//!   reference longest-prefix match (one binary search per prefix length)
+//!   used as a test oracle, generic the same way,
 //! * [`synth`] — deterministic synthetic generators standing in for the two
 //!   tables evaluated in the paper (FUNET "RT_1", 41,709 prefixes; AS1221
 //!   "RT_2", 140,838 prefixes), and

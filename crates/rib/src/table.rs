@@ -1,8 +1,7 @@
-//! In-memory routing tables and the linear reference longest-prefix match.
+//! In-memory routing tables and the reference longest-prefix match.
 
 use crate::bits::AddressBits;
 use crate::prefix::Prefix;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of the line card a matched packet must be forwarded to — the
@@ -29,8 +28,10 @@ pub struct RouteEntry<A: AddressBits = u32> {
 ///
 /// `RoutingTable` is the exchange format between the synthetic generators,
 /// the partitioner and the trie builders. It also provides
-/// [`RoutingTable::longest_match`], a deliberately simple O(n) matcher used
-/// as the correctness oracle for every trie implementation in `spal-lpm`.
+/// [`RoutingTable::longest_match`], a deliberately simple O(W·log n)
+/// matcher (one binary search per prefix length) that shares no code with
+/// any engine and serves as the correctness oracle for every trie
+/// implementation in `spal-lpm`.
 #[derive(Debug, Clone)]
 pub struct RoutingTable<A: AddressBits = u32> {
     entries: Vec<RouteEntry<A>>,
@@ -54,41 +55,97 @@ impl<A: AddressBits> RoutingTable<A> {
     /// replace earlier ones (mirroring a routing update). Entries are kept
     /// sorted by (prefix bits, length) for deterministic iteration.
     pub fn from_entries(entries: impl IntoIterator<Item = RouteEntry<A>>) -> Self {
-        let mut map: HashMap<Prefix<A>, NextHop> = HashMap::new();
-        for e in entries {
-            map.insert(e.prefix, e.next_hop);
-        }
-        let mut entries: Vec<RouteEntry<A>> = map
-            .into_iter()
-            .map(|(prefix, next_hop)| RouteEntry { prefix, next_hop })
-            .collect();
-        entries.sort_by_key(|e| (e.prefix.bits(), e.prefix.len()));
+        let mut entries: Vec<RouteEntry<A>> = entries.into_iter().collect();
+        // Stable, so each run of equal prefixes stays in input order;
+        // `dedup_by` hands the later entry first and keeps the earlier
+        // slot, so copying the later next hop into it keeps the last.
+        entries.sort_by_key(|e| key(e.prefix));
+        entries.dedup_by(|later, kept| {
+            let dup = later.prefix == kept.prefix;
+            if dup {
+                kept.next_hop = later.next_hop;
+            }
+            dup
+        });
         RoutingTable { entries }
     }
 
-    /// Insert or replace a route. O(n) — tables are built in bulk via
-    /// [`RoutingTable::from_entries`]; this exists for incremental-update
-    /// tests and the update-flush experiments.
+    /// Where `prefix` sits in the entry order: `Ok` at its index, `Err`
+    /// at the index it would be inserted at. O(log n).
+    fn search(&self, prefix: Prefix<A>) -> Result<usize, usize> {
+        self.entries
+            .binary_search_by_key(&key(prefix), |e| key(e.prefix))
+    }
+
+    /// Insert or replace one route. O(n): it shifts the tail. Bulk
+    /// changes go through [`crate::updates::apply_batch`] (at most two
+    /// tail moves per batch) or [`RoutingTable::from_entries`].
     pub fn insert(&mut self, entry: RouteEntry<A>) {
-        match self
-            .entries
-            .binary_search_by_key(&(entry.prefix.bits(), entry.prefix.len()), |e| {
-                (e.prefix.bits(), e.prefix.len())
-            }) {
+        match self.search(entry.prefix) {
             Ok(i) => self.entries[i] = entry,
             Err(i) => self.entries.insert(i, entry),
         }
     }
 
-    /// Remove the route for `prefix`, returning it if present.
+    /// Remove the route for `prefix`, returning it if present. O(n), like
+    /// [`RoutingTable::insert`].
     pub fn remove(&mut self, prefix: Prefix<A>) -> Option<RouteEntry<A>> {
-        match self
-            .entries
-            .binary_search_by_key(&(prefix.bits(), prefix.len()), |e| {
-                (e.prefix.bits(), e.prefix.len())
-            }) {
-            Ok(i) => Some(self.entries.remove(i)),
-            Err(_) => None,
+        self.search(prefix).ok().map(|i| self.entries.remove(i))
+    }
+
+    /// Set the route of each `(prefix, next hop)` — `None` removes it —
+    /// with at most two tail moves: the body of
+    /// [`crate::updates::apply_batch`]. `changes` must be in entry order,
+    /// each prefix once.
+    pub(crate) fn set_sorted(
+        &mut self,
+        changes: impl IntoIterator<Item = (Prefix<A>, Option<NextHop>)>,
+    ) {
+        let mut removals: Vec<usize> = Vec::new();
+        let mut insertions: Vec<(usize, RouteEntry<A>)> = Vec::new();
+        for (prefix, next_hop) in changes {
+            match (self.search(prefix), next_hop) {
+                (Ok(i), Some(next_hop)) => self.entries[i].next_hop = next_hop,
+                (Ok(i), None) => removals.push(i),
+                (Err(i), Some(next_hop)) => insertions.push((i, RouteEntry { prefix, next_hop })),
+                (Err(_), None) => {}
+            }
+        }
+        debug_assert!(
+            removals.is_sorted_by(|a, b| a < b)
+                && insertions.is_sorted_by(|a, b| key(a.1.prefix) < key(b.1.prefix)),
+            "changes out of entry order or repeated"
+        );
+        let entries = &mut self.entries;
+        // Close the removals, left to right: each run between two removed
+        // indices moves down by the number removed before it.
+        if let Some(&first) = removals.first() {
+            let mut write = first;
+            for (k, &r) in removals.iter().enumerate() {
+                let end = removals.get(k + 1).copied().unwrap_or(entries.len());
+                entries.copy_within(r + 1..end, write);
+                write += end - r - 1;
+            }
+            entries.truncate(write);
+        }
+        // Open the insertions, right to left, at their post-removal
+        // indices: the run in front of the `j`-th insertion moves up by
+        // `j + 1`.
+        if let Some(&(_, filler)) = insertions.first() {
+            let mut removed_before = 0;
+            for (at, _) in insertions.iter_mut() {
+                while removals.get(removed_before).is_some_and(|&r| r < *at) {
+                    removed_before += 1;
+                }
+                *at -= removed_before;
+            }
+            let mut src_end = entries.len();
+            entries.resize(src_end + insertions.len(), filler);
+            for (j, &(at, e)) in insertions.iter().enumerate().rev() {
+                entries.copy_within(at..src_end, at + j + 1);
+                entries[at + j] = e;
+                src_end = at;
+            }
         }
     }
 
@@ -114,12 +171,7 @@ impl<A: AddressBits> RoutingTable<A> {
 
     /// The next hop stored for exactly `prefix`, if present. O(log n).
     pub fn get(&self, prefix: Prefix<A>) -> Option<NextHop> {
-        self.entries
-            .binary_search_by_key(&(prefix.bits(), prefix.len()), |e| {
-                (e.prefix.bits(), e.prefix.len())
-            })
-            .ok()
-            .map(|i| self.entries[i].next_hop)
+        self.search(prefix).ok().map(|i| self.entries[i].next_hop)
     }
 
     /// All routes whose canonical bits fall inside `[lo, hi]`, as a
@@ -152,19 +204,18 @@ impl<A: AddressBits> RoutingTable<A> {
         None
     }
 
-    /// Reference longest-prefix match: scans every route. O(n) per lookup,
-    /// used as the oracle the trie implementations are tested against.
+    /// Reference longest-prefix match: [`RoutingTable::best_cover`] with
+    /// no length cap, one binary search per prefix length. O(W·log n) per
+    /// lookup and independent of every engine — the oracle the trie
+    /// implementations, the dataplane's final check and its cache sweeps
+    /// are tested against.
     pub fn longest_match(&self, addr: A) -> Option<RouteEntry<A>> {
-        self.entries
-            .iter()
-            .filter(|e| e.prefix.matches(addr))
-            .max_by_key(|e| e.prefix.len())
-            .copied()
+        self.best_cover(addr, A::BITS)
     }
 
-    /// Whether any route matches `addr`.
+    /// Whether any route matches `addr`. O(W·log n).
     pub fn covers(&self, addr: A) -> bool {
-        self.entries.iter().any(|e| e.prefix.matches(addr))
+        self.longest_match(addr).is_some()
     }
 
     /// The largest next-hop index present, plus one (i.e. the size a
@@ -176,6 +227,11 @@ impl<A: AddressBits> RoutingTable<A> {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// The entry order: prefix bits, then length.
+fn key<A: AddressBits>(p: Prefix<A>) -> (A, u8) {
+    (p.bits(), p.len())
 }
 
 impl<A: AddressBits> FromIterator<RouteEntry<A>> for RoutingTable<A> {
@@ -193,9 +249,74 @@ impl<'a, A: AddressBits> IntoIterator for &'a RoutingTable<A> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::prefix::tests::{addr, for_both_widths, prefix};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
+
+    /// A uniformly random address at either width.
+    pub(crate) trait RandomAddr: AddressBits {
+        fn random(rng: &mut StdRng) -> Self;
+    }
+
+    impl RandomAddr for u32 {
+        fn random(rng: &mut StdRng) -> Self {
+            rng.gen()
+        }
+    }
+
+    impl RandomAddr for u128 {
+        fn random(rng: &mut StdRng) -> Self {
+            rng.gen()
+        }
+    }
+
+    /// A random prefix near one of `bases` (so routes nest and overlap),
+    /// a third of the time the `/0` or a full-length host route.
+    pub(crate) fn random_prefix<A: RandomAddr>(rng: &mut StdRng, bases: &[A]) -> Prefix<A> {
+        let len = match rng.gen_range(0..6) {
+            0 => 0,
+            1 => A::BITS,
+            _ => rng.gen_range(1..A::BITS),
+        };
+        let base = bases[rng.gen_range(0..bases.len())];
+        // Keep a random number of the base's leading bits, draw the rest.
+        let keep = A::prefix_mask(rng.gen_range(0..=len));
+        let bits = (base & keep) | (A::random(rng) & !keep);
+        Prefix::new(bits, len).expect("len <= BITS")
+    }
+
+    /// Up to `max_routes` random routes (possibly none) around a few
+    /// random base addresses; the `/0` is present in about half the
+    /// tables, so some addresses are covered by nothing.
+    pub(crate) fn random_table<A: RandomAddr>(
+        rng: &mut StdRng,
+        max_routes: usize,
+    ) -> RoutingTable<A> {
+        let bases: Vec<A> = (0..4).map(|_| A::random(rng)).collect();
+        let with_default = rng.gen_bool(0.5);
+        let n = rng.gen_range(0..=max_routes);
+        let routes: Vec<RouteEntry<A>> = (0..n)
+            .map(|_| RouteEntry {
+                prefix: random_prefix(rng, &bases),
+                next_hop: NextHop(rng.gen_range(0..16)),
+            })
+            .filter(|e| with_default || !e.prefix.is_default())
+            .collect();
+        RoutingTable::from_entries(routes)
+    }
+
+    /// The linear-scan matcher `longest_match` replaced: the reference
+    /// for the per-length binary search.
+    fn linear_longest_match<A: AddressBits>(t: &RoutingTable<A>, addr: A) -> Option<RouteEntry<A>> {
+        t.entries()
+            .iter()
+            .filter(|e| e.prefix.matches(addr))
+            .max_by_key(|e| e.prefix.len())
+            .copied()
+    }
 
     fn route<A: AddressBits>(bytes: &[u8], len: u8, nh: u16) -> RouteEntry<A> {
         RouteEntry {
@@ -213,7 +334,77 @@ mod tests {
         same_bits_different_len_are_distinct_routes,
         range_and_best_cover,
         collects_and_iterates,
+        longest_match_and_covers_equal_a_linear_scan,
+        from_entries_equals_a_map_keeping_the_last,
     );
+
+    fn longest_match_and_covers_equal_a_linear_scan<A: RandomAddr>() {
+        let mut rng = StdRng::seed_from_u64(0x5fa1);
+        let (mut covered, mut uncovered, mut empty_tables) = (0, 0, 0);
+        for _ in 0..300 {
+            let t = random_table::<A>(&mut rng, 40);
+            empty_tables += t.is_empty() as u32;
+            // Uniform randoms, then inside and at both ends of every
+            // route and in its sibling (outside it).
+            let mut probes: Vec<A> = (0..16).map(|_| A::random(&mut rng)).collect();
+            for e in &t {
+                let p = e.prefix;
+                let host = !A::prefix_mask(p.len());
+                probes.extend([p.first_addr(), p.last_addr()]);
+                probes.push(p.bits() | (A::random(&mut rng) & host));
+                if p.len() > 0 {
+                    // The prefix's last bit, flipped.
+                    let last = A::prefix_mask(p.len()) & !A::prefix_mask(p.len() - 1);
+                    probes.push((p.bits() | last) & !(p.bits() & last));
+                }
+            }
+            for addr in probes {
+                let expect = linear_longest_match(&t, addr);
+                assert_eq!(
+                    t.longest_match(addr),
+                    expect,
+                    "{addr:?} in {:?}",
+                    t.entries()
+                );
+                assert_eq!(t.covers(addr), expect.is_some());
+                if expect.is_some() {
+                    covered += 1;
+                } else {
+                    uncovered += 1;
+                }
+            }
+        }
+        assert!(
+            covered > 1_000 && uncovered > 1_000,
+            "{covered} / {uncovered}"
+        );
+        assert!(empty_tables > 0, "no empty table drawn");
+    }
+
+    fn from_entries_equals_a_map_keeping_the_last<A: RandomAddr>() {
+        let mut rng = StdRng::seed_from_u64(0xf0e1);
+        for _ in 0..100 {
+            let bases: Vec<A> = (0..3).map(|_| A::random(&mut rng)).collect();
+            // Few distinct lengths and bases: plenty of duplicates.
+            let input: Vec<RouteEntry<A>> = (0..rng.gen_range(0..200))
+                .map(|_| RouteEntry {
+                    prefix: random_prefix(&mut rng, &bases),
+                    next_hop: NextHop(rng.gen_range(0..8)),
+                })
+                .collect();
+            // The former body: last write wins in a map, then sort.
+            let mut map = HashMap::new();
+            for e in &input {
+                map.insert(e.prefix, e.next_hop);
+            }
+            let mut expect: Vec<RouteEntry<A>> = map
+                .into_iter()
+                .map(|(prefix, next_hop)| RouteEntry { prefix, next_hop })
+                .collect();
+            expect.sort_by_key(|e| key(e.prefix));
+            assert_eq!(RoutingTable::from_entries(input).entries(), expect);
+        }
+    }
 
     fn from_entries_dedups_keeping_last<A: AddressBits>() {
         let t = RoutingTable::<A>::from_entries([route(&[10], 8, 1), route(&[10], 8, 2)]);

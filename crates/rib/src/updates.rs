@@ -129,20 +129,36 @@ pub fn update_stream<A: ChurnAddr>(
     (updates, RoutingTable::from_entries(live))
 }
 
-/// Apply an update to a routing table (the oracle path).
+/// Apply one update to a routing table: [`apply_batch`] of one.
 pub fn apply<A: AddressBits>(table: &mut RoutingTable<A>, update: Update<A>) {
-    match update {
-        Update::Announce(e) => table.insert(e),
-        Update::Withdraw(p) => {
-            table.remove(p);
-        }
-    }
+    apply_batch(table, &[update]);
+}
+
+/// Apply a batch of updates with the semantics of applying them one by
+/// one — the last update per prefix wins — in one pass over the table:
+/// each distinct prefix is binary-searched once and a re-announcement is
+/// overwritten in place; then the withdrawn routes are closed up and the
+/// new ones opened with one `copy_within` sweep each over the tail. That
+/// is at most two tail moves per batch instead of one per update, and
+/// the table's buffer is reused (it grows only by the net insertions).
+pub fn apply_batch<A: AddressBits>(table: &mut RoutingTable<A>, batch: &[Update<A>]) {
+    // The last update per prefix, in entry order (`Prefix`'s order is
+    // bits, then length): reversed, a stable sort puts each prefix's
+    // last update first in its run, and `dedup` keeps the first.
+    let mut last: Vec<Update<A>> = batch.iter().rev().copied().collect();
+    last.sort_by_key(|u| u.prefix());
+    last.dedup_by_key(|u| u.prefix());
+    table.set_sorted(last.into_iter().map(|u| match u {
+        Update::Announce(e) => (e.prefix, Some(e.next_hop)),
+        Update::Withdraw(p) => (p, None),
+    }));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synth;
+    use crate::table::tests::{random_prefix, random_table, RandomAddr};
     use crate::v6::synthesize6_dfz;
 
     /// The stream's invariants, for a table of either width.
@@ -185,6 +201,128 @@ mod tests {
             seed: 17,
         };
         stream_invariants(&synthesize6_dfz(2_000, 3), &v6);
+    }
+
+    /// `update_stream`'s updates cut into batches of 1 to 64, each with a
+    /// few updates mixed in that the stream never emits — a fresh prefix
+    /// announced, withdrawn and re-announced, a fresh prefix announced
+    /// then withdrawn, a live route withdrawn then re-announced, and the
+    /// withdrawal of an absent prefix — applied by `apply_batch` and by
+    /// sequential `insert`/`remove`.
+    fn batches_equal_sequential_inserts_and_removes<A: ChurnAddr + RandomAddr>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for round in 0..20 {
+            let base = random_table::<A>(&mut rng, 400);
+            let cfg = UpdateStreamConfig {
+                count: 600,
+                withdraw_fraction: 0.3,
+                seed: seed + round,
+            };
+            let (stream, fin) = update_stream(&base, &cfg);
+            let (mut plain, mut batched, mut sequential) = (base.clone(), base.clone(), base);
+            let bases: Vec<A> = (0..4).map(|_| A::random(&mut rng)).collect();
+            let mut rest = &stream[..];
+            while !rest.is_empty() {
+                let (cut, tail) = rest.split_at(rng.gen_range(1..=64).min(rest.len()));
+                rest = tail;
+                apply_batch(&mut plain, cut);
+                let mut batch = cut.to_vec();
+                let nh = |rng: &mut StdRng| NextHop(rng.gen_range(0..A::NEXT_HOPS));
+                let fresh = random_prefix(&mut rng, &bases);
+                let (a, b) = (nh(&mut rng), nh(&mut rng));
+                let mut extra = vec![
+                    Update::Announce(RouteEntry {
+                        prefix: fresh,
+                        next_hop: a,
+                    }),
+                    Update::Withdraw(fresh),
+                    Update::Announce(RouteEntry {
+                        prefix: fresh,
+                        next_hop: b,
+                    }),
+                    Update::Withdraw(random_prefix(&mut rng, &bases)),
+                ];
+                let gone = random_prefix(&mut rng, &bases);
+                extra.extend([
+                    Update::Announce(RouteEntry {
+                        prefix: gone,
+                        next_hop: a,
+                    }),
+                    Update::Withdraw(gone),
+                ]);
+                if let Some(&live) = sequential
+                    .entries()
+                    .get(rng.gen_range(0..=sequential.len()))
+                {
+                    extra.extend([Update::Withdraw(live.prefix), Update::Announce(live)]);
+                }
+                for u in extra {
+                    batch.insert(rng.gen_range(0..=batch.len()), u);
+                }
+                apply_batch(&mut batched, &batch);
+                for &u in &batch {
+                    match u {
+                        Update::Announce(e) => sequential.insert(e),
+                        Update::Withdraw(p) => {
+                            sequential.remove(p);
+                        }
+                    }
+                }
+                assert_eq!(batched.entries(), sequential.entries(), "{batch:?}");
+            }
+            // Without the extras, the stream's batches reach its final table.
+            assert_eq!(plain.entries(), fin.entries());
+        }
+    }
+
+    #[test]
+    fn apply_batch_equals_sequential_updates_v4() {
+        batches_equal_sequential_inserts_and_removes::<u32>(0xba7c);
+    }
+
+    #[test]
+    fn apply_batch_equals_sequential_updates_v6() {
+        batches_equal_sequential_inserts_and_removes::<u128>(0xba7d);
+    }
+
+    #[test]
+    fn last_update_per_prefix_wins_within_a_batch() {
+        let p = |s: &str| s.parse::<Prefix>().unwrap();
+        let route = |s: &str, nh| {
+            Update::Announce(RouteEntry {
+                prefix: p(s),
+                next_hop: NextHop(nh),
+            })
+        };
+        let mut t = RoutingTable::from_entries([
+            RouteEntry {
+                prefix: p("10.0.0.0/8"),
+                next_hop: NextHop(1),
+            },
+            RouteEntry {
+                prefix: p("11.0.0.0/8"),
+                next_hop: NextHop(2),
+            },
+        ]);
+        apply_batch(
+            &mut t,
+            &[
+                route("12.0.0.0/8", 3),
+                Update::Withdraw(p("12.0.0.0/8")),
+                route("12.0.0.0/8", 4),
+                Update::Withdraw(p("10.0.0.0/8")),
+                Update::Withdraw(p("9.0.0.0/8")),
+                route("13.0.0.0/8", 5),
+                Update::Withdraw(p("13.0.0.0/8")),
+                route("11.0.0.0/8", 6),
+            ],
+        );
+        let got: Vec<(Prefix, u16)> = t
+            .entries()
+            .iter()
+            .map(|e| (e.prefix, e.next_hop.0))
+            .collect();
+        assert_eq!(got, [(p("11.0.0.0/8"), 6), (p("12.0.0.0/8"), 4)]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property-based tests: every LPM implementation agrees with the
-//! linear reference matcher on arbitrary prefix sets and addresses
+//! reference matcher (`RoutingTable::longest_match`) on arbitrary prefix sets and addresses
 //! (`check_oracle` is the `spal-lpm` battery's, shared by file).
 
 #[path = "../crates/lpm/tests/common/oracle.rs"]
