@@ -214,43 +214,9 @@ pub struct LrCache<V, A: CacheAddr = u32> {
     rng: SmallRng,
     /// ⌈γ · assoc⌉ blocks per set for REM, precomputed.
     rem_quota: usize,
-    /// Whether [`LrCache::probe_each`] prefetches right now: the size
-    /// gate at build time, then retuned from the windowed hit rate.
-    prefetch_sets: bool,
-    /// The build-time gate: the way array is larger than
-    /// [`Self::PREFETCH_RESIDENT_BYTES`], so prefetching can ever pay.
-    prefetch_size_gate: bool,
-    /// Probe count at the last prefetch re-evaluation.
-    window_start_probes: u64,
-    /// Hit count at the last prefetch re-evaluation.
-    window_start_hits: u64,
 }
 
 impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
-    /// When [`LrCache::probe_each`] issues its distance-8 set prefetch:
-    /// prefetching pays only when the sets being scanned are not
-    /// already hardware-cache-resident. Under locality traffic against
-    /// the paper's β = 4K (a ~130 KiB way array that lives comfortably
-    /// in L2) the hot sets are already cached and the prefetch
-    /// instructions are pure issue-port overhead — measured as a ~5%
-    /// dataplane throughput loss on the locality workload. So the cache
-    /// combines a build-time *array-size* gate (way arrays at or below
-    /// this many bytes never prefetch: half a conservative 1 MiB
-    /// per-core L2, leaving room for the trie's hot lines) with a
-    /// runtime *working-set* probe (below).
-    pub const PREFETCH_RESIDENT_BYTES: usize = 512 * 1024;
-
-    /// The working-set probe re-evaluates the prefetch decision once
-    /// per this many probes (checked at batch granularity, so the
-    /// per-lane hot path pays nothing).
-    pub const PREFETCH_WINDOW_PROBES: u64 = 32_768;
-
-    /// Windowed hit rate at or above which the working set counts as
-    /// hardware-cache-resident (even though the full array would not
-    /// be) and prefetch turns off; below it the scan is striding cold
-    /// sets, so it turns back on.
-    pub const PREFETCH_RESIDENT_HIT_RATE: f64 = 0.9;
-
     /// Build a cache from a configuration.
     ///
     /// # Panics
@@ -285,8 +251,6 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
         ];
         let victim = VictimCache::new(config.victim_blocks, config.policy);
         let rng = SmallRng::seed_from_u64(config.seed);
-        let size_gate =
-            std::mem::size_of::<Group<V, A>>() * groups.len() > Self::PREFETCH_RESIDENT_BYTES;
         LrCache {
             sets,
             groups,
@@ -296,18 +260,8 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
             clock: 0,
             rng,
             rem_quota,
-            prefetch_sets: size_gate,
-            prefetch_size_gate: size_gate,
-            window_start_probes: 0,
-            window_start_hits: 0,
             config,
         }
-    }
-
-    /// Whether [`LrCache::probe_each`] would issue set prefetches right
-    /// now (the decision is observable for tests).
-    pub fn prefetch_active(&self) -> bool {
-        self.prefetch_sets
     }
 
     /// The configuration the cache was built with.
@@ -489,50 +443,9 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
         self.stats.hits_loc += 1 - rem;
     }
 
-    /// Hint the hardware prefetcher at `addr`'s set. A large LR-cache
-    /// lives beyond L1, so a batched probe pass that announces set
-    /// N+`lookahead` while scanning set N hides most of the L2/L3
-    /// latency. No-op off x86_64.
-    #[inline]
-    fn prefetch_set(&self, addr: A) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let group = self.set_base(addr) / LANES;
-            // SAFETY: `set_base` masks the address to a valid set, so
-            // `group` indexes into `groups`; prefetch has no memory
-            // effects regardless.
-            unsafe {
-                std::arch::x86_64::_mm_prefetch(
-                    self.groups.as_ptr().add(group) as *const i8,
-                    std::arch::x86_64::_MM_HINT_T0,
-                );
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = addr;
-    }
-
-    /// Re-evaluate the prefetch decision from the windowed hit rate.
-    /// Purely a performance toggle — probe/reserve semantics,
-    /// statistics and replacement state are untouched, so deterministic
-    /// runs stay bit-identical whatever it decides.
-    fn maybe_retune_prefetch(&mut self) {
-        let probes = self.stats.probes();
-        let window = probes - self.window_start_probes;
-        if window < Self::PREFETCH_WINDOW_PROBES {
-            return;
-        }
-        let hits = self.stats.hits_loc + self.stats.hits_rem + self.stats.hits_waiting;
-        let rate = (hits - self.window_start_hits) as f64 / window as f64;
-        self.prefetch_sets = self.prefetch_size_gate && rate < Self::PREFETCH_RESIDENT_HIT_RATE;
-        self.window_start_probes = probes;
-        self.window_start_hits = hits;
-    }
-
-    /// The batched probe pass with software prefetch: for each address,
-    /// a [`LrCache::probe`] with the miss-path [`LrCache::reserve`]
-    /// folded in, its verdict handed to `sink(lane index, verdict)` in
-    /// address order. The sink sees each lane while it is still in
+    /// The batched probe pass: for each address, a [`LrCache::probe`]
+    /// with the miss-path [`LrCache::reserve`] folded in, its verdict
+    /// handed to `sink(lane index, verdict)` in address order. The sink sees each lane while it is still in
     /// registers, so a caller that only tallies hits and notes which
     /// lanes missed never writes the verdicts to memory.
     ///
@@ -543,14 +456,7 @@ impl<V: Copy + Eq + std::fmt::Debug, A: CacheAddr> LrCache<V, A> {
     /// the replacement decision.
     #[inline]
     pub fn probe_each<S: FnMut(usize, BatchProbe<V>)>(&mut self, addrs: &[A], mut sink: S) {
-        const PREFETCH_DIST: usize = 8;
-        self.maybe_retune_prefetch();
         for (i, &addr) in addrs.iter().enumerate() {
-            if self.prefetch_sets {
-                if let Some(&ahead) = addrs.get(i + PREFETCH_DIST) {
-                    self.prefetch_set(ahead);
-                }
-            }
             let base = self.set_base(addr);
             let lane = match self.probe_in(base, addr) {
                 ProbeResult::Hit { value, origin } => BatchProbe::Hit { value, origin },
@@ -1188,63 +1094,6 @@ mod tests {
         c.probe_batch(&[], &mut out);
         assert!(out.is_empty());
         assert_eq!(c.stats().misses, 0);
-    }
-
-    /// A way array big enough to pass the prefetch size gate at build
-    /// time (> 512 KiB for `LrCache<u32, u32>`).
-    fn big_cache() -> LrCache<u32> {
-        LrCache::new(LrCacheConfig::paper(32_768))
-    }
-
-    const WINDOW: usize = LrCache::<u32>::PREFETCH_WINDOW_PROBES as usize;
-
-    #[test]
-    fn auto_prefetch_disables_on_resident_working_set() {
-        let mut c = big_cache();
-        assert!(
-            c.prefetch_active(),
-            "large array should start with prefetch on"
-        );
-        // A small, fully cached working set: after warm-up every probe
-        // hits, so the windowed hit rate crosses the resident threshold.
-        let addrs: Vec<u32> = (0..512u32).map(|i| i.wrapping_mul(7919)).collect();
-        for &a in &addrs {
-            c.reserve(a);
-            c.fill(a, 1, Origin::Loc);
-        }
-        let mut out = Vec::new();
-        let rounds = 2 * WINDOW / addrs.len();
-        for _ in 0..rounds {
-            out.clear();
-            c.probe_batch(&addrs, &mut out);
-        }
-        assert!(
-            !c.prefetch_active(),
-            "resident working set should turn prefetch off"
-        );
-        // A cold, striding working set turns it back on.
-        let mut cold: Vec<u32> = Vec::new();
-        let mut x = 1u32;
-        while cold.len() < 2 * WINDOW + 4_096 {
-            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            cold.push(x);
-        }
-        for chunk in cold.chunks(256) {
-            out.clear();
-            c.probe_batch(chunk, &mut out);
-        }
-        assert!(
-            c.prefetch_active(),
-            "cold striding traffic should turn prefetch back on"
-        );
-    }
-
-    #[test]
-    fn auto_prefetch_small_array_stays_off() {
-        // The paper's β = 4K way array is ~130 KiB — under the size
-        // gate, so it never prefetches no matter the hit rate.
-        let c: LrCache<u32> = LrCache::new(LrCacheConfig::paper(4096));
-        assert!(!c.prefetch_active());
     }
 
     /// One step of the differential workload. Addresses are small

@@ -739,12 +739,12 @@ impl<F: AddrFamily> WorkerCore<F> {
         } else {
             self.epoch
         };
-        // One batched probe pass with set prefetch: per lane, a scalar
-        // probe (+ reserve on a miss), so cache state and statistics
-        // are those of probing packet by packet. Hits are tallied as
-        // the pass hands them over; only the lanes that did not hit are
-        // noted, to be parked once the pass is done (`park` never
-        // touches the cache).
+        // One batched probe pass: per lane, a scalar probe (+ reserve
+        // on a miss), so cache state and statistics are those of
+        // probing packet by packet. Hits are tallied as the pass hands
+        // them over; only the lanes that did not hit are noted, to be
+        // parked once the pass is done (`park` never touches the
+        // cache).
         let (mut loc_hits, mut rem_hits, mut hop_sum) = (0u64, 0u64, 0u64);
         let mut misses = std::mem::take(&mut self.miss_scratch);
         misses.clear();

@@ -138,77 +138,54 @@ impl<A: AddressBits> GenericBinaryTrie<A> {
     }
 }
 
+/// Per-lane walk state: the node last read, the address bits consumed,
+/// and the deepest route passed.
+#[derive(Clone, Copy)]
+pub(crate) struct Lane {
+    node: u32,
+    depth: u8,
+    best: Option<NextHop>,
+}
+
+/// One access per node visited. Lines: each visited node is a
+/// [`NODE_BYTES`]-byte record at `index * NODE_BYTES` in the arena;
+/// records straddling a 64-byte boundary touch two lines.
 impl<A: AddressBits> Walk for GenericBinaryTrie<A> {
     type Addr = A;
+    type Lane = Lane;
 
-    /// One access per node visited. Lines: each visited node is a
-    /// [`NODE_BYTES`]-byte record at `index * NODE_BYTES` in the arena;
-    /// records straddling a 64-byte boundary touch two lines.
-    fn walk<T: Tally>(&self, addr: A, t: &mut T) -> T::Out {
-        let mut node = 0usize;
-        let mut best = self.nodes[0].route;
+    #[inline]
+    fn start<T: Tally>(&self, _addr: A, t: &mut T) -> Lane {
         t.read(REGION_NODES, 0, NODE_BYTES); // root read
-        for i in 0..A::BITS {
-            let child = self.nodes[node].children[addr.bit(i) as usize];
-            if child == NONE {
-                break;
-            }
-            node = child as usize;
-            t.read(REGION_NODES, node * NODE_BYTES, NODE_BYTES);
-            if let Some(nh) = self.nodes[node].route {
-                best = Some(nh);
-            }
+        Lane {
+            node: 0,
+            depth: 0,
+            best: self.nodes[0].route,
         }
-        t.done(best)
     }
 
-    /// Each round advances every still-active lane one trie level, so
-    /// the dependent child-pointer loads are in flight together instead
-    /// of one walk stalling to completion before the next starts.
-    fn group<T: Tally, const N: usize>(
-        &self,
-        addrs: &[A; N],
-        t: &mut [T; N],
-        out: &mut [T::Out; N],
-    ) {
-        let nodes = &self.nodes;
-        let mut node = [0usize; N];
-        let mut best = [nodes[0].route; N];
-        let mut depth = [0u8; N];
-        let mut active = [true; N];
-        for lane in t.iter_mut() {
-            lane.read(REGION_NODES, 0, NODE_BYTES); // root read
+    /// Read the child the next address bit selects.
+    #[inline]
+    fn step<T: Tally>(&self, addr: A, lane: &mut Lane, t: &mut T) -> bool {
+        if lane.depth >= A::BITS {
+            return false;
         }
-        loop {
-            let mut any = false;
-            for l in 0..N {
-                if !active[l] {
-                    continue;
-                }
-                if depth[l] >= A::BITS {
-                    active[l] = false;
-                    continue;
-                }
-                let child = nodes[node[l]].children[addrs[l].bit(depth[l]) as usize];
-                if child == NONE {
-                    active[l] = false;
-                    continue;
-                }
-                node[l] = child as usize;
-                t[l].read(REGION_NODES, node[l] * NODE_BYTES, NODE_BYTES);
-                if let Some(nh) = nodes[node[l]].route {
-                    best[l] = Some(nh);
-                }
-                depth[l] += 1;
-                any = true;
-            }
-            if !any {
-                break;
-            }
+        let child = self.nodes[lane.node as usize].children[addr.bit(lane.depth) as usize];
+        if child == NONE {
+            return false;
         }
-        for l in 0..N {
-            out[l] = t[l].done(best[l]);
+        lane.node = child;
+        t.read(REGION_NODES, child as usize * NODE_BYTES, NODE_BYTES);
+        if let Some(nh) = self.nodes[child as usize].route {
+            lane.best = Some(nh);
         }
+        lane.depth += 1;
+        true
+    }
+
+    #[inline]
+    fn finish<T: Tally>(&self, _addr: A, lane: &Lane, t: &mut T) -> T::Out {
+        t.done(lane.best)
     }
 }
 

@@ -278,107 +278,62 @@ impl BitAt for u32 {
     }
 }
 
-impl DpTrie {
-    /// Close a walk whose deepest match is `best`, tallying the next-hop
-    /// (data pointer) read on a match.
-    #[inline]
-    fn finish<T: Tally>(best: Option<NextHop>, t: &mut T) -> T::Out {
-        if let Some(nh) = best {
-            t.read(REGION_NH, nh.0 as usize * NH_DATA_BYTES, NH_DATA_BYTES);
-        }
-        t.done(best)
-    }
+/// Per-lane walk state: the node whose label matched last, and the
+/// deepest route seen.
+#[derive(Clone, Copy)]
+pub(crate) struct Lane {
+    cur: usize,
+    best: Option<NextHop>,
 }
 
 impl Walk for DpTrie {
     type Addr = u32;
+    type Lane = Lane;
 
-    fn walk<T: Tally>(&self, addr: u32, t: &mut T) -> T::Out {
-        let mut cur = 0u32;
-        let mut best: Option<NextHop> = None;
+    #[inline]
+    fn start<T: Tally>(&self, _addr: u32, t: &mut T) -> Lane {
         t.read(REGION_NODES, 0, DP_NODE_BYTES); // root node read
-        loop {
-            let n = &self.nodes[cur as usize];
-            // `cur`'s label is guaranteed to match `addr` (checked before
-            // descending), so any route here is a candidate.
-            if let Some(nh) = n.route {
-                best = Some(nh);
-            }
-            if n.key_len >= 32 {
-                break;
-            }
-            let child = n.children[addr.bit(n.key_len) as usize];
-            if child == NONE {
-                break;
-            }
-            // One access reads the child node — its label (index/key) and
-            // pointers come in the same 21-byte read.
-            let c = &self.nodes[child as usize];
-            t.read(REGION_NODES, child as usize * DP_NODE_BYTES, DP_NODE_BYTES);
-            if addr & mask(c.key_len) != c.key_bits {
-                // Path compression skipped over a divergence; the deepest
-                // match seen so far is the answer ([8]'s backtrack ends
-                // here because ancestors were already inspected on the
-                // way down).
-                break;
-            }
-            cur = child;
-        }
-        Self::finish(best, t)
+        Lane { cur: 0, best: None }
     }
 
-    /// Each round runs exactly one iteration of the scalar descent
-    /// (route check, branch bit, child read, label compare) on every
-    /// still-active lane, so the path-compressed chains' node reads
-    /// overlap.
-    fn group<T: Tally, const N: usize>(
-        &self,
-        addrs: &[u32; N],
-        t: &mut [T; N],
-        out: &mut [T::Out; N],
-    ) {
-        let nodes = &self.nodes;
-        let mut cur = [0usize; N];
-        let mut best: [Option<NextHop>; N] = [None; N];
-        let mut active = [true; N];
-        for lane in t.iter_mut() {
-            lane.read(REGION_NODES, 0, DP_NODE_BYTES); // root node read
+    /// Route check, branch bit, child read, label compare.
+    #[inline]
+    fn step<T: Tally>(&self, addr: u32, lane: &mut Lane, t: &mut T) -> bool {
+        let n = &self.nodes[lane.cur];
+        // `cur`'s label is guaranteed to match `addr` (checked before
+        // descending), so any route here is a candidate.
+        if let Some(nh) = n.route {
+            lane.best = Some(nh);
         }
-        loop {
-            let mut any = false;
-            for l in 0..N {
-                if !active[l] {
-                    continue;
-                }
-                let n = &nodes[cur[l]];
-                if let Some(nh) = n.route {
-                    best[l] = Some(nh);
-                }
-                if n.key_len >= 32 {
-                    active[l] = false;
-                    continue;
-                }
-                let child = n.children[addrs[l].bit(n.key_len) as usize];
-                if child == NONE {
-                    active[l] = false;
-                    continue;
-                }
-                let c = &nodes[child as usize];
-                t[l].read(REGION_NODES, child as usize * DP_NODE_BYTES, DP_NODE_BYTES);
-                if addrs[l] & mask(c.key_len) != c.key_bits {
-                    active[l] = false;
-                    continue;
-                }
-                cur[l] = child as usize;
-                any = true;
-            }
-            if !any {
-                break;
-            }
+        if n.key_len >= 32 {
+            return false;
         }
-        for l in 0..N {
-            out[l] = Self::finish(best[l], &mut t[l]);
+        let child = n.children[addr.bit(n.key_len) as usize];
+        if child == NONE {
+            return false;
         }
+        // One access reads the child node — its label (index/key) and
+        // pointers come in the same 21-byte read. The lane moves to it
+        // before the label compare, not under it: a lane updated under
+        // that data-dependent branch cost the lane driver 5–7 %
+        // (EXPERIMENTS E42).
+        lane.cur = child as usize;
+        let c = &self.nodes[lane.cur];
+        t.read(REGION_NODES, lane.cur * DP_NODE_BYTES, DP_NODE_BYTES);
+        // Path compression may have skipped over a divergence; then the
+        // deepest match seen so far is the answer ([8]'s backtrack ends
+        // here because ancestors were already inspected on the way
+        // down).
+        addr & mask(c.key_len) == c.key_bits
+    }
+
+    /// Tally the next-hop (data pointer) read on a match.
+    #[inline]
+    fn finish<T: Tally>(&self, _addr: u32, lane: &Lane, t: &mut T) -> T::Out {
+        if let Some(nh) = lane.best {
+            t.read(REGION_NH, nh.0 as usize * NH_DATA_BYTES, NH_DATA_BYTES);
+        }
+        t.done(lane.best)
     }
 }
 

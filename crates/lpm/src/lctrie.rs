@@ -389,23 +389,47 @@ impl Lpm for LcTrie {
     }
 }
 
-impl LcTrie {
-    /// One level of the trie walk: from branching node `node` with `pos`
-    /// address bits consumed, read the child `addr` selects.
+/// Per-lane walk state: the node last read and the address bits
+/// consumed.
+#[derive(Clone, Copy)]
+pub(crate) struct Lane {
+    node: Node,
+    pos: u8,
+}
+
+impl Walk for LcTrie {
+    type Addr = u32;
+    type Lane = Lane;
+
     #[inline]
-    fn child<T: Tally>(&self, addr: u32, node: Node, pos: &mut u8, t: &mut T) -> Node {
-        *pos += node.skip;
-        let shift = 32 - *pos as u32 - node.branch as u32;
-        let idx = node.adr as usize + (((addr >> shift) as usize) & ((1 << node.branch) - 1));
-        *pos += node.branch;
-        t.read(REGION_NODES, idx * NODE_BYTES, NODE_BYTES);
-        self.nodes[idx]
+    fn start<T: Tally>(&self, _addr: u32, t: &mut T) -> Lane {
+        t.read(REGION_NODES, 0, NODE_BYTES); // root read
+        Lane {
+            node: self.nodes[0],
+            pos: 0,
+        }
     }
 
-    /// Resolve a finished trie walk: base-vector read, full-match test,
-    /// then the prefix-chain fallback. Shared between the scalar and
-    /// batch paths so both tally identically.
-    fn finish_lookup<T: Tally>(&self, addr: u32, node: Node, t: &mut T) -> T::Out {
+    /// One level: from a branching node, read the child `addr` selects.
+    #[inline]
+    fn step<T: Tally>(&self, addr: u32, lane: &mut Lane, t: &mut T) -> bool {
+        let node = lane.node;
+        if node.branch == 0 {
+            return false;
+        }
+        lane.pos += node.skip;
+        let shift = 32 - lane.pos as u32 - node.branch as u32;
+        let idx = node.adr as usize + (((addr >> shift) as usize) & ((1 << node.branch) - 1));
+        lane.pos += node.branch;
+        t.read(REGION_NODES, idx * NODE_BYTES, NODE_BYTES);
+        lane.node = self.nodes[idx];
+        true
+    }
+
+    /// Resolve the leaf: base-vector read, full-match test, then the
+    /// prefix-chain fallback.
+    fn finish<T: Tally>(&self, addr: u32, lane: &Lane, t: &mut T) -> T::Out {
+        let node = lane.node;
         if node.adr == NONE {
             return t.done(None);
         }
@@ -429,53 +453,6 @@ impl LcTrie {
             chain = p.chain;
         }
         t.done(None)
-    }
-}
-
-impl Walk for LcTrie {
-    type Addr = u32;
-
-    fn walk<T: Tally>(&self, addr: u32, t: &mut T) -> T::Out {
-        t.read(REGION_NODES, 0, NODE_BYTES); // root read
-        let mut node = self.nodes[0];
-        let mut pos = 0u8;
-        while node.branch != 0 {
-            node = self.child(addr, node, &mut pos, t);
-        }
-        self.finish_lookup(addr, node, t)
-    }
-
-    /// The level walk advances each still-branching lane one node per
-    /// round so the dependent child-array reads overlap; finished lanes
-    /// park on their leaf until the group drains, then every lane
-    /// resolves through [`LcTrie::finish_lookup`].
-    fn group<T: Tally, const N: usize>(
-        &self,
-        addrs: &[u32; N],
-        t: &mut [T; N],
-        out: &mut [T::Out; N],
-    ) {
-        let mut node = [self.nodes[0]; N];
-        let mut pos = [0u8; N];
-        for lane in t.iter_mut() {
-            lane.read(REGION_NODES, 0, NODE_BYTES); // root read
-        }
-        loop {
-            let mut any = false;
-            for l in 0..N {
-                if node[l].branch == 0 {
-                    continue;
-                }
-                node[l] = self.child(addrs[l], node[l], &mut pos[l], &mut t[l]);
-                any = true;
-            }
-            if !any {
-                break;
-            }
-        }
-        for l in 0..N {
-            out[l] = self.finish_lookup(addrs[l], node[l], &mut t[l]);
-        }
     }
 }
 

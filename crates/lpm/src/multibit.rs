@@ -11,7 +11,7 @@
 //! expansion that removes backtracking: lookup inspects exactly one
 //! entry per level.
 
-use crate::{CountedLookup, Lpm, Tally, Walk, BATCH_LANES};
+use crate::{prefetch_slice, CountedLookup, Lpm, Tally, Walk, BATCH_LANES};
 use spal_rib::{NextHop, RoutingTable};
 
 const NO_CHILD: u32 = u32::MAX;
@@ -164,68 +164,67 @@ impl MultibitTrie {
     }
 }
 
+/// Per-lane walk state: the node at the next level ([`NO_CHILD`] once
+/// the walk has ended), the address bits and levels consumed, and the
+/// best expanded result so far.
+#[derive(Clone, Copy)]
+pub(crate) struct Lane {
+    node: u32,
+    consumed: u8,
+    level: u8,
+    best: Option<NextHop>,
+}
+
+impl MultibitTrie {
+    /// The arena index of the slot `lane` reads next, and its level's
+    /// stride.
+    #[inline]
+    fn next_slot(&self, addr: u32, lane: &Lane) -> (usize, u8) {
+        let stride = self.strides[lane.level as usize];
+        let base = self.nodes[lane.node as usize].base;
+        let idx = (addr >> (32 - lane.consumed - stride)) as usize & ((1 << stride) - 1);
+        (base + idx, stride)
+    }
+}
+
 impl Walk for MultibitTrie {
     type Addr = u32;
+    type Lane = Lane;
 
-    fn walk<T: Tally>(&self, addr: u32, t: &mut T) -> T::Out {
-        let mut node = 0u32;
-        let mut consumed = 0u8;
-        let mut best: Option<NextHop> = None;
-        for &stride in &self.strides {
-            let base = self.nodes[node as usize].base;
-            let idx = (addr >> (32 - consumed - stride)) as usize & ((1 << stride) - 1);
-            let slot = self.slots[base + idx];
-            t.read(REGION_SLOTS, (base + idx) * SLOT_BYTES, SLOT_BYTES); // one slot read per level
-            if slot.result.is_some() {
-                best = slot.result;
-            }
-            if slot.child == NO_CHILD {
-                break;
-            }
-            node = slot.child;
-            consumed += stride;
+    #[inline]
+    fn start<T: Tally>(&self, _addr: u32, _t: &mut T) -> Lane {
+        Lane {
+            node: 0,
+            consumed: 0,
+            level: 0,
+            best: None,
         }
-        t.done(best)
     }
 
-    /// Level-synchronous: every still-active lane does its slot read for
-    /// level `d` before any lane moves to level `d+1`, so the independent
-    /// slot loads per level overlap.
-    fn group<T: Tally, const N: usize>(
-        &self,
-        addrs: &[u32; N],
-        t: &mut [T; N],
-        out: &mut [T::Out; N],
-    ) {
-        let mut node = [0u32; N];
-        let mut consumed = [0u8; N];
-        let mut best: [Option<NextHop>; N] = [None; N];
-        let mut active = [true; N];
-        for &stride in &self.strides {
-            for l in 0..N {
-                if !active[l] {
-                    continue;
-                }
-                let base = self.nodes[node[l] as usize].base;
-                let idx = (addrs[l] >> (32 - consumed[l] - stride)) as usize & ((1 << stride) - 1);
-                let slot = self.slots[base + idx];
-                t[l].read(REGION_SLOTS, (base + idx) * SLOT_BYTES, SLOT_BYTES);
-                if slot.result.is_some() {
-                    best[l] = slot.result;
-                }
-                if slot.child == NO_CHILD {
-                    active[l] = false;
-                    continue;
-                }
-                node[l] = slot.child;
-                consumed[l] += stride;
-            }
-            if active.iter().all(|&a| !a) {
-                break;
-            }
-        }
-        for l in 0..N {
-            out[l] = t[l].done(best[l]);
+    /// One slot read per level. The lane moves to the slot's child
+    /// whether or not there is one, as in DP's step (EXPERIMENTS E42).
+    #[inline]
+    fn step<T: Tally>(&self, addr: u32, lane: &mut Lane, t: &mut T) -> bool {
+        let (i, stride) = self.next_slot(addr, lane);
+        let slot = self.slots[i];
+        t.read(REGION_SLOTS, i * SLOT_BYTES, SLOT_BYTES);
+        lane.best = slot.result.or(lane.best);
+        lane.node = slot.child;
+        lane.consumed += stride;
+        lane.level += 1;
+        slot.child != NO_CHILD
+    }
+
+    #[inline]
+    fn finish<T: Tally>(&self, _addr: u32, lane: &Lane, t: &mut T) -> T::Out {
+        t.done(lane.best)
+    }
+
+    /// The next level's slot, once the step that found its node is done.
+    #[inline]
+    fn prefetch(&self, addr: u32, lane: &Lane) {
+        if lane.node != NO_CHILD {
+            prefetch_slice(&self.slots, self.next_slot(addr, lane).0);
         }
     }
 }

@@ -383,16 +383,30 @@ impl Ship6 {
 /// has ended), the address bits consumed, and the best route so far
 /// (next hop + 1, 0 = none).
 #[derive(Clone, Copy)]
-struct Lane {
+pub(crate) struct Lane {
     node_ref: u32,
     depth: u8,
     best: u16,
 }
 
-impl Ship6 {
+/// Next hop + 1 (0 = none), as bins and nodes store routes, to a result.
+#[inline]
+fn hop(best: u16) -> Option<NextHop> {
+    best.checked_sub(1).map(NextHop)
+}
+
+/// Batched through the generic lane driver: worth 8 % of end-to-end
+/// throughput in the dataplane against the scalar loop (`v6-w1` 8.97
+/// Mpkt/s without it, 9.91 with, ahead in 15 of 18 alternating rounds —
+/// EXPERIMENTS E28), and 1.12× the scalar loop in `bench_lookup --dfz`
+/// once neither arm times the line bookkeeping (E29).
+impl Walk for Ship6 {
+    type Addr = u128;
+    type Lane = Lane;
+
     /// Level 1: read `addr`'s bin.
     #[inline]
-    fn enter<T: Tally>(&self, addr: u128, t: &mut T) -> Lane {
+    fn start<T: Tally>(&self, addr: u128, t: &mut T) -> Lane {
         let bin_idx = (addr >> (128 - BIN_BITS)) as usize;
         t.read(REGION_BINS, bin_idx * BIN_BYTES, BIN_BYTES);
         let bin = self.bins[bin_idx];
@@ -406,8 +420,11 @@ impl Ship6 {
     /// Level 2: read the node `lane` stands on and move to the child
     /// `addr` selects, or end the walk.
     #[inline]
-    fn step<T: Tally>(&self, addr: u128, lane: &mut Lane, t: &mut T) {
+    fn step<T: Tally>(&self, addr: u128, lane: &mut Lane, t: &mut T) -> bool {
         let node_ref = std::mem::replace(&mut lane.node_ref, NONE);
+        if node_ref == NONE {
+            return false;
+        }
         if node_ref & DENSE_FLAG != 0 {
             let idx = (node_ref & REF_MASK) as usize;
             t.read(REGION_DENSE, idx * DENSE_BYTES, DENSE_BYTES);
@@ -436,84 +453,35 @@ impl Ship6 {
             t.read(REGION_SPARSE, idx * SPARSE_BYTES, SPARSE_BYTES);
             let node = self.sparse[idx];
             if node.skip_len > 0 && extract_bits(addr, lane.depth, node.skip_len) != node.skip {
-                return;
+                return false;
             }
             lane.depth += node.skip_len;
             if node.route != 0 {
                 lane.best = node.route;
             }
             if lane.depth >= 128 {
-                return;
+                return false;
             }
             lane.node_ref = node.children[extract_bits(addr, lane.depth, 1) as usize];
             lane.depth += 1;
         }
+        lane.node_ref != NONE
+    }
+
+    #[inline]
+    fn finish<T: Tally>(&self, _addr: u128, lane: &Lane, t: &mut T) -> T::Out {
+        t.done(hop(lane.best))
     }
 
     /// Prefetch the node behind `node_ref` (nothing for [`NONE`], which
     /// carries the dense flag).
     #[inline]
-    fn prefetch_node(&self, node_ref: u32) {
+    fn prefetch(&self, _addr: u128, lane: &Lane) {
+        let node_ref = lane.node_ref;
         if node_ref & DENSE_FLAG == 0 {
             prefetch_slice(&self.sparse, node_ref as usize);
         } else if node_ref != NONE {
             prefetch_slice(&self.dense, (node_ref & REF_MASK) as usize);
-        }
-    }
-}
-
-/// Next hop + 1 (0 = none), as bins and nodes store routes, to a result.
-#[inline]
-fn hop(best: u16) -> Option<NextHop> {
-    best.checked_sub(1).map(NextHop)
-}
-
-impl Walk for Ship6 {
-    type Addr = u128;
-
-    fn walk<T: Tally>(&self, addr: u128, t: &mut T) -> T::Out {
-        let mut lane = self.enter(addr, t);
-        while lane.node_ref != NONE {
-            self.step(addr, &mut lane, t);
-        }
-        t.done(hop(lane.best))
-    }
-
-    /// VPP-style: every round advances each still-active lane one node,
-    /// so the lanes' dependent loads overlap.
-    ///
-    /// Worth 8 % of end-to-end throughput in the dataplane (`v6-w1`
-    /// 8.97 Mpkt/s without it, 9.91 with, ahead in 15 of 18 alternating
-    /// rounds — EXPERIMENTS E28), and 1.12× the scalar loop in
-    /// `bench_lookup --dfz` once neither arm times the line bookkeeping
-    /// (E29; it read 0.84× while both did).
-    fn group<T: Tally, const N: usize>(
-        &self,
-        addrs: &[u128; N],
-        t: &mut [T; N],
-        out: &mut [T::Out; N],
-    ) {
-        let mut lanes: [Lane; N] = std::array::from_fn(|l| {
-            let lane = self.enter(addrs[l], &mut t[l]);
-            self.prefetch_node(lane.node_ref);
-            lane
-        });
-        loop {
-            let mut any = false;
-            for l in 0..N {
-                if lanes[l].node_ref == NONE {
-                    continue;
-                }
-                any = true;
-                self.step(addrs[l], &mut lanes[l], &mut t[l]);
-                self.prefetch_node(lanes[l].node_ref);
-            }
-            if !any {
-                break;
-            }
-        }
-        for l in 0..N {
-            out[l] = t[l].done(hop(lanes[l].best));
         }
     }
 }

@@ -5,9 +5,11 @@
 //! `lookup` and as the counted path, for arbitrary tables, arbitrary
 //! address mixes, and every batch length from 0 to 40 (covering 16-lane
 //! groups, 4-lane groups and the scalar tails of the group drivers),
-//! before and after an `apply_delta` of an arbitrary update stream. The
-//! checks are the shared battery's (`common`); the 128-bit engines run
-//! it in `ship_equiv.rs`.
+//! before and after an `apply_delta` of an arbitrary update stream —
+//! over synthesized tables and over one fixed table of uneven depth, so
+//! a lane group mixes walks of very different lengths. The checks are
+//! the shared battery's (`common`); the 128-bit engines run it in
+//! `ship_equiv.rs`.
 
 mod common;
 
@@ -21,8 +23,8 @@ use spal_lpm::lulea::LuleaTrie;
 use spal_lpm::multibit::MultibitTrie;
 use spal_lpm::poptrie::Poptrie;
 use spal_lpm::{CountedLookup, Lpm};
-use spal_rib::synth;
 use spal_rib::updates::{update_stream, UpdateStreamConfig};
+use spal_rib::{synth, NextHop, Prefix, RouteEntry, RoutingTable};
 
 /// Address mix: half biased near the table's prefixes (via the low-seed
 /// synth generator's preference for common first octets), half fully
@@ -40,6 +42,38 @@ fn arb_addrs() -> impl Strategy<Value = Vec<u32>> {
     )
 }
 
+/// The host route at the bottom of [`uneven_table`]'s nested chain.
+const DEEP: u32 = 0x0A00_0101;
+
+/// A /0 default, a few /8s, and a chain of nested routes down to the
+/// /32 [`DEEP`]: one group of [`uneven_addrs`] holds lanes that end at
+/// their first read, part way down the chain, and at full depth, so the
+/// lane driver retires lanes in every round.
+fn uneven_table() -> RoutingTable {
+    let chain = (8..=32).step_by(3).map(|len| (DEEP, len));
+    let eights = [1u32, 10, 172, 192].map(|hi| (hi << 24, 8));
+    RoutingTable::from_entries(
+        [(0, 0)]
+            .into_iter()
+            .chain(eights)
+            .chain(chain)
+            .zip(1u16..)
+            .map(|((bits, len), nh)| RouteEntry {
+                prefix: Prefix::new(bits, len).unwrap(),
+                next_hop: NextHop(nh),
+            }),
+    )
+}
+
+/// Each address, then [`DEEP`], then [`DEEP`] with one bit flipped —
+/// a walk that leaves the chain at a depth the address picks.
+fn uneven_addrs(addrs: &[u32]) -> Vec<u32> {
+    addrs
+        .iter()
+        .flat_map(|&a| [a, DEEP, DEEP ^ 1 << (a % 32)])
+        .collect()
+}
+
 proptest! {
     // Each case builds seven engines over a fresh table; keep the count
     // modest — the address/batch-size space inside a case is wide.
@@ -47,6 +81,7 @@ proptest! {
 
     #[test]
     fn batch_matches_scalar_on_every_engine(
+        uneven in any::<bool>(),
         table_size in 50usize..1200,
         table_seed in 0u64..50,
         addrs in arb_addrs(),
@@ -54,7 +89,11 @@ proptest! {
         update_count in 1usize..120,
         stream_seed in 0u64..1_000,
     ) {
-        let table = synth::synthesize(&synth::SynthConfig::sized(table_size, table_seed));
+        let (table, addrs) = if uneven {
+            (uneven_table(), uneven_addrs(&addrs))
+        } else {
+            (synth::synthesize(&synth::SynthConfig::sized(table_size, table_seed)), addrs)
+        };
         // One delta batch from `update_equiv`'s stream generator.
         let (updates, _) = update_stream(&table, &UpdateStreamConfig {
             count: update_count,

@@ -1,6 +1,7 @@
 //! DFZ-2026-scale stress: build every engine at the ~1M-prefix IPv4
-//! preset (and the v6 engines at the 200k preset), assert sampled
-//! lookup correctness against the binary trie, drive a churn round
+//! preset (and the v6 engines at the 200k preset), hold sampled
+//! lookups to the shared battery's table oracle and batch identity
+//! (`common/oracle.rs`, `common/batches.rs`), drive a churn round
 //! through `apply_delta` on the engines that patch, and record
 //! per-engine storage so regressions are visible.
 //!
@@ -13,6 +14,13 @@
 //! numbers (see EXPERIMENTS.md E25) — they catch a layout regression
 //! that doubles a structure, not noise.
 
+#[path = "common/batches.rs"]
+mod batches;
+#[path = "common/oracle.rs"]
+mod oracle;
+
+use batches::check_batches;
+use oracle::check_oracle;
 use spal_lpm::binary::{BinaryTrie, GenericBinaryTrie};
 use spal_lpm::dir24::Dir24_8;
 use spal_lpm::dp::DpTrie;
@@ -50,10 +58,25 @@ type EngineArm = (Box<dyn Lpm>, fn(&RoutingTable) -> Box<dyn Lpm>);
 /// Update batch length of the churn round.
 const CHURN_BATCH: usize = 256;
 
-/// Build every IPv4 engine over `table`, assert sampled equivalence
-/// with the binary trie, and check storage ceilings. Then push a churn
-/// round through `apply_delta` on the engines that patch in place
-/// (DIR-24-8, DP, Poptrie): each declined batch is rebuilt — that
+/// Lookup batch length of the batch-identity check: two 16-lane groups,
+/// one 4-lane group and a scalar tail per call.
+const LOOKUP_BATCH: usize = 37;
+
+/// The battery on sampled probes: `engine` agrees with `table`'s
+/// longest match, and its batch entry points with its scalar ones.
+fn check_sampled<A: spal_rib::bits::AddressBits>(
+    engine: &dyn Lpm<A>,
+    table: &RoutingTable<A>,
+    addrs: &[A],
+) {
+    check_oracle(engine, table, addrs).unwrap();
+    check_batches(engine, addrs, LOOKUP_BATCH).unwrap();
+}
+
+/// Build every IPv4 engine over `table`, hold sampled probes to the
+/// battery, and check storage ceilings. Then push a churn round through
+/// `apply_delta` on the engines that patch in place (DIR-24-8, DP,
+/// Poptrie, the binary trie): each declined batch is rebuilt — that
 /// fallback is the contract, a panic is the bug this tier exists to
 /// catch — and with `require_patch` every batch must patch. The other
 /// engines have no patch path, so churning them would only re-run
@@ -65,10 +88,6 @@ fn run_v4_tier(
     require_patch: bool,
 ) {
     let n = table.len();
-    let t0 = Instant::now();
-    let oracle = BinaryTrie::build(&table);
-    eprintln!("[dfz] binary built in {:?}", t0.elapsed());
-
     let mut patching: Vec<EngineArm> = vec![
         (Box::new(Dir24_8::build(&table)), |t| {
             Box::new(Dir24_8::build(t))
@@ -78,6 +97,9 @@ fn run_v4_tier(
         }),
         (Box::new(Poptrie::build(&table)), |t| {
             Box::new(Poptrie::build(t))
+        }),
+        (Box::new(BinaryTrie::build(&table)), |t| {
+            Box::new(BinaryTrie::build(t))
         }),
     ];
     let rebuilding: Vec<Box<dyn Lpm>> = vec![
@@ -123,24 +145,9 @@ fn run_v4_tier(
             e.prefix.bits() | low
         })
         .collect();
+    let addrs: Vec<u32> = uniform.iter().map(|&a| a as u32).chain(biased).collect();
     for engine in engines() {
-        for &a in &uniform {
-            let addr = a as u32;
-            assert_eq!(
-                engine.lookup(addr),
-                oracle.lookup(addr),
-                "{} diverged at {addr:#010x}",
-                engine.name()
-            );
-        }
-        for &addr in &biased {
-            assert_eq!(
-                engine.lookup(addr),
-                oracle.lookup(addr),
-                "{} diverged at {addr:#010x}",
-                engine.name()
-            );
-        }
+        check_sampled(engine.as_ref(), &table, &addrs);
     }
 
     // Churn round: a DFZ-shaped update stream applied in batches. Every
@@ -177,7 +184,6 @@ fn run_v4_tier(
     }
     assert_eq!(rib.len(), fin.len());
     let batches = updates.len().div_ceil(CHURN_BATCH);
-    let post_oracle = BinaryTrie::build(&fin);
     for (i, (engine, _)) in patching.iter().enumerate() {
         eprintln!(
             "[dfz] {:>8}: {} decline(s) over {batches} churn batches",
@@ -190,20 +196,13 @@ fn run_v4_tier(
             engine.name(),
             declines[i]
         );
-        for &a in uniform.iter().take(probes / 4) {
-            let addr = a as u32;
-            assert_eq!(
-                engine.lookup(addr),
-                post_oracle.lookup(addr),
-                "{} diverged post-churn at {addr:#010x}",
-                engine.name()
-            );
-        }
+        check_sampled(engine.as_ref(), &fin, &addrs[..addrs.len() / 4]);
     }
 }
 
-/// v6 tier: SHIP and the binary trie at DFZ scale — storage, sampled
-/// equivalence, and a churn round through SHIP's bin-granular patching.
+/// v6 tier: SHIP and the binary trie at DFZ scale — storage, the
+/// battery on sampled probes, and a churn round through SHIP's
+/// bin-granular patching.
 fn run_v6_tier(size: usize, probes: usize) {
     let t0 = Instant::now();
     let table = synthesize6_dfz(size, 0xD15C);
@@ -239,13 +238,8 @@ fn run_v6_tier(size: usize, probes: usize) {
             }
         })
         .collect();
-    for &addr in &addrs {
-        assert_eq!(
-            ship.lookup(addr),
-            trie.lookup(addr),
-            "SHIP diverged at {addr:#034x}"
-        );
-    }
+    check_sampled(&ship, &table, &addrs);
+    check_sampled(&trie, &table, &addrs);
 
     // Churn through the bin-granular patch path.
     let (updates, fin) = update_stream(
@@ -280,13 +274,8 @@ fn run_v6_tier(size: usize, probes: usize) {
     }
     assert_eq!(rib.len(), fin.len());
     eprintln!("[dfz] SHIP churn: {declines} decline(s)");
-    for &addr in addrs.iter().take(probes / 2) {
-        assert_eq!(
-            ship.lookup(addr),
-            trie.lookup(addr),
-            "SHIP diverged post-churn at {addr:#034x}"
-        );
-    }
+    check_sampled(&ship, &fin, &addrs[..probes / 2]);
+    check_sampled(&trie, &fin, &addrs[..probes / 2]);
 }
 
 /// Full-scale ceilings, ~50 % above the measured DFZ-2026 numbers

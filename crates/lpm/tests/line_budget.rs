@@ -7,8 +7,14 @@
 //! it. Pinning both sides keeps the `lines_touched` model honest: an
 //! accounting bug that under-counts would let a fat engine sneak under
 //! the budget, one that over-counts would push the packed engines over
-//! it.
+//! it. A budget only means something for a right answer, so every
+//! engine here also passes the shared battery's table oracle on the
+//! same probes.
 
+#[path = "common/oracle.rs"]
+mod oracle;
+
+use oracle::check_oracle;
 use spal_lpm::binary::BinaryTrie;
 use spal_lpm::dir24::Dir24_8;
 use spal_lpm::lulea::LuleaTrie;
@@ -66,6 +72,8 @@ fn packed_engines_stay_within_three_lines() {
 
     let dir24 = Dir24_8::build(&table);
     let pop = Poptrie::build(&table);
+    check_oracle(&dir24, &table, &addrs).unwrap();
+    check_oracle(&pop, &table, &addrs).unwrap();
     for &a in &addrs {
         let d = dir24.lookup_counted(a);
         assert!(
@@ -92,6 +100,7 @@ fn pointer_chasing_engines_exceed_the_budget() {
     let addrs = probe_addrs(&table);
     let bin = BinaryTrie::build(&table);
     let pop = Poptrie::build(&table);
+    check_oracle(&bin, &table, &addrs).unwrap();
     let bin_mean = mean_lines(&bin, &addrs);
     let pop_mean = mean_lines(&pop, &addrs);
     assert!(
