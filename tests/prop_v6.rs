@@ -5,6 +5,8 @@
 //! edges) and the version gate that keeps stale fabric replies out
 //! after a moved prefix's remap invalidation.
 
+#[path = "../crates/lpm/tests/common/batches.rs"]
+mod batches;
 #[path = "../crates/lpm/tests/common/oracle.rs"]
 mod oracle;
 
@@ -193,12 +195,19 @@ proptest! {
         prop_assert!(matches!(vc.probe(covered), ProbeResult::Hit { value: 9, .. }));
     }
 
+    /// Both v6 engines against the table's linear longest-match: the
+    /// binary trie by scalar lookup, SHIP by scalar lookup with its
+    /// batch entry points held to it, built fresh and again after an
+    /// `apply_delta` that withdraws every other route and re-targets
+    /// the rest.
     #[test]
     fn generic_binary_trie_matches_v6_oracle(
         table in arb_table6(40),
         addrs in proptest::collection::vec(any::<u128>(), 12),
     ) {
         use spal::lpm::binary::GenericBinaryTrie;
+        use spal::lpm::ship::Ship6;
+        use spal::lpm::Lpm;
         let mut trie: GenericBinaryTrie<u128> = GenericBinaryTrie::new();
         for e in table.entries() {
             trie.insert(e.prefix.bits(), e.prefix.len(), e.next_hop);
@@ -209,5 +218,26 @@ proptest! {
             probes.push(e.prefix.bits() | !u128::MAX.checked_shl(128 - e.prefix.len() as u32).unwrap_or(0));
         }
         oracle::check_oracle(&trie, &table, &probes)?;
+
+        // Batches of 7: a 4-lane group and a scalar tail each.
+        let check_ship = |ship: &Ship6, rib: &RoutingTable6| -> Result<(), TestCaseError> {
+            oracle::check_oracle(ship, rib, &probes)?;
+            batches::check_batches(ship, &probes, 7)
+        };
+        let mut ship = Ship6::build(&table);
+        check_ship(&ship, &table)?;
+        let mut rib = table.clone();
+        let changed: Vec<Prefix6> = table.entries().iter().map(|e| e.prefix).collect();
+        for (i, e) in table.entries().iter().enumerate() {
+            if i % 2 == 0 {
+                rib.remove(e.prefix);
+            } else {
+                rib.insert(RouteEntry6 { prefix: e.prefix, next_hop: NextHop(e.next_hop.0 + 16) });
+            }
+        }
+        if ship.apply_delta(&changed, &rib).is_none() {
+            ship = Ship6::build(&rib);
+        }
+        check_ship(&ship, &rib)?;
     }
 }
