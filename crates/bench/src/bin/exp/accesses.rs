@@ -20,7 +20,7 @@ pub fn run(_: &ExpOptions) {
     let algorithms = [
         ("Lulea", LpmAlgorithm::Lulea),
         ("DP", LpmAlgorithm::Dp),
-        ("LC(0.25)", LpmAlgorithm::Lc { fill_factor: 0.25 }),
+        ("LC(0.25)", LpmAlgorithm::Lc),
         ("Binary", LpmAlgorithm::Binary),
         ("DIR-24-8", LpmAlgorithm::Dir24),
     ];

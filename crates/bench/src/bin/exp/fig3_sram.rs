@@ -22,7 +22,7 @@ pub fn run(_: &ExpOptions) {
     let algorithms = [
         ("DP", LpmAlgorithm::Dp),
         ("LL", LpmAlgorithm::Lulea),
-        ("LC", LpmAlgorithm::Lc { fill_factor: 0.25 }),
+        ("LC", LpmAlgorithm::Lc),
     ];
     let tables = [("RT_1", rt1()), ("RT_2", rt2())];
     println!(

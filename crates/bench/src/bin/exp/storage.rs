@@ -25,7 +25,7 @@ pub fn run(_: &ExpOptions) {
     let algorithms = [
         ("DP", LpmAlgorithm::Dp),
         ("Lulea", LpmAlgorithm::Lulea),
-        ("LC(0.25)", LpmAlgorithm::Lc { fill_factor: 0.25 }),
+        ("LC(0.25)", LpmAlgorithm::Lc),
     ];
     let tables = [("RT_1", rt1()), ("RT_2", rt2())];
     println!("E2: per-LC trie storage after partitioning (paper Sec. 4)");

@@ -46,10 +46,7 @@ pub fn run(_: &ExpOptions) {
     }
     for (label, algo) in [
         ("Lulea (compressed 16/8/8)", LpmAlgorithm::Lulea),
-        (
-            "LC-trie (adaptive, fill 0.25)",
-            LpmAlgorithm::Lc { fill_factor: 0.25 },
-        ),
+        ("LC-trie (adaptive, fill 0.25)", LpmAlgorithm::Lc),
         ("DIR-24-8 (hardware 24/8)", LpmAlgorithm::Dir24),
         ("DP trie (uni-bit, compressed)", LpmAlgorithm::Dp),
     ] {

@@ -51,7 +51,7 @@ pub fn run(opts: &ExpOptions) {
     for (name, algo) in [
         ("Lulea", LpmAlgorithm::Lulea),
         ("DP", LpmAlgorithm::Dp),
-        ("LC(0.25)", LpmAlgorithm::Lc { fill_factor: 0.25 }),
+        ("LC(0.25)", LpmAlgorithm::Lc),
     ] {
         let whole = ForwardingTable::build(algo, &table);
         let partn = ForwardingTable::build(algo, &largest);

@@ -102,7 +102,7 @@ pub fn dfz_v6_table(quick: bool) -> RoutingTable6 {
 pub const DFZ_V4_ALGORITHMS: [LpmAlgorithm; 5] = [
     LpmAlgorithm::Dir24,
     LpmAlgorithm::Lulea,
-    LpmAlgorithm::Lc { fill_factor: 0.25 },
+    LpmAlgorithm::Lc,
     LpmAlgorithm::Dp,
     LpmAlgorithm::Poptrie,
 ];
@@ -287,7 +287,7 @@ mod tests {
             let name = match alg {
                 LpmAlgorithm::Dir24 => "DIR-24-8",
                 LpmAlgorithm::Lulea => "Lulea",
-                LpmAlgorithm::Lc { .. } => "LC",
+                LpmAlgorithm::Lc => "LC",
                 LpmAlgorithm::Dp => "DP",
                 LpmAlgorithm::Poptrie => "Poptrie",
                 _ => unreachable!(),

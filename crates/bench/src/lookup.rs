@@ -447,7 +447,7 @@ pub fn all_engines(table: &RoutingTable) -> Vec<Arc<dyn Lpm + Send + Sync>> {
     [
         LpmAlgorithm::Dir24,
         LpmAlgorithm::Lulea,
-        LpmAlgorithm::Lc { fill_factor: 0.25 },
+        LpmAlgorithm::Lc,
         LpmAlgorithm::Dp,
         LpmAlgorithm::Binary,
         LpmAlgorithm::Poptrie,

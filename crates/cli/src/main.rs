@@ -411,7 +411,7 @@ impl CliFamily for V4 {
             "dp" => LpmAlgorithm::Dp,
             "binary" => LpmAlgorithm::Binary,
             "lulea" => LpmAlgorithm::Lulea,
-            "lc" => LpmAlgorithm::Lc { fill_factor: 0.25 },
+            "lc" => LpmAlgorithm::Lc,
             "dir24" => LpmAlgorithm::Dir24,
             "multibit" => LpmAlgorithm::Multibit,
             "poptrie" => LpmAlgorithm::Poptrie,

@@ -92,7 +92,7 @@ macro_rules! forwarding_table {
 
 /// Which published LPM algorithm a forwarding engine runs (§4 evaluates
 /// all three compressed structures; the binary trie is the reference).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LpmAlgorithm {
     /// Plain binary trie (reference implementation).
     Binary,
@@ -100,8 +100,8 @@ pub enum LpmAlgorithm {
     Dp,
     /// Lulea trie \[7\] — ≈6.x memory accesses, 40-cycle FE model.
     Lulea,
-    /// LC-trie \[12\] with the given fill factor (paper uses 0.25).
-    Lc { fill_factor: f64 },
+    /// LC-trie \[12\] at the paper's fill factor, 0.25.
+    Lc,
     /// DIR-24-8 hardware scheme \[10\] — 1–2 accesses but a fixed 32 MB
     /// first level *per instance* (§2.1's "huge" memory contrast). Not a
     /// sensible per-LC choice for SPAL; provided as the §2.1 baseline.
@@ -122,7 +122,7 @@ impl LpmAlgorithm {
             LpmAlgorithm::Binary => "Binary",
             LpmAlgorithm::Dp => "DP",
             LpmAlgorithm::Lulea => "Lulea",
-            LpmAlgorithm::Lc { .. } => "LC",
+            LpmAlgorithm::Lc => "LC",
             LpmAlgorithm::Dir24 => "DIR-24-8",
             LpmAlgorithm::Multibit => "Multibit",
             LpmAlgorithm::Poptrie => "Poptrie",
@@ -150,9 +150,7 @@ impl ForwardingTable {
             LpmAlgorithm::Binary => ForwardingTable::Binary(BinaryTrie::build(table)),
             LpmAlgorithm::Dp => ForwardingTable::Dp(DpTrie::build(table)),
             LpmAlgorithm::Lulea => ForwardingTable::Lulea(LuleaTrie::build(table)),
-            LpmAlgorithm::Lc { fill_factor } => {
-                ForwardingTable::Lc(LcTrie::build_with_fill(table, fill_factor))
-            }
+            LpmAlgorithm::Lc => ForwardingTable::Lc(LcTrie::build(table)),
             LpmAlgorithm::Dir24 => ForwardingTable::Dir24(Dir24_8::build(table)),
             LpmAlgorithm::Multibit => ForwardingTable::Multibit(MultibitTrie::build_16_8_8(table)),
             LpmAlgorithm::Poptrie => ForwardingTable::Poptrie(Poptrie::build(table)),
@@ -214,7 +212,7 @@ mod tests {
             LpmAlgorithm::Binary,
             LpmAlgorithm::Dp,
             LpmAlgorithm::Lulea,
-            LpmAlgorithm::Lc { fill_factor: 0.25 },
+            LpmAlgorithm::Lc,
             LpmAlgorithm::Poptrie,
         ]
         .into_iter()
@@ -265,7 +263,7 @@ mod tests {
     #[test]
     fn labels() {
         assert_eq!(LpmAlgorithm::Lulea.label(), "Lulea");
-        assert_eq!(LpmAlgorithm::Lc { fill_factor: 0.25 }.label(), "LC");
+        assert_eq!(LpmAlgorithm::Lc.label(), "LC");
         assert_eq!(LpmAlgorithm6::Ship.label(), "SHIP");
         let rt = synth::small(1);
         let t = ForwardingTable::build(LpmAlgorithm::Dp, &rt);

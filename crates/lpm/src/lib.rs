@@ -494,6 +494,21 @@ pub fn prefetch_slice<T>(slice: &[T], index: usize) {
     }
 }
 
+/// A next hop as the trie engines' leaf words store it: next hop + 1,
+/// so 0 means no route. `NextHop(u16::MAX)` has no such encoding and is
+/// rejected rather than wrapped to "no route".
+#[inline]
+pub(crate) fn leaf_of(nh: NextHop) -> u16 {
+    nh.0.checked_add(1)
+        .expect("NextHop(u16::MAX) has no leaf encoding: leaves store next hop + 1, 0 = no route")
+}
+
+/// A leaf word ([`leaf_of`]) back to a lookup result.
+#[inline]
+pub(crate) fn hop_of(leaf: u16) -> Option<NextHop> {
+    leaf.checked_sub(1).map(NextHop)
+}
+
 /// A longest-prefix-match structure built from a routing table, over
 /// addresses of width `A` — `u32` unless said otherwise, so `Lpm` in
 /// type position (`dyn Lpm + Send + Sync`) is the IPv4 contract.

@@ -22,9 +22,8 @@
 //!     *leafvec* (leaf-head) bitmaps filling exactly one line, plus a
 //!     second line holding the child/leaf bases and up to 26 inline
 //!     leaf values.
-//! * **Deduplicated next hops**: leaf words are 15-bit indices into a
-//!   side table (0 = no route), so a hit costs one extra line however
-//!   many prefixes share a port.
+//! * **Next hops in the leaves**: a leaf word is the next hop + 1
+//!   (0 = no route), as SHIP's are, so a hit reads no side table.
 //!
 //! Honest deviation from the SIGCOMM paper (see DESIGN.md): Poptrie
 //! proper uses 6-bit strides and uniform 64-way nodes. On this repo's
@@ -32,18 +31,17 @@
 //! distinct 22-bit stems, so literal 64-way nodes cost ~27 MB — 4× the
 //! Lulea structure they are meant to beat. The 16/8/8 cut with adaptive
 //! line-packed node classes keeps the paper's mechanisms (direct root,
-//! bitmap + popcount rank, leaf/vector split, deduped leaves) while
+//! bitmap + popcount rank, leaf/vector split, run-compressed leaves) while
 //! staying *below* Lulea's storage.
 //!
 //! Because every node access is by construction one line (two for
 //! `DENSE`), the engine's `mem_accesses` metric counts line-grain
 //! reads, and `lines_touched == mem_accesses` up to incidental packing
 //! (two S32 nodes sharing a line). A typical deep lookup touches root +
-//! node + node + next-hop = 4 lines; a shallow one 2.
+//! node + node = 3 lines; a shallow one 1.
 
-use crate::{prefetch_slice, CountedLookup, DeltaStats, Lpm, Tally, Walk};
-use spal_rib::{NextHop, Prefix, RoutingTable};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use crate::{hop_of, leaf_of, prefetch_slice, CountedLookup, DeltaStats, Lpm, Tally, Walk};
+use spal_rib::{NextHop, Prefix, RouteEntry, RoutingTable};
 
 /// Root-entry tags (top 2 bits of the 32-bit entry).
 const TAG_LEAF: u32 = 0;
@@ -72,22 +70,16 @@ const S64_MAX_RUNS: usize = 14;
 /// Leaf values a DENSE node's second line holds inline (13 words × 2).
 const DENSE_INLINE_MAX: usize = 26;
 
-/// Next-hop index cap: leaf words carry 15 bits, value 0 means "no
-/// route", so at most 2^15 − 1 distinct next hops. The SRAM pointer
-/// formats of the published structures carry the same order of limit;
-/// exceeding it is a build-time panic, not silent corruption.
-const MAX_NEXT_HOPS: usize = (1 << 15) - 1;
-
-/// A leaf word: 0 = no route, otherwise `next_hops[val - 1]`.
+/// A leaf word: the next hop + 1, 0 = no route ([`leaf_of`]).
 type LeafVal = u16;
-/// In run words and leaf payloads, bit 15 marks a child rank.
-const RUN_CHILD: u16 = 1 << 15;
+/// A run word is `start | value << 8`, the value a leaf word or, with
+/// this bit set, a child rank.
+const RUN_CHILD: u32 = 1 << 24;
 
 // Line-accounting regions (see [`crate::LineSet`]).
 const REGION_ROOT: u32 = 0;
 const REGION_ARENA: u32 = 1;
 const REGION_LEAVES: u32 = 2;
-const REGION_NH: u32 = 3;
 
 /// Interleaved lanes for the batched walk — Lulea-width: the descent is
 /// short and level-synchronous (every lane is at the same depth), so
@@ -199,33 +191,41 @@ impl Spec {
     }
 }
 
+/// One route as the build encodes it: `(bits, len, leaf)`.
+type BuildRoute = (u32, u8, LeafVal);
+
+/// The routes of `entries` longer than /16, as the build encodes them.
+fn deep_routes(entries: &[RouteEntry]) -> Vec<BuildRoute> {
+    entries
+        .iter()
+        .filter(|e| e.prefix.len() > 16)
+        .map(|e| (e.prefix.bits(), e.prefix.len(), leaf_of(e.next_hop)))
+        .collect()
+}
+
 /// Build the spec for the 8 address bits `start..start+8` from the
-/// routes under one stem. `routes` are `(bits, len, nh_leaf)` with
-/// `len > start` and leaf-encoded next hops; `default` is the value the
-/// parent resolved for the whole range.
-fn build_spec(routes: &[(u32, u8, LeafVal)], start: u8, default: LeafVal) -> Spec {
+/// routes under one stem. `routes` are sorted, with `len > start`;
+/// `default` is the value the parent resolved for the whole range.
+fn build_spec(routes: &[BuildRoute], start: u8, default: LeafVal) -> Spec {
     let mut leaf_slots = Box::new([default; 256]);
     let end = start + 8;
+    let slot_of = |bits: u32| ((bits >> (32 - end as u32)) & 0xFF) as usize;
     let mut shallow: Vec<_> = routes.iter().filter(|r| r.1 <= end).collect();
     shallow.sort_by_key(|r| r.1);
     for &&(bits, len, v) in &shallow {
         // Canonical prefixes: the low slot bits are zero, so `first` is
         // the slot-range base.
-        let first = ((bits >> (32 - end as u32)) & 0xFF) as usize;
+        let first = slot_of(bits);
         let count = 1usize << (end - len);
         leaf_slots[first..first + count].fill(v);
     }
-    let mut deeper: BTreeMap<u8, Vec<(u32, u8, LeafVal)>> = BTreeMap::new();
-    for &(bits, len, v) in routes.iter().filter(|r| r.1 > end) {
-        assert!(end < 32, "routes longer than 32 bits are impossible");
-        let slot = ((bits >> (32 - end as u32)) & 0xFF) as u8;
-        deeper.entry(slot).or_default().push((bits, len, v));
-    }
+    // Sorted routes that agree on bits `0..start` come grouped by slot.
+    let deeper: Vec<BuildRoute> = routes.iter().filter(|r| r.1 > end).copied().collect();
     let children = deeper
-        .into_iter()
-        .map(|(slot, sub)| {
-            let sub_default = leaf_slots[slot as usize];
-            (slot, build_spec(&sub, end, sub_default))
+        .chunk_by(|a, b| slot_of(a.0) == slot_of(b.0))
+        .map(|sub| {
+            let slot = slot_of(sub[0].0);
+            (slot as u8, build_spec(sub, end, leaf_slots[slot]))
         })
         .collect();
     Spec {
@@ -263,20 +263,25 @@ impl Builder<'_> {
         slot as u32
     }
 
-    /// Encode `spec` as a fresh node, returning its slot index and
-    /// class.
-    fn encode(&mut self, spec: &Spec) -> (u32, u8) {
+    /// Encode `spec` as a fresh stem tree, returning its root entry
+    /// and the arena slots the tree owns.
+    fn encode(&mut self, spec: &Spec) -> (u32, u16) {
         let class = spec.class();
         let slot = self.alloc(CLASS_SLOTS[class as usize], class != CLASS_S32);
-        self.encode_into(spec, class, slot);
-        (slot, class)
+        let owned = self.encode_into(spec, class, slot);
+        let owned = u16::try_from(owned).expect("a stem's tree is at most 257 nodes of 4 slots");
+        (tag_of_class(class) << 30 | slot, owned)
     }
 
     /// Encode `spec` at a preallocated `slot` as `class` (its own class
     /// or a sibling-promoted wider one). Children are encoded first, as
     /// one contiguous block of the widest child class, so the node can
-    /// address them by rank.
-    fn encode_into(&mut self, spec: &Spec, class: u8, slot: u32) {
+    /// address them by rank. Returns the slots the node and its
+    /// descendants own — what a patch orphans when it re-encodes the
+    /// stem (alignment padding and recycled spare halves are not
+    /// counted).
+    fn encode_into(&mut self, spec: &Spec, class: u8, slot: u32) -> usize {
+        let mut owned = CLASS_SLOTS[class as usize];
         let (base0, child_class) = if spec.children.is_empty() {
             (0, CLASS_S32)
         } else {
@@ -294,7 +299,7 @@ impl Builder<'_> {
             let stride = CLASS_SLOTS[cc as usize];
             let base = self.alloc(spec.children.len() * stride, cc != CLASS_S32);
             for (rank, (_, child)) in spec.children.iter().enumerate() {
-                self.encode_into(child, cc, base + (rank * stride) as u32);
+                owned += self.encode_into(child, cc, base + (rank * stride) as u32);
             }
             (base, cc)
         };
@@ -313,10 +318,10 @@ impl Builder<'_> {
                 self.words[w + 1] = base0;
                 for (i, &(start, run)) in runs.iter().enumerate() {
                     let val = match run {
-                        Run::Leaf(v) => v,
-                        Run::Child(rank) => RUN_CHILD | rank,
+                        Run::Leaf(v) => u32::from(v) << 8,
+                        Run::Child(rank) => RUN_CHILD | u32::from(rank) << 8,
                     };
-                    self.words[w + 2 + i] = start as u32 | (val as u32) << 8;
+                    self.words[w + 2 + i] = start as u32 | val;
                 }
             }
             CLASS_DLEAF => {
@@ -362,6 +367,7 @@ impl Builder<'_> {
                 }
             }
         }
+        owned
     }
 }
 
@@ -386,8 +392,8 @@ enum Step {
 /// let addr = table.entries()[10].prefix.first_addr();
 /// assert_eq!(trie.lookup(addr), table.longest_match(addr).map(|e| e.next_hop));
 /// // A lookup touches at most root + two dense nodes (two lines each)
-/// // + spilled leaf + next hop.
-/// assert!(trie.lookup_counted(addr).lines_touched <= 7);
+/// // + spilled leaf.
+/// assert!(trie.lookup_counted(addr).lines_touched <= 6);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Poptrie {
@@ -397,41 +403,22 @@ pub struct Poptrie {
     words: Vec<u32>,
     /// Spilled leaf values (DLEAF nodes and non-inline DENSE nodes).
     leaves: Vec<LeafVal>,
-    /// Deduplicated next hops; leaf value `v` resolves `next_hops[v-1]`.
-    next_hops: Vec<NextHop>,
     routes: usize,
-    /// Control-plane state for [`Lpm::apply_delta`], not counted as
-    /// lookup SRAM.
-    nh_index: HashMap<NextHop, u16>,
+    /// Arena slots each stem's tree owns (0 for a leaf stem): what a
+    /// patch orphans when it re-encodes the stem. Control-plane state
+    /// for [`Lpm::apply_delta`], not counted as lookup SRAM; a stem's
+    /// tree is at most 257 nodes of at most 4 slots, so `u16` holds it.
+    stem_slots: Vec<u16>,
     /// Arena slots orphaned by patches (patching appends fresh trees).
     garbage_slots: usize,
-}
-
-/// Intern a next hop as a leaf value (index + 1; 0 stays "no route").
-fn intern_leaf(
-    next_hops: &mut Vec<NextHop>,
-    nh_index: &mut HashMap<NextHop, u16>,
-    nh: NextHop,
-) -> LeafVal {
-    *nh_index.entry(nh).or_insert_with(|| {
-        assert!(
-            next_hops.len() < MAX_NEXT_HOPS,
-            "Poptrie: more than {MAX_NEXT_HOPS} distinct next hops (15-bit leaf format)"
-        );
-        next_hops.push(nh);
-        next_hops.len() as u16
-    })
 }
 
 impl Poptrie {
     /// Build from a routing table.
     pub fn build(table: &RoutingTable) -> Self {
-        let mut next_hops = Vec::new();
-        let mut nh_index = HashMap::new();
-
         // Paint the 2^16 root leaf values from routes of length ≤ 16,
         // shortest first so longer routes overwrite inside their range.
-        let mut vals: Vec<LeafVal> = vec![0; 1 << 16];
+        let mut root: Vec<u32> = vec![0; 1 << 16];
         let mut shallow: Vec<_> = table
             .entries()
             .iter()
@@ -441,40 +428,38 @@ impl Poptrie {
         for e in shallow {
             let start = (e.prefix.bits() >> 16) as usize;
             let count = 1usize << (16 - e.prefix.len());
-            let v = intern_leaf(&mut next_hops, &mut nh_index, e.next_hop);
-            vals[start..start + count].fill(v);
+            root[start..start + count].fill(u32::from(leaf_of(e.next_hop)));
         }
 
-        // Deep routes grouped by 16-bit stem.
-        let mut deep: BTreeMap<usize, Vec<(u32, u8, LeafVal)>> = BTreeMap::new();
-        for e in table.entries().iter().filter(|e| e.prefix.len() > 16) {
-            let v = intern_leaf(&mut next_hops, &mut nh_index, e.next_hop);
-            deep.entry((e.prefix.bits() >> 16) as usize)
-                .or_default()
-                .push((e.prefix.bits(), e.prefix.len(), v));
-        }
-
-        let mut root: Vec<u32> = vals.iter().map(|&v| v as u32).collect();
         let mut words = Vec::new();
         let mut leaves = Vec::new();
+        let mut stem_slots = vec![0; 1 << 16];
         let mut builder = Builder {
             words: &mut words,
             leaves: &mut leaves,
             spare: None,
         };
-        for (stem, routes) in &deep {
-            let spec = build_spec(routes, 16, vals[*stem]);
-            let (slot, class) = builder.encode(&spec);
-            root[*stem] = tag_of_class(class) << 30 | slot;
+        // One tree per stem over its deep routes. The table is sorted by
+        // (bits, len), so each stem's routes are a contiguous run.
+        for run in table
+            .entries()
+            .chunk_by(|a, b| a.prefix.bits() >> 16 == b.prefix.bits() >> 16)
+        {
+            let routes = deep_routes(run);
+            if routes.is_empty() {
+                continue;
+            }
+            let stem = (routes[0].0 >> 16) as usize;
+            let spec = build_spec(&routes, 16, root[stem] as LeafVal);
+            (root[stem], stem_slots[stem]) = builder.encode(&spec);
         }
 
         Poptrie {
             root,
             words,
             leaves,
-            next_hops,
             routes: table.len(),
-            nh_index,
+            stem_slots,
             garbage_slots: 0,
         }
     }
@@ -502,19 +487,20 @@ impl Poptrie {
                 let count = (header >> 8 & 0xFF) as usize;
                 // Last run starting at or before `pos`; run 0 starts at
                 // slot 0, so the scan always lands.
-                let mut val: u16 = 0;
+                let mut run = 0;
                 for i in 0..count {
-                    let run = self.words[w + 2 + i];
-                    if (run & 0xFF) as usize > pos {
+                    let word = self.words[w + 2 + i];
+                    if (word & 0xFF) as usize > pos {
                         break;
                     }
-                    val = (run >> 8) as u16;
+                    run = word;
                 }
-                if val & RUN_CHILD == 0 {
+                let val = (run >> 8) as u16;
+                if run & RUN_CHILD == 0 {
                     Step::Leaf(val)
                 } else {
                     let cc = (header >> 16 & 0x3) as u8;
-                    let rank = (val & !RUN_CHILD) as usize;
+                    let rank = val as usize;
                     Step::Child {
                         slot: self.words[w + 1] + (rank * CLASS_SLOTS[cc as usize]) as u32,
                         tag: tag_of_class(cc),
@@ -549,50 +535,6 @@ impl Poptrie {
                 }
             }
         }
-    }
-
-    /// Close a walk that produced leaf value `val`, charging the
-    /// next-hop read on a hit.
-    #[inline]
-    fn close<T: Tally>(&self, val: LeafVal, t: &mut T) -> T::Out {
-        if val == 0 {
-            return t.done(None);
-        }
-        t.read(REGION_NH, (val as usize - 1) * 2, 2);
-        t.done(Some(self.next_hops[val as usize - 1]))
-    }
-
-    /// Arena slots owned by the tree rooted at `(tag, slot)` — what a
-    /// patch orphans when it re-encodes a stem.
-    fn tree_slots(&self, tag: u32, slot: u32) -> usize {
-        let w = slot as usize * SLOT_WORDS;
-        let (own, cc, base0, n_children) = match tag {
-            TAG_SPARSE => {
-                let header = self.words[w];
-                let count = (header >> 8 & 0xFF) as usize;
-                let own = if header & 0xFF == CLASS_S32 as u32 {
-                    1
-                } else {
-                    2
-                };
-                let n = (0..count)
-                    .filter(|&i| self.words[w + 2 + i] >> 8 & RUN_CHILD as u32 != 0)
-                    .count();
-                (own, (header >> 16 & 0x3) as u8, self.words[w + 1], n)
-            }
-            TAG_DLEAF => (2, CLASS_S32, 0, 0),
-            _ => {
-                let n: u32 = self.words[w..w + 8].iter().map(|x| x.count_ones()).sum();
-                let cc = (self.words[w + 18] >> 8 & 0x3) as u8;
-                (4, cc, self.words[w + 16], n as usize)
-            }
-        };
-        let stride = CLASS_SLOTS[cc as usize];
-        let mut total = own;
-        for rank in 0..n_children {
-            total += self.tree_slots(tag_of_class(cc), base0 + (rank * stride) as u32);
-        }
-        total
     }
 }
 
@@ -659,8 +601,8 @@ impl Walk for Poptrie {
         false
     }
 
-    /// Read the spilled leaf if the walk ended on one, then close. The
-    /// leaf is selected, not branched to: whether a lane spilled is
+    /// Read the spilled leaf if the walk ended on one. The leaf is
+    /// selected, not branched to: whether a lane spilled is
     /// data-dependent, and a mispredicted branch per lane cost `batch32`
     /// more than always reading a leaf word (EXPERIMENTS E42).
     #[inline]
@@ -671,7 +613,7 @@ impl Walk for Poptrie {
         if spill {
             t.read(REGION_LEAVES, i * 2, 2);
         }
-        self.close(if spill { leaf } else { lane.slot as LeafVal }, t)
+        t.done(hop_of(if spill { leaf } else { lane.slot as LeafVal }))
     }
 
     /// The next node's lines (two: a dense node spans both), or the
@@ -701,40 +643,28 @@ impl Lpm for Poptrie {
         if changed.iter().any(|p| p.len() < 4) {
             return None;
         }
-        let mut dirty: BTreeSet<u32> = BTreeSet::new();
-        for &p in changed {
-            if p.len() <= 16 {
-                let first = p.bits() >> 16;
-                dirty.extend(first..first + (1u32 << (16 - p.len())));
-            } else {
-                dirty.insert(p.bits() >> 16);
-            }
+        // Each prefix covers one stem, or 2^(16 − len) when shorter.
+        let mut dirty: Vec<usize> = Vec::new();
+        for p in changed {
+            let first = (p.bits() >> 16) as usize;
+            dirty.extend(first..first + (1 << 16u8.saturating_sub(p.len())));
         }
+        dirty.sort_unstable();
+        dirty.dedup();
         if dirty.len() > MAX_DIRTY_STEMS {
             return None;
         }
         let mut stats = DeltaStats::default();
         for stem in dirty {
-            let old = self.root[stem as usize];
-            if old >> 30 != TAG_LEAF {
-                self.garbage_slots += self.tree_slots(old >> 30, old & PAYLOAD_MASK);
-            }
-            let base_addr = stem << 16;
-            let default = match rib.best_cover(base_addr, 16) {
-                Some(e) => intern_leaf(&mut self.next_hops, &mut self.nh_index, e.next_hop),
-                None => 0,
-            };
-            let deep: Vec<(u32, u8, LeafVal)> = rib
-                .range(base_addr, base_addr | 0xFFFF)
-                .iter()
-                .filter(|e| e.prefix.len() > 16)
-                .map(|e| {
-                    let v = intern_leaf(&mut self.next_hops, &mut self.nh_index, e.next_hop);
-                    (e.prefix.bits(), e.prefix.len(), v)
-                })
-                .collect();
+            self.garbage_slots += usize::from(self.stem_slots[stem]);
+            let base_addr = (stem as u32) << 16;
+            let default = rib
+                .best_cover(base_addr, 16)
+                .map_or(0, |e| leaf_of(e.next_hop));
+            let deep = deep_routes(rib.range(base_addr, base_addr | 0xFFFF));
             if deep.is_empty() {
-                self.root[stem as usize] = default as u32;
+                self.root[stem] = u32::from(default);
+                self.stem_slots[stem] = 0;
                 stats.bytes_touched += 4;
             } else {
                 let before = self.words.len();
@@ -744,8 +674,7 @@ impl Lpm for Poptrie {
                     leaves: &mut self.leaves,
                     spare: None,
                 };
-                let (slot, class) = builder.encode(&spec);
-                self.root[stem as usize] = tag_of_class(class) << 30 | slot;
+                (self.root[stem], self.stem_slots[stem]) = builder.encode(&spec);
                 stats.bytes_touched += 4 + (self.words.len() - before) * 4;
             }
             stats.prefixes_applied += 1;
@@ -760,13 +689,9 @@ impl Lpm for Poptrie {
     }
 
     /// Bytes of lookup SRAM: the direct root, the node arena (including
-    /// patch garbage — it occupies real lines), spilled leaves and the
-    /// deduplicated next-hop table.
+    /// patch garbage — it occupies real lines) and spilled leaves.
     fn storage_bytes(&self) -> usize {
-        self.root.len() * 4
-            + self.words.len() * 4
-            + self.leaves.len() * 2
-            + self.next_hops.len() * 2
+        self.root.len() * 4 + self.words.len() * 4 + self.leaves.len() * 2
     }
 
     fn name(&self) -> &'static str {
@@ -792,7 +717,7 @@ mod tests {
         let t = Poptrie::build(&rt);
         assert_eq!(t.lookup(0), None);
         assert_eq!(t.lookup(u32::MAX), None);
-        // Root-only miss: one root line, no node or next-hop lines.
+        // Root-only miss: one root line, no node lines.
         let c = t.lookup_counted(0x0102_0304);
         assert_eq!(c.mem_accesses, 1);
         assert_eq!(c.lines_touched, 1);
@@ -804,8 +729,8 @@ mod tests {
         let t = Poptrie::build(&rt);
         assert_eq!(t.lookup(0), Some(NextHop(5)));
         assert_eq!(t.lookup(u32::MAX), Some(NextHop(5)));
-        // Shallow hit: root line + next-hop line.
-        assert_eq!(t.lookup_counted(0).lines_touched, 2);
+        // Shallow hit: the root line alone.
+        assert_eq!(t.lookup_counted(0).lines_touched, 1);
     }
 
     #[test]
@@ -908,20 +833,20 @@ mod tests {
 
     #[test]
     fn line_budget_shallow_and_sparse() {
-        // A shallow hit is 2 lines; a one-level sparse descent ≤ 3
-        // (root + one packed node line + next hop).
+        // A shallow hit is 1 line; a one-level sparse descent 2 (root +
+        // one packed node line, which holds the leaf).
         let rt = table(&[("10.0.0.0/8", 1), ("10.1.2.0/24", 2), ("192.168.0.0/17", 3)]);
         let t = Poptrie::build(&rt);
-        // 10.64.0.0 resolves at the root: root line + next-hop line.
+        // 10.64.0.0 resolves at the root: the root line alone.
         let shallow = t.lookup_counted(0x0A40_0000);
         assert_eq!(shallow.next_hop, Some(NextHop(1)));
-        assert_eq!(shallow.lines_touched, 2);
-        // One sparse-node descent: root + one packed node line + next
-        // hop, and the line count equals the line-grain access count.
+        assert_eq!(shallow.lines_touched, 1);
+        // One sparse-node descent: root + one packed node line, and the
+        // line count equals the line-grain access count.
         let c = t.lookup_counted(0x0A01_0203);
         assert_eq!(c.next_hop, Some(NextHop(2)));
-        assert_eq!(c.mem_accesses, 3);
-        assert_eq!(c.lines_touched, 3);
+        assert_eq!(c.mem_accesses, 2);
+        assert_eq!(c.lines_touched, 2);
     }
 
     #[test]
@@ -992,9 +917,53 @@ mod tests {
     fn storage_is_modelled() {
         let rt = synth::small(3);
         let t = Poptrie::build(&rt);
-        let expect =
-            t.root.len() * 4 + t.words.len() * 4 + t.leaves.len() * 2 + t.next_hops.len() * 2;
+        let expect = t.root.len() * 4 + t.words.len() * 4 + t.leaves.len() * 2;
         assert_eq!(t.storage_bytes(), expect);
         assert!(t.storage_bytes() >= (1 << 16) * 4);
+    }
+
+    /// Leaves store next hop + 1, so the one next hop that has no leaf
+    /// is refused at build instead of turning into a miss.
+    #[test]
+    #[should_panic(expected = "NextHop(u16::MAX) has no leaf encoding")]
+    fn max_next_hop_is_refused() {
+        Poptrie::build(&table(&[
+            ("10.1.2.3/32", u16::MAX),
+            ("10.0.0.0/12", u16::MAX),
+        ]));
+    }
+
+    /// Any next hop below `u16::MAX` is its own leaf: 40 200 distinct
+    /// ones, most above `0x7FFF`, in root, node and spilled leaves.
+    #[test]
+    fn every_next_hop_below_the_max_is_stored() {
+        use rand::{Rng, SeedableRng};
+        let nh = |i: u32| NextHop(u16::MAX - 1 - i as u16);
+        let mut entries: Vec<RouteEntry> = (0..40_000u32)
+            .map(|i| RouteEntry {
+                prefix: Prefix::new(i << 12, if i % 3 == 0 { 32 } else { 24 }).unwrap(),
+                next_hop: nh(i),
+            })
+            .collect();
+        entries.extend((0..200u32).map(|i| RouteEntry {
+            prefix: Prefix::new(0x8000_0000 | i << 16, 16).unwrap(),
+            next_hop: nh(40_000 + i),
+        }));
+        let rt = RoutingTable::from_entries(entries);
+        let t = Poptrie::build(&rt);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut addrs: Vec<u32> = rt
+            .entries()
+            .iter()
+            .flat_map(|e| [e.prefix.first_addr(), e.prefix.first_addr() | 0x21])
+            .collect();
+        addrs.extend((0..2000).map(|_| rng.gen::<u32>()));
+        let mut out = vec![None; addrs.len()];
+        t.forward_batch(&addrs, &mut out);
+        for (&a, got) in addrs.iter().zip(out) {
+            let want = rt.longest_match(a).map(|e| e.next_hop);
+            assert_eq!(t.lookup(a), want, "addr {a:#010x}");
+            assert_eq!(got, want, "addr {a:#010x}");
+        }
     }
 }

@@ -49,7 +49,9 @@
 //! caller rebuilds — the explicit rebuild-fallback contract of
 //! [`crate::Lpm::apply_delta`].
 
-use crate::{prefetch_slice, CountedLookup, DeltaStats, Lpm, Tally, Walk, BATCH_LANES};
+use crate::{
+    hop_of, leaf_of, prefetch_slice, CountedLookup, DeltaStats, Lpm, Tally, Walk, BATCH_LANES,
+};
 use spal_rib::v6::{Prefix6, RouteEntry6, RoutingTable6};
 use spal_rib::NextHop;
 
@@ -166,7 +168,8 @@ impl Header {
 struct BuildRoute {
     bits: u128,
     len: u8,
-    nh: u16,
+    /// The next hop as a leaf ([`leaf_of`]).
+    leaf: u16,
 }
 
 /// One node as the build shapes it, before its children are placed.
@@ -202,7 +205,7 @@ impl Spec {
         for len in at..=at + STRIDE {
             for r in routes.iter().filter(|r| r.len == len) {
                 let first = nibble(r.bits, at);
-                slots[first..first + (1 << (at + STRIDE - len))].fill(r.nh + 1);
+                slots[first..first + (1 << (at + STRIDE - len))].fill(r.leaf);
             }
         }
         let mut leafvec = 0u16;
@@ -345,7 +348,7 @@ impl Ship6 {
             let base = bin_of(e.prefix.bits());
             let count = 1usize << (BIN_BITS - e.prefix.len());
             for bin in &mut ship.bins[base..base + count] {
-                bin.default = e.next_hop.0 + 1;
+                bin.default = leaf_of(e.next_hop);
             }
         }
 
@@ -464,7 +467,7 @@ impl Ship6 {
         let addr = (bin as u128) << (128 - BIN_BITS);
         self.bins[bin].default = rib
             .best_cover(addr, BIN_BITS)
-            .map_or(0, |e| e.next_hop.0 + 1);
+            .map_or(0, |e| leaf_of(e.next_hop));
     }
 
     /// Rebuild one bin's trie from the post-update table, orphaning the
@@ -487,7 +490,7 @@ fn build_route(e: &RouteEntry6) -> BuildRoute {
     BuildRoute {
         bits: e.prefix.bits(),
         len: e.prefix.len(),
-        nh: e.next_hop.0,
+        leaf: leaf_of(e.next_hop),
     }
 }
 
@@ -504,12 +507,6 @@ pub(crate) struct Lane {
     node: u32,
     depth: u8,
     best: u16,
-}
-
-/// Next hop + 1 (0 = none), as bins and nodes store routes, to a result.
-#[inline]
-fn hop(best: u16) -> Option<NextHop> {
-    best.checked_sub(1).map(NextHop)
 }
 
 /// Batched through the generic lane driver, which prefetches the node
@@ -569,7 +566,7 @@ impl Walk for Ship6 {
 
     #[inline]
     fn finish<T: Tally>(&self, _addr: u128, lane: &Lane, t: &mut T) -> T::Out {
-        t.done(hop(lane.best))
+        t.done(hop_of(lane.best))
     }
 
     /// Prefetch the line of the node `lane` moves to (nothing for
@@ -905,6 +902,17 @@ mod tests {
             }
         }
         assert!(declined, "garbage decline never fired");
+    }
+
+    /// Leaves store next hop + 1, so the one next hop that has no leaf
+    /// is refused at build instead of turning into a miss.
+    #[test]
+    #[should_panic(expected = "NextHop(u16::MAX) has no leaf encoding")]
+    fn max_next_hop_is_refused() {
+        Ship6::build(&table(&[
+            (0x2001_0db8u128 << 96, 32, u16::MAX),
+            (0x2000u128 << 112, 12, u16::MAX),
+        ]));
     }
 
     #[test]

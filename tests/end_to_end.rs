@@ -33,7 +33,7 @@ fn partitioned_tries_equal_full_table_for_every_algorithm() {
             LpmAlgorithm::Binary,
             LpmAlgorithm::Dp,
             LpmAlgorithm::Lulea,
-            LpmAlgorithm::Lc { fill_factor: 0.25 },
+            LpmAlgorithm::Lc,
         ] {
             let tries: Vec<ForwardingTable> = partitions
                 .iter()

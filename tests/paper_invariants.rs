@@ -75,11 +75,7 @@ fn gamma_rule() {
 #[test]
 fn storage_savings_dominate_lr_cache() {
     let table = synth::synthesize(&synth::SynthConfig::sized(40_000, 23));
-    for algo in [
-        LpmAlgorithm::Dp,
-        LpmAlgorithm::Lulea,
-        LpmAlgorithm::Lc { fill_factor: 0.25 },
-    ] {
+    for algo in [LpmAlgorithm::Dp, LpmAlgorithm::Lulea, LpmAlgorithm::Lc] {
         let whole = ForwardingTable::build(algo, &table).storage_bytes();
         for psi in [4usize, 16] {
             let part = Partitioning::new(&table, select_bits(&table, eta_for(psi)), psi);

@@ -8,6 +8,7 @@ mod oracle;
 use oracle::check_oracle;
 use proptest::prelude::*;
 use spal::core::{ForwardingTable, LpmAlgorithm};
+use spal::lpm::lctrie::LcTrie;
 use spal::lpm::Lpm;
 use spal::rib::{NextHop, Prefix, RouteEntry, RoutingTable};
 
@@ -74,7 +75,7 @@ proptest! {
         randoms in proptest::collection::vec(any::<u32>(), 16),
         fill in prop::sample::select(vec![0.125f64, 0.25, 0.5, 1.0]),
     ) {
-        let trie = ForwardingTable::build(LpmAlgorithm::Lc { fill_factor: fill }, &table);
+        let trie = LcTrie::build_with_fill(&table, fill);
         check_oracle(&trie, &table, &probe_addresses(&table, &randoms))?;
     }
 
@@ -153,7 +154,7 @@ proptest! {
         randoms in proptest::collection::vec(any::<u32>(), 8),
     ) {
         for algo in [LpmAlgorithm::Binary, LpmAlgorithm::Dp, LpmAlgorithm::Lulea,
-                     LpmAlgorithm::Lc { fill_factor: 0.25 }] {
+                     LpmAlgorithm::Lc] {
             let trie = ForwardingTable::build(algo, &table);
             for &addr in &randoms {
                 let c = trie.lookup_counted(addr);
