@@ -30,7 +30,7 @@
 //! **DFZ-2026 arms** (`--dfz`, or `--dfz --quick` for the CI tier):
 //! instead of the 600k calibration sweep, build every IPv4 engine at
 //! the ~1M-prefix DFZ-2026 preset (150k quick) gating build time and
-//! per-route storage, replay a stress stream through each (batch
+//! recording storage, replay a stress stream through each (batch
 //! checksums asserted equal to scalar), and run the full-table IPv6
 //! SHIP-vs-binary gate: SHIP must win on batched throughput at
 //! equal-or-lower storage. Rows go to `BENCH_dfz.json`.
@@ -53,7 +53,7 @@ fn finish(gates: Gates, rows: &[LookupRow], out: &str) {
     gates.finish();
 }
 
-/// The `--dfz` arms: IPv4 build/storage gates + replay at DFZ-2026
+/// The `--dfz` arms: IPv4 build-time gates + replay at DFZ-2026
 /// scale, then the IPv6 SHIP-vs-binary acceptance gate.
 fn run_dfz(quick: bool, packets: usize, seed: u64, out: &str) {
     let tier = if quick { "quick" } else { "full" };

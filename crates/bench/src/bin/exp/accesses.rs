@@ -13,7 +13,7 @@
 use spal_bench::setup::{rt1, rt2, sample_covered, ExpOptions};
 use spal_bench::TablePrinter;
 use spal_core::{ForwardingTable, LpmAlgorithm};
-use spal_lpm::model::FeTimingModel;
+use spal_lpm::model::lookup_cycles;
 use spal_lpm::{mean_accesses, Lpm};
 
 pub fn run(_: &ExpOptions) {
@@ -25,7 +25,6 @@ pub fn run(_: &ExpOptions) {
         ("DIR-24-8", LpmAlgorithm::Dir24),
     ];
     let tables = [("RT_1", rt1()), ("RT_2", rt2())];
-    let timing = FeTimingModel::default();
     println!("E4: mean memory accesses per lookup and implied FE cycles (paper Sec. 5.1)");
     let mut printer = TablePrinter::new(&["trie", "table", "mean accesses", "implied FE cycles"]);
     for (tname, table) in &tables {
@@ -37,7 +36,7 @@ pub fn run(_: &ExpOptions) {
                 aname.to_string(),
                 tname.to_string(),
                 format!("{mean:.2}"),
-                timing.lookup_cycles(mean).to_string(),
+                lookup_cycles(mean).to_string(),
             ]);
         }
     }

@@ -9,16 +9,17 @@
 use spal_bench::setup::{rt2, sweep, ExpOptions};
 use spal_cache::LrCacheConfig;
 use spal_core::LpmAlgorithm;
+use spal_lpm::model::{DP_FE_CYCLES, LULEA_FE_CYCLES};
 use spal_sim::{FeServiceModel, RouterKind, SimConfig};
 use spal_traffic::LcSpeed;
 
 pub fn run(opts: &ExpOptions) {
     let table = rt2();
     let cases = [
-        (LcSpeed::Gbps10, 40u32, LpmAlgorithm::Lulea),
-        (LcSpeed::Gbps10, 62, LpmAlgorithm::Dp),
-        (LcSpeed::Gbps40, 40, LpmAlgorithm::Lulea),
-        (LcSpeed::Gbps40, 62, LpmAlgorithm::Dp),
+        (LcSpeed::Gbps10, LULEA_FE_CYCLES, LpmAlgorithm::Lulea),
+        (LcSpeed::Gbps10, DP_FE_CYCLES, LpmAlgorithm::Dp),
+        (LcSpeed::Gbps40, LULEA_FE_CYCLES, LpmAlgorithm::Lulea),
+        (LcSpeed::Gbps40, DP_FE_CYCLES, LpmAlgorithm::Dp),
     ];
     println!(
         "E10: mean lookup time (cycles) across the four speed/FE cases; psi=4, beta=4K, {} packets/LC",

@@ -10,14 +10,13 @@
 use spal_bench::setup::{rt2, sample_covered, ExpOptions};
 use spal_bench::TablePrinter;
 use spal_core::{ForwardingTable, LpmAlgorithm};
-use spal_lpm::model::FeTimingModel;
+use spal_lpm::model::lookup_cycles;
 use spal_lpm::multibit::MultibitTrie;
 use spal_lpm::{mean_accesses, Lpm};
 
 pub fn run(_: &ExpOptions) {
     let table = rt2();
     let addrs = sample_covered(&table, 20_000, 5);
-    let timing = FeTimingModel::default();
     println!(
         "E14: stride vs storage vs speed on RT_2 ({} prefixes)",
         table.len()
@@ -41,7 +40,7 @@ pub fn run(_: &ExpOptions) {
             format!("CPE {strides:?}"),
             format!("{:.0}", t.storage_bytes() as f64 / 1024.0),
             format!("{mean:.2}"),
-            timing.lookup_cycles(mean).to_string(),
+            lookup_cycles(mean).to_string(),
         ]);
     }
     for (label, algo) in [
@@ -56,7 +55,7 @@ pub fn run(_: &ExpOptions) {
             label.to_string(),
             format!("{:.0}", t.storage_bytes() as f64 / 1024.0),
             format!("{mean:.2}"),
-            timing.lookup_cycles(mean).to_string(),
+            lookup_cycles(mean).to_string(),
         ]);
     }
     printer.print();

@@ -20,6 +20,7 @@ use spal_core::{ForwardingTable, LpmAlgorithm, LpmAlgorithm6};
 use spal_dataplane::{
     run_family, AddrFamily, ChurnConfig, DataplaneConfig, FaultPlan, InvalidationMode, V4, V6,
 };
+use spal_lpm::model::LULEA_FE_CYCLES;
 use spal_lpm::Lpm;
 use spal_rib::stats::{nesting_stats, LengthDistribution};
 use spal_rib::v6::synthesize6_dfz;
@@ -486,8 +487,8 @@ fn churn_arg(args: &Args) -> Result<Option<ChurnConfig>, ArgError> {
 fn cmd_dataplane<F: CliFamily>(args: &Args) -> Result<(), ArgError> {
     let workers = workers_arg(args, 4, 1)?;
     let algorithm = F::engine(args.get("engine"))?;
-    let beta = args.get_or("beta", 4096usize)?;
-    let gamma = args.get_or("gamma", if beta <= 1024 { 0.25 } else { 0.5 })?;
+    let mut cache = LrCacheConfig::paper(args.get_or("beta", 4096usize)?);
+    cache.mix_rem_fraction = args.get_or("gamma", cache.mix_rem_fraction)?;
     let packets = args.get_or("packets", 100_000usize)?;
     let seed = args.get_or("seed", 1u64)?;
     let churn = churn_arg(args)?;
@@ -515,9 +516,11 @@ fn cmd_dataplane<F: CliFamily>(args: &Args) -> Result<(), ArgError> {
         banner,
     } = F::workload(args, workers, packets, seed)?;
     eprintln!(
-        "{}: workers={workers} engine={algorithm:?} {banner} beta={beta} gamma={gamma} \
+        "{}: workers={workers} engine={algorithm:?} {banner} beta={} gamma={} \
          packets/worker={packets}{}",
         F::COMMAND,
+        cache.blocks,
+        cache.mix_rem_fraction,
         match &churn {
             Some(c) => format!(" churn={} updates", c.updates),
             None => String::new(),
@@ -526,11 +529,7 @@ fn cmd_dataplane<F: CliFamily>(args: &Args) -> Result<(), ArgError> {
     let cfg = DataplaneConfig::<F> {
         workers,
         algorithm,
-        cache: LrCacheConfig {
-            blocks: beta,
-            mix_rem_fraction: gamma,
-            ..LrCacheConfig::default()
-        },
+        cache,
         batch: args.get_or("batch", 32usize)?,
         churn,
         invalidation,
@@ -539,9 +538,6 @@ fn cmd_dataplane<F: CliFamily>(args: &Args) -> Result<(), ArgError> {
         deterministic: args.has("deterministic") || faults.is_some(),
         seed,
         faults,
-        // Latency histograms cost a timestamp pair per admit burst;
-        // only pay for them when the JSON report consumes them.
-        capture_latency: args.has("json"),
         ..Default::default()
     };
     let report = run_family::<F>(&table, &traces, &cfg);
@@ -662,11 +658,11 @@ fn cmd_scenario(args: &Args) -> Result<(), ArgError> {
 fn cmd_simulate(args: &Args) -> Result<(), ArgError> {
     let table = load_table(args)?;
     let psi = args.get_or("psi", 16usize)?;
-    let beta = args.get_or("beta", 4096usize)?;
-    let gamma = args.get_or("gamma", if beta <= 1024 { 0.25 } else { 0.5 })?;
+    let mut cache = LrCacheConfig::paper(args.get_or("beta", 4096usize)?);
+    cache.mix_rem_fraction = args.get_or("gamma", cache.mix_rem_fraction)?;
     let packets = args.get_or("packets", 100_000usize)?;
     let seed = args.get_or("seed", 1u64)?;
-    let fe = args.get_or("fe", 40u32)?;
+    let fe = args.get_or("fe", LULEA_FE_CYCLES)?;
     let kind = match args.get("kind").unwrap_or("spal") {
         "spal" => RouterKind::Spal,
         "cache-only" => RouterKind::CacheOnly,
@@ -688,17 +684,15 @@ fn cmd_simulate(args: &Args) -> Result<(), ArgError> {
         psi,
         speed,
         fe: spal_sim::FeServiceModel::Fixed(fe),
-        cache: LrCacheConfig {
-            blocks: beta,
-            mix_rem_fraction: gamma,
-            ..LrCacheConfig::default()
-        },
+        cache,
         packets_per_lc: packets,
         seed,
         ..SimConfig::default()
     };
     eprintln!(
-        "simulating {kind:?}: psi={psi} beta={beta} gamma={gamma} preset={} packets/LC={packets} fe={fe}cyc",
+        "simulating {kind:?}: psi={psi} beta={} gamma={} preset={} packets/LC={packets} fe={fe}cyc",
+        config.cache.blocks,
+        config.cache.mix_rem_fraction,
         name.label()
     );
     let report = RouterSim::new(&table, &traces, config).run();

@@ -147,6 +147,30 @@ fn simulate_reports_summary() {
     assert!(s.contains("fabric:"));
 }
 
+/// The plain-text summary carries the latency tail: the histograms
+/// are recorded on every run, not only when `--json` asks for them.
+#[test]
+fn dataplane_summary_reports_p99() {
+    let out = spal(&[
+        "dataplane",
+        "--workers",
+        "2",
+        "--size",
+        "2000",
+        "--packets",
+        "2000",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let s = stdout(&out);
+    let summary = s.lines().next().expect("a summary line");
+    assert!(summary.contains("pkts on 2 workers"), "{s}");
+    assert!(summary.contains("| p99 "), "{s}");
+}
+
 #[test]
 fn simulate_rejects_bad_kind_and_speed() {
     let out = spal(&["simulate", "--kind", "quantum"]);

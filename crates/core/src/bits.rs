@@ -22,27 +22,6 @@
 use spal_rib::bits::{AddressBits, TriBit};
 use spal_rib::{Prefix, RoutingTable};
 
-/// How the two criteria combine into one ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum BitSelectionStrategy {
-    /// Minimise the largest resulting subset first, then the total size,
-    /// then the imbalance. This is the reading that reproduces the
-    /// paper's own §3.1 example (it selects {b0, b4}, the partitioning
-    /// the paper calls superior): Criterion 1 asks for "*each*
-    /// ROT-partition involving as few prefixes as possible", and
-    /// Criterion 2 breaks the remaining ties by balance. **Default.**
-    #[default]
-    MinimizeMax,
-    /// Σ Φ* strictly first (the literal transcription of the paper's
-    /// Criterion-1 derivation), Σ |Φ0 − Φ1| as tie-break. On the paper's
-    /// own example this picks a zero-replication but lopsided bit, so it
-    /// is kept as an ablation.
-    Lexicographic,
-    /// Weighted sum `Φ* + lambda · |Φ0 − Φ1|` — an ablation knob that
-    /// trades replication against balance.
-    Weighted { lambda: f64 },
-}
-
 /// Score of one candidate bit over the current subsets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitScore {
@@ -59,26 +38,15 @@ pub struct BitScore {
 }
 
 impl BitScore {
-    fn better_than(&self, other: &BitScore, strategy: BitSelectionStrategy) -> bool {
-        match strategy {
-            BitSelectionStrategy::MinimizeMax => {
-                // Criterion 1 (each partition as small as possible) =
-                // smallest max, then Criterion 2 (minimum size
-                // difference) = smallest imbalance, then least total
-                // replication.
-                (self.max_size, self.imbalance, self.total_size, self.bit)
-                    < (other.max_size, other.imbalance, other.total_size, other.bit)
-            }
-            BitSelectionStrategy::Lexicographic => {
-                (self.phi_star, self.imbalance, self.bit)
-                    < (other.phi_star, other.imbalance, other.bit)
-            }
-            BitSelectionStrategy::Weighted { lambda } => {
-                let a = self.phi_star as f64 + lambda * self.imbalance as f64;
-                let b = other.phi_star as f64 + lambda * other.imbalance as f64;
-                (a, self.bit) < (b, other.bit)
-            }
-        }
+    /// How the two criteria combine into one ordering: the reading that
+    /// reproduces the paper's own §3.1 example (it selects {b0, b4}, the
+    /// partitioning the paper calls superior): Criterion 1 asks for
+    /// "*each* ROT-partition involving as few prefixes as possible" =
+    /// smallest max; Criterion 2 (minimum size difference) breaks the
+    /// remaining ties = smallest imbalance; then least total replication,
+    /// then the lower bit. Smaller ranks better.
+    fn rank(&self) -> (usize, usize, usize, u8) {
+        (self.max_size, self.imbalance, self.total_size, self.bit)
     }
 }
 
@@ -136,8 +104,8 @@ fn split_subsets<A: AddressBits>(subsets: Vec<Vec<Prefix<A>>>, nu: u8) -> Vec<Ve
 }
 
 /// Select `eta` partitioning bit positions for an arbitrary prefix set
-/// (IPv4 or IPv6) under `strategy`, considering candidate positions
-/// `0..=max_bit`. Returns the chosen positions in selection order.
+/// (IPv4 or IPv6), considering candidate positions `0..=max_bit`.
+/// Returns the chosen positions in selection order.
 ///
 /// # Panics
 /// Panics if `eta > max_bit + 1` (not enough distinct positions) or if
@@ -146,7 +114,6 @@ pub fn select_bits_generic<A: AddressBits>(
     prefixes: &[Prefix<A>],
     eta: usize,
     max_bit: u8,
-    strategy: BitSelectionStrategy,
 ) -> Vec<u8> {
     assert!(
         max_bit < A::BITS,
@@ -164,13 +131,7 @@ pub fn select_bits_generic<A: AddressBits>(
         let best = (0..=max_bit)
             .filter(|nu| !chosen.contains(nu))
             .map(|nu| score_bit(&subsets, nu))
-            .reduce(|best, s| {
-                if s.better_than(&best, strategy) {
-                    s
-                } else {
-                    best
-                }
-            })
+            .min_by_key(BitScore::rank)
             .expect("at least one candidate bit remains");
         subsets = split_subsets(subsets, best.bit);
         chosen.push(best.bit);
@@ -179,30 +140,14 @@ pub fn select_bits_generic<A: AddressBits>(
 }
 
 /// [`select_bits_generic`] for a routing table, candidate positions
-/// `0..=max_bit` (the paper examines 0 ≤ ν ≤ 31; Criterion 1 already
-/// rules out large ν on real tables).
-pub fn select_bits_with<A: AddressBits>(
-    table: &RoutingTable<A>,
-    eta: usize,
-    max_bit: u8,
-    strategy: BitSelectionStrategy,
-) -> Vec<u8> {
-    let prefixes: Vec<Prefix<A>> = table.prefixes().collect();
-    select_bits_generic(&prefixes, eta, max_bit, strategy)
-}
-
-/// [`select_bits_with`] using the default strategy and candidate
-/// positions `0..min(A::BITS, 64)`: every position of an IPv4 address,
-/// the upper half of an IPv6 one — interface identifiers (the low 64
-/// bits) are host bits, wild in almost every routed prefix, so
+/// `0..min(A::BITS, 64)`: every position of an IPv4 address (the paper
+/// examines 0 ≤ ν ≤ 31; Criterion 1 already rules out large ν on real
+/// tables), the upper half of an IPv6 one — interface identifiers (the
+/// low 64 bits) are host bits, wild in almost every routed prefix, so
 /// Criterion 1 excludes them just as it excludes positions > 24 in IPv4.
 pub fn select_bits<A: AddressBits>(table: &RoutingTable<A>, eta: usize) -> Vec<u8> {
-    select_bits_with(
-        table,
-        eta,
-        A::BITS.min(64) - 1,
-        BitSelectionStrategy::default(),
-    )
+    let prefixes: Vec<Prefix<A>> = table.prefixes().collect();
+    select_bits_generic(&prefixes, eta, A::BITS.min(64) - 1)
 }
 
 /// Number of partitioning bits for a router with `psi` LCs:
@@ -259,26 +204,25 @@ mod tests {
         assert_eq!(scores[4].phi_star, 3);
     }
 
+    /// Selection over the toy example's eight bit positions.
+    fn toy_bits(rt: &RoutingTable, eta: usize) -> Vec<u8> {
+        let prefixes: Vec<Prefix> = rt.prefixes().collect();
+        select_bits_generic(&prefixes, eta, 7)
+    }
+
     #[test]
     fn paper_example_prefers_b0_over_b2() {
-        // §3.1: partitioning on {b0, b4} beats {b2, b4}; both strategies
-        // pick b0 first — b2 can never be first.
-        let rt = paper_example();
-        for strategy in [
-            BitSelectionStrategy::MinimizeMax,
-            BitSelectionStrategy::Lexicographic,
-        ] {
-            let bits = select_bits_with(&rt, 1, 7, strategy);
-            assert_eq!(bits[0], 0, "{strategy:?}");
-        }
+        // §3.1: partitioning on {b0, b4} beats {b2, b4}; b2 can never be
+        // first.
+        assert_eq!(toy_bits(&paper_example(), 1), [0]);
     }
 
     #[test]
     fn paper_example_reproduces_b0_b4() {
-        // The default strategy must reproduce the paper's published
-        // choice {b0, b4} and its partition sizes {2, 2, 3, 3}.
+        // The ranking must reproduce the paper's published choice
+        // {b0, b4} and its partition sizes {2, 2, 3, 3}.
         let rt = paper_example();
-        let bits = select_bits_with(&rt, 2, 7, BitSelectionStrategy::MinimizeMax);
+        let bits = toy_bits(&rt, 2);
         assert_eq!(bits, vec![0, 4]);
         let parts = crate::partition::rot_partitions(&rt, &bits);
         let mut sizes: Vec<usize> = parts.iter().map(|p| p.len()).collect();
@@ -315,32 +259,12 @@ mod tests {
     }
 
     #[test]
-    fn lexicographic_minimises_phi_star_first() {
-        let rt = synth::small(5);
-        let bits = select_bits_with(&rt, 1, 31, BitSelectionStrategy::Lexicographic);
-        let scores = score_table(&rt, 31);
-        let min_phi = scores.iter().map(|s| s.phi_star).min().unwrap();
-        assert_eq!(scores[bits[0] as usize].phi_star, min_phi);
-    }
-
-    #[test]
     fn minimize_max_minimises_largest_partition() {
         let rt = synth::small(5);
         let bits = select_bits(&rt, 1);
         let scores = score_table(&rt, 31);
         let min_max = scores.iter().map(|s| s.max_size).min().unwrap();
         assert_eq!(scores[bits[0] as usize].max_size, min_max);
-    }
-
-    #[test]
-    fn weighted_strategy_changes_tradeoff() {
-        let rt = synth::small(7);
-        // With a huge lambda, balance dominates; the pick must have
-        // near-minimal imbalance even at the cost of Φ*.
-        let bits = select_bits_with(&rt, 1, 31, BitSelectionStrategy::Weighted { lambda: 1e6 });
-        let scores = score_table(&rt, 31);
-        let min_imb = scores.iter().map(|s| s.imbalance).min().unwrap();
-        assert_eq!(scores[bits[0] as usize].imbalance, min_imb);
     }
 
     /// Positions taken from `select_bits` / `select_bits6` while they

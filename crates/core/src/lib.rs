@@ -25,7 +25,7 @@ pub mod partition;
 pub mod router;
 pub mod v6;
 
-pub use bits::{select_bits, BitScore, BitSelectionStrategy};
+pub use bits::{select_bits, BitScore};
 pub use fwd::{ForwardingTable, ForwardingTable6, LpmAlgorithm, LpmAlgorithm6};
 pub use partition::{PartitionStats, Partitioning};
 pub use router::{LookupOutcome, SpalRouter, SpalRouterConfig};

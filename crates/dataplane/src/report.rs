@@ -229,10 +229,6 @@ pub struct WorkerReport {
     /// Iterations that had packets to admit and admitted none because
     /// the in-flight window was full (timing-dependent, as above).
     pub admit_throttled: u64,
-    /// Admit-burst timestamp pairs taken for the latency histograms —
-    /// zero whenever `capture_latency` is off (the cold-path counter
-    /// the skip is asserted through).
-    pub timestamp_pairs: u64,
 }
 
 /// Latency series in microseconds: running min/mean/max plus the raw

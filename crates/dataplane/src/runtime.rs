@@ -171,12 +171,6 @@ pub struct DataplaneConfig<F: AddrFamily = V4> {
     /// Fault-injection plan (`None` = faultless fabric). Deterministic
     /// for a given plan seed; see [`crate::fault`].
     pub faults: Option<FaultPlan>,
-    /// Record per-packet latency histograms (`true`, the default).
-    /// When no consumer wants the histograms (the CLI without
-    /// `--json`), turning this off removes the admit-burst
-    /// timestamp pair and the per-waiter clock reads from the hot
-    /// path; throughput counters and checksums are unaffected.
-    pub capture_latency: bool,
     /// Scripted LC failure with online re-partitioning (`None` = no
     /// failure; the default).
     pub failover: Option<FailoverPlan>,
@@ -211,7 +205,6 @@ impl<F: AddrFamily> Default for DataplaneConfig<F> {
             deterministic: false,
             seed: 1,
             faults: None,
-            capture_latency: true,
             failover: None,
             overload: None,
             probe: None,
@@ -342,14 +335,6 @@ struct WorkerCore<F: AddrFamily> {
     pop_scratch: Vec<FabricMsg<F::Addr>>,
     /// Whether the midpoint cold-start cache snapshot was taken.
     cold_recorded: bool,
-    /// Record latency histograms (from
-    /// [`DataplaneConfig::capture_latency`]); when off, admit bursts
-    /// skip their timestamp pair and waiters carry a reused epoch
-    /// instant instead of a fresh clock read.
-    capture_latency: bool,
-    /// Stand-in `admitted` stamp for parked waiters while latency
-    /// capture is off (never subtracted — `resolve` skips the record).
-    epoch: Instant,
     /// Scripted failure schedule (every worker carries the plan; only
     /// the victim acts on it).
     failover: Option<FailoverPlan>,
@@ -474,10 +459,8 @@ impl<F: AddrFamily> WorkerCore<F> {
         for &w in &waiters {
             match w {
                 Waiter::Local { admitted } => {
-                    if self.capture_latency {
-                        let ns = now.saturating_duration_since(admitted).as_nanos() as u64;
-                        self.report.latency.miss.record(ns);
-                    }
+                    let ns = now.saturating_duration_since(admitted).as_nanos() as u64;
+                    self.report.latency.miss.record(ns);
                     self.complete(nh);
                 }
                 Waiter::Remote { src } => self.emit_reply(src, addr, nh, version),
@@ -734,11 +717,7 @@ impl<F: AddrFamily> WorkerCore<F> {
             self.report.admit_throttled += 1;
             return 0;
         }
-        let t0 = if self.capture_latency {
-            Instant::now()
-        } else {
-            self.epoch
-        };
+        let t0 = Instant::now();
         // One batched probe pass: per lane, a scalar probe (+ reserve
         // on a miss), so cache state and statistics are those of
         // probing packet by packet. Hits are tallied as the pass hands
@@ -778,12 +757,9 @@ impl<F: AddrFamily> WorkerCore<F> {
         // Hit-path latency: one timestamp pair per admit burst (a
         // per-packet clock read would dominate the very path being
         // measured); every hit in the burst books the burst's elapsed.
-        if self.capture_latency {
-            self.report.timestamp_pairs += 1;
-            let dt = t0.elapsed().as_nanos() as u64;
-            self.report.latency.loc_hit.record_n(dt, loc_hits);
-            self.report.latency.rem_hit.record_n(dt, rem_hits);
-        }
+        let dt = t0.elapsed().as_nanos() as u64;
+        self.report.latency.loc_hit.record_n(dt, loc_hits);
+        self.report.latency.rem_hit.record_n(dt, rem_hits);
         self.pos = end;
         n
     }
@@ -1552,8 +1528,6 @@ fn assemble<F: AddrFamily>(
                 lane_hits: Vec::new(),
                 pop_scratch: Vec::new(),
                 cold_recorded: false,
-                capture_latency: cfg.capture_latency,
-                epoch: now,
                 failover: cfg.failover,
                 failed: false,
                 failed_flag: Arc::clone(&failed_flag),
@@ -1764,7 +1738,6 @@ mod tests {
         deterministic_single_worker_matches_oracle,
         deterministic_multi_worker_matches_oracle_and_shares_results,
         deterministic_runs_are_reproducible,
-        latency_capture_off_skips_timestamp_reads,
         deterministic_churn_stays_coherent_and_coalesces,
         threaded_run_matches_oracle,
         threaded_run_with_churn_matches_oracle_checks,
@@ -2011,38 +1984,6 @@ mod tests {
         }
     }
 
-    fn latency_capture_off_skips_timestamp_reads<F: TestFamily>() {
-        let (table, traces) = F::small_setup(3, 2_000);
-        let base = DataplaneConfig {
-            workers: 3,
-            deterministic: true,
-            cache: LrCacheConfig::paper(256),
-            ..Default::default()
-        };
-        let on = run_family::<F>(&table, &traces, &base);
-        let off = run_family::<F>(
-            &table,
-            &traces,
-            &DataplaneConfig {
-                capture_latency: false,
-                ..base
-            },
-        );
-        // Forwarding is identical either way — measurement must not
-        // perturb the datapath.
-        assert_eq!(on.checksum(), off.checksum());
-        assert_eq!(on.total_packets(), off.total_packets());
-        // With capture on, every admit burst books one timestamp pair
-        // and the histograms fill; with it off, the clock is never read
-        // on the admit path and the histograms stay empty.
-        let pairs_on: u64 = on.workers.iter().map(|w| w.timestamp_pairs).sum();
-        assert!(pairs_on > 0, "capture on recorded no timestamp pairs");
-        assert!(on.latency_paths().all().count() > 0);
-        let pairs_off: u64 = off.workers.iter().map(|w| w.timestamp_pairs).sum();
-        assert_eq!(pairs_off, 0, "capture off still read the clock");
-        assert_eq!(off.latency_paths().all().count(), 0);
-    }
-
     /// Under churn a deterministic run must not diverge from the
     /// oracle anywhere it is checked — spot checks, the published
     /// tables, the post-quiesce cache sweep — while batch framing is
@@ -2117,7 +2058,6 @@ mod tests {
         assert_eq!(core.pos, 10);
         assert_eq!(core.report.packets, 3);
         assert_eq!(core.report.next_hop_sum, 16);
-        assert_eq!(core.report.timestamp_pairs, 1);
         assert_eq!(core.report.latency.loc_hit.count(), 2);
         assert_eq!(core.report.latency.rem_hit.count(), 1);
         let stats = *core.cache.stats();

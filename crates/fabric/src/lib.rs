@@ -7,13 +7,13 @@
 //! latency (in terms of system cycles) is assumed to depend on the fabric
 //! size". This crate follows that contract:
 //!
-//! * [`FabricModel`] maps a topology and port count to a transit latency
-//!   in cycles (≤ 2 cycles = 10 ns for the sizes the paper studies, per
-//!   its §1 discussion of fast crossbars);
+//! * [`FabricModel`] maps a port count to a transit latency in cycles:
+//!   the crossbar curve (≤ 2 cycles = 10 ns for the sizes the paper
+//!   studies, per its §1 discussion of fast crossbars) or a fixed
+//!   latency for sensitivity studies;
 //! * [`SwitchingFabric`] moves [`FabricMsg`] lookup requests and replies
 //!   between LCs with that latency, one injection per source per cycle
-//!   and one delivery per destination per cycle (port serialisation), and
-//!   a single shared injection slot per cycle for the bus topology;
+//!   and one delivery per destination per cycle (port serialisation);
 //! * [`queue::Queue`] provides the FIFO queues the FIL chips use
 //!   (input, request, outgoing, incoming — Fig. 2 of the paper);
 //! * [`spsc::spsc_ring`] provides the bounded lock-free SPSC rings the
@@ -29,4 +29,4 @@ pub mod topology;
 pub use msg::{AddrBatch, FabricAddr, FabricMsg, MsgKind, ReplyBatch, BATCH_MSG_LANES};
 pub use queue::Queue;
 pub use spsc::{spsc_ring, SpscConsumer, SpscProducer};
-pub use topology::{FabricModel, FabricStats, SendError, SwitchingFabric};
+pub use topology::{FabricModel, FabricStats, SwitchingFabric};

@@ -38,11 +38,6 @@ impl<T> Queue<T> {
         self.items.pop_front()
     }
 
-    /// The oldest item without removing it.
-    pub fn peek(&self) -> Option<&T> {
-        self.items.front()
-    }
-
     /// Current occupancy.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -70,7 +65,6 @@ mod tests {
         q.push(2);
         q.push(3);
         assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.peek(), Some(&2));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(3));
         assert_eq!(q.pop(), None);

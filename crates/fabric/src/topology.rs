@@ -4,18 +4,14 @@
 use crate::msg::FabricMsg;
 use std::collections::VecDeque;
 
-/// The interconnect structure between line cards (§3: shared bus for
-/// small ψ, crossbar, or a multistage network built from small
-/// crossbars).
+/// The interconnect between line cards. §3 names a shared bus, a
+/// crossbar or a multistage structure but reduces each to "the fabric
+/// latency (in terms of system cycles) … assumed to depend on the fabric
+/// size"; the crossbar curve is that latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricModel {
-    /// A single shared bus: one injection per cycle across all LCs.
-    SharedBus,
     /// A full crossbar: every input/output pair simultaneously.
     Crossbar,
-    /// A multistage network of `radix`-port crossbars; one cycle per
-    /// stage.
-    Multistage { radix: usize },
     /// A fixed transit latency regardless of port count — for
     /// sensitivity studies on how fabric cost shifts the SPAL trade-offs
     /// (e.g. the γ mix optimum of Fig. 4).
@@ -27,12 +23,10 @@ impl FabricModel {
     ///
     /// Calibrated to §1's "packet latency over the fabric being 10 ns or
     /// less" (= 2 cycles at 5 ns) for the router sizes the paper studies:
-    /// a 1-cycle bus/crossbar at ψ ≤ 2, 2 cycles up to ψ = 16 for the
-    /// crossbar, and one cycle per stage for the multistage structure.
+    /// 1 cycle at ψ ≤ 2, 2 cycles up to ψ = 16.
     pub fn latency_cycles(self, ports: usize) -> u64 {
         let ports = ports.max(1);
         match self {
-            FabricModel::SharedBus => 1,
             FabricModel::Crossbar => {
                 if ports <= 2 {
                     1
@@ -41,14 +35,6 @@ impl FabricModel {
                 } else {
                     // Larger crossbars pay extra wiring/arbitration delay.
                     2 + (ports as f64).log2().ceil() as u64 - 4
-                }
-            }
-            FabricModel::Multistage { radix } => {
-                assert!(radix >= 2, "multistage radix must be at least 2");
-                if ports <= radix {
-                    1
-                } else {
-                    (ports as f64).log(radix as f64).ceil() as u64
                 }
             }
             FabricModel::Fixed { cycles } => cycles.max(1),
@@ -63,8 +49,6 @@ pub struct FabricStats {
     pub sent: u64,
     /// Messages handed to their destination LC.
     pub delivered: u64,
-    /// Injections refused (bus busy).
-    pub bus_conflicts: u64,
     /// Sum over delivered messages of (delivery − send) cycles,
     /// including output-port queueing.
     pub total_transit_cycles: u64,
@@ -81,27 +65,16 @@ impl FabricStats {
     }
 }
 
-/// Injection failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendError {
-    /// The shared bus already carried a message this cycle; retry next
-    /// cycle.
-    BusBusy,
-}
-
 /// The switching fabric: constant-latency transit plus per-destination
 /// output queues drained one message per cycle (output-port
 /// serialisation).
 #[derive(Debug, Clone)]
 pub struct SwitchingFabric {
-    model: FabricModel,
     ports: usize,
     latency: u64,
     /// Per-destination FIFO of (arrival_cycle, message). Constant latency
     /// keeps these ordered by arrival time.
     in_transit: Vec<VecDeque<(u64, FabricMsg)>>,
-    /// Cycle of the last bus injection (SharedBus only).
-    bus_last_cycle: Option<u64>,
     /// Cycle of the last delivery per destination port (serialisation).
     last_delivery: Vec<Option<u64>>,
     stats: FabricStats,
@@ -112,19 +85,12 @@ impl SwitchingFabric {
     pub fn new(model: FabricModel, ports: usize) -> Self {
         assert!(ports >= 1, "a fabric needs at least one port");
         SwitchingFabric {
-            model,
             ports,
             latency: model.latency_cycles(ports),
             in_transit: vec![VecDeque::new(); ports],
-            bus_last_cycle: None,
             last_delivery: vec![None; ports],
             stats: FabricStats::default(),
         }
-    }
-
-    /// The topology.
-    pub fn model(&self) -> FabricModel {
-        self.model
     }
 
     /// Number of LC ports.
@@ -143,21 +109,12 @@ impl SwitchingFabric {
     }
 
     /// Inject `msg` at cycle `now`. The caller (an LC's outgoing stage)
-    /// injects at most one message per cycle per source; the fabric
-    /// additionally enforces the shared bus's single global slot.
-    pub fn send(&mut self, msg: FabricMsg, now: u64) -> Result<(), SendError> {
+    /// injects at most one message per cycle per source.
+    pub fn send(&mut self, msg: FabricMsg, now: u64) {
         debug_assert!((msg.dst as usize) < self.ports, "destination out of range");
-        if self.model == FabricModel::SharedBus {
-            if self.bus_last_cycle == Some(now) {
-                self.stats.bus_conflicts += 1;
-                return Err(SendError::BusBusy);
-            }
-            self.bus_last_cycle = Some(now);
-        }
         let arrives = now + self.latency;
         self.in_transit[msg.dst as usize].push_back((arrives, msg));
         self.stats.sent += 1;
-        Ok(())
     }
 
     /// Deliver at most one message to `dst` whose transit has completed
@@ -225,20 +182,18 @@ mod tests {
 
     #[test]
     fn latency_models() {
-        assert_eq!(FabricModel::SharedBus.latency_cycles(4), 1);
         assert_eq!(FabricModel::Crossbar.latency_cycles(2), 1);
         assert_eq!(FabricModel::Crossbar.latency_cycles(16), 2);
         assert_eq!(FabricModel::Crossbar.latency_cycles(64), 4);
-        assert_eq!(FabricModel::Multistage { radix: 4 }.latency_cycles(4), 1);
-        assert_eq!(FabricModel::Multistage { radix: 4 }.latency_cycles(16), 2);
-        assert_eq!(FabricModel::Multistage { radix: 4 }.latency_cycles(64), 3);
+        assert_eq!(FabricModel::Fixed { cycles: 20 }.latency_cycles(64), 20);
+        assert_eq!(FabricModel::Fixed { cycles: 0 }.latency_cycles(4), 1);
     }
 
     #[test]
     fn transit_takes_latency_cycles() {
         let mut f = SwitchingFabric::new(FabricModel::Crossbar, 4);
         assert_eq!(f.latency(), 2);
-        f.send(msg(0, 1, 1, 100), 100).unwrap();
+        f.send(msg(0, 1, 1, 100), 100);
         assert_eq!(f.receive(1, 100), None);
         assert_eq!(f.receive(1, 101), None);
         let m = f.receive(1, 102).unwrap();
@@ -251,8 +206,8 @@ mod tests {
     #[test]
     fn output_port_serialises() {
         let mut f = SwitchingFabric::new(FabricModel::Crossbar, 4);
-        f.send(msg(0, 1, 1, 0), 0).unwrap();
-        f.send(msg(2, 1, 2, 0), 0).unwrap();
+        f.send(msg(0, 1, 1, 0), 0);
+        f.send(msg(2, 1, 2, 0), 0);
         // Both arrive at cycle 2, but only one is handed over per cycle.
         assert_eq!(f.receive(1, 2).unwrap().packet_id, 1);
         assert_eq!(f.receive(1, 2), None); // caller polls once per cycle anyway
@@ -262,21 +217,11 @@ mod tests {
     }
 
     #[test]
-    fn bus_contention() {
-        let mut f = SwitchingFabric::new(FabricModel::SharedBus, 4);
-        f.send(msg(0, 1, 1, 5), 5).unwrap();
-        assert_eq!(f.send(msg(2, 3, 2, 5), 5), Err(SendError::BusBusy));
-        assert_eq!(f.stats().bus_conflicts, 1);
-        f.send(msg(2, 3, 2, 6), 6).unwrap();
-        assert_eq!(f.receive(3, 7).unwrap().packet_id, 2);
-    }
-
-    #[test]
     fn crossbar_parallel_paths() {
         let mut f = SwitchingFabric::new(FabricModel::Crossbar, 4);
         // Distinct destinations in the same cycle: no contention at all.
-        f.send(msg(0, 1, 1, 0), 0).unwrap();
-        f.send(msg(2, 3, 2, 0), 0).unwrap();
+        f.send(msg(0, 1, 1, 0), 0);
+        f.send(msg(2, 3, 2, 0), 0);
         assert!(f.receive(1, 2).is_some());
         assert!(f.receive(3, 2).is_some());
         assert_eq!(f.in_flight(), 0);
@@ -286,8 +231,8 @@ mod tests {
     fn next_delivery_tracks_queue_fronts() {
         let mut f = SwitchingFabric::new(FabricModel::Crossbar, 4);
         assert_eq!(f.next_delivery_at(), None);
-        f.send(msg(0, 1, 1, 10), 10).unwrap();
-        f.send(msg(2, 3, 2, 12), 12).unwrap();
+        f.send(msg(0, 1, 1, 10), 10);
+        f.send(msg(2, 3, 2, 12), 12);
         // Latency 2: arrivals at 12 and 14; the minimum wins.
         assert_eq!(f.next_delivery_at(), Some(12));
         assert_eq!(f.next_delivery_for(1), Some(12));
@@ -302,7 +247,7 @@ mod tests {
     #[test]
     fn different_destinations_isolated() {
         let mut f = SwitchingFabric::new(FabricModel::Crossbar, 4);
-        f.send(msg(0, 2, 9, 0), 0).unwrap();
+        f.send(msg(0, 2, 9, 0), 0);
         assert_eq!(f.receive(1, 10), None);
         assert_eq!(f.receive(2, 10).unwrap().packet_id, 9);
     }

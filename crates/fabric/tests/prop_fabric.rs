@@ -6,9 +6,7 @@ use spal_fabric::{FabricModel, FabricMsg, MsgKind, Queue, SwitchingFabric};
 
 fn arb_model() -> impl Strategy<Value = FabricModel> {
     prop_oneof![
-        Just(FabricModel::SharedBus),
         Just(FabricModel::Crossbar),
-        (2usize..=8).prop_map(|radix| FabricModel::Multistage { radix }),
         (1u64..=16).prop_map(|cycles| FabricModel::Fixed { cycles }),
     ]
 }
@@ -25,9 +23,8 @@ proptest! {
         let mut fabric = SwitchingFabric::new(model, ports);
         let latency = fabric.latency();
         let mut sent: Vec<FabricMsg> = Vec::new();
-        // Drive sends over time (one attempted send per listed event, at
-        // increasing cycles so the bus constraint rarely bites), then
-        // drain.
+        // Drive sends over time (one send per listed event, at
+        // non-decreasing cycles), then drain.
         let mut now = 0u64;
         for (seq, (src, dst, gap)) in sends.into_iter().enumerate() {
             now += gap;
@@ -39,9 +36,8 @@ proptest! {
                 packet_id: seq as u64,
                 sent_at: now,
             };
-            if fabric.send(msg, now).is_ok() {
-                sent.push(msg);
-            }
+            fabric.send(msg, now);
+            sent.push(msg);
         }
         // Drain: poll every port each cycle until quiet.
         let mut received: Vec<(u64, FabricMsg)> = Vec::new();

@@ -55,6 +55,14 @@ impl std::fmt::Debug for Dir24_8 {
     }
 }
 
+/// A route's next hop as a table entry. Panics if it does not fit the
+/// 15-bit payload — the check every write of a route goes through.
+fn payload(e: &RouteEntry) -> u16 {
+    let nh = e.next_hop.0;
+    assert!(nh < MISS, "next hop {nh} exceeds the 15-bit payload");
+    nh
+}
+
 impl Dir24_8 {
     /// Build from a routing table.
     ///
@@ -73,8 +81,7 @@ impl Dir24_8 {
             .collect();
         shallow.sort_by_key(|e| e.prefix.len());
         for e in shallow {
-            let nh = e.next_hop.0;
-            assert!(nh < MISS, "next hop {nh} exceeds the 15-bit payload");
+            let nh = payload(e);
             let start = (e.prefix.bits() >> 8) as usize;
             let count = 1usize << (24 - e.prefix.len());
             tbl24[start..start + count].fill(nh);
@@ -88,8 +95,7 @@ impl Dir24_8 {
         deep.sort_by_key(|e| e.prefix.len());
         let mut tbl_long: Vec<u16> = Vec::new();
         for e in deep {
-            let nh = e.next_hop.0;
-            assert!(nh < MISS, "next hop {nh} exceeds the 15-bit payload");
+            let nh = payload(e);
             let base = (e.prefix.bits() >> 8) as usize;
             let seg = if tbl24[base] & LONG_FLAG != 0 {
                 (tbl24[base] & !LONG_FLAG) as usize
@@ -120,17 +126,9 @@ impl Dir24_8 {
         self.tbl_long.len() / 256
     }
 
-    /// 15-bit payload for a route (or the miss sentinel). Panics on
-    /// oversized next hops, mirroring [`Dir24_8::build`].
+    /// 15-bit payload for a route (or the miss sentinel).
     fn route_val(entry: Option<RouteEntry>) -> u16 {
-        match entry {
-            Some(e) => {
-                let nh = e.next_hop.0;
-                assert!(nh < MISS, "next hop {nh} exceeds the 15-bit payload");
-                nh
-            }
-            None => MISS,
-        }
+        entry.as_ref().map_or(MISS, payload)
     }
 
     /// Rewrite segment `seg` from scratch: seed with the sub-/24
@@ -141,8 +139,7 @@ impl Dir24_8 {
         let mut deep: Vec<&RouteEntry> = deep.iter().collect();
         deep.sort_by_key(|e| e.prefix.len());
         for e in deep {
-            let nh = e.next_hop.0;
-            assert!(nh < MISS, "next hop {nh} exceeds the 15-bit payload");
+            let nh = payload(e);
             let first = (e.prefix.bits() & 0xFF) as usize;
             let count = 1usize << (32 - e.prefix.len());
             self.tbl_long[off + first..off + first + count].fill(nh);
@@ -179,8 +176,7 @@ impl Dir24_8 {
             .collect();
         contained.sort_by_key(|e| e.prefix.len());
         for e in contained {
-            let nh = e.next_hop.0;
-            assert!(nh < MISS, "next hop {nh} exceeds the 15-bit payload");
+            let nh = payload(e);
             let s = ((e.prefix.bits() >> 8) as usize) - start;
             let c = 1usize << (24 - e.prefix.len());
             vals[s..s + c].fill(nh);
@@ -435,10 +431,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "exceeds the 15-bit payload")]
     fn oversized_next_hop_rejected() {
         let rt = table(&[("10.0.0.0/8", 0x7FFF)]);
         let _ = Dir24_8::build(&rt);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 15-bit payload")]
+    fn oversized_deep_next_hop_rejected() {
+        let rt = table(&[("10.1.2.128/25", 0x7FFF)]);
+        let _ = Dir24_8::build(&rt);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 15-bit payload")]
+    fn oversized_next_hop_rejected_by_delta() {
+        let mut rt = table(&[("10.0.0.0/8", 1)]);
+        let mut d = Dir24_8::build(&rt);
+        let p: Prefix = "10.0.0.0/8".parse().unwrap();
+        rt.insert(RouteEntry {
+            prefix: p,
+            next_hop: NextHop(0x7FFF),
+        });
+        let _ = d.apply_delta(&[p], &rt);
     }
 
     #[test]

@@ -6,57 +6,30 @@
 //! code execution (~100 instructions), on a 5 ns system cycle. That makes
 //! a Lulea lookup (≈6.6 accesses) ≈40 cycles and a DP-trie lookup (≈16
 //! accesses) ≈62 cycles — the two FE costs every simulation in §5 uses.
+//!
+//! The same curve prices the cache-line cost model: fed a lookup's mean
+//! distinct 64-byte lines (`lines_touched`) instead of its logical
+//! accesses, on the argument that a modern memory hierarchy moves whole
+//! lines, the gap between the two costs is the co-location win an
+//! engine's layout earns.
 
-/// Timing assumptions of §5.1.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FeTimingModel {
-    /// Off-chip SRAM access time in nanoseconds (paper: 12 ns).
-    pub mem_access_ns: f64,
-    /// Matching-code execution time per lookup in nanoseconds
-    /// (paper: 120 ns ≈ 100 instructions).
-    pub code_exec_ns: f64,
-    /// System cycle time in nanoseconds (paper: 5 ns).
-    pub cycle_ns: f64,
+/// Off-chip SRAM access time in nanoseconds (§5.1: 12 ns).
+pub const MEM_ACCESS_NS: f64 = 12.0;
+/// Matching-code execution time per lookup in nanoseconds (§5.1: 120 ns
+/// ≈ 100 instructions).
+pub const CODE_EXEC_NS: f64 = 120.0;
+/// System cycle time in nanoseconds (§5.1: 5 ns).
+pub const CYCLE_NS: f64 = 5.0;
+
+/// FE lookup cost in nanoseconds for a given mean number of memory
+/// accesses per lookup.
+pub fn lookup_ns(mean_accesses: f64) -> f64 {
+    mean_accesses * MEM_ACCESS_NS + CODE_EXEC_NS
 }
 
-impl Default for FeTimingModel {
-    fn default() -> Self {
-        FeTimingModel {
-            mem_access_ns: 12.0,
-            code_exec_ns: 120.0,
-            cycle_ns: 5.0,
-        }
-    }
-}
-
-impl FeTimingModel {
-    /// FE lookup cost in nanoseconds for a given mean number of memory
-    /// accesses per lookup.
-    pub fn lookup_ns(&self, mean_accesses: f64) -> f64 {
-        mean_accesses * self.mem_access_ns + self.code_exec_ns
-    }
-
-    /// FE lookup cost in (rounded) system cycles.
-    pub fn lookup_cycles(&self, mean_accesses: f64) -> u32 {
-        (self.lookup_ns(mean_accesses) / self.cycle_ns).round() as u32
-    }
-
-    /// FE lookup cost in nanoseconds under the **cache-line cost model**:
-    /// each *distinct 64-byte line* a lookup touches costs one memory
-    /// access, on the argument that a modern memory hierarchy moves whole
-    /// lines — a second field read from an already-fetched line is free.
-    /// The paper's §5.1 model (one charge per logical access) is
-    /// [`FeTimingModel::lookup_ns`]; this variant is what the
-    /// `lines_touched` instrumentation feeds, and the gap between the two
-    /// is exactly the co-location win an engine's layout earns.
-    pub fn lookup_ns_lines(&self, mean_lines: f64) -> f64 {
-        self.lookup_ns(mean_lines)
-    }
-
-    /// [`FeTimingModel::lookup_ns_lines`] in (rounded) system cycles.
-    pub fn lookup_cycles_lines(&self, mean_lines: f64) -> u32 {
-        (self.lookup_ns_lines(mean_lines) / self.cycle_ns).round() as u32
-    }
+/// FE lookup cost in (rounded) system cycles.
+pub fn lookup_cycles(mean_accesses: f64) -> u32 {
+    (lookup_ns(mean_accesses) / CYCLE_NS).round() as u32
 }
 
 /// The paper's canonical FE cost under the Lulea trie: 40 cycles.
@@ -70,18 +43,16 @@ mod tests {
 
     #[test]
     fn lulea_cost_reproduces_40_cycles() {
-        let m = FeTimingModel::default();
         // §5.1: Lulea ≈ 6.2–6.6 accesses → "roughly 40 cycles".
-        assert_eq!(m.lookup_cycles(6.6), 40);
-        assert_eq!(m.lookup_cycles(6.2), 39);
-        assert!((m.lookup_ns(6.6) - 199.2).abs() < 1e-9);
+        assert_eq!(lookup_cycles(6.6), LULEA_FE_CYCLES);
+        assert_eq!(lookup_cycles(6.2), 39);
+        assert!((lookup_ns(6.6) - 199.2).abs() < 1e-9);
     }
 
     #[test]
     fn dp_cost_reproduces_62_cycles() {
-        let m = FeTimingModel::default();
         // §5.1: DP ≈ 16 accesses → "62 cycles or so".
-        assert_eq!(m.lookup_cycles(16.0), 62);
+        assert_eq!(lookup_cycles(16.0), DP_FE_CYCLES);
     }
 
     #[test]
@@ -89,19 +60,7 @@ mod tests {
         // The line-cost model is the same affine curve fed a smaller
         // argument: Lulea's 6.6 accesses collapse to ≈5.9 distinct lines
         // after the codeword+base re-layout, a Poptrie lookup to ≈3.
-        let m = FeTimingModel::default();
-        assert_eq!(m.lookup_cycles_lines(6.6), m.lookup_cycles(6.6));
-        assert_eq!(m.lookup_cycles_lines(3.15), 32);
-        assert!(m.lookup_cycles_lines(5.9) < m.lookup_cycles(6.6));
-    }
-
-    #[test]
-    fn custom_model() {
-        let m = FeTimingModel {
-            mem_access_ns: 10.0,
-            code_exec_ns: 100.0,
-            cycle_ns: 2.0,
-        };
-        assert_eq!(m.lookup_cycles(10.0), 100);
+        assert_eq!(lookup_cycles(3.15), 32);
+        assert!(lookup_cycles(5.9) < lookup_cycles(6.6));
     }
 }

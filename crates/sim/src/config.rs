@@ -3,6 +3,7 @@
 use spal_cache::LrCacheConfig;
 use spal_core::LpmAlgorithm;
 use spal_fabric::FabricModel;
+use spal_lpm::model::{lookup_cycles, LULEA_FE_CYCLES};
 use spal_traffic::LcSpeed;
 
 /// Which router design the simulation models.
@@ -56,10 +57,7 @@ impl FeServiceModel {
     pub fn cycles(self, accesses: u32) -> u32 {
         match self {
             FeServiceModel::Fixed(c) => c,
-            FeServiceModel::PerLookup => {
-                let m = spal_lpm::model::FeTimingModel::default();
-                m.lookup_cycles(accesses as f64).max(1)
-            }
+            FeServiceModel::PerLookup => lookup_cycles(accesses as f64).max(1),
         }
     }
 }
@@ -110,7 +108,7 @@ impl Default for SimConfig {
             kind: RouterKind::Spal,
             psi: 16,
             speed: LcSpeed::Gbps40,
-            fe: FeServiceModel::Fixed(40),
+            fe: FeServiceModel::Fixed(LULEA_FE_CYCLES),
             algorithm: LpmAlgorithm::Lulea,
             cache: LrCacheConfig::paper(4096),
             fabric: FabricModel::Crossbar,
@@ -129,8 +127,9 @@ mod tests {
 
     #[test]
     fn fixed_service_model() {
-        assert_eq!(FeServiceModel::Fixed(40).cycles(999), 40);
-        assert_eq!(FeServiceModel::Fixed(62).cycles(1), 62);
+        let lulea = FeServiceModel::Fixed(LULEA_FE_CYCLES);
+        assert_eq!(lulea.cycles(999), LULEA_FE_CYCLES);
+        assert_eq!(lulea.cycles(1), LULEA_FE_CYCLES);
     }
 
     #[test]
@@ -147,7 +146,7 @@ mod tests {
         let c = SimConfig::default();
         assert_eq!(c.psi, 16);
         assert_eq!(c.cache.blocks, 4096);
-        assert_eq!(c.fe, FeServiceModel::Fixed(40));
+        assert_eq!(c.fe, FeServiceModel::Fixed(LULEA_FE_CYCLES));
         assert_eq!(c.packets_per_lc, 300_000);
         assert_eq!(c.engine, EngineMode::FastForward);
     }

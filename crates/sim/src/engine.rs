@@ -679,17 +679,14 @@ impl RouterSim {
         if self.config.kind != RouterKind::Spal {
             return;
         }
-        if self.lcs[i].outgoing.is_empty() {
+        let Some(msg) = self.lcs[i].outgoing.pop() else {
             return;
-        }
-        let msg = *self.lcs[i].outgoing.peek().expect("non-empty");
-        if self.fabric.send(msg, now).is_ok() {
-            let _ = self.lcs[i].outgoing.pop();
-            // The one cross-LC state change in the simulator: flag the
-            // destination so the next scan recomputes its event horizon
-            // (its cached entry cannot know about this message).
-            self.lc_next[msg.dst as usize] = 0;
-        }
+        };
+        self.fabric.send(msg, now);
+        // The one cross-LC state change in the simulator: flag the
+        // destination so the next scan recomputes its event horizon
+        // (its cached entry cannot know about this message).
+        self.lc_next[msg.dst as usize] = 0;
     }
 
     fn report(self) -> SimReport {
@@ -726,7 +723,6 @@ mod tests {
             kind,
             psi,
             speed: LcSpeed::Gbps40,
-            fe: FeServiceModel::Fixed(40),
             cache: LrCacheConfig {
                 blocks: 512,
                 ..LrCacheConfig::default()
@@ -938,34 +934,6 @@ mod tests {
             report.hit_rate() < 0.5,
             "hit rate {} on aligned bases",
             report.hit_rate()
-        );
-    }
-
-    #[test]
-    fn shared_bus_fabric_serialises_but_completes() {
-        use spal_fabric::FabricModel;
-        let rt = synth::small(137);
-        let traces = tiny_traces(&rt, 4);
-        let base = tiny_config(RouterKind::Spal, 4);
-        let crossbar = RouterSim::new(&rt, &traces, base.clone()).run();
-        let bus = RouterSim::new(
-            &rt,
-            &traces,
-            SimConfig {
-                fabric: FabricModel::SharedBus,
-                ..base
-            },
-        )
-        .run();
-        // Everything completes on either fabric; the single bus slot per
-        // cycle adds queueing relative to the crossbar.
-        assert_eq!(bus.latency.count(), crossbar.latency.count());
-        assert!(bus.fabric.sent > 0);
-        assert!(
-            bus.mean_lookup_cycles() >= crossbar.mean_lookup_cycles() * 0.95,
-            "bus {} vs crossbar {}",
-            bus.mean_lookup_cycles(),
-            crossbar.mean_lookup_cycles()
         );
     }
 

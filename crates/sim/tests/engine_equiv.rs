@@ -24,7 +24,6 @@ fn base(kind: RouterKind, psi: usize, speed: LcSpeed) -> SimConfig {
         kind,
         psi,
         speed,
-        fe: FeServiceModel::Fixed(40),
         cache: LrCacheConfig {
             blocks: 512,
             ..LrCacheConfig::default()
@@ -100,11 +99,13 @@ fn spal_crossbar_10g() {
 }
 
 #[test]
-fn spal_shared_bus_both_speeds() {
+fn spal_fixed_fabric_both_speeds() {
+    // `exp fig4_mix`'s slow fabric: a 20-cycle transit keeps messages in
+    // flight across many fast-forward jumps.
     let rt = synth::small(47);
     for speed in [LcSpeed::Gbps10, LcSpeed::Gbps40] {
         let cfg = SimConfig {
-            fabric: FabricModel::SharedBus,
+            fabric: FabricModel::Fixed { cycles: 20 },
             ..base(RouterKind::Spal, 4, speed)
         };
         assert_run_equiv(&rt, &traces(&rt, 4, 2_000), cfg);

@@ -5,7 +5,7 @@ use spal::cache::LrCacheConfig;
 use spal::core::bits::{eta_for, select_bits};
 use spal::core::partition::Partitioning;
 use spal::core::{ForwardingTable, LpmAlgorithm};
-use spal::lpm::model::FeTimingModel;
+use spal::lpm::model::lookup_cycles;
 use spal::lpm::Lpm;
 use spal::rib::stats::LengthDistribution;
 use spal::rib::synth;
@@ -39,9 +39,8 @@ fn synthetic_tables_match_backbone_length_profile() {
 /// §5.1: 12 ns accesses + 120 ns code → 40 cycles (Lulea) / 62 (DP).
 #[test]
 fn fe_timing_model_reproduces_canonical_costs() {
-    let m = FeTimingModel::default();
-    assert_eq!(m.lookup_cycles(6.6), 40);
-    assert_eq!(m.lookup_cycles(16.0), 62);
+    assert_eq!(lookup_cycles(6.6), 40);
+    assert_eq!(lookup_cycles(16.0), 62);
 }
 
 /// §5.1: packet generation — 2..18 cycles at 40 Gbps, 6..74 at 10 Gbps,
