@@ -80,7 +80,7 @@ pub struct ReplayChecksum {
 
 impl ReplayChecksum {
     #[inline]
-    fn absorb(&mut self, next_hop: Option<NextHop>) {
+    fn record(&mut self, next_hop: Option<NextHop>) {
         self.lookups += 1;
         if let Some(nh) = next_hop {
             self.hits += 1;
@@ -89,8 +89,8 @@ impl ReplayChecksum {
     }
 
     #[inline]
-    fn absorb_counted(&mut self, c: CountedLookup) {
-        self.absorb(c.next_hop);
+    fn record_counted(&mut self, c: CountedLookup) {
+        self.record(c.next_hop);
         self.mem_accesses += c.mem_accesses as u64;
         self.lines_touched += c.lines_touched as u64;
     }
@@ -147,7 +147,7 @@ fn replay_shard<A: AddressBits>(
     match mode {
         ReplayMode::Scalar => {
             for &addr in shard.destinations() {
-                sum.absorb(lpm.lookup(addr));
+                sum.record(lpm.lookup(addr));
             }
         }
         ReplayMode::Batch { size } => {
@@ -155,7 +155,7 @@ fn replay_shard<A: AddressBits>(
             for chunk in shard.batches(size) {
                 lpm.forward_batch(chunk, &mut out[..chunk.len()]);
                 for &nh in &out[..chunk.len()] {
-                    sum.absorb(nh);
+                    sum.record(nh);
                 }
             }
         }
@@ -164,7 +164,7 @@ fn replay_shard<A: AddressBits>(
             for chunk in shard.batches(size) {
                 lpm.lookup_batch(chunk, &mut out[..chunk.len()]);
                 for &c in &out[..chunk.len()] {
-                    sum.absorb_counted(c);
+                    sum.record_counted(c);
                 }
             }
         }

@@ -105,13 +105,14 @@ fn split_subsets<A: AddressBits>(subsets: Vec<Vec<Prefix<A>>>, nu: u8) -> Vec<Ve
 
 /// Select `eta` partitioning bit positions for an arbitrary prefix set
 /// (IPv4 or IPv6), considering candidate positions `0..=max_bit`.
-/// Returns the chosen positions in selection order.
+/// Returns the chosen positions in selection order. `prefixes` becomes
+/// the first subset the recursion splits, so it is taken by value.
 ///
 /// # Panics
 /// Panics if `eta > max_bit + 1` (not enough distinct positions) or if
 /// `max_bit` exceeds the address width.
 pub fn select_bits_generic<A: AddressBits>(
-    prefixes: &[Prefix<A>],
+    prefixes: Vec<Prefix<A>>,
     eta: usize,
     max_bit: u8,
 ) -> Vec<u8> {
@@ -126,7 +127,7 @@ pub fn select_bits_generic<A: AddressBits>(
         max_bit as usize + 1
     );
     let mut chosen: Vec<u8> = Vec::with_capacity(eta);
-    let mut subsets: Vec<Vec<Prefix<A>>> = vec![prefixes.to_vec()];
+    let mut subsets: Vec<Vec<Prefix<A>>> = vec![prefixes];
     for _ in 0..eta {
         let best = (0..=max_bit)
             .filter(|nu| !chosen.contains(nu))
@@ -146,8 +147,7 @@ pub fn select_bits_generic<A: AddressBits>(
 /// low 64 bits) are host bits, wild in almost every routed prefix, so
 /// Criterion 1 excludes them just as it excludes positions > 24 in IPv4.
 pub fn select_bits<A: AddressBits>(table: &RoutingTable<A>, eta: usize) -> Vec<u8> {
-    let prefixes: Vec<Prefix<A>> = table.prefixes().collect();
-    select_bits_generic(&prefixes, eta, A::BITS.min(64) - 1)
+    select_bits_generic(table.prefixes().collect(), eta, A::BITS.min(64) - 1)
 }
 
 /// Number of partitioning bits for a router with `psi` LCs:
@@ -206,8 +206,7 @@ mod tests {
 
     /// Selection over the toy example's eight bit positions.
     fn toy_bits(rt: &RoutingTable, eta: usize) -> Vec<u8> {
-        let prefixes: Vec<Prefix> = rt.prefixes().collect();
-        select_bits_generic(&prefixes, eta, 7)
+        select_bits_generic(rt.prefixes().collect(), eta, 7)
     }
 
     #[test]

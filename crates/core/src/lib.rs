@@ -10,23 +10,23 @@
 //!   detector;
 //! * [`fwd`] — the forwarding-table wrappers (one per address width)
 //!   selecting one of the `spal-lpm` algorithms per line card;
-//! * [`router`] — the functional (untimed) SPAL router: partitioned
-//!   tables + per-LC LR-caches + home routing, with full result-sharing
-//!   semantics; the cycle-accurate version lives in `spal-sim`;
 //! * [`baseline`] — the comparison schemes that are not routers: ref
 //!   \[6\]'s range-caching interval map and the partition-by-length
 //!   scheme of ref \[1\] (the conventional and cache-only routers run in
 //!   `spal-sim`).
+//!
+//! The §3.3 lookup flows that share results through home LCs run in
+//! the two models built on these pieces: the cycle-driven `spal-sim`
+//! behind every figure, and the `spal-dataplane` runtime the benchmark
+//! measures (its deterministic schedule is the one to step through).
 
 pub mod baseline;
 pub mod bits;
 pub mod fwd;
 pub mod partition;
-pub mod router;
 pub mod v6;
 
 pub use bits::{select_bits, BitScore};
 pub use fwd::{ForwardingTable, ForwardingTable6, LpmAlgorithm, LpmAlgorithm6};
 pub use partition::{PartitionStats, Partitioning};
-pub use router::{LookupOutcome, SpalRouter, SpalRouterConfig};
 pub use v6::{select_bits6, Partitioning6};

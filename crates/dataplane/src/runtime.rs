@@ -164,7 +164,8 @@ pub struct DataplaneConfig<F: AddrFamily = V4> {
     /// on the same pinned snapshot (0 = off).
     pub spot_check_every: u64,
     /// Run single-threaded with a fixed round-robin schedule — results
-    /// are exactly reproducible (used by the sim-parity suite).
+    /// are exactly reproducible (the sim-parity suite and the
+    /// quickstart example run it).
     pub deterministic: bool,
     /// Seed for the churn stream and the final consistency sampler.
     pub seed: u64,
@@ -1737,6 +1738,7 @@ mod tests {
     for_both_families!(
         deterministic_single_worker_matches_oracle,
         deterministic_multi_worker_matches_oracle_and_shares_results,
+        one_fe_lookup_serves_every_lc_asking_for_an_address,
         deterministic_runs_are_reproducible,
         deterministic_churn_stays_coherent_and_coalesces,
         threaded_run_matches_oracle,
@@ -1964,6 +1966,38 @@ mod tests {
             .map(|w| w.batch_requests_sent + w.batch_replies_sent)
             .sum();
         assert!(batched > 0, "no message was ever coalesced");
+    }
+
+    /// §3.3's sharing, counted exactly: three LCs each send one address
+    /// homed on the third, twice. The home FE resolves it once; each
+    /// other LC sends one request, and the home serves both.
+    fn one_fe_lookup_serves_every_lc_asking_for_an_address<F: TestFamily>() {
+        let (table, _) = F::small_setup(1, 1);
+        let part = Partitioning::new(&table, select_bits(&table, eta_for(3)), 3);
+        let home = 2;
+        let addr = table
+            .entries()
+            .iter()
+            .map(|e| e.prefix.bits())
+            .find(|&a| part.home_of(a) == home)
+            .expect("some address homes at LC 2");
+        let traces: Vec<Trace<F::Addr>> = (0..3)
+            .map(|lc| Trace::new(format!("lc{lc}"), vec![addr; 2]))
+            .collect();
+        let cfg = DataplaneConfig {
+            workers: 3,
+            deterministic: true,
+            cache: LrCacheConfig::paper(128),
+            ..Default::default()
+        };
+        let report = run_family::<F>(&table, &traces, &cfg);
+        assert_matches_oracle::<F>(&report, &table, &traces);
+        for w in &report.workers {
+            let is_home = w.lc == home as usize;
+            assert_eq!(w.fe_lookups, u64::from(is_home), "lc {}", w.lc);
+            assert_eq!(w.remote_requests, u64::from(!is_home), "lc {}", w.lc);
+            assert_eq!(w.remote_served, if is_home { 2 } else { 0 }, "lc {}", w.lc);
+        }
     }
 
     fn deterministic_runs_are_reproducible<F: TestFamily>() {

@@ -9,7 +9,9 @@
 //! * every packet resolves to the same next hop (checksums equal);
 //! * the aggregate cache hit rate, and the REM share of complete hits,
 //!   land within a small tolerance (batching changes *when* duplicate
-//!   addresses coalesce, not *whether* the cache works).
+//!   addresses coalesce, not *whether* the cache works);
+//! * the FE work — lookups run, summed over the LCs — is within 2× either
+//!   way (in-flight coalescing differs, the sharing does not).
 //!
 //! Measured divergence (ψ ∈ {1, 4, 8}, several seeds): hit rate agrees
 //! to < 0.001 absolute, REM share to < 0.005. The bounds below leave
@@ -58,6 +60,14 @@ fn parity_case(psi: usize, seed: u64) -> (f64, f64, f64, f64) {
             seed,
             ..Default::default()
         },
+    );
+
+    let sim_fe: u64 = sim.per_lc.iter().map(|l| l.fe_lookups).sum();
+    let dp_fe: u64 = dp.workers.iter().map(|w| w.fe_lookups).sum();
+    let fe_ratio = dp_fe as f64 / sim_fe as f64;
+    assert!(
+        (0.5..2.0).contains(&fe_ratio),
+        "psi={psi} FE work diverged: sim {sim_fe} vs dataplane {dp_fe}"
     );
 
     let sim_rem_share = {

@@ -19,11 +19,3 @@ pub struct DeltaStats {
     /// [`crate::Lpm::storage_bytes`].
     pub bytes_touched: usize,
 }
-
-impl DeltaStats {
-    /// Accumulate another patch's counters into this one.
-    pub fn absorb(&mut self, other: DeltaStats) {
-        self.prefixes_applied += other.prefixes_applied;
-        self.bytes_touched += other.bytes_touched;
-    }
-}

@@ -6,8 +6,8 @@
 //!
 //! Each trie node packs a branch factor, a skip count and a child/leaf
 //! index (modelled at the classic 4 bytes). The branch factor at every
-//! node is the largest `b` for which at least `fill_factor · 2^b` of the
-//! 2^b child slots are non-empty (the paper evaluates fill factor 0.25);
+//! node is the largest `b` for which at least `FILL_FACTOR` · 2^b of
+//! the 2^b child slots are non-empty (the paper evaluates 0.25);
 //! empty slots are backed by the sorted-order neighbour sharing the most
 //! bits with the slot pattern, which keeps the prefix-chain fallback
 //! correct (see `lookup_counted`). Branching never inspects bits past the
@@ -16,6 +16,9 @@
 use crate::{CountedLookup, Lpm, Tally, Walk, BATCH_LANES};
 use spal_rib::{NextHop, Prefix, RoutingTable};
 
+/// Share of a node's 2^b child slots that must be non-empty for it to
+/// branch b ways: the fill factor the paper evaluates.
+const FILL_FACTOR: f64 = 0.25;
 /// Modelled bytes per trie node: branch/skip/address packed in 32 bits.
 pub const NODE_BYTES: usize = 4;
 /// Modelled bytes per base-vector entry: string (4) + length/flags (2) +
@@ -69,23 +72,12 @@ pub struct LcTrie {
     nodes: Vec<Node>,
     base: Vec<BaseEntry>,
     prefixes: Vec<PrefixEntry>,
-    fill_factor: f64,
     routes: usize,
 }
 
 impl LcTrie {
-    /// Build with the paper's default fill factor of 0.25.
+    /// Build the trie at the paper's fill factor, `FILL_FACTOR`.
     pub fn build(table: &RoutingTable) -> Self {
-        Self::build_with_fill(table, 0.25)
-    }
-
-    /// Build with an explicit fill factor in `(0, 1]`. Higher values
-    /// produce deeper but smaller tries.
-    pub fn build_with_fill(table: &RoutingTable, fill_factor: f64) -> Self {
-        assert!(
-            fill_factor > 0.0 && fill_factor <= 1.0,
-            "fill factor must be in (0, 1]"
-        );
         let routes = table.len();
         // Split the prefix set: internal prefixes (proper prefixes of
         // another stored prefix) go to the prefix vector; the rest are the
@@ -160,7 +152,6 @@ impl LcTrie {
             nodes: Vec::new(),
             base,
             prefixes,
-            fill_factor,
             routes,
         };
         if trie.base.is_empty() {
@@ -261,7 +252,7 @@ impl LcTrie {
     }
 
     /// Largest branch factor `b ≤ cap` whose 2^b slots are at least
-    /// `fill_factor` full over the given range.
+    /// `FILL_FACTOR` full over the given range.
     fn pick_branch(&self, first: usize, n: usize, common: u8, cap: u8) -> u8 {
         let mut best = 1u8;
         for b in 2..=cap {
@@ -279,7 +270,7 @@ impl LcTrie {
                     prev = pat;
                 }
             }
-            if nonempty as f64 >= self.fill_factor * slots as f64 {
+            if nonempty as f64 >= FILL_FACTOR * slots as f64 {
                 best = b;
             }
         }
@@ -321,34 +312,6 @@ impl LcTrie {
     /// Number of routes the trie was built from.
     pub fn route_count(&self) -> usize {
         self.routes
-    }
-
-    /// The fill factor the trie was built with.
-    pub fn fill_factor(&self) -> f64 {
-        self.fill_factor
-    }
-
-    /// Mean depth (trie nodes visited) over all leaves — the quantity
-    /// level compression minimises.
-    pub fn mean_leaf_depth(&self) -> f64 {
-        if self.nodes.is_empty() {
-            return 0.0;
-        }
-        let mut total = 0u64;
-        let mut leaves = 0u64;
-        let mut stack = vec![(0usize, 1u64)];
-        while let Some((idx, depth)) = stack.pop() {
-            let node = self.nodes[idx];
-            if node.branch == 0 {
-                total += depth;
-                leaves += 1;
-            } else {
-                for c in 0..(1usize << node.branch) {
-                    stack.push((node.adr as usize + c, depth + 1));
-                }
-            }
-        }
-        total as f64 / leaves as f64
     }
 }
 
@@ -468,13 +431,13 @@ mod tests {
         }))
     }
 
-    fn assert_agrees(rt: &RoutingTable, fill: f64, addrs: impl Iterator<Item = u32>) {
-        let trie = LcTrie::build_with_fill(rt, fill);
+    fn assert_agrees(rt: &RoutingTable, addrs: impl Iterator<Item = u32>) {
+        let trie = LcTrie::build(rt);
         for addr in addrs {
             assert_eq!(
                 trie.lookup(addr),
                 rt.longest_match(addr).map(|e| e.next_hop),
-                "addr {addr:#010x} (fill {fill})"
+                "addr {addr:#010x}"
             );
         }
     }
@@ -523,7 +486,7 @@ mod tests {
 
     #[test]
     fn empty_slot_fallback_is_correct() {
-        // Low fill factor creates wide branches with empty slots; an
+        // A wide branch over sparse children leaves empty slots; an
         // address landing in one must still resolve through the chain.
         let rt = table(&[
             ("10.0.0.0/8", 1),
@@ -532,10 +495,11 @@ mod tests {
             ("10.128.0.0/24", 4),
             ("10.192.0.0/24", 5),
         ]);
-        // Fill 0.1 lets the root branch wide over sparse children.
+        // The root branches 8 ways over the four /24s: half its slots
+        // are empty, which the 0.25 fill allows.
+        assert_eq!(LcTrie::build(&rt).node_count(), 1 + 8);
         assert_agrees(
             &rt,
-            0.1,
             [
                 0x0A00_0001u32, // /24 at 10.0.0
                 0x0A40_0001,    // /24 at 10.64.0
@@ -548,7 +512,7 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_oracle_across_fill_factors() {
+    fn agrees_with_oracle_on_synthetic_table() {
         use rand::{Rng, SeedableRng};
         let rt = synth::small(31);
         let mut rng = rand::rngs::StdRng::seed_from_u64(77);
@@ -557,18 +521,7 @@ mod tests {
             addrs.push(e.prefix.first_addr());
             addrs.push(e.prefix.last_addr());
         }
-        for fill in [0.125, 0.25, 0.5, 1.0] {
-            assert_agrees(&rt, fill, addrs.iter().copied());
-        }
-    }
-
-    #[test]
-    fn lower_fill_is_shallower_but_bigger() {
-        let rt = synth::small(37);
-        let shallow = LcTrie::build_with_fill(&rt, 0.125);
-        let deep = LcTrie::build_with_fill(&rt, 1.0);
-        assert!(shallow.mean_leaf_depth() <= deep.mean_leaf_depth());
-        assert!(shallow.node_count() >= deep.node_count());
+        assert_agrees(&rt, addrs.into_iter());
     }
 
     #[test]
@@ -578,12 +531,6 @@ mod tests {
         let (base, pre) = trie.vector_sizes();
         assert_eq!(base + pre, rt.len());
         assert_eq!(trie.route_count(), rt.len());
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_fill_factor_rejected() {
-        let _ = LcTrie::build_with_fill(&RoutingTable::new(), 0.0);
     }
 
     #[test]

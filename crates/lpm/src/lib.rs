@@ -13,7 +13,7 @@
 //!   Degermark et al. \[7\], with the genuine bit-vector + codeword +
 //!   base-index + maptable machinery, averaging ≈6–7 accesses per lookup.
 //! * [`lctrie::LcTrie`] — the level-compressed trie of Nilsson & Karlsson
-//!   \[12\] with a configurable fill factor (the paper uses 0.25).
+//!   \[12\] at the fill factor the paper evaluates, 0.25.
 //! * [`dir24::Dir24_8`] — DIR-24-8-BASIC of Gupta, Lin & McKeown \[10\]
 //!   (§2.1): one or two reads per lookup out of a > 32 MB table.
 //! * [`multibit::MultibitTrie`] — a fixed-stride multibit trie with

@@ -654,7 +654,10 @@ impl Lpm for Poptrie {
         if dirty.len() > MAX_DIRTY_STEMS {
             return None;
         }
-        let mut stats = DeltaStats::default();
+        let mut stats = DeltaStats {
+            prefixes_applied: changed.len(),
+            bytes_touched: 0,
+        };
         for stem in dirty {
             self.garbage_slots += usize::from(self.stem_slots[stem]);
             let base_addr = (stem as u32) << 16;
@@ -677,7 +680,6 @@ impl Lpm for Poptrie {
                 (self.root[stem], self.stem_slots[stem]) = builder.encode(&spec);
                 stats.bytes_touched += 4 + (self.words.len() - before) * 4;
             }
-            stats.prefixes_applied += 1;
         }
         self.routes = rib.len();
         let total_slots = self.words.len() / SLOT_WORDS;
@@ -902,6 +904,20 @@ mod tests {
                 assert_eq!(out[i], t.lookup_counted(a));
             }
         }
+    }
+
+    /// `prefixes_applied` counts changed prefixes, as every other engine
+    /// does, not the stems they dirty: one /12 spans 16 stems.
+    #[test]
+    fn delta_counts_prefixes_not_stems() {
+        let mut t = Poptrie::build(&table(&[("10.0.0.0/12", 1), ("192.168.1.0/24", 2)]));
+        let rt = table(&[("10.0.0.0/12", 3), ("192.168.1.0/24", 2)]);
+        let stats = t
+            .apply_delta(&["10.0.0.0/12".parse().unwrap()], &rt)
+            .expect("a /12 patches in place");
+        assert_eq!(stats.prefixes_applied, 1);
+        assert_eq!(t.lookup(0x0A0F_0000), Some(NextHop(3)));
+        assert_eq!(t.lookup(0xC0A8_0105), Some(NextHop(2)));
     }
 
     #[test]

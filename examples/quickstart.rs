@@ -1,72 +1,88 @@
-//! Quickstart: build a SPAL router over a synthetic BGP table and watch
-//! the §3.3 lookup flows happen.
+//! Quickstart: run a 4-LC SPAL dataplane over a synthetic BGP table on
+//! its deterministic schedule, send one address from every LC, and read
+//! the §3.3 lookup flows off each LC's counters.
 //!
 //! Run: `cargo run --release --example quickstart`
 
 use spal::cache::LrCacheConfig;
-use spal::core::{LookupOutcome, LpmAlgorithm, SpalRouter, SpalRouterConfig};
+use spal::core::bits::{eta_for, select_bits};
+use spal::core::Partitioning;
+use spal::dataplane::{run, DataplaneConfig};
+use spal::rib::prefix::format_addr;
 use spal::rib::synth;
+use spal::traffic::Trace;
 
 fn main() {
     // A 10,000-prefix routing table (deterministic; seed 42).
     let table = synth::synthesize(&synth::SynthConfig::sized(10_000, 42));
     println!("routing table: {} prefixes", table.len());
 
-    // A 4-LC SPAL router running the Lulea trie with 4K-block LR-caches.
-    let config = SpalRouterConfig {
-        psi: 4,
-        algorithm: LpmAlgorithm::Lulea,
-        cache: LrCacheConfig::paper(4096),
-    };
-    let mut router = SpalRouter::build(&table, &config);
-    println!(
-        "partitioning bits: {:?} (chosen by the Sec. 3.1 criteria)",
-        router.partitioning().bits()
-    );
+    // The dataplane partitions the table on the bits the Sec. 3.1
+    // criteria choose for ψ LCs; the same call here tells us which LC
+    // is an address's home.
+    let psi = 4;
+    let part = Partitioning::new(&table, select_bits(&table, eta_for(psi)), psi);
+    println!("partitioning bits: {:?}", part.bits());
 
-    // Pick an address that is homed at LC 2 and look it up from LC 0.
+    let home = 2;
     let addr = table
         .entries()
         .iter()
         .map(|e| e.prefix.first_addr())
-        .find(|&a| router.partitioning().home_of(a) == 2)
+        .find(|&a| part.home_of(a) == home)
         .expect("some address homes at LC 2");
-    println!(
-        "address {} homes at LC {}",
-        spal::rib::prefix::format_addr(addr),
-        router.partitioning().home_of(addr)
+    println!("address {} homes at LC {home}", format_addr(addr));
+
+    // Every LC receives the same address 64 times: two admit batches of
+    // 32 packets each.
+    let traces: Vec<Trace> = (0..psi)
+        .map(|lc| Trace::new(format!("lc{lc}"), vec![addr; 64]))
+        .collect();
+    let report = run(
+        &table,
+        &traces,
+        &DataplaneConfig {
+            workers: psi,
+            deterministic: true,
+            cache: LrCacheConfig::paper(4096),
+            ..Default::default()
+        },
     );
 
-    let steps = [
-        ("first lookup from LC 0", 0u16),
-        ("second lookup from LC 0", 0),
-        ("first lookup from LC 1", 1),
-        ("lookup from the home LC 2", 2),
-    ];
-    for (what, lc) in steps {
-        let (nh, outcome) = router.lookup(lc, addr);
-        let explain = match outcome {
-            LookupOutcome::LocalCacheHit => "hit in this LC's LR-cache (1 cycle)",
-            LookupOutcome::LocalFeLookup => "local FE ran the matching algorithm (~40 cycles)",
-            LookupOutcome::RemoteCacheHit => {
-                "home LC's LR-cache answered over the fabric (~6 cycles)"
-            }
-            LookupOutcome::RemoteFeLookup => "home FE ran the matching algorithm (~45 cycles)",
-        };
-        println!("{what}: next hop {:?} — {explain}", nh.map(|h| h.0));
+    // Per LC: probes of its LR-cache (its own packets' and, at the home
+    // LC, the requests it serves) that hit a LOC block (a result its own
+    // FE computed), a REM block (a reply from the home LC) or a W-bit
+    // waiting block (a lookup already in flight); FE lookups it ran;
+    // requests it sent over the fabric; and requests it served as home.
+    // Here the home LC's first packet is a local FE lookup, its second
+    // batch hits locally, LCs 0 and 1 wait on that one FE lookup, LC 3's
+    // request hits the home LC's cache, and each requester's second
+    // batch hits the REM block the reply filled.
+    println!(
+        "\n{:>3} {:>8} {:>8} {:>12} {:>10} {:>15} {:>13}",
+        "LC",
+        "hits_loc",
+        "hits_rem",
+        "hits_waiting",
+        "fe_lookups",
+        "remote_requests",
+        "remote_served"
+    );
+    for w in &report.workers {
+        println!(
+            "{:>3} {:>8} {:>8} {:>12} {:>10} {:>15} {:>13}",
+            w.lc,
+            w.cache.hits_loc,
+            w.cache.hits_rem,
+            w.cache.hits_waiting,
+            w.fe_lookups,
+            w.remote_requests,
+            w.remote_served
+        );
     }
-
+    let fe: u64 = report.workers.iter().map(|w| w.fe_lookups).sum();
     println!(
-        "\nFE lookups per LC: {:?} (the home FE worked exactly once)",
-        router.fe_lookups()
+        "\n{} packets across {psi} LCs, {fe} FE lookup(s) in all",
+        report.total_packets()
     );
-    println!(
-        "fabric requests: {} (later lookups were served from caches)",
-        router.fabric_requests()
-    );
-
-    // A routing update flushes every LR-cache (Sec. 3.2).
-    router.flush_caches();
-    let (_, outcome) = router.lookup(0, addr);
-    println!("after a table-update flush, LC 0 lookup is a {outcome:?} again");
 }

@@ -8,7 +8,7 @@
 //! * [`cache`] — the LR-cache (set-associative, mix-aware, victim cache)
 //! * [`fabric`] — switching-fabric latency/bandwidth models
 //! * [`traffic`] — trace presets and packet arrival processes
-//! * [`core`] — partition-bit selection, ROT-partitions, router config
+//! * [`core`] — partition-bit selection, ROT-partitions, forwarding tables
 //! * [`sim`] — the cycle-driven router simulator
 //! * [`dataplane`] — the threaded runtime (v4 and v6), epoch layer,
 //!   version-gated caches

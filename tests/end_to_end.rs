@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 use spal::cache::LrCacheConfig;
 use spal::core::bits::{eta_for, select_bits};
 use spal::core::partition::Partitioning;
-use spal::core::{ForwardingTable, LpmAlgorithm, SpalRouter, SpalRouterConfig};
+use spal::core::{ForwardingTable, LpmAlgorithm};
 use spal::lpm::Lpm;
 use spal::rib::synth;
 use spal::sim::{RouterKind, RouterSim, SimConfig};
@@ -53,26 +53,8 @@ fn partitioned_tries_equal_full_table_for_every_algorithm() {
 }
 
 #[test]
-fn functional_router_and_simulator_agree_on_sharing_semantics() {
+fn simulator_completes_every_packet_and_shares_fe_work() {
     let table = synth::synthesize(&synth::SynthConfig::sized(5_000, 3));
-    // Functional router: exact per-lookup outcomes.
-    let mut router = SpalRouter::build(
-        &table,
-        &SpalRouterConfig {
-            psi: 4,
-            algorithm: LpmAlgorithm::Lulea,
-            cache: LrCacheConfig {
-                blocks: 1024,
-                ..LrCacheConfig::default()
-            },
-        },
-    );
-    for &addr in addresses(&table, 2_000, 4).iter() {
-        let (nh, _) = router.lookup((addr % 4) as u16, addr);
-        assert_eq!(nh, table.longest_match(addr).map(|e| e.next_hop));
-    }
-
-    // Simulator: same table, every packet completes, FE work is shared.
     let p = TracePreset {
         distinct: 2_000,
         ..preset(PresetName::D75)
@@ -156,29 +138,4 @@ fn storage_claim_holds_end_to_end() {
         saving > 4096 * 6,
         "saving {saving} must exceed the 24 KB LR-cache"
     );
-}
-
-#[test]
-fn update_flush_preserves_correctness() {
-    let table = synth::synthesize(&synth::SynthConfig::sized(3_000, 13));
-    let mut router = SpalRouter::build(
-        &table,
-        &SpalRouterConfig {
-            psi: 2,
-            algorithm: LpmAlgorithm::Dp,
-            cache: LrCacheConfig {
-                blocks: 256,
-                ..LrCacheConfig::default()
-            },
-        },
-    );
-    let addrs = addresses(&table, 300, 15);
-    for &a in &addrs {
-        router.lookup(0, a);
-    }
-    router.flush_caches();
-    for &a in &addrs {
-        let (nh, _) = router.lookup(1, a);
-        assert_eq!(nh, table.longest_match(a).map(|e| e.next_hop));
-    }
 }

@@ -70,12 +70,11 @@ proptest! {
     }
 
     #[test]
-    fn lc_trie_matches_oracle_across_fill_factors(
+    fn lc_trie_matches_oracle(
         table in arb_table(60),
         randoms in proptest::collection::vec(any::<u32>(), 16),
-        fill in prop::sample::select(vec![0.125f64, 0.25, 0.5, 1.0]),
     ) {
-        let trie = LcTrie::build_with_fill(&table, fill);
+        let trie = LcTrie::build(&table);
         check_oracle(&trie, &table, &probe_addresses(&table, &randoms))?;
     }
 

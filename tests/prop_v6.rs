@@ -81,7 +81,7 @@ proptest! {
     ) {
         let eta = spal::core::bits::eta_for(psi);
         let prefixes: Vec<Prefix6> = table.entries().iter().map(|e| e.prefix).collect();
-        let bits = spal::core::bits::select_bits_generic(&prefixes, eta, 127);
+        let bits = spal::core::bits::select_bits_generic(prefixes, eta, 127);
         let part = Partitioning6::new(&table, bits, psi);
         let fragments = part.forwarding_tables(&table);
         for addr in addrs {

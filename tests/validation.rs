@@ -1,7 +1,7 @@
 //! Cross-model validation: independent components must agree with each
 //! other — the reuse-distance analysis predicts what the simulated
-//! LR-cache measures, and the functional router predicts what the cycle
-//! simulator does.
+//! LR-cache measures. (The dataplane's agreement with the cycle
+//! simulator is `crates/dataplane/tests/sim_parity.rs`.)
 
 use spal::cache::LrCacheConfig;
 use spal::rib::synth;
@@ -52,64 +52,5 @@ fn simulated_hit_rate_tracks_reuse_distance_prediction() {
         measured >= predicted - 0.05,
         "4-way + victim should stay within a few points of the bound: \
          measured {measured:.4} vs predicted {predicted:.4}"
-    );
-}
-
-/// The untimed functional router and the cycle simulator run the same
-/// protocol, so their *work* counters (FE lookups) must be in the same
-/// neighbourhood on the same workload (timing changes interleaving, and
-/// in-flight coalescing differs, but not the big picture).
-#[test]
-fn functional_router_and_simulator_fe_work_agree() {
-    use spal::core::{LpmAlgorithm, SpalRouter, SpalRouterConfig};
-    let table = synth::synthesize(&synth::SynthConfig::sized(8_000, 79));
-    let p = TracePreset {
-        distinct: 3_000,
-        ..preset(PresetName::L92_1)
-    };
-    let psi = 4usize;
-    let packets = 20_000;
-    let streams = p.generate(&table, packets * psi, 9).split(psi);
-    let cache = LrCacheConfig {
-        blocks: 1024,
-        ..LrCacheConfig::default()
-    };
-
-    // Functional pass: interleave the per-LC streams round-robin, the
-    // same order the simulator admits them on identical arrival clocks.
-    let mut router = SpalRouter::build(
-        &table,
-        &SpalRouterConfig {
-            psi,
-            algorithm: LpmAlgorithm::Lulea,
-            cache: cache.clone(),
-        },
-    );
-    for i in 0..packets {
-        for (lc, s) in streams.iter().enumerate() {
-            router.lookup(lc as u16, s.destinations()[i]);
-        }
-    }
-    let functional_fe: u64 = router.fe_lookups().iter().sum();
-
-    let report = RouterSim::new(
-        &table,
-        &streams,
-        SimConfig {
-            kind: RouterKind::Spal,
-            psi,
-            cache,
-            packets_per_lc: packets,
-            seed: 9,
-            ..SimConfig::default()
-        },
-    )
-    .run();
-    let simulated_fe: u64 = report.per_lc.iter().map(|l| l.fe_lookups).sum();
-
-    let ratio = simulated_fe as f64 / functional_fe as f64;
-    assert!(
-        (0.5..2.0).contains(&ratio),
-        "FE work diverged: functional {functional_fe} vs simulated {simulated_fe}"
     );
 }
